@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .conditions import NonexpansiveProfile, check_nonexpansive
-from .process import ProcessPath, VectorProcessPath, zero_state_mask
-from .verdict import ConditionVerdict, failing, passing, vacuous
+from .process import ProcessPath, VectorProcessPath, finite_steps, ratio_band, zero_state_mask
+from .verdict import ConditionVerdict, band_check, vacuous
 
 __all__ = [
     "DomainExitError",
@@ -330,7 +330,7 @@ def check_linear_envelope(
         raise ValueError("grid must exclude the root")
     gvals = np.fromiter((float(problem.g(float(x))) for x in grid), dtype=float, count=len(grid))
     ratios = gvals / offsets
-    bad = (ratios <= 0) | (ratios > ratio_cap)
+    bad = ~((ratios > 0) & (ratios <= ratio_cap))  # a non-finite g value is a violation
     return EnvelopeReport(
         m_hat=float(ratios.min()),
         M_hat=float(ratios.max()),
@@ -353,7 +353,7 @@ def check_norm_envelope(
     gvals = np.asarray([np.asarray(problem.g(x), dtype=float) for x in grid])
     inner = np.einsum("ij,ij->i", gvals, grid) / norms2
     norm_ratio = np.linalg.norm(gvals, axis=1) / np.sqrt(norms2)
-    bad = (inner <= 0) | (norm_ratio > ratio_cap)
+    bad = ~((inner > 0) & (norm_ratio <= ratio_cap))  # a non-finite g value is a violation
     return EnvelopeReport(
         m_hat=float(inner.min()),
         M_hat=float(norm_ratio.max()),
@@ -396,7 +396,7 @@ def check_regularity(
     nz = absx > 0
     sign_margin = np.where(nz, np.sign(grid) * gvals, np.inf)
 
-    margins = np.minimum(growth_margin, sign_margin)
+    margins = np.where(np.isfinite(gvals), np.minimum(growth_margin, sign_margin), -math.inf)
     infima = []
     detail_bits = []
     worst = float(margins.min()) if len(margins) else math.inf
@@ -440,25 +440,18 @@ def check_ratio_sandwich(
     if not 0 < m <= M:
         raise ValueError("need 0 < m <= M")
     al = schedule.alphas(path.horizon)
-    start_idx = np.nonzero(M * al <= 1.0)[0]
-    if len(start_idx) == 0:
-        return vacuous("step sizes never satisfy M * alpha <= 1; nothing checked")
-    s = int(start_idx[0])
+    checkable = np.logical_or.accumulate(M * al <= 1.0)
     prev = path.xs[:-1] - x_star
-    mask = np.zeros(path.horizon, dtype=bool)
-    mask[s:] = np.abs(prev[s:]) > 0
-    if not mask.any():
-        return vacuous("no checkable steps")
-    ratios = (path.ms[mask] - x_star) / prev[mask]
-    lower = 1.0 - M * al[mask]
-    upper = 1.0 - m * al[mask]
-    margins = np.minimum(ratios - lower, upper - ratios)
-    worst = float(margins.min())
-    if worst < -atol:
-        steps = np.nonzero(mask)[0] + 1
-        bad = np.nonzero(margins < -atol)[0][0]
-        return failing(int(steps[bad]), worst, "ratio left the sandwich")
-    return passing(worst, f"{int(mask.sum())} steps checked from step {s + 1}")
+    band = band_check(
+        path.ms - x_star, 1.0 - m * al, 1.0 - M * al, checkable & (prev != 0),
+        atol=atol, over=prev, finite=finite_steps(path),
+    )
+    if checkable.any():
+        held = f"{{checked}} steps checked from step {int(np.argmax(checkable)) + 1}"
+        empty = "no checkable steps"
+    else:
+        held, empty = "", "step sizes never satisfy M * alpha <= 1; nothing checked"
+    return band.verdict("ratio left the sandwich", held, empty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,6 +499,7 @@ def derive_truncated(
         raise ValueError("residuals never settle below tau within the horizon")
     keep = np.abs(base.ms) >= (delta + tau)
     ms_t = np.where(keep, base.ms, 0.0)
+    ms_t[~finite_steps(base)] = math.nan  # truncation must not hide a non-finite step
     xs_t = np.concatenate(([base.x0], np.where(keep, base.xs[1:], 0.0)))
     truncated = ProcessPath(xs_t, ms_t, base.zero_tol)
     zmask = np.abs(xs_t[:-1]) <= base.zero_tol
@@ -552,31 +546,20 @@ def check_truncated_contractive(
     fraction of post-settling steps actually checked is reported as coverage.
     """
     path = trunc.path
-    start = trunc.n0 + 1
-    total = path.horizon - start + 1
-    if total <= 0:
-        return CoverageVerdict(True, None, math.inf, "no steps beyond the settling index", 0.0)
+    total = path.horizon - trunc.n0  # steps beyond the settling index
     ks = np.asarray(ks, dtype=float)
     if len(ks) < path.horizon:
         raise ValueError("ks must cover the path horizon")
-    prev = path.xs[start - 1 : -1]
-    mask = (np.abs(prev) > path.zero_tol) & (np.abs(prev) < delta2)
-    coverage = float(mask.sum()) / total
-    if not mask.any():
-        return CoverageVerdict(True, None, math.inf, "no steps within the checked band", 0.0)
-    ratios = path.ms[start - 1 :][mask] / prev[mask]
-    upper = ks[start - 1 : path.horizon][mask]
-    margins = np.minimum(ratios, upper - ratios)
-    worst = float(margins.min())
-    steps = start + np.nonzero(mask)[0]
-    if worst < -atol:
-        bad = np.nonzero(margins < -atol)[0][0]
-        return CoverageVerdict(
-            False, int(steps[bad]), worst, "contractive ratio violated", coverage
-        )
-    return CoverageVerdict(
-        True, None, worst, f"{int(mask.sum())} steps checked", coverage
+    prev = np.abs(path.xs[:-1])
+    band_mask = (np.arange(path.horizon) >= trunc.n0) & (prev > path.zero_tol) & (prev < delta2)
+    band = ratio_band(path, ks[: path.horizon], 0.0, band_mask, atol)
+    coverage = int(band_mask.sum()) / total if total > 0 else 0.0
+    verdict = band.verdict(
+        "contractive ratio violated",
+        "{checked} steps checked",
+        "no steps within the checked band" if total > 0 else "no steps beyond the settling index",
     )
+    return CoverageVerdict(*astuple(verdict), coverage)
 
 
 def check_truncated_zero_mean_bound(
@@ -590,13 +573,16 @@ def check_truncated_zero_mean_bound(
     base = trunc.base
     u_base = np.where(zero_state_mask(base), base.ms, 0.0)
     allowance = np.abs(u_base) + trunc.delta + 2.0 * trunc.tau + kappa
-    sl = slice(trunc.n0 - 1, None)
-    margins = allowance[sl] - np.abs(trunc.zero_state_mean[sl])
-    worst = float(margins.min()) if margins.size else math.inf
-    if worst < -atol:
-        bad = int(np.nonzero(margins < -atol)[0][0]) + trunc.n0
-        return failing(bad, worst, "restart mean exceeds the truncation allowance")
-    return passing(worst, f"{margins.size} steps checked from step {trunc.n0}")
+    late = np.arange(1, base.horizon + 1) >= trunc.n0
+    band = band_check(
+        np.abs(trunc.zero_state_mean), allowance, mask=late, atol=atol,
+        finite=finite_steps(trunc.path),
+    )
+    return band.verdict(
+        "restart mean exceeds the truncation allowance",
+        f"{{checked}} steps checked from step {trunc.n0}",
+        "no steps checked",
+    )
 
 
 def contraction_factor(alpha: float, m: float, M: float) -> float:

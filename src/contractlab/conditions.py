@@ -8,13 +8,20 @@ tail-window criteria with explicit tolerances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .process import ProcessPath, VectorProcessPath
-from .verdict import ConditionVerdict, failing, passing, vacuous
+from .process import (
+    ProcessPath,
+    VectorProcessPath,
+    allowance_array,
+    finite_array,
+    ratio_band,
+    zero_state_band,
+)
+from .verdict import Band, ConditionVerdict, failing, passing
 
 __all__ = [
     "ConditionVerdict",
@@ -39,16 +46,9 @@ class NonexpansiveProfile:
     alpha_sum_cap: float = 1e6
 
     def __post_init__(self) -> None:
-        alphas = np.asarray(self.alphas, dtype=float)
-        if np.any(alphas < 0):
-            raise ValueError("alphas must be nonnegative")
         if not math.isfinite(self.alpha_sum_cap):
             raise ValueError("alpha_sum_cap must be finite")
-        if alphas.sum() > self.alpha_sum_cap:
-            raise ValueError(
-                f"sum of alphas {alphas.sum():g} exceeds cap {self.alpha_sum_cap:g}"
-            )
-        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "alphas", allowance_array(self.alphas, self.alpha_sum_cap))
 
     @classmethod
     def constant(cls, value: float, horizon: int, alpha_sum_cap: float = 1e6):
@@ -72,7 +72,7 @@ class ContractiveProfile:
     divergence_target: float = 5.0
 
     def __post_init__(self) -> None:
-        ks = np.asarray(self.ks, dtype=float)
+        ks = finite_array(self.ks, "contraction bound")
         if np.any((ks < 0) | (ks > 1)):
             raise ValueError("contraction bounds must lie in [0, 1]")
         object.__setattr__(self, "ks", ks)
@@ -82,32 +82,12 @@ class ContractiveProfile:
         return cls(np.full(horizon, float(value)), divergence_target)
 
 
-def _ratio_check(
-    path: ProcessPath,
-    upper: np.ndarray,
-    lower_bounded: bool,
-    atol: float,
-) -> ConditionVerdict:
-    prev = path.xs[:-1]
-    mask = np.abs(prev) > path.zero_tol
-    if not mask.any():
-        return vacuous("vacuous: no steps leave the zero class")
-    ratios = path.ms[mask] / prev[mask]
-    up = upper[mask]
-    margins = up - ratios
-    if lower_bounded:
-        margins = np.minimum(margins, ratios)
-    worst_i = int(np.argmin(margins))
-    worst = float(margins[worst_i])
-    steps = np.nonzero(mask)[0] + 1
-    if worst < -atol:
-        bad = np.nonzero(margins < -atol)[0][0]
-        return failing(
-            int(steps[bad]),
-            worst,
-            f"ratio {float(ratios[bad]):.6g} outside bounds at step {int(steps[bad])}",
-        )
-    return passing(worst, f"{int(mask.sum())} nonzero-class steps checked")
+def _ratio_verdict(band: Band) -> ConditionVerdict:
+    return band.verdict(
+        "ratio {value:.6g} outside bounds at step {step}",
+        "{checked} nonzero-class steps checked",
+        "vacuous: no steps leave the zero class",
+    )
 
 
 def check_nonexpansive(
@@ -116,7 +96,7 @@ def check_nonexpansive(
     """Mean/value ratio lies in [0, 1 + alpha_n] at every nonzero-class step."""
     if len(profile.alphas) < path.horizon:
         raise ValueError("profile does not cover the path horizon")
-    return _ratio_check(path, 1.0 + profile.alphas[: path.horizon], True, atol)
+    return _ratio_verdict(ratio_band(path, 1.0 + profile.alphas[: path.horizon], 0.0, atol=atol))
 
 
 def check_contractive(
@@ -126,7 +106,7 @@ def check_contractive(
     if len(profile.ks) < path.horizon:
         raise ValueError("profile does not cover the path horizon")
     ks = profile.ks[: path.horizon]
-    ratio_verdict = _ratio_check(path, ks, True, atol)
+    ratio_verdict = _ratio_verdict(ratio_band(path, ks, 0.0, atol=atol))
     if not ratio_verdict.holds:
         return ratio_verdict
     total = float(np.sum(1.0 - ks))
@@ -137,12 +117,8 @@ def check_contractive(
             f"contraction budget {total:.6g} short of target "
             f"{profile.divergence_target:.6g} at the horizon",
         )
-    return ConditionVerdict(
-        True,
-        None,
-        ratio_verdict.worst_margin,
-        ratio_verdict.detail + f"; contraction budget {total:.6g}",
-    )
+    detail = ratio_verdict.detail + f"; contraction budget {total:.6g}"
+    return passing(ratio_verdict.worst_margin, detail)
 
 
 def check_zero_state_decay(
@@ -155,22 +131,11 @@ def check_zero_state_decay(
     Only steps whose predecessor is zero-class contribute.  Vacuously true
     when the tail contains no such steps.
     """
-    horizon = path.horizon
-    if tail_window is None:
-        tail_window = max(1, horizon // 2)
-    if tail_window > horizon:
-        raise ValueError(f"tail window {tail_window} exceeds horizon {horizon}")
-    start = horizon - tail_window
-    mask = np.abs(path.xs[start:-1]) <= path.zero_tol
-    if not mask.any():
-        return vacuous("vacuous: no zero-class predecessors in the tail window")
-    vals = np.abs(path.ms[start:][mask])
-    worst = float(tol - vals.max())
-    if worst < 0:
-        steps = start + np.nonzero(mask)[0] + 1
-        bad = int(steps[np.argmax(vals)])
-        return failing(bad, worst, f"restart mean {vals.max():.6g} exceeds tol {tol:g}")
-    return passing(worst, f"{int(mask.sum())} zero-state steps in tail window")
+    return zero_state_band(path, tail_window, tol).verdict(
+        f"restart mean {{worst_value:.6g}} exceeds tol {tol:g}",
+        "{checked} zero-state steps in tail window",
+        "vacuous: no zero-class predecessors in the tail window",
+    )
 
 
 def check_variance_summability(
@@ -181,7 +146,7 @@ def check_variance_summability(
     The second half of the sequence must sum to at most ``tail_tol``; the
     variances are model-declared, not estimated.
     """
-    v = np.asarray(cond_vars, dtype=float)
+    v = finite_array(cond_vars, "conditional variance")
     bad = np.nonzero(v < 0)[0]
     if len(bad):
         raise ValueError(f"negative conditional variance at index {int(bad[0])}")
@@ -237,10 +202,6 @@ def check_norm_conditions(
     residual variance at step n + 1.
     """
     horizon = path.horizon
-    norms_prev = np.linalg.norm(path.xs[:-1], axis=1)
-    mean_norms = np.linalg.norm(path.ms, axis=1)
-    mask = norms_prev > path.zero_tol
-
     if isinstance(profile, ContractiveProfile):
         if len(profile.ks) < horizon:
             raise ValueError("profile does not cover the path horizon")
@@ -262,41 +223,15 @@ def check_norm_conditions(
             profile.alpha_sum_cap - total, f"allowance sum {total:.6g} within cap"
         )
 
-    if not mask.any():
-        ratio = vacuous("vacuous: no steps leave the zero-norm class")
-    else:
-        ratios = mean_norms[mask] / norms_prev[mask]
-        margins = upper[mask] - ratios
-        worst = float(margins.min())
-        steps = np.nonzero(mask)[0] + 1
-        if worst < -atol:
-            bad = np.nonzero(margins < -atol)[0][0]
-            ratio = failing(
-                int(steps[bad]), worst, f"norm ratio {float(ratios[bad]):.6g} too large"
-            )
-        else:
-            ratio = passing(worst, f"{int(mask.sum())} nonzero-norm steps checked")
-
-    if tail_window is None:
-        tail_window = max(1, horizon // 2)
-    if tail_window > horizon:
-        raise ValueError(f"tail window {tail_window} exceeds horizon {horizon}")
-    start = horizon - tail_window
-    zmask = norms_prev[start:] <= path.zero_tol
-    if not zmask.any():
-        zero_state = vacuous("vacuous: no zero-norm predecessors in the tail window")
-    else:
-        vals = mean_norms[start:][zmask]
-        worst = float(tol - vals.max())
-        if worst < 0:
-            steps = start + np.nonzero(zmask)[0] + 1
-            zero_state = failing(
-                int(steps[np.argmax(vals)]),
-                worst,
-                f"restart mean norm {vals.max():.6g} exceeds tol {tol:g}",
-            )
-        else:
-            zero_state = passing(worst, f"{int(zmask.sum())} zero-norm steps in tail")
-
+    ratio = ratio_band(path, upper, atol=atol).verdict(
+        "norm ratio {value:.6g} too large",
+        "{checked} nonzero-norm steps checked",
+        "vacuous: no steps leave the zero-norm class",
+    )
+    zero_state = zero_state_band(path, tail_window, tol).verdict(
+        f"restart mean norm {{worst_value:.6g}} exceeds tol {tol:g}",
+        "{checked} zero-norm steps in tail",
+        "vacuous: no zero-norm predecessors in the tail window",
+    )
     variance_sum = check_variance_summability(cond_var_bounds, var_tail_tol)
     return NormConditionReport(ratio, series, zero_state, variance_sum)

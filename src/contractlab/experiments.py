@@ -58,7 +58,7 @@ from .least_squares import (
     simulate_ls_run,
     z_process,
 )
-from .process import ProcessPath, check_segment_peak_bound, crossing_report, kronecker_path
+from .process import ProcessPath, check_segment_peak_bound, crossing_report, kronecker_path, ratio_band
 from .reporting import (
     read_trace_csv,
     scalar_trace_rows,
@@ -373,12 +373,7 @@ def _run_sa_nd(config: ExperimentConfig):
         path = rm_solve_nd(problem, noise, schedule, x0, horizon, seed_sequence)
         payload: Dict[str, Any] = {}
         if ks is not None:
-            prev = np.linalg.norm(path.xs[:-1], axis=1)
-            mask = prev > 0
-            ratios = path.mean_norms()[mask] / prev[mask]
-            violations = int(np.sum(ratios > ks[mask] + 1e-12))
-            payload["contraction_ok"] = violations == 0
-            payload["contraction_violations"] = violations
+            payload["contraction_ok"] = ratio_band(path, ks, atol=1e-12).first_violation is None
         return path.norms(), payload
 
     stats = run_ensemble(factory, ens, _grid(horizon + 1, config.curve_points))

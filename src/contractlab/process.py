@@ -15,7 +15,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .verdict import ConditionVerdict, failing, passing, vacuous
+from .verdict import Band, ConditionVerdict, band_check, failing, passing, vacuous
 
 __all__ = [
     "SignClass",
@@ -34,6 +34,9 @@ __all__ = [
     "crossing_report",
     "growth_factor",
     "max_growth_factor",
+    "finite_steps",
+    "ratio_band",
+    "zero_state_band",
     "check_segment_peak_bound",
     "kronecker_path",
 ]
@@ -51,6 +54,15 @@ def sign_classes(values: np.ndarray, zero_tol: float) -> np.ndarray:
     out = np.sign(v).astype(np.int8)
     out[np.abs(v) <= zero_tol] = 0
     return out
+
+
+def finite_array(values, name: str) -> np.ndarray:
+    """``values`` as a float array, rejecting a NaN or infinite entry by its index."""
+    arr = np.asarray(values, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"non-finite {name} at index {int(bad[0])}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -188,10 +200,8 @@ def doob_decompose(
         raise ValueError(
             f"length mismatch: {len(xs)} values require {len(xs) - 1} means, got {len(ms)}"
         )
-    for name, arr in (("xs", xs), ("ms", ms)):
-        bad = np.nonzero(~np.isfinite(arr))[0]
-        if len(bad):
-            raise ValueError(f"non-finite value in {name} at index {int(bad[0])}")
+    finite_array(xs, "value in xs")
+    finite_array(ms, "value in ms")
     return ProcessPath(xs, ms, zero_tol)
 
 
@@ -275,11 +285,19 @@ def crossing_report(path: ProcessPath) -> CrossingReport:
     )
 
 
-def growth_factor(alphas: Sequence[float], t: int, k: int) -> float:
-    """Product of (1 + alpha_i) over the window of the ``k`` steps ending at ``t``."""
-    alphas = np.asarray(alphas, dtype=float)
+def allowance_array(alphas: Sequence[float], cap: float = math.inf) -> np.ndarray:
+    """Finite, nonnegative allowances alpha_n whose sum stays within ``cap``."""
+    alphas = finite_array(alphas, "alpha")
     if np.any(alphas < 0):
         raise ValueError("alphas must be nonnegative")
+    if alphas.sum() > cap:
+        raise ValueError(f"sum of alphas {alphas.sum():g} exceeds cap {cap:g}")
+    return alphas
+
+
+def growth_factor(alphas: Sequence[float], t: int, k: int) -> float:
+    """Product of (1 + alpha_i) over the window of the ``k`` steps ending at ``t``."""
+    alphas = allowance_array(alphas)
     if k < 0:
         raise ValueError("window length k must be nonnegative")
     if k > t:
@@ -297,10 +315,7 @@ def max_growth_factor(alphas: Sequence[float]) -> float:
     All factors are >= 1, so the maximum is attained by the full product; over
     a finite horizon this is a lower bound for the untruncated supremum.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    if np.any(alphas < 0):
-        raise ValueError("alphas must be nonnegative")
-    return float(np.prod(1.0 + alphas))
+    return float(np.prod(1.0 + allowance_array(alphas)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,13 +327,7 @@ class GrowthKernel:
     max_factor: float = field(init=False)
 
     def __post_init__(self) -> None:
-        alphas = np.asarray(self.alphas, dtype=float)
-        if np.any(alphas < 0):
-            raise ValueError("alphas must be nonnegative")
-        if alphas.sum() > self.alpha_sum_cap:
-            raise ValueError(
-                f"sum of alphas {alphas.sum():g} exceeds cap {self.alpha_sum_cap:g}"
-            )
+        alphas = allowance_array(self.alphas, self.alpha_sum_cap)
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "max_factor", max_growth_factor(alphas))
 
@@ -326,21 +335,42 @@ class GrowthKernel:
         return growth_factor(self.alphas, t, k)
 
 
-def _nonexpansive_violation(
-    path: ProcessPath, alphas: np.ndarray, atol: float
-) -> int | None:
-    """First step whose mean/value ratio leaves [0, 1 + alpha], or None."""
-    prev = path.xs[:-1]
-    mask = np.abs(prev) > path.zero_tol
-    if not mask.any():
-        return None
-    ratios = path.ms[mask] / prev[mask]
-    upper = 1.0 + alphas[: path.horizon][mask]
-    bad = (ratios < -atol) | (ratios > upper + atol)
-    if not bad.any():
-        return None
-    steps = np.nonzero(mask)[0] + 1
-    return int(steps[np.nonzero(bad)[0][0]])
+def finite_steps(path: ProcessPath | VectorProcessPath) -> np.ndarray:
+    """Mask over steps 1..horizon: True where x_{n-1}, m_n and x_n are all finite."""
+    xs_ok, ms_ok = np.isfinite(path.xs), np.isfinite(path.ms)
+    if xs_ok.ndim == 2:
+        xs_ok, ms_ok = xs_ok.all(axis=1), ms_ok.all(axis=1)
+    return xs_ok[:-1] & xs_ok[1:] & ms_ok
+
+
+def _drift_pairs(path: ProcessPath | VectorProcessPath) -> Tuple[np.ndarray, np.ndarray]:
+    """Per step, the predecessor x_{n-1} and the mean m_n (their norms for a vector path)."""
+    if isinstance(path, VectorProcessPath):
+        return path.norms()[:-1], path.mean_norms()
+    return path.xs[:-1], path.ms
+
+
+def ratio_band(path, upper, lower=None, mask=None, atol: float = 0.0) -> Band:
+    """Band check of the ratios m_n / x_{n-1} (of norms for a vector path) off the
+    zero class; ``mask`` restricts the steps further (see :func:`band_check`)."""
+    prev, means = _drift_pairs(path)
+    off_zero = np.abs(prev) > path.zero_tol
+    if mask is not None:
+        off_zero &= mask
+    return band_check(means, upper, lower, off_zero, atol=atol, over=prev, finite=finite_steps(path))
+
+
+def zero_state_band(path, tail_window: int | None, tol: float) -> Band:
+    """|m_n| <= tol (||m_n|| for a vector path) at tail steps with a zero-class
+    predecessor; the tail defaults to the last half of the horizon."""
+    horizon = path.horizon
+    if tail_window is None:
+        tail_window = max(1, horizon // 2)
+    if tail_window > horizon:
+        raise ValueError(f"tail window {tail_window} exceeds horizon {horizon}")
+    prev, means = _drift_pairs(path)
+    mask = (np.arange(horizon) >= horizon - tail_window) & (np.abs(prev) <= path.zero_tol)
+    return band_check(np.abs(means), tol, mask=mask, finite=finite_steps(path))
 
 
 def check_segment_peak_bound(
@@ -358,7 +388,7 @@ def check_segment_peak_bound(
     alphas = np.asarray(alphas, dtype=float)
     if len(alphas) < path.horizon:
         raise ValueError("alphas must cover the path horizon")
-    bad = _nonexpansive_violation(path, alphas, atol)
+    bad = ratio_band(path, 1.0 + alphas[: path.horizon], 0.0, atol=atol).first_violation
     if bad is not None:
         return failing(
             bad,

@@ -124,7 +124,11 @@ def write_traces_csv(path: Path, header: List[str], rows: Iterable[List[str]]) -
 
 
 def read_trace_csv(path: Path):
-    """Load a scalar trace CSV back into per-seed (x0, xs, ms) arrays."""
+    """Load a scalar trace CSV back into per-seed ``(xs, ms)`` arrays, keyed by seed.
+
+    ``xs`` includes the initial value at index 0.  Values are parsed as
+    written, so a ``nan`` or ``inf`` entry reaches the checkers unchanged.
+    """
     per_seed: Dict[int, Dict[int, tuple]] = {}
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)

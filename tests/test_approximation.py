@@ -239,6 +239,12 @@ class TestLinearEnvelope:
         assert report.covers(1.0, 2.0)
         assert not report.covers(1.5, 2.0)
 
+    def test_nan_value_is_a_violation(self):
+        g = lambda x: math.nan if x == 2.0 else x
+        report = check_linear_envelope(RootProblem(g), [-1.0, 1.0, 2.0])
+        assert not report.holds
+        assert list(report.violations) == [2.0]
+
     def test_grid_containing_root_rejected(self):
         with pytest.raises(ValueError, match="root"):
             check_linear_envelope(RootProblem(lambda x: x), [0.0, 1.0])
@@ -267,6 +273,12 @@ class TestNormEnvelope:
         report = check_norm_envelope(problem, sphere_grid(2, 8, [1.0]))
         assert report.m_hat == pytest.approx(-1.0)
         assert not report.holds
+
+    def test_nan_value_is_a_violation(self):
+        problem = RootProblem(lambda x: x if x[0] > 0 else np.full(2, math.nan), dimension=2)
+        report = check_norm_envelope(problem, np.array([[1.0, 0.0], [-1.0, 0.0]]))
+        assert not report.holds
+        assert report.violations.tolist() == [[-1.0, 0.0]]
 
     def test_origin_rejected(self):
         problem = RootProblem(lambda x: x, dimension=2)
@@ -306,6 +318,15 @@ class TestRegularity:
             RootProblem(lambda x: 10.0 * x), [1.0, 2.0], c=1.0, d=1.0, delta_pairs=[]
         )
         assert not verdict.holds
+
+    def test_nan_value_is_a_violation(self):
+        g = lambda x: math.nan if x == 2.0 else x
+        verdict = check_regularity(
+            RootProblem(g), [1.0, 2.0, 3.0], c=0.0, d=1.0, delta_pairs=[(0.5, 4.0)]
+        )
+        assert not verdict.holds
+        assert verdict.first_violation == 1
+        assert verdict.worst_margin == -math.inf
 
     def test_invalid_pair(self):
         with pytest.raises(ValueError, match="annulus"):

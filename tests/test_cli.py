@@ -273,3 +273,34 @@ output: {{dir: {tmp_path / 'custom_out'}}}
         summary = json.loads((tmp_path / "custom_out" / "summary.json").read_text())
         assert summary["report"]["paths_checked"] == 4
         assert summary["report"]["all_hold"] is True
+
+    def test_custom_path_check_fails_on_nan_mean(self, tmp_path, capsys):
+        sa_out = tmp_path / "sa_out"
+        sa_cfg = write_config(tmp_path, SA_TEMPLATE.format(out=sa_out, traces="true"), "sa.yaml")
+        assert main(["run", str(sa_cfg)]) == 0
+        trace = sa_out / "traces.csv"
+        with open(trace, newline="") as fh:
+            rows = list(csv.reader(fh))
+        # seed 1, step 7: the mean column becomes nan
+        row = next(r for r in rows[1:] if r[:2] == ["1", "7"])
+        row[3] = "nan"
+        with open(trace, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        custom = f"""
+kind: custom_path_check
+input: {{path: {trace}}}
+checks: {{nonexpansive_alpha: 0.0, zero_state_tol: 1.0e-9, segment_bound: true}}
+ensemble: {{seeds: 1, root_seed: 1, horizon: 10, tol_zero: 0.1}}
+assertions: {{all_checks_hold: true}}
+output: {{dir: {tmp_path / 'custom_out'}}}
+"""
+        custom_cfg = write_config(tmp_path, custom, "custom.yaml")
+        assert main(["run", str(custom_cfg)]) == 1
+        assert "FAIL all_checks_hold" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "custom_out" / "summary.json").read_text())
+        assert summary["report"]["all_hold"] is False
+        seed = summary["report"]["per_seed"]["1"]
+        for check in ("nonexpansive", "zero_state", "segment_bound"):
+            assert seed[check]["holds"] is False
+            assert seed[check]["first_violation"] == 7
+        assert all(summary["report"]["per_seed"][s]["all_hold"] for s in ("0", "2", "3"))

@@ -67,6 +67,11 @@ class TestNonexpansive:
         with pytest.raises(ValueError):
             NonexpansiveProfile(np.ones(100), alpha_sum_cap=50.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_profile_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite alpha at index 2"):
+            NonexpansiveProfile(np.array([0.1, 0.0, bad, 0.2]))
+
 
 class TestContractive:
     def test_harmonic_budget_reaches_target(self):
@@ -122,6 +127,11 @@ class TestContractive:
         with pytest.raises(ValueError):
             ContractiveProfile(np.array([1.2]))
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_k_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite contraction bound at index 1"):
+            ContractiveProfile(np.array([0.5, bad]))
+
 
 class TestZeroStateDecay:
     def test_kronecker_exact_zero(self):
@@ -165,6 +175,11 @@ class TestVarianceSummability:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError, match="index 3"):
             check_variance_summability([0.0, 0.1, 0.2, -0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_variance_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite conditional variance at index 2"):
+            check_variance_summability([0.0, 0.1, bad, 0.0])
 
 
 class TestNormConditions:

@@ -1,0 +1,177 @@
+"""A NaN or infinite entry anywhere in a path makes every pathwise check fail.
+
+Each property starts from a path on which the check holds, puts one
+non-finite value into ``xs`` or ``ms`` and requires ``holds=False`` with
+``first_violation`` at the first step the entry belongs to: ``xs[j]`` is the
+realized value of step ``j`` (the initial value belongs to step 1) and
+``ms[i]`` is the mean of step ``i + 1``.
+"""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from contractlab import (
+    ContractiveProfile,
+    NonexpansiveProfile,
+    ProcessPath,
+    Schedule,
+    VectorProcessPath,
+    check_contractive,
+    check_nonexpansive,
+    check_norm_conditions,
+    check_ratio_sandwich,
+    check_segment_peak_bound,
+    check_truncated_contractive,
+    check_truncated_zero_mean_bound,
+    check_zero_state_decay,
+    derive_truncated,
+)
+
+BAD = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def corruptions(draw):
+    """(horizon, x0, array name, index, bad value) for one injected entry."""
+    horizon = draw(st.integers(1, 30))
+    x0 = draw(st.sampled_from([1.0, -3.0, 0.25]))
+    name = draw(st.sampled_from(["xs", "ms"]))
+    index = draw(st.integers(0, horizon if name == "xs" else horizon - 1))
+    return horizon, x0, name, index, draw(BAD)
+
+
+def halving(horizon, x0, name, index, bad, p=None):
+    """Noiseless halving path (ratio exactly 1/2) with one entry replaced."""
+    shape = (horizon + 1,) if p is None else (horizon + 1, p)
+    xs = x0 * 0.5 ** np.arange(horizon + 1).reshape((-1,) + (1,) * (len(shape) - 1))
+    xs = np.broadcast_to(xs, shape).copy()
+    ms = 0.5 * xs[:-1]
+    target = xs if name == "xs" else ms
+    if p is None:
+        target[index] = bad
+    else:
+        target[index, index % p] = bad
+    step = max(index, 1) if name == "xs" else index + 1
+    return xs, ms, step
+
+
+def assert_fails_at(verdict, step):
+    assert not verdict.holds
+    assert verdict.first_violation == step
+
+
+@given(corruptions())
+@settings(max_examples=60, deadline=None)
+def test_nonexpansive(case):
+    xs, ms, step = halving(*case)
+    path = ProcessPath(xs, ms)
+    assert_fails_at(check_nonexpansive(path, NonexpansiveProfile.zero(path.horizon)), step)
+
+
+@given(corruptions())
+@settings(max_examples=60, deadline=None)
+def test_contractive(case):
+    xs, ms, step = halving(*case)
+    path = ProcessPath(xs, ms)
+    profile = ContractiveProfile.constant(0.5, path.horizon, divergence_target=0.0)
+    assert_fails_at(check_contractive(path, profile), step)
+
+
+@given(corruptions())
+@settings(max_examples=60, deadline=None)
+def test_zero_state_decay_whole_path(case):
+    xs, ms, step = halving(*case)
+    path = ProcessPath(xs, ms)
+    assert_fails_at(check_zero_state_decay(path, tail_window=1, tol=1.0), step)
+
+
+@given(corruptions())
+@settings(max_examples=60, deadline=None)
+def test_segment_peak_bound(case):
+    xs, ms, step = halving(*case)
+    path = ProcessPath(xs, ms)
+    assert_fails_at(check_segment_peak_bound(path, np.zeros(path.horizon)), step)
+
+
+@given(corruptions())
+@settings(max_examples=60, deadline=None)
+def test_ratio_sandwich(case):
+    # alpha = 1/2 with m = M = 1 pins every ratio to exactly 1/2
+    xs, ms, step = halving(*case)
+    path = ProcessPath(xs, ms)
+    schedule = Schedule.explicit(np.full(path.horizon, 0.5))
+    assert_fails_at(check_ratio_sandwich(path, schedule, 1.0, 1.0), step)
+
+
+@given(corruptions(), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_norm_conditions(case, p):
+    xs, ms, step = halving(*case, p=p)
+    path = VectorProcessPath(xs, ms)
+    report = check_norm_conditions(
+        path,
+        NonexpansiveProfile.zero(path.horizon),
+        cond_var_bounds=np.zeros(path.horizon),
+        tail_window=1,
+        tol=1.0,
+        var_tail_tol=0.0,
+    )
+    assert_fails_at(report.ratio, step)
+    assert_fails_at(report.zero_state, step)
+    assert not report.holds
+
+
+def _truncate(case):
+    xs, ms, step = halving(*case)
+    base = ProcessPath(xs, ms)
+    try:
+        return derive_truncated(base, delta=1e-30, tau=1e-31), step
+    except ValueError as exc:
+        # an infinite final value is an unsettled residual at the horizon
+        assert "never settle" in str(exc)
+        return None, step
+
+
+@given(corruptions())
+@settings(max_examples=60, deadline=None)
+def test_truncated_contractive(case):
+    trunc, step = _truncate(case)
+    if trunc is not None:
+        ks = np.full(trunc.path.horizon, 0.5)
+        assert_fails_at(check_truncated_contractive(trunc, ks, delta2=10.0), step)
+
+
+@given(corruptions())
+@settings(max_examples=60, deadline=None)
+def test_truncated_zero_mean_bound(case):
+    trunc, step = _truncate(case)
+    if trunc is not None:
+        assert_fails_at(check_truncated_zero_mean_bound(trunc, kappa=0.0), step)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda p: check_nonexpansive(p, NonexpansiveProfile.zero(p.horizon)),
+        lambda p: check_contractive(p, ContractiveProfile.constant(0.5, p.horizon, 0.0)),
+        lambda p: check_zero_state_decay(p, tol=1.0),
+        lambda p: check_segment_peak_bound(p, np.zeros(p.horizon)),
+        lambda p: check_ratio_sandwich(p, Schedule.explicit(np.full(p.horizon, 0.5)), 1.0, 1.0),
+    ],
+)
+def test_clean_halving_path_holds(check):
+    xs, ms, _ = halving(12, 1.0, "xs", 0, 1.0)  # x0 replaced by itself: no corruption
+    assert check(ProcessPath(xs, ms)).holds
+
+
+def test_overflowing_solver_path_fails():
+    # the iterate overflows at step 3, and inf - inf makes every later mean NaN
+    xs = np.array([1.0, 0.5, 0.25, math.inf, math.nan])
+    ms = np.array([0.5, 0.25, 0.125, math.nan])
+    verdict = check_nonexpansive(ProcessPath(xs, ms), NonexpansiveProfile.zero(4))
+    assert not verdict.holds
+    assert verdict.first_violation == 3
+    assert verdict.worst_margin == -math.inf

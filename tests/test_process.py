@@ -181,6 +181,16 @@ class TestGrowthKernel:
         with pytest.raises(ValueError):
             GrowthKernel(np.array([1.0, 2.0]), alpha_sum_cap=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_kernel_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite alpha at index 1"):
+            GrowthKernel(np.array([0.1, bad]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_growth_factor_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite alpha at index 0"):
+            growth_factor([bad, 0.1], 2, 1)
+
 
 class TestSegmentPeakBound:
     def test_noiseless_contraction_vacuous(self):
