@@ -79,11 +79,12 @@ def band_check(
     """Check ``lower <= values / over <= upper`` at the steps selected by ``mask``.
 
     Arrays hold one entry per step, ``values[i]`` belonging to step ``i + 1``;
-    a bound may be a scalar, ``lower`` and ``over`` may be absent.  A step's margin is its distance inside the band and it violates
-    when that falls below ``-atol``.  ``mask`` (default: all) skips steps such
-    as the zero class, but never a non-finite one: a non-finite value, divisor
-    or bound, or a False entry of ``finite`` (the step's other data), is always
-    a violation with margin -inf.
+    a bound may be a scalar, ``lower`` and ``over`` may be absent.  A step's
+    margin is its distance inside the band and it violates when that falls
+    below ``-atol``.  ``mask`` (default: all) skips steps such as the zero
+    class, but never a non-finite one: a non-finite value, divisor or bound,
+    or a False entry of ``finite`` (the step's other data), is always a
+    violation with margin -inf.
     """
     values = np.asarray(values, dtype=float)
     ok = np.isfinite(values) if finite is None else finite & np.isfinite(values)
