@@ -1,4 +1,8 @@
+import copy
+from dataclasses import asdict
+
 import pytest
+import yaml
 
 from contractlab.config import ConfigError, parse_config_text
 
@@ -165,3 +169,1676 @@ ensemble: {seeds: 1, root_seed: 1, horizon: 10}
         )
         assert cfg.model["checks"]["segment_bound"] is True
         assert cfg.model["checks"]["crossings"] is True
+
+
+# ---------------------------------------------------------------------------
+# Parse lock.  One minimal valid document per family of every family group
+# (with each optional group present and absent) and one malformed document
+# per validation rule.  The expected values are literals recorded from the
+# hand-written validators that preceded the schema table, so these cases
+# prove that the table normalises and rejects exactly as before.
+
+ENS = {"seeds": 2, "root_seed": 7, "horizon": 5}
+DROP = object()
+BASE = {
+    "sa": {
+        "kind": "sa",
+        "problem": {"family": "linear"},
+        "schedule": {"family": "inverse_n"},
+        "noise": {"family": "none"},
+        "x0": 1.0,
+        "ensemble": ENS,
+    },
+    "sa_nd": {
+        "kind": "sa_nd",
+        "problem": {"family": "identity"},
+        "schedule": {"family": "inverse_n"},
+        "noise": {"family": "none"},
+        "x0": [1.0, 2.0],
+        "ensemble": ENS,
+    },
+    "kronecker": {
+        "kind": "kronecker",
+        "increments": {"family": "rademacher"},
+        "weights": {"family": "linear"},
+        "ensemble": ENS,
+    },
+    "ls": {
+        "kind": "ls",
+        "design": {"family": "rotating"},
+        "beta": [1.0, -0.5],
+        "sigma": 1.0,
+        "ensemble": ENS,
+    },
+    "custom_path_check": {
+        "kind": "custom_path_check",
+        "input": {"path": "traces.csv"},
+        "checks": {},
+        "ensemble": ENS,
+    },
+}
+BASE["sa_nonuniform"] = {
+    **BASE["sa"],
+    "kind": "sa_nonuniform",
+    "truncation": {"delta": 0.25, "tau": 0.1},
+}
+
+
+def doc(base, **changes):
+    """The base document of kind ``base`` with top-level keys replaced (DROP deletes)."""
+    out = copy.deepcopy(BASE[base])
+    for key, value in changes.items():
+        if value is DROP:
+            del out[key]
+        else:
+            out[key] = value
+    return out
+
+
+def ens(**changes):
+    return {**ENS, **changes}
+
+
+def parse_doc(document):
+    return parse_config_text(yaml.safe_dump(document, sort_keys=False))
+
+
+ENSEMBLE_DEFAULTS = {"seeds": 2,
+ "root_seed": 7,
+ "horizon": 5,
+ "tail_fraction": 0.2,
+ "tol_zero": 0.001,
+ "tol_cauchy": 0.001,
+ "parallelism": 1,
+ "divergence_cap": 1000000.0}
+OUTPUT_DEFAULTS = ["out", False, True, 200]
+
+VALID = [
+    pytest.param(
+        doc("sa"),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-linear-minimal",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "linear", "slope": 2, "root": 1}, x0=5),
+        {"problem": {"family": "linear", "root": 1, "slope": 2},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 5,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-linear-int-values",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "sine_perturbed"}),
+        {"problem": {"family": "sine_perturbed", "root": 0.0, "slope": 1.0, "amplitude": 0.3},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-sine-defaults",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "sine_perturbed", "slope": 2.0, "amplitude": 0.5, "root": -1.0}),
+        {"problem": {"family": "sine_perturbed", "root": -1.0, "slope": 2.0, "amplitude": 0.5},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-sine-full",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "sqrt_sign", "root": 0.5}),
+        {"problem": {"family": "sqrt_sign", "root": 0.5},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-sqrt-sign",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "linear", "amplitude": "x"}, schedule={"family": "inverse_n", "gamma": -3, "values": "x"}, noise={"family": "none", "sd": "abc", "half_width": -1}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-other-family-keys-ignored",
+    ),
+    pytest.param(
+        doc("sa", schedule={"family": "inverse_n", "c": 2}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 2},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-schedule-inverse-n-c",
+    ),
+    pytest.param(
+        doc("sa", schedule={"family": "inverse_n_power", "gamma": 0.6}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n_power", "c": 1.0, "gamma": 0.6},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-schedule-power",
+    ),
+    pytest.param(
+        doc("sa", schedule={"family": "inverse_n_power", "c": 0.5, "gamma": 1.5}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n_power", "c": 0.5, "gamma": 1.5},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        ["schedule: step sizes are summable (gamma > 1); the divergence requirement on their sum "
+         "is unmet and convergence may stall"],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-schedule-power-summable",
+    ),
+    pytest.param(
+        doc("sa", schedule={"family": "explicit", "values": [1, 0.5, 0.25, 0.125, 0.0625, 0.03]}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "explicit", "values": [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03]},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-schedule-explicit",
+    ),
+    pytest.param(
+        doc("sa", noise={"family": "gaussian", "sd": 0.1}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "gaussian", "sd": 0.1},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-noise-gaussian",
+    ),
+    pytest.param(
+        doc("sa", noise={"family": "uniform", "half_width": 0}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "uniform", "half_width": 0},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-noise-uniform",
+    ),
+    pytest.param(
+        doc("sa", envelope={"m": 0.5, "M": 2}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": {"m": 0.5,
+                      "M": 2,
+                      "grid_min_abs": 0.0001,
+                      "grid_max_abs": 10.0,
+                      "grid_per_decade": 10000,
+                      "ratio_cap": 1000000.0}},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-envelope-minimal",
+    ),
+    pytest.param(
+        doc("sa", envelope={"m": 1.0, "M": 1.0, "grid_min_abs": 0.001, "grid_max_abs": 5.0, "grid_per_decade": 100, "ratio_cap": 1000.0}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": {"m": 1.0,
+                      "M": 1.0,
+                      "grid_min_abs": 0.001,
+                      "grid_max_abs": 5.0,
+                      "grid_per_decade": 100,
+                      "ratio_cap": 1000.0}},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-envelope-full",
+    ),
+    pytest.param(
+        doc("sa", envelope={"m": 0.5, "M": 2.0}, assertions={"min_fraction_converged_to_zero": 1, "max_median_final_abs": 0, "min_fraction_final_below": {"value": 0.1, "fraction": 0.9}, "envelope_valid": True, "sandwich_zero_violations": True}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": {"m": 0.5,
+                      "M": 2.0,
+                      "grid_min_abs": 0.0001,
+                      "grid_max_abs": 10.0,
+                      "grid_per_decade": 10000,
+                      "ratio_cap": 1000000.0}},
+        {"min_fraction_converged_to_zero": 1,
+         "max_median_final_abs": 0,
+         "min_fraction_final_below": {"value": 0.1, "fraction": 0.9},
+         "envelope_valid": True,
+         "sandwich_zero_violations": True},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-assertions-all",
+    ),
+    pytest.param(
+        doc("sa", assertions={"envelope_valid": False, "sandwich_zero_violations": False}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {"envelope_valid": False, "sandwich_zero_violations": False},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-assertion-false-needs-no-group",
+    ),
+    pytest.param(
+        doc("sa", assertions={}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-assertions-empty",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(seeds=3, root_seed=0, horizon=1, tail_fraction=0.5, tol_zero=0, tol_cauchy=0.01, parallelism=2, divergence_cap=10)),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        {"seeds": 3,
+         "root_seed": 0,
+         "horizon": 1,
+         "tail_fraction": 0.5,
+         "tol_zero": 0,
+         "tol_cauchy": 0.01,
+         "parallelism": 2,
+         "divergence_cap": 10},
+        OUTPUT_DEFAULTS,
+        id="sa-ensemble-full",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(tail_fraction=1e-9)),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        {"seeds": 2,
+         "root_seed": 7,
+         "horizon": 5,
+         "tail_fraction": 1e-09,
+         "tol_zero": 0.001,
+         "tol_cauchy": 0.001,
+         "parallelism": 1,
+         "divergence_cap": 1000000.0},
+        OUTPUT_DEFAULTS,
+        id="sa-tail-fraction-tiny",
+    ),
+    pytest.param(
+        doc("sa", output={}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-output-empty",
+    ),
+    pytest.param(
+        doc("sa", output={"dir": "runs/x", "traces": True, "plots": False, "curve_points": 2}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        ["runs/x", True, False, 2],
+        id="sa-output-full",
+    ),
+    pytest.param(
+        doc("sa_nonuniform"),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None,
+         "truncation": {"delta": 0.25, "tau": 0.1, "kappa": "delta"},
+         "regularity": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="nonuniform-minimal",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", truncation={"delta": 1, "tau": 0.5, "kappa": 2}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None,
+         "truncation": {"delta": 1, "tau": 0.5, "kappa": 2},
+         "regularity": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="nonuniform-kappa-number",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", truncation={"delta": 0.1, "tau": 0.2, "kappa": "delta"}, schedule={"family": "inverse_n_power", "gamma": 2}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n_power", "c": 1.0, "gamma": 2},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None,
+         "truncation": {"delta": 0.1, "tau": 0.2, "kappa": "delta"},
+         "regularity": None},
+        {},
+        ["truncation.tau >= truncation.delta: guarantees assume tau < delta",
+         "schedule: step sizes are summable (gamma > 1); the divergence requirement on their sum "
+         "is unmet and convergence may stall"],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="nonuniform-tau-above-delta-and-summable",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", regularity={"c": 1, "d": 0.0, "pairs": [[0.25, 4]]}),
+        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": None,
+         "truncation": {"delta": 0.25, "tau": 0.1, "kappa": "delta"},
+         "regularity": {"c": 1,
+                        "d": 0.0,
+                        "pairs": [[0.25, 4.0]],
+                        "grid_min_abs": 0.001,
+                        "grid_max_abs": 10.0,
+                        "grid_per_decade": 2000}},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="nonuniform-regularity-minimal",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", problem={"family": "sqrt_sign"}, envelope={"m": 0.1, "M": 10.0}, regularity={"c": 1.0, "d": 2.0, "pairs": [[0.1, 1.0], [1, 2]], "grid_min_abs": 0.01, "grid_max_abs": 3, "grid_per_decade": 10}, assertions={"min_fraction_converged_to_zero": 0.5, "min_fraction_final_below": {"value": 1, "fraction": 0}, "truncated_nonexpansive_all_seeds": True, "truncated_mean_bound_all_seeds": False, "regularity_holds": True}),
+        {"problem": {"family": "sqrt_sign", "root": 0.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": 1.0,
+         "envelope": {"m": 0.1,
+                      "M": 10.0,
+                      "grid_min_abs": 0.0001,
+                      "grid_max_abs": 10.0,
+                      "grid_per_decade": 10000,
+                      "ratio_cap": 1000000.0},
+         "truncation": {"delta": 0.25, "tau": 0.1, "kappa": "delta"},
+         "regularity": {"c": 1.0,
+                        "d": 2.0,
+                        "pairs": [[0.1, 1.0], [1.0, 2.0]],
+                        "grid_min_abs": 0.01,
+                        "grid_max_abs": 3,
+                        "grid_per_decade": 10}},
+        {"min_fraction_converged_to_zero": 0.5,
+         "min_fraction_final_below": {"value": 1, "fraction": 0},
+         "truncated_nonexpansive_all_seeds": True,
+         "truncated_mean_bound_all_seeds": False,
+         "regularity_holds": True},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="nonuniform-regularity-full",
+    ),
+    pytest.param(
+        doc("sa_nd"),
+        {"problem": {"family": "identity", "scale": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": [1.0, 2.0],
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-nd-identity-minimal",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "identity", "scale": 3}),
+        {"problem": {"family": "identity", "scale": 3},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": [1.0, 2.0],
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-nd-identity-scale",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "matrix", "entries": [[1, 0], [0.5, 2.0]]}, x0=[1, 2]),
+        {"problem": {"family": "matrix", "entries": [[1, 0], [0.5, 2.0]]},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": [1.0, 2.0],
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-nd-matrix",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "matrix", "entries": [[1.0]], "scale": -1}, x0=[3.0]),
+        {"problem": {"family": "matrix", "entries": [[1.0]]},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": [3.0],
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-nd-matrix-ignores-scale",
+    ),
+    pytest.param(
+        doc("sa_nd", envelope={"m": 1, "M": 1.5}),
+        {"problem": {"family": "identity", "scale": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": [1.0, 2.0],
+         "envelope": {"m": 1,
+                      "M": 1.5,
+                      "directions": 64,
+                      "radii": [0.01, 0.1, 1.0, 10.0],
+                      "grid_seed": 0,
+                      "ratio_cap": 1000000.0}},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-nd-envelope-minimal",
+    ),
+    pytest.param(
+        doc("sa_nd", envelope={"m": 2.0, "M": 1.0, "directions": 8, "radii": [1, 2.5], "grid_seed": 3, "ratio_cap": 50.0}, assertions={"min_fraction_converged_to_zero": 0.5, "min_fraction_final_below": {"value": 0.1, "fraction": 0.5}, "envelope_valid": True, "contraction_zero_violations": True}),
+        {"problem": {"family": "identity", "scale": 1.0},
+         "schedule": {"family": "inverse_n", "c": 1.0},
+         "noise": {"family": "none"},
+         "x0": [1.0, 2.0],
+         "envelope": {"m": 2.0,
+                      "M": 1.0,
+                      "directions": 8,
+                      "radii": [1.0, 2.5],
+                      "grid_seed": 3,
+                      "ratio_cap": 50.0}},
+        {"min_fraction_converged_to_zero": 0.5,
+         "min_fraction_final_below": {"value": 0.1, "fraction": 0.5},
+         "envelope_valid": True,
+         "contraction_zero_violations": True},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-nd-envelope-full",
+    ),
+    pytest.param(
+        doc("sa_nd", schedule={"family": "explicit", "values": [0.5, 0.5, 0.5, 0.5, 0.5]}, noise={"family": "uniform", "half_width": 0.2}),
+        {"problem": {"family": "identity", "scale": 1.0},
+         "schedule": {"family": "explicit", "values": [0.5, 0.5, 0.5, 0.5, 0.5]},
+         "noise": {"family": "uniform", "half_width": 0.2},
+         "x0": [1.0, 2.0],
+         "envelope": None},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-nd-explicit-summable-noise",
+    ),
+    pytest.param(
+        doc("sa_nd", schedule={"family": "inverse_n_power", "gamma": 1.01}, noise={"family": "gaussian", "sd": 0}),
+        {"problem": {"family": "identity", "scale": 1.0},
+         "schedule": {"family": "inverse_n_power", "c": 1.0, "gamma": 1.01},
+         "noise": {"family": "gaussian", "sd": 0},
+         "x0": [1.0, 2.0],
+         "envelope": None},
+        {},
+        ["schedule: step sizes are summable (gamma > 1); the divergence requirement on their sum "
+         "is unmet and convergence may stall"],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="sa-nd-summable",
+    ),
+    pytest.param(
+        doc("kronecker", assertions={"alternating_bound": True, "min_fraction_converged_to_zero": 0.5, "min_fraction_final_below": {"value": 0.05, "fraction": 0.95}}),
+        {"increments": {"family": "rademacher"}, "weights": {"family": "linear"}},
+        {"alternating_bound": True,
+         "min_fraction_converged_to_zero": 0.5,
+         "min_fraction_final_below": {"value": 0.05, "fraction": 0.95}},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="kronecker-rademacher-linear",
+    ),
+    pytest.param(
+        doc("kronecker", increments={"family": "alternating"}, weights={"family": "power", "gamma": 0.5}),
+        {"increments": {"family": "alternating"}, "weights": {"family": "power", "gamma": 0.5}},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="kronecker-alternating-power",
+    ),
+    pytest.param(
+        doc("kronecker", weights={"family": "power", "gamma": 2}, assertions={"alternating_bound": False}),
+        {"increments": {"family": "rademacher"}, "weights": {"family": "power", "gamma": 2}},
+        {"alternating_bound": False},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="kronecker-power-alternating-bound-off",
+    ),
+    pytest.param(
+        doc("ls"),
+        {"design": {"family": "rotating", "jitter": 0.1, "turns": 0.37},
+         "beta": [1.0, -0.5],
+         "sigma": 1.0,
+         "gweight": {"family": "identity"},
+         "energy_threshold": 10.0,
+         "partition": {"consistency_tol": 0.05, "oscillation_tol": 0.001, "dispersion_ratio": 3.0},
+         "checkpoints": 8},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="ls-rotating-defaults",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "rotating", "jitter": 0, "turns": -0.5}, gweight={"family": "sqrt_log"}, partition={"oscillation_tol": 0.01}, energy_threshold=0, checkpoints=0),
+        {"design": {"family": "rotating", "jitter": 0, "turns": -0.5},
+         "beta": [1.0, -0.5],
+         "sigma": 1.0,
+         "gweight": {"family": "sqrt_log"},
+         "energy_threshold": 0,
+         "partition": {"consistency_tol": 0.05, "oscillation_tol": 0.01, "dispersion_ratio": 3.0},
+         "checkpoints": 0},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="ls-rotating-full",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "geometric_one"}, sigma=0, gweight={"family": "identity"}, partition={"consistency_tol": 0.1, "oscillation_tol": 0.001, "dispersion_ratio": 0}),
+        {"design": {"family": "geometric_one"},
+         "beta": [1.0, -0.5],
+         "sigma": 0,
+         "gweight": {"family": "identity"},
+         "energy_threshold": 10.0,
+         "partition": {"consistency_tol": 0.1, "oscillation_tol": 0.001, "dispersion_ratio": 0},
+         "checkpoints": 8},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="ls-geometric-one",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "iid_gaussian"}),
+        {"design": {"family": "iid_gaussian", "p": 2, "scale": 1.0},
+         "beta": [1.0, -0.5],
+         "sigma": 1.0,
+         "gweight": {"family": "identity"},
+         "energy_threshold": 10.0,
+         "partition": {"consistency_tol": 0.05, "oscillation_tol": 0.001, "dispersion_ratio": 3.0},
+         "checkpoints": 8},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="ls-iid-default-p",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "iid_gaussian", "p": 3, "scale": 2}, beta=[1, 2, 3]),
+        {"design": {"family": "iid_gaussian", "p": 3, "scale": 2},
+         "beta": [1.0, 2.0, 3.0],
+         "sigma": 1.0,
+         "gweight": {"family": "identity"},
+         "energy_threshold": 10.0,
+         "partition": {"consistency_tol": 0.05, "oscillation_tol": 0.001, "dispersion_ratio": 3.0},
+         "checkpoints": 8},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="ls-iid-p3",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "feedback", "gain": 0.5, "jitter": "ignored"}, partition={}, checkpoints=3, assertions={"min_fraction_final_error_below": {"value": 0.1, "fraction": 1}, "max_checkpoint_gap": 1e-8, "partition_matches": {"q": 0, "classes": ["consistent", "finite_random_limit", "inconclusive"]}, "design_conditions_hold": True}),
+        {"design": {"family": "feedback", "gain": 0.5},
+         "beta": [1.0, -0.5],
+         "sigma": 1.0,
+         "gweight": {"family": "identity"},
+         "energy_threshold": 10.0,
+         "partition": {"consistency_tol": 0.05, "oscillation_tol": 0.001, "dispersion_ratio": 3.0},
+         "checkpoints": 3},
+        {"min_fraction_final_error_below": {"value": 0.1, "fraction": 1},
+         "max_checkpoint_gap": 1e-08,
+         "partition_matches": {"q": 0,
+                               "classes": ["consistent", "finite_random_limit", "inconclusive"]},
+         "design_conditions_hold": True},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="ls-feedback",
+    ),
+    pytest.param(
+        doc("ls", assertions={"partition_matches": {"q": 1}}),
+        {"design": {"family": "rotating", "jitter": 0.1, "turns": 0.37},
+         "beta": [1.0, -0.5],
+         "sigma": 1.0,
+         "gweight": {"family": "identity"},
+         "energy_threshold": 10.0,
+         "partition": {"consistency_tol": 0.05, "oscillation_tol": 0.001, "dispersion_ratio": 3.0},
+         "checkpoints": 8},
+        {"partition_matches": {"q": 1}},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="ls-partition-q-only",
+    ),
+    pytest.param(
+        doc("ls", assertions={"partition_matches": {}}),
+        {"design": {"family": "rotating", "jitter": 0.1, "turns": 0.37},
+         "beta": [1.0, -0.5],
+         "sigma": 1.0,
+         "gweight": {"family": "identity"},
+         "energy_threshold": 10.0,
+         "partition": {"consistency_tol": 0.05, "oscillation_tol": 0.001, "dispersion_ratio": 3.0},
+         "checkpoints": 8},
+        {"partition_matches": {}},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="ls-partition-empty",
+    ),
+    pytest.param(
+        doc("custom_path_check"),
+        {"input": {"path": "traces.csv", "zero_tol": 0.0},
+         "checks": {"nonexpansive_alpha": None,
+                    "contractive_k": None,
+                    "divergence_target": 5.0,
+                    "zero_state_tol": None,
+                    "segment_bound": False,
+                    "crossings": True}},
+        {},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="custom-minimal",
+    ),
+    pytest.param(
+        doc("custom_path_check", input={"path": "a/b.csv", "zero_tol": 1e-9}, checks={"nonexpansive_alpha": 0, "contractive_k": 1, "divergence_target": 2, "zero_state_tol": 0.5, "segment_bound": True, "crossings": False}, assertions={"all_checks_hold": True}),
+        {"input": {"path": "a/b.csv", "zero_tol": 1e-09},
+         "checks": {"nonexpansive_alpha": 0,
+                    "contractive_k": 1,
+                    "divergence_target": 2,
+                    "zero_state_tol": 0.5,
+                    "segment_bound": True,
+                    "crossings": False}},
+        {"all_checks_hold": True},
+        [],
+        ENSEMBLE_DEFAULTS,
+        OUTPUT_DEFAULTS,
+        id="custom-full",
+    ),
+]
+
+ERRORS = [
+    pytest.param(
+        doc("sa", kind=DROP),
+        ["kind: required value is missing (one of sa, sa_nd, sa_nonuniform, kronecker, ls, "
+         "custom_path_check)"],
+        id="kind-missing",
+    ),
+    pytest.param(
+        doc("sa", kind="frobnicate", mystery=1, problem=3, assertions={"levitate": True}),
+        ["kind: must be one of sa, sa_nd, sa_nonuniform, kronecker, ls, custom_path_check"],
+        id="kind-invalid-skips-kind-checks",
+    ),
+    pytest.param(
+        doc("sa", kind=["sa"]),
+        ["kind: must be one of sa, sa_nd, sa_nonuniform, kronecker, ls, custom_path_check"],
+        id="kind-not-string",
+    ),
+    pytest.param(doc("sa", mystery=1), ["mystery: unknown key"], id="top-unknown-key-sa"),
+    pytest.param(
+        doc("sa", truncation={"delta": 1, "tau": 0.5}),
+        ["truncation: unknown key"],
+        id="top-unknown-truncation-in-sa",
+    ),
+    pytest.param(
+        doc("kronecker", problem={"family": "linear"}),
+        ["problem: unknown key"],
+        id="top-unknown-key-kronecker",
+    ),
+    pytest.param(doc("ls", x0=1.0), ["x0: unknown key"], id="top-unknown-key-ls"),
+    pytest.param(
+        doc("custom_path_check", schedule={}),
+        ["schedule: unknown key"],
+        id="top-unknown-key-custom",
+    ),
+    pytest.param(
+        doc("sa", ensemble=DROP),
+        ["ensemble: required group is missing"],
+        id="ensemble-missing",
+    ),
+    pytest.param(
+        doc("sa", ensemble=[1, 2]),
+        ["ensemble: must be a mapping"],
+        id="ensemble-not-mapping",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(workers=2)),
+        ["ensemble.workers: unknown key"],
+        id="ensemble-unknown-key",
+    ),
+    pytest.param(
+        doc("sa", ensemble={}),
+        ["ensemble.horizon: required value is missing",
+         "ensemble.root_seed: required value is missing",
+         "ensemble.seeds: required value is missing"],
+        id="ensemble-required-missing",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(seeds=0)),
+        ["ensemble.seeds: must be >= 1"],
+        id="ensemble-seeds-zero",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(seeds=1.5)),
+        ["ensemble.seeds: must be an integer"],
+        id="ensemble-seeds-float",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(seeds=True)),
+        ["ensemble.seeds: must be an integer"],
+        id="ensemble-seeds-bool",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(seeds="3")),
+        ["ensemble.seeds: must be an integer"],
+        id="ensemble-seeds-string",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(root_seed=-1)),
+        ["ensemble.root_seed: must be >= 0"],
+        id="ensemble-root-seed-negative",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(horizon=0)),
+        ["ensemble.horizon: must be >= 1"],
+        id="ensemble-horizon-zero",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(horizon=5.0)),
+        ["ensemble.horizon: must be an integer"],
+        id="ensemble-horizon-float",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(tail_fraction=0)),
+        ["ensemble.tail_fraction: must be > 0.0"],
+        id="ensemble-tail-fraction-zero",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(tail_fraction=1.0)),
+        ["ensemble.tail_fraction: must be < 1"],
+        id="ensemble-tail-fraction-one",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(tail_fraction=1.5)),
+        ["ensemble.tail_fraction: must be <= 1.0"],
+        id="ensemble-tail-fraction-above-one",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(tail_fraction="x")),
+        ["ensemble.tail_fraction: must be a number"],
+        id="ensemble-tail-fraction-string",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(tol_zero=-1, tol_cauchy=-0.1)),
+        ["ensemble.tol_cauchy: must be >= 0.0", "ensemble.tol_zero: must be >= 0.0"],
+        id="ensemble-tolerances-negative",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(parallelism=0)),
+        ["ensemble.parallelism: must be >= 1"],
+        id="ensemble-parallelism-zero",
+    ),
+    pytest.param(
+        doc("sa", ensemble=ens(divergence_cap=0)),
+        ["ensemble.divergence_cap: must be > 0.0"],
+        id="ensemble-divergence-cap-zero",
+    ),
+    pytest.param(doc("sa", output="out"), ["output: must be a mapping"], id="output-not-mapping"),
+    pytest.param(
+        doc("sa", output={"format": "png"}),
+        ["output.format: unknown key"],
+        id="output-unknown-key",
+    ),
+    pytest.param(
+        doc("sa", output={"dir": 3, "traces": "yes", "plots": 1, "curve_points": 2.5}),
+        ["output.curve_points: must be an integer",
+         "output.dir: must be a string",
+         "output.plots: must be true or false",
+         "output.traces: must be true or false"],
+        id="output-types",
+    ),
+    pytest.param(
+        doc("sa", output={"curve_points": 1}),
+        ["output.curve_points: must be >= 2"],
+        id="output-curve-points-low",
+    ),
+    pytest.param(
+        doc("sa", assertions=[1]),
+        ["assertions: must be a mapping"],
+        id="assertions-not-mapping",
+    ),
+    pytest.param(
+        doc("sa", assertions={"levitate": True}),
+        ["assertions.levitate: unknown assertion"],
+        id="assertions-unknown",
+    ),
+    pytest.param(
+        doc("sa", assertions={"min_fraction_converged_to_zero": 1.5}),
+        ["assertions.min_fraction_converged_to_zero: must be a number in [0, 1]"],
+        id="assertions-fraction",
+    ),
+    pytest.param(
+        doc("kronecker", assertions={"min_fraction_converged_to_zero": "x"}),
+        ["assertions.min_fraction_converged_to_zero: must be a number in [0, 1]"],
+        id="assertions-fraction-type",
+    ),
+    pytest.param(
+        doc("sa", assertions={"max_median_final_abs": -1}),
+        ["assertions.max_median_final_abs: must be a nonnegative number"],
+        id="assertions-number",
+    ),
+    pytest.param(
+        doc("ls", assertions={"max_checkpoint_gap": True}),
+        ["assertions.max_checkpoint_gap: must be a nonnegative number"],
+        id="assertions-number-type",
+    ),
+    pytest.param(
+        doc("custom_path_check", assertions={"all_checks_hold": "yes"}),
+        ["assertions.all_checks_hold: must be true or false"],
+        id="assertions-flag",
+    ),
+    pytest.param(
+        doc("sa", assertions={"min_fraction_final_below": {"value": 1.0}}),
+        ["assertions.min_fraction_final_below: must be a mapping {value: number, fraction: [0,1]}"],
+        id="assertions-threshold-missing-key",
+    ),
+    pytest.param(
+        doc("sa", assertions={"min_fraction_final_below": {"value": 1.0, "fraction": 0.5, "x": 1}}),
+        ["assertions.min_fraction_final_below: must be a mapping {value: number, fraction: [0,1]}"],
+        id="assertions-threshold-extra-key",
+    ),
+    pytest.param(
+        doc("ls", assertions={"min_fraction_final_error_below": {"value": 1.0, "fraction": 2}}),
+        ["assertions.min_fraction_final_error_below: must be a mapping {value: number, fraction: "
+         "[0,1]}"],
+        id="assertions-threshold-fraction-range",
+    ),
+    pytest.param(
+        doc("sa_nd", assertions={"min_fraction_final_below": 0.5}),
+        ["assertions.min_fraction_final_below: must be a mapping {value: number, fraction: [0,1]}"],
+        id="assertions-threshold-not-mapping",
+    ),
+    pytest.param(
+        doc("ls", assertions={"partition_matches": 1}),
+        ["assertions.partition_matches: must be a mapping with keys q and/or classes"],
+        id="assertions-partition-not-mapping",
+    ),
+    pytest.param(
+        doc("ls", assertions={"partition_matches": {"q": 1, "p": 2}}),
+        ["assertions.partition_matches: must be a mapping with keys q and/or classes"],
+        id="assertions-partition-extra-key",
+    ),
+    pytest.param(
+        doc("ls", assertions={"partition_matches": {"q": -1, "classes": ["consistent", "bogus"]}}),
+        ["assertions.partition_matches.classes: must list component classes",
+         "assertions.partition_matches.q: must be a nonnegative integer"],
+        id="assertions-partition-q",
+    ),
+    pytest.param(
+        doc("ls", assertions={"partition_matches": {"q": 1.5, "classes": "consistent"}}),
+        ["assertions.partition_matches.classes: must list component classes",
+         "assertions.partition_matches.q: must be a nonnegative integer"],
+        id="assertions-partition-q-float",
+    ),
+    pytest.param(
+        doc("sa", assertions={"envelope_valid": True, "sandwich_zero_violations": True}),
+        ["assertions.envelope_valid: requires the envelope group",
+         "assertions.sandwich_zero_violations: requires the envelope group"],
+        id="assertions-requires-envelope-sa",
+    ),
+    pytest.param(
+        doc("sa_nd", assertions={"envelope_valid": True, "contraction_zero_violations": True}),
+        ["assertions.contraction_zero_violations: requires the envelope group",
+         "assertions.envelope_valid: requires the envelope group"],
+        id="assertions-requires-envelope-sa-nd",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", assertions={"regularity_holds": True}),
+        ["assertions.regularity_holds: requires the regularity group"],
+        id="assertions-requires-regularity",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", envelope={"m": 1, "M": 2}, assertions={"envelope_valid": True}),
+        ["assertions.envelope_valid: unknown assertion"],
+        id="assertions-envelope-valid-unknown-in-nonuniform",
+    ),
+    pytest.param(
+        doc("kronecker", weights={"family": "power", "gamma": 0.5}, assertions={"alternating_bound": True}),
+        ["assertions.alternating_bound: requires linear weights"],
+        id="assertions-alternating-needs-linear",
+    ),
+    pytest.param(
+        doc("kronecker", weights=DROP, assertions={"alternating_bound": True}),
+        ["assertions.alternating_bound: requires linear weights",
+         "weights: required group is missing"],
+        id="assertions-alternating-weights-missing",
+    ),
+    pytest.param(
+        doc("kronecker", weights={"family": "cubic"}, assertions={"alternating_bound": True}),
+        ["assertions.alternating_bound: requires linear weights",
+         "weights.family: must be one of linear, power"],
+        id="assertions-alternating-weights-invalid",
+    ),
+    pytest.param(
+        doc("sa", problem=DROP),
+        ["problem: required group is missing"],
+        id="problem-missing",
+    ),
+    pytest.param(
+        doc("sa", problem="linear"),
+        ["problem: must be a mapping"],
+        id="problem-not-mapping",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "linear", "bogus": 3}),
+        ["problem.bogus: unknown key"],
+        id="problem-unknown-key",
+    ),
+    pytest.param(
+        doc("sa", problem={"slope": 1.0}),
+        ["problem.family: required value is missing (one of linear, sine_perturbed, sqrt_sign)"],
+        id="problem-family-missing",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "cubic", "slope": -1, "root": "x"}),
+        ["problem.family: must be one of linear, sine_perturbed, sqrt_sign",
+         "problem.root: must be a number"],
+        id="problem-family-invalid-skips-fields",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "linear", "slope": 0}),
+        ["problem.slope: must be > 0.0"],
+        id="problem-linear-slope-zero",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "linear", "slope": "x"}),
+        ["problem.slope: must be a number"],
+        id="problem-linear-slope-string",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "sine_perturbed", "amplitude": -1}),
+        ["problem.amplitude: must be >= 0.0"],
+        id="problem-sine-amplitude-negative",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "sine_perturbed", "slope": 1.0, "amplitude": 1.0}),
+        ["problem.amplitude: must be smaller than slope to keep the map rootward"],
+        id="problem-sine-amplitude-not-below-slope",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "sine_perturbed", "slope": 0.2}),
+        ["problem.amplitude: must be smaller than slope to keep the map rootward"],
+        id="problem-sine-amplitude-default-vs-slope",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "sine_perturbed", "slope": -1, "amplitude": 1.5}),
+        ["problem.amplitude: must be smaller than slope to keep the map rootward",
+         "problem.slope: must be > 0.0"],
+        id="problem-sine-bad-slope-uses-default",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", problem={"family": "sqrt_sign", "root": "x", "slope": -1}),
+        ["problem.root: must be a number"],
+        id="problem-sqrt-root-string",
+    ),
+    pytest.param(
+        doc("sa", schedule=DROP),
+        ["schedule: required group is missing"],
+        id="schedule-missing",
+    ),
+    pytest.param(
+        doc("sa_nd", schedule=1),
+        ["schedule: must be a mapping"],
+        id="schedule-not-mapping",
+    ),
+    pytest.param(
+        doc("sa", schedule={"family": "inverse_n", "d": 1}),
+        ["schedule.d: unknown key"],
+        id="schedule-unknown-key",
+    ),
+    pytest.param(
+        doc("sa", schedule={"family": "constant", "c": -1}),
+        ["schedule.family: must be one of inverse_n, inverse_n_power, explicit"],
+        id="schedule-family-invalid",
+    ),
+    pytest.param(
+        doc("sa", schedule={"family": "inverse_n", "c": 0}),
+        ["schedule.c: must be > 0.0"],
+        id="schedule-c-zero",
+    ),
+    pytest.param(
+        doc("sa_nd", schedule={"family": "inverse_n_power", "c": -1, "gamma": 0.5}),
+        ["schedule.c: must be > 0.0"],
+        id="schedule-power-c-negative",
+    ),
+    pytest.param(
+        doc("sa", schedule={"family": "explicit", "c": 1}),
+        ["schedule.values: required list is missing"],
+        id="schedule-explicit-values-missing",
+    ),
+    pytest.param(
+        doc("sa", schedule={"family": "explicit", "values": []}),
+        ["schedule.values: must be a list of at least 1 numbers"],
+        id="schedule-explicit-values-empty",
+    ),
+    pytest.param(
+        doc("sa", schedule={"family": "explicit", "values": [1, "a", 1, 1, 1]}),
+        ["schedule.values: must be a list of at least 1 numbers"],
+        id="schedule-explicit-values-not-numbers",
+    ),
+    pytest.param(
+        doc("sa", schedule={"family": "explicit", "values": 0.5}),
+        ["schedule.values: must be a list of at least 1 numbers"],
+        id="schedule-explicit-values-not-list",
+    ),
+    pytest.param(
+        doc("sa_nd", schedule={"family": "explicit", "values": [1, -0.5, 1, 1, 1]}),
+        ["schedule.values: step sizes must be nonnegative"],
+        id="schedule-explicit-values-negative",
+    ),
+    pytest.param(doc("sa", noise=DROP), ["noise: required group is missing"], id="noise-missing"),
+    pytest.param(
+        doc("sa", noise={"family": "none", "mean": 0}),
+        ["noise.mean: unknown key"],
+        id="noise-unknown-key",
+    ),
+    pytest.param(
+        doc("sa", noise={"family": "cauchy", "sd": -1}),
+        ["noise.family: must be one of gaussian, uniform, none"],
+        id="noise-family-invalid",
+    ),
+    pytest.param(
+        doc("sa", noise={"family": "gaussian"}),
+        ["noise.sd: required value is missing"],
+        id="noise-gaussian-sd-missing",
+    ),
+    pytest.param(
+        doc("sa_nd", noise={"family": "gaussian", "sd": -0.1}),
+        ["noise.sd: must be >= 0.0"],
+        id="noise-gaussian-sd-negative",
+    ),
+    pytest.param(
+        doc("sa", noise={"family": "uniform", "sd": 1}),
+        ["noise.half_width: required value is missing"],
+        id="noise-uniform-half-width-missing",
+    ),
+    pytest.param(
+        doc("sa", noise={"family": "uniform", "half_width": -1}),
+        ["noise.half_width: must be >= 0.0"],
+        id="noise-uniform-half-width-negative",
+    ),
+    pytest.param(doc("sa", x0=DROP), ["x0: required value is missing"], id="x0-missing-sa"),
+    pytest.param(doc("sa", x0="a"), ["x0: must be a number"], id="x0-string-sa"),
+    pytest.param(doc("sa", x0=[1.0]), ["x0: must be a number"], id="x0-list-sa"),
+    pytest.param(doc("sa_nd", x0=DROP), ["x0: required list is missing"], id="x0-missing-sa-nd"),
+    pytest.param(
+        doc("sa_nd", x0=1.0),
+        ["x0: must be a list of at least 1 numbers"],
+        id="x0-scalar-sa-nd",
+    ),
+    pytest.param(
+        doc("sa_nd", x0=[]),
+        ["x0: must be a list of at least 1 numbers"],
+        id="x0-empty-sa-nd",
+    ),
+    pytest.param(
+        doc("sa", envelope=True),
+        ["envelope: must be a mapping"],
+        id="envelope-not-mapping",
+    ),
+    pytest.param(
+        doc("sa", envelope={"m": 1, "M": 2, "directions": 3}),
+        ["envelope.directions: unknown key"],
+        id="envelope-unknown-key",
+    ),
+    pytest.param(
+        doc("sa", envelope={}),
+        ["envelope.M: required value is missing", "envelope.m: required value is missing"],
+        id="envelope-required-missing",
+    ),
+    pytest.param(
+        doc("sa", envelope={"m": 0, "M": -1, "grid_min_abs": 0, "grid_max_abs": -1, "grid_per_decade": 0, "ratio_cap": 0}),
+        ["envelope.M: must be > 0.0",
+         "envelope.grid_max_abs: must be > 0.0",
+         "envelope.grid_min_abs: must be > 0.0",
+         "envelope.grid_per_decade: must be >= 1",
+         "envelope.m: must be > 0.0",
+         "envelope.ratio_cap: must be > 0.0"],
+        id="envelope-bounds",
+    ),
+    pytest.param(
+        doc("sa", envelope={"m": 2.0, "M": 1.0}),
+        ["envelope.m: must satisfy m <= M"],
+        id="envelope-m-above-M",
+    ),
+    pytest.param(
+        doc("sa", envelope={"m": "2", "M": 1.0}),
+        ["envelope.m: must be a number"],
+        id="envelope-bad-m-skips-order",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", envelope={"m": 1, "M": 1, "grid_per_decade": 10.5}),
+        ["envelope.grid_per_decade: must be an integer"],
+        id="envelope-grid-per-decade-float",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", truncation=DROP),
+        ["truncation: required group is missing"],
+        id="truncation-missing",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", truncation=0.5),
+        ["truncation: must be a mapping"],
+        id="truncation-not-mapping",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", truncation={"delta": 1, "tau": 0.5, "eta": 1}),
+        ["truncation.eta: unknown key"],
+        id="truncation-unknown-key",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", truncation={}),
+        ["truncation.delta: required value is missing",
+         "truncation.tau: required value is missing"],
+        id="truncation-required-missing",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", truncation={"delta": 0, "tau": -1}),
+        ["truncation.delta: must be > 0.0", "truncation.tau: must be > 0.0"],
+        id="truncation-bounds",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", truncation={"delta": 1, "tau": 0.5, "kappa": "tau"}),
+        ['truncation.kappa: must be a number or the string "delta"'],
+        id="truncation-kappa-string",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", truncation={"delta": 1, "tau": 0.5, "kappa": True}),
+        ['truncation.kappa: must be a number or the string "delta"'],
+        id="truncation-kappa-bool",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", truncation={"delta": 0.1, "tau": "x"}),
+        ["truncation.tau: must be a number"],
+        id="truncation-bad-tau-with-warning-rule",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", regularity=[1]),
+        ["regularity: must be a mapping"],
+        id="regularity-not-mapping",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", regularity={"c": 1, "d": 1, "pairs": [[1, 2]], "e": 1}),
+        ["regularity.e: unknown key"],
+        id="regularity-unknown-key",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", regularity={}),
+        ["regularity.c: required value is missing",
+         "regularity.d: required value is missing",
+         "regularity.pairs: must be a list of [d1, d2] pairs"],
+        id="regularity-required-missing",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", regularity={"c": -1, "d": "x", "pairs": [[1, 2]], "grid_min_abs": 0, "grid_max_abs": 0, "grid_per_decade": 0}),
+        ["regularity.c: must be >= 0.0",
+         "regularity.d: must be a number",
+         "regularity.grid_max_abs: must be > 0.0",
+         "regularity.grid_min_abs: must be > 0.0",
+         "regularity.grid_per_decade: must be >= 1"],
+        id="regularity-bounds",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", regularity={"c": 1, "d": 1, "pairs": [[1]]}),
+        ["regularity.pairs: must be a list of [d1, d2] pairs"],
+        id="regularity-pairs-shape",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", regularity={"c": 1, "d": 1, "pairs": []}),
+        ["regularity.pairs: must be a list of [d1, d2] pairs"],
+        id="regularity-pairs-empty",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", regularity={"c": 1, "d": 1, "pairs": [["a", 2]]}),
+        ["regularity.pairs: must be a list of [d1, d2] pairs"],
+        id="regularity-pairs-strings",
+    ),
+    pytest.param(
+        doc("sa_nonuniform", regularity={"c": 1, "d": 1, "pairs": [[0.5, 1], [3, 2], [0, 1], [1, 1]]}),
+        ["regularity.pairs: invalid pair [0.0, 1.0]",
+         "regularity.pairs: invalid pair [1.0, 1.0]",
+         "regularity.pairs: invalid pair [3.0, 2.0]"],
+        id="regularity-pairs-invalid",
+    ),
+    pytest.param(
+        doc("sa_nd", problem=DROP),
+        ["problem: required group is missing"],
+        id="nd-problem-missing",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "identity", "slope": 1}),
+        ["problem.slope: unknown key"],
+        id="nd-problem-unknown-key",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "diagonal", "scale": -1}),
+        ["problem.family: must be one of matrix, identity", "problem.scale: must be > 0.0"],
+        id="nd-problem-family-invalid-checks-scale",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"scale": 0}),
+        ["problem.family: required value is missing (one of matrix, identity)",
+         "problem.scale: must be > 0.0"],
+        id="nd-problem-family-missing-checks-scale",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "identity", "scale": "x"}),
+        ["problem.scale: must be a number"],
+        id="nd-problem-identity-scale",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "matrix"}),
+        ["problem.entries: must be a square matrix of numbers"],
+        id="nd-matrix-entries-missing",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "matrix", "entries": [[1, 0, 0], [0, 1, 0]]}),
+        ["problem.entries: must be a square matrix of numbers"],
+        id="nd-matrix-not-square",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "matrix", "entries": []}),
+        ["problem.entries: must be a square matrix of numbers"],
+        id="nd-matrix-empty",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "matrix", "entries": [[1, "a"], [0, 1]]}),
+        ["problem.entries: must be a square matrix of numbers"],
+        id="nd-matrix-strings",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "matrix", "entries": [[1, 1], [-1, 1]]}, x0=[1.0, 2.0, 3.0]),
+        ["x0: length 3 does not match the 2-d problem"],
+        id="nd-matrix-x0-length",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "matrix", "entries": [[1, 1], [-1, 1]]}, x0="x"),
+        ["x0: must be a list of at least 1 numbers"],
+        id="nd-matrix-bad-x0-skips-length",
+    ),
+    pytest.param(
+        doc("sa_nd", envelope={"m": 1, "M": 2, "grid_min_abs": 0.1}),
+        ["envelope.grid_min_abs: unknown key"],
+        id="nd-envelope-unknown-key",
+    ),
+    pytest.param(
+        doc("sa_nd", envelope={"radii": [1]}),
+        ["envelope.M: required value is missing", "envelope.m: required value is missing"],
+        id="nd-envelope-required-missing",
+    ),
+    pytest.param(
+        doc("sa_nd", envelope={"m": 0, "M": 0, "directions": 0, "radii": [], "grid_seed": -1, "ratio_cap": 0}),
+        ["envelope.M: must be > 0.0",
+         "envelope.directions: must be >= 1",
+         "envelope.grid_seed: must be >= 0",
+         "envelope.m: must be > 0.0",
+         "envelope.radii: must be a list of at least 1 numbers",
+         "envelope.ratio_cap: must be > 0.0"],
+        id="nd-envelope-bounds",
+    ),
+    pytest.param(
+        doc("sa_nd", envelope={"m": 1, "M": 2, "directions": 2.5, "radii": ["a"], "grid_seed": 1.5}),
+        ["envelope.directions: must be an integer",
+         "envelope.grid_seed: must be an integer",
+         "envelope.radii: must be a list of at least 1 numbers"],
+        id="nd-envelope-types",
+    ),
+    pytest.param(
+        doc("kronecker", increments=DROP),
+        ["increments: required group is missing"],
+        id="increments-missing",
+    ),
+    pytest.param(
+        doc("kronecker", increments={"family": "rademacher", "p": 0.5}),
+        ["increments.p: unknown key"],
+        id="increments-unknown-key",
+    ),
+    pytest.param(
+        doc("kronecker", increments={"family": "gaussian"}),
+        ["increments.family: must be one of rademacher, alternating"],
+        id="increments-family-invalid",
+    ),
+    pytest.param(
+        doc("kronecker", weights=DROP),
+        ["weights: required group is missing"],
+        id="weights-missing",
+    ),
+    pytest.param(
+        doc("kronecker", weights="linear"),
+        ["weights: must be a mapping"],
+        id="weights-not-mapping",
+    ),
+    pytest.param(
+        doc("kronecker", weights={"family": "linear", "c": 1}),
+        ["weights.c: unknown key"],
+        id="weights-unknown-key",
+    ),
+    pytest.param(
+        doc("kronecker", weights={"gamma": 1}),
+        ["weights.family: required value is missing (one of linear, power)"],
+        id="weights-family-missing",
+    ),
+    pytest.param(
+        doc("kronecker", weights={"family": "power"}),
+        ["weights.gamma: required value is missing"],
+        id="weights-power-gamma-missing",
+    ),
+    pytest.param(
+        doc("kronecker", weights={"family": "power", "gamma": 0}),
+        ["weights.gamma: must be > 0.0"],
+        id="weights-power-gamma-zero",
+    ),
+    pytest.param(
+        doc("ls", design=DROP),
+        ["design: required group is missing"],
+        id="design-missing",
+    ),
+    pytest.param(
+        doc("ls", design=DROP, beta=[1, 2, 3]),
+        ["design: required group is missing"],
+        id="design-missing-skips-beta-length",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "rotating", "phase": 1}),
+        ["design.phase: unknown key"],
+        id="design-unknown-key",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "spiral", "p": 3}, beta=[1.0]),
+        ["design.family: must be one of rotating, geometric_one, iid_gaussian, feedback"],
+        id="design-family-invalid-skips-beta-length",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "rotating", "jitter": -1, "turns": "x"}),
+        ["design.jitter: must be >= 0.0", "design.turns: must be a number"],
+        id="design-rotating-bounds",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "iid_gaussian", "p": 0, "scale": 0}, beta=[1.0, 2.0, 3.0]),
+        ["beta: length 3 does not match the 2-column design",
+         "design.p: must be >= 1",
+         "design.scale: must be > 0.0"],
+        id="design-iid-bounds",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "iid_gaussian", "p": 2.0}),
+        ["design.p: must be an integer"],
+        id="design-iid-p-float",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "iid_gaussian", "p": 3}),
+        ["beta: length 2 does not match the 3-column design"],
+        id="design-iid-beta-length",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "feedback", "gain": -0.1}),
+        ["design.gain: must be >= 0.0"],
+        id="design-feedback-gain",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "geometric_one"}, beta=[1.0]),
+        ["beta: length 1 does not match the 2-column design"],
+        id="design-geometric-beta-length",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "feedback"}, beta=[1.0, 2.0, 3.0]),
+        ["beta: length 3 does not match the 2-column design"],
+        id="design-feedback-beta-length",
+    ),
+    pytest.param(doc("ls", beta=DROP), ["beta: required list is missing"], id="beta-missing"),
+    pytest.param(
+        doc("ls", beta=1.0),
+        ["beta: must be a list of at least 1 numbers"],
+        id="beta-not-list",
+    ),
+    pytest.param(doc("ls", sigma=DROP), ["sigma: required value is missing"], id="sigma-missing"),
+    pytest.param(doc("ls", sigma=-1), ["sigma: must be >= 0.0"], id="sigma-negative"),
+    pytest.param(
+        doc("ls", gweight="identity"),
+        ["gweight: must be a mapping"],
+        id="gweight-not-mapping",
+    ),
+    pytest.param(
+        doc("ls", gweight={"family": "identity", "power": 2}),
+        ["gweight.power: unknown key"],
+        id="gweight-unknown-key",
+    ),
+    pytest.param(
+        doc("ls", gweight={}),
+        ["gweight.family: required value is missing (one of identity, sqrt_log)"],
+        id="gweight-family-missing",
+    ),
+    pytest.param(
+        doc("ls", gweight={"family": "log"}),
+        ["gweight.family: must be one of identity, sqrt_log"],
+        id="gweight-family-invalid",
+    ),
+    pytest.param(
+        doc("ls", energy_threshold=-1),
+        ["energy_threshold: must be >= 0.0"],
+        id="energy-threshold-negative",
+    ),
+    pytest.param(
+        doc("ls", partition=[]),
+        ["partition: must be a mapping"],
+        id="partition-not-mapping",
+    ),
+    pytest.param(
+        doc("ls", partition={"q": 1}),
+        ["partition.q: unknown key"],
+        id="partition-unknown-key",
+    ),
+    pytest.param(
+        doc("ls", partition={"consistency_tol": 0, "oscillation_tol": -1, "dispersion_ratio": -1}),
+        ["partition.consistency_tol: must be > 0.0",
+         "partition.dispersion_ratio: must be >= 0.0",
+         "partition.oscillation_tol: must be > 0.0"],
+        id="partition-bounds",
+    ),
+    pytest.param(
+        doc("ls", checkpoints=-1),
+        ["checkpoints: must be >= 0"],
+        id="checkpoints-negative",
+    ),
+    pytest.param(
+        doc("ls", checkpoints=1.5),
+        ["checkpoints: must be an integer"],
+        id="checkpoints-float",
+    ),
+    pytest.param(
+        doc("custom_path_check", input=DROP),
+        ["input: required group is missing"],
+        id="input-missing",
+    ),
+    pytest.param(
+        doc("custom_path_check", input="traces.csv"),
+        ["input: must be a mapping"],
+        id="input-not-mapping",
+    ),
+    pytest.param(
+        doc("custom_path_check", input={"path": "a", "format": "csv"}),
+        ["input.format: unknown key"],
+        id="input-unknown-key",
+    ),
+    pytest.param(
+        doc("custom_path_check", input={"zero_tol": -1}),
+        ["input.path: required value is missing", "input.zero_tol: must be >= 0.0"],
+        id="input-path-missing",
+    ),
+    pytest.param(
+        doc("custom_path_check", input={"path": 3}),
+        ["input.path: must be a string"],
+        id="input-path-not-string",
+    ),
+    pytest.param(
+        doc("custom_path_check", checks=DROP),
+        ["checks: required group is missing"],
+        id="checks-missing",
+    ),
+    pytest.param(
+        doc("custom_path_check", checks=None),
+        ["checks: must be a mapping"],
+        id="checks-not-mapping",
+    ),
+    pytest.param(
+        doc("custom_path_check", checks={"growth": 1}),
+        ["checks.growth: unknown key"],
+        id="checks-unknown-key",
+    ),
+    pytest.param(
+        doc("custom_path_check", checks={"nonexpansive_alpha": -1, "contractive_k": 1.5, "divergence_target": -1, "zero_state_tol": "x"}),
+        ["checks.contractive_k: must be <= 1.0",
+         "checks.divergence_target: must be >= 0.0",
+         "checks.nonexpansive_alpha: must be >= 0.0",
+         "checks.zero_state_tol: must be a number"],
+        id="checks-bounds",
+    ),
+    pytest.param(
+        doc("custom_path_check", checks={"contractive_k": -0.1}),
+        ["checks.contractive_k: must be >= 0.0"],
+        id="checks-contractive-k-negative",
+    ),
+    pytest.param(
+        doc("custom_path_check", checks={"segment_bound": "yes", "crossings": 1}),
+        ["checks.crossings: must be true or false", "checks.segment_bound: must be true or false"],
+        id="checks-flags",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "linear", "slope": 1.0, "bogus": 3}, noise=DROP, ensemble=ens(seeds=0, horizon=-5)),
+        ["ensemble.horizon: must be >= 1",
+         "ensemble.seeds: must be >= 1",
+         "noise: required group is missing",
+         "problem.bogus: unknown key"],
+        id="many-errors-aggregated",
+    ),
+]
+
+
+@pytest.mark.parametrize("document, model, assertions, warnings, ensemble, output", VALID)
+def test_parse_lock_valid(document, model, assertions, warnings, ensemble, output):
+    cfg = parse_doc(document)
+    assert cfg.model == model
+    assert cfg.assertions == assertions
+    assert cfg.warnings == warnings
+    assert asdict(cfg.ensemble) == ensemble
+    assert [cfg.output_dir, cfg.traces, cfg.plots, cfg.curve_points] == output
+
+
+@pytest.mark.parametrize("document, expected", ERRORS)
+def test_parse_lock_errors(document, expected):
+    with pytest.raises(ConfigError) as err:
+        parse_doc(document)
+    assert err.value.errors == expected
