@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .conditions import NonexpansiveProfile, check_nonexpansive
+from .conditions import NonexpansiveProfile, _ratio_verdict
 from .process import ProcessPath, VectorProcessPath, finite_steps, ratio_band, zero_state_mask
 from .verdict import ConditionVerdict, band_check, vacuous
 
@@ -483,8 +483,9 @@ def derive_truncated(
     """Zero out steps whose predictable mean has magnitude below delta + tau.
 
     ``settle_tol`` (default tau) defines the settling index n0: the first step
-    after which all observed |residual| stay below it.  Raises when residuals
-    never settle within the horizon.
+    after which all observed |residual| stay below it; a non-finite residual
+    never counts as settled.  Raises when residuals never settle within the
+    horizon.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -493,7 +494,7 @@ def derive_truncated(
     if tau >= delta:
         warnings.warn("tau >= delta; the truncation guarantees assume tau < delta", stacklevel=2)
     st = tau if settle_tol is None else settle_tol
-    big = np.nonzero(np.abs(base.eps) >= st)[0]
+    big = np.nonzero(~(np.abs(base.eps) < st))[0]
     n0 = 1 if len(big) == 0 else int(big[-1]) + 2
     if n0 > base.horizon:
         raise ValueError("residuals never settle below tau within the horizon")
@@ -513,17 +514,20 @@ def truncated_nonexpansive_verdict(
     """Nonexpansive ratio check on the truncated path beyond the settling index.
 
     Steps up to and including n0 may involve an unsettled residual and are
-    excluded; the default allowance is zero.
+    excluded, unless they are non-finite; the default allowance is zero.  A
+    violation is reported by its step on the whole path.
     """
-    start = trunc.n0 + 1
-    if start > trunc.path.horizon:
+    n0, horizon = trunc.n0, trunc.path.horizon
+    allowance = np.zeros(horizon)
+    if alphas is not None and n0 < horizon:
+        tail = NonexpansiveProfile(np.asarray(alphas, dtype=float)[n0:]).alphas
+        if len(tail) < horizon - n0:
+            raise ValueError("profile does not cover the path horizon")
+        allowance[n0:] = tail[: horizon - n0]
+    band = ratio_band(trunc.path, 1.0 + allowance, 0.0, np.arange(horizon) >= n0, atol)
+    if n0 == horizon and band.first_violation is None:
         return vacuous("no steps beyond the settling index")
-    tail = trunc.path.tail_from(start)
-    if alphas is None:
-        profile = NonexpansiveProfile.zero(tail.horizon)
-    else:
-        profile = NonexpansiveProfile(np.asarray(alphas, dtype=float)[start - 1 :])
-    return check_nonexpansive(tail, profile, atol)
+    return _ratio_verdict(band)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import dataclasses
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .config import ConfigError, ExperimentConfig, parse_config_file
 from .experiments import run_experiment
@@ -19,9 +19,9 @@ from .experiments import run_experiment
 __all__ = ["main"]
 
 
-def _load(path: str) -> Optional[ExperimentConfig]:
+def _load(path: str, ensemble_overrides: Dict[str, int]) -> Optional[ExperimentConfig]:
     try:
-        return parse_config_file(path)
+        return parse_config_file(path, ensemble_overrides)
     except FileNotFoundError:
         print(f"config file not found: {path}", file=sys.stderr)
         return None
@@ -33,16 +33,6 @@ def _load(path: str) -> Optional[ExperimentConfig]:
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Optional[str]:
-    ens = config.ensemble
-    updates = {}
-    if args.seeds is not None:
-        if args.seeds < 1:
-            return "--seeds must be >= 1"
-        updates["seeds"] = args.seeds
-    if args.horizon is not None:
-        if args.horizon < 1:
-            return "--horizon must be >= 1"
-        updates["horizon"] = args.horizon
     cap = os.environ.get("CONTRACTLAB_PARALLELISM")
     if cap is not None:
         try:
@@ -51,9 +41,8 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Opti
             return f"CONTRACTLAB_PARALLELISM must be an integer, got {cap!r}"
         if cap_value < 1:
             return "CONTRACTLAB_PARALLELISM must be >= 1"
-        updates["parallelism"] = min(ens.parallelism, cap_value)
-    if updates:
-        config.ensemble = dataclasses.replace(ens, **updates)
+        parallelism = min(config.ensemble.parallelism, cap_value)
+        config.ensemble = dataclasses.replace(config.ensemble, parallelism=parallelism)
     if args.out is not None:
         config.output_dir = args.out
     if args.traces:
@@ -81,7 +70,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     check_p.add_argument("config", help="path to the YAML config")
 
     args = parser.parse_args(argv)
-    config = _load(args.config)
+    # --seeds and --horizon replace ensemble keys before the document is validated
+    overrides = {key: getattr(args, key, None) for key in ("seeds", "horizon")}
+    config = _load(args.config, {k: v for k, v in overrides.items() if v is not None})
     if config is None:
         return 2
 

@@ -1,21 +1,37 @@
-"""Experiment configuration: YAML parsing with aggregated validation errors.
+"""Experiment configuration: one schema table, read by one generic field reader.
+
+Every group a config document may hold is declared once in the table below:
+its fields (type, default or required, bounds) and, for a family group such
+as ``problem`` or ``schedule``, each family's own fields and the builder that
+turns the validated values into a model object.  Each kind lists its groups,
+its top-level fields, its assertions and its cross-field rules; those rules
+are the only hand-written validation.
 
 Validation never stops at the first problem: every error is collected with a
 dotted path to the offending key, and unknown keys are rejected everywhere.
 """
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
 import yaml
 
+from .approximation import NoiseModel, RootProblem, Schedule
 from .harness import EnsembleConfig
+from .least_squares import (
+    GWeight,
+    feedback_design,
+    geometric_one_design,
+    iid_gaussian_design,
+    rotating_design,
+)
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config_text", "parse_config_file"]
-
-KINDS = ("sa", "sa_nd", "sa_nonuniform", "kronecker", "ls", "custom_path_check")
 
 
 class ConfigError(Exception):
@@ -38,16 +54,153 @@ class ExperimentConfig:
     assertions: Dict[str, Any]
     warnings: List[str] = dataclass_field(default_factory=list)
 
+    def build(self, group: str, *args: Any) -> Any:
+        """The model object of family group ``group``, made by its family's builder."""
+        values = self.model[group]
+        spec = next(g for g in KINDS[self.kind].groups if g.name == group)
+        return spec.families[values["family"]].build(values, *args)
+
 
 def _is_number(v: Any) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-class _Checker:
-    """Accumulates errors while pulling typed values out of nested dicts."""
+# ---------------------------------------------------------------------------
+# Schema types
+
+
+@dataclass(frozen=True)
+class Field:
+    """One value: its type, a default or ``required``, and its bounds.
+
+    Types: ``number``, ``integer``, ``bool``, ``string``, ``numbers`` (a
+    nonempty list, read as floats), ``choice`` (one of ``choices``) and
+    ``any`` (left to a rule).  ``gt``/``lt`` are exclusive bounds, ``ge``/``le``
+    inclusive ones.  A value that fails its check reads as the default, so
+    the cross-field rules still see a value.
+    """
+
+    name: str
+    type: str = "number"
+    default: Any = None
+    required: bool = False
+    gt: Optional[float] = None
+    ge: Optional[float] = None
+    le: Optional[float] = None
+    lt: Optional[float] = None
+    choices: Tuple[str, ...] = ()
+
+
+def need(name: str, type: str = "number", **bounds: Any) -> Field:
+    """A required field."""
+    return Field(name, type, required=True, **bounds)
+
+
+# A rule reads the values of a group (group and family rules) or of the whole
+# document (kind rules), and reports through the reader's fail() and warnings.
+Rule = Callable[["_Reader", Dict[str, Any]], None]
+
+
+@dataclass(frozen=True)
+class Family:
+    """One family of a family group: its builder, its own fields and rules."""
+
+    build: Callable[..., Any]
+    fields: Tuple[Field, ...] = ()
+    rules: Tuple[Rule, ...] = ()
+
+
+@dataclass(frozen=True)
+class Group:
+    """A mapping at the top level of the document.
+
+    A family group reads ``family`` first, then its shared ``fields`` and the
+    chosen family's fields.  When the family is missing or invalid, the
+    ``fallback`` family's fields are read instead (if there is one).
+    ``absent`` says what a missing group means: ``"required"`` (an error),
+    ``"none"``, or ``"defaults"`` (its fields' defaults; for a family group,
+    the fallback family with its defaults).
+    """
+
+    name: str
+    fields: Tuple[Field, ...] = ()
+    families: Mapping[str, Family] = dataclass_field(default_factory=dict)
+    absent: str = "required"
+    fallback: Optional[str] = None
+    rules: Tuple[Rule, ...] = ()
+
+    def family_fields(self, family: Optional[str]) -> Tuple[Field, ...]:
+        spec = self.families.get(family) or self.families.get(self.fallback)
+        return self.fields + (spec.fields if spec else ())
+
+    def keys(self) -> List[str]:
+        names = [f.name for f in self.fields]
+        if self.families:
+            names.append("family")
+        names += [f.name for fam in self.families.values() for f in fam.fields]
+        return names
+
+
+@dataclass(frozen=True)
+class Kind:
+    """An experiment kind: its groups, top-level fields, assertions and rules."""
+
+    groups: Tuple[Group, ...]
+    assertions: Mapping[str, str]
+    fields: Tuple[Field, ...] = ()
+    rules: Tuple[Rule, ...] = ()
+
+    def keys(self) -> List[str]:
+        return ["kind", "ensemble", "output", "assertions"] + [
+            s.name for s in self.groups + self.fields
+        ]
+
+
+# ---------------------------------------------------------------------------
+# The generic reader
+
+
+def _why_invalid(f: Field, v: Any) -> Optional[str]:
+    """Why ``v`` is not a valid value of ``f``, or None."""
+    if f.type == "any":
+        return None
+    if f.type == "choice":
+        return None if v in f.choices else f"must be one of {', '.join(f.choices)}"
+    if f.type == "bool":
+        return None if isinstance(v, bool) else "must be true or false"
+    if f.type == "string":
+        return None if isinstance(v, str) else "must be a string"
+    if f.type == "numbers":
+        if isinstance(v, list) and v and all(_is_number(x) for x in v):
+            return None
+        return "must be a list of at least 1 numbers"
+    if not _is_number(v) or (f.type == "integer" and not isinstance(v, int)):
+        return f"must be {'an integer' if f.type == 'integer' else 'a number'}"
+    if f.gt is not None and v <= f.gt:
+        return f"must be > {f.gt}"
+    if f.ge is not None and v < f.ge:
+        return f"must be >= {f.ge}"
+    if f.le is not None and v > f.le:
+        return f"must be <= {f.le}"
+    if f.lt is not None and v >= f.lt:
+        return f"must be < {f.lt}"
+    return None
+
+
+def _missing(f: Field) -> str:
+    if f.type == "numbers":
+        return "required list is missing"
+    if f.type == "choice":
+        return f"required value is missing (one of {', '.join(f.choices)})"
+    return "required value is missing"
+
+
+class _Reader:
+    """Reads a document against the schema, collecting errors and warnings."""
 
     def __init__(self):
         self.errors: List[str] = []
+        self.warnings: List[str] = []
 
     def fail(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
@@ -57,727 +210,543 @@ class _Checker:
             if key not in allowed:
                 self.fail(f"{path}.{key}" if path else key, "unknown key")
 
-    def subdict(
-        self, data: Dict[str, Any], key: str, path: str, required: bool = False
-    ) -> Optional[Dict[str, Any]]:
-        prefix = f"{path}.{key}" if path else key
-        if key not in data:
-            if required:
-                self.fail(prefix, "required group is missing")
+    def value(self, data: Dict[str, Any], f: Field, path: str) -> Any:
+        at = f"{path}.{f.name}" if path else f.name
+        if f.name not in data:
+            if f.required:
+                self.fail(at, _missing(f))
+            return copy.copy(f.default)
+        value = data[f.name]
+        reason = _why_invalid(f, value)
+        if reason is not None:
+            self.fail(at, reason)
+            return copy.copy(f.default)
+        return [float(v) for v in value] if f.type == "numbers" else value
+
+    def group(self, data: Dict[str, Any], g: Group) -> Optional[Dict[str, Any]]:
+        if g.name not in data:
+            if g.absent == "required":
+                self.fail(g.name, "required group is missing")
+            if g.absent != "defaults":
+                return None
+            values = {f.name: copy.copy(f.default) for f in g.family_fields(g.fallback)}
+            return {"family": g.fallback, **values} if g.families else values
+        raw = data[g.name]
+        if not isinstance(raw, dict):
+            self.fail(g.name, "must be a mapping")
             return None
-        value = data[key]
-        if not isinstance(value, dict):
-            self.fail(prefix, "must be a mapping")
-            return None
-        return value
+        self.unknown_keys(raw, g.keys(), g.name)
+        values: Dict[str, Any] = {}
+        family = None
+        if g.families:
+            choice = need("family", "choice", choices=tuple(g.families))
+            family = values["family"] = self.value(raw, choice, g.name)
+        for f in g.family_fields(family):
+            values[f.name] = self.value(raw, f, g.name)
+        spec = g.families.get(family)
+        for rule in g.rules + (spec.rules if spec else ()):
+            rule(self, values)
+        return values
 
-    def number(
-        self,
-        data: Dict[str, Any],
-        key: str,
-        path: str,
-        required: bool = False,
-        default: Any = None,
-        minimum: Optional[float] = None,
-        maximum: Optional[float] = None,
-        exclusive_minimum: bool = False,
-        integer: bool = False,
-    ) -> Any:
-        prefix = f"{path}.{key}" if path else key
-        if key not in data:
-            if required:
-                self.fail(prefix, "required value is missing")
-            return default
-        value = data[key]
-        if not _is_number(value) or (integer and not isinstance(value, int)):
-            self.fail(prefix, f"must be {'an integer' if integer else 'a number'}")
-            return default
-        if minimum is not None:
-            if exclusive_minimum and value <= minimum:
-                self.fail(prefix, f"must be > {minimum}")
-                return default
-            if not exclusive_minimum and value < minimum:
-                self.fail(prefix, f"must be >= {minimum}")
-                return default
-        if maximum is not None and value > maximum:
-            self.fail(prefix, f"must be <= {maximum}")
-            return default
-        return value
-
-    def choice(
-        self,
-        data: Dict[str, Any],
-        key: str,
-        path: str,
-        choices: Sequence[str],
-        required: bool = False,
-        default: Any = None,
-    ) -> Any:
-        prefix = f"{path}.{key}" if path else key
-        if key not in data:
-            if required:
-                self.fail(prefix, f"required value is missing (one of {', '.join(choices)})")
-            return default
-        value = data[key]
-        if value not in choices:
-            self.fail(prefix, f"must be one of {', '.join(choices)}")
-            return default
-        return value
-
-    def boolean(
-        self, data: Dict[str, Any], key: str, path: str, default: bool = False
-    ) -> bool:
-        prefix = f"{path}.{key}" if path else key
-        if key not in data:
-            return default
-        value = data[key]
-        if not isinstance(value, bool):
-            self.fail(prefix, "must be true or false")
-            return default
-        return bool(value)
-
-    def string(
-        self, data: Dict[str, Any], key: str, path: str, required: bool = False, default: Any = None
-    ) -> Any:
-        prefix = f"{path}.{key}" if path else key
-        if key not in data:
-            if required:
-                self.fail(prefix, "required value is missing")
-            return default
-        value = data[key]
-        if not isinstance(value, str):
-            self.fail(prefix, "must be a string")
-            return default
-        return value
-
-    def number_list(
-        self,
-        data: Dict[str, Any],
-        key: str,
-        path: str,
-        required: bool = False,
-        min_len: int = 1,
-    ) -> Optional[List[float]]:
-        prefix = f"{path}.{key}" if path else key
-        if key not in data:
-            if required:
-                self.fail(prefix, "required list is missing")
-            return None
-        value = data[key]
-        if not isinstance(value, list) or len(value) < min_len or not all(
-            _is_number(v) for v in value
-        ):
-            self.fail(prefix, f"must be a list of at least {min_len} numbers")
-            return None
-        return [float(v) for v in value]
-
-
-def _validate_ensemble(ck: _Checker, data: Dict[str, Any]) -> Optional[EnsembleConfig]:
-    group = ck.subdict(data, "ensemble", "", required=True)
-    if group is None:
-        return None
-    ck.unknown_keys(
-        group,
-        (
-            "seeds",
-            "root_seed",
-            "horizon",
-            "tail_fraction",
-            "tol_zero",
-            "tol_cauchy",
-            "parallelism",
-            "divergence_cap",
-        ),
-        "ensemble",
-    )
-    seeds = ck.number(group, "seeds", "ensemble", required=True, minimum=1, integer=True)
-    root_seed = ck.number(group, "root_seed", "ensemble", required=True, minimum=0, integer=True)
-    horizon = ck.number(group, "horizon", "ensemble", required=True, minimum=1, integer=True)
-    tail_fraction = ck.number(
-        group, "tail_fraction", "ensemble", default=0.2, minimum=0.0, maximum=1.0, exclusive_minimum=True
-    )
-    if tail_fraction is not None and tail_fraction >= 1.0:
-        ck.fail("ensemble.tail_fraction", "must be < 1")
-        tail_fraction = 0.2
-    tol_zero = ck.number(group, "tol_zero", "ensemble", default=1e-3, minimum=0.0)
-    tol_cauchy = ck.number(group, "tol_cauchy", "ensemble", default=1e-3, minimum=0.0)
-    parallelism = ck.number(group, "parallelism", "ensemble", default=1, minimum=1, integer=True)
-    divergence_cap = ck.number(
-        group, "divergence_cap", "ensemble", default=1e6, minimum=0.0, exclusive_minimum=True
-    )
-    if ck.errors:
-        return None
-    return EnsembleConfig(
-        seeds=seeds,
-        root_seed=root_seed,
-        horizon=horizon,
-        tail_fraction=tail_fraction,
-        tol_zero=tol_zero,
-        tol_cauchy=tol_cauchy,
-        parallelism=parallelism,
-        divergence_cap=divergence_cap,
-    )
-
-
-def _validate_schedule(ck: _Checker, data: Dict[str, Any], path: str) -> Optional[Dict[str, Any]]:
-    group = ck.subdict(data, "schedule", path, required=True)
-    if group is None:
-        return None
-    prefix = f"{path}.schedule" if path else "schedule"
-    ck.unknown_keys(group, ("family", "c", "gamma", "values"), prefix)
-    family = ck.choice(
-        group, "family", prefix, ("inverse_n", "inverse_n_power", "explicit"), required=True
-    )
-    out: Dict[str, Any] = {"family": family}
-    if family == "explicit":
-        values = ck.number_list(group, "values", prefix, required=True)
-        if values is not None and any(v < 0 for v in values):
-            ck.fail(f"{prefix}.values", "step sizes must be nonnegative")
-        out["values"] = values
-    elif family is not None:
-        out["c"] = ck.number(group, "c", prefix, default=1.0, minimum=0.0, exclusive_minimum=True)
-        if family == "inverse_n_power":
-            out["gamma"] = ck.number(
-                group, "gamma", prefix, required=True, minimum=0.0, exclusive_minimum=True
-            )
-    return out
-
-
-def _validate_noise(ck: _Checker, data: Dict[str, Any], path: str) -> Optional[Dict[str, Any]]:
-    group = ck.subdict(data, "noise", path, required=True)
-    if group is None:
-        return None
-    prefix = f"{path}.noise" if path else "noise"
-    ck.unknown_keys(group, ("family", "sd", "half_width"), prefix)
-    family = ck.choice(group, "family", prefix, ("gaussian", "uniform", "none"), required=True)
-    out: Dict[str, Any] = {"family": family}
-    if family == "gaussian":
-        out["sd"] = ck.number(group, "sd", prefix, required=True, minimum=0.0)
-    elif family == "uniform":
-        out["half_width"] = ck.number(group, "half_width", prefix, required=True, minimum=0.0)
-    return out
-
-
-def _validate_scalar_problem(ck: _Checker, data: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    group = ck.subdict(data, "problem", "", required=True)
-    if group is None:
-        return None
-    ck.unknown_keys(group, ("family", "slope", "amplitude", "root"), "problem")
-    family = ck.choice(
-        group, "family", "problem", ("linear", "sine_perturbed", "sqrt_sign"), required=True
-    )
-    out: Dict[str, Any] = {"family": family, "root": ck.number(group, "root", "problem", default=0.0)}
-    if family == "linear":
-        out["slope"] = ck.number(
-            group, "slope", "problem", default=1.0, minimum=0.0, exclusive_minimum=True
-        )
-    elif family == "sine_perturbed":
-        out["slope"] = ck.number(
-            group, "slope", "problem", default=1.0, minimum=0.0, exclusive_minimum=True
-        )
-        out["amplitude"] = ck.number(group, "amplitude", "problem", default=0.3, minimum=0.0)
-        if (
-            out["amplitude"] is not None
-            and out["slope"] is not None
-            and out["amplitude"] >= out["slope"]
-        ):
-            ck.fail("problem.amplitude", "must be smaller than slope to keep the map rootward")
-    return out
-
-
-def _validate_envelope_scalar(ck: _Checker, data: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-    group = ck.subdict(data, "envelope", "")
-    if group is None:
-        return None
-    ck.unknown_keys(
-        group,
-        ("m", "M", "grid_min_abs", "grid_max_abs", "grid_per_decade", "ratio_cap"),
-        "envelope",
-    )
-    m = ck.number(group, "m", "envelope", required=True, minimum=0.0, exclusive_minimum=True)
-    M = ck.number(group, "M", "envelope", required=True, minimum=0.0, exclusive_minimum=True)
-    if m is not None and M is not None and m > M:
-        ck.fail("envelope.m", "must satisfy m <= M")
-    return {
-        "m": m,
-        "M": M,
-        "grid_min_abs": ck.number(
-            group, "grid_min_abs", "envelope", default=1e-4, minimum=0.0, exclusive_minimum=True
-        ),
-        "grid_max_abs": ck.number(
-            group, "grid_max_abs", "envelope", default=10.0, minimum=0.0, exclusive_minimum=True
-        ),
-        "grid_per_decade": ck.number(
-            group, "grid_per_decade", "envelope", default=10_000, minimum=1, integer=True
-        ),
-        "ratio_cap": ck.number(
-            group, "ratio_cap", "envelope", default=1e6, minimum=0.0, exclusive_minimum=True
-        ),
-    }
-
-
-def _validate_assertions(
-    ck: _Checker, data: Dict[str, Any], allowed: Dict[str, str]
-) -> Dict[str, Any]:
-    group = ck.subdict(data, "assertions", "")
-    if group is None:
-        return {}
-    out: Dict[str, Any] = {}
-    for key, value in group.items():
-        if key not in allowed:
-            ck.fail(f"assertions.{key}", "unknown assertion")
-            continue
-        kind = allowed[key]
-        if kind == "fraction" and (not _is_number(value) or not 0 <= value <= 1):
-            ck.fail(f"assertions.{key}", "must be a number in [0, 1]")
-        elif kind == "number" and (not _is_number(value) or value < 0):
-            ck.fail(f"assertions.{key}", "must be a nonnegative number")
-        elif kind == "flag" and not isinstance(value, bool):
-            ck.fail(f"assertions.{key}", "must be true or false")
-        elif kind == "threshold_fraction":
-            if (
+    def assertions(self, data: Dict[str, Any], allowed: Mapping[str, str]) -> Dict[str, Any]:
+        if "assertions" not in data:
+            return {}
+        group = data["assertions"]
+        if not isinstance(group, dict):
+            self.fail("assertions", "must be a mapping")
+            return {}
+        out: Dict[str, Any] = {}
+        for key, value in group.items():
+            at = f"assertions.{key}"
+            if key not in allowed:
+                self.fail(at, "unknown assertion")
+                continue
+            kind = allowed[key]
+            if kind == "fraction" and (not _is_number(value) or not 0 <= value <= 1):
+                self.fail(at, "must be a number in [0, 1]")
+            elif kind == "number" and (not _is_number(value) or value < 0):
+                self.fail(at, "must be a nonnegative number")
+            elif kind == "flag" and not isinstance(value, bool):
+                self.fail(at, "must be true or false")
+            elif kind == "threshold_fraction" and (
                 not isinstance(value, dict)
                 or set(value) != {"value", "fraction"}
                 or not _is_number(value.get("value"))
                 or not _is_number(value.get("fraction"))
                 or not 0 <= value["fraction"] <= 1
             ):
-                ck.fail(f"assertions.{key}", "must be a mapping {value: number, fraction: [0,1]}")
-        elif kind == "partition":
-            if not isinstance(value, dict) or set(value) - {"q", "classes"}:
-                ck.fail(f"assertions.{key}", "must be a mapping with keys q and/or classes")
-                continue
-            if "q" in value and (not isinstance(value["q"], int) or value["q"] < 0):
-                ck.fail(f"assertions.{key}.q", "must be a nonnegative integer")
-            if "classes" in value and (
-                not isinstance(value["classes"], list)
-                or not all(
-                    c in ("consistent", "finite_random_limit", "inconclusive")
-                    for c in value["classes"]
-                )
-            ):
-                ck.fail(f"assertions.{key}.classes", "must list component classes")
-        out[key] = value
-    return out
+                self.fail(at, "must be a mapping {value: number, fraction: [0,1]}")
+            elif kind == "partition":
+                if not isinstance(value, dict) or set(value) - {"q", "classes"}:
+                    self.fail(at, "must be a mapping with keys q and/or classes")
+                    continue
+                if "q" in value and (not isinstance(value["q"], int) or value["q"] < 0):
+                    self.fail(f"{at}.q", "must be a nonnegative integer")
+                if "classes" in value and (
+                    not isinstance(value["classes"], list)
+                    or not all(c in PARTITION_CLASSES for c in value["classes"])
+                ):
+                    self.fail(f"{at}.classes", "must list component classes")
+            out[key] = value
+        return out
 
 
-SA_ASSERTIONS = {
-    "min_fraction_converged_to_zero": "fraction",
-    "max_median_final_abs": "number",
-    "min_fraction_final_below": "threshold_fraction",
-    "envelope_valid": "flag",
-    "sandwich_zero_violations": "flag",
+# ---------------------------------------------------------------------------
+# Cross-field rules
+
+
+def _amplitude_below_slope(r: _Reader, v: Dict[str, Any]) -> None:
+    if v["amplitude"] >= v["slope"]:
+        r.fail("problem.amplitude", "must be smaller than slope to keep the map rootward")
+
+
+def _nonnegative_steps(r: _Reader, v: Dict[str, Any]) -> None:
+    if v["values"] is not None and any(x < 0 for x in v["values"]):
+        r.fail("schedule.values", "step sizes must be nonnegative")
+
+
+def _square_matrix(r: _Reader, v: Dict[str, Any]) -> None:
+    rows = v["entries"]
+    if not (
+        isinstance(rows, list)
+        and rows
+        and all(
+            isinstance(row, list) and len(row) == len(rows) and all(_is_number(x) for x in row)
+            for row in rows
+        )
+    ):
+        r.fail("problem.entries", "must be a square matrix of numbers")
+        v["entries"] = None
+
+
+def _m_at_most_M(r: _Reader, v: Dict[str, Any]) -> None:
+    if v["m"] is not None and v["M"] is not None and v["m"] > v["M"]:
+        r.fail("envelope.m", "must satisfy m <= M")
+
+
+def _kappa(r: _Reader, v: Dict[str, Any]) -> None:
+    if v["kappa"] != "delta" and not _is_number(v["kappa"]):
+        r.fail("truncation.kappa", 'must be a number or the string "delta"')
+        v["kappa"] = "delta"
+
+
+def _tau_below_delta(r: _Reader, v: Dict[str, Any]) -> None:
+    if v["delta"] is not None and v["tau"] is not None and v["tau"] >= v["delta"]:
+        r.warnings.append("truncation.tau >= truncation.delta: guarantees assume tau < delta")
+
+
+def _pairs(r: _Reader, v: Dict[str, Any]) -> None:
+    pairs = v["pairs"]
+    if (
+        not isinstance(pairs, list)
+        or not pairs
+        or not all(
+            isinstance(p, list) and len(p) == 2 and all(_is_number(x) for x in p) for p in pairs
+        )
+    ):
+        r.fail("regularity.pairs", "must be a list of [d1, d2] pairs")
+        v["pairs"] = None
+        return
+    v["pairs"] = [[float(lo), float(hi)] for lo, hi in pairs]
+    for pair in v["pairs"]:
+        if not 0 < pair[0] < pair[1]:
+            r.fail("regularity.pairs", f"invalid pair {pair}")
+
+
+# Assertions that read an optional group.
+_REQUIRES_GROUP = {
+    "envelope_valid": "envelope",
+    "sandwich_zero_violations": "envelope",
+    "contraction_zero_violations": "envelope",
+    "regularity_holds": "regularity",
 }
 
-SA_ND_ASSERTIONS = {
-    "min_fraction_converged_to_zero": "fraction",
-    "min_fraction_final_below": "threshold_fraction",
-    "envelope_valid": "flag",
-    "contraction_zero_violations": "flag",
-}
 
-SA_NONUNIFORM_ASSERTIONS = {
-    "min_fraction_converged_to_zero": "fraction",
-    "min_fraction_final_below": "threshold_fraction",
-    "truncated_nonexpansive_all_seeds": "flag",
-    "truncated_mean_bound_all_seeds": "flag",
-    "regularity_holds": "flag",
-}
-
-KRONECKER_ASSERTIONS = {
-    "min_fraction_converged_to_zero": "fraction",
-    "min_fraction_final_below": "threshold_fraction",
-    "alternating_bound": "flag",
-}
-
-LS_ASSERTIONS = {
-    "min_fraction_final_error_below": "threshold_fraction",
-    "max_checkpoint_gap": "number",
-    "partition_matches": "partition",
-    "design_conditions_hold": "flag",
-}
-
-CUSTOM_ASSERTIONS = {"all_checks_hold": "flag"}
+def _assertion_groups(r: _Reader, doc: Dict[str, Any]) -> None:
+    for name, group in _REQUIRES_GROUP.items():
+        if doc["assertions"].get(name) and doc.get(group) is None:
+            r.fail(f"assertions.{name}", f"requires the {group} group")
 
 
-def _validate_sa(ck: _Checker, data: Dict[str, Any], nonuniform: bool):
-    allowed_top = [
-        "kind",
-        "ensemble",
-        "output",
-        "assertions",
-        "problem",
-        "schedule",
-        "noise",
-        "x0",
-        "envelope",
-    ]
-    if nonuniform:
-        allowed_top += ["truncation", "regularity"]
-    ck.unknown_keys(data, allowed_top, "")
-    model: Dict[str, Any] = {}
-    model["problem"] = _validate_scalar_problem(ck, data)
-    model["schedule"] = _validate_schedule(ck, data, "")
-    model["noise"] = _validate_noise(ck, data, "")
-    model["x0"] = ck.number(data, "x0", "", required=True)
-    model["envelope"] = _validate_envelope_scalar(ck, data)
-    warnings: List[str] = []
-    if nonuniform:
-        trunc = ck.subdict(data, "truncation", "", required=True)
-        if trunc is not None:
-            ck.unknown_keys(trunc, ("delta", "tau", "kappa"), "truncation")
-            delta = ck.number(
-                trunc, "delta", "truncation", required=True, minimum=0.0, exclusive_minimum=True
-            )
-            tau = ck.number(
-                trunc, "tau", "truncation", required=True, minimum=0.0, exclusive_minimum=True
-            )
-            kappa = trunc.get("kappa", "delta")
-            if kappa != "delta" and not _is_number(kappa):
-                ck.fail("truncation.kappa", 'must be a number or the string "delta"')
-                kappa = "delta"
-            if delta is not None and tau is not None and tau >= delta:
-                warnings.append("truncation.tau >= truncation.delta: guarantees assume tau < delta")
-            model["truncation"] = {"delta": delta, "tau": tau, "kappa": kappa}
-        reg = ck.subdict(data, "regularity", "")
-        if reg is not None:
-            ck.unknown_keys(
-                reg,
-                ("c", "d", "pairs", "grid_min_abs", "grid_max_abs", "grid_per_decade"),
-                "regularity",
-            )
-            pairs_raw = reg.get("pairs")
-            pairs: Optional[List[List[float]]] = None
-            if (
-                not isinstance(pairs_raw, list)
-                or not pairs_raw
-                or not all(
-                    isinstance(p, list) and len(p) == 2 and all(_is_number(v) for v in p)
-                    for p in pairs_raw
-                )
-            ):
-                ck.fail("regularity.pairs", "must be a list of [d1, d2] pairs")
-            else:
-                pairs = [[float(p[0]), float(p[1])] for p in pairs_raw]
-                for p in pairs:
-                    if not 0 < p[0] < p[1]:
-                        ck.fail("regularity.pairs", f"invalid pair {p}")
-            model["regularity"] = {
-                "c": ck.number(reg, "c", "regularity", required=True, minimum=0.0),
-                "d": ck.number(reg, "d", "regularity", required=True, minimum=0.0),
-                "pairs": pairs,
-                "grid_min_abs": ck.number(
-                    reg, "grid_min_abs", "regularity", default=1e-3, minimum=0.0, exclusive_minimum=True
-                ),
-                "grid_max_abs": ck.number(
-                    reg, "grid_max_abs", "regularity", default=10.0, minimum=0.0, exclusive_minimum=True
-                ),
-                "grid_per_decade": ck.number(
-                    reg, "grid_per_decade", "regularity", default=2000, minimum=1, integer=True
-                ),
-            }
-        else:
-            model["regularity"] = None
-    schedule = model["schedule"]
-    if schedule is not None:
-        family = schedule.get("family")
-        if family == "inverse_n_power" and schedule.get("gamma", 0) > 1:
-            warnings.append(
-                "schedule: step sizes are summable (gamma > 1); the divergence "
-                "requirement on their sum is unmet and convergence may stall"
-            )
-    assertions = _validate_assertions(
-        ck, data, SA_NONUNIFORM_ASSERTIONS if nonuniform else SA_ASSERTIONS
-    )
-    for key in ("envelope_valid", "sandwich_zero_violations"):
-        if assertions.get(key) and model.get("envelope") is None:
-            ck.fail(f"assertions.{key}", "requires the envelope group")
-    if nonuniform and assertions.get("regularity_holds") and model.get("regularity") is None:
-        ck.fail("assertions.regularity_holds", "requires the regularity group")
-    return model, assertions, warnings
+def _alternating_needs_linear(r: _Reader, doc: Dict[str, Any]) -> None:
+    weights = doc["weights"] or {}
+    if doc["assertions"].get("alternating_bound") and weights.get("family") != "linear":
+        r.fail("assertions.alternating_bound", "requires linear weights")
 
 
-def _validate_sa_nd(ck: _Checker, data: Dict[str, Any]):
-    ck.unknown_keys(
-        data,
-        ["kind", "ensemble", "output", "assertions", "problem", "schedule", "noise", "x0", "envelope"],
-        "",
-    )
-    model: Dict[str, Any] = {}
-    problem = ck.subdict(data, "problem", "", required=True)
-    if problem is not None:
-        ck.unknown_keys(problem, ("family", "entries", "scale"), "problem")
-        family = ck.choice(problem, "family", "problem", ("matrix", "identity"), required=True)
-        if family == "matrix":
-            entries = problem.get("entries")
-            if (
-                not isinstance(entries, list)
-                or not entries
-                or not all(
-                    isinstance(row, list)
-                    and len(row) == len(entries)
-                    and all(_is_number(v) for v in row)
-                    for row in entries
-                )
-            ):
-                ck.fail("problem.entries", "must be a square matrix of numbers")
-                entries = None
-            model["problem"] = {"family": "matrix", "entries": entries}
-        else:
-            model["problem"] = {
-                "family": "identity",
-                "scale": ck.number(
-                    problem, "scale", "problem", default=1.0, minimum=0.0, exclusive_minimum=True
-                ),
-            }
-    model["schedule"] = _validate_schedule(ck, data, "")
-    model["noise"] = _validate_noise(ck, data, "")
-    model["x0"] = ck.number_list(data, "x0", "", required=True)
-    env = ck.subdict(data, "envelope", "")
-    if env is not None:
-        ck.unknown_keys(env, ("m", "M", "directions", "radii", "grid_seed", "ratio_cap"), "envelope")
-        model["envelope"] = {
-            "m": ck.number(env, "m", "envelope", required=True, minimum=0.0, exclusive_minimum=True),
-            "M": ck.number(env, "M", "envelope", required=True, minimum=0.0, exclusive_minimum=True),
-            "directions": ck.number(env, "directions", "envelope", default=64, minimum=1, integer=True),
-            "radii": ck.number_list(env, "radii", "envelope", required=False)
-            or [0.01, 0.1, 1.0, 10.0],
-            "grid_seed": ck.number(env, "grid_seed", "envelope", default=0, minimum=0, integer=True),
-            "ratio_cap": ck.number(
-                env, "ratio_cap", "envelope", default=1e6, minimum=0.0, exclusive_minimum=True
-            ),
-        }
-    else:
-        model["envelope"] = None
-    if model.get("problem", {}).get("family") == "matrix":
-        entries = model["problem"].get("entries")
-        x0 = model.get("x0")
-        if entries is not None and x0 is not None and len(entries) != len(x0):
-            ck.fail("x0", f"length {len(x0)} does not match the {len(entries)}-d problem")
-    warnings: List[str] = []
-    schedule = model["schedule"]
-    if schedule and schedule.get("family") == "inverse_n_power" and schedule.get("gamma", 0) > 1:
-        warnings.append(
+def _schedule_covers_horizon(r: _Reader, doc: Dict[str, Any]) -> None:
+    values = (doc["schedule"] or {}).get("values")
+    horizon = (doc["ensemble"] or {}).get("horizon")
+    if values is not None and horizon is not None and len(values) < horizon:
+        r.fail(
+            "schedule.values", f"{len(values)} step sizes do not cover ensemble.horizon {horizon}"
+        )
+
+
+def _summable_schedule(r: _Reader, doc: Dict[str, Any]) -> None:
+    schedule = doc["schedule"] or {}
+    # an invalid gamma reads as None and has been reported already
+    if schedule.get("family") == "inverse_n_power" and (schedule["gamma"] or 0) > 1:
+        r.warnings.append(
             "schedule: step sizes are summable (gamma > 1); the divergence "
             "requirement on their sum is unmet and convergence may stall"
         )
-    assertions = _validate_assertions(ck, data, SA_ND_ASSERTIONS)
-    for key in ("envelope_valid", "contraction_zero_violations"):
-        if assertions.get(key) and model.get("envelope") is None:
-            ck.fail(f"assertions.{key}", "requires the envelope group")
-    return model, assertions, warnings
 
 
-def _validate_kronecker(ck: _Checker, data: Dict[str, Any]):
-    ck.unknown_keys(data, ["kind", "ensemble", "output", "assertions", "increments", "weights"], "")
-    model: Dict[str, Any] = {}
-    inc = ck.subdict(data, "increments", "", required=True)
-    if inc is not None:
-        ck.unknown_keys(inc, ("family",), "increments")
-        model["increments"] = {
-            "family": ck.choice(
-                inc, "family", "increments", ("rademacher", "alternating"), required=True
-            )
-        }
-    weights = ck.subdict(data, "weights", "", required=True)
-    if weights is not None:
-        ck.unknown_keys(weights, ("family", "gamma"), "weights")
-        family = ck.choice(weights, "family", "weights", ("linear", "power"), required=True)
-        out = {"family": family}
-        if family == "power":
-            out["gamma"] = ck.number(
-                weights, "gamma", "weights", required=True, minimum=0.0, exclusive_minimum=True
-            )
-        model["weights"] = out
-    assertions = _validate_assertions(ck, data, KRONECKER_ASSERTIONS)
-    if assertions.get("alternating_bound") and model.get("weights", {}).get("family") != "linear":
-        ck.fail("assertions.alternating_bound", "requires linear weights")
-    return model, assertions, []
+def _x0_matches_matrix(r: _Reader, doc: Dict[str, Any]) -> None:
+    entries = (doc["problem"] or {}).get("entries")
+    x0 = doc["x0"]
+    if entries is not None and x0 is not None and len(entries) != len(x0):
+        r.fail("x0", f"length {len(x0)} does not match the {len(entries)}-d problem")
 
 
-def _validate_ls(ck: _Checker, data: Dict[str, Any]):
-    ck.unknown_keys(
-        data,
-        [
-            "kind",
-            "ensemble",
-            "output",
-            "assertions",
-            "design",
-            "beta",
-            "sigma",
-            "gweight",
-            "energy_threshold",
-            "partition",
-            "checkpoints",
-        ],
-        "",
+def _beta_matches_design(r: _Reader, doc: Dict[str, Any]) -> None:
+    design, beta = doc["design"], doc["beta"]
+    if design is None or beta is None or design["family"] is None:
+        return
+    _, p = DESIGN.families[design["family"]].build(design)  # the builder owns the column count
+    if len(beta) != p:
+        r.fail("beta", f"length {len(beta)} does not match the {p}-column design")
+
+
+# ---------------------------------------------------------------------------
+# Builders
+
+
+def _linear(v: Dict[str, Any]) -> RootProblem:
+    slope, root = float(v["slope"]), float(v["root"])
+    return RootProblem(lambda x: slope * (x - root), x_star=root)
+
+
+def _sine_perturbed(v: Dict[str, Any]) -> RootProblem:
+    slope, amplitude, root = float(v["slope"]), float(v["amplitude"]), float(v["root"])
+    return RootProblem(
+        lambda x: slope * (x - root) + amplitude * math.sin(x - root), x_star=root
     )
-    model: Dict[str, Any] = {}
-    design = ck.subdict(data, "design", "", required=True)
-    if design is not None:
-        ck.unknown_keys(design, ("family", "jitter", "turns", "scale", "gain", "p"), "design")
-        family = ck.choice(
-            design,
-            "family",
-            "design",
-            ("rotating", "geometric_one", "iid_gaussian", "feedback"),
-            required=True,
-        )
-        out: Dict[str, Any] = {"family": family}
-        if family == "rotating":
-            out["jitter"] = ck.number(design, "jitter", "design", default=0.1, minimum=0.0)
-            out["turns"] = ck.number(design, "turns", "design", default=0.37)
-        elif family == "iid_gaussian":
-            out["p"] = ck.number(design, "p", "design", default=2, minimum=1, integer=True)
-            out["scale"] = ck.number(
-                design, "scale", "design", default=1.0, minimum=0.0, exclusive_minimum=True
-            )
-        elif family == "feedback":
-            out["gain"] = ck.number(design, "gain", "design", default=0.9, minimum=0.0)
-        model["design"] = out
-    model["beta"] = ck.number_list(data, "beta", "", required=True)
-    model["sigma"] = ck.number(data, "sigma", "", required=True, minimum=0.0)
-    gw = ck.subdict(data, "gweight", "")
-    if gw is not None:
-        ck.unknown_keys(gw, ("family",), "gweight")
-        model["gweight"] = {
-            "family": ck.choice(gw, "family", "gweight", ("identity", "sqrt_log"), required=True)
-        }
-    else:
-        model["gweight"] = {"family": "identity"}
-    model["energy_threshold"] = ck.number(data, "energy_threshold", "", default=10.0, minimum=0.0)
-    part = ck.subdict(data, "partition", "")
-    if part is not None:
-        ck.unknown_keys(
-            part, ("consistency_tol", "oscillation_tol", "dispersion_ratio"), "partition"
-        )
-        model["partition"] = {
-            "consistency_tol": ck.number(
-                part, "consistency_tol", "partition", default=0.05, minimum=0.0, exclusive_minimum=True
-            ),
-            "oscillation_tol": ck.number(
-                part, "oscillation_tol", "partition", default=1e-3, minimum=0.0, exclusive_minimum=True
-            ),
-            "dispersion_ratio": ck.number(
-                part, "dispersion_ratio", "partition", default=3.0, minimum=0.0
-            ),
-        }
-    else:
-        model["partition"] = {
-            "consistency_tol": 0.05,
-            "oscillation_tol": 1e-3,
-            "dispersion_ratio": 3.0,
-        }
-    model["checkpoints"] = ck.number(data, "checkpoints", "", default=8, minimum=0, integer=True)
-    design_out = model.get("design") or {}
-    beta = model.get("beta")
-    if beta is not None:
-        expected_p = {"rotating": 2, "geometric_one": 2, "feedback": 2}.get(
-            design_out.get("family"), design_out.get("p")
-        )
-        if expected_p is not None and len(beta) != expected_p:
-            ck.fail("beta", f"length {len(beta)} does not match the {expected_p}-column design")
-    assertions = _validate_assertions(ck, data, LS_ASSERTIONS)
-    return model, assertions, []
 
 
-def _validate_custom(ck: _Checker, data: Dict[str, Any]):
-    ck.unknown_keys(data, ["kind", "ensemble", "output", "assertions", "input", "checks"], "")
-    model: Dict[str, Any] = {}
-    inp = ck.subdict(data, "input", "", required=True)
-    if inp is not None:
-        ck.unknown_keys(inp, ("path", "zero_tol"), "input")
-        model["input"] = {
-            "path": ck.string(inp, "path", "input", required=True),
-            "zero_tol": ck.number(inp, "zero_tol", "input", default=0.0, minimum=0.0),
-        }
-    checks = ck.subdict(data, "checks", "", required=True)
-    if checks is not None:
-        ck.unknown_keys(
-            checks,
-            (
-                "nonexpansive_alpha",
-                "contractive_k",
-                "divergence_target",
-                "zero_state_tol",
-                "segment_bound",
-                "crossings",
-            ),
-            "checks",
-        )
-        model["checks"] = {
-            "nonexpansive_alpha": ck.number(checks, "nonexpansive_alpha", "checks", minimum=0.0),
-            "contractive_k": ck.number(checks, "contractive_k", "checks", minimum=0.0, maximum=1.0),
-            "divergence_target": ck.number(
-                checks, "divergence_target", "checks", default=5.0, minimum=0.0
-            ),
-            "zero_state_tol": ck.number(checks, "zero_state_tol", "checks", minimum=0.0),
-            "segment_bound": ck.boolean(checks, "segment_bound", "checks", default=False),
-            "crossings": ck.boolean(checks, "crossings", "checks", default=True),
-        }
-    assertions = _validate_assertions(ck, data, CUSTOM_ASSERTIONS)
-    return model, assertions, []
+def _sqrt_sign(v: Dict[str, Any]) -> RootProblem:
+    root = float(v["root"])
+    return RootProblem(lambda x: math.copysign(math.sqrt(abs(x - root)), x - root), x_star=root)
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse and validate a YAML config, raising ConfigError with every problem found."""
+def _matrix(v: Dict[str, Any], p: int) -> RootProblem:
+    A = np.asarray(v["entries"], dtype=float)
+    return RootProblem(lambda x: A @ x, x_star=np.zeros(p), dimension=p)
+
+
+def _identity(v: Dict[str, Any], p: int) -> RootProblem:
+    scale = float(v["scale"])
+    return RootProblem(lambda x: scale * x, x_star=np.zeros(p), dimension=p)
+
+
+def _rademacher(v: Dict[str, Any], horizon: int) -> Callable[[Any], np.ndarray]:
+    """Independent random signs, drawn from each seed's own stream."""
+    return lambda seed_sequence: (
+        np.random.default_rng(seed_sequence).integers(0, 2, size=horizon) * 2.0 - 1.0
+    )
+
+
+def _alternating(v: Dict[str, Any], horizon: int) -> Callable[[Any], np.ndarray]:
+    return lambda seed_sequence: (-1.0) ** np.arange(1, horizon + 1)
+
+
+# ---------------------------------------------------------------------------
+# The table
+
+_C = Field("c", default=1.0, gt=0.0)
+_M_FIELDS = (need("m", gt=0.0), need("M", gt=0.0))
+_RATIO_CAP = Field("ratio_cap", default=1e6, gt=0.0)
+_GRID_MAX = Field("grid_max_abs", default=10.0, gt=0.0)
+
+ENSEMBLE = Group(
+    "ensemble",
+    fields=(
+        need("seeds", "integer", ge=1),
+        need("root_seed", "integer", ge=0),
+        need("horizon", "integer", ge=1),
+        # le keeps the message for values above 1; lt rejects 1 itself
+        Field("tail_fraction", default=0.2, gt=0.0, le=1.0, lt=1),
+        Field("tol_zero", default=1e-3, ge=0.0),
+        Field("tol_cauchy", default=1e-3, ge=0.0),
+        Field("parallelism", "integer", 1, ge=1),
+        Field("divergence_cap", default=1e6, gt=0.0),
+    ),
+)
+OUTPUT = Group(
+    "output",
+    fields=(
+        Field("dir", "string", "out"),
+        Field("traces", "bool", False),
+        Field("plots", "bool", True),
+        Field("curve_points", "integer", 200, ge=2),
+    ),
+    absent="defaults",
+)
+SCHEDULE = Group(
+    "schedule",
+    families={
+        "inverse_n": Family(lambda v: Schedule.inverse_n(float(v["c"])), (_C,)),
+        "inverse_n_power": Family(
+            lambda v: Schedule.inverse_n_power(float(v["c"]), float(v["gamma"])),
+            (_C, need("gamma", gt=0.0)),
+        ),
+        "explicit": Family(
+            lambda v: Schedule.explicit(v["values"]),
+            (need("values", "numbers"),),
+            rules=(_nonnegative_steps,),
+        ),
+    },
+)
+NOISE = Group(
+    "noise",
+    families={
+        "gaussian": Family(lambda v: NoiseModel.gaussian(float(v["sd"])), (need("sd", ge=0.0),)),
+        "uniform": Family(
+            lambda v: NoiseModel.uniform(float(v["half_width"])), (need("half_width", ge=0.0),)
+        ),
+        "none": Family(lambda v: NoiseModel.noiseless()),
+    },
+)
+_SLOPE = Field("slope", default=1.0, gt=0.0)
+PROBLEM = Group(
+    "problem",
+    fields=(Field("root", default=0.0),),
+    families={
+        "linear": Family(_linear, (_SLOPE,)),
+        "sine_perturbed": Family(
+            _sine_perturbed,
+            (_SLOPE, Field("amplitude", default=0.3, ge=0.0)),
+            rules=(_amplitude_below_slope,),
+        ),
+        "sqrt_sign": Family(_sqrt_sign),
+    },
+)
+ENVELOPE = Group(
+    "envelope",
+    fields=_M_FIELDS
+    + (
+        Field("grid_min_abs", default=1e-4, gt=0.0),
+        _GRID_MAX,
+        Field("grid_per_decade", "integer", 10_000, ge=1),
+        _RATIO_CAP,
+    ),
+    absent="none",
+    rules=(_m_at_most_M,),
+)
+TRUNCATION = Group(
+    "truncation",
+    fields=(need("delta", gt=0.0), need("tau", gt=0.0), Field("kappa", "any", "delta")),
+    rules=(_kappa, _tau_below_delta),
+)
+REGULARITY = Group(
+    "regularity",
+    fields=(
+        need("c", ge=0.0),
+        need("d", ge=0.0),
+        Field("pairs", "any"),
+        Field("grid_min_abs", default=1e-3, gt=0.0),
+        _GRID_MAX,
+        Field("grid_per_decade", "integer", 2000, ge=1),
+    ),
+    absent="none",
+    rules=(_pairs,),
+)
+# The multivariate problem reads the identity's fields when its family is invalid.
+PROBLEM_ND = Group(
+    "problem",
+    families={
+        "matrix": Family(_matrix, (Field("entries", "any"),), rules=(_square_matrix,)),
+        "identity": Family(_identity, (Field("scale", default=1.0, gt=0.0),)),
+    },
+    fallback="identity",
+)
+ENVELOPE_ND = Group(
+    "envelope",
+    fields=_M_FIELDS
+    + (
+        Field("directions", "integer", 64, ge=1),
+        Field("radii", "numbers", [0.01, 0.1, 1.0, 10.0]),
+        Field("grid_seed", "integer", 0, ge=0),
+        _RATIO_CAP,
+    ),
+    absent="none",
+)
+INCREMENTS = Group(
+    "increments", families={"rademacher": Family(_rademacher), "alternating": Family(_alternating)}
+)
+WEIGHTS = Group(
+    "weights",
+    families={
+        "linear": Family(lambda v, horizon: np.arange(1.0, horizon + 1.0)),
+        "power": Family(
+            lambda v, horizon: np.arange(1.0, horizon + 1.0) ** float(v["gamma"]),
+            (need("gamma", gt=0.0),),
+        ),
+    },
+)
+# A design builder returns the regressor map and its column count p.
+DESIGN = Group(
+    "design",
+    families={
+        "rotating": Family(
+            lambda v: (rotating_design(float(v["jitter"]), float(v["turns"])), 2),
+            (Field("jitter", default=0.1, ge=0.0), Field("turns", default=0.37)),
+        ),
+        "geometric_one": Family(lambda v: (geometric_one_design(), 2)),
+        "iid_gaussian": Family(
+            lambda v: (iid_gaussian_design(int(v["p"]), float(v["scale"])), int(v["p"])),
+            (Field("p", "integer", 2, ge=1), Field("scale", default=1.0, gt=0.0)),
+        ),
+        "feedback": Family(
+            lambda v: (feedback_design(float(v["gain"])), 2), (Field("gain", default=0.9, ge=0.0),)
+        ),
+    },
+)
+GWEIGHT = Group(
+    "gweight",
+    families={
+        "identity": Family(lambda v: GWeight.identity()),
+        "sqrt_log": Family(lambda v: GWeight.sqrt_log()),
+    },
+    absent="defaults",
+    fallback="identity",
+)
+PARTITION = Group(
+    "partition",
+    fields=(
+        Field("consistency_tol", default=0.05, gt=0.0),
+        Field("oscillation_tol", default=1e-3, gt=0.0),
+        Field("dispersion_ratio", default=3.0, ge=0.0),
+    ),
+    absent="defaults",
+)
+INPUT = Group("input", fields=(need("path", "string"), Field("zero_tol", default=0.0, ge=0.0)))
+CHECKS = Group(
+    "checks",
+    fields=(
+        Field("nonexpansive_alpha", ge=0.0),
+        Field("contractive_k", ge=0.0, le=1.0),
+        Field("divergence_target", default=5.0, ge=0.0),
+        Field("zero_state_tol", ge=0.0),
+        Field("segment_bound", "bool", False),
+        Field("crossings", "bool", True),
+    ),
+)
+
+PARTITION_CLASSES = ("consistent", "finite_random_limit", "inconclusive")
+# Assertion value types: fraction, number, flag, threshold_fraction, partition.
+_FRACTIONS = {
+    "min_fraction_converged_to_zero": "fraction",
+    "min_fraction_final_below": "threshold_fraction",
+}
+_SCHEDULE_RULES = (_schedule_covers_horizon, _summable_schedule)
+
+KINDS: Dict[str, Kind] = {
+    "sa": Kind(
+        (PROBLEM, SCHEDULE, NOISE, ENVELOPE),
+        {
+            **_FRACTIONS,
+            "max_median_final_abs": "number",
+            "envelope_valid": "flag",
+            "sandwich_zero_violations": "flag",
+        },
+        fields=(need("x0"),),
+        rules=_SCHEDULE_RULES,
+    ),
+    "sa_nd": Kind(
+        (PROBLEM_ND, SCHEDULE, NOISE, ENVELOPE_ND),
+        {**_FRACTIONS, "envelope_valid": "flag", "contraction_zero_violations": "flag"},
+        fields=(need("x0", "numbers"),),
+        rules=(_x0_matches_matrix,) + _SCHEDULE_RULES,
+    ),
+    "sa_nonuniform": Kind(
+        (PROBLEM, SCHEDULE, NOISE, ENVELOPE, TRUNCATION, REGULARITY),
+        {
+            **_FRACTIONS,
+            "truncated_nonexpansive_all_seeds": "flag",
+            "truncated_mean_bound_all_seeds": "flag",
+            "regularity_holds": "flag",
+        },
+        fields=(need("x0"),),
+        rules=_SCHEDULE_RULES,
+    ),
+    "kronecker": Kind(
+        (INCREMENTS, WEIGHTS),
+        {**_FRACTIONS, "alternating_bound": "flag"},
+        rules=(_alternating_needs_linear,),
+    ),
+    "ls": Kind(
+        (DESIGN, GWEIGHT, PARTITION),
+        {
+            "min_fraction_final_error_below": "threshold_fraction",
+            "max_checkpoint_gap": "number",
+            "partition_matches": "partition",
+            "design_conditions_hold": "flag",
+        },
+        fields=(
+            need("beta", "numbers"),
+            need("sigma", ge=0.0),
+            Field("energy_threshold", default=10.0, ge=0.0),
+            Field("checkpoints", "integer", 8, ge=0),
+        ),
+        rules=(_beta_matches_design,),
+    ),
+    "custom_path_check": Kind((INPUT, CHECKS), {"all_checks_hold": "flag"}),
+}
+KIND = need("kind", "choice", choices=tuple(KINDS))
+
+
+def parse_config_text(
+    text: str, ensemble_overrides: Optional[Mapping[str, Any]] = None
+) -> ExperimentConfig:
+    """Parse and validate a YAML config, raising ConfigError with every problem found.
+
+    ``ensemble_overrides`` replace keys of the ``ensemble`` group before
+    validation, so they are checked exactly like the document's own values.
+    """
     try:
         data = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         raise ConfigError([f"config is not valid YAML: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError(["config must be a mapping at the top level"])
+    if ensemble_overrides and isinstance(data.get("ensemble"), dict):
+        data["ensemble"] = {**data["ensemble"], **ensemble_overrides}
 
-    ck = _Checker()
-    kind = ck.choice(data, "kind", "", KINDS, required=True)
-    ensemble = _validate_ensemble(ck, data)
-
-    output = ck.subdict(data, "output", "")
-    out_dir = "out"
-    traces = False
-    plots = True
-    curve_points = 200
-    if output is not None:
-        ck.unknown_keys(output, ("dir", "traces", "plots", "curve_points"), "output")
-        out_dir = ck.string(output, "dir", "output", default="out")
-        traces = ck.boolean(output, "traces", "output", default=False)
-        plots = ck.boolean(output, "plots", "output", default=True)
-        curve_points = ck.number(
-            output, "curve_points", "output", default=200, minimum=2, integer=True
-        )
-
+    r = _Reader()
+    kind = r.value(data, KIND, "")
+    ensemble = r.group(data, ENSEMBLE)
+    output = r.group(data, OUTPUT)
     model: Dict[str, Any] = {}
     assertions: Dict[str, Any] = {}
-    warnings: List[str] = []
-    if kind == "sa":
-        model, assertions, warnings = _validate_sa(ck, data, nonuniform=False)
-    elif kind == "sa_nonuniform":
-        model, assertions, warnings = _validate_sa(ck, data, nonuniform=True)
-    elif kind == "sa_nd":
-        model, assertions, warnings = _validate_sa_nd(ck, data)
-    elif kind == "kronecker":
-        model, assertions, warnings = _validate_kronecker(ck, data)
-    elif kind == "ls":
-        model, assertions, warnings = _validate_ls(ck, data)
-    elif kind == "custom_path_check":
-        model, assertions, warnings = _validate_custom(ck, data)
+    spec = KINDS.get(kind)
+    if spec is not None:
+        r.unknown_keys(data, spec.keys(), "")
+        model = {g.name: r.group(data, g) for g in spec.groups}
+        model.update((f.name, r.value(data, f, "")) for f in spec.fields)
+        assertions = r.assertions(data, spec.assertions)
+        doc = {**model, "ensemble": ensemble, "assertions": assertions}
+        for rule in (_assertion_groups,) + spec.rules:
+            rule(r, doc)
 
-    if ck.errors:
-        raise ConfigError(sorted(ck.errors))
-    assert ensemble is not None and kind is not None
+    if r.errors:
+        raise ConfigError(sorted(r.errors))
+    assert ensemble is not None and output is not None
     return ExperimentConfig(
         kind=kind,
-        ensemble=ensemble,
-        output_dir=out_dir,
-        traces=traces,
-        plots=plots,
-        curve_points=curve_points,
+        ensemble=EnsembleConfig(**ensemble),
+        output_dir=output["dir"],
+        traces=output["traces"],
+        plots=output["plots"],
+        curve_points=output["curve_points"],
         model=model,
         assertions=assertions,
-        warnings=warnings,
+        warnings=r.warnings,
     )
 
 
-def parse_config_file(path: str | Path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
+def parse_config_file(
+    path: str | Path, ensemble_overrides: Optional[Mapping[str, Any]] = None
+) -> ExperimentConfig:
+    return parse_config_text(Path(path).read_text(), ensemble_overrides)

@@ -10,14 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from .approximation import (
-    NoiseModel,
-    RootProblem,
-    Schedule,
     check_linear_envelope,
     check_norm_envelope,
     check_ratio_sandwich,
@@ -47,14 +44,9 @@ from .harness import (
     run_ensemble,
 )
 from .least_squares import (
-    GWeight,
     RegressionModel,
     check_design_conditions,
-    feedback_design,
-    geometric_one_design,
-    iid_gaussian_design,
     partition_analysis,
-    rotating_design,
     simulate_ls_run,
     z_process,
 )
@@ -100,65 +92,6 @@ def _verdict_dict(v: ConditionVerdict) -> Dict[str, Any]:
         "worst_margin": v.worst_margin,
         "detail": v.detail,
     }
-
-
-def build_scalar_problem(params: Dict[str, Any]) -> RootProblem:
-    family = params["family"]
-    root = float(params.get("root", 0.0))
-    if family == "linear":
-        slope = float(params["slope"])
-        g = lambda x: slope * (x - root)
-    elif family == "sine_perturbed":
-        slope = float(params["slope"])
-        amplitude = float(params["amplitude"])
-        g = lambda x: slope * (x - root) + amplitude * math.sin(x - root)
-    elif family == "sqrt_sign":
-        g = lambda x: math.copysign(math.sqrt(abs(x - root)), x - root)
-    else:
-        raise ValueError(f"unknown scalar problem family {family!r}")
-    return RootProblem(g, x_star=root)
-
-
-def build_nd_problem(params: Dict[str, Any], p: int) -> RootProblem:
-    if params["family"] == "matrix":
-        A = np.asarray(params["entries"], dtype=float)
-        return RootProblem(lambda x: A @ x, x_star=np.zeros(p), dimension=p)
-    scale = float(params["scale"])
-    return RootProblem(lambda x: scale * x, x_star=np.zeros(p), dimension=p)
-
-
-def build_schedule(params: Dict[str, Any]) -> Schedule:
-    family = params["family"]
-    if family == "inverse_n":
-        return Schedule.inverse_n(float(params["c"]))
-    if family == "inverse_n_power":
-        return Schedule.inverse_n_power(float(params["c"]), float(params["gamma"]))
-    return Schedule.explicit(params["values"])
-
-
-def build_noise(params: Dict[str, Any]) -> NoiseModel:
-    family = params["family"]
-    if family == "gaussian":
-        return NoiseModel.gaussian(float(params["sd"]))
-    if family == "uniform":
-        return NoiseModel.uniform(float(params["half_width"]))
-    return NoiseModel.noiseless()
-
-
-def build_design(params: Dict[str, Any]) -> Tuple[Callable, int]:
-    family = params["family"]
-    if family == "rotating":
-        return rotating_design(float(params["jitter"]), float(params["turns"])), 2
-    if family == "geometric_one":
-        return geometric_one_design(), 2
-    if family == "feedback":
-        return feedback_design(float(params["gain"])), 2
-    p = int(params["p"])
-    return iid_gaussian_design(p, float(params["scale"])), p
-
-
-def build_gweight(params: Dict[str, Any]) -> GWeight:
-    return GWeight.identity() if params["family"] == "identity" else GWeight.sqrt_log()
 
 
 def _grid(length: int, points: int) -> np.ndarray:
@@ -223,9 +156,9 @@ def _payload_flag_assertion(
 
 def _run_sa(config: ExperimentConfig, nonuniform: bool):
     model = config.model
-    problem = build_scalar_problem(model["problem"])
-    schedule = build_schedule(model["schedule"])
-    noise = build_noise(model["noise"])
+    problem = config.build("problem")
+    schedule = config.build("schedule")
+    noise = config.build("noise")
     x0 = float(model["x0"])
     root = float(model["problem"]["root"])
     ens = config.ensemble
@@ -340,9 +273,9 @@ def _run_sa_nd(config: ExperimentConfig):
     model = config.model
     x0 = np.asarray(model["x0"], dtype=float)
     p = len(x0)
-    problem = build_nd_problem(model["problem"], p)
-    schedule = build_schedule(model["schedule"])
-    noise = build_noise(model["noise"])
+    problem = config.build("problem", p)
+    schedule = config.build("schedule")
+    noise = config.build("noise")
     ens = config.ensemble
     horizon = ens.horizon
 
@@ -406,18 +339,8 @@ def _run_kronecker(config: ExperimentConfig):
     model = config.model
     ens = config.ensemble
     horizon = ens.horizon
-    wfamily = model["weights"]["family"]
-    if wfamily == "linear":
-        weights = np.arange(1.0, horizon + 1.0)
-    else:
-        weights = np.arange(1.0, horizon + 1.0) ** float(model["weights"]["gamma"])
-    ifamily = model["increments"]["family"]
-
-    def increments(seed_sequence) -> np.ndarray:
-        if ifamily == "rademacher":
-            rng = np.random.default_rng(seed_sequence)
-            return rng.integers(0, 2, size=horizon) * 2.0 - 1.0
-        return (-1.0) ** np.arange(1, horizon + 1)
+    weights = config.build("weights", horizon)
+    increments = config.build("increments", horizon)
 
     def factory(seed_sequence):
         path = kronecker_path(increments(seed_sequence), weights)
@@ -451,11 +374,11 @@ def _run_ls(config: ExperimentConfig):
     model = config.model
     ens = config.ensemble
     horizon = ens.horizon
-    design, p = build_design(model["design"])
+    design, p = config.build("design")
     beta = np.asarray(model["beta"], dtype=float)
     sigma = float(model["sigma"])
     reg_model = RegressionModel(beta=beta, design=design, sigma=sigma)
-    gw = build_gweight(model["gweight"])
+    gw = config.build("gweight")
     ncp = int(model["checkpoints"])
     checkpoints = (
         sorted(set(np.linspace(horizon / ncp, horizon, ncp).astype(int).tolist())) if ncp else []

@@ -373,6 +373,21 @@ class TestTruncation:
         trunc = derive_truncated(base, delta=0.5, tau=0.4, settle_tol=np.inf)
         assert trunc.residual_domination
 
+    def test_nonexpansive_verdict_reports_the_absolute_step(self):
+        # a large residual at step 1 settles at n0 = 2; the mean expands at step 4
+        base = self.make_base([1.0, 0.9, 0.8, 0.7, 0.9, 0.8], [0.5, 0.8, 0.7, 0.9, 0.8])
+        trunc = derive_truncated(base, delta=0.2, tau=0.1)
+        assert trunc.n0 == 2
+        verdict = truncated_nonexpansive_verdict(trunc)
+        assert verdict.first_violation == 4
+        assert verdict.detail.endswith("at step 4")
+        # the allowance of step n is alphas[n - 1], as on the untruncated path
+        alphas = np.zeros(5)
+        alphas[3] = 0.3
+        assert truncated_nonexpansive_verdict(trunc, alphas).holds
+        alphas[3], alphas[2] = 0.0, 0.3
+        assert truncated_nonexpansive_verdict(trunc, alphas).first_violation == 4
+
     @pytest.mark.parametrize("seed", range(20))
     def test_sa_truncation_nonexpansive_beyond_settling(self, seed):
         path = rm_solve(

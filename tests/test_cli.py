@@ -131,6 +131,15 @@ class TestRunCommand:
         assert summary["config"]["ensemble"]["horizon"] == 200
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--seeds", "--horizon"])
+    def test_override_below_one_is_a_config_error(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path, SA_TEMPLATE.format(out=tmp_path / "out", traces="false"))
+        assert main(["run", str(cfg), flag, "0"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config (1 error(s)):" in err
+        assert f"ensemble.{flag[2:]}: must be >= 1" in err
+        assert not (tmp_path / "out").exists()
+
     def test_parallelism_env_cap(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
         text = SA_TEMPLATE.format(out=out, traces="false").replace(
@@ -216,6 +225,39 @@ assertions:
   partition_matches: {{q: 1, classes: [finite_random_limit, consistent]}}
 output: {{dir: {out}}}
 """
+
+
+class TestShortExplicitSchedule:
+    """An explicit schedule must cover the horizon, also after --horizon."""
+
+    def config(self, tmp_path, kind, values, horizon):
+        if kind == "sa":
+            text = SA_TEMPLATE.format(out=tmp_path / "out", traces="false")
+        else:
+            text = SA_ND.format(out=tmp_path / "out")
+        text = text.replace("{family: inverse_n, c: 1.0}", f"{{family: explicit, values: {values}}}")
+        text = text.replace("horizon: 500", f"horizon: {horizon}")
+        text = text.replace("horizon: 2000", f"horizon: {horizon}")
+        return write_config(tmp_path, text)
+
+    @pytest.mark.parametrize("kind", ["sa", "sa_nd"])
+    def test_short_schedule_is_a_config_error(self, tmp_path, capsys, kind):
+        cfg = self.config(tmp_path, kind, [0.5, 0.25, 0.125], 10)
+        assert main(["check", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "schedule.values: 3 step sizes do not cover ensemble.horizon 10" in err
+        assert main(["run", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("kind", ["sa", "sa_nd"])
+    def test_horizon_override_is_checked_against_the_schedule(self, tmp_path, capsys, kind):
+        cfg = self.config(tmp_path, kind, [0.5, 0.25, 0.125], 3)
+        assert main(["check", str(cfg)]) == 0
+        assert main(["run", str(cfg), "--horizon", "50"]) == 2
+        err = capsys.readouterr().err
+        assert "schedule.values: 3 step sizes do not cover ensemble.horizon 50" in err
+        assert not (tmp_path / "out").exists()
+        assert main(["run", str(cfg), "--horizon", "2"]) in (0, 1)
+        assert (tmp_path / "out" / "summary.json").exists()
 
 
 class TestOtherKindsEndToEnd:

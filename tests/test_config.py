@@ -1,9 +1,11 @@
 import copy
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 import yaml
 
+from contractlab import config
 from contractlab.config import ConfigError, parse_config_text
 
 MINIMAL_SA = """
@@ -110,6 +112,36 @@ ensemble: {seeds: 0, root_seed: 7, horizon: -5}
         with pytest.raises(ConfigError) as err:
             parse_config_text(bad)
         assert any("amplitude" in e for e in err.value.errors)
+
+
+    @pytest.mark.parametrize("gamma", ["gamma: -1", "gamma: x", ""])
+    def test_bad_schedule_gamma_is_an_error_not_a_crash(self, gamma):
+        bad = MINIMAL_SA.replace(
+            "schedule: {family: inverse_n, c: 1.0}",
+            f"schedule: {{family: inverse_n_power, c: 1.0, {gamma}}}",
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(bad)
+        assert len(err.value.errors) == 1
+        assert err.value.errors[0].startswith("schedule.gamma: ")
+
+    def test_explicit_schedule_must_cover_the_horizon(self):
+        text = MINIMAL_SA.replace(
+            "schedule: {family: inverse_n, c: 1.0}", "schedule: {family: explicit, values: [1, 1]}"
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text.replace("horizon: 100000", "horizon: 3"))
+        assert err.value.errors == ["schedule.values: 2 step sizes do not cover ensemble.horizon 3"]
+        assert parse_config_text(text.replace("horizon: 100000", "horizon: 2")).model[
+            "schedule"
+        ] == {"family": "explicit", "values": [1.0, 1.0]}
+
+    def test_ensemble_overrides_are_validated(self):
+        cfg = parse_config_text(MINIMAL_SA, {"seeds": 3, "horizon": 7})
+        assert (cfg.ensemble.seeds, cfg.ensemble.horizon) == (3, 7)
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL_SA, {"horizon": 0})
+        assert err.value.errors == ["ensemble.horizon: must be >= 1"]
 
 
 KRONECKER = """
@@ -1842,3 +1874,78 @@ def test_parse_lock_errors(document, expected):
     with pytest.raises(ConfigError) as err:
         parse_doc(document)
     assert err.value.errors == expected
+
+
+# ---------------------------------------------------------------------------
+# The README configuration reference is the schema table, rendered.
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# Fields of type "any" are checked by a rule; the table cannot describe them.
+ANY_FIELD_TYPES = {
+    "kappa": 'number or `"delta"`',
+    "pairs": "list of `[d1, d2]` pairs",
+    "entries": "square matrix of numbers",
+}
+
+
+def _cell(value):
+    if isinstance(value, bool):
+        return f"`{str(value).lower()}`"
+    return "—" if value is None else f"`{value}`"
+
+
+def _row(f, label):
+    kind = ANY_FIELD_TYPES.get(f.name) if f.type == "any" else f.type
+    bounds = [
+        f"> {f.gt}" if f.gt is not None else "",
+        f">= {f.ge}" if f.ge is not None else "",
+        f"<= {f.le}" if f.le is not None and f.lt is None else "",
+        f"< {f.lt}" if f.lt is not None else "",
+    ]
+    cells = ([label] if label is not None else []) + [
+        f"`{f.name}`",
+        {"numbers": "number list"}.get(kind, kind),
+        "required" if f.required else _cell(f.default),
+        ", ".join(b for b in bounds if b),
+    ]
+    return "| " + " | ".join(cells) + " |"
+
+
+def render_reference():
+    """The README configuration reference, rendered from the schema table."""
+    lines = ["| kind | groups | assertions |", "| --- | --- | --- |"]
+    uses = {}
+    for name, kind in config.KINDS.items():
+        groups = ", ".join(
+            f"`{g.name}`" + ("" if g.absent == "required" else " (optional)") for g in kind.groups
+        )
+        lines.append(f"| `{name}` | {groups} | {', '.join(f'`{a}`' for a in kind.assertions)} |")
+        for g in kind.groups:
+            uses.setdefault(id(g), (g, []))[1].append(name)
+    lines += ["", "| kind | top-level value | type | default | bounds |", "| --- | --- | --- | --- | --- |"]
+    lines += [_row(f, f"`{name}`") for name, kind in config.KINDS.items() for f in kind.fields]
+    absent = {
+        "required": "required",
+        "none": "optional",
+        "defaults": "optional, defaults when absent",
+    }
+    for g, kinds in [(config.ENSEMBLE, []), (config.OUTPUT, [])] + list(uses.values()):
+        where = f" ({', '.join(f'`{k}`' for k in kinds)})" if kinds else ""
+        lines += ["", f"`{g.name}`{where}, {absent[g.absent]}:", ""]
+        if not g.families:
+            lines += ["| field | type | default | bounds |", "| --- | --- | --- | --- |"]
+            lines += [_row(f, None) for f in g.fields]
+            continue
+        lines += ["| family | field | type | default | bounds |", "| --- | --- | --- | --- | --- |"]
+        lines += [_row(f, "all") for f in g.fields]
+        for name, family in g.families.items():
+            label = f"`{name}`" + (" (fallback)" if name == g.fallback else "")
+            lines += [_row(f, label) for f in family.fields] or [f"| {label} | — | | | |"]
+    return "\n".join(lines)
+
+
+def test_readme_reference_matches_schema():
+    text = README.read_text()
+    start = text.index("<!-- config-reference:start -->\n") + len("<!-- config-reference:start -->\n")
+    end = text.index("\n<!-- config-reference:end -->")
+    assert text[start:end] == render_reference(), "re-render it:\n" + render_reference()

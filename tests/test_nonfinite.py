@@ -28,6 +28,7 @@ from contractlab import (
     check_truncated_zero_mean_bound,
     check_zero_state_decay,
     derive_truncated,
+    truncated_nonexpansive_verdict,
 )
 
 BAD = st.sampled_from([math.nan, math.inf, -math.inf])
@@ -130,7 +131,7 @@ def _truncate(case):
     try:
         return derive_truncated(base, delta=1e-30, tau=1e-31), step
     except ValueError as exc:
-        # an infinite final value is an unsettled residual at the horizon
+        # a non-finite final value is an unsettled residual at the horizon
         assert "never settle" in str(exc)
         return None, step
 
@@ -142,6 +143,24 @@ def test_truncated_contractive(case):
     if trunc is not None:
         ks = np.full(trunc.path.horizon, 0.5)
         assert_fails_at(check_truncated_contractive(trunc, ks, delta2=10.0), step)
+
+
+@given(corruptions())
+@settings(max_examples=60, deadline=None)
+def test_truncated_nonexpansive(case):
+    trunc, step = _truncate(case)
+    if trunc is not None:
+        assert_fails_at(truncated_nonexpansive_verdict(trunc), step)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_residual_is_unsettled(bad):
+    xs, ms, _ = halving(6, 1.0, "ms", 2, bad)  # the residual of step 3 is non-finite
+    trunc = derive_truncated(ProcessPath(xs, ms), delta=1e-30, tau=1e-31)
+    assert trunc.n0 == 4
+    xs, ms, _ = halving(6, 1.0, "ms", 5, bad)  # ... and at the horizon it never settles
+    with pytest.raises(ValueError, match="never settle"):
+        derive_truncated(ProcessPath(xs, ms), delta=1e-30, tau=1e-31)
 
 
 @given(corruptions())
