@@ -98,6 +98,7 @@ def need(name: str, type: str = "number", **bounds: Any) -> Field:
 
 # A rule reads the values of a group (group and family rules) or of the whole
 # document (kind rules), and reports through the reader's fail() and warnings.
+# A rule that checks an "any" field also stores its normalised value (or None).
 Rule = Callable[["_Reader", Dict[str, Any]], None]
 
 
