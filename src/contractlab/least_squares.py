@@ -130,7 +130,7 @@ class LsState:
         if x.shape != (self.p,):
             raise ValueError(f"regressor must have shape ({self.p},)")
         self.n += 1
-        self.gram += np.outer(x, x)
+        self.gram += x[:, None] * x
         self.energy += x * x
         self.score += y * x
         if self.singular:
@@ -141,7 +141,7 @@ class LsState:
                 self._since_rebase = 0
         else:
             bx = self.gram_inv @ x
-            self.gram_inv -= np.outer(bx, bx) / (1.0 + float(x @ bx))
+            self.gram_inv -= bx[:, None] * bx / (1.0 + float(x @ bx))
             self._since_rebase += 1
             if self._since_rebase >= REBASE_EVERY:
                 self.gram_inv = np.linalg.inv(self.gram)
@@ -386,7 +386,10 @@ def simulate_ls_run(
     """Simulate the controlled model and fold it through the running estimator.
 
     ``checkpoints`` are step indices at which the recursive estimate is
-    compared against a dense solve; the worst max-norm gap is recorded.
+    compared against a dense solve; the worst max-norm gap is recorded.  The
+    loop stays sequential because a controlled design may read the current
+    estimate; ``err_sup`` and ``tail_b`` are derived from the stored
+    estimates afterwards.
     """
     rng = np.random.default_rng(seed)
     p = model.p
@@ -394,9 +397,8 @@ def simulate_ls_run(
     xs = np.empty((horizon, p))
     ys = np.empty(horizon)
     us = np.empty(horizon)
-    err_sup = np.full(horizon, np.inf)
+    estimates = np.full((horizon, p), np.nan)
     tail_start = int(horizon * (1.0 - tail_fraction))
-    tail_b = np.full((horizon - tail_start, p), np.nan)
     checkpoints = sorted(set(int(c) for c in checkpoints))
     gap = 0.0
     ctx = DesignContext(n=1, prev_x=None, prev_y=None, prev_u=None, estimate=None)
@@ -413,9 +415,7 @@ def simulate_ls_run(
         ys[i] = y
         us[i] = u
         if state.estimate is not None:
-            err_sup[i] = float(np.max(np.abs(state.estimate - beta)))
-            if i >= tail_start:
-                tail_b[i - tail_start] = state.estimate
+            estimates[i] = state.estimate
         ctx.prev_x = x
         ctx.prev_y = y
         ctx.prev_u = u
@@ -427,14 +427,17 @@ def simulate_ls_run(
                 gap = max(gap, float(np.max(np.abs(state.estimate - dense))))
     if state.estimate is None:
         raise ValueError("design never reached a nonsingular gram matrix")
+    err_sup = np.full(horizon, np.inf)
+    n0 = state.first_nonsingular
+    err_sup[n0 - 1 :] = np.abs(estimates[n0 - 1 :] - beta).max(axis=1)
     return LsRun(
         xs=xs,
         ys=ys,
         us=us,
         final_b=state.estimate.copy(),
         energy=state.energy.copy(),
-        n0=state.first_nonsingular,
-        tail_b=tail_b,
+        n0=n0,
+        tail_b=estimates[tail_start:].copy(),
         tail_start=tail_start,
         checkpoint_gap=gap,
         err_sup=err_sup,
@@ -481,9 +484,18 @@ def check_design_conditions(
 ) -> DesignConditionReport:
     """Check the noise, nonsingularity, weight-boundedness and energy conditions.
 
-    The weight-boundedness verdict reports the realized supremum of
-    p * max|gram_inv * weights| over all nonsingular steps and also requires a
-    finite inverse-square tail of the weight function at the initial energies.
+    The weight-boundedness verdict reports the realized supremum
+    ``kappa_hat`` of p * max|gram_inv * weights| over every nonsingular prefix
+    and also requires a finite inverse-square tail of the weight function at
+    the initial energies.  Non-finite data is a violation, never skipped: a
+    non-finite noise value or Gram prefix (a non-finite regressor, or one
+    whose energy overflows) fails ``weight_bound`` at its first step with
+    margin -inf, a non-finite column energy fails ``energy_growth`` likewise,
+    and ``n0`` and ``kappa_hat`` come from the finite prefixes before it.
+
+    All Gram prefixes are one cumulative sum of outer products, inverted in
+    one batched call, so the working set is O(n * p**2) floats: one
+    (n, p, p) stack at a time, updated in place (two while it is inverted).
     """
     xs = np.asarray(xs, dtype=float)
     us = np.asarray(us, dtype=float)
@@ -511,27 +523,42 @@ def check_design_conditions(
             else failing(n, var_limit - emp_var, f"empirical variance {emp_var:.6g} too large")
         )
 
-    gram = np.zeros((p, p))
-    d2 = np.zeros(p)
-    n0 = None
+    energies = np.cumsum(xs * xs, axis=0)
+    grams = xs[:, :, None] * xs[:, None, :]
+    np.cumsum(grams, axis=0, out=grams)
+    ok = np.isfinite(grams).all(axis=(1, 2))
+    finite = int(np.count_nonzero(ok))  # a prefix sum stays non-finite once it is
+    ok &= np.isfinite(us)
+    bad_step = None if ok.all() else int(np.argmin(ok)) + 1
+    n0 = next(
+        (i + 1 for i in range(p - 1, finite) if np.linalg.matrix_rank(grams[i]) == p), None
+    )
     kappa_hat = 0.0
-    for i in range(n):
-        x = xs[i]
-        gram += np.outer(x, x)
-        d2 += x * x
-        if n0 is None:
-            if i + 1 >= p and np.linalg.matrix_rank(gram) == p:
-                n0 = i + 1
-            else:
-                continue
-        inv = np.linalg.inv(gram)
-        weights = np.asarray(gw(d2), dtype=float)
-        kappa_hat = max(kappa_hat, matrix_norm_inf(inv * weights[None, :]))
-    if n0 is None:
+    if n0 is not None:
+        stack = np.linalg.inv(grams[n0 - 1 : finite])
+        del grams  # keep one (n, p, p) stack alive at a time
+        weights = gw(energies[n0 - 1 : finite].ravel())
+        stack *= np.asarray(weights, dtype=float).reshape(-1, 1, p)
+        kappa_hat = float(p * np.abs(stack, out=stack).max())
+        if math.isnan(kappa_hat):  # a weight or inverse entry that is not a number
+            kappa_hat = math.inf
+    d2 = energies[-1] if n else np.zeros(p)
+
+    if n0 is not None:
+        nonsingularity = passing(float(n - n0), f"first nonsingular at step {n0}")
+    elif finite == n:
         nonsingularity = failing(n, -math.inf, "gram matrix singular through the horizon")
+    else:
+        nonsingularity = failing(
+            finite + 1, -math.inf, f"gram matrix singular until non-finite at step {finite + 1}"
+        )
+    if bad_step is not None:
+        weight_bound = failing(
+            bad_step, -math.inf, f"non-finite regressor, gram matrix or noise at step {bad_step}"
+        )
+    elif n0 is None:
         weight_bound = vacuous("not evaluated: gram matrix never nonsingular")
     else:
-        nonsingularity = passing(float(n - n0), f"first nonsingular at step {n0}")
         try:
             first_pos = np.min(np.where(d2 > 0, d2, np.inf))
             tail = gw.tail(float(min(first_pos, 1.0)))
@@ -549,16 +576,22 @@ def check_design_conditions(
             weight_bound = failing(n, kappa_cap - kappa_hat, reason)
 
     worst_energy = float(d2.min())
-    energy_growth = (
-        passing(worst_energy - energy_threshold, f"min column energy {worst_energy:.6g}")
-        if worst_energy >= energy_threshold
-        else failing(
-            int(np.argmin(d2)),
+    worst_column = int(np.argmin(d2))
+    if finite < n:
+        energy_growth = failing(
+            finite + 1, -math.inf, f"column energy non-finite from step {finite + 1}"
+        )
+    elif worst_energy >= energy_threshold:
+        energy_growth = passing(
+            worst_energy - energy_threshold, f"min column energy {worst_energy:.6g}"
+        )
+    else:
+        energy_growth = failing(
+            worst_column,
             worst_energy - energy_threshold,
-            f"column {int(np.argmin(d2))} energy {worst_energy:.6g} below "
+            f"column {worst_column} energy {worst_energy:.6g} below "
             f"threshold {energy_threshold:g}",
         )
-    )
     return DesignConditionReport(
         noise_centered=noise_centered,
         noise_variance=noise_variance,

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractlab import (
     GWeight,
@@ -306,6 +308,59 @@ class TestDesignConditions:
         report = check_design_conditions(xs, us, GWeight.identity(), sigma2=0.25)
         assert not report.noise_variance.holds
 
+
+def naive_n0_kappa(xs, gw):
+    """One prefix at a time: the reference the batched checker must match."""
+    n, p = xs.shape
+    gram = np.zeros((p, p))
+    d2 = np.zeros(p)
+    n0 = None
+    kappa_hat = 0.0
+    for i in range(n):
+        x = xs[i]
+        gram += np.outer(x, x)
+        d2 += x * x
+        if n0 is None:
+            if i + 1 >= p and np.linalg.matrix_rank(gram) == p:
+                n0 = i + 1
+            else:
+                continue
+        inv = np.linalg.inv(gram)
+        weights = np.asarray(gw(d2), dtype=float)
+        kappa_hat = max(kappa_hat, matrix_norm_inf(inv * weights[None, :]))
+    return n0, kappa_hat
+
+
+ENTRY = st.floats(-100, 100, allow_subnormal=False).filter(lambda v: v == 0 or abs(v) > 1e-3)
+
+
+@st.composite
+def designs(draw):
+    """Regressor rows with leading zero rows and a repeated first row, so that
+    the first nonsingular step often comes after step p."""
+    p = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(ENTRY, min_size=p, max_size=p), min_size=1, max_size=30))
+    zeros = draw(st.integers(0, 4))
+    repeats = draw(st.integers(0, 4))
+    xs = np.array([[0.0] * p] * zeros + [rows[0]] * repeats + rows, dtype=float)
+    return xs, draw(st.sampled_from([GWeight.identity, GWeight.sqrt_log]))()
+
+
+@given(designs())
+@settings(max_examples=300, deadline=None)
+def test_batched_design_check_matches_naive_loop(case):
+    xs, gw = case
+    report = check_design_conditions(xs, np.zeros(len(xs)), gw, sigma2=0.0)
+    n0, kappa_hat = naive_n0_kappa(xs, gw)
+    assert report.n0 == n0
+    assert report.kappa_hat == kappa_hat
+
+
+def test_design_check_first_nonsingular_after_p():
+    xs = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [1.0, -1.0], [0.5, 3.0]])
+    report = check_design_conditions(xs, np.zeros(5), GWeight.identity(), sigma2=0.0)
+    assert (report.n0, report.kappa_hat) == naive_n0_kappa(xs, GWeight.identity())
+    assert report.n0 == 4
 
 @pytest.fixture(scope="module")
 def geometric_runs():

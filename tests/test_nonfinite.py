@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from contractlab import (
     ContractiveProfile,
+    GWeight,
     NonexpansiveProfile,
     ProcessPath,
     Schedule,
     VectorProcessPath,
     check_contractive,
+    check_design_conditions,
     check_nonexpansive,
     check_norm_conditions,
     check_ratio_sandwich,
@@ -194,3 +196,51 @@ def test_overflowing_solver_path_fails():
     assert not verdict.holds
     assert verdict.first_violation == 3
     assert verdict.worst_margin == -math.inf
+
+
+@st.composite
+def design_corruptions(draw):
+    """(xs, us, step) for a Gaussian design with one regressor or noise entry
+    replaced by a non-finite value at the given 1-indexed step."""
+    p = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    xs = rng.normal(size=(n, p))
+    us = rng.normal(size=n)
+    row = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        xs[row, draw(st.integers(0, p - 1))] = draw(BAD)
+    else:
+        us[row] = draw(BAD)
+    return xs, us, row + 1
+
+
+@given(design_corruptions(), st.sampled_from([GWeight.identity, GWeight.sqrt_log]))
+@settings(max_examples=100, deadline=None)
+def test_design_conditions(case, gweight):
+    xs, us, step = case
+    report = check_design_conditions(xs, us, gweight(), sigma2=1.0)
+    assert not report.holds
+    assert_fails_at(report.weight_bound, step)
+    assert report.weight_bound.worst_margin == -math.inf
+
+
+def test_design_conditions_overflowing_energy_fails():
+    xs = np.random.default_rng(0).normal(size=(50, 2))
+    xs[20, 1] = 1e200  # finite, but its square overflows the gram matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = check_design_conditions(xs, np.zeros(50), GWeight.identity(), sigma2=0.0)
+    assert_fails_at(report.weight_bound, 21)
+    assert_fails_at(report.energy_growth, 21)
+    assert report.n0 == 2 and math.isfinite(report.kappa_hat)
+
+
+def test_design_conditions_nan_weight_is_unbounded():
+    # a weight that is NaN below energy 1 must not be skipped in the supremum
+    gw = GWeight(lambda x: np.sqrt(np.asarray(x, dtype=float) - 1.0), "shifted", lambda c: 1.0)
+    xs = np.random.default_rng(1).normal(size=(50, 2))
+    with np.errstate(invalid="ignore"):
+        report = check_design_conditions(xs, np.zeros(50), gw, sigma2=0.0)
+    assert report.kappa_hat == math.inf
+    assert not report.weight_bound.holds
+    assert report.weight_bound.worst_margin == -math.inf
