@@ -65,10 +65,10 @@ from .least_squares import (
     RegressionModel,
     check_design_conditions,
     integral_bound,
-    ls_update,
     matrix_norm_inf,
     partition_analysis,
     simulate_ls_run,
+    simulate_ls_runs,
     z_process,
 )
 from .harness import (

@@ -224,20 +224,19 @@ def rm_solve(
     rng = np.random.default_rng(seed)
     al = schedule.alphas(horizon).tolist()
     shocks = np.asarray(noise.draw(rng, (horizon,)), dtype=float).tolist()
+    steps = [a * shock for a, shock in zip(al, shocks)]
     g = problem.g
-    xs = np.empty(horizon + 1)
-    ms = np.empty(horizon)
-    xs[0] = x
+    xs = [x]
+    ms = []
     guarded = domain_policy != "unbounded"
-    for i in range(horizon):
-        a = al[i]
+    for i, a in enumerate(al):
         m = x - a * float(g(x))
-        x = m - a * shocks[i]
+        x = m - steps[i]
         if guarded:
             x = _domain_step(x, lo, hi, domain_policy, i + 1)
-        ms[i] = m
-        xs[i + 1] = x
-    return ProcessPath(xs, ms)
+        ms.append(m)
+        xs.append(x)
+    return ProcessPath(np.array(xs), np.array(ms))
 
 
 def rm_solve_nd(
@@ -265,23 +264,22 @@ def rm_solve_nd(
         raise ValueError("x0 outside the domain")
     rng = np.random.default_rng(seed)
     al = schedule.alphas(horizon)
-    shocks = np.asarray(noise.draw(rng, (horizon, p)), dtype=float)
+    steps = al[:, None] * np.asarray(noise.draw(rng, (horizon, p)), dtype=float)
     g = problem.g
     xs = np.empty((horizon + 1, p))
     ms = np.empty((horizon, p))
     xs[0] = x
     guarded = domain_policy != "unbounded"
     for i in range(horizon):
-        a = al[i]
-        m = x - a * np.asarray(g(x), dtype=float)
-        x = m - a * shocks[i]
+        m = ms[i]
+        np.subtract(x, al[i] * np.asarray(g(x), dtype=float), out=m)
+        x = xs[i + 1]
+        np.subtract(m, steps[i], out=x)
         if guarded and (np.any(x < lo) or np.any(x > hi)):
             if domain_policy == "project":
-                x = np.clip(x, lo, hi)
+                np.clip(x, lo, hi, out=x)
             else:
-                raise DomainExitError(i + 1, x)
-        ms[i] = m
-        xs[i + 1] = x
+                raise DomainExitError(i + 1, x.copy())
     return VectorProcessPath(xs, ms)
 
 

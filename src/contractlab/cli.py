@@ -1,14 +1,11 @@
 """Command-line entry point: validate configs and run experiments.
 
 Exit codes: 0 all configured assertions pass, 1 at least one assertion fails,
-2 configuration or environment failure.  The environment variable
-CONTRACTLAB_PARALLELISM caps the ensemble parallelism from outside the config.
+2 configuration or environment failure.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import os
 import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence
@@ -32,22 +29,11 @@ def _load(path: str, ensemble_overrides: Dict[str, int]) -> Optional[ExperimentC
         return None
 
 
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Optional[str]:
-    cap = os.environ.get("CONTRACTLAB_PARALLELISM")
-    if cap is not None:
-        try:
-            cap_value = int(cap)
-        except ValueError:
-            return f"CONTRACTLAB_PARALLELISM must be an integer, got {cap!r}"
-        if cap_value < 1:
-            return "CONTRACTLAB_PARALLELISM must be >= 1"
-        parallelism = min(config.ensemble.parallelism, cap_value)
-        config.ensemble = dataclasses.replace(config.ensemble, parallelism=parallelism)
+def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> None:
     if args.out is not None:
         config.output_dir = args.out
     if args.traces:
         config.traces = True
-    return None
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -82,11 +68,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"warning: {warning}")
         return 0
 
-    error = _apply_overrides(config, args)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
-
+    _apply_overrides(config, args)
     outcome = run_experiment(config)
     if outcome.exit_code == 2:
         print(outcome.summary.get("error", "environment failure"), file=sys.stderr)

@@ -394,6 +394,13 @@ def _summable_schedule(r: _Reader, doc: Dict[str, Any]) -> None:
         )
 
 
+def _parallelism_ignored(r: _Reader, v: Dict[str, Any]) -> None:
+    if v["parallelism"] > 1:
+        r.warnings.append(
+            f"ensemble.parallelism = {v['parallelism']} is ignored: seeds run in one thread"
+        )
+
+
 def _x0_matches_matrix(r: _Reader, doc: Dict[str, Any]) -> None:
     entries = (doc["problem"] or {}).get("entries")
     x0 = doc["x0"]
@@ -473,6 +480,7 @@ ENSEMBLE = Group(
         Field("parallelism", "integer", 1, ge=1),
         Field("divergence_cap", default=1e6, gt=0.0),
     ),
+    rules=(_parallelism_ignored,),
 )
 OUTPUT = Group(
     "output",

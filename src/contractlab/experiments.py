@@ -47,7 +47,7 @@ from .least_squares import (
     RegressionModel,
     check_design_conditions,
     partition_analysis,
-    simulate_ls_run,
+    simulate_ls_runs,
     z_process,
 )
 from .process import ProcessPath, check_segment_peak_bound, crossing_report, kronecker_path, ratio_band
@@ -384,13 +384,11 @@ def _run_ls(config: ExperimentConfig):
         sorted(set(np.linspace(horizon / ncp, horizon, ncp).astype(int).tolist())) if ncp else []
     )
 
-    def factory(seed_sequence):
-        run = simulate_ls_run(
-            reg_model, horizon, seed_sequence, ens.tail_fraction, checkpoints
-        )
-        return run.err_sup, run
+    def block(seed_sequences):
+        runs = simulate_ls_runs(reg_model, horizon, seed_sequences, ens.tail_fraction, checkpoints)
+        return [(run.err_sup, run) for run in runs]
 
-    stats = run_ensemble(factory, ens, _grid(horizon, config.curve_points))
+    stats = run_ensemble(block, ens, _grid(horizon, config.curve_points), batched=True)
     runs = [r for r in stats.payloads if r is not None]
 
     report: Dict[str, Any] = {

@@ -3,13 +3,12 @@
 Almost-sure limit statements become "at least a threshold fraction of seeds"
 statements over finite horizons; the classification of each path looks only
 at a tail window.  Ensembles are reproducible: child generators are split
-from the root seed by spawn key, so results are independent of the order and
-parallelism of execution.
+from the root seed by spawn key, so results do not depend on whether seeds
+run one at a time or in a block.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Optional, Sequence, Tuple
@@ -95,7 +94,11 @@ def convergence_verdict(
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """How many seeds, how long, and what counts as converged."""
+    """How many seeds, how long, and what counts as converged.
+
+    ``parallelism`` is accepted so that older configs still load, and ignored:
+    seeds run in one thread.
+    """
 
     seeds: int
     root_seed: int
@@ -167,32 +170,41 @@ def run_ensemble(
     factory: Callable,
     config: EnsembleConfig,
     curve_grid: Optional[Sequence[int]] = None,
+    batched: bool = False,
 ) -> EnsembleStats:
-    """Run ``factory`` once per seed and aggregate tail-window verdicts.
+    """Run ``factory`` over the seeds and aggregate tail-window verdicts.
 
     ``factory`` receives a :class:`numpy.random.SeedSequence` and returns the
-    trajectory of values to classify, or a (values, payload) pair.  A factory
-    failure on one seed is recorded as inconclusive and never aborts the rest.
-    Aggregation is a fold in seed order, so results do not depend on
-    ``parallelism``.
+    trajectory of values to classify, or a (values, payload) pair.  With
+    ``batched`` it receives the list of every seed's SeedSequence at once and
+    returns one such output per seed.  Either way the seeds run in blocks (a
+    per-seed factory is a block of one) and each output is reduced in seed
+    order as soon as its block returns.  A failing block is re-run one seed
+    at a time, so a factory failure is recorded as inconclusive for the seed
+    that raised and never aborts the rest.
     """
     grid = None if curve_grid is None else np.asarray(curve_grid, dtype=int)
+    seeds = [child_seed(config.root_seed, i) for i in range(config.seeds)]
+    block = factory if batched else (lambda block_seeds: [factory(block_seeds[0])])
 
-    def one(index: int):
-        ss = child_seed(config.root_seed, index)
+    def run_block(block_seeds):
         try:
-            out = factory(ss)
+            outputs = list(block(block_seeds))
+            if len(outputs) != len(block_seeds):
+                raise ValueError(f"{len(outputs)} outputs for {len(block_seeds)} seeds")
         except Exception as exc:  # recorded, not raised: the ensemble must finish
-            return None, None, None, f"{type(exc).__name__}: {exc}"
-        values, payload = out if isinstance(out, tuple) else (out, None)
-        verdict, final, samples = _reduce_one(np.asarray(values, dtype=float), config, grid)
-        return verdict, final, samples, payload
+            if len(block_seeds) > 1:
+                return [r for ss in block_seeds for r in run_block([ss])]
+            return [(None, None, None, f"{type(exc).__name__}: {exc}")]
+        results = []
+        for out in outputs:
+            values, payload = out if isinstance(out, tuple) else (out, None)
+            verdict, final, samples = _reduce_one(np.asarray(values, dtype=float), config, grid)
+            results.append((verdict, final, samples, payload))
+        return results
 
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(one, range(config.seeds)))
-    else:
-        results = [one(i) for i in range(config.seeds)]
+    blocks = [seeds] if batched else [[ss] for ss in seeds]
+    results = [r for block_seeds in blocks for r in run_block(block_seeds)]
 
     verdicts = []
     finals = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import integrate
@@ -22,13 +22,13 @@ __all__ = [
     "RegressionModel",
     "DesignContext",
     "LsState",
-    "ls_update",
     "LsRun",
     "GWeight",
     "DesignConditionReport",
     "IntegralBoundResult",
     "PartitionReport",
     "simulate_ls_run",
+    "simulate_ls_runs",
     "z_process",
     "z_variance_budget",
     "weighted_decomposition_gap",
@@ -103,57 +103,123 @@ class RegressionModel:
 
 
 class LsState:
-    """Running least-squares state: Gram matrix, score, energies, estimate.
+    """Running least-squares state of one seed or of a block of seeds.
 
-    The inverse Gram is created by a dense solve at the first nonsingular
-    step, then maintained by rank-one updates and re-baselined by a dense
-    solve every ``REBASE_EVERY`` steps to cap drift.  Before nonsingularity
-    the estimate is None.
+    Each seed's inverse Gram is created by a dense solve at its first
+    nonsingular step, then maintained by rank-one (Sherman-Morrison) updates
+    and re-baselined by a dense solve every ``REBASE_EVERY`` steps of that
+    seed to cap drift.  The Gram matrix must stay finite until it is
+    nonsingular: a non-finite one raises ``ValueError`` naming the step.
+
+    ``LsState(p, seeds=S)`` carries a leading seed axis: ``gram`` and
+    ``gram_inv`` are (S, p, p), ``score``, ``energy`` and ``estimate`` (S, p),
+    ``first_nonsingular`` and ``singular`` (S,), and ``update`` takes (S, p)
+    regressors and (S,) responses.  A seed's ``estimate`` row is NaN and its
+    ``first_nonsingular`` entry 0 while its Gram matrix is singular.  Every
+    seed goes through the same per-matrix kernels as a lone seed, so a block
+    is bit-identical to its seeds run one at a time.  ``LsState(p)`` is one
+    seed with the axis dropped; its ``estimate``, ``gram_inv`` and
+    ``first_nonsingular`` are None while the Gram matrix is singular.
     """
 
-    def __init__(self, p: int):
+    def __init__(self, p: int, seeds: Optional[int] = None):
         if p < 1:
             raise ValueError("p must be positive")
+        if seeds is not None and seeds < 1:
+            raise ValueError("seeds must be positive")
+        S = 1 if seeds is None else seeds
         self.p = p
+        self.seeds = seeds
         self.n = 0
-        self.gram = np.zeros((p, p))
-        self.gram_inv: Optional[np.ndarray] = None
-        self.score = np.zeros(p)
-        self.energy = np.zeros(p)
-        self.estimate: Optional[np.ndarray] = None
-        self.singular = True
-        self.first_nonsingular: Optional[int] = None
-        self._since_rebase = 0
+        # one accumulator per seed: the Gram matrix, then the score as column p
+        # (each column energy is a diagonal entry, summed in the same order)
+        self._aug = np.zeros((S, p, p + 1))
+        self._score = self._aug[:, :, p:]
+        self._inv = np.zeros((S, p, p))
+        self._est = np.full((S, p), np.nan)
+        self._n0 = np.zeros(S, dtype=int)
+        self._pending = np.arange(S)  # seeds whose Gram matrix is still singular
+        self._due = np.full(S, np.iinfo(int).max)  # step of each seed's next rebase
+        self._next_due = int(self._due[0])
 
-    def update(self, x: Sequence[float], y: float) -> "LsState":
+    def _view(self, a: np.ndarray, none_while_singular: bool = False):
+        if self.seeds is not None:
+            return a
+        return None if none_while_singular and self._pending.size else a[0]
+
+    gram = property(lambda self: self._view(self._aug[:, :, : self.p]))
+    gram_inv = property(lambda self: self._view(self._inv, True))
+    score = property(lambda self: self._view(self._score[:, :, 0]))
+    energy = property(lambda self: self._view(np.diagonal(self._aug, axis1=1, axis2=2)))
+    estimate = property(lambda self: self._view(self._est, True))
+    singular = property(lambda self: self._view(self._n0 == 0))
+
+    @property
+    def first_nonsingular(self):
+        if self.seeds is not None:
+            return self._n0
+        return int(self._n0[0]) or None
+
+    def update(self, x, y) -> "LsState":
+        """Fold one observation per seed into the state (in place; returns it)."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.p,):
-            raise ValueError(f"regressor must have shape ({self.p},)")
-        self.n += 1
-        self.gram += x[:, None] * x
-        self.energy += x * x
-        self.score += y * x
-        if self.singular:
-            if self.n >= self.p and np.linalg.matrix_rank(self.gram) == self.p:
-                self.singular = False
-                self.first_nonsingular = self.n
-                self.gram_inv = np.linalg.inv(self.gram)
-                self._since_rebase = 0
-        else:
-            bx = self.gram_inv @ x
-            self.gram_inv -= bx[:, None] * bx / (1.0 + float(x @ bx))
-            self._since_rebase += 1
-            if self._since_rebase >= REBASE_EVERY:
-                self.gram_inv = np.linalg.inv(self.gram)
-                self._since_rebase = 0
-        if not self.singular:
-            self.estimate = self.gram_inv @ self.score
+        y = np.asarray(y, dtype=float)
+        shape = (self.p,) if self.seeds is None else (self.seeds, self.p)
+        if x.shape != shape or y.shape != shape[:-1]:
+            raise ValueError(f"regressor must have shape {shape} and response {shape[:-1]}")
+        xy = np.concatenate((x.reshape(-1, self.p), y.reshape(-1, 1)), axis=1)
+        self._step(xy, np.empty((len(xy), self.p)))
         return self
 
+    def _step(self, xy: np.ndarray, out: np.ndarray) -> None:
+        """Fold rows (x, y) of ``xy`` (S, p + 1) in and write the estimates to ``out``."""
+        self.n += 1
+        n = self.n
+        X = xy[:, : self.p]
+        self._aug += X[:, :, None] * xy[:, None, :]
+        self._est = out
+        pending = self._pending
+        if not pending.size:  # steady phase: every seed is nonsingular
+            inv = self._inv
+            bx = inv @ X[:, :, None]
+            inv -= bx * bx.transpose(0, 2, 1) / (1.0 + X[:, None, :] @ bx)
+            if n == self._next_due:
+                self._rebase(n)
+            np.matmul(self._inv, self._score, out=out[:, :, None])
+            return
+        ready = np.flatnonzero(self._n0)
+        if ready.size:
+            inv, Xr = self._inv[ready], X[ready]
+            bx = inv @ Xr[:, :, None]
+            inv -= bx * bx.transpose(0, 2, 1) / (1.0 + Xr[:, None, :] @ bx)
+            self._inv[ready] = inv
+            if n == self._next_due:
+                self._rebase(n)
+        grams = self._aug[pending, :, : self.p]
+        if not np.isfinite(grams).all():
+            raise ValueError(f"non-finite gram matrix at step {n}, before it was nonsingular")
+        if n >= self.p:
+            full = np.linalg.matrix_rank(grams) == self.p
+            if full.any():
+                fresh = pending[full]
+                self._inv[fresh] = np.linalg.inv(grams[full])
+                self._n0[fresh] = n
+                self._due[fresh] = n + REBASE_EVERY
+                self._next_due = int(self._due.min())
+                self._pending = pending[~full]
+                ready = np.flatnonzero(self._n0)
+        out[:] = np.nan
+        out[ready] = (self._inv[ready] @ self._score[ready])[:, :, 0]
 
-def ls_update(state: LsState, x: Sequence[float], y: float) -> LsState:
-    """Fold one observation into the state (updates in place and returns it)."""
-    return state.update(x, y)
+    def _rebase(self, n: int) -> None:
+        due = self._due == n
+        grams = self._aug[:, :, : self.p]
+        if due.all():
+            self._inv = np.linalg.inv(grams)
+        else:
+            self._inv[due] = np.linalg.inv(grams[due])
+        self._due[due] += REBASE_EVERY
+        self._next_due = int(self._due.min())
 
 
 def matrix_norm_inf(C: np.ndarray) -> float:
@@ -357,7 +423,8 @@ class LsRun:
     """One simulated regression run with everything the checkers need.
 
     ``err_sup[i]`` is the max-norm estimate error after step i + 1 (infinite
-    while the gram matrix is still singular).
+    while the gram matrix is still singular).  The arrays of a run from
+    :func:`simulate_ls_runs` are views of the arrays of its block of seeds.
     """
 
     xs: np.ndarray
@@ -383,65 +450,108 @@ def simulate_ls_run(
     tail_fraction: float = 0.2,
     checkpoints: Sequence[int] = (),
 ) -> LsRun:
-    """Simulate the controlled model and fold it through the running estimator.
+    """Simulate the controlled model for one seed: a block of one in
+    :func:`simulate_ls_runs`."""
+    return simulate_ls_runs(model, horizon, [seed], tail_fraction, checkpoints)[0]
 
-    ``checkpoints`` are step indices at which the recursive estimate is
-    compared against a dense solve; the worst max-norm gap is recorded.  The
-    loop stays sequential because a controlled design may read the current
-    estimate; ``err_sup`` and ``tail_b`` are derived from the stored
-    estimates afterwards.
+
+def simulate_ls_runs(
+    model: RegressionModel,
+    horizon: int,
+    seeds: Sequence,
+    tail_fraction: float = 0.2,
+    checkpoints: Sequence[int] = (),
+) -> List[LsRun]:
+    """Simulate the controlled model once per seed, all seeds through one stacked
+    :class:`LsState` recursion.
+
+    Seed ``s`` draws from ``np.random.default_rng(seeds[s])``, so its run is
+    bit-identical to a run of that seed alone.  ``checkpoints`` are step
+    indices at which the recursive estimate is compared against a dense
+    solve; the worst max-norm gap is recorded.  A design that carries a
+    ``block_draw`` (the built-in open-loop designs) with the default Gaussian
+    noise draws each seed's whole regressor and noise stream up front; any
+    other design is called per seed and step, since it may read the current
+    estimate.  Estimates are kept for ``REBASE_EVERY`` steps at a time and for
+    the tail window, never for the whole horizon, and each run's arrays are
+    views of the block's arrays.  Raises ValueError when any seed's Gram
+    matrix is non-finite before it is nonsingular, or never nonsingular.
     """
-    rng = np.random.default_rng(seed)
-    p = model.p
-    state = LsState(p)
-    xs = np.empty((horizon, p))
-    ys = np.empty(horizon)
-    us = np.empty(horizon)
-    estimates = np.full((horizon, p), np.nan)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    S, p, beta = len(rngs), model.p, model.beta
+    state = LsState(p, S)
+    xy = np.empty((S, horizon, p + 1))  # regressors, then the response
+    xs, ys = xy[:, :, :p], xy[:, :, p]
+    us = np.empty((S, horizon))
     tail_start = int(horizon * (1.0 - tail_fraction))
+    tail_b = np.empty((S, horizon - tail_start, p))
+    window = np.empty((S, min(REBASE_EVERY, tail_start), p))
+    err_sup = np.empty((S, horizon))
     checkpoints = sorted(set(int(c) for c in checkpoints))
-    gap = 0.0
-    ctx = DesignContext(n=1, prev_x=None, prev_y=None, prev_u=None, estimate=None)
-    draw = model.noise_draw
-    sigma = model.sigma
-    beta = model.beta
-    for i in range(horizon):
+    gaps = [0.0] * S
+    block_draw = getattr(model.design, "block_draw", None)
+    closed = block_draw is None or model.noise_draw is not None
+    if closed:
+        ctxs = [DesignContext(1, None, None, None, None) for _ in range(S)]
+    else:
+        for s, rng in enumerate(rngs):
+            block_draw(rng, model.sigma, xs[s], us[s])
+            np.add((xs[s, :, None, :] @ beta[:, None])[:, 0, 0], us[s], out=ys[s])
+    # estimates are kept per chunk of at most REBASE_EVERY steps: in a reused
+    # window before the tail, then in place in tail_b
+    bounds = [*range(0, tail_start, REBASE_EVERY), *range(tail_start, horizon, REBASE_EVERY)]
+    for lo, hi in zip(bounds, bounds[1:] + [horizon]):
+        ests = window if lo < tail_start else tail_b[:, lo - tail_start :]
+        for i in range(lo, hi):
+            if closed:
+                _draw_step(model, rngs, ctxs, i, xy, us)
+            est = ests[:, i - lo]
+            state._step(xy[:, i], est)
+            if checkpoints and i + 1 == checkpoints[0]:
+                checkpoints.pop(0)
+                for s in np.flatnonzero(state._n0):
+                    dense, *_ = np.linalg.lstsq(xs[s, : i + 1], ys[s, : i + 1], rcond=None)
+                    gaps[s] = max(gaps[s], float(np.max(np.abs(est[s] - dense))))
+            if closed:
+                for s, ctx in enumerate(ctxs):
+                    ctx.estimate = est[s].copy() if state._n0[s] else None
+        err_sup[:, lo:hi] = np.abs(ests[:, : hi - lo] - beta).max(axis=2)
+    if state._pending.size:
+        raise ValueError("design never reached a nonsingular gram matrix")
+    energy = np.diagonal(state._aug, axis1=1, axis2=2)
+    runs = []
+    for s in range(S):
+        n0 = int(state._n0[s])
+        err_sup[s, : n0 - 1] = np.inf
+        runs.append(
+            LsRun(
+                xs=xs[s],
+                ys=ys[s],
+                us=us[s],
+                final_b=tail_b[s, -1],
+                energy=energy[s],
+                n0=n0,
+                tail_b=tail_b[s],
+                tail_start=tail_start,
+                checkpoint_gap=gaps[s],
+                err_sup=err_sup[s],
+            )
+        )
+    return runs
+
+
+def _draw_step(model, rngs, ctxs, i, xy, us) -> None:
+    """Step ``i`` of every seed from the design callable and the noise draw."""
+    p, draw, sigma = model.p, model.noise_draw, model.sigma
+    for s, (rng, ctx) in enumerate(zip(rngs, ctxs)):
         ctx.n = i + 1
         x = np.asarray(model.design(rng, ctx), dtype=float)
+        if x.shape != (p,):
+            raise ValueError(f"regressor must have shape ({p},)")
         u = float(draw(rng)) if draw is not None else float(rng.normal(0.0, sigma))
-        y = float(x @ beta) + u
-        state.update(x, y)
-        xs[i] = x
-        ys[i] = y
-        us[i] = u
-        if state.estimate is not None:
-            estimates[i] = state.estimate
-        ctx.prev_x = x
-        ctx.prev_y = y
-        ctx.prev_u = u
-        ctx.estimate = state.estimate
-        if checkpoints and i + 1 == checkpoints[0]:
-            checkpoints.pop(0)
-            if state.estimate is not None:
-                dense, *_ = np.linalg.lstsq(xs[: i + 1], ys[: i + 1], rcond=None)
-                gap = max(gap, float(np.max(np.abs(state.estimate - dense))))
-    if state.estimate is None:
-        raise ValueError("design never reached a nonsingular gram matrix")
-    err_sup = np.full(horizon, np.inf)
-    n0 = state.first_nonsingular
-    err_sup[n0 - 1 :] = np.abs(estimates[n0 - 1 :] - beta).max(axis=1)
-    return LsRun(
-        xs=xs,
-        ys=ys,
-        us=us,
-        final_b=state.estimate.copy(),
-        energy=state.energy.copy(),
-        n0=n0,
-        tail_b=estimates[tail_start:].copy(),
-        tail_start=tail_start,
-        checkpoint_gap=gap,
-        err_sup=err_sup,
-    )
+        y = float(x @ model.beta) + u
+        xy[s, i, :p], xy[s, i, p], us[s, i] = x, y, u
+        ctx.prev_x, ctx.prev_y, ctx.prev_u = x, y, u
 
 
 @dataclass(frozen=True)
@@ -491,6 +601,7 @@ def check_design_conditions(
     non-finite noise value or Gram prefix (a non-finite regressor, or one
     whose energy overflows) fails ``weight_bound`` at its first step with
     margin -inf, a non-finite column energy fails ``energy_growth`` likewise,
+    a non-finite noise value also fails both noise verdicts at its step,
     and ``n0`` and ``kappa_hat`` come from the finite prefixes before it.
 
     All Gram prefixes are one cumulative sum of outer products, inverted in
@@ -501,8 +612,11 @@ def check_design_conditions(
     us = np.asarray(us, dtype=float)
     n, p = xs.shape
 
-    mean_stat = abs(float(us.sum())) / max(math.sqrt(n * sigma2), 1e-300)
-    if sigma2 == 0.0:
+    noise_ok = np.isfinite(us)
+    if not noise_ok.all():
+        k = int(np.argmin(noise_ok)) + 1
+        noise_centered = noise_variance = failing(k, -math.inf, f"non-finite noise at step {k}")
+    elif sigma2 == 0.0:
         noise_centered = (
             passing(0.0, "noiseless run")
             if np.all(us == 0)
@@ -510,6 +624,7 @@ def check_design_conditions(
         )
         noise_variance = passing(0.0, "noiseless run")
     else:
+        mean_stat = abs(float(us.sum())) / max(math.sqrt(n * sigma2), 1e-300)
         noise_centered = (
             passing(5.0 - mean_stat, f"normalized mean {mean_stat:.3f} (limit 5)")
             if mean_stat <= 5.0
@@ -693,6 +808,14 @@ def partition_analysis(
     )
 
 
+# The built-in designs read no estimate, so each also carries a ``block_draw``:
+# block_draw(rng, sigma, xs, us) fills one seed's (horizon, p) regressors and
+# (horizon,) Gaussian noise with exactly the values that the per-step calls
+# followed by rng.normal(0.0, sigma) draw.  One rng.normal call with a scale
+# per column draws them in the same order from the same stream, by the same
+# formula loc + scale * z and with the same checks on the scales.
+
+
 def rotating_design(jitter: float = 0.1, turns: float = 0.37) -> Callable:
     """Unit vectors rotating by a fixed angle each step, plus Gaussian jitter."""
 
@@ -701,6 +824,15 @@ def rotating_design(jitter: float = 0.1, turns: float = 0.37) -> Callable:
         base = np.array([math.cos(angle), math.sin(angle)])
         return base + rng.normal(0.0, jitter, size=2)
 
+    def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
+        steps = range(1, len(us) + 1)
+        draws = rng.normal(0.0, [jitter, jitter, sigma], size=(len(us), 3))
+        xs[:, 0] = np.fromiter((math.cos(2.0 * math.pi * turns * n) for n in steps), float)
+        xs[:, 1] = np.fromiter((math.sin(2.0 * math.pi * turns * n) for n in steps), float)
+        xs += draws[:, :2]
+        us[:] = draws[:, 2]
+
+    design.block_draw = block_draw
     return design
 
 
@@ -710,6 +842,12 @@ def geometric_one_design() -> Callable:
     def design(rng: np.random.Generator, ctx: DesignContext) -> np.ndarray:
         return np.array([2.0 ** -ctx.n, 1.0])
 
+    def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
+        xs[:, 0] = np.fromiter((2.0 ** -n for n in range(1, len(us) + 1)), float)
+        xs[:, 1] = 1.0
+        us[:] = rng.normal(0.0, sigma, size=len(us))
+
+    design.block_draw = block_draw
     return design
 
 
@@ -717,6 +855,12 @@ def iid_gaussian_design(p: int, scale: float = 1.0) -> Callable:
     def design(rng: np.random.Generator, ctx: DesignContext) -> np.ndarray:
         return rng.normal(0.0, scale, size=p)
 
+    def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
+        draws = rng.normal(0.0, [scale] * p + [sigma], size=(len(us), p + 1))
+        xs[:] = draws[:, :p]
+        us[:] = draws[:, p]
+
+    design.block_draw = block_draw
     return design
 
 
@@ -731,4 +875,14 @@ def feedback_design(gain: float = 0.9) -> Callable:
         lean = 0.0 if ctx.prev_u is None else gain * math.tanh(ctx.prev_u)
         return np.array([1.0, lean + rng.normal(0.0, 0.5)])
 
+    def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
+        draws = rng.normal(0.0, [0.5, sigma], size=(len(us), 2))
+        us[:] = draws[:, 1]
+        xs[:, 0] = 1.0
+        # math.tanh, not np.tanh: the two differ in the last bit on many inputs
+        xs[:1, 1] = 0.0
+        xs[1:, 1] = np.fromiter((gain * math.tanh(u) for u in us[:-1]), float)
+        xs[:, 1] += draws[:, 0]
+
+    design.block_draw = block_draw
     return design

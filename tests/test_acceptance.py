@@ -32,7 +32,7 @@ from contractlab import (
     rm_solve,
     rm_solve_nd,
     run_ensemble,
-    simulate_ls_run,
+    simulate_ls_runs,
     truncated_nonexpansive_verdict,
 )
 from contractlab.approximation import signed_log_grid, sphere_grid
@@ -240,12 +240,9 @@ class TestCriterion7EstimatorSufficiency:
         )
         horizon = 10_000
         checkpoints = [100, 1_000, 5_000, 10_000]
-        errs = []
-        gaps = []
-        for seed in range(SEEDS):
-            run = simulate_ls_run(model, horizon, seed, checkpoints=checkpoints)
-            errs.append(float(np.max(np.abs(run.final_b - model.beta))))
-            gaps.append(run.checkpoint_gap)
+        runs = simulate_ls_runs(model, horizon, range(SEEDS), checkpoints=checkpoints)
+        errs = [float(np.max(np.abs(run.final_b - model.beta))) for run in runs]
+        gaps = [run.checkpoint_gap for run in runs]
         frac = float(np.mean(np.array(errs) < 0.1))
         worst_gap = max(gaps)
         ok = frac >= 0.95 and worst_gap <= 1e-8
@@ -262,7 +259,7 @@ class TestCriterion8IntermediateCase:
             beta=np.array([1.0, -0.5]), design=geometric_one_design(), sigma=0.01
         )
         horizon = 10_000
-        runs = [simulate_ls_run(model, horizon, seed) for seed in range(SEEDS)]
+        runs = simulate_ls_runs(model, horizon, range(SEEDS))
         part = partition_analysis(
             runs,
             model.beta,

@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from contractlab.cli import main
@@ -140,17 +141,55 @@ class TestRunCommand:
         assert f"ensemble.{flag[2:]}: must be >= 1" in err
         assert not (tmp_path / "out").exists()
 
-    def test_parallelism_env_cap(self, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        text = SA_TEMPLATE.format(out=out, traces="false").replace(
-            "ensemble: {seeds: 4, root_seed: 11, horizon: 500, tol_zero: 0.1}",
-            "ensemble: {seeds: 4, root_seed: 11, horizon: 500, tol_zero: 0.1, parallelism: 8}",
+    def test_parallelism_ignored_with_warning(self, tmp_path, capsys):
+        one, eight = tmp_path / "one", tmp_path / "eight"
+        line = "ensemble: {seeds: 4, root_seed: 11, horizon: 500, tol_zero: 0.1}"
+        cfg_one = write_config(tmp_path, SA_TEMPLATE.format(out=one, traces="false"), "one.yaml")
+        text = SA_TEMPLATE.format(out=eight, traces="false").replace(
+            line, line[:-1] + ", parallelism: 8}"
         )
-        cfg = write_config(tmp_path, text)
-        monkeypatch.setenv("CONTRACTLAB_PARALLELISM", "1")
+        cfg_eight = write_config(tmp_path, text, "eight.yaml")
+        assert main(["run", str(cfg_one)]) == 0
+        assert main(["run", str(cfg_eight)]) == 0
+        warning = "ensemble.parallelism = 8 is ignored: seeds run in one thread"
+        assert f"warning: {warning}" in capsys.readouterr().out
+        a = json.loads((one / "summary.json").read_text())
+        b = json.loads((eight / "summary.json").read_text())
+        assert (a["warnings"], b["warnings"]) == ([], [warning])
+        assert b["config"]["ensemble"]["parallelism"] == 8
+        for key in ("report", "assertions", "ensemble"):
+            assert a[key] == b[key]
+
+    def test_ls_block_equals_per_seed_ensemble(self, tmp_path):
+        from contractlab.harness import EnsembleConfig, run_ensemble
+        from contractlab.least_squares import RegressionModel, feedback_design, simulate_ls_run
+        from contractlab.reporting import write_summary_json
+
+        out = tmp_path / "ls"
+        cfg = write_config(
+            tmp_path,
+            f"""
+kind: ls
+design: {{family: feedback, gain: 0.9}}
+beta: [1.0, 0.5]
+sigma: 1.0
+checkpoints: 3
+ensemble: {{seeds: 5, root_seed: 3, horizon: 1200}}
+output: {{dir: {out}}}
+""",
+        )
         assert main(["run", str(cfg)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["config"]["ensemble"]["parallelism"] == 1
+        model = RegressionModel(np.array([1.0, 0.5]), feedback_design(0.9), 1.0)
+
+        def factory(seed_sequence):
+            run = simulate_ls_run(model, 1200, seed_sequence, 0.2, [400, 800, 1200])
+            return run.err_sup, run
+
+        grid = np.unique(np.linspace(0, 1199, 200).astype(int))
+        stats = run_ensemble(factory, EnsembleConfig(5, 3, 1200), grid)
+        write_summary_json(tmp_path / "per_seed.json", {"ensemble": stats.to_dict()})
+        per_seed = json.loads((tmp_path / "per_seed.json").read_text())["ensemble"]
+        assert json.loads((out / "summary.json").read_text())["ensemble"] == per_seed
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a"

@@ -535,7 +535,7 @@ VALID = [
          "x0": 1.0,
          "envelope": None},
         {},
-        [],
+        ["ensemble.parallelism = 2 is ignored: seeds run in one thread"],
         {"seeds": 3,
          "root_seed": 0,
          "horizon": 1,

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractlab import (
     ConvergenceClass,
@@ -113,11 +115,25 @@ class TestRunEnsemble:
         b = run_ensemble(walk_factory, self.config(horizon=500))
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
-    def test_verdicts_invariant_to_parallelism(self):
-        serial = run_ensemble(walk_factory, self.config(horizon=500, parallelism=1))
-        threaded = run_ensemble(walk_factory, self.config(horizon=500, parallelism=4))
-        assert serial.per_seed == threaded.per_seed
-        assert serial.to_dict() == threaded.to_dict()
+    @given(seeds=st.integers(1, 12), failing=st.sets(st.integers(0, 11), max_size=3))
+    @settings(max_examples=25, deadline=None)
+    def test_block_equals_per_seed(self, seeds, failing):
+        def factory(seed_sequence):
+            index = seed_sequence.spawn_key[0]
+            if index in failing:
+                raise RuntimeError(f"boom at seed {index}")
+            return walk_factory(seed_sequence)[:300], {"index": index}
+
+        config = self.config(seeds=seeds, horizon=300)
+        grid = [0, 150, 299]
+        per_seed = run_ensemble(factory, config, grid)
+        block = run_ensemble(lambda sss: [factory(ss) for ss in sss], config, grid, batched=True)
+        assert json.dumps(block.to_dict()) == json.dumps(per_seed.to_dict())
+        assert block.payloads == per_seed.payloads
+        notes = [v.note for v in block.per_seed]
+        assert notes == [
+            f"RuntimeError: boom at seed {i}" if i in failing else "" for i in range(seeds)
+        ]
 
     def test_payloads_and_curves(self):
         def factory(seed_sequence):

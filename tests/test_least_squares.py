@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -14,13 +15,14 @@ from contractlab import (
     check_design_conditions,
     check_nonexpansive,
     integral_bound,
-    ls_update,
     matrix_norm_inf,
     partition_analysis,
     simulate_ls_run,
+    simulate_ls_runs,
     z_process,
 )
 from contractlab.least_squares import (
+    REBASE_EVERY,
     LsRun,
     check_sqrt_growth,
     feedback_design,
@@ -59,7 +61,7 @@ class TestLsState:
             y = rng.normal()
             X.append(x)
             Y.append(y)
-            ls_update(state, x, y)
+            state.update(x, y)
             if state.estimate is not None and (i + 1) % 50 == 0:
                 dense, *_ = np.linalg.lstsq(np.asarray(X), np.asarray(Y), rcond=None)
                 worst = max(worst, float(np.max(np.abs(state.estimate - dense))))
@@ -93,6 +95,30 @@ class TestLsState:
         state = LsState(2)
         with pytest.raises(ValueError):
             state.update([1.0], 0.0)
+
+    def test_seed_axis_matches_lone_states(self):
+        rng = np.random.default_rng(3)
+        seeds, p = 4, 3
+        block = LsState(p, seeds)
+        alone = [LsState(p) for _ in range(seeds)]
+        for step in range(2 * REBASE_EVERY + 20):
+            X = rng.normal(size=(seeds, p))
+            X[step < np.array([0, 5, 9, 40])] = 0.0  # full rank at different steps
+            Y = rng.normal(size=seeds)
+            block.update(X, Y)
+            for s, state in enumerate(alone):
+                state.update(X[s], Y[s])
+        assert block.gram.shape == block.gram_inv.shape == (seeds, p, p)
+        assert block.estimate.shape == block.energy.shape == block.score.shape == (seeds, p)
+        for s, state in enumerate(alone):
+            for name in ("gram", "gram_inv", "score", "energy", "estimate"):
+                assert getattr(block, name)[s].tobytes() == getattr(state, name).tobytes(), name
+            assert block.first_nonsingular[s] == state.first_nonsingular
+        assert len(set(block.first_nonsingular.tolist())) > 1
+
+    def test_seed_axis_shape_validation(self):
+        with pytest.raises(ValueError):
+            LsState(2, 3).update(np.zeros((2, 2)), np.zeros(2))
 
 
 class TestMatrixNormInf:
@@ -307,6 +333,95 @@ class TestDesignConditions:
         xs = np.ones((n, 1))
         report = check_design_conditions(xs, us, GWeight.identity(), sigma2=0.25)
         assert not report.noise_variance.holds
+
+
+# ---------------------------------------------------------------------------
+# Seed-batched runs: a block of seeds is bit-identical to its seeds run alone.
+
+
+def hesitant_design(rng, ctx):
+    """Mostly zero rows while the estimate is undefined: seeds reach full rank
+    at different steps, so their rebase steps fall out of phase."""
+    if ctx.estimate is None and rng.random() < 0.9:
+        return np.zeros(2)
+    return rng.normal(size=2)
+
+
+def steered_design(rng, ctx):
+    """A closed loop: the second column leans against the current estimate."""
+    lean = 0.0 if ctx.estimate is None else -0.3 * math.tanh(ctx.estimate[1])
+    return np.array([1.0, lean]) + rng.normal(0.0, 0.5, size=2)
+
+
+BLOCK_MODELS = {
+    "rotating": RegressionModel(np.array([1.0, -0.5]), rotating_design(), 1.0),
+    "geometric_one": RegressionModel(np.array([1.0, -0.5]), geometric_one_design(), 0.01),
+    "iid_gaussian": RegressionModel(np.array([0.5, 1.0, -1.0]), iid_gaussian_design(3, 0.7), 0.5),
+    "feedback": RegressionModel(np.array([1.0, 0.5]), feedback_design(), 1.0),
+    "hesitant": RegressionModel(np.array([1.0, -0.5]), hesitant_design, 1.0),
+    "steered": RegressionModel(np.array([1.0, -0.5]), steered_design, 1.0),
+    "uniform_noise": RegressionModel(
+        np.array([1.0, -0.5]), rotating_design(), 0.6, lambda rng: rng.uniform(-1.0, 1.0)
+    ),
+}
+RUN_FIELDS = (
+    "xs", "ys", "us", "final_b", "energy", "n0", "tail_b", "tail_start", "checkpoint_gap", "err_sup"
+)
+
+
+def assert_same_run(a, b):
+    """Bit for bit: arrays by shape and bytes (so NaN rows compare), the rest by ==."""
+    for field in RUN_FIELDS:
+        x, y = getattr(a, field), getattr(b, field)
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), field
+        else:
+            assert x == y, field
+
+
+@given(
+    name=st.sampled_from(sorted(BLOCK_MODELS)),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
+    horizon=st.one_of(
+        st.integers(1, 40), st.integers(2 * REBASE_EVERY + 1, 2 * REBASE_EVERY + 80)
+    ),
+    tail_fraction=st.sampled_from([0.05, 0.2, 0.5]),
+    checkpoints=st.lists(st.integers(1, 2 * REBASE_EVERY + 80), max_size=4),
+)
+@settings(max_examples=40, deadline=None)
+def test_block_equals_seed_by_seed(name, seeds, horizon, tail_fraction, checkpoints):
+    model = BLOCK_MODELS[name]
+    try:
+        alone = [simulate_ls_run(model, horizon, s, tail_fraction, checkpoints) for s in seeds]
+    except ValueError as exc:  # some seed never reaches full rank: the block fails too
+        with pytest.raises(ValueError, match=str(exc)):
+            simulate_ls_runs(model, horizon, seeds, tail_fraction, checkpoints)
+        return
+    block = simulate_ls_runs(model, horizon, seeds, tail_fraction, checkpoints)
+    assert len(block) == len(seeds)
+    for a, b in zip(alone, block):
+        assert_same_run(a, b)
+
+
+@pytest.mark.parametrize("name", ["rotating", "geometric_one", "iid_gaussian", "feedback"])
+@pytest.mark.parametrize("sigma", [0.0, 0.7])
+def test_block_draw_reproduces_per_step_stream(name, sigma):
+    model = dataclasses.replace(BLOCK_MODELS[name], sigma=sigma)
+    stepwise = dataclasses.replace(model, design=lambda rng, ctx: model.design(rng, ctx))
+    assert hasattr(model.design, "block_draw") and not hasattr(stepwise.design, "block_draw")
+    seeds = [3, 4, 5]
+    drawn = simulate_ls_runs(model, 2 * REBASE_EVERY + 7, seeds, checkpoints=[9, 700])
+    stepped = simulate_ls_runs(stepwise, 2 * REBASE_EVERY + 7, seeds, checkpoints=[9, 700])
+    for a, b in zip(drawn, stepped):
+        assert_same_run(a, b)
+
+
+def test_negative_zero_noise_scale_rejected_like_per_step_draws():
+    model = dataclasses.replace(BLOCK_MODELS["rotating"], sigma=-0.0)
+    stepwise = dataclasses.replace(model, design=lambda rng, ctx: model.design(rng, ctx))
+    for m in (model, stepwise):
+        with pytest.raises(ValueError, match="scale < 0"):
+            simulate_ls_run(m, 10, 0)
 
 
 def naive_n0_kappa(xs, gw):

@@ -29,9 +29,15 @@ from contractlab import (
     check_truncated_contractive,
     check_truncated_zero_mean_bound,
     check_zero_state_decay,
+    EnsembleConfig,
+    RegressionModel,
     derive_truncated,
+    run_ensemble,
+    simulate_ls_run,
+    simulate_ls_runs,
     truncated_nonexpansive_verdict,
 )
+from contractlab.harness import child_seed
 
 BAD = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -244,3 +250,57 @@ def test_design_conditions_nan_weight_is_unbounded():
     assert report.kappa_hat == math.inf
     assert not report.weight_bound.holds
     assert report.weight_bound.worst_margin == -math.inf
+
+
+@given(st.integers(1, 40), st.sampled_from([0.0, 1.0]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_design_noise_verdicts_fail_at_first_non_finite_step(n, sigma2, data):
+    rng = np.random.default_rng(n)
+    xs = rng.normal(size=(n, 2))
+    us = rng.normal(size=n) * math.sqrt(sigma2)
+    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    for row in rows:
+        us[row] = data.draw(BAD)
+    report = check_design_conditions(xs, us, GWeight.identity(), sigma2)
+    for verdict in (report.noise_centered, report.noise_variance):
+        assert_fails_at(verdict, min(rows) + 1)
+        assert verdict.worst_margin == -math.inf
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_ls_run_non_finite_gram_before_full_rank_names_the_step(bad, step):
+    def design(rng, ctx):
+        if ctx.n == step:
+            return np.array([bad, 1.0])
+        return np.array([1.0, 1.0 if ctx.n < 4 else 0.0])  # full rank from step 4
+
+    model = RegressionModel(np.array([1.0, 0.5]), design, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"non-finite gram matrix at step {step},"):
+            simulate_ls_run(model, 50, 0)
+
+
+def test_ls_block_errors_only_the_non_finite_seed():
+    def design(rng, ctx):  # about a third of the seeds draw a NaN row at step 1
+        x = rng.normal(size=2)
+        return np.array([math.nan, 1.0]) if ctx.n == 1 and x[0] > 0.4 else x
+
+    model = RegressionModel(np.array([1.0, 0.5]), design, 1.0)
+    config = EnsembleConfig(seeds=10, root_seed=2, horizon=200)
+    expected = []
+    for index in range(config.seeds):
+        try:
+            simulate_ls_run(model, 200, child_seed(2, index))
+            expected.append("")
+        except ValueError as exc:
+            expected.append(f"ValueError: {exc}")
+    assert 0 < sum(map(bool, expected)) < config.seeds
+    assert all("step 1," in note for note in expected if note)
+
+    def block(seed_sequences):
+        return [(run.err_sup, run) for run in simulate_ls_runs(model, 200, seed_sequences)]
+
+    stats = run_ensemble(block, config, batched=True)
+    assert [v.note for v in stats.per_seed] == expected
+    assert [run is None for run in stats.payloads] == [bool(note) for note in expected]
