@@ -3,10 +3,13 @@
 Each case runs ``contractlab run`` on a config from ``configs/`` with smaller
 seed and horizon overrides and compares the sha256 of ``summary.json`` (with
 the temporary directory replaced by a placeholder) and ``quantiles.csv``
-against digests recorded before the pathwise checkers were refactored.  Two
-more cases feed a written trace file to a ``custom_path_check``, so the
-checker verdicts (margins, first violations and detail strings) are locked
-too.  A digest that changes on purpose must be re-recorded and declared.
+against digests recorded before the pathwise checkers were refactored.  Run
+with ``--traces``, each config's ``traces.csv`` is locked the same way, and
+so is the trace of a one-column least-squares design (the scalar header with
+the vector path's norm-based ``u_flag``).  Two more cases feed a written
+trace file to a ``custom_path_check``, so the checker verdicts (margins,
+first violations and detail strings) are locked too.  A digest that changes
+on purpose must be re-recorded and declared.
 """
 from __future__ import annotations
 
@@ -59,6 +62,28 @@ GOLDEN = {
     "custom_sa": ("7878d770abd6f33fe7da6ea887a92079eee4a01d86c87b9a207b5970874681cb", None),
 }
 
+# name -> traces.csv sha256, run with --traces at the SIZES above
+TRACE_GOLDEN = {
+    "kronecker": "233a165f4851e2324aa65b9de2f31de5d91946cec8d65d6f95bdd6a49515258a",
+    "ls_intermediate": "020890b0b27dce196a0832619837a912a5e031208300188f581fbfe35cac99c7",
+    "ls_sufficiency": "ed855873aa4ef90861b2d55cc196d830e2438dd7ea70ed5784a396980ba40204",
+    "multivariate": "5fce77613ba40bf9c1d96e39fad1b1d79e38678d55da6a40cab27e20cc2687a6",
+    "sa_convergence": "bf727ec9c08ca0f260173f87eb56381a389878212657b157ae2f261959f2042b",
+    "sa_nonuniform": "02474e073401e133ece0c62e347a43228043dad566d723dc7206e2b39d70d56d",
+    "ls_one_column": "9c6866507630d3d3a91777b5c68389d140970a3c4593f2558805226bf606d3a3",
+}
+
+LS_ONE_COLUMN = """
+kind: ls
+design: {{family: iid_gaussian, p: 1}}
+beta: [0.5]
+sigma: 1.0
+gweight: {{family: identity}}
+checkpoints: 4
+ensemble: {{seeds: 4, root_seed: 31, horizon: 400}}
+output: {{dir: {out}}}
+"""
+
 CUSTOM = """
 kind: custom_path_check
 input: {{path: {trace}}}
@@ -99,6 +124,23 @@ def test_shipped_config_digests(name, tmp_path):
     out = tmp_path / "out"
     _run(name, out)
     assert _digests(out, tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SIZES))
+def test_shipped_config_trace_digests(name, tmp_path):
+    out = tmp_path / "out"
+    _run(name, out, "--traces")
+    assert _sha((out / "traces.csv").read_bytes()) == TRACE_GOLDEN[name]
+
+
+def test_one_column_ls_trace_digest(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "ls.yaml"
+    cfg.write_text(LS_ONE_COLUMN.format(out=out))
+    assert main(["run", str(cfg), "--traces"]) == 0
+    data = (out / "traces.csv").read_bytes()
+    assert data.startswith(b"seed,n,x,m,eps,u_flag\n")
+    assert _sha(data) == TRACE_GOLDEN["ls_one_column"]
 
 
 @pytest.mark.parametrize("source", sorted(CUSTOM_CHECKS))
