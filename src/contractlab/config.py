@@ -473,8 +473,7 @@ ENSEMBLE = Group(
         need("seeds", "integer", ge=1),
         need("root_seed", "integer", ge=0),
         need("horizon", "integer", ge=1),
-        # le keeps the message for values above 1; lt rejects 1 itself
-        Field("tail_fraction", default=0.2, gt=0.0, le=1.0, lt=1),
+        Field("tail_fraction", default=0.2, gt=0.0, lt=1),
         Field("tol_zero", default=1e-3, ge=0.0),
         Field("tol_cauchy", default=1e-3, ge=0.0),
         Field("parallelism", "integer", 1, ge=1),

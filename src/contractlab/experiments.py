@@ -1,7 +1,8 @@
 """Experiment runners: build models from a validated config, run, assert, emit.
 
 Each runner returns the machine-readable report, the evaluated assertion
-results, optional ensemble statistics, and an optional trace emitter.  The
+results, optional ensemble statistics, and optionally its trace width with a
+function from a seed's payload to the path that seed simulated.  The
 orchestrator writes the artifacts and maps assertion failures to exit code 1
 and environment problems to exit code 2.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -39,7 +41,6 @@ from .config import ExperimentConfig
 from .harness import (
     ConvergenceClass,
     EnsembleStats,
-    child_seed,
     convergence_verdict,
     run_ensemble,
 )
@@ -53,9 +54,6 @@ from .least_squares import (
 from .process import ProcessPath, check_segment_peak_bound, crossing_report, kronecker_path, ratio_band
 from .reporting import (
     read_trace_csv,
-    scalar_trace_rows,
-    trace_header,
-    vector_trace_rows,
     write_quantiles_csv,
     write_summary_json,
     write_summary_text,
@@ -154,6 +152,10 @@ def _payload_flag_assertion(
     )
 
 
+# the path an SA or Kronecker factory kept in its payload under --traces
+_stored_path = itemgetter("path")
+
+
 def _run_sa(config: ExperimentConfig, nonuniform: bool):
     model = config.model
     problem = config.build("problem")
@@ -215,7 +217,7 @@ def _run_sa(config: ExperimentConfig, nonuniform: bool):
 
     def factory(seed_sequence):
         path = rm_solve(problem, noise, schedule, x0, horizon, seed_sequence)
-        payload: Dict[str, Any] = {}
+        payload: Dict[str, Any] = {"path": path} if config.traces else {}
         if env is not None:
             sandwich = check_ratio_sandwich(path, schedule, env["m"], env["M"], x_star=root)
             payload["sandwich_ok"] = sandwich.holds
@@ -261,12 +263,7 @@ def _run_sa(config: ExperimentConfig, nonuniform: bool):
         ok = bool(report.get("regularity", {}).get("holds"))
         results.append(AssertionResult("regularity_holds", ok, report["regularity"]["detail"]))
 
-    def tracer():
-        for index in range(ens.seeds):
-            path = rm_solve(problem, noise, schedule, x0, horizon, child_seed(ens.root_seed, index))
-            yield from scalar_trace_rows(index, path)
-
-    return report, results, stats, (trace_header(1), tracer)
+    return report, results, stats, (1, _stored_path)
 
 
 def _run_sa_nd(config: ExperimentConfig):
@@ -304,7 +301,7 @@ def _run_sa_nd(config: ExperimentConfig):
 
     def factory(seed_sequence):
         path = rm_solve_nd(problem, noise, schedule, x0, horizon, seed_sequence)
-        payload: Dict[str, Any] = {}
+        payload: Dict[str, Any] = {"path": path} if config.traces else {}
         if ks is not None:
             payload["contraction_ok"] = ratio_band(path, ks, atol=1e-12).first_violation is None
         return path.norms(), payload
@@ -325,14 +322,7 @@ def _run_sa_nd(config: ExperimentConfig):
     if config.assertions.get("contraction_zero_violations"):
         _payload_flag_assertion("contraction_zero_violations", stats, "contraction_ok", results)
 
-    def tracer():
-        for index in range(ens.seeds):
-            path = rm_solve_nd(
-                problem, noise, schedule, x0, horizon, child_seed(ens.root_seed, index)
-            )
-            yield from vector_trace_rows(index, path)
-
-    return report, results, stats, (trace_header(p), tracer)
+    return report, results, stats, (p, _stored_path)
 
 
 def _run_kronecker(config: ExperimentConfig):
@@ -344,7 +334,7 @@ def _run_kronecker(config: ExperimentConfig):
 
     def factory(seed_sequence):
         path = kronecker_path(increments(seed_sequence), weights)
-        return path.xs, {}
+        return path.xs, ({"path": path} if config.traces else {})
 
     stats = run_ensemble(factory, ens, _grid(horizon + 1, config.curve_points))
     report: Dict[str, Any] = {"weights": model["weights"], "increments": model["increments"]}
@@ -362,12 +352,7 @@ def _run_kronecker(config: ExperimentConfig):
             AssertionResult("alternating_bound", ok, f"sup of n * |mean| = {worst:.6g} (<= 1)")
         )
 
-    def tracer():
-        for index in range(ens.seeds):
-            path = kronecker_path(increments(child_seed(ens.root_seed, index)), weights)
-            yield from scalar_trace_rows(index, path)
-
-    return report, results, stats, (trace_header(1), tracer)
+    return report, results, stats, (1, _stored_path)
 
 
 def _run_ls(config: ExperimentConfig):
@@ -380,8 +365,11 @@ def _run_ls(config: ExperimentConfig):
     reg_model = RegressionModel(beta=beta, design=design, sigma=sigma)
     gw = config.build("gweight")
     ncp = int(model["checkpoints"])
+    # ncp steps spread over 1..horizon (fewer when horizon < ncp)
     checkpoints = (
-        sorted(set(np.linspace(horizon / ncp, horizon, ncp).astype(int).tolist())) if ncp else []
+        sorted(set(np.linspace(horizon / ncp, horizon, ncp).astype(int).clip(1).tolist()))
+        if ncp
+        else []
     )
 
     def block(seed_sequences):
@@ -492,14 +480,7 @@ def _run_ls(config: ExperimentConfig):
             )
         )
 
-    def tracer():
-        for index, run in enumerate(stats.payloads):
-            if run is None:
-                continue
-            zpath = z_process(run.xs, run.us, gw)
-            yield from vector_trace_rows(index, zpath)
-
-    return report, results, stats, (trace_header(p), tracer)
+    return report, results, stats, (p, lambda run: z_process(run.xs, run.us, gw))
 
 
 def _run_custom(config: ExperimentConfig):
@@ -605,7 +586,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
             2, {"error": f"output directory not writable: {exc}"}, [], None
         )
 
-    report, assertion_results, stats, tracer = _RUNNERS[config.kind](config)
+    report, assertion_results, stats, traces = _RUNNERS[config.kind](config)
 
     exit_code = 0 if all(a.passed for a in assertion_results) else 1
     summary: Dict[str, Any] = {
@@ -646,9 +627,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
         write_summary_text(out_dir / "summary.txt", lines)
         if config.plots and stats is not None and stats.curves is not None:
             write_quantiles_csv(out_dir / "quantiles.csv", stats.curves)
-        if config.traces and tracer is not None:
-            header, rows = tracer
-            write_traces_csv(out_dir / "traces.csv", header, rows())
+        if config.traces and traces is not None:
+            p, path_of = traces
+            paths = (
+                (seed, path_of(payload))
+                for seed, payload in enumerate(stats.payloads)
+                if payload is not None
+            )
+            write_traces_csv(out_dir / "traces.csv", p, paths)
     except OSError as exc:
         return ExperimentOutcome(
             2, {"error": f"failed writing artifacts: {exc}"}, assertion_results, out_dir

@@ -474,8 +474,9 @@ def simulate_ls_runs(
     other design is called per seed and step, since it may read the current
     estimate.  Estimates are kept for ``REBASE_EVERY`` steps at a time and for
     the tail window, never for the whole horizon, and each run's arrays are
-    views of the block's arrays.  Raises ValueError when any seed's Gram
-    matrix is non-finite before it is nonsingular, or never nonsingular.
+    views of the block's arrays.  Raises ValueError for a checkpoint outside
+    ``1..horizon``, and when any seed's Gram matrix is non-finite before it
+    is nonsingular, or never nonsingular.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     S, p, beta = len(rngs), model.p, model.beta
@@ -488,6 +489,8 @@ def simulate_ls_runs(
     window = np.empty((S, min(REBASE_EVERY, tail_start), p))
     err_sup = np.empty((S, horizon))
     checkpoints = sorted(set(int(c) for c in checkpoints))
+    if checkpoints and not 1 <= checkpoints[0] <= checkpoints[-1] <= horizon:
+        raise ValueError(f"checkpoints must lie in 1..{horizon}")
     gaps = [0.0] * S
     block_draw = getattr(model.design, "block_draw", None)
     closed = block_draw is None or model.noise_draw is not None

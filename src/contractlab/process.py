@@ -127,12 +127,6 @@ class ProcessPath:
     def classes(self) -> np.ndarray:
         return sign_classes(self.xs, self.zero_tol)
 
-    def tail_from(self, start: int) -> "ProcessPath":
-        """Sub-path consisting of steps ``start..horizon`` started at x_{start-1}."""
-        if not 1 <= start <= self.horizon + 1:
-            raise IndexError(f"start {start} outside 1..{self.horizon + 1}")
-        return ProcessPath(self.xs[start - 1 :], self.ms[start - 1 :], self.zero_tol)
-
 
 @dataclass(frozen=True, eq=False)
 class VectorProcessPath:

@@ -10,10 +10,13 @@ import csv
 import json
 import math
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
+
+from .process import ProcessPath, VectorProcessPath
 
 __all__ = [
     "json_safe",
@@ -85,42 +88,46 @@ def trace_header(p: int = 1) -> List[str]:
     return cols
 
 
-def scalar_trace_rows(seed_index: int, path) -> Iterable[List[str]]:
-    """Rows for one scalar path; the n = 0 row carries only the initial value."""
-    yield [str(seed_index), "0", format_float(path.x0), "", "", ""]
-    zero_prev = np.abs(path.xs[:-1]) <= path.zero_tol
-    for n in range(1, path.horizon + 1):
-        yield [
-            str(seed_index),
-            str(n),
-            format_float(path.xs[n]),
-            format_float(path.ms[n - 1]),
-            format_float(path.eps[n - 1]),
-            "1" if zero_prev[n - 1] else "0",
-        ]
+TRACE_CHUNK = 256  # steps formatted at a time: a long path leaves no large text behind
 
 
-def vector_trace_rows(seed_index: int, path) -> Iterable[List[str]]:
-    p = path.p
-    first = [str(seed_index), "0"] + [format_float(v) for v in path.xs[0]]
-    first += [""] * (2 * p) + [""]
-    yield first
-    norms_prev = np.linalg.norm(path.xs[:-1], axis=1)
-    for n in range(1, path.horizon + 1):
-        row = [str(seed_index), str(n)]
-        row += [format_float(v) for v in path.xs[n]]
-        row += [format_float(v) for v in path.ms[n - 1]]
-        row += [format_float(v) for v in path.eps[n - 1]]
-        row.append("1" if norms_prev[n - 1] <= path.zero_tol else "0")
-        yield row
+def _trace_chunks(seed: int, path: ProcessPath | VectorProcessPath) -> Iterator[str]:
+    """One path's CSV text in chunks of whole lines; the n = 0 line carries only
+    the initial value.
+
+    ``u_flag`` marks a zero-class predecessor: ``|x_{n-1}|`` for a scalar
+    path, the row norm for a vector path (whose norm of a tiny entry may
+    underflow to zero where its absolute value does not).
+    """
+    xs = path.xs.reshape(len(path.xs), -1)
+    p = xs.shape[1]
+    ms, eps = path.ms.reshape(-1, p), path.eps.reshape(-1, p)
+    if isinstance(path, VectorProcessPath):
+        prev = np.linalg.norm(path.xs[:-1], axis=1)
+    else:
+        prev = np.abs(path.xs[:-1])
+    flags = np.where(prev <= path.zero_tol, "1", "0")
+    tag = str(seed)
+    yield ",".join([tag, "0", *map(repr, xs[0].tolist())]) + "," * (2 * p + 1) + "\n"
+    for lo in range(0, path.horizon, TRACE_CHUNK):
+        hi = min(lo + TRACE_CHUNK, path.horizon)
+        columns = np.hstack((xs[lo + 1 : hi + 1], ms[lo:hi], eps[lo:hi])).T.tolist()
+        ns = map(str, range(lo + 1, hi + 1))
+        lines = zip(repeat(tag), ns, *[map(repr, col) for col in columns], flags[lo:hi].tolist())
+        yield "\n".join(map(",".join, lines)) + "\n"
 
 
-def write_traces_csv(path: Path, header: List[str], rows: Iterable[List[str]]) -> None:
+def write_traces_csv(
+    path: Path, p: int, paths: Iterable[Tuple[int, ProcessPath | VectorProcessPath]]
+) -> None:
+    """Write ``(seed, path)`` pairs in the order given under the ``p``-column header.
+
+    Floats are written by shortest round-trip repr, like every other artifact.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        fh.write(",".join(trace_header(p)) + "\n")
+        for seed, trace in paths:
+            fh.writelines(_trace_chunks(seed, trace))
 
 
 def read_trace_csv(path: Path):

@@ -7,6 +7,8 @@ import pytest
 
 from contractlab.cli import main
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
 SA_TEMPLATE = """
 kind: sa
 problem: {{family: linear, slope: 1.0}}
@@ -82,6 +84,22 @@ class TestRunCommand:
         assert rows[1][:3] == ["0", "0", "2.0"]
         assert rows[1][3:] == ["", "", ""]
         assert len(rows) == 1 + 4 * 501
+
+    def test_traces_skip_errored_seeds(self, tmp_path):
+        # c = 1e6 overflows the sine map: every seed errors with a math domain error
+        text = (CONFIGS / "sa_convergence.yaml").read_text()
+        text = text.replace("c: 1.0}", "c: 1000000.0}").split("assertions:")[0]
+        cfg = write_config(tmp_path, text)
+        summaries = []
+        for flags in ([], ["--traces"]):
+            out = tmp_path / f"out{len(flags)}"
+            argv = ["run", str(cfg), "--seeds", "3", "--horizon", "2000", "--out", str(out)]
+            assert main(argv + flags) == 0
+            summaries.append(json.loads((out / "summary.json").read_text())["ensemble"])
+        notes = [seed["note"] for seed in summaries[0]["per_seed"]]
+        assert notes == ["ValueError: math domain error"] * 3
+        assert summaries[0] == summaries[1]
+        assert (out / "traces.csv").read_text() == "seed,n,x,m,eps,u_flag\n"
 
     def test_quantiles_schema_is_pinned(self, tmp_path):
         out = tmp_path / "out"
@@ -336,6 +354,17 @@ class TestOtherKindsEndToEnd:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["report"]["partition"]["q"] == 1
         assert summary["report"]["max_checkpoint_gap"] <= 1e-8
+
+    def test_ls_checkpoints_within_short_horizon(self, tmp_path):
+        out = tmp_path / "out"
+        text = LS.format(out=out).replace("checkpoints: 4", "checkpoints: 8")
+        text = text.replace("design: {family: geometric_one}", "design: {family: rotating}")
+        cfg = write_config(tmp_path, text.split("assertions:")[0] + f"output: {{dir: {out}}}\n")
+        assert main(["run", str(cfg), "--horizon", "6"]) == 0
+        report = json.loads((out / "summary.json").read_text())["report"]
+        assert report["checkpoints"] == [1, 2, 3, 4, 5, 6]
+        # the dense solves ran: their rounding differs from the recursion's
+        assert report["max_checkpoint_gap"] > 0.0
 
     def test_custom_path_check_round_trip(self, tmp_path):
         sa_out = tmp_path / "sa_out"

@@ -1095,7 +1095,7 @@ ERRORS = [
     ),
     pytest.param(
         doc("sa", ensemble=ens(tail_fraction=1.5)),
-        ["ensemble.tail_fraction: must be <= 1.0"],
+        ["ensemble.tail_fraction: must be < 1"],
         id="ensemble-tail-fraction-above-one",
     ),
     pytest.param(
@@ -1899,7 +1899,7 @@ def _row(f, label):
     bounds = [
         f"> {f.gt}" if f.gt is not None else "",
         f">= {f.ge}" if f.ge is not None else "",
-        f"<= {f.le}" if f.le is not None and f.lt is None else "",
+        f"<= {f.le}" if f.le is not None else "",
         f"< {f.lt}" if f.lt is not None else "",
     ]
     cells = ([label] if label is not None else []) + [

@@ -16,9 +16,13 @@ from __future__ import annotations
 import hashlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from contractlab import experiments, reporting
 from contractlab.cli import main
+from contractlab.process import ProcessPath, VectorProcessPath
+from contractlab.reporting import write_traces_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -133,6 +137,13 @@ def test_shipped_config_trace_digests(name, tmp_path):
     assert _sha((out / "traces.csv").read_bytes()) == TRACE_GOLDEN[name]
 
 
+def test_trace_digest_does_not_depend_on_chunk_size(tmp_path, monkeypatch):
+    monkeypatch.setattr(reporting, "TRACE_CHUNK", 7)
+    out = tmp_path / "out"
+    _run("multivariate", out, "--traces")
+    assert _sha((out / "traces.csv").read_bytes()) == TRACE_GOLDEN["multivariate"]
+
+
 def test_one_column_ls_trace_digest(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "ls.yaml"
@@ -141,6 +152,46 @@ def test_one_column_ls_trace_digest(tmp_path):
     data = (out / "traces.csv").read_bytes()
     assert data.startswith(b"seed,n,x,m,eps,u_flag\n")
     assert _sha(data) == TRACE_GOLDEN["ls_one_column"]
+
+
+# config -> (the experiments function that simulates one seed's path, calls
+# outside the ensemble: the Kronecker run checks one alternating path)
+SIMULATORS = {
+    "kronecker": ("kronecker_path", 1),
+    "multivariate": ("rm_solve_nd", 0),
+    "sa_convergence": ("rm_solve", 0),
+    "sa_nonuniform": ("rm_solve", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATORS))
+def test_traces_reuse_the_ensemble_paths(name, tmp_path, monkeypatch):
+    func, extra = SIMULATORS[name]
+    calls = []
+    simulate = getattr(experiments, func)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, func, counted)
+    _run(name, tmp_path / "out", "--traces")
+    assert len(calls) == SIZES[name][0] + extra
+
+
+def test_trace_u_flag_follows_path_type(tmp_path):
+    # |1e-170| > 0, but the row norm squares it to zero
+    xs, ms = np.array([1e-170, 1.0]), np.array([0.5])
+    out = tmp_path / "traces.csv"
+    paths = [(0, ProcessPath(xs, ms)), (1, VectorProcessPath(xs[:, None], ms[:, None]))]
+    write_traces_csv(out, 1, paths)
+    assert out.read_text().splitlines() == [
+        "seed,n,x,m,eps,u_flag",
+        "0,0,1e-170,,,",
+        "0,1,1.0,0.5,0.5,0",
+        "1,0,1e-170,,,",
+        "1,1,1.0,0.5,0.5,1",
+    ]
 
 
 @pytest.mark.parametrize("source", sorted(CUSTOM_CHECKS))

@@ -276,6 +276,14 @@ class TestSimulateAndDecomposition:
         run = simulate_ls_run(model, 2000, seed=0, checkpoints=[10, 100, 1000, 2000])
         assert run.checkpoint_gap <= 1e-8
 
+    @pytest.mark.parametrize("checkpoints", [[0, 3], [-1], [3, 7]])
+    def test_checkpoint_outside_horizon_rejected(self, checkpoints):
+        model = RegressionModel(
+            beta=np.array([1.0, -0.5]), design=rotating_design(), sigma=1.0
+        )
+        with pytest.raises(ValueError, match=r"checkpoints must lie in 1\.\.6"):
+            simulate_ls_runs(model, 6, [0, 1], checkpoints=checkpoints)
+
     def test_weighted_decomposition_identity(self):
         model = RegressionModel(
             beta=np.array([1.0, -0.5]), design=rotating_design(), sigma=1.0
@@ -391,6 +399,7 @@ def assert_same_run(a, b):
 @settings(max_examples=40, deadline=None)
 def test_block_equals_seed_by_seed(name, seeds, horizon, tail_fraction, checkpoints):
     model = BLOCK_MODELS[name]
+    checkpoints = [c for c in checkpoints if c <= horizon]  # others are rejected
     try:
         alone = [simulate_ls_run(model, horizon, s, tail_fraction, checkpoints) for s in seeds]
     except ValueError as exc:  # some seed never reaches full rank: the block fails too

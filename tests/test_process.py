@@ -274,13 +274,6 @@ class TestPathAccessors:
         with pytest.raises(IndexError):
             path.step(3)
 
-    def test_tail_from(self):
-        path = doob_decompose([1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5])
-        tail = path.tail_from(3)
-        assert tail.x0 == 3.0
-        assert tail.horizon == 1
-        assert tail.ms.tolist() == [3.5]
-
     def test_zero_tol_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             ProcessPath(np.array([1.0, 2.0]), np.array([1.0]), zero_tol=-1.0)
