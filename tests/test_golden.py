@@ -8,18 +8,21 @@ with ``--traces``, each config's ``traces.csv`` is locked the same way, and
 so is the trace of a one-column least-squares design (the scalar header with
 the vector path's norm-based ``u_flag``).  Two more cases feed a written
 trace file to a ``custom_path_check``, so the checker verdicts (margins,
-first violations and detail strings) are locked too.  A digest that changes
+first violations and detail strings) are locked too.  The SA kinds are also
+locked at a seed count that leaves a partial block, and an ensemble whose
+every seed errors is locked with its notes.  A digest that changes
 on purpose must be re-recorded and declared.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from contractlab import experiments, reporting
+from contractlab import approximation, experiments, reporting
 from contractlab.cli import main
 from contractlab.process import ProcessPath, VectorProcessPath
 from contractlab.reporting import write_traces_csv
@@ -206,3 +209,62 @@ def test_custom_path_check_digests(source, tmp_path):
     assert main(["run", str(cfg)]) in (0, 1)
     name = "custom_" + source.split("_")[0]
     assert _digests(out, tmp_path) == GOLDEN[name]
+
+
+# Seed counts that leave a partial block: the path-array budget is set to hold
+# 25 seeds, so 37 seeds step as blocks of 19 and 18.  Where seeds run one at
+# a time the budget does not exist and the setting is a no-op.
+REMAINDER_P = {"sa_convergence": 1, "sa_nonuniform": 1, "multivariate": 3}
+REMAINDER_SEEDS, REMAINDER_HORIZON = 37, 600
+
+# name -> (summary.json, quantiles.csv, traces.csv) sha256
+REMAINDER_GOLDEN = {
+    "sa_convergence": (
+        "035f14c9bcf3a6d6e1a459cb2a9c54889a5343f0cffcfa3d8f461765ac0ef388",
+        "d14431a73873ad2f4678fdadd09d74125ab125f798a354d0afe4d05fd115413a",
+        "2a30a1b018222ee075ab5b868082ed0feae521d144dda3a5bc21802537e99402",
+    ),
+    "sa_nonuniform": (
+        "ea3cdfb2ba2a92499dde3be19ca16da8008d01c53bb6239c4b3541207345c841",
+        "ea6a4d7746870d3d3718316e07bd8ba380ec15def5fc118b3b9d4343f025093e",
+        "d289d3be2c92391521eed628aab5de828f0330def4d6c571421790127ac54f69",
+    ),
+    "multivariate": (
+        "b17aeec513bf8fc77fd2078db0e79a32076c339868f7b4d1acaa09dd7020267f",
+        "59a4e28ae289b50b8f70424d4d66cc2ccb1a81e65ccfb7d988e65a3fb45cf9ec",
+        "e0a0653b7cd8555f756713c3a9657e6566cb3d73f103d3c06bf3ceb96e4809d4",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMAINDER_P))
+def test_partial_block_digests(name, tmp_path, monkeypatch):
+    seed_bytes = 8 * REMAINDER_P[name] * (2 * REMAINDER_HORIZON + 1)
+    monkeypatch.setattr(approximation, "BLOCK_BYTES", 25 * seed_bytes, raising=False)
+    out = tmp_path / "out"
+    argv = ["run", str(CONFIGS / f"{name}.yaml"), "--seeds", str(REMAINDER_SEEDS)]
+    argv += ["--horizon", str(REMAINDER_HORIZON), "--out", str(out), "--traces"]
+    assert main(argv) in (0, 1)
+    digests = _digests(out, tmp_path) + (_sha((out / "traces.csv").read_bytes()),)
+    assert digests == REMAINDER_GOLDEN[name]
+
+
+# The sine map with c = 1e6 overflows on every seed: each seed errors with the
+# scalar solver's message, and --traces writes the header only.
+ERRORED_GOLDEN = (
+    "340b7e0f298a5807626a9c5342afa49c4cbac146ebad278ddd7cd2cc2e7ec659",
+    "3655508fbab9a7da214e00eae1368ce514f0f6131b281e119767958642cbad64",
+)
+
+
+def test_errored_seed_ensemble_digest(tmp_path):
+    text = (CONFIGS / "sa_convergence.yaml").read_text().replace("c: 1.0}", "c: 1000000.0}")
+    cfg = tmp_path / "errored.yaml"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    argv = ["run", str(cfg), "--seeds", "20", "--horizon", "2000", "--out", str(out), "--traces"]
+    assert main(argv) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    notes = [seed["note"] for seed in summary["ensemble"]["per_seed"]]
+    assert notes == ["ValueError: math domain error"] * 20
+    assert (_digests(out, tmp_path)[0], _sha((out / "traces.csv").read_bytes())) == ERRORED_GOLDEN
