@@ -52,6 +52,7 @@ from .approximation import (
     contraction_factor,
     derive_truncated,
     rm_solve,
+    rm_solve_block,
     rm_solve_nd,
     truncated_nonexpansive_verdict,
 )

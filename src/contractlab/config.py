@@ -423,29 +423,55 @@ def _beta_matches_design(r: _Reader, doc: Dict[str, Any]) -> None:
 
 def _linear(v: Dict[str, Any]) -> RootProblem:
     slope, root = float(v["slope"]), float(v["root"])
-    return RootProblem(lambda x: slope * (x - root), x_star=root)
+
+    def g(x):  # one iterate or a block of them
+        return slope * (x - root)
+
+    return RootProblem(g, x_star=root, g_block=g)
 
 
 def _sine_perturbed(v: Dict[str, Any]) -> RootProblem:
     slope, amplitude, root = float(v["slope"]), float(v["amplitude"]), float(v["root"])
+
+    def g_block(x: np.ndarray) -> np.ndarray:
+        d = x - root
+        return slope * d + amplitude * np.sin(d)
+
     return RootProblem(
-        lambda x: slope * (x - root) + amplitude * math.sin(x - root), x_star=root
+        lambda x: slope * (x - root) + amplitude * math.sin(x - root), x_star=root, g_block=g_block
     )
 
 
 def _sqrt_sign(v: Dict[str, Any]) -> RootProblem:
     root = float(v["root"])
-    return RootProblem(lambda x: math.copysign(math.sqrt(abs(x - root)), x - root), x_star=root)
+
+    def g_block(x: np.ndarray) -> np.ndarray:
+        d = x - root
+        return np.copysign(np.sqrt(np.abs(d)), d)
+
+    return RootProblem(
+        lambda x: math.copysign(math.sqrt(abs(x - root)), x - root), x_star=root, g_block=g_block
+    )
 
 
 def _matrix(v: Dict[str, Any], p: int) -> RootProblem:
     A = np.asarray(v["entries"], dtype=float)
-    return RootProblem(lambda x: A @ x, x_star=np.zeros(p), dimension=p)
+    # the stacked product matches A @ x row by row to the last bit; X @ A.T does not
+    return RootProblem(
+        lambda x: A @ x,
+        x_star=np.zeros(p),
+        dimension=p,
+        g_block=lambda X: (A @ X[:, :, None])[:, :, 0],
+    )
 
 
 def _identity(v: Dict[str, Any], p: int) -> RootProblem:
     scale = float(v["scale"])
-    return RootProblem(lambda x: scale * x, x_star=np.zeros(p), dimension=p)
+
+    def g(x):  # one iterate or a block of them
+        return scale * x
+
+    return RootProblem(g, x_star=np.zeros(p), dimension=p, g_block=g)
 
 
 def _rademacher(v: Dict[str, Any], horizon: int) -> Callable[[Any], np.ndarray]:

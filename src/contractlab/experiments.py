@@ -17,6 +17,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from .approximation import (
+    block_size,
     check_linear_envelope,
     check_norm_envelope,
     check_ratio_sandwich,
@@ -25,6 +26,7 @@ from .approximation import (
     contraction_factor,
     derive_truncated,
     rm_solve,
+    rm_solve_block,
     rm_solve_nd,
     signed_log_grid,
     sphere_grid,
@@ -156,6 +158,26 @@ def _payload_flag_assertion(
 _stored_path = itemgetter("path")
 
 
+def _sa_ensemble(problem, noise, schedule, x0, ens, grid, check) -> EnsembleStats:
+    """``check`` every seed's Robbins-Monro path and aggregate what it returns.
+
+    A problem with a block ``g`` (every built-in family) steps its seeds in
+    blocks of :func:`block_size`; any other steps one seed at a time, through
+    :func:`rm_solve` for a scalar ``x0`` and :func:`rm_solve_nd` otherwise.
+    """
+    horizon = ens.horizon
+    solve = rm_solve if np.ndim(x0) == 0 else rm_solve_nd
+
+    def factory(seed_sequence):
+        return check(solve(problem, noise, schedule, x0, horizon, seed_sequence))
+
+    def block(seed_sequences):
+        return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
+
+    size = block_size(ens.seeds, horizon, np.size(x0)) if problem.g_block else 0
+    return run_ensemble(factory, ens, grid, block if size else None, size)
+
+
 def _run_sa(config: ExperimentConfig, nonuniform: bool):
     model = config.model
     problem = config.build("problem")
@@ -215,8 +237,7 @@ def _run_sa(config: ExperimentConfig, nonuniform: bool):
             "kappa": kappa,
         }
 
-    def factory(seed_sequence):
-        path = rm_solve(problem, noise, schedule, x0, horizon, seed_sequence)
+    def check(path):
         payload: Dict[str, Any] = {"path": path} if config.traces else {}
         if env is not None:
             sandwich = check_ratio_sandwich(path, schedule, env["m"], env["M"], x_star=root)
@@ -237,7 +258,8 @@ def _run_sa(config: ExperimentConfig, nonuniform: bool):
                 payload["trunc_error"] = str(exc)
         return path.xs - root, payload
 
-    stats = run_ensemble(factory, ens, _grid(horizon + 1, config.curve_points))
+    grid = _grid(horizon + 1, config.curve_points)
+    stats = _sa_ensemble(problem, noise, schedule, x0, ens, grid, check)
 
     results: List[AssertionResult] = []
     _eval_fraction_assertions(config.assertions, stats, results)
@@ -299,14 +321,14 @@ def _run_sa_nd(config: ExperimentConfig):
         ks = np.array([contraction_factor(a, env["m"], env["M"]) for a in alphas])
         report["contraction_factor_final"] = float(ks[-1])
 
-    def factory(seed_sequence):
-        path = rm_solve_nd(problem, noise, schedule, x0, horizon, seed_sequence)
+    def check(path):
         payload: Dict[str, Any] = {"path": path} if config.traces else {}
         if ks is not None:
             payload["contraction_ok"] = ratio_band(path, ks, atol=1e-12).first_violation is None
         return path.norms(), payload
 
-    stats = run_ensemble(factory, ens, _grid(horizon + 1, config.curve_points))
+    grid = _grid(horizon + 1, config.curve_points)
+    stats = _sa_ensemble(problem, noise, schedule, x0, ens, grid, check)
 
     results: List[AssertionResult] = []
     _eval_fraction_assertions(config.assertions, stats, results)
@@ -376,7 +398,12 @@ def _run_ls(config: ExperimentConfig):
         runs = simulate_ls_runs(reg_model, horizon, seed_sequences, ens.tail_fraction, checkpoints)
         return [(run.err_sup, run) for run in runs]
 
-    stats = run_ensemble(block, ens, _grid(horizon, config.curve_points), batched=True)
+    stats = run_ensemble(
+        lambda seed_sequence: block([seed_sequence])[0],
+        ens,
+        _grid(horizon, config.curve_points),
+        block,
+    )
     runs = [r for r in stats.payloads if r is not None]
 
     report: Dict[str, Any] = {
@@ -483,10 +510,17 @@ def _run_ls(config: ExperimentConfig):
     return report, results, stats, (p, lambda run: z_process(run.xs, run.us, gw))
 
 
+class InputError(Exception):
+    """An input file the experiment cannot use (exit code 2)."""
+
+
 def _run_custom(config: ExperimentConfig):
     model = config.model
     ens = config.ensemble
-    paths = read_trace_csv(Path(model["input"]["path"]))
+    try:
+        paths = read_trace_csv(Path(model["input"]["path"]))
+    except (OSError, ValueError) as exc:
+        raise InputError(f"unusable trace file: {exc}") from exc
     zero_tol = float(model["input"]["zero_tol"])
     checks = model["checks"]
 
@@ -573,7 +607,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
     """Execute one configured experiment and write its artifacts.
 
     Exit code 0 when every configured assertion passes, 1 when any fails,
-    2 when the output directory is unusable.
+    2 when the output directory or an input file is unusable.
     """
     out_dir = Path(config.output_dir)
     try:
@@ -586,7 +620,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
             2, {"error": f"output directory not writable: {exc}"}, [], None
         )
 
-    report, assertion_results, stats, traces = _RUNNERS[config.kind](config)
+    try:
+        report, assertion_results, stats, traces = _RUNNERS[config.kind](config)
+    except InputError as exc:
+        return ExperimentOutcome(2, {"error": str(exc)}, [], None)
 
     exit_code = 0 if all(a.passed for a in assertion_results) else 1
     summary: Dict[str, Any] = {

@@ -170,55 +170,60 @@ def run_ensemble(
     factory: Callable,
     config: EnsembleConfig,
     curve_grid: Optional[Sequence[int]] = None,
-    batched: bool = False,
+    block: Optional[Callable] = None,
+    block_size: Optional[int] = None,
 ) -> EnsembleStats:
     """Run ``factory`` over the seeds and aggregate tail-window verdicts.
 
     ``factory`` receives a :class:`numpy.random.SeedSequence` and returns the
-    trajectory of values to classify, or a (values, payload) pair.  With
-    ``batched`` it receives the list of every seed's SeedSequence at once and
-    returns one such output per seed.  Either way the seeds run in blocks (a
-    per-seed factory is a block of one) and each output is reduced in seed
-    order as soon as its block returns.  A failing block is re-run one seed
-    at a time, so a factory failure is recorded as inconclusive for the seed
-    that raised and never aborts the rest.
+    trajectory of values to classify, or a (values, payload) pair.  An
+    optional ``block`` receives a list of ``block_size`` (default: every)
+    seeds' SeedSequences and returns an iterable of one such output per seed,
+    in seed order; it must give what ``factory`` gives seed by seed.  Each
+    output is reduced as soon as it arrives.  When a block raises (or ends
+    early), its remaining seeds run one at a time through ``factory``, so a
+    failure is recorded as inconclusive for the seed that raised, with the
+    message in ``note``, and never aborts the rest.
     """
     grid = None if curve_grid is None else np.asarray(curve_grid, dtype=int)
     seeds = [child_seed(config.root_seed, i) for i in range(config.seeds)]
-    block = factory if batched else (lambda block_seeds: [factory(block_seeds[0])])
 
-    def run_block(block_seeds):
+    def per_seed(ss):
         try:
-            outputs = list(block(block_seeds))
-            if len(outputs) != len(block_seeds):
-                raise ValueError(f"{len(outputs)} outputs for {len(block_seeds)} seeds")
+            return factory(ss), None
         except Exception as exc:  # recorded, not raised: the ensemble must finish
-            if len(block_seeds) > 1:
-                return [r for ss in block_seeds for r in run_block([ss])]
-            return [(None, None, None, f"{type(exc).__name__}: {exc}")]
-        results = []
-        for out in outputs:
-            values, payload = out if isinstance(out, tuple) else (out, None)
-            verdict, final, samples = _reduce_one(np.asarray(values, dtype=float), config, grid)
-            results.append((verdict, final, samples, payload))
-        return results
+            return None, f"{type(exc).__name__}: {exc}"
 
-    blocks = [seeds] if batched else [[ss] for ss in seeds]
-    results = [r for block_seeds in blocks for r in run_block(block_seeds)]
+    def outputs():
+        if block is None:
+            yield from map(per_seed, seeds)
+            return
+        size = block_size or len(seeds)
+        for start in range(0, len(seeds), size):
+            chunk = seeds[start : start + size]
+            done = 0
+            try:
+                for out in block(chunk):
+                    yield out, None
+                    done += 1
+                    if done == len(chunk):
+                        break
+            except Exception:  # the factory reruns the seeds the block did not give
+                pass
+            yield from map(per_seed, chunk[done:])
 
     verdicts = []
     finals = []
     payloads = []
     curve_rows = []
-    for verdict, final, samples, payload in results:
-        if verdict is None:
-            verdicts.append(
-                ConvergenceVerdict(
-                    ConvergenceClass.INCONCLUSIVE, math.nan, math.nan, math.nan, str(payload)
-                )
-            )
+    for out, error in outputs():
+        if error is not None:
+            nan = math.nan
+            verdicts.append(ConvergenceVerdict(ConvergenceClass.INCONCLUSIVE, nan, nan, nan, error))
             payloads.append(None)
             continue
+        values, payload = out if isinstance(out, tuple) else (out, None)
+        verdict, final, samples = _reduce_one(np.asarray(values, dtype=float), config, grid)
         verdicts.append(verdict)
         finals.append(final)
         payloads.append(payload)
@@ -241,15 +246,10 @@ def run_ensemble(
 
     curves = None
     if grid is not None and curve_rows:
-        mat = np.vstack(curve_rows)
         curves = {"n": [int(i) for i in grid]}
-        for key, q in QUANTILE_KEYS:
-            col_vals = []
-            for j in range(mat.shape[1]):
-                col = mat[:, j]
-                col = col[np.isfinite(col)]
-                col_vals.append(float(np.quantile(col, q)) if col.size else math.nan)
-            curves[key] = col_vals
+        table = _quantile_curves(np.vstack(curve_rows))
+        for row, (key, _) in enumerate(QUANTILE_KEYS):
+            curves[key] = table[row].tolist()
 
     return EnsembleStats(
         per_seed=tuple(verdicts),
@@ -259,6 +259,26 @@ def run_ensemble(
         curves=curves,
         payloads=tuple(payloads),
     )
+
+
+def _quantile_curves(mat: np.ndarray) -> np.ndarray:
+    """The ``QUANTILE_KEYS`` quantiles of each column's finite entries (NaN if none).
+
+    Rows are quantiles, columns those of ``mat``.  All-finite columns go
+    through one vectorised call; only a column holding a NaN or inf is
+    filtered on its own.
+    """
+    qs = [q for _, q in QUANTILE_KEYS]
+    finite = np.isfinite(mat)
+    clean = finite.all(axis=0)
+    table = np.full((len(qs), mat.shape[1]), math.nan)
+    if clean.any():
+        table[:, clean] = np.quantile(mat[:, clean], qs, axis=0)
+    for j in np.flatnonzero(~clean):
+        col = mat[finite[:, j], j]
+        if col.size:
+            table[:, j] = np.quantile(col, qs)
+    return table
 
 
 def limit_dispersion(finals: Sequence[float]) -> float:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import integrate
 
 from .process import VectorProcessPath
 from .verdict import ConditionVerdict, failing, passing, vacuous
@@ -53,6 +52,8 @@ def _quad_to_infinity(integrand: Callable[[float], float], lower: float) -> Opti
     integrands that do converge stay far below the 1e-3 threshold).
     """
     import warnings
+
+    from scipy import integrate  # about 50 MB and 0.5 s to import; only this tail needs it
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)

@@ -1,7 +1,11 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contractlab import (
     DomainExitError,
@@ -22,7 +26,16 @@ from contractlab import (
     rm_solve_nd,
     truncated_nonexpansive_verdict,
 )
-from contractlab.approximation import signed_log_grid, sphere_grid
+from contractlab.approximation import (
+    BLOCK_BYTES,
+    MIN_BLOCK,
+    block_size,
+    rm_solve_block,
+    signed_log_grid,
+    sphere_grid,
+)
+from contractlab.config import PROBLEM, PROBLEM_ND
+from contractlab.harness import EnsembleConfig, child_seed, run_ensemble
 from contractlab.process import ProcessPath
 
 
@@ -539,3 +552,113 @@ class TestContractionFactor:
             contraction_factor(-0.1, 1.0, 2.0)
         with pytest.raises(ValueError):
             contraction_factor(0.1, 0.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Seed blocks: rm_solve_block against the per-seed solvers
+
+
+def _family_problem(data, family):
+    """A built-in family's problem with drawn parameters, and its dimension (0 = scalar)."""
+
+    def num(lo, hi):
+        return data.draw(st.floats(lo, hi))
+
+    if family in PROBLEM.families:
+        values = {"root": num(-1.0, 1.0), "slope": num(0.2, 2.0)}
+        values["amplitude"] = num(0.0, 0.9) * values["slope"]
+        return PROBLEM.families[family].build(values), 0
+    p = data.draw(st.integers(1, 3))
+    if family == "matrix":
+        entries = [[num(-1.5, 1.5) for _ in range(p)] for _ in range(p)]
+        return PROBLEM_ND.families[family].build({"entries": entries}, p), p
+    return PROBLEM_ND.families[family].build({"scale": num(0.2, 2.0)}, p), p
+
+
+BLOCK_NOISES = {
+    "gaussian": NoiseModel.gaussian(0.3),
+    "uniform": NoiseModel.uniform(0.5),
+    "none": NoiseModel.noiseless(),
+}
+
+
+class TestBlockSolver:
+    @given(
+        data=st.data(),
+        family=st.sampled_from(sorted(PROBLEM.families) + sorted(PROBLEM_ND.families)),
+        noise=st.sampled_from(sorted(BLOCK_NOISES)),
+        seeds=st.sampled_from([1, 2, 7, 50]),
+        horizon=st.integers(1, 80),
+        root_seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_paths_equal_per_seed(self, data, family, noise, seeds, horizon, root_seed):
+        problem, p = _family_problem(data, family)
+        schedule = Schedule.inverse_n(data.draw(st.floats(0.1, 2.0)))
+        x0 = data.draw(st.floats(-5.0, 5.0)) if p == 0 else np.linspace(-2.0, 3.0, p)
+        solve = rm_solve if p == 0 else rm_solve_nd
+        sequences = [child_seed(root_seed, i) for i in range(seeds)]
+        noise = BLOCK_NOISES[noise]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            paths = list(rm_solve_block(problem, noise, schedule, x0, horizon, sequences))
+        assert caught == []
+        assert len(paths) == seeds
+        for seed, path in zip(sequences, paths):
+            ref = solve(problem, noise, schedule, x0, horizon, seed)
+            assert type(path) is type(ref)
+            for got, want in ((path.xs, ref.xs), (path.ms, ref.ms), (path.eps, ref.eps)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seeds", [2, 7, 50])
+    def test_overflowing_seed_errors_alone(self, seeds):
+        # slope 2 with c = 4 turns a 5e307 shock at step 2 into an overflow at
+        # step 3 in the block; seed by seed, math.sin(inf) raises one step later
+        problem = PROBLEM.families["sine_perturbed"].build(
+            {"slope": 2.0, "amplitude": 0.3, "root": 0.0}
+        )
+
+        def draw(rng, shape):
+            z = rng.normal(0.0, 0.1, size=shape)
+            if rng.random() < 0.3:
+                z[1] = 5e307
+            return z
+
+        noise = NoiseModel(draw, 0.01)
+        schedule = Schedule.inverse_n(4.0)
+        config = EnsembleConfig(seeds=seeds, root_seed=9, horizon=60)
+
+        def factory(seed_sequence):
+            path = rm_solve(problem, noise, schedule, 1.0, 60, seed_sequence)
+            return path.xs, path
+
+        def block(seed_sequences):
+            paths = rm_solve_block(problem, noise, schedule, 1.0, 60, seed_sequences)
+            return ((path.xs, path) for path in paths)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            blocked = run_ensemble(factory, config, [0, 30, 60], block)
+        assert caught == []
+        alone = run_ensemble(factory, config, [0, 30, 60])
+        assert json.dumps(blocked.to_dict()) == json.dumps(alone.to_dict())
+        notes = [v.note for v in blocked.per_seed]
+        assert set(notes) == {"", "ValueError: math domain error"}
+        for got, want in zip(blocked.payloads, alone.payloads):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.xs.tobytes() == want.xs.tobytes()
+                assert got.ms.tobytes() == want.ms.tobytes()
+
+    def test_block_size_follows_the_budget(self):
+        assert block_size(100, 30_000) == 50  # 69 fit: two even blocks
+        assert block_size(20, 20_000, 3) == 20
+        assert block_size(15, 100) == 0  # fewer than MIN_BLOCK seeds
+        assert block_size(100, 10**7) == 0  # fewer than MIN_BLOCK fit
+        for seeds in (16, 37, 100, 1000, 10**6):
+            for horizon, p in ((2_000, 1), (30_000, 1), (20_000, 3), (100_000, 2)):
+                size = block_size(seeds, horizon, p)
+                assert size == 0 or MIN_BLOCK <= size <= seeds
+                assert size * 8 * p * (2 * horizon + 1) <= BLOCK_BYTES

@@ -414,3 +414,51 @@ output: {{dir: {tmp_path / 'custom_out'}}}
             assert seed[check]["holds"] is False
             assert seed[check]["first_violation"] == 7
         assert all(summary["report"]["per_seed"][s]["all_hold"] for s in ("0", "2", "3"))
+
+
+CUSTOM_TEMPLATE = """
+kind: custom_path_check
+input: {{path: {trace}}}
+checks: {{nonexpansive_alpha: 0.0}}
+ensemble: {{seeds: 1, root_seed: 1, horizon: 10}}
+output: {{dir: {out}}}
+"""
+
+
+class TestUnusableTraceInput:
+    def test_vector_trace_exit_2(self, tmp_path, capsys):
+        traced = tmp_path / "traced"
+        argv = ["run", str(CONFIGS / "multivariate.yaml"), "--seeds", "2", "--horizon", "50"]
+        assert main(argv + ["--out", str(traced), "--traces"]) in (0, 1)
+        assert (traced / "traces.csv").read_text().startswith("seed,n,x_1,x_2,x_3,")
+        cfg = write_config(
+            tmp_path, CUSTOM_TEMPLATE.format(trace=traced / "traces.csv", out=tmp_path / "out")
+        )
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unusable trace file: trace file must carry columns" in err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_missing_trace_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        cfg = write_config(tmp_path, CUSTOM_TEMPLATE.format(trace=missing, out=tmp_path / "out"))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "unusable trace file:" in err
+        assert str(missing) in err
+
+
+def test_sa_run_does_not_import_scipy(tmp_path):
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "from contractlab.cli import main\n"
+        f"code = main(['run', {str(CONFIGS / 'sa_convergence.yaml')!r}, '--seeds', '2',"
+        f" '--horizon', '200', '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'scipy' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] in ("0 False", "1 False")

@@ -249,6 +249,27 @@ def test_partial_block_digests(name, tmp_path, monkeypatch):
     assert digests == REMAINDER_GOLDEN[name]
 
 
+@pytest.mark.parametrize("name", sorted(REMAINDER_P))
+def test_partial_blocks_bypass_the_per_seed_solvers(name, tmp_path, monkeypatch):
+    seed_bytes = 8 * REMAINDER_P[name] * (2 * REMAINDER_HORIZON + 1)
+    monkeypatch.setattr(approximation, "BLOCK_BYTES", 25 * seed_bytes)
+    blocks, alone = [], []
+    solve_block = experiments.rm_solve_block
+
+    def counted(*args):
+        blocks.append(len(args[5]))
+        return solve_block(*args)
+
+    monkeypatch.setattr(experiments, "rm_solve_block", counted)
+    for func in ("rm_solve", "rm_solve_nd"):
+        monkeypatch.setattr(experiments, func, lambda *args: alone.append(args))
+    argv = ["run", str(CONFIGS / f"{name}.yaml"), "--seeds", str(REMAINDER_SEEDS)]
+    argv += ["--horizon", str(REMAINDER_HORIZON), "--out", str(tmp_path / "out")]
+    assert main(argv) in (0, 1)
+    assert blocks == [19, 18]
+    assert alone == []
+
+
 # The sine map with c = 1e6 overflows on every seed: each seed errors with the
 # scalar solver's message, and --traces writes the header only.
 ERRORED_GOLDEN = (

@@ -13,7 +13,7 @@ from contractlab import (
     limit_dispersion,
     run_ensemble,
 )
-from contractlab.harness import child_seed
+from contractlab.harness import QUANTILE_KEYS, _quantile_curves, child_seed
 
 
 class TestConvergenceVerdict:
@@ -127,7 +127,7 @@ class TestRunEnsemble:
         config = self.config(seeds=seeds, horizon=300)
         grid = [0, 150, 299]
         per_seed = run_ensemble(factory, config, grid)
-        block = run_ensemble(lambda sss: [factory(ss) for ss in sss], config, grid, batched=True)
+        block = run_ensemble(factory, config, grid, lambda sss: [factory(ss) for ss in sss])
         assert json.dumps(block.to_dict()) == json.dumps(per_seed.to_dict())
         assert block.payloads == per_seed.payloads
         notes = [v.note for v in block.per_seed]
@@ -164,6 +164,36 @@ class TestRunEnsemble:
             EnsembleConfig(seeds=0, root_seed=1, horizon=10)
         with pytest.raises(ValueError):
             EnsembleConfig(seeds=1, root_seed=1, horizon=10, tail_fraction=1.5)
+
+
+def _per_column_quantiles(mat):
+    """The quantiles of each column's finite entries, one column at a time."""
+    rows = []
+    for _, q in QUANTILE_KEYS:
+        row = []
+        for j in range(mat.shape[1]):
+            col = mat[:, j]
+            col = col[np.isfinite(col)]
+            row.append(float(np.quantile(col, q)) if col.size else math.nan)
+        rows.append(row)
+    return rows
+
+
+@given(
+    data=st.data(),
+    rows=st.integers(1, 30),
+    cols=st.integers(1, 12),
+    holes=st.lists(st.sampled_from([math.nan, math.inf, -math.inf]), max_size=20),
+)
+@settings(max_examples=80, deadline=None)
+def test_quantile_curves_match_per_column(data, rows, cols, holes):
+    values = st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, 1.0, 2.5])
+    mat = np.array(data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols)))
+    mat = mat.reshape(rows, cols)
+    for hole in holes:
+        mat[data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))] = hole
+    got = [row.tolist() for row in _quantile_curves(mat)]
+    assert json.dumps(got) == json.dumps(_per_column_quantiles(mat))
 
 
 class TestSeedSplitting:

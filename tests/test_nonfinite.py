@@ -301,6 +301,6 @@ def test_ls_block_errors_only_the_non_finite_seed():
     def block(seed_sequences):
         return [(run.err_sup, run) for run in simulate_ls_runs(model, 200, seed_sequences)]
 
-    stats = run_ensemble(block, config, batched=True)
+    stats = run_ensemble(lambda ss: block([ss])[0], config, block=block)
     assert [v.note for v in stats.per_seed] == expected
     assert [run is None for run in stats.payloads] == [bool(note) for note in expected]
