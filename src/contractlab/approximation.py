@@ -306,7 +306,7 @@ def block_size(seeds: int, horizon: int, p: int = 1) -> int:
     fit = BLOCK_BYTES // (8 * p * (2 * horizon + 1))
     if fit < MIN_BLOCK:
         return 0
-    size = -(-seeds // -(-seeds // fit))
+    size = math.ceil(seeds / math.ceil(seeds / fit))
     return size if size >= MIN_BLOCK else 0
 
 
@@ -330,6 +330,9 @@ def rm_solve_block(
     both solvers) raises, so a seed whose values overflow is left to the
     per-seed solvers, whose ``math`` calls may raise on it.
     """
+    lo, hi = problem.domain
+    if np.any(np.less(x0, lo)) or np.any(np.greater(x0, hi)):
+        raise ValueError("x0 outside the domain")
     shape = np.shape(x0)
     xs = np.empty((horizon + 1, len(seeds)) + shape)
     ms = np.empty((horizon, len(seeds)) + shape)

@@ -175,7 +175,7 @@ def _sa_ensemble(problem, noise, schedule, x0, ens, grid, check) -> EnsembleStat
         return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
 
     size = block_size(ens.seeds, horizon, np.size(x0)) if problem.g_block else 0
-    return run_ensemble(factory, ens, grid, block if size else None, size)
+    return run_ensemble(factory, ens, grid, block=block if size else None, block_size=size)
 
 
 def _run_sa(config: ExperimentConfig, nonuniform: bool):

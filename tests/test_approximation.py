@@ -652,6 +652,13 @@ class TestBlockSolver:
                 assert got.xs.tobytes() == want.xs.tobytes()
                 assert got.ms.tobytes() == want.ms.tobytes()
 
+    def test_x0_outside_the_domain_raises(self):
+        problem = RootProblem(lambda x: x, domain=(0.0, 1.0), g_block=lambda x: x)
+        with pytest.raises(ValueError, match="outside the domain"):
+            rm_solve_block(
+                problem, NoiseModel.noiseless(), Schedule.inverse_n(), 2.0, 5, [child_seed(0, 0)]
+            )
+
     def test_block_size_follows_the_budget(self):
         assert block_size(100, 30_000) == 50  # 69 fit: two even blocks
         assert block_size(20, 20_000, 3) == 20
