@@ -10,7 +10,8 @@ the vector path's norm-based ``u_flag``).  Two more cases feed a written
 trace file to a ``custom_path_check``, so the checker verdicts (margins,
 first violations and detail strings) are locked too.  The SA kinds are also
 locked at a seed count that leaves a partial block, and an ensemble whose
-every seed errors is locked with its notes.  A digest that changes
+every seed errors is locked with its notes, and so are documents that reach
+every assertion and optional group of the SA kinds.  A digest that changes
 on purpose must be re-recorded and declared.
 """
 from __future__ import annotations
@@ -268,6 +269,117 @@ def test_partial_blocks_bypass_the_per_seed_solvers(name, tmp_path, monkeypatch)
     assert main(argv) in (0, 1)
     assert blocks == [19, 18]
     assert alone == []
+
+
+# Documents that reach every branch of the SA runners: each SA kind with every
+# assertion it allows (sa_nonuniform also with an envelope, whose sandwich it
+# never asserts), and sa and sa_nd without an envelope.  Run at 20 seeds x 600
+# steps, so each runs as one block.
+SA_BRANCHES = {
+    "sa_all": """
+kind: sa
+problem: {family: sine_perturbed, slope: 1.0, amplitude: 0.3, root: 0.5}
+schedule: {family: inverse_n, c: 1.0}
+noise: {family: gaussian, sd: 0.1}
+x0: 5.0
+envelope: {m: 0.7, M: 1.3, grid_min_abs: 1.0e-3, grid_per_decade: 200}
+assertions:
+  min_fraction_converged_to_zero: 0.5
+  max_median_final_abs: 0.02
+  min_fraction_final_below: {value: 0.05, fraction: 0.9}
+  envelope_valid: true
+  sandwich_zero_violations: true
+""",
+    "sa_no_envelope": """
+kind: sa
+problem: {family: linear, slope: 0.8, root: -0.25}
+schedule: {family: inverse_n_power, c: 1.0, gamma: 0.8}
+noise: {family: uniform, half_width: 0.2}
+x0: 3.0
+assertions:
+  min_fraction_converged_to_zero: 0.5
+  max_median_final_abs: 0.02
+  min_fraction_final_below: {value: 0.05, fraction: 0.9}
+""",
+    "sa_nonuniform_all": """
+kind: sa_nonuniform
+problem: {family: sqrt_sign}
+schedule: {family: inverse_n, c: 1.0}
+noise: {family: gaussian, sd: 0.1}
+x0: 2.0
+envelope: {m: 0.5, M: 2.0, grid_min_abs: 1.0e-2, grid_per_decade: 200}
+truncation: {delta: 0.25, tau: 0.1, kappa: 0.3}
+regularity: {c: 1.0, d: 1.0, pairs: [[0.25, 4.0]], grid_per_decade: 200}
+assertions:
+  min_fraction_converged_to_zero: 0.9
+  min_fraction_final_below: {value: 0.1, fraction: 0.9}
+  truncated_nonexpansive_all_seeds: true
+  truncated_mean_bound_all_seeds: true
+  regularity_holds: true
+""",
+    "sa_nd_all": """
+kind: sa_nd
+problem: {family: matrix, entries: [[1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+schedule: {family: inverse_n, c: 1.0}
+noise: {family: gaussian, sd: 0.1}
+x0: [2.0, -1.0, 1.5]
+envelope: {m: 1.0, M: 1.4142135623730951, directions: 16}
+assertions:
+  min_fraction_converged_to_zero: 0.5
+  min_fraction_final_below: {value: 0.1, fraction: 0.95}
+  envelope_valid: true
+  contraction_zero_violations: true
+""",
+    "sa_nd_no_envelope": """
+kind: sa_nd
+problem: {family: identity, scale: 0.5}
+schedule: {family: inverse_n, c: 1.0}
+noise: {family: gaussian, sd: 0.05}
+x0: [1.0, -2.0]
+assertions:
+  min_fraction_converged_to_zero: 0.5
+  min_fraction_final_below: {value: 0.1, fraction: 0.95}
+""",
+}
+
+# name -> (summary.json, quantiles.csv, traces.csv) sha256
+SA_BRANCH_GOLDEN = {
+    "sa_all": (
+        "756398209f36f9aa7571437c4874fe43f4343906f56354a80b0c1abf21fb92d0",
+        "4e7ce3347434d00d1b61a83307741a84a2fe606ea2a3dcbd0410e1b41f3ce6e3",
+        "1ce0c36b064b97430eb4be8909653e40225c7d8841abf09aa765b8a8f843fca9",
+    ),
+    "sa_nd_all": (
+        "a8e0839a785932973435f20b9ad12236d6370f0d0f77e52fd73f8c71e4f06ead",
+        "fbf9e9f33f5a305393ce9d27fb60477d8235fbcc46287441087c66a6f036a594",
+        "15fc5c723983e7d04b1d45e9de14e26daea940822a12a2abb2a2dcb6d62b403b",
+    ),
+    "sa_nd_no_envelope": (
+        "3598c6f516558d1d993a0c0a5c1e8a6c6f7748e3de083cbde042a1f4d6bb33a8",
+        "c431fcbb706c6e0261bc271f65919c3f88167e187fb2476af30c3c2f519da50a",
+        "237e41f2a3e01cd666d34f4828d0064067bc9be1c486646973cabc9a8da4f74e",
+    ),
+    "sa_no_envelope": (
+        "648a53d7633389e6d4be12c80a39249a8441d7ac5715a8990f573aa930cc782b",
+        "d9b95f552976612f50a13a0df4a05865b6761f4dfa1df6e1e1a4cbf7196a6e39",
+        "a8a20d6ea3820cf5864187865b6b3662508620cb0c9389841dfd12047e329f59",
+    ),
+    "sa_nonuniform_all": (
+        "7163a783cda4453d0f6e9759bd3f3b9e60713c3f3875acf8b4004fe7b4c75222",
+        "95dcb65ad8232b4e66fe85bf86db0cf3b6f7b7f7c821f0e9dcfec7a65330ea01",
+        "98ee19fd58a3640b81d4545ced09ea322835c1bda1e52a3577074a3c87f0fb5f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SA_BRANCHES))
+def test_sa_branch_digests(name, tmp_path):
+    cfg = tmp_path / f"{name}.yaml"
+    cfg.write_text(SA_BRANCHES[name] + "ensemble: {seeds: 20, root_seed: 5, horizon: 600}\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--traces"]) in (0, 1)
+    digests = _digests(out, tmp_path) + (_sha((out / "traces.csv").read_bytes()),)
+    assert digests == SA_BRANCH_GOLDEN[name]
 
 
 # The sine map with c = 1e6 overflows on every seed: each seed errors with the
