@@ -134,11 +134,13 @@ class Group:
         spec = self.families.get(family) or self.families.get(self.fallback)
         return self.fields + (spec.fields if spec else ())
 
-    def keys(self) -> List[str]:
+    def keys(self, family: Optional[str]) -> List[str]:
+        """Allowed keys: the shared fields and ``family``'s (every family's if it is invalid)."""
         names = [f.name for f in self.fields]
         if self.families:
             names.append("family")
-        names += [f.name for fam in self.families.values() for f in fam.fields]
+        chosen = [self.families[family]] if family in self.families else self.families.values()
+        names += [f.name for fam in chosen for f in fam.fields]
         return names
 
 
@@ -236,12 +238,12 @@ class _Reader:
         if not isinstance(raw, dict):
             self.fail(g.name, "must be a mapping")
             return None
-        self.unknown_keys(raw, g.keys(), g.name)
         values: Dict[str, Any] = {}
         family = None
         if g.families:
             choice = need("family", "choice", choices=tuple(g.families))
             family = values["family"] = self.value(raw, choice, g.name)
+        self.unknown_keys(raw, g.keys(family), g.name)
         for f in g.family_fields(family):
             values[f.name] = self.value(raw, f, g.name)
         spec = g.families.get(family)

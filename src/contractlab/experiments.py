@@ -43,8 +43,8 @@ from .config import ExperimentConfig
 from .harness import (
     ConvergenceClass,
     EnsembleStats,
-    convergence_verdict,
     run_ensemble,
+    tail_verdict,
 )
 from .least_squares import (
     RegressionModel,
@@ -137,69 +137,59 @@ def _eval_fraction_assertions(
         )
 
 
-def _payload_flag_assertion(
-    name: str, stats: EnsembleStats, key: str, results: List[AssertionResult]
-) -> None:
-    bad = [
-        i
-        for i, payload in enumerate(stats.payloads)
-        if payload is None or not payload.get(key, False)
-    ]
-    results.append(
-        AssertionResult(
-            name,
-            not bad,
-            "all seeds pass" if not bad else f"{len(bad)} seeds fail (first: seed {bad[0]})",
-        )
-    )
-
-
 # the path an SA or Kronecker factory kept in its payload under --traces
 _stored_path = itemgetter("path")
 
+# assertion -> the payload flag that every seed must carry
+_PAYLOAD_FLAGS = {
+    "sandwich_zero_violations": "sandwich_ok",
+    "contraction_zero_violations": "contraction_ok",
+    "truncated_nonexpansive_all_seeds": "trunc_nonexpansive_ok",
+    "truncated_mean_bound_all_seeds": "trunc_bound_ok",
+}
 
-def _sa_ensemble(problem, noise, schedule, x0, ens, grid, check) -> EnsembleStats:
-    """``check`` every seed's Robbins-Monro path and aggregate what it returns.
 
-    A problem with a block ``g`` (every built-in family) steps its seeds in
-    blocks of :func:`block_size`; any other steps one seed at a time, through
-    :func:`rm_solve` for a scalar ``x0`` and :func:`rm_solve_nd` otherwise.
+def _run_sa(config: ExperimentConfig):
+    """Robbins-Monro ensembles of ``sa`` and ``sa_nonuniform`` (scalar ``x0``) and ``sa_nd``.
+
+    The checks that run follow from the groups the model holds.  A vector run
+    checks its envelope on norms and bounds each step by the contraction
+    factor; a scalar one checks a linear envelope around the root and bounds
+    each mean ratio by the step-size sandwich.
     """
-    horizon = ens.horizon
-    solve = rm_solve if np.ndim(x0) == 0 else rm_solve_nd
-
-    def factory(seed_sequence):
-        return check(solve(problem, noise, schedule, x0, horizon, seed_sequence))
-
-    def block(seed_sequences):
-        return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
-
-    size = block_size(ens.seeds, horizon, np.size(x0)) if problem.g_block else 0
-    return run_ensemble(factory, ens, grid, block=block if size else None, block_size=size)
-
-
-def _run_sa(config: ExperimentConfig, nonuniform: bool):
     model = config.model
-    problem = config.build("problem")
+    x0 = np.asarray(model["x0"], dtype=float)
+    vector = x0.ndim == 1
+    problem = config.build("problem", *x0.shape)
     schedule = config.build("schedule")
     noise = config.build("noise")
-    x0 = float(model["x0"])
-    root = float(model["problem"]["root"])
+    root = float(model["problem"].get("root", 0.0))
     ens = config.ensemble
     horizon = ens.horizon
 
     report: Dict[str, Any] = {
-        "problem": model["problem"],
         "schedule_sum": schedule.sum_at(horizon),
-        "schedule_sum_sq": schedule.sum_sq_at(horizon),
         "schedule_summable": schedule.summable,
     }
+    if vector:
+        report["dimension"] = x0.size
+    else:
+        report["problem"] = model["problem"]
+        report["schedule_sum_sq"] = schedule.sum_sq_at(horizon)
 
     env = model.get("envelope")
-    env_report = None
     if env is not None:
-        grid = signed_log_grid(env["grid_min_abs"], env["grid_max_abs"], env["grid_per_decade"])
-        env_report = check_linear_envelope(problem, grid + root, env["ratio_cap"])
+        if vector:
+            grid = sphere_grid(x0.size, env["directions"], env["radii"], env["grid_seed"])
+            env_report = check_norm_envelope(problem, grid, env["ratio_cap"])
+            alphas = schedule.alphas(horizon)
+            ks = np.array([contraction_factor(a, env["m"], env["M"]) for a in alphas])
+            report["contraction_factor_final"] = float(ks[-1])
+        else:
+            grid = signed_log_grid(
+                env["grid_min_abs"], env["grid_max_abs"], env["grid_per_decade"]
+            )
+            env_report = check_linear_envelope(problem, grid + root, env["ratio_cap"])
         report["envelope"] = {
             "m_declared": env["m"],
             "M_declared": env["M"],
@@ -209,7 +199,7 @@ def _run_sa(config: ExperimentConfig, nonuniform: bool):
             "declared_valid": env_report.covers(env["m"], env["M"]),
         }
 
-    reg = model.get("regularity") if nonuniform else None
+    reg = model.get("regularity")
     if reg is not None:
         grid = signed_log_grid(reg["grid_min_abs"], reg["grid_max_abs"], reg["grid_per_decade"])
         reg_verdict = check_regularity(
@@ -224,7 +214,7 @@ def _run_sa(config: ExperimentConfig, nonuniform: bool):
             {"pair": list(pair), "inf": k} for pair, k in reg_verdict.annulus_infima
         ]
 
-    trunc_spec = model.get("truncation") if nonuniform else None
+    trunc_spec = model.get("truncation")
     if trunc_spec is not None:
         kappa = (
             float(trunc_spec["delta"])
@@ -239,112 +229,61 @@ def _run_sa(config: ExperimentConfig, nonuniform: bool):
 
     def check(path):
         payload: Dict[str, Any] = {"path": path} if config.traces else {}
-        if env is not None:
+        if env is not None and vector:
+            payload["contraction_ok"] = ratio_band(path, ks, atol=1e-12).first_violation is None
+        elif env is not None:
             sandwich = check_ratio_sandwich(path, schedule, env["m"], env["M"], x_star=root)
             payload["sandwich_ok"] = sandwich.holds
-            payload["sandwich_margin"] = sandwich.worst_margin
         if trunc_spec is not None:
             try:
                 trunc = derive_truncated(
                     path, float(trunc_spec["delta"]), float(trunc_spec["tau"])
                 )
-                payload["n0"] = trunc.n0
                 payload["trunc_nonexpansive_ok"] = truncated_nonexpansive_verdict(trunc).holds
                 payload["trunc_bound_ok"] = check_truncated_zero_mean_bound(trunc, kappa).holds
-            except ValueError as exc:
-                payload["n0"] = None
-                payload["trunc_nonexpansive_ok"] = False
-                payload["trunc_bound_ok"] = False
-                payload["trunc_error"] = str(exc)
-        return path.xs - root, payload
+            except ValueError:  # the residuals never settle below tau: both checks fail
+                payload["trunc_nonexpansive_ok"] = payload["trunc_bound_ok"] = False
+        return (path.norms() if vector else path.xs - root), payload
 
+    # every built-in family steps its seeds in blocks; a problem without a
+    # block g runs one seed at a time
+    solve = rm_solve_nd if vector else rm_solve
+
+    def factory(seed_sequence):
+        return check(solve(problem, noise, schedule, x0, horizon, seed_sequence))
+
+    def block(seed_sequences):
+        return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
+
+    size = block_size(ens.seeds, horizon, x0.size) if problem.g_block else 0
     grid = _grid(horizon + 1, config.curve_points)
-    stats = _sa_ensemble(problem, noise, schedule, x0, ens, grid, check)
+    stats = run_ensemble(factory, ens, grid, block=block if size else None, block_size=size)
 
+    assertions = config.assertions
     results: List[AssertionResult] = []
-    _eval_fraction_assertions(config.assertions, stats, results)
-    if config.assertions.get("envelope_valid"):
-        ok = env_report is not None and env_report.covers(env["m"], env["M"])
+    _eval_fraction_assertions(assertions, stats, results)
+    if assertions.get("envelope_valid"):
+        got = f"[{env_report.m_hat:.6g}, {env_report.M_hat:.6g}]"
+        detail = (
+            f"grid gives {got}"
+            if vector
+            else f"grid ratios in {got}, declared [{env['m']:g}, {env['M']:g}]"
+        )
         results.append(
-            AssertionResult(
-                "envelope_valid",
-                ok,
-                f"grid ratios in [{env_report.m_hat:.6g}, {env_report.M_hat:.6g}], "
-                f"declared [{env['m']:g}, {env['M']:g}]",
-            )
+            AssertionResult("envelope_valid", report["envelope"]["declared_valid"], detail)
         )
-    if config.assertions.get("sandwich_zero_violations"):
-        _payload_flag_assertion("sandwich_zero_violations", stats, "sandwich_ok", results)
-    if config.assertions.get("truncated_nonexpansive_all_seeds"):
-        _payload_flag_assertion(
-            "truncated_nonexpansive_all_seeds", stats, "trunc_nonexpansive_ok", results
-        )
-    if config.assertions.get("truncated_mean_bound_all_seeds"):
-        _payload_flag_assertion("truncated_mean_bound_all_seeds", stats, "trunc_bound_ok", results)
-    if config.assertions.get("regularity_holds"):
-        ok = bool(report.get("regularity", {}).get("holds"))
-        results.append(AssertionResult("regularity_holds", ok, report["regularity"]["detail"]))
-
-    return report, results, stats, (1, _stored_path)
-
-
-def _run_sa_nd(config: ExperimentConfig):
-    model = config.model
-    x0 = np.asarray(model["x0"], dtype=float)
-    p = len(x0)
-    problem = config.build("problem", p)
-    schedule = config.build("schedule")
-    noise = config.build("noise")
-    ens = config.ensemble
-    horizon = ens.horizon
-
-    report: Dict[str, Any] = {
-        "dimension": p,
-        "schedule_sum": schedule.sum_at(horizon),
-        "schedule_summable": schedule.summable,
-    }
-    env = model.get("envelope")
-    env_report = None
-    ks = None
-    if env is not None:
-        grid = sphere_grid(p, int(env["directions"]), env["radii"], int(env["grid_seed"]))
-        env_report = check_norm_envelope(problem, grid, env["ratio_cap"])
-        report["envelope"] = {
-            "m_declared": env["m"],
-            "M_declared": env["M"],
-            "m_hat": env_report.m_hat,
-            "M_hat": env_report.M_hat,
-            "holds_on_grid": env_report.holds,
-            "declared_valid": env_report.covers(env["m"], env["M"]),
-        }
-        alphas = schedule.alphas(horizon)
-        ks = np.array([contraction_factor(a, env["m"], env["M"]) for a in alphas])
-        report["contraction_factor_final"] = float(ks[-1])
-
-    def check(path):
-        payload: Dict[str, Any] = {"path": path} if config.traces else {}
-        if ks is not None:
-            payload["contraction_ok"] = ratio_band(path, ks, atol=1e-12).first_violation is None
-        return path.norms(), payload
-
-    grid = _grid(horizon + 1, config.curve_points)
-    stats = _sa_ensemble(problem, noise, schedule, x0, ens, grid, check)
-
-    results: List[AssertionResult] = []
-    _eval_fraction_assertions(config.assertions, stats, results)
-    if config.assertions.get("envelope_valid"):
-        ok = env_report is not None and env_report.covers(env["m"], env["M"])
+    for name, key in _PAYLOAD_FLAGS.items():
+        if assertions.get(name):
+            bad = [i for i, out in enumerate(stats.payloads) if out is None or not out.get(key)]
+            detail = f"{len(bad)} seeds fail (first: seed {bad[0]})" if bad else "all seeds pass"
+            results.append(AssertionResult(name, not bad, detail))
+    if assertions.get("regularity_holds"):
+        verdict = report["regularity"]
         results.append(
-            AssertionResult(
-                "envelope_valid",
-                ok,
-                f"grid gives [{env_report.m_hat:.6g}, {env_report.M_hat:.6g}]",
-            )
+            AssertionResult("regularity_holds", bool(verdict["holds"]), verdict["detail"])
         )
-    if config.assertions.get("contraction_zero_violations"):
-        _payload_flag_assertion("contraction_zero_violations", stats, "contraction_ok", results)
 
-    return report, results, stats, (p, _stored_path)
+    return report, results, stats, (x0.size, _stored_path)
 
 
 def _run_kronecker(config: ExperimentConfig):
@@ -555,11 +494,7 @@ def _run_custom(config: ExperimentConfig):
                 "crossing_times": list(rep.crossing_times[:100]),
                 "last_segment_open": rep.last_segment_open,
             }
-        tail_len = max(1, int(round((horizon + 1) * ens.tail_fraction)))
-        verdict = convergence_verdict(
-            path.xs[-tail_len:], ens.tol_zero, ens.tol_cauchy, ens.divergence_cap
-        )
-        entry["classification"] = verdict.to_dict()
+        entry["classification"] = tail_verdict(path.xs, ens).to_dict()
         seed_ok = all(
             entry[k]["holds"]
             for k in ("nonexpansive", "contractive", "zero_state", "segment_bound")
@@ -581,9 +516,9 @@ def _run_custom(config: ExperimentConfig):
 
 
 _RUNNERS = {
-    "sa": lambda cfg: _run_sa(cfg, nonuniform=False),
-    "sa_nonuniform": lambda cfg: _run_sa(cfg, nonuniform=True),
-    "sa_nd": _run_sa_nd,
+    "sa": _run_sa,
+    "sa_nonuniform": _run_sa,
+    "sa_nd": _run_sa,
     "kronecker": _run_kronecker,
     "ls": _run_ls,
     "custom_path_check": _run_custom,

@@ -21,6 +21,7 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleStats",
     "convergence_verdict",
+    "tail_verdict",
     "child_seed",
     "run_ensemble",
     "limit_dispersion",
@@ -156,14 +157,18 @@ class EnsembleStats:
         return out
 
 
-def _reduce_one(values: np.ndarray, config: EnsembleConfig, grid: Optional[np.ndarray]):
-    values = np.asarray(values, dtype=float)
+def tail_verdict(values: np.ndarray, config: EnsembleConfig) -> ConvergenceVerdict:
+    """Classify a path from its last ``config.tail_fraction`` of values (at least one)."""
     tail_len = max(1, int(round(len(values) * config.tail_fraction)))
-    verdict = convergence_verdict(
+    return convergence_verdict(
         values[-tail_len:], config.tol_zero, config.tol_cauchy, config.divergence_cap
     )
+
+
+def _reduce_one(values: np.ndarray, config: EnsembleConfig, grid: Optional[np.ndarray]):
+    values = np.asarray(values, dtype=float)
     samples = np.abs(values[grid]) if grid is not None else None
-    return verdict, float(values[-1]), samples
+    return tail_verdict(values, config), float(values[-1]), samples
 
 
 def run_ensemble(

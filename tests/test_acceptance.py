@@ -30,12 +30,13 @@ from contractlab import (
     limit_dispersion,
     partition_analysis,
     rm_solve,
+    rm_solve_block,
     rm_solve_nd,
     run_ensemble,
     simulate_ls_runs,
     truncated_nonexpansive_verdict,
 )
-from contractlab.approximation import signed_log_grid, sphere_grid
+from contractlab.approximation import block_size, signed_log_grid, sphere_grid
 from contractlab.cli import main as cli_main
 from contractlab.least_squares import geometric_one_design, rotating_design
 from helpers import halving_noise_path
@@ -50,25 +51,45 @@ def report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def sine_problem() -> RootProblem:
-    return RootProblem(lambda x: x + 0.3 * math.sin(x), x_star=0.0)
+    return RootProblem(
+        lambda x: x + 0.3 * math.sin(x), x_star=0.0, g_block=lambda x: x + 0.3 * np.sin(x)
+    )
+
+
+def rm_ensemble(problem, noise, schedule, x0, config, check, size=None):
+    """``check`` every seed's path, the seeds stepped in blocks of ``size``.
+
+    ``size`` defaults to :func:`block_size`; the per-seed solver stays the
+    reference that a failing block falls back to.
+    """
+    solve = rm_solve if np.ndim(x0) == 0 else rm_solve_nd
+    horizon = config.horizon
+
+    def factory(seed_sequence):
+        return check(solve(problem, noise, schedule, x0, horizon, seed_sequence))
+
+    def block(seed_sequences):
+        return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
+
+    size = size or block_size(config.seeds, horizon, np.size(x0))
+    return run_ensemble(factory, config, block=block, block_size=size)
 
 
 @pytest.fixture(scope="module")
 def sa_reference_ensemble():
     """Criterion-1 ensemble, shared with the sandwich criterion."""
-    problem = sine_problem()
     schedule = Schedule.inverse_n(1.0)
-    noise = NoiseModel.gaussian(0.1)
-
-    def factory(seed_sequence):
-        path = rm_solve(problem, noise, schedule, 5.0, HORIZON, seed_sequence)
-        sandwich = check_ratio_sandwich(path, schedule, 0.7, 1.3)
-        return path.xs, {"sandwich": sandwich}
-
     config = EnsembleConfig(
         seeds=SEEDS, root_seed=20_240_601, horizon=HORIZON, tol_zero=0.05, tol_cauchy=1e-3
     )
-    return run_ensemble(factory, config)
+    return rm_ensemble(
+        sine_problem(),
+        NoiseModel.gaussian(0.1),
+        schedule,
+        5.0,
+        config,
+        lambda path: (path.xs, {"sandwich": check_ratio_sandwich(path, schedule, 0.7, 1.3)}),
+    )
 
 
 class TestCriterion1UnivariateConvergence:
@@ -81,18 +102,13 @@ class TestCriterion1UnivariateConvergence:
         env_ok = env.covers(0.7, 1.3)
 
         # control: summable step sizes stall far from the root
-        problem = sine_problem()
-        control_schedule = Schedule.inverse_n_power(1.0, 2.0)
-        noise = NoiseModel.gaussian(0.1)
-
-        def control_factory(seed_sequence):
-            return rm_solve(problem, noise, control_schedule, 5.0, HORIZON, seed_sequence).xs
-
-        control = run_ensemble(
-            control_factory,
-            EnsembleConfig(
-                seeds=SEEDS, root_seed=20_240_601, horizon=HORIZON, tol_zero=0.05
-            ),
+        control = rm_ensemble(
+            sine_problem(),
+            NoiseModel.gaussian(0.1),
+            Schedule.inverse_n_power(1.0, 2.0),
+            5.0,
+            EnsembleConfig(seeds=SEEDS, root_seed=20_240_601, horizon=HORIZON, tol_zero=0.05),
+            lambda path: path.xs,
         )
         control_frac = control.fraction(ConvergenceClass.CONVERGED_TO_ZERO)
 
@@ -119,22 +135,27 @@ class TestCriterion2RatioSandwich:
 
 class TestCriterion3NonuniformContraction:
     def test_square_root_map(self):
-        problem = RootProblem(lambda x: math.copysign(math.sqrt(abs(x)), x), x_star=0.0)
-        schedule = Schedule.inverse_n(1.0)
-        noise = NoiseModel.gaussian(0.1)
+        problem = RootProblem(
+            lambda x: math.copysign(math.sqrt(abs(x)), x),
+            x_star=0.0,
+            g_block=lambda x: np.copysign(np.sqrt(np.abs(x)), x),
+        )
         delta, tau = 0.25, 0.1
 
-        def factory(seed_sequence):
-            path = rm_solve(problem, noise, schedule, 2.0, HORIZON, seed_sequence)
+        def check(path):
             trunc = derive_truncated(path, delta, tau)
             return path.xs, {
                 "nonexpansive": truncated_nonexpansive_verdict(trunc),
                 "bound": check_truncated_zero_mean_bound(trunc, kappa=delta),
             }
 
-        stats = run_ensemble(
-            factory,
+        stats = rm_ensemble(
+            problem,
+            NoiseModel.gaussian(0.1),
+            Schedule.inverse_n(1.0),
+            2.0,
             EnsembleConfig(seeds=SEEDS, root_seed=31_415, horizon=HORIZON, tol_zero=0.1),
+            check,
         )
         frac = stats.fraction(ConvergenceClass.CONVERGED_TO_ZERO)
         nonexpansive_fails = sum(not p["nonexpansive"].holds for p in stats.payloads)
@@ -151,7 +172,12 @@ class TestCriterion3NonuniformContraction:
 class TestCriterion4MultivariateConvergence:
     def test_rotation_lifted_map(self):
         A = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        problem = RootProblem(lambda x: A @ x, x_star=np.zeros(3), dimension=3)
+        problem = RootProblem(
+            lambda x: A @ x,
+            x_star=np.zeros(3),
+            dimension=3,
+            g_block=lambda X: (A @ X[:, :, None])[:, :, 0],
+        )
         schedule = Schedule.inverse_n(1.0)
         noise = NoiseModel.gaussian(0.1)
         m_decl, M_decl = 1.0, math.sqrt(2.0)
@@ -164,19 +190,23 @@ class TestCriterion4MultivariateConvergence:
         env_ok = env.covers(m_decl, M_decl)
         assert contraction_factor(alphas[10], m_decl, M_decl) == pytest.approx(ks[10])
 
-        def factory(seed_sequence):
-            path = rm_solve_nd(
-                problem, noise, schedule, [2.0, -1.0, 1.5], HORIZON, seed_sequence
-            )
+        def check(path):
             prev = np.linalg.norm(path.xs[:-1], axis=1)
             mask = prev > 0
             ratios = path.mean_norms()[mask] / prev[mask]
             violations = int(np.sum(ratios > ks[mask] + 1e-12))
             return path.norms(), {"violations": violations}
 
-        stats = run_ensemble(
-            factory,
+        # block_size() runs p = 3 at this horizon seed by seed; 20 seeds hold
+        # 96 MB of path arrays
+        stats = rm_ensemble(
+            problem,
+            noise,
+            schedule,
+            np.array([2.0, -1.0, 1.5]),
             EnsembleConfig(seeds=SEEDS, root_seed=2_718, horizon=HORIZON, tol_zero=0.1),
+            check,
+            size=20,
         )
         finals = np.array([v.final_value for v in stats.per_seed])
         frac_final = float(np.mean(np.abs(finals) < 0.1))

@@ -352,19 +352,6 @@ VALID = [
         id="sa-sqrt-sign",
     ),
     pytest.param(
-        doc("sa", problem={"family": "linear", "amplitude": "x"}, schedule={"family": "inverse_n", "gamma": -3, "values": "x"}, noise={"family": "none", "sd": "abc", "half_width": -1}),
-        {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
-         "schedule": {"family": "inverse_n", "c": 1.0},
-         "noise": {"family": "none"},
-         "x0": 1.0,
-         "envelope": None},
-        {},
-        [],
-        ENSEMBLE_DEFAULTS,
-        OUTPUT_DEFAULTS,
-        id="sa-other-family-keys-ignored",
-    ),
-    pytest.param(
         doc("sa", schedule={"family": "inverse_n", "c": 2}),
         {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
          "schedule": {"family": "inverse_n", "c": 2},
@@ -729,19 +716,6 @@ VALID = [
         id="sa-nd-matrix",
     ),
     pytest.param(
-        doc("sa_nd", problem={"family": "matrix", "entries": [[1.0]], "scale": -1}, x0=[3.0]),
-        {"problem": {"family": "matrix", "entries": [[1.0]]},
-         "schedule": {"family": "inverse_n", "c": 1.0},
-         "noise": {"family": "none"},
-         "x0": [3.0],
-         "envelope": None},
-        {},
-        [],
-        ENSEMBLE_DEFAULTS,
-        OUTPUT_DEFAULTS,
-        id="sa-nd-matrix-ignores-scale",
-    ),
-    pytest.param(
         doc("sa_nd", envelope={"m": 1, "M": 1.5}),
         {"problem": {"family": "identity", "scale": 1.0},
          "schedule": {"family": "inverse_n", "c": 1.0},
@@ -912,7 +886,7 @@ VALID = [
         id="ls-iid-p3",
     ),
     pytest.param(
-        doc("ls", design={"family": "feedback", "gain": 0.5, "jitter": "ignored"}, partition={}, checkpoints=3, assertions={"min_fraction_final_error_below": {"value": 0.1, "fraction": 1}, "max_checkpoint_gap": 1e-8, "partition_matches": {"q": 0, "classes": ["consistent", "finite_random_limit", "inconclusive"]}, "design_conditions_hold": True}),
+        doc("ls", design={"family": "feedback", "gain": 0.5}, partition={}, checkpoints=3, assertions={"min_fraction_final_error_below": {"value": 0.1, "fraction": 1}, "max_checkpoint_gap": 1e-8, "partition_matches": {"q": 0, "classes": ["consistent", "finite_random_limit", "inconclusive"]}, "design_conditions_hold": True}),
         {"design": {"family": "feedback", "gain": 0.5},
          "beta": [1.0, -0.5],
          "sigma": 1.0,
@@ -993,6 +967,20 @@ VALID = [
 ]
 
 ERRORS = [
+    pytest.param(
+        doc("sa", problem={"family": "linear", "amplitude": "x"}, schedule={"family": "inverse_n", "gamma": -3, "values": "x"}, noise={"family": "none", "sd": "abc", "half_width": -1}),
+        ["noise.half_width: unknown key",
+         "noise.sd: unknown key",
+         "problem.amplitude: unknown key",
+         "schedule.gamma: unknown key",
+         "schedule.values: unknown key"],
+        id="sa-other-family-keys-rejected",
+    ),
+    pytest.param(
+        doc("sa_nd", problem={"family": "matrix", "entries": [[1.0]], "scale": -1}, x0=[3.0]),
+        ["problem.scale: unknown key"],
+        id="sa-nd-matrix-rejects-scale",
+    ),
     pytest.param(
         doc("sa", kind=DROP),
         ["kind: required value is missing (one of sa, sa_nd, sa_nonuniform, kronecker, ls, "
@@ -1313,7 +1301,7 @@ ERRORS = [
     ),
     pytest.param(
         doc("sa_nonuniform", problem={"family": "sqrt_sign", "root": "x", "slope": -1}),
-        ["problem.root: must be a number"],
+        ["problem.root: must be a number", "problem.slope: unknown key"],
         id="problem-sqrt-root-string",
     ),
     pytest.param(
@@ -1348,7 +1336,7 @@ ERRORS = [
     ),
     pytest.param(
         doc("sa", schedule={"family": "explicit", "c": 1}),
-        ["schedule.values: required list is missing"],
+        ["schedule.c: unknown key", "schedule.values: required list is missing"],
         id="schedule-explicit-values-missing",
     ),
     pytest.param(
@@ -1394,7 +1382,7 @@ ERRORS = [
     ),
     pytest.param(
         doc("sa", noise={"family": "uniform", "sd": 1}),
-        ["noise.half_width: required value is missing"],
+        ["noise.half_width: required value is missing", "noise.sd: unknown key"],
         id="noise-uniform-half-width-missing",
     ),
     pytest.param(
