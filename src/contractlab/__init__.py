@@ -22,7 +22,6 @@ from .process import (
     max_growth_factor,
     partial_sums,
     reconstruct,
-    vector_doob_decompose,
     zero_state_means,
 )
 from .conditions import (
@@ -53,7 +52,6 @@ from .approximation import (
     derive_truncated,
     rm_solve,
     rm_solve_block,
-    rm_solve_nd,
     truncated_nonexpansive_verdict,
 )
 from .least_squares import (

@@ -28,7 +28,6 @@ __all__ = [
     "TruncatedPath",
     "CoverageVerdict",
     "rm_solve",
-    "rm_solve_nd",
     "rm_solve_block",
     "block_size",
     "center_path",
@@ -205,77 +204,65 @@ def _domain_step(x: float, lo: float, hi: float, policy: str, step: int) -> floa
     raise DomainExitError(step, x)
 
 
+def _checked_x0(problem: RootProblem, x0) -> np.ndarray:
+    """``x0`` as a float array; every entry must lie in the domain (NaN does not)."""
+    x = np.asarray(x0, dtype=float)
+    lo, hi = problem.domain
+    if not np.all((lo <= x) & (x <= hi)):
+        raise ValueError(f"x0 = {x.tolist()!r} outside the domain")
+    return x
+
+
 def rm_solve(
     problem: RootProblem,
     noise: NoiseModel,
     schedule: Schedule,
-    x0: float,
+    x0,
     horizon: int,
     seed,
     domain_policy: str = "unbounded",
-) -> ProcessPath:
-    """Run the scalar root-finding iteration x_n = x_{n-1} - alpha_n * sample_n.
+) -> ProcessPath | VectorProcessPath:
+    """Run the root-finding iteration x_n = x_{n-1} - alpha_n * sample_n.
 
-    The returned path stores the exact predictable mean x - alpha * g(x) of
-    every step.  ``domain_policy`` is one of "unbounded" (default), "project"
-    (clip iterates to the domain; stored means then describe the unclipped
-    update), or "reject" (raise :class:`DomainExitError` on an excursion).
+    A scalar ``x0`` gives a :class:`ProcessPath`; a vector one, of shape
+    ``(problem.dimension,)``, gives a :class:`VectorProcessPath`, and the
+    domain interval then applies per axis.  A vector of length 1 consumes the
+    same shock stream as the scalar, so equal seeds give bit-identical
+    trajectories.  The returned path stores the exact predictable mean
+    x - alpha * g(x) of every step.  ``domain_policy`` is one of "unbounded"
+    (default), "project" (clip iterates to the domain; stored means then
+    describe the unclipped update), or "reject" (raise
+    :class:`DomainExitError` on an excursion).
     """
     if domain_policy not in ("unbounded", "project", "reject"):
         raise ValueError(f"unknown domain policy {domain_policy!r}")
-    lo, hi = (float(b) for b in problem.domain)  # scalar solve needs interval bounds
-    x = float(x0)
-    if not lo <= x <= hi:
-        raise ValueError(f"x0 = {x!r} outside the domain")
-    rng = np.random.default_rng(seed)
-    al = schedule.alphas(horizon).tolist()
-    shocks = np.asarray(noise.draw(rng, (horizon,)), dtype=float).tolist()
-    steps = [a * shock for a, shock in zip(al, shocks)]
-    g = problem.g
-    xs = [x]
-    ms = []
-    guarded = domain_policy != "unbounded"
-    for i, a in enumerate(al):
-        m = x - a * float(g(x))
-        x = m - steps[i]
-        if guarded:
-            x = _domain_step(x, lo, hi, domain_policy, i + 1)
-        ms.append(m)
-        xs.append(x)
-    return ProcessPath(np.array(xs), np.array(ms))
-
-
-def rm_solve_nd(
-    problem: RootProblem,
-    noise: NoiseModel,
-    schedule: Schedule,
-    x0: Sequence[float],
-    horizon: int,
-    seed,
-    domain_policy: str = "unbounded",
-) -> VectorProcessPath:
-    """Vector version of :func:`rm_solve`; the domain interval applies per axis.
-
-    With dimension 1 it consumes the same shock stream as :func:`rm_solve`, so
-    equal seeds give bit-identical trajectories.
-    """
-    if domain_policy not in ("unbounded", "project", "reject"):
-        raise ValueError(f"unknown domain policy {domain_policy!r}")
-    p = problem.dimension
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (p,):
-        raise ValueError(f"x0 must have shape ({p},)")
-    lo, hi = problem.domain
-    if np.any(x < lo) or np.any(x > hi):
-        raise ValueError("x0 outside the domain")
+    x = _checked_x0(problem, x0)
+    if x.ndim and x.shape != (problem.dimension,):
+        raise ValueError(f"x0 must have shape ({problem.dimension},)")
     rng = np.random.default_rng(seed)
     al = schedule.alphas(horizon)
-    steps = al[:, None] * np.asarray(noise.draw(rng, (horizon, p)), dtype=float)
+    shape = (horizon,) + x.shape
+    steps = np.asarray(noise.draw(rng, shape), dtype=float) * al.reshape((-1,) + (1,) * x.ndim)
     g = problem.g
-    xs = np.empty((horizon + 1, p))
-    ms = np.empty((horizon, p))
-    xs[0] = x
     guarded = domain_policy != "unbounded"
+    if not x.ndim:
+        lo, hi = (float(b) for b in problem.domain)  # scalar solve needs interval bounds
+        x = float(x)
+        steps = steps.tolist()
+        xs = [x]
+        ms = []
+        for i, a in enumerate(al.tolist()):
+            m = x - a * float(g(x))
+            x = m - steps[i]
+            if guarded:
+                x = _domain_step(x, lo, hi, domain_policy, i + 1)
+            ms.append(m)
+            xs.append(x)
+        return ProcessPath(np.array(xs), np.array(ms))
+    lo, hi = problem.domain
+    xs = np.empty((horizon + 1,) + x.shape)
+    ms = np.empty(shape)
+    xs[0] = x
     for i in range(horizon):
         m = ms[i]
         np.subtract(x, al[i] * np.asarray(g(x), dtype=float), out=m)
@@ -321,20 +308,17 @@ def rm_solve_block(
 ) -> Iterator:
     """Step a block of seeds together; return their paths, in seed order.
 
-    With a scalar ``x0`` each path is a :class:`ProcessPath` bit-identical to
-    :func:`rm_solve`'s for that seed, otherwise a :class:`VectorProcessPath`
-    bit-identical to :func:`rm_solve_nd`'s ("unbounded" domain policy).  Each
-    seed draws its shocks from its own generator, and ``problem.g_block``
-    repeats ``g``'s operations.  The arrays are time-major, ``xs`` (H+1, B[, p])
-    and ``ms`` (H, B[, p]); the shocks are drawn into ``ms`` and overwritten
-    by the means.  Any floating-point error but underflow (which is exact in
-    both solvers) raises, so a seed whose values overflow is left to the
-    per-seed solvers, whose ``math`` calls may raise on it.
+    Each path is bit-identical to :func:`rm_solve`'s for that seed (a
+    :class:`ProcessPath` or a :class:`VectorProcessPath`, by the shape of
+    ``x0``; "unbounded" domain policy).  Each seed draws its shocks from its
+    own generator, and ``problem.g_block`` repeats ``g``'s operations.  The
+    arrays are time-major, ``xs`` (H+1, B[, p]) and ``ms`` (H, B[, p]); the
+    shocks are drawn into ``ms`` and overwritten by the means.  Any
+    floating-point error but underflow (which is exact in both solvers)
+    raises, so a seed whose values overflow is left to the per-seed solvers,
+    whose ``math`` calls may raise on it.
     """
-    lo, hi = problem.domain
-    if np.any(np.less(x0, lo)) or np.any(np.greater(x0, hi)):
-        raise ValueError("x0 outside the domain")
-    shape = np.shape(x0)
+    shape = _checked_x0(problem, x0).shape
     xs = np.empty((horizon + 1, len(seeds)) + shape)
     ms = np.empty((horizon, len(seeds)) + shape)
     for j, seed in enumerate(seeds):

@@ -62,7 +62,8 @@ class ExperimentConfig:
 
 
 def _is_number(v: Any) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # NaN is not: it passes every bound, because each comparison with it is false
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and v == v
 
 
 # ---------------------------------------------------------------------------

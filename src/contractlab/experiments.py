@@ -27,7 +27,6 @@ from .approximation import (
     derive_truncated,
     rm_solve,
     rm_solve_block,
-    rm_solve_nd,
     signed_log_grid,
     sphere_grid,
     truncated_nonexpansive_verdict,
@@ -61,7 +60,6 @@ from .reporting import (
     write_summary_text,
     write_traces_csv,
 )
-from .verdict import ConditionVerdict
 
 __all__ = ["AssertionResult", "ExperimentOutcome", "run_experiment"]
 
@@ -83,15 +81,6 @@ class ExperimentOutcome:
     @property
     def failed_assertions(self) -> List[str]:
         return [a.name for a in self.assertions if not a.passed]
-
-
-def _verdict_dict(v: ConditionVerdict) -> Dict[str, Any]:
-    return {
-        "holds": v.holds,
-        "first_violation": v.first_violation,
-        "worst_margin": v.worst_margin,
-        "detail": v.detail,
-    }
 
 
 def _grid(length: int, points: int) -> np.ndarray:
@@ -209,7 +198,7 @@ def _run_sa(config: ExperimentConfig):
             d=reg["d"],
             delta_pairs=[tuple(p) for p in reg["pairs"]],
         )
-        report["regularity"] = _verdict_dict(reg_verdict)
+        report["regularity"] = asdict(reg_verdict)
         report["regularity"]["annulus_infima"] = [
             {"pair": list(pair), "inf": k} for pair, k in reg_verdict.annulus_infima
         ]
@@ -227,30 +216,34 @@ def _run_sa(config: ExperimentConfig):
             "kappa": kappa,
         }
 
+    # the payload flags that an assertion reads; no other check runs
+    wanted = {key for name, key in _PAYLOAD_FLAGS.items() if config.assertions.get(name)}
+    truncated = {"trunc_nonexpansive_ok", "trunc_bound_ok"} & wanted
+
     def check(path):
         payload: Dict[str, Any] = {"path": path} if config.traces else {}
-        if env is not None and vector:
+        if "contraction_ok" in wanted:
             payload["contraction_ok"] = ratio_band(path, ks, atol=1e-12).first_violation is None
-        elif env is not None:
+        if "sandwich_ok" in wanted:
             sandwich = check_ratio_sandwich(path, schedule, env["m"], env["M"], x_star=root)
             payload["sandwich_ok"] = sandwich.holds
-        if trunc_spec is not None:
+        if trunc_spec is not None and truncated:
             try:
                 trunc = derive_truncated(
                     path, float(trunc_spec["delta"]), float(trunc_spec["tau"])
                 )
-                payload["trunc_nonexpansive_ok"] = truncated_nonexpansive_verdict(trunc).holds
-                payload["trunc_bound_ok"] = check_truncated_zero_mean_bound(trunc, kappa).holds
+                if "trunc_nonexpansive_ok" in truncated:
+                    payload["trunc_nonexpansive_ok"] = truncated_nonexpansive_verdict(trunc).holds
+                if "trunc_bound_ok" in truncated:
+                    payload["trunc_bound_ok"] = check_truncated_zero_mean_bound(trunc, kappa).holds
             except ValueError:  # the residuals never settle below tau: both checks fail
-                payload["trunc_nonexpansive_ok"] = payload["trunc_bound_ok"] = False
+                payload.update(dict.fromkeys(truncated, False))
         return (path.norms() if vector else path.xs - root), payload
 
     # every built-in family steps its seeds in blocks; a problem without a
     # block g runs one seed at a time
-    solve = rm_solve_nd if vector else rm_solve
-
     def factory(seed_sequence):
-        return check(solve(problem, noise, schedule, x0, horizon, seed_sequence))
+        return check(rm_solve(problem, noise, schedule, x0, horizon, seed_sequence))
 
     def block(seed_sequences):
         return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
@@ -387,11 +380,11 @@ def _run_ls(config: ExperimentConfig):
         report["design_conditions"] = {
             "fraction_holding": design_frac,
             "first_seed": {
-                "noise_centered": _verdict_dict(first.noise_centered),
-                "noise_variance": _verdict_dict(first.noise_variance),
-                "nonsingularity": _verdict_dict(first.nonsingularity),
-                "weight_bound": _verdict_dict(first.weight_bound),
-                "energy_growth": _verdict_dict(first.energy_growth),
+                "noise_centered": asdict(first.noise_centered),
+                "noise_variance": asdict(first.noise_variance),
+                "nonsingularity": asdict(first.nonsingularity),
+                "weight_bound": asdict(first.weight_bound),
+                "energy_growth": asdict(first.energy_growth),
                 "n0": first.n0,
                 "kappa_hat": first.kappa_hat,
             },
@@ -472,21 +465,17 @@ def _run_custom(config: ExperimentConfig):
         entry: Dict[str, Any] = {"horizon": horizon}
         if checks["nonexpansive_alpha"] is not None:
             profile = NonexpansiveProfile.constant(checks["nonexpansive_alpha"], horizon)
-            entry["nonexpansive"] = _verdict_dict(check_nonexpansive(path, profile))
+            entry["nonexpansive"] = asdict(check_nonexpansive(path, profile))
         if checks["contractive_k"] is not None:
             profile = ContractiveProfile.constant(
                 checks["contractive_k"], horizon, checks["divergence_target"]
             )
-            entry["contractive"] = _verdict_dict(check_contractive(path, profile))
+            entry["contractive"] = asdict(check_contractive(path, profile))
         if checks["zero_state_tol"] is not None:
-            entry["zero_state"] = _verdict_dict(
-                check_zero_state_decay(path, tol=checks["zero_state_tol"])
-            )
+            entry["zero_state"] = asdict(check_zero_state_decay(path, tol=checks["zero_state_tol"]))
         if checks["segment_bound"]:
             alpha = checks["nonexpansive_alpha"] or 0.0
-            entry["segment_bound"] = _verdict_dict(
-                check_segment_peak_bound(path, np.full(horizon, alpha))
-            )
+            entry["segment_bound"] = asdict(check_segment_peak_bound(path, np.full(horizon, alpha)))
         if checks["crossings"]:
             rep = crossing_report(path)
             entry["crossings"] = {

@@ -271,18 +271,20 @@ def _quantile_curves(mat: np.ndarray) -> np.ndarray:
 
     Rows are quantiles, columns those of ``mat``.  All-finite columns go
     through one vectorised call; only a column holding a NaN or inf is
-    filtered on its own.
+    filtered on its own.  So is a column holding -0.0, one quantile at a
+    time: 0.0 and -0.0 compare equal, so which of them ``np.quantile`` returns
+    depends on the columns and quantiles of the call.
     """
     qs = [q for _, q in QUANTILE_KEYS]
     finite = np.isfinite(mat)
-    clean = finite.all(axis=0)
+    clean = (finite & ~((mat == 0) & np.signbit(mat))).all(axis=0)
     table = np.full((len(qs), mat.shape[1]), math.nan)
     if clean.any():
         table[:, clean] = np.quantile(mat[:, clean], qs, axis=0)
     for j in np.flatnonzero(~clean):
         col = mat[finite[:, j], j]
         if col.size:
-            table[:, j] = np.quantile(col, qs)
+            table[:, j] = [np.quantile(col, q) for q in qs]
     return table
 
 

@@ -26,7 +26,6 @@ __all__ = [
     "GrowthKernel",
     "sign_classes",
     "doob_decompose",
-    "vector_doob_decompose",
     "reconstruct",
     "partial_sums",
     "zero_state_mask",
@@ -57,11 +56,12 @@ def sign_classes(values: np.ndarray, zero_tol: float) -> np.ndarray:
 
 
 def finite_array(values, name: str) -> np.ndarray:
-    """``values`` as a float array, rejecting a NaN or infinite entry by its index."""
+    """``values`` as a float array, rejecting a NaN or infinite entry by its
+    index along the first axis (the row of a 2-d array)."""
     arr = np.asarray(values, dtype=float)
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise ValueError(f"non-finite {name} at index {int(bad[0])}")
+        raise ValueError(f"non-finite {name} at index {int(bad[0]) // math.prod(arr.shape[1:])}")
     return arr
 
 
@@ -177,37 +177,25 @@ class VectorProcessPath:
         return ProcessPath(self.xs[:, t], self.ms[:, t], self.zero_tol)
 
 
-def doob_decompose(
-    xs: Sequence[float], ms: Sequence[float], zero_tol: float = 0.0
-) -> ProcessPath:
+def doob_decompose(xs, ms, zero_tol: float = 0.0) -> ProcessPath | VectorProcessPath:
     """Split a realized trajectory into predictable means plus residuals.
 
     ``ms`` must supply the conditional mean of every step after the initial
-    value, so ``len(ms) == len(xs) - 1``.  Non-finite entries are rejected with
-    the index of the offending value.
+    value, so ``len(ms) == len(xs) - 1``.  One-dimensional input gives a
+    :class:`ProcessPath`, ``(steps, p)`` input a :class:`VectorProcessPath`.
+    Non-finite entries are rejected with the index of the offending step.
     """
     xs = np.asarray(xs, dtype=float)
     ms = np.asarray(ms, dtype=float)
-    if xs.ndim != 1 or ms.ndim != 1:
-        raise ValueError("xs and ms must be one-dimensional sequences")
+    if xs.ndim not in (1, 2) or ms.ndim != xs.ndim:
+        raise ValueError("xs and ms must both be one-dimensional or both (steps, p) arrays")
     if len(ms) != len(xs) - 1:
         raise ValueError(
             f"length mismatch: {len(xs)} values require {len(xs) - 1} means, got {len(ms)}"
         )
     finite_array(xs, "value in xs")
     finite_array(ms, "value in ms")
-    return ProcessPath(xs, ms, zero_tol)
-
-
-def vector_doob_decompose(
-    xs: np.ndarray, ms: np.ndarray, zero_tol: float = 0.0
-) -> VectorProcessPath:
-    """Vector analogue of :func:`doob_decompose`."""
-    xs = np.asarray(xs, dtype=float)
-    ms = np.asarray(ms, dtype=float)
-    if not (np.isfinite(xs).all() and np.isfinite(ms).all()):
-        raise ValueError("non-finite value in vector path input")
-    return VectorProcessPath(xs, ms, zero_tol)
+    return (ProcessPath if xs.ndim == 1 else VectorProcessPath)(xs, ms, zero_tol)
 
 
 def reconstruct(x0: float, ms: np.ndarray, eps: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from contractlab import (
     partition_analysis,
     rm_solve,
     rm_solve_block,
-    rm_solve_nd,
     run_ensemble,
     simulate_ls_runs,
     truncated_nonexpansive_verdict,
@@ -62,11 +61,10 @@ def rm_ensemble(problem, noise, schedule, x0, config, check, size=None):
     ``size`` defaults to :func:`block_size`; the per-seed solver stays the
     reference that a failing block falls back to.
     """
-    solve = rm_solve if np.ndim(x0) == 0 else rm_solve_nd
     horizon = config.horizon
 
     def factory(seed_sequence):
-        return check(solve(problem, noise, schedule, x0, horizon, seed_sequence))
+        return check(rm_solve(problem, noise, schedule, x0, horizon, seed_sequence))
 
     def block(seed_sequences):
         return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))

@@ -23,7 +23,6 @@ from contractlab import (
     contraction_factor,
     derive_truncated,
     rm_solve,
-    rm_solve_nd,
     truncated_nonexpansive_verdict,
 )
 from contractlab.approximation import (
@@ -468,7 +467,7 @@ class TestMultivariateSolve:
         horizon = 500
         schedule = Schedule.explicit(1.0 / np.arange(2.0, horizon + 2.0))
         problem = RootProblem(lambda x: x, dimension=3)
-        path = rm_solve_nd(problem, NoiseModel.noiseless(), schedule, [3.0, -1.0, 2.0], horizon, 0)
+        path = rm_solve(problem, NoiseModel.noiseless(), schedule, [3.0, -1.0, 2.0], horizon, 0)
         norms = path.norms()
         n = np.arange(0, horizon + 1)
         assert np.allclose(norms, norms[0] / (n + 1), rtol=1e-12)
@@ -478,7 +477,7 @@ class TestMultivariateSolve:
         problem = RootProblem(lambda x: A @ x, dimension=2)
         hits = 0
         for seed in range(20):
-            path = rm_solve_nd(
+            path = rm_solve(
                 problem, NoiseModel.gaussian(0.1), Schedule.inverse_n(1.0), [2.0, 1.0], 10_000, seed
             )
             hits += np.linalg.norm(path.xs[-1]) < 0.1
@@ -488,7 +487,7 @@ class TestMultivariateSolve:
         lo = np.array([-1.0, -2.0])
         hi = np.array([1.0, 2.0])
         problem = RootProblem(lambda x: -x, domain=(lo, hi), dimension=2)
-        path = rm_solve_nd(
+        path = rm_solve(
             problem,
             NoiseModel.noiseless(),
             Schedule.explicit([1.5] * 20),
@@ -510,7 +509,7 @@ class TestMultivariateSolve:
             300,
             99,
         )
-        vector = rm_solve_nd(
+        vector = rm_solve(
             RootProblem(lambda x: x, dimension=1),
             NoiseModel.gaussian(0.2),
             Schedule.inverse_n(1.0),
@@ -524,7 +523,7 @@ class TestMultivariateSolve:
     def test_contraction_factor_bounds_mean_norms(self):
         A = np.array([[1.0, 1.0], [-1.0, 1.0]])
         problem = RootProblem(lambda x: A @ x, dimension=2)
-        path = rm_solve_nd(
+        path = rm_solve(
             problem, NoiseModel.gaussian(0.1), Schedule.inverse_n(1.0), [2.0, 1.0], 5000, 5
         )
         alphas = Schedule.inverse_n(1.0).alphas(5000)
@@ -596,7 +595,6 @@ class TestBlockSolver:
         problem, p = _family_problem(data, family)
         schedule = Schedule.inverse_n(data.draw(st.floats(0.1, 2.0)))
         x0 = data.draw(st.floats(-5.0, 5.0)) if p == 0 else np.linspace(-2.0, 3.0, p)
-        solve = rm_solve if p == 0 else rm_solve_nd
         sequences = [child_seed(root_seed, i) for i in range(seeds)]
         noise = BLOCK_NOISES[noise]
         with warnings.catch_warnings(record=True) as caught:
@@ -605,7 +603,7 @@ class TestBlockSolver:
         assert caught == []
         assert len(paths) == seeds
         for seed, path in zip(sequences, paths):
-            ref = solve(problem, noise, schedule, x0, horizon, seed)
+            ref = rm_solve(problem, noise, schedule, x0, horizon, seed)
             assert type(path) is type(ref)
             for got, want in ((path.xs, ref.xs), (path.ms, ref.ms), (path.eps, ref.eps)):
                 assert got.shape == want.shape
@@ -658,6 +656,17 @@ class TestBlockSolver:
             rm_solve_block(
                 problem, NoiseModel.noiseless(), Schedule.inverse_n(), 2.0, 5, [child_seed(0, 0)]
             )
+
+    @pytest.mark.parametrize("x0", [math.nan, [0.5, math.nan], [math.nan, math.nan]])
+    @pytest.mark.parametrize("block", [False, True])
+    def test_nan_x0_is_outside_the_domain(self, x0, block):
+        problem = RootProblem(lambda x: x, dimension=np.size(x0), g_block=lambda x: x)
+        args = (problem, NoiseModel.noiseless(), Schedule.inverse_n(), x0, 5)
+        with pytest.raises(ValueError, match="outside the domain"):
+            if block:
+                rm_solve_block(*args, [child_seed(0, 0)])
+            else:
+                rm_solve(*args, 0)
 
     def test_block_size_follows_the_budget(self):
         assert block_size(100, 30_000) == 50  # 69 fit: two even blocks

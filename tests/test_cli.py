@@ -60,6 +60,14 @@ class TestCheckCommand:
     def test_missing_file_exit_2(self, capsys):
         assert main(["check", "/no/such/config.yaml"]) == 2
 
+    @pytest.mark.parametrize("seeds", [3, 20])  # seed by seed, and one block
+    def test_nan_x0_run_exit_2(self, tmp_path, capsys, seeds):
+        text = SA_TEMPLATE.format(out=tmp_path / "out", traces="false")
+        text = text.replace("x0: 2.0", "x0: .nan").replace("seeds: 4", f"seeds: {seeds}")
+        assert main(["run", str(write_config(tmp_path, text))]) == 2
+        assert "x0: must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
 
 class TestRunCommand:
     def test_run_writes_artifacts_and_passes(self, tmp_path):

@@ -1,4 +1,5 @@
 import copy
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -1843,6 +1844,23 @@ ERRORS = [
          "noise: required group is missing",
          "problem.bogus: unknown key"],
         id="many-errors-aggregated",
+    ),
+    pytest.param(
+        doc("sa", problem={"family": "linear", "slope": math.nan},
+            schedule={"family": "inverse_n", "c": math.nan},
+            noise={"family": "gaussian", "sd": math.nan}, x0=math.nan,
+            ensemble=ens(tol_zero=math.nan)),
+        ["ensemble.tol_zero: must be a number",
+         "noise.sd: must be a number",
+         "problem.slope: must be a number",
+         "schedule.c: must be a number",
+         "x0: must be a number"],
+        id="nan-is-not-a-number",
+    ),
+    pytest.param(
+        doc("sa_nd", x0=[1.0, math.nan]),
+        ["x0: must be a list of at least 1 numbers"],
+        id="sa-nd-x0-nan",
     ),
 ]
 

@@ -162,7 +162,7 @@ def test_one_column_ls_trace_digest(tmp_path):
 # outside the ensemble: the Kronecker run checks one alternating path)
 SIMULATORS = {
     "kronecker": ("kronecker_path", 1),
-    "multivariate": ("rm_solve_nd", 0),
+    "multivariate": ("rm_solve", 0),
     "sa_convergence": ("rm_solve", 0),
     "sa_nonuniform": ("rm_solve", 0),
 }
@@ -262,8 +262,7 @@ def test_partial_blocks_bypass_the_per_seed_solvers(name, tmp_path, monkeypatch)
         return solve_block(*args)
 
     monkeypatch.setattr(experiments, "rm_solve_block", counted)
-    for func in ("rm_solve", "rm_solve_nd"):
-        monkeypatch.setattr(experiments, func, lambda *args: alone.append(args))
+    monkeypatch.setattr(experiments, "rm_solve", lambda *args: alone.append(args))
     argv = ["run", str(CONFIGS / f"{name}.yaml"), "--seeds", str(REMAINDER_SEEDS)]
     argv += ["--horizon", str(REMAINDER_HORIZON), "--out", str(tmp_path / "out")]
     assert main(argv) in (0, 1)

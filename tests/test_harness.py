@@ -196,6 +196,22 @@ def test_quantile_curves_match_per_column(data, rows, cols, holes):
     assert json.dumps(got) == json.dumps(_per_column_quantiles(mat))
 
 
+def test_quantile_curves_keep_the_per_column_zero_sign():
+    # 0.0 and -0.0 compare equal; which one np.quantile returns depends on the
+    # columns and quantiles of the call (the last column also holds a NaN)
+    mat = np.array(
+        [
+            [0.0, 1.0, 0.0, -0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 1.0, 0.0, -0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, -0.0, -0.0, -0.0, -0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 1.0, -0.0, -0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            [-0.0, -0.0, 0.0, 2.5, -1.0, -1.0, math.nan, -1.0, 0.0, -1.0, 2.5],
+        ]
+    ).T
+    got = [row.tolist() for row in _quantile_curves(mat)]
+    assert json.dumps(got) == json.dumps(_per_column_quantiles(mat))
+
+
 class TestSeedSplitting:
     def test_children_are_stable_and_distinct(self):
         a1 = np.random.default_rng(child_seed(42, 0)).normal(size=4)

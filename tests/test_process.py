@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from contractlab import (
     GrowthKernel,
     ProcessPath,
+    VectorProcessPath,
     check_segment_peak_bound,
     crossing_report,
     doob_decompose,
@@ -54,6 +55,34 @@ class TestDoobDecompose:
             doob_decompose([1.0, 2.0, math.nan, 3.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="ms at index 1"):
             doob_decompose([1.0, 2.0, 3.0], [1.0, math.inf])
+
+    def test_vector_round_trip(self):
+        xs = np.array([[1.0, -2.0], [0.5, -1.0], [0.3, -0.4]])
+        ms = np.array([[0.5, -1.0], [0.25, -0.5]])
+        path = doob_decompose(xs, ms)
+        assert isinstance(path, VectorProcessPath)
+        assert np.array_equal(path.ms + path.eps, xs[1:])
+        assert np.array_equal(path.component(1).xs, xs[:, 1])
+
+    def test_vector_nonfinite_reports_the_step(self):
+        xs = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="xs at index 2"):
+            doob_decompose(np.where(np.arange(12).reshape(4, 3) == 7, math.nan, xs), xs[1:])
+        with pytest.raises(ValueError, match="ms at index 1"):
+            doob_decompose(xs, [[0.0, 0.0, 0.0], [0.0, 0.0, math.inf], [0.0, 0.0, 0.0]])
+
+    @pytest.mark.parametrize(
+        "xs, ms",
+        [
+            (np.zeros((3, 2)), np.zeros((2, 3))),  # components differ
+            (np.zeros((3, 2)), np.zeros((3, 2))),  # one mean too many
+            (np.zeros((3, 2)), np.zeros(2)),  # vector values, scalar means
+            (np.zeros((3, 2, 1)), np.zeros((2, 2, 1))),
+        ],
+    )
+    def test_vector_shape_mismatch(self, xs, ms):
+        with pytest.raises(ValueError):
+            doob_decompose(xs, ms)
 
     @given(
         st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30),
