@@ -182,6 +182,75 @@ class TestVarianceSummability:
             check_variance_summability([0.0, 0.1, bad, 0.0])
 
 
+def rotation_path(horizon=40):
+    """Means rotate 90 degrees and shrink by 0.8: componentwise signs flip,
+    but the norm ratio is exactly 0.8."""
+    xs = np.empty((horizon + 1, 2))
+    ms = np.empty((horizon, 2))
+    x = np.array([1.0, 0.5])
+    xs[0] = x
+    for i in range(horizon):
+        x = ms[i] = 0.8 * np.array([-x[1], x[0]])
+        xs[i + 1] = x
+    return VectorProcessPath(xs, ms)
+
+
+def sign_flip_path(horizon=10):
+    """A scalar path with sign-flipping means m_n = -x_{n-1} / 2, as p = 1 vectors."""
+    xs = (-0.5) ** np.arange(horizon + 1.0)
+    return VectorProcessPath(xs[:, None], -0.5 * xs[:-1, None])
+
+
+def kronecker_vector_path():
+    rng = np.random.default_rng(9)
+    path = kronecker_path(rng.normal(size=100), np.arange(1.0, 101.0))
+    return VectorProcessPath(path.xs[:, None], path.ms[:, None])
+
+
+def restart_path():
+    """All values zero; the last mean restarts with norm 0.5."""
+    ms = np.zeros((6, 2))
+    ms[-1] = [0.3, 0.4]
+    return VectorProcessPath(np.zeros((7, 2)), ms)
+
+
+# name -> (path, ratio profile, zero-state tail window, zero-state tol)
+VECTOR_CASES = {
+    "rotation": (rotation_path, lambda h: ContractiveProfile.constant(0.8, h, 5.0), None, 1e-6),
+    "sign_flip": (sign_flip_path, NonexpansiveProfile.zero, None, 1e-6),
+    "kronecker": (kronecker_vector_path, NonexpansiveProfile.zero, None, 1e-6),
+    "all_zero": (lambda: VectorProcessPath(np.zeros((2001, 2)), np.zeros((2000, 2))),
+                 NonexpansiveProfile.zero, None, 1e-6),
+    "restart_tol_0.4": (restart_path, NonexpansiveProfile.zero, 3, 0.4),
+    "restart_tol_0.6": (restart_path, NonexpansiveProfile.zero, 3, 0.6),
+}
+
+# name -> ((holds, first_violation, repr(worst_margin)) of the norm-ratio check,
+#          the same of the zero-state check), recorded from check_norm_conditions
+LOCKED_VECTOR_MARGINS = {
+    "rotation": ((True, None, "-2.220446049250313e-16"), (True, None, "inf")),
+    "sign_flip": ((True, None, "0.5"), (True, None, "inf")),
+    "kronecker": ((True, None, "0.010000000000000009"), (True, None, "inf")),
+    "all_zero": ((True, None, "inf"), (True, None, "1e-06")),
+    "restart_tol_0.4": ((True, None, "inf"), (False, 6, "-0.09999999999999998")),
+    "restart_tol_0.6": ((True, None, "inf"), (True, None, "0.09999999999999998")),
+}
+
+
+def _locked(verdict):
+    return verdict.holds, verdict.first_violation, repr(verdict.worst_margin)
+
+
+@pytest.mark.parametrize("name", sorted(LOCKED_VECTOR_MARGINS))
+def test_locked_vector_margins(name):
+    make, profile, tail_window, tol = VECTOR_CASES[name]
+    path = make()
+    report = check_norm_conditions(
+        path, profile(path.horizon), np.zeros(path.horizon), tail_window, tol, var_tail_tol=0.0
+    )
+    assert (_locked(report.ratio), _locked(report.zero_state)) == LOCKED_VECTOR_MARGINS[name]
+
+
 class TestNormConditions:
     def test_rotation_contracts_without_sign_agreement(self):
         # means rotate 90 degrees and shrink by 0.8: componentwise signs flip,

@@ -130,6 +130,7 @@ def test_norm_conditions(case, p):
     )
     assert_fails_at(report.ratio, step)
     assert_fails_at(report.zero_state, step)
+    assert repr(report.ratio.worst_margin) == repr(report.zero_state.worst_margin) == "-inf"
     assert not report.holds
 
 
