@@ -9,29 +9,19 @@ seeded Monte Carlo acceptance checks.
 from .verdict import ConditionVerdict
 from .process import (
     CrossingReport,
-    GrowthKernel,
     ProcessPath,
-    SignClass,
-    StepRecord,
     VectorProcessPath,
     check_segment_peak_bound,
     crossing_report,
     doob_decompose,
-    growth_factor,
     kronecker_path,
     max_growth_factor,
-    partial_sums,
-    reconstruct,
-    zero_state_means,
 )
 from .conditions import (
     ContractiveProfile,
     NonexpansiveProfile,
-    NormConditionReport,
     check_contractive,
     check_nonexpansive,
-    check_norm_conditions,
-    check_variance_summability,
     check_zero_state_decay,
 )
 from .approximation import (
@@ -41,12 +31,10 @@ from .approximation import (
     RootProblem,
     Schedule,
     TruncatedPath,
-    center_path,
     check_linear_envelope,
     check_norm_envelope,
     check_ratio_sandwich,
     check_regularity,
-    check_truncated_contractive,
     check_truncated_zero_mean_bound,
     contraction_factor,
     derive_truncated,
@@ -64,9 +52,7 @@ from .least_squares import (
     RegressionModel,
     check_design_conditions,
     integral_bound,
-    matrix_norm_inf,
     partition_analysis,
-    simulate_ls_run,
     simulate_ls_runs,
     z_process,
 )

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
@@ -26,18 +26,15 @@ __all__ = [
     "EnvelopeReport",
     "RegularityVerdict",
     "TruncatedPath",
-    "CoverageVerdict",
     "rm_solve",
     "rm_solve_block",
     "block_size",
-    "center_path",
     "check_linear_envelope",
     "check_norm_envelope",
     "check_regularity",
     "check_ratio_sandwich",
     "derive_truncated",
     "truncated_nonexpansive_verdict",
-    "check_truncated_contractive",
     "check_truncated_zero_mean_bound",
     "contraction_factor",
     "signed_log_grid",
@@ -337,11 +334,6 @@ def rm_solve_block(
     return (path(xs[:, j].copy(), ms[:, j].copy()) for j in range(len(seeds)))
 
 
-def center_path(path: ProcessPath, x_star: float) -> ProcessPath:
-    """Shift a path so the target root sits at zero (residuals are unchanged)."""
-    return ProcessPath(path.xs - x_star, path.ms - x_star, path.zero_tol)
-
-
 @dataclass(frozen=True, eq=False)
 class EnvelopeReport:
     """Grid envelope of the target map around its root.
@@ -523,11 +515,6 @@ class TruncatedPath:
     path: ProcessPath
     zero_state_mean: np.ndarray
 
-    @property
-    def residual_domination(self) -> bool:
-        """Truncated residual magnitudes never exceed the base ones (exact)."""
-        return bool(np.all(np.abs(self.path.eps) <= np.abs(self.base.eps)))
-
 
 def derive_truncated(
     base: ProcessPath, delta: float, tau: float, settle_tol: Optional[float] = None
@@ -580,42 +567,6 @@ def truncated_nonexpansive_verdict(
     if n0 == horizon and band.first_violation is None:
         return vacuous("no steps beyond the settling index")
     return _ratio_verdict(band)
-
-
-@dataclass(frozen=True)
-class CoverageVerdict(ConditionVerdict):
-    """A verdict that also reports what fraction of steps it could examine."""
-
-    coverage: float = 1.0
-
-
-def check_truncated_contractive(
-    trunc: TruncatedPath,
-    ks: np.ndarray,
-    delta2: float,
-    atol: float = 1e-12,
-) -> CoverageVerdict:
-    """Contractive ratio check restricted to truncated states below ``delta2``.
-
-    Only steps beyond the settling index whose truncated predecessor is
-    nonzero-class with magnitude below ``delta2`` are bound by ``ks``; the
-    fraction of post-settling steps actually checked is reported as coverage.
-    """
-    path = trunc.path
-    total = path.horizon - trunc.n0  # steps beyond the settling index
-    ks = np.asarray(ks, dtype=float)
-    if len(ks) < path.horizon:
-        raise ValueError("ks must cover the path horizon")
-    prev = np.abs(path.xs[:-1])
-    band_mask = (np.arange(path.horizon) >= trunc.n0) & (prev > path.zero_tol) & (prev < delta2)
-    band = ratio_band(path, ks[: path.horizon], 0.0, band_mask, atol)
-    coverage = int(band_mask.sum()) / total if total > 0 else 0.0
-    verdict = band.verdict(
-        "contractive ratio violated",
-        "{checked} steps checked",
-        "no steps within the checked band" if total > 0 else "no steps beyond the settling index",
-    )
-    return CoverageVerdict(*astuple(verdict), coverage)
 
 
 def check_truncated_zero_mean_bound(

@@ -3,13 +3,15 @@
 All checks run against model-supplied predictable means, never against means
 estimated from a realization, so every verdict is an exact pathwise statement
 (up to a configurable floating-point slack).  Limit statements are rendered as
-tail-window criteria with explicit tolerances.
+tail-window criteria with explicit tolerances.  On a :class:`VectorProcessPath`
+the same checkers apply the conditions to norms: ||m_n|| / ||x_{n-1}|| for the
+ratios and ||x_{n-1}||, ||m_n|| for the zero class and the restart means.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -27,12 +29,9 @@ __all__ = [
     "ConditionVerdict",
     "NonexpansiveProfile",
     "ContractiveProfile",
-    "NormConditionReport",
     "check_nonexpansive",
     "check_contractive",
     "check_zero_state_decay",
-    "check_variance_summability",
-    "check_norm_conditions",
 ]
 
 DEFAULT_ATOL = 1e-12
@@ -91,7 +90,9 @@ def _ratio_verdict(band: Band) -> ConditionVerdict:
 
 
 def check_nonexpansive(
-    path: ProcessPath, profile: NonexpansiveProfile, atol: float = DEFAULT_ATOL
+    path: ProcessPath | VectorProcessPath,
+    profile: NonexpansiveProfile,
+    atol: float = DEFAULT_ATOL,
 ) -> ConditionVerdict:
     """Mean/value ratio lies in [0, 1 + alpha_n] at every nonzero-class step."""
     if len(profile.alphas) < path.horizon:
@@ -100,7 +101,9 @@ def check_nonexpansive(
 
 
 def check_contractive(
-    path: ProcessPath, profile: ContractiveProfile, atol: float = DEFAULT_ATOL
+    path: ProcessPath | VectorProcessPath,
+    profile: ContractiveProfile,
+    atol: float = DEFAULT_ATOL,
 ) -> ConditionVerdict:
     """Mean/value ratio lies in [0, k_n] and sum(1 - k_n) reaches the target."""
     if len(profile.ks) < path.horizon:
@@ -122,7 +125,7 @@ def check_contractive(
 
 
 def check_zero_state_decay(
-    path: ProcessPath,
+    path: ProcessPath | VectorProcessPath,
     tail_window: Optional[int] = None,
     tol: float = 1e-6,
 ) -> ConditionVerdict:
@@ -136,102 +139,3 @@ def check_zero_state_decay(
         "{checked} zero-state steps in tail window",
         "vacuous: no zero-class predecessors in the tail window",
     )
-
-
-def check_variance_summability(
-    cond_vars: Sequence[float], tail_tol: float = 1e-6
-) -> ConditionVerdict:
-    """Partial sums of conditional variances must have numerically settled.
-
-    The second half of the sequence must sum to at most ``tail_tol``; the
-    variances are model-declared, not estimated.
-    """
-    v = finite_array(cond_vars, "conditional variance")
-    bad = np.nonzero(v < 0)[0]
-    if len(bad):
-        raise ValueError(f"negative conditional variance at index {int(bad[0])}")
-    half = len(v) // 2
-    tail = float(v[half:].sum())
-    margin = tail_tol - tail
-    if margin < 0:
-        return failing(
-            half + 1, margin, f"tail variance sum {tail:.6g} exceeds tol {tail_tol:g}"
-        )
-    return passing(margin, f"tail variance sum {tail:.6g}")
-
-
-@dataclass(frozen=True)
-class NormConditionReport:
-    """The four norm-based verdicts for a vector path.
-
-    ``ratio`` bounds the mean-norm over value-norm ratio per the profile,
-    ``series`` checks the profile's summability or divergence budget,
-    ``zero_state`` checks decay of mean norms after zero-norm states, and
-    ``variance_sum`` checks summability of the componentwise variance bounds.
-    """
-
-    ratio: ConditionVerdict
-    series: ConditionVerdict
-    zero_state: ConditionVerdict
-    variance_sum: ConditionVerdict
-
-    @property
-    def holds(self) -> bool:
-        return (
-            self.ratio.holds
-            and self.series.holds
-            and self.zero_state.holds
-            and self.variance_sum.holds
-        )
-
-
-def check_norm_conditions(
-    path: VectorProcessPath,
-    profile: NonexpansiveProfile | ContractiveProfile,
-    cond_var_bounds: Sequence[float],
-    tail_window: Optional[int] = None,
-    tol: float = 1e-6,
-    var_tail_tol: float = 1e-6,
-    atol: float = DEFAULT_ATOL,
-) -> NormConditionReport:
-    """Norm-ratio analogues of the scalar drift conditions.
-
-    The ratio clause constrains ||mean|| / ||previous value|| (no sign
-    requirement, so it strictly generalizes the scalar check even for p = 1).
-    ``cond_var_bounds[n]`` must dominate the worst componentwise conditional
-    residual variance at step n + 1.
-    """
-    horizon = path.horizon
-    if isinstance(profile, ContractiveProfile):
-        if len(profile.ks) < horizon:
-            raise ValueError("profile does not cover the path horizon")
-        upper = profile.ks[:horizon]
-        total = float(np.sum(1.0 - upper))
-        margin = total - profile.divergence_target
-        if margin < 0:
-            series = failing(
-                horizon, margin, f"contraction budget {total:.6g} short of target"
-            )
-        else:
-            series = passing(margin, f"contraction budget {total:.6g}")
-    else:
-        if len(profile.alphas) < horizon:
-            raise ValueError("profile does not cover the path horizon")
-        upper = 1.0 + profile.alphas[:horizon]
-        total = float(profile.alphas[:horizon].sum())
-        series = passing(
-            profile.alpha_sum_cap - total, f"allowance sum {total:.6g} within cap"
-        )
-
-    ratio = ratio_band(path, upper, atol=atol).verdict(
-        "norm ratio {value:.6g} too large",
-        "{checked} nonzero-norm steps checked",
-        "vacuous: no steps leave the zero-norm class",
-    )
-    zero_state = zero_state_band(path, tail_window, tol).verdict(
-        f"restart mean norm {{worst_value:.6g}} exceeds tol {tol:g}",
-        "{checked} zero-norm steps in tail",
-        "vacuous: no zero-norm predecessors in the tail window",
-    )
-    variance_sum = check_variance_summability(cond_var_bounds, var_tail_tol)
-    return NormConditionReport(ratio, series, zero_state, variance_sum)

@@ -26,14 +26,9 @@ __all__ = [
     "DesignConditionReport",
     "IntegralBoundResult",
     "PartitionReport",
-    "simulate_ls_run",
     "simulate_ls_runs",
     "z_process",
-    "z_variance_budget",
-    "weighted_decomposition_gap",
     "check_design_conditions",
-    "check_sqrt_growth",
-    "matrix_norm_inf",
     "integral_bound",
     "partition_analysis",
     "rotating_design",
@@ -104,7 +99,7 @@ class RegressionModel:
 
 
 class LsState:
-    """Running least-squares state of one seed or of a block of seeds.
+    """Running least-squares state of a block of seeds.
 
     Each seed's inverse Gram is created by a dense solve at its first
     nonsingular step, then maintained by rank-one (Sherman-Morrison) updates
@@ -112,64 +107,50 @@ class LsState:
     seed to cap drift.  The Gram matrix must stay finite until it is
     nonsingular: a non-finite one raises ``ValueError`` naming the step.
 
-    ``LsState(p, seeds=S)`` carries a leading seed axis: ``gram`` and
-    ``gram_inv`` are (S, p, p), ``score``, ``energy`` and ``estimate`` (S, p),
-    ``first_nonsingular`` and ``singular`` (S,), and ``update`` takes (S, p)
-    regressors and (S,) responses.  A seed's ``estimate`` row is NaN and its
-    ``first_nonsingular`` entry 0 while its Gram matrix is singular.  Every
-    seed goes through the same per-matrix kernels as a lone seed, so a block
-    is bit-identical to its seeds run one at a time.  ``LsState(p)`` is one
-    seed with the axis dropped; its ``estimate``, ``gram_inv`` and
-    ``first_nonsingular`` are None while the Gram matrix is singular.
+    ``LsState(p, seeds)`` carries a leading seed axis: ``gram`` and
+    ``gram_inv`` are (seeds, p, p), ``score``, ``energy`` and ``estimate``
+    (seeds, p), ``first_nonsingular`` and ``singular`` (seeds,), and
+    ``update`` takes (seeds, p) regressors and (seeds,) responses.  A seed's
+    ``estimate`` row is NaN and its ``first_nonsingular`` entry 0 while its
+    Gram matrix is singular.  Every seed goes through the same per-matrix
+    kernels, so a block is bit-identical to its seeds run one at a time.
     """
 
-    def __init__(self, p: int, seeds: Optional[int] = None):
+    def __init__(self, p: int, seeds: int):
         if p < 1:
             raise ValueError("p must be positive")
-        if seeds is not None and seeds < 1:
+        if seeds < 1:
             raise ValueError("seeds must be positive")
-        S = 1 if seeds is None else seeds
         self.p = p
         self.seeds = seeds
         self.n = 0
         # one accumulator per seed: the Gram matrix, then the score as column p
         # (each column energy is a diagonal entry, summed in the same order)
-        self._aug = np.zeros((S, p, p + 1))
+        self._aug = np.zeros((seeds, p, p + 1))
         self._score = self._aug[:, :, p:]
-        self._inv = np.zeros((S, p, p))
-        self._est = np.full((S, p), np.nan)
-        self._n0 = np.zeros(S, dtype=int)
-        self._pending = np.arange(S)  # seeds whose Gram matrix is still singular
-        self._due = np.full(S, np.iinfo(int).max)  # step of each seed's next rebase
+        self._inv = np.zeros((seeds, p, p))
+        self._est = np.full((seeds, p), np.nan)
+        self._n0 = np.zeros(seeds, dtype=int)
+        self._pending = np.arange(seeds)  # seeds whose Gram matrix is still singular
+        self._due = np.full(seeds, np.iinfo(int).max)  # step of each seed's next rebase
         self._next_due = int(self._due[0])
 
-    def _view(self, a: np.ndarray, none_while_singular: bool = False):
-        if self.seeds is not None:
-            return a
-        return None if none_while_singular and self._pending.size else a[0]
-
-    gram = property(lambda self: self._view(self._aug[:, :, : self.p]))
-    gram_inv = property(lambda self: self._view(self._inv, True))
-    score = property(lambda self: self._view(self._score[:, :, 0]))
-    energy = property(lambda self: self._view(np.diagonal(self._aug, axis1=1, axis2=2)))
-    estimate = property(lambda self: self._view(self._est, True))
-    singular = property(lambda self: self._view(self._n0 == 0))
-
-    @property
-    def first_nonsingular(self):
-        if self.seeds is not None:
-            return self._n0
-        return int(self._n0[0]) or None
+    gram = property(lambda self: self._aug[:, :, : self.p])
+    gram_inv = property(lambda self: self._inv)
+    score = property(lambda self: self._score[:, :, 0])
+    energy = property(lambda self: np.diagonal(self._aug, axis1=1, axis2=2))
+    estimate = property(lambda self: self._est)
+    singular = property(lambda self: self._n0 == 0)
+    first_nonsingular = property(lambda self: self._n0)
 
     def update(self, x, y) -> "LsState":
         """Fold one observation per seed into the state (in place; returns it)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        shape = (self.p,) if self.seeds is None else (self.seeds, self.p)
+        shape = (self.seeds, self.p)
         if x.shape != shape or y.shape != shape[:-1]:
-            raise ValueError(f"regressor must have shape {shape} and response {shape[:-1]}")
-        xy = np.concatenate((x.reshape(-1, self.p), y.reshape(-1, 1)), axis=1)
-        self._step(xy, np.empty((len(xy), self.p)))
+            raise ValueError(f"regressors must have shape {shape} and responses {shape[:-1]}")
+        self._step(np.concatenate((x, y[:, None]), axis=1), np.empty(shape))
         return self
 
     def _step(self, xy: np.ndarray, out: np.ndarray) -> None:
@@ -223,17 +204,6 @@ class LsState:
         self._next_due = int(self._due.min())
 
 
-def matrix_norm_inf(C: np.ndarray) -> float:
-    """Scaled entrywise matrix norm p * max|c_ij|.
-
-    Submultiplicative against the vector max-norm: |C y|_max <= norm * |y|_max.
-    """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValueError("square matrix required")
-    return float(C.shape[0] * np.abs(C).max())
-
-
 @dataclass(frozen=True, eq=False)
 class GWeight:
     """A nondecreasing positive weight function with an inverse-square tail.
@@ -259,10 +229,6 @@ class GWeight:
             raise ValueError(f"tail integral of {self.label} did not converge beyond {c:g}")
         return value
 
-    def check_nondecreasing(self, grid: Sequence[float]) -> bool:
-        vals = self.fn(np.asarray(grid, dtype=float))
-        return bool(np.all(np.diff(vals) >= 0))
-
     @classmethod
     def identity(cls) -> "GWeight":
         return cls(lambda x: np.asarray(x, dtype=float), "identity", lambda c: 1.0 / c)
@@ -277,16 +243,11 @@ class GWeight:
 
 @dataclass(frozen=True)
 class IntegralBoundResult:
-    """Partial sum sum a_n / f(A_n) and its closed-form cap.
-
-    ``bound`` uses the head term a_1 / f(A_1); ``head_alternative`` reports
-    the variant a_1 / A_1 kept for comparison (the two coincide when f is the
-    identity).
-    """
+    """Partial sum sum a_n / f(A_n) and its closed-form cap a_1 / f(A_1) plus
+    the tail integral of 1/f."""
 
     partial_sum: float
     bound: float
-    head_alternative: float
 
     @property
     def holds(self) -> bool:
@@ -302,7 +263,8 @@ def integral_bound(
     """Cap sum_{n<=N} a_n / f(A_n) by a_1/f(A_1) plus the tail integral of 1/f.
 
     ``f`` must be nondecreasing and positive with an integrable reciprocal
-    beyond a_1; the first weight must be positive.
+    beyond a_1; the first weight must be positive.  The tail integral is
+    ``tail_integral`` when given, else computed by quadrature from a_1.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or len(a) == 0:
@@ -329,11 +291,7 @@ def integral_bound(
         tail = float(tail_integral)
         if not math.isfinite(tail):
             raise ValueError("the tail integral of 1/f does not converge")
-    return IntegralBoundResult(
-        partial_sum=s,
-        bound=float(a[0]) / float(fvals[0]) + tail,
-        head_alternative=float(a[0]) / float(A[0]) + tail,
-    )
+    return IntegralBoundResult(s, float(a[0]) / float(fvals[0]) + tail)
 
 
 def z_process(
@@ -363,62 +321,6 @@ def z_process(
     return VectorProcessPath(np.vstack((np.zeros(p), z)), m, zero_tol)
 
 
-def z_variance_budget(xs: np.ndarray, gw: GWeight, sigma2: float) -> Tuple[float, float]:
-    """Accumulated conditional residual variance of the z-process and its cap.
-
-    Returns (sigma2 * sum_{n,t} x_nt^2 / g(energy)^2, sigma2 * sum_t column cap)
-    where each column cap comes from :func:`integral_bound` with f = g**2.
-    """
-    xs = np.asarray(xs, dtype=float)
-    d2 = np.cumsum(xs * xs, axis=0)
-    total = 0.0
-    bound = 0.0
-    for t in range(xs.shape[1]):
-        col = xs[:, t] ** 2
-        pos = d2[:, t] > 0
-        if not pos.any():
-            continue
-        gvals = np.asarray(gw(d2[pos, t]), dtype=float)
-        total += float(np.sum(col[pos] / gvals**2))
-        a = col[np.nonzero(col)[0][0] :]
-        res = integral_bound(a, lambda x: float(gw(x)) ** 2, tail_integral=gw.tail(float(a[0])))
-        bound += res.bound
-    return sigma2 * total, sigma2 * bound
-
-
-def weighted_decomposition_gap(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    us: np.ndarray,
-    beta: np.ndarray,
-    gw: GWeight,
-    indices: Sequence[int],
-) -> float:
-    """Largest max-norm gap between estimate error and its weighted-score form.
-
-    At each requested step n the centered estimate b_n - beta must equal
-    (gram inverse * weight matrix) applied to the z-process; the returned value
-    is the worst componentwise deviation over the requested indices.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    us = np.asarray(us, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    zpath = z_process(xs, us, gw)
-    worst = 0.0
-    for n in indices:
-        X = xs[:n]
-        gram = X.T @ X
-        if np.linalg.matrix_rank(gram) < xs.shape[1]:
-            raise ValueError(f"gram matrix singular at step {n}")
-        d2 = np.sum(X * X, axis=0)
-        G = np.diag(np.asarray(gw(d2), dtype=float))
-        b_err = np.linalg.solve(gram, X.T @ ys[:n]) - beta
-        rhs = np.linalg.solve(gram, G @ zpath.xs[n])
-        worst = max(worst, float(np.max(np.abs(b_err - rhs))))
-    return worst
-
-
 @dataclass(frozen=True)
 class LsRun:
     """One simulated regression run with everything the checkers need.
@@ -442,18 +344,6 @@ class LsRun:
     @property
     def p(self) -> int:
         return self.xs.shape[1]
-
-
-def simulate_ls_run(
-    model: RegressionModel,
-    horizon: int,
-    seed,
-    tail_fraction: float = 0.2,
-    checkpoints: Sequence[int] = (),
-) -> LsRun:
-    """Simulate the controlled model for one seed: a block of one in
-    :func:`simulate_ls_runs`."""
-    return simulate_ls_runs(model, horizon, [seed], tail_fraction, checkpoints)[0]
 
 
 def simulate_ls_runs(
@@ -720,26 +610,6 @@ def check_design_conditions(
         n0=n0,
         kappa_hat=kappa_hat,
     )
-
-
-def check_sqrt_growth(gw: GWeight, grid: Sequence[float], min_ratio: float = 5.0) -> ConditionVerdict:
-    """The weight must factor as sqrt(x) times a function growing without bound.
-
-    Numerically: g(x)/sqrt(x) must be nondecreasing along ``grid`` and grow by
-    at least ``min_ratio`` from the first grid point to the last.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if np.any(grid <= 0) or len(grid) < 2:
-        raise ValueError("grid must contain at least two positive points")
-    factor = np.asarray(gw(grid), dtype=float) / np.sqrt(grid)
-    diffs = np.diff(factor)
-    if np.any(diffs < -1e-12):
-        bad = int(np.nonzero(diffs < -1e-12)[0][0])
-        return failing(bad, float(diffs.min()), "sqrt-normalized weight decreases")
-    growth = float(factor[-1] / factor[0])
-    if growth < min_ratio:
-        return failing(len(grid) - 1, growth - min_ratio, f"growth factor {growth:.3g} too small")
-    return passing(growth - min_ratio, f"sqrt-normalized growth {growth:.3g}")
 
 
 @dataclass(frozen=True)

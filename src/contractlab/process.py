@@ -10,28 +10,20 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from enum import IntEnum
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .verdict import Band, ConditionVerdict, band_check, failing, passing, vacuous
 
 __all__ = [
-    "SignClass",
-    "StepRecord",
     "ProcessPath",
     "VectorProcessPath",
     "CrossingReport",
-    "GrowthKernel",
     "sign_classes",
     "doob_decompose",
-    "reconstruct",
-    "partial_sums",
     "zero_state_mask",
-    "zero_state_means",
     "crossing_report",
-    "growth_factor",
     "max_growth_factor",
     "finite_steps",
     "ratio_band",
@@ -39,12 +31,6 @@ __all__ = [
     "check_segment_peak_bound",
     "kronecker_path",
 ]
-
-
-class SignClass(IntEnum):
-    MINUS = -1
-    ZERO = 0
-    PLUS = 1
 
 
 def sign_classes(values: np.ndarray, zero_tol: float) -> np.ndarray:
@@ -63,16 +49,6 @@ def finite_array(values, name: str) -> np.ndarray:
     if bad.size:
         raise ValueError(f"non-finite {name} at index {int(bad[0]) // math.prod(arr.shape[1:])}")
     return arr
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One transition of a scalar path: realized value, predictable mean, residual."""
-
-    n: int
-    x: float
-    m: float
-    eps: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,16 +89,6 @@ class ProcessPath:
     @property
     def horizon(self) -> int:
         return len(self.ms)
-
-    def step(self, n: int) -> StepRecord:
-        """The 1-indexed step record for step ``n``."""
-        if not 1 <= n <= self.horizon:
-            raise IndexError(f"step {n} outside horizon 1..{self.horizon}")
-        return StepRecord(n, float(self.xs[n]), float(self.ms[n - 1]), float(self.eps[n - 1]))
-
-    def steps(self) -> Iterator[StepRecord]:
-        for n in range(1, self.horizon + 1):
-            yield self.step(n)
 
     def classes(self) -> np.ndarray:
         return sign_classes(self.xs, self.zero_tol)
@@ -198,39 +164,9 @@ def doob_decompose(xs, ms, zero_tol: float = 0.0) -> ProcessPath | VectorProcess
     return (ProcessPath if xs.ndim == 1 else VectorProcessPath)(xs, ms, zero_tol)
 
 
-def reconstruct(x0: float, ms: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Rebuild the realized values from the initial value, means and residuals."""
-    ms = np.asarray(ms, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    if ms.shape != eps.shape:
-        raise ValueError("ms and eps must have equal length")
-    return np.concatenate(([float(x0)], ms + eps))
-
-
-def partial_sums(path: ProcessPath, s: int, t: int) -> Tuple[float, float]:
-    """Residual sum and absolute-residual sum over steps ``s..t`` (1-indexed).
-
-    Both sums are zero whenever ``t < s``.
-    """
-    if s < 1:
-        raise IndexError(f"window start {s} must be >= 1")
-    if t < s:
-        return 0.0, 0.0
-    if t > path.horizon:
-        raise IndexError(f"window [{s}, {t}] outside horizon {path.horizon}")
-    window = path.eps[s - 1 : t]
-    return float(window.sum()), float(np.abs(window).sum())
-
-
 def zero_state_mask(path: ProcessPath) -> np.ndarray:
     """Boolean mask over steps 1..horizon: True where the predecessor is zero-class."""
     return np.abs(path.xs[:-1]) <= path.zero_tol
-
-
-def zero_state_means(path: ProcessPath) -> List[Tuple[int, float]]:
-    """Predictable means at exactly those steps whose predecessor is zero-class."""
-    mask = zero_state_mask(path)
-    return [(int(i) + 1, float(path.ms[i])) for i in np.nonzero(mask)[0]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,20 +213,6 @@ def allowance_array(alphas: Sequence[float], cap: float = math.inf) -> np.ndarra
     return alphas
 
 
-def growth_factor(alphas: Sequence[float], t: int, k: int) -> float:
-    """Product of (1 + alpha_i) over the window of the ``k`` steps ending at ``t``."""
-    alphas = allowance_array(alphas)
-    if k < 0:
-        raise ValueError("window length k must be nonnegative")
-    if k > t:
-        raise ValueError(f"window length {k} exceeds end index {t}")
-    if t > len(alphas):
-        raise IndexError(f"end index {t} outside the supplied sequence")
-    if k == 0:
-        return 1.0
-    return float(np.prod(1.0 + alphas[t - k : t]))
-
-
 def max_growth_factor(alphas: Sequence[float]) -> float:
     """Largest window product over all realized (t, k) pairs.
 
@@ -298,23 +220,6 @@ def max_growth_factor(alphas: Sequence[float]) -> float:
     a finite horizon this is a lower bound for the untruncated supremum.
     """
     return float(np.prod(1.0 + allowance_array(alphas)))
-
-
-@dataclass(frozen=True, eq=False)
-class GrowthKernel:
-    """Window products of one-step growth factors, with their realized maximum."""
-
-    alphas: np.ndarray
-    alpha_sum_cap: float = 1e6
-    max_factor: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        alphas = allowance_array(self.alphas, self.alpha_sum_cap)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "max_factor", max_growth_factor(alphas))
-
-    def factor(self, t: int, k: int) -> float:
-        return growth_factor(self.alphas, t, k)
 
 
 def finite_steps(path: ProcessPath | VectorProcessPath) -> np.ndarray:

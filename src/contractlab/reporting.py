@@ -135,19 +135,30 @@ def read_trace_csv(path: Path):
 
     ``xs`` includes the initial value at index 0.  Values are parsed as
     written, so a ``nan`` or ``inf`` entry reaches the checkers unchanged.
+    Raises ValueError for a missing column, a file without data rows, and a
+    row with the wrong number of fields or a non-numeric field (naming its
+    line).
     """
     per_seed: Dict[int, Dict[int, tuple]] = {}
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, [])
         required = {"seed", "n", "x", "m", "eps"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
+        if not required.issubset(header):
             raise ValueError(f"trace file must carry columns {sorted(required)}")
+        columns = [header.index(name) for name in ("seed", "n", "x", "m")]
         for row in reader:
-            seed = int(row["seed"])
-            n = int(row["n"])
-            x = float(row["x"])
-            m = float(row["m"]) if row["m"] != "" else None
-            per_seed.setdefault(seed, {})[n] = (x, m)
+            if not row:
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+                seed, n, x, m = (row[i] for i in columns)
+                per_seed.setdefault(int(seed), {})[int(n)] = (float(x), float(m) if m else None)
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+    if not per_seed:
+        raise ValueError("trace file has no data rows")
     out = {}
     for seed, steps in per_seed.items():
         ns = sorted(steps)

@@ -188,7 +188,7 @@ class TestRunCommand:
 
     def test_ls_block_equals_per_seed_ensemble(self, tmp_path):
         from contractlab.harness import EnsembleConfig, run_ensemble
-        from contractlab.least_squares import RegressionModel, feedback_design, simulate_ls_run
+        from contractlab.least_squares import RegressionModel, feedback_design, simulate_ls_runs
         from contractlab.reporting import write_summary_json
 
         out = tmp_path / "ls"
@@ -208,7 +208,7 @@ output: {{dir: {out}}}
         model = RegressionModel(np.array([1.0, 0.5]), feedback_design(0.9), 1.0)
 
         def factory(seed_sequence):
-            run = simulate_ls_run(model, 1200, seed_sequence, 0.2, [400, 800, 1200])
+            run = simulate_ls_runs(model, 1200, [seed_sequence], 0.2, [400, 800, 1200])[0]
             return run.err_sup, run
 
         grid = np.unique(np.linspace(0, 1199, 200).astype(int))
@@ -454,6 +454,25 @@ class TestUnusableTraceInput:
         err = capsys.readouterr().err
         assert "unusable trace file:" in err
         assert str(missing) in err
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,0,1.0,,,\n0,1,0.5\n", "line 3: expected 6 fields, got 3"),
+            ("0,0,1.0,,,\n0,1,0.5,0.5,0.0,0,7\n", "line 3: expected 6 fields, got 7"),
+            ("0,0,1.0,,,\n0,1,half,0.5,0.0,0\n", "line 3: could not convert string to float: 'half'"),
+            ("", "trace file has no data rows"),
+        ],
+        ids=["short-row", "long-row", "non-numeric", "header-only"],
+    )
+    def test_malformed_trace_exit_2(self, tmp_path, capsys, rows, message):
+        trace = tmp_path / "traces.csv"
+        trace.write_text("seed,n,x,m,eps,u_flag\n" + rows)
+        cfg = write_config(tmp_path, CUSTOM_TEMPLATE.format(trace=trace, out=tmp_path / "out"))
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"unusable trace file: {message}" in err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_sa_run_does_not_import_scipy(tmp_path):

@@ -10,8 +10,6 @@ from contractlab import (
     VectorProcessPath,
     check_contractive,
     check_nonexpansive,
-    check_norm_conditions,
-    check_variance_summability,
     check_zero_state_decay,
     doob_decompose,
     kronecker_path,
@@ -160,28 +158,6 @@ class TestZeroStateDecay:
             check_zero_state_decay(path, tail_window=11)
 
 
-class TestVarianceSummability:
-    def test_p_series_settles(self):
-        v = 1.0 / np.arange(1, 2001) ** 2
-        verdict = check_variance_summability(v, tail_tol=1e-3)
-        assert verdict.holds
-
-    def test_constant_fails(self):
-        assert not check_variance_summability(np.ones(100), tail_tol=1e-3).holds
-
-    def test_noiseless_holds(self):
-        assert check_variance_summability(np.zeros(50), tail_tol=0.0).holds
-
-    def test_negative_variance_rejected(self):
-        with pytest.raises(ValueError, match="index 3"):
-            check_variance_summability([0.0, 0.1, 0.2, -0.5])
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_variance_rejected(self, bad):
-        with pytest.raises(ValueError, match="non-finite conditional variance at index 2"):
-            check_variance_summability([0.0, 0.1, bad, 0.0])
-
-
 def rotation_path(horizon=40):
     """Means rotate 90 degrees and shrink by 0.8: componentwise signs flip,
     but the norm ratio is exactly 0.8."""
@@ -226,7 +202,8 @@ VECTOR_CASES = {
 }
 
 # name -> ((holds, first_violation, repr(worst_margin)) of the norm-ratio check,
-#          the same of the zero-state check), recorded from check_norm_conditions
+#          the same of the zero-state check), recorded from the norm-ratio and
+#          zero-state clauses of the multivariate checker these checkers replaced
 LOCKED_VECTOR_MARGINS = {
     "rotation": ((True, None, "-2.220446049250313e-16"), (True, None, "inf")),
     "sign_flip": ((True, None, "0.5"), (True, None, "inf")),
@@ -245,113 +222,41 @@ def _locked(verdict):
 def test_locked_vector_margins(name):
     make, profile, tail_window, tol = VECTOR_CASES[name]
     path = make()
-    report = check_norm_conditions(
-        path, profile(path.horizon), np.zeros(path.horizon), tail_window, tol, var_tail_tol=0.0
-    )
-    assert (_locked(report.ratio), _locked(report.zero_state)) == LOCKED_VECTOR_MARGINS[name]
+    profile = profile(path.horizon)
+    check = check_contractive if isinstance(profile, ContractiveProfile) else check_nonexpansive
+    ratio = check(path, profile)
+    zero_state = check_zero_state_decay(path, tail_window, tol)
+    assert (_locked(ratio), _locked(zero_state)) == LOCKED_VECTOR_MARGINS[name]
 
 
 class TestNormConditions:
     def test_rotation_contracts_without_sign_agreement(self):
-        # means rotate 90 degrees and shrink by 0.8: componentwise signs flip,
-        # but the norm ratio is exactly 0.8
-        horizon = 40
-        xs = np.empty((horizon + 1, 2))
-        ms = np.empty((horizon, 2))
-        x = np.array([1.0, 0.5])
-        xs[0] = x
-        for i in range(horizon):
-            m = 0.8 * np.array([-x[1], x[0]])
-            x = m
-            ms[i] = m
-            xs[i + 1] = x
-        path = VectorProcessPath(xs, ms)
-        report = check_norm_conditions(
-            path,
-            ContractiveProfile.constant(0.8, horizon, divergence_target=5.0),
-            cond_var_bounds=np.zeros(horizon),
-            var_tail_tol=0.0,
-        )
-        assert report.holds
-        assert report.ratio.worst_margin == pytest.approx(0.0, abs=1e-12)
+        path = rotation_path()
+        verdict = check_contractive(path, ContractiveProfile.constant(0.8, 40, divergence_target=5.0))
+        assert verdict.holds
+        assert verdict.worst_margin == pytest.approx(0.0, abs=1e-12)
         # the scalar sign condition would reject the same motion componentwise
         comp = path.component(0)
-        verdict = check_nonexpansive(comp, NonexpansiveProfile.zero(horizon))
+        verdict = check_nonexpansive(comp, NonexpansiveProfile.zero(40))
         assert not verdict.holds
 
     def test_scalar_embedding_generalizes(self):
         # a sign-flipping scalar mean passes the norm check but not the scalar one
-        horizon = 10
-        xs = np.empty(horizon + 1)
-        ms = np.empty(horizon)
-        x = 1.0
-        xs[0] = x
-        for i in range(horizon):
-            m = -0.5 * x
-            x = m
-            ms[i] = m
-            xs[i + 1] = x
-        scalar = ProcessPath(xs, ms)
-        vector = VectorProcessPath(xs[:, None], ms[:, None])
-        assert not check_nonexpansive(scalar, NonexpansiveProfile.zero(horizon)).holds
-        report = check_norm_conditions(
-            vector,
-            NonexpansiveProfile.zero(horizon),
-            cond_var_bounds=np.zeros(horizon),
-            var_tail_tol=0.0,
-        )
-        assert report.ratio.holds
+        vector = sign_flip_path()
+        scalar = ProcessPath(vector.xs[:, 0], vector.ms[:, 0])
+        assert not check_nonexpansive(scalar, NonexpansiveProfile.zero(10)).holds
+        assert check_nonexpansive(vector, NonexpansiveProfile.zero(10)).holds
 
     def test_scalar_embedding_agrees_when_ratios_nonnegative(self):
-        rng = np.random.default_rng(9)
-        path = kronecker_path(rng.normal(size=100), np.arange(1.0, 101.0))
-        vector = VectorProcessPath(path.xs[:, None], path.ms[:, None])
-        scalar_verdict = check_nonexpansive(path, NonexpansiveProfile.zero(100))
-        report = check_norm_conditions(
-            vector,
-            NonexpansiveProfile.zero(100),
-            cond_var_bounds=1.0 / np.arange(1, 101) ** 2,
-            var_tail_tol=1e-1,
-        )
-        assert scalar_verdict.holds == report.ratio.holds
-
-    def test_variance_bound_p_series(self):
-        horizon = 2000
-        xs = np.zeros((horizon + 1, 2))
-        ms = np.zeros((horizon, 2))
-        path = VectorProcessPath(xs, ms)
-        report = check_norm_conditions(
-            path,
-            NonexpansiveProfile.zero(horizon),
-            cond_var_bounds=1.0 / np.arange(1, horizon + 1) ** 1.5,
-            var_tail_tol=0.1,
-        )
-        assert report.variance_sum.holds
+        vector = kronecker_vector_path()
+        scalar = vector.component(0)
+        profile = NonexpansiveProfile.zero(100)
+        assert check_nonexpansive(scalar, profile).holds == check_nonexpansive(vector, profile).holds
 
     def test_zero_norm_restart_decay(self):
-        horizon = 6
-        xs = np.zeros((horizon + 1, 2))
-        ms = np.zeros((horizon, 2))
-        ms[-1] = [0.3, 0.4]  # restart mean norm 0.5 in the tail
-        path = VectorProcessPath(xs, ms)
-        report = check_norm_conditions(
-            path,
-            NonexpansiveProfile.zero(horizon),
-            cond_var_bounds=np.zeros(horizon),
-            tail_window=3,
-            tol=0.4,
-            var_tail_tol=0.0,
-        )
-        assert not report.zero_state.holds
-        ok = check_norm_conditions(
-            path,
-            NonexpansiveProfile.zero(horizon),
-            cond_var_bounds=np.zeros(horizon),
-            tail_window=3,
-            tol=0.6,
-            var_tail_tol=0.0,
-        )
-        assert ok.zero_state.holds
+        path = restart_path()
+        assert not check_zero_state_decay(path, tail_window=3, tol=0.4).holds
+        assert check_zero_state_decay(path, tail_window=3, tol=0.6).holds
 
     def test_verdict_determinism(self):
         rng = np.random.default_rng(3)

@@ -6,19 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contractlab import (
-    GrowthKernel,
     ProcessPath,
     VectorProcessPath,
     check_segment_peak_bound,
     crossing_report,
     doob_decompose,
-    growth_factor,
     kronecker_path,
     max_growth_factor,
-    partial_sums,
-    reconstruct,
-    zero_state_means,
 )
+from contractlab.process import zero_state_mask
 from helpers import ar_path, brute_crossings, halving_noise_path
 
 
@@ -34,7 +30,7 @@ class TestDoobDecompose:
     def test_ar_round_trip(self):
         xs, ms = ar_path(500, seed=7)
         path = doob_decompose(xs, ms)
-        rebuilt = reconstruct(path.x0, path.ms, path.eps)
+        rebuilt = np.concatenate(([path.x0], path.ms + path.eps))
         scale = np.maximum(np.abs(xs), 1.0)
         assert np.max(np.abs(rebuilt - xs) / scale) <= 1e-12
 
@@ -93,52 +89,36 @@ class TestDoobDecompose:
         rng = np.random.default_rng(seed)
         ms = rng.normal(size=len(xs) - 1)
         path = doob_decompose(xs, ms)
-        rebuilt = reconstruct(path.x0, path.ms, path.eps)
+        rebuilt = np.concatenate(([path.x0], path.ms + path.eps))
         scale = np.maximum(np.abs(xs), 1.0)
         assert np.max(np.abs(rebuilt - np.asarray(xs, float)) / scale) <= 1e-12
 
 
-class TestPartialSums:
-    def test_direct_sum(self):
-        path = doob_decompose([0, 1, 0, 2], [0, 1, 0])
-        assert path.eps.tolist() == [1, -1, 2]
-        assert partial_sums(path, 1, 3) == (2.0, 4.0)
-
-    def test_empty_window(self):
-        path = doob_decompose([0, 1, 0, 2], [0, 1, 0])
-        assert partial_sums(path, 5, 4) == (0.0, 0.0)
-
-    def test_single(self):
-        path = doob_decompose([0, 0.5], [0.0])
-        assert partial_sums(path, 1, 1) == (0.5, 0.5)
-
-    def test_out_of_horizon(self):
-        path = doob_decompose([0, 1], [0.0])
-        with pytest.raises(IndexError):
-            partial_sums(path, 1, 5)
-        with pytest.raises(IndexError):
-            partial_sums(path, 0, 1)
+def restart_means(path):
+    """(step, mean) at the steps whose predecessor is zero-class."""
+    mask = zero_state_mask(path)
+    return list(zip((np.flatnonzero(mask) + 1).tolist(), path.ms[mask].tolist()))
 
 
 class TestZeroStateMeans:
     def test_zero_start_triggers(self):
         path = doob_decompose([0, 0.3, 0.5], [0.1, 0.4])
-        assert zero_state_means(path)[0] == (1, 0.1)
+        assert restart_means(path)[0] == (1, 0.1)
 
     def test_no_zero_states(self):
         path = doob_decompose([1, 2, 3], [2, 3])
-        assert zero_state_means(path) == []
+        assert restart_means(path) == []
 
     def test_kronecker_zero_states_give_zero(self):
         ys = [(-1.0) ** i for i in range(1, 201)]
         path = kronecker_path(ys, np.arange(1.0, 201.0))
-        entries = zero_state_means(path)
+        entries = restart_means(path)
         assert entries, "alternating sums revisit zero"
         assert all(u == 0.0 for _, u in entries)
 
     def test_zero_tol_classification(self):
         path = ProcessPath(np.array([0.05, 1.0]), np.array([0.5]), zero_tol=0.1)
-        assert zero_state_means(path) == [(1, 0.5)]
+        assert restart_means(path) == [(1, 0.5)]
 
 
 class TestCrossingReport:
@@ -185,40 +165,29 @@ class TestCrossingReport:
 
 class TestGrowthKernel:
     def test_direct_product(self):
-        assert growth_factor([0.1, 0.2], 2, 2) == pytest.approx(1.32)
+        assert max_growth_factor([0.1, 0.2]) == pytest.approx(1.32)
 
     def test_empty_window_is_one(self):
-        assert growth_factor([0.3, 0.4, 0.5], 3, 0) == 1.0
-
-    def test_window_too_long(self):
-        with pytest.raises(ValueError):
-            growth_factor([0.1], 1, 2)
+        assert max_growth_factor([]) == 1.0
 
     def test_max_matches_exhaustive_enumeration(self):
         alphas = 1.0 / np.arange(1, 101) ** 2
         best = max(
-            growth_factor(alphas, t, k)
+            float(np.prod(1.0 + alphas[t - k : t]))
             for t in range(1, 101)
             for k in range(0, t + 1)
         )
         assert max_growth_factor(alphas) == pytest.approx(best, rel=1e-12)
 
-    def test_kernel_dataclass(self):
-        kern = GrowthKernel(np.array([0.1, 0.2]))
-        assert kern.max_factor == pytest.approx(1.32)
-        assert kern.factor(1, 1) == pytest.approx(1.1)
-        with pytest.raises(ValueError):
-            GrowthKernel(np.array([1.0, 2.0]), alpha_sum_cap=1.5)
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_kernel_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite alpha at index 1"):
-            GrowthKernel(np.array([0.1, bad]))
+            max_growth_factor(np.array([0.1, bad]))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_growth_factor_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite alpha at index 0"):
-            growth_factor([bad, 0.1], 2, 1)
+            max_growth_factor([bad, 0.1])
 
 
 class TestSegmentPeakBound:
@@ -294,15 +263,6 @@ class TestKroneckerPath:
 
 
 class TestPathAccessors:
-    def test_step_records(self):
-        path = doob_decompose([1.0, 0.5, 0.75], [0.4, 0.8])
-        rec = path.step(1)
-        assert (rec.n, rec.x, rec.m) == (1, 0.5, 0.4)
-        assert rec.eps == pytest.approx(0.1)
-        assert len(list(path.steps())) == 2
-        with pytest.raises(IndexError):
-            path.step(3)
-
     def test_zero_tol_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             ProcessPath(np.array([1.0, 2.0]), np.array([1.0]), zero_tol=-1.0)
