@@ -462,8 +462,27 @@ class TestUnusableTraceInput:
             ("0,0,1.0,,,\n0,1,0.5,0.5,0.0,0,7\n", "line 3: expected 6 fields, got 7"),
             ("0,0,1.0,,,\n0,1,half,0.5,0.0,0\n", "line 3: could not convert string to float: 'half'"),
             ("", "trace file has no data rows"),
+            ("\n\n", "trace file has no data rows"),
+            (
+                "0,0,1.0,,,\n0,1.5,0.5,0.5,0.0,0\n",
+                "line 3: invalid literal for int() with base 10: '1.5'",
+            ),
+            ("0,0,1.0,,,\n0,1,0.5,,0.0,0\n", "seed 0: missing mean at step 1"),
+            (
+                "0,0,1.0,,,\n0,2,0.5,0.5,0.0,0\n",
+                "seed 0: trace rows must cover n = 0..horizon contiguously",
+            ),
         ],
-        ids=["short-row", "long-row", "non-numeric", "header-only"],
+        ids=[
+            "short-row",
+            "long-row",
+            "non-numeric",
+            "header-only",
+            "blank-only",
+            "non-integer-step",
+            "missing-mean",
+            "gap-in-n",
+        ],
     )
     def test_malformed_trace_exit_2(self, tmp_path, capsys, rows, message):
         trace = tmp_path / "traces.csv"
