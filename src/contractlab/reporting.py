@@ -130,45 +130,136 @@ def write_traces_csv(
             fh.writelines(_trace_chunks(seed, trace))
 
 
+TRACE_READ_CHUNK = 1 << 20  # bytes scanned at a time when checking a trace's lines
+TRACE_COLUMNS = ("seed", "n", "x", "m")  # read; "eps" must be present too
+
+
+def _scan_lines(fh, carry: bytes, width: int, m_col: int):
+    """Check the field count of every non-blank line of ``carry`` and the rest
+    of ``fh``, without parsing a field.
+
+    Lines end at LF, CR or CR LF, as ``csv.reader`` and ``np.loadtxt`` split
+    them.  The file is read ``TRACE_READ_CHUNK`` bytes at a time, so memory
+    stays bounded on a long trace.  Returns the number of non-blank lines and
+    the indices, among them, of those whose ``m_col`` field is empty; None
+    when a line's field count is not ``width``.
+    """
+    rows, empty = 0, []
+    while True:
+        block = fh.read(TRACE_READ_CHUNK)
+        data = carry + block if block else carry + b"\n"
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
+        buf, carry = np.frombuffer(data, np.uint8, cut), data[cut:]
+        ends = np.flatnonzero((buf == 10) | (buf == 13))
+        commas = np.flatnonzero(buf == 44)
+        starts = np.concatenate(([0], ends + 1))[:-1]
+        first = np.searchsorted(commas, starts)
+        kept = ends > starts
+        if np.any((np.searchsorted(commas, ends) - first)[kept] != width - 1):
+            return None
+        first, starts, ends = first[kept], starts[kept], ends[kept]
+        lo = commas[first + m_col - 1] + 1 if m_col else starts
+        hi = commas[first + m_col] if m_col < width - 1 else ends
+        empty.append(np.flatnonzero(lo == hi) + rows)
+        rows += len(first)
+        if not block:
+            return rows, np.concatenate(empty)
+
+
+def _raise_first_bad_line(path: Path, width: int, columns: Sequence[int]) -> None:
+    """Raise for the first line with the wrong field count or a non-numeric field.
+
+    Walks the rows as ``csv.reader`` splits them and converts the fields as
+    ``float()`` and ``int()`` do; returns if every line converts.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != width:
+                    raise ValueError(f"expected {width} fields, got {len(row)}")
+                seed, n, x, m = (row[i] for i in columns)
+                float(x), float(m) if m else None, int(seed), int(n)
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
+def _mean_or_nan(text: str) -> float:
+    return float(text) if text else math.nan
+
+
+def _seed_error(seed: int, ns: np.ndarray, missing: np.ndarray) -> str:
+    """Why one seed's rows, sorted by step, do not make a path."""
+    dup = np.flatnonzero(ns[1:] == ns[:-1])
+    if len(dup):
+        return f"seed {seed}: duplicate rows for step {ns[dup[0]]}"
+    if not np.array_equal(ns, np.arange(len(ns))):
+        return f"seed {seed}: trace rows must cover n = 0..horizon contiguously"
+    return f"seed {seed}: missing mean at step {np.flatnonzero(missing)[0]}"
+
+
 def read_trace_csv(path: Path):
     """Load a scalar trace CSV back into per-seed ``(xs, ms)`` arrays, keyed by seed.
 
     ``xs`` includes the initial value at index 0.  Values are parsed as
     written, so a ``nan`` or ``inf`` entry reaches the checkers unchanged.
-    Raises ValueError for a missing column, a file without data rows, and a
-    row with the wrong number of fields or a non-numeric field (naming its
-    line).
+    Rows may come in any order; seeds are keyed in order of their first row.
+    Raises ValueError for a missing column, a file without data rows, a row
+    with the wrong number of fields or a non-numeric field (naming its
+    line), a non-integer ``seed`` or ``n``, two rows for one step, a seed
+    whose steps are not ``0..horizon`` and a missing mean.
+
+    The file is parsed column-wise by ``np.loadtxt``; a line it rejects is
+    named by walking the rows again with ``csv.reader``.
     """
-    per_seed: Dict[int, Dict[int, tuple]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        required = {"seed", "n", "x", "m", "eps"}
-        if not required.issubset(header):
-            raise ValueError(f"trace file must carry columns {sorted(required)}")
-        columns = [header.index(name) for name in ("seed", "n", "x", "m")]
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != len(header):
-                    raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-                seed, n, x, m = (row[i] for i in columns)
-                per_seed.setdefault(int(seed), {})[int(n)] = (float(x), float(m) if m else None)
-            except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
-    if not per_seed:
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        cut = len(line.split(b"\r", 1)[0].rstrip(b"\n"))  # the header ends at \r or \n
+        header = next(csv.reader([line[:cut].decode()]), [])
+        if not {*TRACE_COLUMNS, "eps"}.issubset(header):
+            raise ValueError(f"trace file must carry columns {sorted({*TRACE_COLUMNS, 'eps'})}")
+        columns = [header.index(name) for name in TRACE_COLUMNS]
+        scan = _scan_lines(fh, line[cut:], len(header), columns[3])
+    if scan is None:
+        _raise_first_bad_line(path, len(header), columns)
+        raise ValueError(f"rows do not all have the header's {len(header)} fields")
+    rows, empty = scan
+    if not rows:
         raise ValueError("trace file has no data rows")
-    out = {}
-    for seed, steps in per_seed.items():
-        ns = sorted(steps)
-        if ns != list(range(ns[0], ns[0] + len(ns))) or ns[0] != 0:
-            raise ValueError(f"seed {seed}: trace rows must cover n = 0..horizon contiguously")
-        xs = np.array([steps[n][0] for n in ns])
-        ms = []
-        for n in ns[1:]:
-            if steps[n][1] is None:
-                raise ValueError(f"seed {seed}: missing mean at step {n}")
-            ms.append(steps[n][1])
-        out[seed] = (xs, np.array(ms))
-    return out
+    try:
+        table = np.loadtxt(
+            path,
+            delimiter=",",
+            skiprows=1,
+            usecols=columns,
+            comments=None,
+            converters={columns[3]: _mean_or_nan},
+            dtype=list(zip(TRACE_COLUMNS, ("i8", "i8", "f8", "f8"))),
+            ndmin=1,
+        )
+    except ValueError as exc:
+        _raise_first_bad_line(path, len(header), columns)
+        raise ValueError(str(exc)) from None
+    order = np.lexsort((table["n"], table["seed"]))
+    seed, n = table["seed"][order], table["n"][order]
+    missing = np.zeros(rows, bool)
+    missing[empty] = True
+    missing = missing[order] & (n != 0)
+    starts = np.flatnonzero(np.concatenate(([True], seed[1:] != seed[:-1])))
+    bounds = np.append(starts, rows)
+    step = np.arange(rows) - np.repeat(starts, np.diff(bounds))
+    bad = np.logical_or.reduceat((n != step) | missing, starts)
+    firsts = np.minimum.reduceat(order, starts)  # each seed's first row in the file
+    groups = np.argsort(firsts)
+    if bad.any():
+        g = groups[bad[groups]][0]
+        lo, hi = bounds[g], bounds[g + 1]
+        raise ValueError(_seed_error(int(seed[lo]), n[lo:hi], missing[lo:hi]))
+    xs, ms = table["x"][order], table["m"][order]
+    return {
+        int(seed[bounds[g]]): (xs[bounds[g] : bounds[g + 1]], ms[bounds[g] + 1 : bounds[g + 1]])
+        for g in groups.tolist()
+    }

@@ -472,6 +472,7 @@ class TestUnusableTraceInput:
                 "0,0,1.0,,,\n0,2,0.5,0.5,0.0,0\n",
                 "seed 0: trace rows must cover n = 0..horizon contiguously",
             ),
+            ("0,0,1.0,,,\n0,1,0.5,0.5,0.0,0\n0,1,9.0,0.5,8.5,0\n", "seed 0: duplicate rows for step 1"),
         ],
         ids=[
             "short-row",
@@ -482,6 +483,7 @@ class TestUnusableTraceInput:
             "non-integer-step",
             "missing-mean",
             "gap-in-n",
+            "duplicate-step",
         ],
     )
     def test_malformed_trace_exit_2(self, tmp_path, capsys, rows, message):

@@ -13,12 +13,14 @@ import csv
 import math
 from pathlib import Path
 from typing import Dict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contractlab import reporting
 from contractlab.reporting import read_trace_csv
 
 HEADER = "seed,n,x,m,eps,u_flag"
@@ -75,11 +77,6 @@ def outcome(reader, path: Path):
     )
 
 
-def assert_same_outcome(path: Path, text: str):
-    path.write_text(text)
-    assert outcome(read_trace_csv, path) == outcome(reference_read_trace_csv, path)
-
-
 # Values a trace can hold, including the ones a checker must see unchanged.
 VALUES = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
@@ -104,19 +101,37 @@ def trace_rows(draw):
     return draw(st.permutations(rows))
 
 
-def render(rows, blanks=()):
+def render(rows, blanks=(), newline="\n"):
     lines = [HEADER] + [",".join(row) for row in rows]
     for at in sorted(blanks, reverse=True):
         lines.insert(min(at, len(lines)), "")
-    return "\n".join(lines) + "\n"
+    return newline.join(lines) + newline
+
+
+# Line endings csv.reader and np.loadtxt both split on; chunk sizes that split
+# lines, and CR LF pairs, across reads.
+NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
+CHUNKS = st.sampled_from([1, 7, 64, reporting.TRACE_READ_CHUNK])
+
+
+def write_trace(factory, text: str) -> Path:
+    path = factory.mktemp("trace") / "traces.csv"
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    return path
 
 
 @settings(max_examples=150, deadline=None)
-@given(rows=trace_rows(), blanks=st.lists(st.integers(1, 60), max_size=3))
-def test_valid_traces_match_reference(tmp_path_factory, rows, blanks):
-    path = tmp_path_factory.mktemp("trace") / "traces.csv"
-    path.write_text(render(rows, blanks))
-    got = outcome(read_trace_csv, path)
+@given(
+    rows=trace_rows(),
+    blanks=st.lists(st.integers(1, 60), max_size=3),
+    newline=NEWLINES,
+    chunk=CHUNKS,
+)
+def test_valid_traces_match_reference(tmp_path_factory, rows, blanks, newline, chunk):
+    path = write_trace(tmp_path_factory, render(rows, blanks, newline))
+    with mock.patch.object(reporting, "TRACE_READ_CHUNK", chunk):
+        got = outcome(read_trace_csv, path)
     assert got[0] == "ok"
     assert got == outcome(reference_read_trace_csv, path)
 
@@ -158,8 +173,10 @@ MUTATIONS = {
         st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(0, 10**6)), min_size=1, max_size=3
     ),
     blanks=st.lists(st.integers(1, 60), max_size=2),
+    newline=NEWLINES,
+    chunk=CHUNKS,
 )
-def test_malformed_traces_match_reference(tmp_path_factory, rows, mutations, blanks):
+def test_malformed_traces_match_reference(tmp_path_factory, rows, mutations, blanks, newline, chunk):
     """Short and long rows, non-numeric fields, gaps, a missing n = 0 and empty means."""
     rows = list(rows)
     for name, at in mutations:
@@ -170,7 +187,10 @@ def test_malformed_traces_match_reference(tmp_path_factory, rows, mutations, bla
             del rows[at]
         else:
             rows[at] = MUTATIONS[name](rows[at])
-    assert_same_outcome(tmp_path_factory.mktemp("trace") / "traces.csv", render(rows, blanks))
+    path = write_trace(tmp_path_factory, render(rows, blanks, newline))
+    with mock.patch.object(reporting, "TRACE_READ_CHUNK", chunk):
+        got = outcome(read_trace_csv, path)
+    assert got == outcome(reference_read_trace_csv, path)
 
 
 @pytest.mark.parametrize(
@@ -229,3 +249,21 @@ def test_columns_found_by_name(tmp_path):
     (xs, ms), = read_trace_csv(path).values()
     assert xs.tolist() == [1.0, 0.5] and ms.tolist() == [0.25]
     assert outcome(read_trace_csv, path) == outcome(reference_read_trace_csv, path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,0,1.0,,,\n0,1,0.5,0.5,0.0,0\n0,1,9.0,0.5,8.5,0\n", "seed 0: duplicate rows for step 1"),
+        ("0,0,1.0,,,\n0,0,2.0,,,\n", "seed 0: duplicate rows for step 0"),
+        ("2,0,1.0,,,\n1,0,1.0,,,\n1,3,0.5,0.5,0.0,0\n2,0,1.0,,,\n", "seed 2: duplicate rows for step 0"),
+    ],
+    ids=["later-step", "initial-value", "before-another-bad-seed"],
+)
+def test_duplicate_steps_rejected(tmp_path, rows, message):
+    """The reference keeps the last of two rows for one step; a trace with both is unusable."""
+    path = tmp_path / "traces.csv"
+    path.write_text(HEADER + "\n" + rows)
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == message
