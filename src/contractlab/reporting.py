@@ -245,21 +245,15 @@ def read_trace_csv(path: Path):
         raise ValueError(str(exc)) from None
     order = np.lexsort((table["n"], table["seed"]))
     seed, n = table["seed"][order], table["n"][order]
-    missing = np.zeros(rows, bool)
-    missing[empty] = True
-    missing = missing[order] & (n != 0)
+    missing = np.isin(order, empty) & (n != 0)
     starts = np.flatnonzero(np.concatenate(([True], seed[1:] != seed[:-1])))
     bounds = np.append(starts, rows)
     step = np.arange(rows) - np.repeat(starts, np.diff(bounds))
-    bad = np.logical_or.reduceat((n != step) | missing, starts)
-    firsts = np.minimum.reduceat(order, starts)  # each seed's first row in the file
-    groups = np.argsort(firsts)
+    by_first = np.argsort(np.minimum.reduceat(order, starts))  # seeds in file order
+    spans = np.column_stack((bounds[:-1], bounds[1:]))[by_first].tolist()
+    bad = np.logical_or.reduceat((n != step) | missing, starts)[by_first]
     if bad.any():
-        g = groups[bad[groups]][0]
-        lo, hi = bounds[g], bounds[g + 1]
+        lo, hi = spans[np.argmax(bad)]
         raise ValueError(_seed_error(int(seed[lo]), n[lo:hi], missing[lo:hi]))
     xs, ms = table["x"][order], table["m"][order]
-    return {
-        int(seed[bounds[g]]): (xs[bounds[g] : bounds[g + 1]], ms[bounds[g] + 1 : bounds[g + 1]])
-        for g in groups.tolist()
-    }
+    return {int(seed[lo]): (xs[lo:hi], ms[lo + 1 : hi]) for lo, hi in spans}

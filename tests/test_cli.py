@@ -472,7 +472,10 @@ class TestUnusableTraceInput:
                 "0,0,1.0,,,\n0,2,0.5,0.5,0.0,0\n",
                 "seed 0: trace rows must cover n = 0..horizon contiguously",
             ),
-            ("0,0,1.0,,,\n0,1,0.5,0.5,0.0,0\n0,1,9.0,0.5,8.5,0\n", "seed 0: duplicate rows for step 1"),
+            (
+                "0,0,1.0,,,\n0,1,0.5,0.5,0.0,0\n0,1,9.0,0.5,8.5,0\n",
+                "seed 0: duplicate rows for step 1",
+            ),
         ],
         ids=[
             "short-row",

@@ -170,13 +170,17 @@ MUTATIONS = {
 @given(
     rows=trace_rows(),
     mutations=st.lists(
-        st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(0, 10**6)), min_size=1, max_size=3
+        st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(0, 10**6)),
+        min_size=1,
+        max_size=3,
     ),
     blanks=st.lists(st.integers(1, 60), max_size=2),
     newline=NEWLINES,
     chunk=CHUNKS,
 )
-def test_malformed_traces_match_reference(tmp_path_factory, rows, mutations, blanks, newline, chunk):
+def test_malformed_traces_match_reference(
+    tmp_path_factory, rows, mutations, blanks, newline, chunk
+):
     """Short and long rows, non-numeric fields, gaps, a missing n = 0 and empty means."""
     rows = list(rows)
     for name, at in mutations:
@@ -193,21 +197,30 @@ def test_malformed_traces_match_reference(tmp_path_factory, rows, mutations, bla
     assert got == outcome(reference_read_trace_csv, path)
 
 
+HEAD = HEADER + "\n"
+NOT_CONTIGUOUS = "trace rows must cover n = 0..horizon contiguously"
+NOT_INT = "invalid literal for int() with base 10: "
+NOT_FLOAT = "could not convert string to float: "
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
-        (HEADER + "\n", "trace file has no data rows"),
-        (HEADER + "\n\n\n", "trace file has no data rows"),
+        (HEAD, "trace file has no data rows"),
+        (HEAD + "\n\n", "trace file has no data rows"),
         (HEADER, "trace file has no data rows"),
         ("", "trace file must carry columns ['eps', 'm', 'n', 'seed', 'x']"),
-        (HEADER + "\n0,0,1.0,,,\n0,2,0.5,0.5,0.0,0\n", "seed 0: trace rows must cover n = 0..horizon contiguously"),
-        (HEADER + "\n3,1,1.0,0.5,,\n3,2,0.5,0.5,0.0,0\n", "seed 3: trace rows must cover n = 0..horizon contiguously"),
-        (HEADER + "\n0,0,1.0,,,\n0,1,0.5,,0.0,0\n", "seed 0: missing mean at step 1"),
-        (HEADER + "\n0,0,1.0,,,\n0,1,0.5,0.5,0.0,0\n0,2,0.2,,0.0,0\n", "seed 0: missing mean at step 2"),
-        (HEADER + "\n0,0,1.0,,,\n0,1.5,0.5,0.5,0.0,0\n", "line 3: invalid literal for int() with base 10: '1.5'"),
-        (HEADER + "\n0,0,1.0,,,\n0,1,#0.5,0.5,0.0,0\n", "line 3: could not convert string to float: '#0.5'"),
-        (HEADER + "\n0,0,1.0,,,\n0,1,0.5,0.5,0.0\n", "line 3: expected 6 fields, got 5"),
-        (HEADER + "\n0,0,1.0,,,\n \n", "line 3: expected 6 fields, got 1"),
+        (HEAD + "0,0,1.0,,,\n0,2,0.5,0.5,0.0,0\n", f"seed 0: {NOT_CONTIGUOUS}"),
+        (HEAD + "3,1,1.0,0.5,,\n3,2,0.5,0.5,0.0,0\n", f"seed 3: {NOT_CONTIGUOUS}"),
+        (HEAD + "0,0,1.0,,,\n0,1,0.5,,0.0,0\n", "seed 0: missing mean at step 1"),
+        (
+            HEAD + "0,0,1.0,,,\n0,1,0.5,0.5,0.0,0\n0,2,0.2,,0.0,0\n",
+            "seed 0: missing mean at step 2",
+        ),
+        (HEAD + "0,0,1.0,,,\n0,1.5,0.5,0.5,0.0,0\n", f"line 3: {NOT_INT}'1.5'"),
+        (HEAD + "0,0,1.0,,,\n0,1,#0.5,0.5,0.0,0\n", f"line 3: {NOT_FLOAT}'#0.5'"),
+        (HEAD + "0,0,1.0,,,\n0,1,0.5,0.5,0.0\n", "line 3: expected 6 fields, got 5"),
+        (HEAD + "0,0,1.0,,,\n \n", "line 3: expected 6 fields, got 1"),
     ],
     ids=[
         "header-only",
@@ -256,7 +269,10 @@ def test_columns_found_by_name(tmp_path):
     [
         ("0,0,1.0,,,\n0,1,0.5,0.5,0.0,0\n0,1,9.0,0.5,8.5,0\n", "seed 0: duplicate rows for step 1"),
         ("0,0,1.0,,,\n0,0,2.0,,,\n", "seed 0: duplicate rows for step 0"),
-        ("2,0,1.0,,,\n1,0,1.0,,,\n1,3,0.5,0.5,0.0,0\n2,0,1.0,,,\n", "seed 2: duplicate rows for step 0"),
+        (
+            "2,0,1.0,,,\n1,0,1.0,,,\n1,3,0.5,,0.0,0\n2,0,1.0,,,\n",
+            "seed 2: duplicate rows for step 0",
+        ),
     ],
     ids=["later-step", "initial-value", "before-another-bad-seed"],
 )
@@ -267,3 +283,24 @@ def test_duplicate_steps_rejected(tmp_path, rows, message):
     with pytest.raises(ValueError) as exc:
         read_trace_csv(path)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,0,1_0,,,\n", "could not convert string '1_0'"),
+        ("0,0,\"1.0\",,,\n", "could not convert string '\"1.0\"'"),
+        ("99999999999999999999,0,1.0,,,\n", "could not convert string '99999999999999999999'"),
+        ("0,0,1.0,,\"a,b\",\n", "rows do not all have the header's 6 fields"),
+    ],
+    ids=["underscore", "quoted-number", "seed-beyond-int64", "quoted-comma"],
+)
+def test_numpy_parser_rejects_what_python_reads(tmp_path, rows, message):
+    """Spellings int(), float() and csv.reader accept but numpy's parser does not;
+    numpy's own message, which names no file line, is passed on."""
+    path = tmp_path / "traces.csv"
+    path.write_text(HEADER + "\n" + rows)
+    assert outcome(reference_read_trace_csv, path)[0] == "ok"
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value).startswith(message)
