@@ -114,11 +114,14 @@ NEWLINES = st.sampled_from(["\n", "\r\n", "\r"])
 CHUNKS = st.sampled_from([1, 7, 64, reporting.TRACE_READ_CHUNK])
 
 
-def write_trace(factory, text: str) -> Path:
+def both_outcomes(factory, text: str, chunk: int):
+    """The columnar reader's outcome, read ``chunk`` bytes at a time, and the reference's."""
     path = factory.mktemp("trace") / "traces.csv"
     with open(path, "w", newline="") as fh:
         fh.write(text)
-    return path
+    with mock.patch.object(reporting, "TRACE_READ_CHUNK", chunk):
+        got = outcome(read_trace_csv, path)
+    return got, outcome(reference_read_trace_csv, path)
 
 
 @settings(max_examples=150, deadline=None)
@@ -129,19 +132,9 @@ def write_trace(factory, text: str) -> Path:
     chunk=CHUNKS,
 )
 def test_valid_traces_match_reference(tmp_path_factory, rows, blanks, newline, chunk):
-    path = write_trace(tmp_path_factory, render(rows, blanks, newline))
-    with mock.patch.object(reporting, "TRACE_READ_CHUNK", chunk):
-        got = outcome(read_trace_csv, path)
+    got, expected = both_outcomes(tmp_path_factory, render(rows, blanks, newline), chunk)
     assert got[0] == "ok"
-    assert got == outcome(reference_read_trace_csv, path)
-
-
-def _short(row):
-    return row[:3]
-
-
-def _long(row):
-    return row + ["7"]
+    assert got == expected
 
 
 def _field(index, text):
@@ -152,8 +145,8 @@ def _field(index, text):
 
 
 MUTATIONS = {
-    "short-row": _short,
-    "long-row": _long,
+    "short-row": lambda row: row[:3],
+    "long-row": lambda row: row + ["7"],
     "non-numeric-x": _field(2, "half"),
     "comment-like-x": _field(2, "#0.5"),
     "non-numeric-m": _field(3, "n/a"),
@@ -191,10 +184,8 @@ def test_malformed_traces_match_reference(
             del rows[at]
         else:
             rows[at] = MUTATIONS[name](rows[at])
-    path = write_trace(tmp_path_factory, render(rows, blanks, newline))
-    with mock.patch.object(reporting, "TRACE_READ_CHUNK", chunk):
-        got = outcome(read_trace_csv, path)
-    assert got == outcome(reference_read_trace_csv, path)
+    got, expected = both_outcomes(tmp_path_factory, render(rows, blanks, newline), chunk)
+    assert got == expected
 
 
 HEAD = HEADER + "\n"
