@@ -219,8 +219,9 @@ def read_trace_csv(path: Path):
         line = fh.readline()
         cut = len(line.split(b"\r", 1)[0].rstrip(b"\n"))  # the header ends at \r or \n
         header = next(csv.reader([line[:cut].decode()]), [])
-        if not {*TRACE_COLUMNS, "eps"}.issubset(header):
-            raise ValueError(f"trace file must carry columns {sorted({*TRACE_COLUMNS, 'eps'})}")
+        required = {*TRACE_COLUMNS, "eps"}
+        if not required.issubset(header):
+            raise ValueError(f"trace file must carry columns {sorted(required)}")
         columns = [header.index(name) for name in TRACE_COLUMNS]
         scan = _scan_lines(fh, line[cut:], len(header), columns[3])
     if scan is None:
