@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
@@ -231,16 +232,21 @@ def read_trace_csv(path: Path):
     if not rows:
         raise ValueError("trace file has no data rows")
     try:
-        table = np.loadtxt(
-            path,
-            delimiter=",",
-            skiprows=1,
-            usecols=columns,
-            comments=None,
-            converters={columns[3]: _mean_or_nan},
-            dtype=list(zip(TRACE_COLUMNS, ("i8", "i8", "f8", "f8"))),
-            ndmin=1,
-        )
+        with warnings.catch_warnings():
+            # numpy < 2 reads an integer field that is not one ("1.5", "1e3", a
+            # seed beyond 64 bits) through a float and truncates it, with only
+            # this warning; raised as an error, it fails the field (ValueError)
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            table = np.loadtxt(
+                path,
+                delimiter=",",
+                skiprows=1,
+                usecols=columns,
+                comments=None,
+                converters={columns[3]: _mean_or_nan},
+                dtype=list(zip(TRACE_COLUMNS, ("i8", "i8", "f8", "f8"))),
+                ndmin=1,
+            )
     except ValueError as exc:
         _raise_first_bad_line(path, len(header), columns)
         raise ValueError(str(exc)) from None

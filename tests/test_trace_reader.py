@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from pathlib import Path
 from typing import Dict
 from unittest import mock
@@ -293,5 +294,60 @@ def test_numpy_parser_rejects_what_python_reads(tmp_path, rows, message):
     path.write_text(HEADER + "\n" + rows)
     assert outcome(reference_read_trace_csv, path)[0] == "ok"
     with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value).startswith(message)
+
+
+REAL_LOADTXT = np.loadtxt
+
+
+def legacy_int(text: str) -> int:
+    """An ``i8`` field as numpy 1.23-1.26 parse it: a 64-bit integer literal
+    as itself, anything else through ``float()``, truncated or wrapped, after
+    a DeprecationWarning that fails the field when raised as an error."""
+    try:
+        value = int(text)
+        if -(2**63) <= value < 2**63:
+            return value
+    except ValueError:
+        pass
+    try:
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning)
+    except DeprecationWarning as exc:
+        raise ValueError(f"could not convert string {str(text)!r} to int64") from exc
+    return int(float(text)) % 2**63
+
+
+def float_fallback_loadtxt(fname, *, dtype, **kwargs):
+    """``np.loadtxt`` with numpy < 2's float fallback for integer fields."""
+    text_dtype = [(name, "U64" if kind == "i8" else kind) for name, kind in dtype]
+    table = REAL_LOADTXT(fname, dtype=text_dtype, **kwargs)
+    out = np.empty(table.shape, dtype)
+    for name, kind in dtype:
+        out[name] = [legacy_int(text) for text in table[name]] if kind == "i8" else table[name]
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize(
+    "loadtxt", [REAL_LOADTXT, float_fallback_loadtxt], ids=["numpy", "float-fallback"]
+)
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,0,1.0,,,\n0,1.5,0.5,0.5,0.0,0\n", f"line 3: {NOT_INT}'1.5'"),
+        ("0,0,1.0,,,\n0,1e0,0.5,0.5,0.0,0\n", f"line 3: {NOT_INT}'1e0'"),
+        ("0.0,0,1.0,,,\n", f"line 2: {NOT_INT}'0.0'"),
+        ("99999999999999999999,0,1.0,,,\n", "could not convert string '99999999999999999999'"),
+    ],
+    ids=["non-integer-n", "exponent-n", "non-integer-seed", "seed-beyond-int64"],
+)
+def test_integer_fields_never_read_through_a_float(tmp_path, loadtxt, rows, message):
+    """A seed or n that is not a 64-bit integer is rejected with numpy's
+    DeprecationWarning hidden, as it is outside the test run, also where
+    numpy's parser would read it through a float and truncate it."""
+    path = tmp_path / "traces.csv"
+    path.write_text(HEADER + "\n" + rows)
+    with mock.patch.object(np, "loadtxt", loadtxt), pytest.raises(ValueError) as exc:
         read_trace_csv(path)
     assert str(exc.value).startswith(message)
