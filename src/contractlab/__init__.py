@@ -10,7 +10,6 @@ from .verdict import ConditionVerdict
 from .process import (
     CrossingReport,
     ProcessPath,
-    VectorProcessPath,
     check_segment_peak_bound,
     crossing_report,
     doob_decompose,
@@ -25,7 +24,6 @@ from .conditions import (
     check_zero_state_decay,
 )
 from .approximation import (
-    DomainExitError,
     EnvelopeReport,
     NoiseModel,
     RootProblem,

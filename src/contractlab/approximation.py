@@ -15,11 +15,10 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .conditions import NonexpansiveProfile, _ratio_verdict
-from .process import ProcessPath, VectorProcessPath, finite_steps, ratio_band, zero_state_mask
+from .process import ProcessPath, finite_steps, ratio_band, scalar_only, zero_state_mask
 from .verdict import ConditionVerdict, band_check, vacuous
 
 __all__ = [
-    "DomainExitError",
     "RootProblem",
     "NoiseModel",
     "Schedule",
@@ -40,15 +39,6 @@ __all__ = [
     "signed_log_grid",
     "sphere_grid",
 ]
-
-
-class DomainExitError(RuntimeError):
-    """Raised under the "reject" domain policy when an iterate leaves the domain."""
-
-    def __init__(self, step: int, value: float):
-        super().__init__(f"iterate left the domain at step {step}: {value!r}")
-        self.step = step
-        self.value = value
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,14 +183,6 @@ class Schedule:
         return None
 
 
-def _domain_step(x: float, lo: float, hi: float, policy: str, step: int) -> float:
-    if lo <= x <= hi:
-        return x
-    if policy == "project":
-        return min(max(x, lo), hi)
-    raise DomainExitError(step, x)
-
-
 def _checked_x0(problem: RootProblem, x0) -> np.ndarray:
     """``x0`` as a float array; every entry must lie in the domain (NaN does not)."""
     x = np.asarray(x0, dtype=float)
@@ -217,22 +199,16 @@ def rm_solve(
     x0,
     horizon: int,
     seed,
-    domain_policy: str = "unbounded",
-) -> ProcessPath | VectorProcessPath:
+) -> ProcessPath:
     """Run the root-finding iteration x_n = x_{n-1} - alpha_n * sample_n.
 
-    A scalar ``x0`` gives a :class:`ProcessPath`; a vector one, of shape
-    ``(problem.dimension,)``, gives a :class:`VectorProcessPath`, and the
-    domain interval then applies per axis.  A vector of length 1 consumes the
-    same shock stream as the scalar, so equal seeds give bit-identical
-    trajectories.  The returned path stores the exact predictable mean
-    x - alpha * g(x) of every step.  ``domain_policy`` is one of "unbounded"
-    (default), "project" (clip iterates to the domain; stored means then
-    describe the unclipped update), or "reject" (raise
-    :class:`DomainExitError` on an excursion).
+    A scalar ``x0`` gives a scalar path; a vector one, of shape
+    ``(problem.dimension,)``, a ``(horizon + 1, p)`` path.  ``x0`` must lie
+    in the domain (per axis for a vector); the iterates are not confined to
+    it.  A vector of length 1 consumes the same shock stream as the scalar,
+    so equal seeds give bit-identical trajectories.  The returned path stores
+    the exact predictable mean x - alpha * g(x) of every step.
     """
-    if domain_policy not in ("unbounded", "project", "reject"):
-        raise ValueError(f"unknown domain policy {domain_policy!r}")
     x = _checked_x0(problem, x0)
     if x.ndim and x.shape != (problem.dimension,):
         raise ValueError(f"x0 must have shape ({problem.dimension},)")
@@ -241,9 +217,7 @@ def rm_solve(
     shape = (horizon,) + x.shape
     steps = np.asarray(noise.draw(rng, shape), dtype=float) * al.reshape((-1,) + (1,) * x.ndim)
     g = problem.g
-    guarded = domain_policy != "unbounded"
     if not x.ndim:
-        lo, hi = (float(b) for b in problem.domain)  # scalar solve needs interval bounds
         x = float(x)
         steps = steps.tolist()
         xs = [x]
@@ -251,12 +225,9 @@ def rm_solve(
         for i, a in enumerate(al.tolist()):
             m = x - a * float(g(x))
             x = m - steps[i]
-            if guarded:
-                x = _domain_step(x, lo, hi, domain_policy, i + 1)
             ms.append(m)
             xs.append(x)
         return ProcessPath(np.array(xs), np.array(ms))
-    lo, hi = problem.domain
     xs = np.empty((horizon + 1,) + x.shape)
     ms = np.empty(shape)
     xs[0] = x
@@ -265,12 +236,7 @@ def rm_solve(
         np.subtract(x, al[i] * np.asarray(g(x), dtype=float), out=m)
         x = xs[i + 1]
         np.subtract(m, steps[i], out=x)
-        if guarded and (np.any(x < lo) or np.any(x > hi)):
-            if domain_policy == "project":
-                np.clip(x, lo, hi, out=x)
-            else:
-                raise DomainExitError(i + 1, x.copy())
-    return VectorProcessPath(xs, ms)
+    return ProcessPath(xs, ms)
 
 
 # The path arrays of one block of seeds (xs and ms, 8 bytes per value) stay
@@ -305,9 +271,8 @@ def rm_solve_block(
 ) -> Iterator:
     """Step a block of seeds together; return their paths, in seed order.
 
-    Each path is bit-identical to :func:`rm_solve`'s for that seed (a
-    :class:`ProcessPath` or a :class:`VectorProcessPath`, by the shape of
-    ``x0``; "unbounded" domain policy).  Each seed draws its shocks from its
+    Each path is bit-identical to :func:`rm_solve`'s for that seed, scalar or
+    vector by the shape of ``x0``.  Each seed draws its shocks from its
     own generator, and ``problem.g_block`` repeats ``g``'s operations.  The
     arrays are time-major, ``xs`` (H+1, B[, p]) and ``ms`` (H, B[, p]); the
     shocks are drawn into ``ms`` and overwritten by the means.  Any
@@ -330,8 +295,7 @@ def rm_solve_block(
             m = x - a * g(x)
             np.subtract(m, ms[i], out=xs[i + 1])
             ms[i] = m
-    path = VectorProcessPath if shape else ProcessPath
-    return (path(xs[:, j].copy(), ms[:, j].copy()) for j in range(len(seeds)))
+    return (ProcessPath(xs[:, j].copy(), ms[:, j].copy()) for j in range(len(seeds)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,6 +445,7 @@ def check_ratio_sandwich(
     overshoot by design) and skips steps whose predecessor equals the root.
     Exact up to ``atol`` because the stored means are exact.
     """
+    scalar_only(path, "check_ratio_sandwich")
     if not 0 < m <= M:
         raise ValueError("need 0 < m <= M")
     al = schedule.alphas(path.horizon)
@@ -526,6 +491,7 @@ def derive_truncated(
     never counts as settled.  Raises when residuals never settle within the
     horizon.
     """
+    scalar_only(base, "derive_truncated")
     if delta <= 0:
         raise ValueError("delta must be positive")
     if tau <= 0:

@@ -3,9 +3,10 @@
 All checks run against model-supplied predictable means, never against means
 estimated from a realization, so every verdict is an exact pathwise statement
 (up to a configurable floating-point slack).  Limit statements are rendered as
-tail-window criteria with explicit tolerances.  On a :class:`VectorProcessPath`
-the same checkers apply the conditions to norms: ||m_n|| / ||x_{n-1}|| for the
-ratios and ||x_{n-1}||, ||m_n|| for the zero class and the restart means.
+tail-window criteria with explicit tolerances.  On a vector path (``xs`` and
+``ms`` of shape ``(steps, p)``, even for p = 1) the same checkers apply the
+conditions to norms: ||m_n|| / ||x_{n-1}|| for the ratios and ||x_{n-1}||,
+||m_n|| for the zero class and the restart means.
 """
 from __future__ import annotations
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .process import (
     ProcessPath,
-    VectorProcessPath,
     allowance_array,
     finite_array,
     ratio_band,
@@ -90,7 +90,7 @@ def _ratio_verdict(band: Band) -> ConditionVerdict:
 
 
 def check_nonexpansive(
-    path: ProcessPath | VectorProcessPath,
+    path: ProcessPath,
     profile: NonexpansiveProfile,
     atol: float = DEFAULT_ATOL,
 ) -> ConditionVerdict:
@@ -101,7 +101,7 @@ def check_nonexpansive(
 
 
 def check_contractive(
-    path: ProcessPath | VectorProcessPath,
+    path: ProcessPath,
     profile: ContractiveProfile,
     atol: float = DEFAULT_ATOL,
 ) -> ConditionVerdict:
@@ -125,7 +125,7 @@ def check_contractive(
 
 
 def check_zero_state_decay(
-    path: ProcessPath | VectorProcessPath,
+    path: ProcessPath,
     tail_window: Optional[int] = None,
     tol: float = 1e-6,
 ) -> ConditionVerdict:

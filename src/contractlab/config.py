@@ -77,8 +77,8 @@ class Field:
     Types: ``number``, ``integer``, ``bool``, ``string``, ``numbers`` (a
     nonempty list, read as floats), ``choice`` (one of ``choices``) and
     ``any`` (left to a rule).  ``gt``/``lt`` are exclusive bounds, ``ge``/``le``
-    inclusive ones.  A value that fails its check reads as the default, so
-    the cross-field rules still see a value.
+    inclusive ones.  A value that fails its check reads as None, and the
+    cross-field rules skip a None, so one mistake draws one error.
     """
 
     name: str
@@ -224,7 +224,7 @@ class _Reader:
         reason = _why_invalid(f, value)
         if reason is not None:
             self.fail(at, reason)
-            return copy.copy(f.default)
+            return None
         return [float(v) for v in value] if f.type == "numbers" else value
 
     def group(self, data: Dict[str, Any], g: Group) -> Optional[Dict[str, Any]]:
@@ -300,7 +300,7 @@ class _Reader:
 
 
 def _amplitude_below_slope(r: _Reader, v: Dict[str, Any]) -> None:
-    if v["amplitude"] >= v["slope"]:
+    if None not in (v["amplitude"], v["slope"]) and v["amplitude"] >= v["slope"]:
         r.fail("problem.amplitude", "must be smaller than slope to keep the map rootward")
 
 
@@ -398,7 +398,7 @@ def _summable_schedule(r: _Reader, doc: Dict[str, Any]) -> None:
 
 
 def _parallelism_ignored(r: _Reader, v: Dict[str, Any]) -> None:
-    if v["parallelism"] > 1:
+    if (v["parallelism"] or 1) > 1:
         r.warnings.append(
             f"ensemble.parallelism = {v['parallelism']} is ignored: seeds run in one thread"
         )
@@ -413,7 +413,7 @@ def _x0_matches_matrix(r: _Reader, doc: Dict[str, Any]) -> None:
 
 def _beta_matches_design(r: _Reader, doc: Dict[str, Any]) -> None:
     design, beta = doc["design"], doc["beta"]
-    if design is None or beta is None or design["family"] is None:
+    if design is None or beta is None or None in design.values():
         return
     _, p = DESIGN.families[design["family"]].build(design)  # the builder owns the column count
     if len(beta) != p:

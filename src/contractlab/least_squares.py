@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .process import VectorProcessPath
+from .process import ProcessPath
 from .verdict import ConditionVerdict, failing, passing, vacuous
 
 __all__ = [
@@ -296,7 +296,7 @@ def integral_bound(
 
 def z_process(
     xs: np.ndarray, us: np.ndarray, gw: GWeight, zero_tol: float = 0.0
-) -> VectorProcessPath:
+) -> ProcessPath:
     """Weighted score process z_n(t) = v_n(t) / g(energy_{n,t}).
 
     ``v`` is the running noise-weighted regressor sum and the weight matrix is
@@ -318,7 +318,7 @@ def z_process(
     weights[pos] = gw(d2[pos])
     z = np.where(pos, v / weights, 0.0)
     m = np.where(pos, v_prev / weights, 0.0)
-    return VectorProcessPath(np.vstack((np.zeros(p), z)), m, zero_tol)
+    return ProcessPath(np.vstack((np.zeros(p), z)), m, zero_tol)
 
 
 @dataclass(frozen=True)

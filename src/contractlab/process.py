@@ -18,7 +18,6 @@ from .verdict import Band, ConditionVerdict, band_check, failing, passing, vacuo
 
 __all__ = [
     "ProcessPath",
-    "VectorProcessPath",
     "CrossingReport",
     "sign_classes",
     "doob_decompose",
@@ -53,12 +52,14 @@ def finite_array(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ProcessPath:
-    """A realized scalar trajectory with exact predictable one-step means.
+    """A realized trajectory with exact predictable one-step means.
 
-    ``xs`` has length ``horizon + 1`` and carries the initial value at index 0;
-    ``ms[i]`` is the conditional mean of step ``i + 1`` given the past.  The
-    residuals ``eps = xs[1:] - ms`` are recomputed on construction, so the
-    decomposition identity holds to the last bit by definition.
+    ``xs`` has ``horizon + 1`` rows and carries the initial value in row 0;
+    ``ms[i]`` is the conditional mean of step ``i + 1`` given the past.  A
+    scalar path has 1-d arrays, a vector path ``(steps, p)`` arrays, whose
+    conditions are checked on the row norms.  The residuals
+    ``eps = xs[1:] - ms`` are recomputed on construction, so the decomposition
+    identity holds to the last bit by definition.
     """
 
     xs: np.ndarray
@@ -69,8 +70,10 @@ class ProcessPath:
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
         ms = np.asarray(self.ms, dtype=float)
-        if xs.ndim != 1 or ms.ndim != 1:
-            raise ValueError("xs and ms must be one-dimensional")
+        if xs.ndim not in (1, 2) or ms.ndim != xs.ndim:
+            raise ValueError("xs and ms must both be one-dimensional or both (steps, p) arrays")
+        if xs.shape[1:] != ms.shape[1:]:
+            raise ValueError(f"dimension mismatch: {xs.shape[1]} vs {ms.shape[1]} components")
         if len(xs) != len(ms) + 1:
             raise ValueError(
                 f"length mismatch: got {len(xs)} values but {len(ms)} means "
@@ -83,54 +86,19 @@ class ProcessPath:
         object.__setattr__(self, "eps", xs[1:] - ms)
 
     @property
-    def x0(self) -> float:
-        return float(self.xs[0])
+    def x0(self) -> float | np.ndarray:
+        return self.xs[0] if self.xs.ndim == 2 else float(self.xs[0])
 
     @property
     def horizon(self) -> int:
         return len(self.ms)
 
-    def classes(self) -> np.ndarray:
-        return sign_classes(self.xs, self.zero_tol)
-
-
-@dataclass(frozen=True, eq=False)
-class VectorProcessPath:
-    """A realized vector trajectory with exact predictable one-step means."""
-
-    xs: np.ndarray  # shape (horizon + 1, p)
-    ms: np.ndarray  # shape (horizon, p)
-    zero_tol: float = 0.0
-    eps: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        xs = np.asarray(self.xs, dtype=float)
-        ms = np.asarray(self.ms, dtype=float)
-        if xs.ndim != 2 or ms.ndim != 2:
-            raise ValueError("xs and ms must be two-dimensional (steps, components)")
-        if xs.shape[1] != ms.shape[1]:
-            raise ValueError(f"dimension mismatch: {xs.shape[1]} vs {ms.shape[1]} components")
-        if xs.shape[0] != ms.shape[0] + 1:
-            raise ValueError(
-                f"length mismatch: got {xs.shape[0]} values but {ms.shape[0]} means"
-            )
-        if self.zero_tol < 0:
-            raise ValueError("zero_tol must be nonnegative")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ms", ms)
-        object.__setattr__(self, "eps", xs[1:] - ms)
-
     @property
     def p(self) -> int:
         return self.xs.shape[1]
 
-    @property
-    def horizon(self) -> int:
-        return self.ms.shape[0]
-
-    @property
-    def x0(self) -> np.ndarray:
-        return self.xs[0]
+    def classes(self) -> np.ndarray:
+        return sign_classes(self.xs, self.zero_tol)
 
     def norms(self) -> np.ndarray:
         return np.linalg.norm(self.xs, axis=1)
@@ -143,29 +111,26 @@ class VectorProcessPath:
         return ProcessPath(self.xs[:, t], self.ms[:, t], self.zero_tol)
 
 
-def doob_decompose(xs, ms, zero_tol: float = 0.0) -> ProcessPath | VectorProcessPath:
+def scalar_only(path: ProcessPath, name: str) -> None:
+    """Reject a vector path from ``name``, whose condition is sign-based or per value."""
+    if path.xs.ndim != 1:
+        raise ValueError(f"{name} needs a scalar path, got one with {path.p} components")
+
+
+def doob_decompose(xs, ms, zero_tol: float = 0.0) -> ProcessPath:
     """Split a realized trajectory into predictable means plus residuals.
 
     ``ms`` must supply the conditional mean of every step after the initial
-    value, so ``len(ms) == len(xs) - 1``.  One-dimensional input gives a
-    :class:`ProcessPath`, ``(steps, p)`` input a :class:`VectorProcessPath`.
-    Non-finite entries are rejected with the index of the offending step.
+    value: one-dimensional arrays with ``len(ms) == len(xs) - 1``, or
+    ``(steps, p)`` arrays for a vector path.  Non-finite entries are rejected
+    with the index of the offending step.
     """
-    xs = np.asarray(xs, dtype=float)
-    ms = np.asarray(ms, dtype=float)
-    if xs.ndim not in (1, 2) or ms.ndim != xs.ndim:
-        raise ValueError("xs and ms must both be one-dimensional or both (steps, p) arrays")
-    if len(ms) != len(xs) - 1:
-        raise ValueError(
-            f"length mismatch: {len(xs)} values require {len(xs) - 1} means, got {len(ms)}"
-        )
-    finite_array(xs, "value in xs")
-    finite_array(ms, "value in ms")
-    return (ProcessPath if xs.ndim == 1 else VectorProcessPath)(xs, ms, zero_tol)
+    return ProcessPath(finite_array(xs, "value in xs"), finite_array(ms, "value in ms"), zero_tol)
 
 
 def zero_state_mask(path: ProcessPath) -> np.ndarray:
     """Boolean mask over steps 1..horizon: True where the predecessor is zero-class."""
+    scalar_only(path, "zero_state_mask")
     return np.abs(path.xs[:-1]) <= path.zero_tol
 
 
@@ -186,6 +151,7 @@ class CrossingReport:
 
 
 def crossing_report(path: ProcessPath) -> CrossingReport:
+    scalar_only(path, "crossing_report")
     cls = path.classes()
     change = np.nonzero(cls[1:] != cls[:-1])[0] + 1
     times = tuple(int(i) for i in change)
@@ -222,7 +188,7 @@ def max_growth_factor(alphas: Sequence[float]) -> float:
     return float(np.prod(1.0 + allowance_array(alphas)))
 
 
-def finite_steps(path: ProcessPath | VectorProcessPath) -> np.ndarray:
+def finite_steps(path: ProcessPath) -> np.ndarray:
     """Mask over steps 1..horizon: True where x_{n-1}, m_n and x_n are all finite."""
     xs_ok, ms_ok = np.isfinite(path.xs), np.isfinite(path.ms)
     if xs_ok.ndim == 2:
@@ -230,9 +196,9 @@ def finite_steps(path: ProcessPath | VectorProcessPath) -> np.ndarray:
     return xs_ok[:-1] & xs_ok[1:] & ms_ok
 
 
-def _drift_pairs(path: ProcessPath | VectorProcessPath) -> Tuple[np.ndarray, np.ndarray]:
+def _drift_pairs(path: ProcessPath) -> Tuple[np.ndarray, np.ndarray]:
     """Per step, the predecessor x_{n-1} and the mean m_n (their norms for a vector path)."""
-    if isinstance(path, VectorProcessPath):
+    if path.xs.ndim == 2:
         return path.norms()[:-1], path.mean_norms()
     return path.xs[:-1], path.ms
 
@@ -272,6 +238,7 @@ def check_segment_peak_bound(
     makes the bound inapplicable and is reported as the failure index.  The
     guarantee assumes exact zero classification (``zero_tol == 0``).
     """
+    scalar_only(path, "check_segment_peak_bound")
     alphas = np.asarray(alphas, dtype=float)
     if len(alphas) < path.horizon:
         raise ValueError("alphas must cover the path horizon")

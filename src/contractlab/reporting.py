@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .process import ProcessPath, VectorProcessPath
+from .process import ProcessPath
 
 __all__ = [
     "json_safe",
@@ -92,7 +92,7 @@ def trace_header(p: int = 1) -> List[str]:
 TRACE_CHUNK = 256  # steps formatted at a time: a long path leaves no large text behind
 
 
-def _trace_chunks(seed: int, path: ProcessPath | VectorProcessPath) -> Iterator[str]:
+def _trace_chunks(seed: int, path: ProcessPath) -> Iterator[str]:
     """One path's CSV text in chunks of whole lines; the n = 0 line carries only
     the initial value.
 
@@ -103,10 +103,7 @@ def _trace_chunks(seed: int, path: ProcessPath | VectorProcessPath) -> Iterator[
     xs = path.xs.reshape(len(path.xs), -1)
     p = xs.shape[1]
     ms, eps = path.ms.reshape(-1, p), path.eps.reshape(-1, p)
-    if isinstance(path, VectorProcessPath):
-        prev = np.linalg.norm(path.xs[:-1], axis=1)
-    else:
-        prev = np.abs(path.xs[:-1])
+    prev = np.linalg.norm(path.xs[:-1], axis=1) if path.xs.ndim == 2 else np.abs(path.xs[:-1])
     flags = np.where(prev <= path.zero_tol, "1", "0")
     tag = str(seed)
     yield ",".join([tag, "0", *map(repr, xs[0].tolist())]) + "," * (2 * p + 1) + "\n"
@@ -119,7 +116,7 @@ def _trace_chunks(seed: int, path: ProcessPath | VectorProcessPath) -> Iterator[
 
 
 def write_traces_csv(
-    path: Path, p: int, paths: Iterable[Tuple[int, ProcessPath | VectorProcessPath]]
+    path: Path, p: int, paths: Iterable[Tuple[int, ProcessPath]]
 ) -> None:
     """Write ``(seed, path)`` pairs in the order given under the ``p``-column header.
 

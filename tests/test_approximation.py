@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contractlab import (
-    DomainExitError,
     NoiseModel,
     NonexpansiveProfile,
     RootProblem,
@@ -180,31 +179,6 @@ class TestRmSolve:
         a = rm_solve(**kwargs)
         b = rm_solve(**kwargs)
         assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ms, b.ms)
-
-    def test_reject_policy_raises_with_step(self):
-        with pytest.raises(DomainExitError) as err:
-            rm_solve(
-                RootProblem(lambda x: -x, domain=(-2.0, 2.0)),
-                NoiseModel.noiseless(),
-                Schedule.explicit([1.5] * 10),
-                1.0,
-                10,
-                0,
-                domain_policy="reject",
-            )
-        assert err.value.step >= 1
-
-    def test_project_policy_clips(self):
-        path = rm_solve(
-            RootProblem(lambda x: -x, domain=(-2.0, 2.0)),
-            NoiseModel.noiseless(),
-            Schedule.explicit([1.5] * 10),
-            1.0,
-            10,
-            0,
-            domain_policy="project",
-        )
-        assert np.all(path.xs <= 2.0) and np.all(path.xs >= -2.0)
 
     def test_x0_outside_domain(self):
         with pytest.raises(ValueError, match="domain"):
@@ -458,20 +432,7 @@ class TestMultivariateSolve:
             hits += np.linalg.norm(path.xs[-1]) < 0.1
         assert hits >= 19
 
-    def test_box_domain_projection(self):
-        lo = np.array([-1.0, -2.0])
-        hi = np.array([1.0, 2.0])
-        problem = RootProblem(lambda x: -x, domain=(lo, hi), dimension=2)
-        path = rm_solve(
-            problem,
-            NoiseModel.noiseless(),
-            Schedule.explicit([1.5] * 20),
-            [0.5, 0.5],
-            20,
-            0,
-            domain_policy="project",
-        )
-        assert np.all(path.xs <= hi) and np.all(path.xs >= lo)
+    def test_box_domain_must_be_nonempty(self):
         with pytest.raises(ValueError):
             RootProblem(lambda x: x, domain=(np.array([0.0, 3.0]), np.array([1.0, 2.0])))
 

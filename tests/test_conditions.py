@@ -7,7 +7,6 @@ from contractlab import (
     ContractiveProfile,
     NonexpansiveProfile,
     ProcessPath,
-    VectorProcessPath,
     check_contractive,
     check_nonexpansive,
     check_zero_state_decay,
@@ -168,26 +167,26 @@ def rotation_path(horizon=40):
     for i in range(horizon):
         x = ms[i] = 0.8 * np.array([-x[1], x[0]])
         xs[i + 1] = x
-    return VectorProcessPath(xs, ms)
+    return ProcessPath(xs, ms)
 
 
 def sign_flip_path(horizon=10):
     """A scalar path with sign-flipping means m_n = -x_{n-1} / 2, as p = 1 vectors."""
     xs = (-0.5) ** np.arange(horizon + 1.0)
-    return VectorProcessPath(xs[:, None], -0.5 * xs[:-1, None])
+    return ProcessPath(xs[:, None], -0.5 * xs[:-1, None])
 
 
 def kronecker_vector_path():
     rng = np.random.default_rng(9)
     path = kronecker_path(rng.normal(size=100), np.arange(1.0, 101.0))
-    return VectorProcessPath(path.xs[:, None], path.ms[:, None])
+    return ProcessPath(path.xs[:, None], path.ms[:, None])
 
 
 def restart_path():
     """All values zero; the last mean restarts with norm 0.5."""
     ms = np.zeros((6, 2))
     ms[-1] = [0.3, 0.4]
-    return VectorProcessPath(np.zeros((7, 2)), ms)
+    return ProcessPath(np.zeros((7, 2)), ms)
 
 
 # name -> (path, ratio profile, zero-state tail window, zero-state tol)
@@ -195,7 +194,7 @@ VECTOR_CASES = {
     "rotation": (rotation_path, lambda h: ContractiveProfile.constant(0.8, h, 5.0), None, 1e-6),
     "sign_flip": (sign_flip_path, NonexpansiveProfile.zero, None, 1e-6),
     "kronecker": (kronecker_vector_path, NonexpansiveProfile.zero, None, 1e-6),
-    "all_zero": (lambda: VectorProcessPath(np.zeros((2001, 2)), np.zeros((2000, 2))),
+    "all_zero": (lambda: ProcessPath(np.zeros((2001, 2)), np.zeros((2000, 2))),
                  NonexpansiveProfile.zero, None, 1e-6),
     "restart_tol_0.4": (restart_path, NonexpansiveProfile.zero, 3, 0.4),
     "restart_tol_0.6": (restart_path, NonexpansiveProfile.zero, 3, 0.6),

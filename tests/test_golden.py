@@ -25,7 +25,7 @@ import pytest
 
 from contractlab import approximation, experiments, reporting
 from contractlab.cli import main
-from contractlab.process import ProcessPath, VectorProcessPath
+from contractlab.process import ProcessPath
 from contractlab.reporting import write_traces_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -187,7 +187,7 @@ def test_trace_u_flag_follows_path_type(tmp_path):
     # |1e-170| > 0, but the row norm squares it to zero
     xs, ms = np.array([1e-170, 1.0]), np.array([0.5])
     out = tmp_path / "traces.csv"
-    paths = [(0, ProcessPath(xs, ms)), (1, VectorProcessPath(xs[:, None], ms[:, None]))]
+    paths = [(0, ProcessPath(xs, ms)), (1, ProcessPath(xs[:, None], ms[:, None]))]
     write_traces_csv(out, 1, paths)
     assert out.read_text().splitlines() == [
         "seed,n,x,m,eps,u_flag",

@@ -19,7 +19,6 @@ from contractlab import (
     NonexpansiveProfile,
     ProcessPath,
     Schedule,
-    VectorProcessPath,
     check_contractive,
     check_design_conditions,
     check_nonexpansive,
@@ -116,7 +115,7 @@ def test_ratio_sandwich(case):
 @settings(max_examples=60, deadline=None)
 def test_norm_conditions(case, p):
     xs, ms, step = halving(*case, p=p)
-    path = VectorProcessPath(xs, ms)
+    path = ProcessPath(xs, ms)
     ratio = check_nonexpansive(path, NonexpansiveProfile.zero(path.horizon))
     zero_state = check_zero_state_decay(path, tail_window=1, tol=1.0)
     assert_fails_at(ratio, step)

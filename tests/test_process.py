@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from contractlab import (
     ProcessPath,
-    VectorProcessPath,
+    Schedule,
+    check_ratio_sandwich,
     check_segment_peak_bound,
     crossing_report,
+    derive_truncated,
     doob_decompose,
     kronecker_path,
     max_growth_factor,
@@ -56,7 +58,7 @@ class TestDoobDecompose:
         xs = np.array([[1.0, -2.0], [0.5, -1.0], [0.3, -0.4]])
         ms = np.array([[0.5, -1.0], [0.25, -0.5]])
         path = doob_decompose(xs, ms)
-        assert isinstance(path, VectorProcessPath)
+        assert path.xs.shape == (3, 2) and path.p == 2
         assert np.array_equal(path.ms + path.eps, xs[1:])
         assert np.array_equal(path.component(1).xs, xs[:, 1])
 
@@ -266,3 +268,22 @@ class TestPathAccessors:
     def test_zero_tol_must_be_nonnegative(self):
         with pytest.raises(ValueError):
             ProcessPath(np.array([1.0, 2.0]), np.array([1.0]), zero_tol=-1.0)
+
+
+# Sign-based or per-value conditions, which have no meaning on a vector path.
+SCALAR_ONLY = {
+    "crossing_report": crossing_report,
+    "check_segment_peak_bound": lambda path: check_segment_peak_bound(path, np.zeros(path.horizon)),
+    "zero_state_mask": zero_state_mask,
+    "derive_truncated": lambda path: derive_truncated(path, delta=0.1, tau=0.01),
+    "check_ratio_sandwich": lambda path: check_ratio_sandwich(path, Schedule.inverse_n(), 0.5, 1.0),
+}
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("name", list(SCALAR_ONLY))
+def test_scalar_only_functions_reject_a_vector_path(name, p):
+    xs = np.repeat(np.linspace(1.0, 0.0, 6)[:, None], p, axis=1)
+    path = doob_decompose(xs, 0.5 * xs[:-1])
+    with pytest.raises(ValueError, match=f"{name} needs a scalar path, got one with {p} components"):
+        SCALAR_ONLY[name](path)
