@@ -16,7 +16,7 @@ import numpy as np
 
 from .conditions import NonexpansiveProfile, _ratio_verdict
 from .process import ProcessPath, finite_steps, ratio_band, scalar_only, zero_state_mask
-from .verdict import ConditionVerdict, band_check, vacuous
+from .verdict import DEFAULT_ATOL, ConditionVerdict, band_check, vacuous
 
 __all__ = [
     "RootProblem",
@@ -45,24 +45,18 @@ __all__ = [
 class RootProblem:
     """A deterministic target map g whose root is sought from noisy evaluations.
 
-    ``domain`` is an interval (lo, hi); for vector problems the bounds apply
-    componentwise and either bound may be a per-axis array (a box).  When
-    ``x_star`` is supplied it must actually be a root (|g| at most 1e-12).
+    When ``x_star`` is supplied it must actually be a root (|g| at most 1e-12).
     ``g_block``, when given, evaluates g on a block of iterates, one row per
     seed (shape (B,) or (B, p)), with the same floating-point operations as
     ``g`` on each row; :func:`rm_solve_block` needs it.
     """
 
     g: Callable
-    domain: Tuple = (-math.inf, math.inf)
     x_star: Optional[float | np.ndarray] = None
     dimension: int = 1
     g_block: Optional[Callable] = None
 
     def __post_init__(self) -> None:
-        lo, hi = self.domain
-        if not np.all(np.asarray(lo) < np.asarray(hi)):
-            raise ValueError("domain must be a nonempty interval or box (lo, hi)")
         if self.dimension < 1:
             raise ValueError("dimension must be positive")
         if self.x_star is not None:
@@ -91,13 +85,12 @@ class NoiseModel:
 
     draw: Callable[[np.random.Generator, tuple], np.ndarray]
     cond_var_bound: float
-    label: str = "custom"
 
     @classmethod
     def gaussian(cls, sd: float) -> "NoiseModel":
         if sd < 0:
             raise ValueError("sd must be nonnegative")
-        return cls(lambda rng, shape: rng.normal(0.0, sd, size=shape), sd * sd, f"gaussian(sd={sd:g})")
+        return cls(lambda rng, shape: rng.normal(0.0, sd, size=shape), sd * sd)
 
     @classmethod
     def uniform(cls, half_width: float) -> "NoiseModel":
@@ -106,12 +99,11 @@ class NoiseModel:
         return cls(
             lambda rng, shape: rng.uniform(-half_width, half_width, size=shape),
             half_width * half_width / 3.0,
-            f"uniform(half_width={half_width:g})",
         )
 
     @classmethod
     def noiseless(cls) -> "NoiseModel":
-        return cls(lambda rng, shape: np.zeros(shape), 0.0, "noiseless")
+        return cls(lambda rng, shape: np.zeros(shape), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,12 +175,11 @@ class Schedule:
         return None
 
 
-def _checked_x0(problem: RootProblem, x0) -> np.ndarray:
-    """``x0`` as a float array; every entry must lie in the domain (NaN does not)."""
+def _checked_x0(x0) -> np.ndarray:
+    """``x0`` as a float array holding no NaN (an infinite entry is accepted)."""
     x = np.asarray(x0, dtype=float)
-    lo, hi = problem.domain
-    if not np.all((lo <= x) & (x <= hi)):
-        raise ValueError(f"x0 = {x.tolist()!r} outside the domain")
+    if np.isnan(x).any():
+        raise ValueError(f"x0 = {x.tolist()!r} holds a NaN")
     return x
 
 
@@ -203,13 +194,12 @@ def rm_solve(
     """Run the root-finding iteration x_n = x_{n-1} - alpha_n * sample_n.
 
     A scalar ``x0`` gives a scalar path; a vector one, of shape
-    ``(problem.dimension,)``, a ``(horizon + 1, p)`` path.  ``x0`` must lie
-    in the domain (per axis for a vector); the iterates are not confined to
-    it.  A vector of length 1 consumes the same shock stream as the scalar,
+    ``(problem.dimension,)``, a ``(horizon + 1, p)`` path.  ``x0`` must hold
+    no NaN.  A vector of length 1 consumes the same shock stream as the scalar,
     so equal seeds give bit-identical trajectories.  The returned path stores
     the exact predictable mean x - alpha * g(x) of every step.
     """
-    x = _checked_x0(problem, x0)
+    x = _checked_x0(x0)
     if x.ndim and x.shape != (problem.dimension,):
         raise ValueError(f"x0 must have shape ({problem.dimension},)")
     rng = np.random.default_rng(seed)
@@ -280,7 +270,7 @@ def rm_solve_block(
     raises, so a seed whose values overflow is left to the per-seed solvers,
     whose ``math`` calls may raise on it.
     """
-    shape = _checked_x0(problem, x0).shape
+    shape = _checked_x0(x0).shape
     xs = np.empty((horizon + 1, len(seeds)) + shape)
     ms = np.empty((horizon, len(seeds)) + shape)
     for j, seed in enumerate(seeds):
@@ -309,21 +299,19 @@ class EnvelopeReport:
 
     m_hat: float
     M_hat: float
-    grid: np.ndarray
     violations: np.ndarray
-    ratio_cap: float
 
     @property
     def holds(self) -> bool:
         return len(self.violations) == 0
 
-    def covers(self, m: float, M: float, rtol: float = 1e-9) -> bool:
+    def covers(self, m: float, M: float) -> bool:
         """True when the declared envelope [m, M] is valid on the grid.
 
-        A relative slack absorbs grid-evaluation rounding when a declared
-        bound is attained exactly.
+        A relative slack of 1e-9 absorbs grid-evaluation rounding when a
+        declared bound is attained exactly.
         """
-        slack = rtol * max(1.0, abs(m), abs(M))
+        slack = 1e-9 * max(1.0, abs(m), abs(M))
         return self.holds and m <= self.m_hat + slack and self.M_hat <= M + slack
 
 
@@ -339,13 +327,7 @@ def check_linear_envelope(
     gvals = np.fromiter((float(problem.g(float(x))) for x in grid), dtype=float, count=len(grid))
     ratios = gvals / offsets
     bad = ~((ratios > 0) & (ratios <= ratio_cap))  # a non-finite g value is a violation
-    return EnvelopeReport(
-        m_hat=float(ratios.min()),
-        M_hat=float(ratios.max()),
-        grid=grid,
-        violations=grid[bad],
-        ratio_cap=ratio_cap,
-    )
+    return EnvelopeReport(float(ratios.min()), float(ratios.max()), grid[bad])
 
 
 def check_norm_envelope(
@@ -362,13 +344,7 @@ def check_norm_envelope(
     inner = np.einsum("ij,ij->i", gvals, grid) / norms2
     norm_ratio = np.linalg.norm(gvals, axis=1) / np.sqrt(norms2)
     bad = ~((inner > 0) & (norm_ratio <= ratio_cap))  # a non-finite g value is a violation
-    return EnvelopeReport(
-        m_hat=float(inner.min()),
-        M_hat=float(norm_ratio.max()),
-        grid=grid,
-        violations=grid[bad],
-        ratio_cap=ratio_cap,
-    )
+    return EnvelopeReport(float(inner.min()), float(norm_ratio.max()), grid[bad])
 
 
 @dataclass(frozen=True)
@@ -378,19 +354,21 @@ class RegularityVerdict(ConditionVerdict):
     annulus_infima: Tuple[Tuple[Tuple[float, float], float], ...] = ()
 
 
+K_FLOOR = 1e-12
+
+
 def check_regularity(
     problem: RootProblem,
     grid: Sequence[float],
     c: float,
     d: float,
     delta_pairs: Sequence[Tuple[float, float]],
-    k_floor: float = 1e-12,
 ) -> RegularityVerdict:
     """Linear growth, sign agreement, and annulus-infimum checks on a grid.
 
     Growth: |g(x)| <= c + d|x|.  Sign: g agrees in sign with x off zero.
     Annulus: for each (d1, d2) the infimum of |g| over d1 <= |x| <= d2 must
-    exceed ``k_floor`` (a strict-positivity floor for floating point).  The
+    exceed ``K_FLOOR`` (a strict-positivity floor for floating point).  The
     verdict index refers to a grid position.
     """
     grid = np.asarray(grid, dtype=float)
@@ -416,8 +394,8 @@ def check_regularity(
         k = float(np.abs(gvals[ring]).min()) if ring.any() else math.inf
         infima.append(((float(d1), float(d2)), k))
         detail_bits.append(f"inf|g| on [{d1:g},{d2:g}] = {k:.6g}")
-        if k <= k_floor:
-            worst = min(worst, k - k_floor)
+        if k <= K_FLOOR:
+            worst = min(worst, k - K_FLOOR)
             if first_violation is None:
                 ring_idx = np.nonzero(ring)[0]
                 first_violation = int(ring_idx[np.argmin(np.abs(gvals[ring]))])
@@ -437,13 +415,12 @@ def check_ratio_sandwich(
     m: float,
     M: float,
     x_star: float = 0.0,
-    atol: float = 1e-12,
 ) -> ConditionVerdict:
     """Realized mean ratios must lie in [1 - M*alpha_n, 1 - m*alpha_n].
 
     Checking starts at the first step with M * alpha_n <= 1 (earlier steps can
     overshoot by design) and skips steps whose predecessor equals the root.
-    Exact up to ``atol`` because the stored means are exact.
+    Exact up to ``DEFAULT_ATOL`` because the stored means are exact.
     """
     scalar_only(path, "check_ratio_sandwich")
     if not 0 < m <= M:
@@ -453,7 +430,7 @@ def check_ratio_sandwich(
     prev = path.xs[:-1] - x_star
     band = band_check(
         path.ms - x_star, 1.0 - m * al, 1.0 - M * al, checkable & (prev != 0),
-        atol=atol, over=prev, finite=finite_steps(path),
+        atol=DEFAULT_ATOL, over=prev, finite=finite_steps(path),
     )
     if checkable.any():
         held = f"{{checked}} steps checked from step {int(np.argmax(checkable)) + 1}"
@@ -514,7 +491,7 @@ def derive_truncated(
 
 
 def truncated_nonexpansive_verdict(
-    trunc: TruncatedPath, alphas: Optional[np.ndarray] = None, atol: float = 1e-12
+    trunc: TruncatedPath, alphas: Optional[np.ndarray] = None
 ) -> ConditionVerdict:
     """Nonexpansive ratio check on the truncated path beyond the settling index.
 
@@ -529,15 +506,13 @@ def truncated_nonexpansive_verdict(
         if len(tail) < horizon - n0:
             raise ValueError("profile does not cover the path horizon")
         allowance[n0:] = tail[: horizon - n0]
-    band = ratio_band(trunc.path, 1.0 + allowance, 0.0, np.arange(horizon) >= n0, atol)
+    band = ratio_band(trunc.path, 1.0 + allowance, 0.0, np.arange(horizon) >= n0, DEFAULT_ATOL)
     if n0 == horizon and band.first_violation is None:
         return vacuous("no steps beyond the settling index")
     return _ratio_verdict(band)
 
 
-def check_truncated_zero_mean_bound(
-    trunc: TruncatedPath, kappa: float, atol: float = 1e-12
-) -> ConditionVerdict:
+def check_truncated_zero_mean_bound(trunc: TruncatedPath, kappa: float) -> ConditionVerdict:
     """Restart means of the truncated path obey |u| <= |base u| + delta + 2*tau + kappa.
 
     ``kappa`` bounds the base mean magnitude whenever the base state sits in
@@ -548,7 +523,7 @@ def check_truncated_zero_mean_bound(
     allowance = np.abs(u_base) + trunc.delta + 2.0 * trunc.tau + kappa
     late = np.arange(1, base.horizon + 1) >= trunc.n0
     band = band_check(
-        np.abs(trunc.zero_state_mean), allowance, mask=late, atol=atol,
+        np.abs(trunc.zero_state_mean), allowance, mask=late, atol=DEFAULT_ATOL,
         finite=finite_steps(trunc.path),
     )
     return band.verdict(
@@ -558,16 +533,18 @@ def check_truncated_zero_mean_bound(
     )
 
 
-def contraction_factor(alpha: float, m: float, M: float) -> float:
-    """Per-step norm contraction factor sqrt(1 - 2*alpha*m + alpha**2 * M**2)."""
+def contraction_factor(alphas, m: float, M: float) -> np.ndarray:
+    """Per-step norm contraction factors sqrt(1 - 2*alpha*m + alpha**2 * M**2)
+    of a step size or an array of them."""
     if not 0 < m <= M:
         raise ValueError("need 0 < m <= M")
-    if alpha < 0:
+    a = np.asarray(alphas, dtype=float)
+    if np.any(a < 0):
         raise ValueError("alpha must be nonnegative")
-    rad = 1.0 - 2.0 * alpha * m + alpha * alpha * M * M
-    if rad < 0:
-        raise ValueError(f"step size {alpha:g} too large for envelope ({m:g}, {M:g})")
-    return math.sqrt(rad)
+    rad = 1.0 - 2.0 * a * m + a * a * M * M
+    if np.any(rad < 0):
+        raise ValueError(f"step size {a[rad < 0].flat[0]:g} too large for envelope ({m:g}, {M:g})")
+    return np.sqrt(rad)
 
 
 def signed_log_grid(min_abs: float, max_abs: float, per_decade: int = 10_000) -> np.ndarray:

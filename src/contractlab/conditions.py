@@ -2,11 +2,12 @@
 
 All checks run against model-supplied predictable means, never against means
 estimated from a realization, so every verdict is an exact pathwise statement
-(up to a configurable floating-point slack).  Limit statements are rendered as
-tail-window criteria with explicit tolerances.  On a vector path (``xs`` and
-``ms`` of shape ``(steps, p)``, even for p = 1) the same checkers apply the
-conditions to norms: ||m_n|| / ||x_{n-1}|| for the ratios and ||x_{n-1}||,
-||m_n|| for the zero class and the restart means.
+up to the fixed floating-point slack ``verdict.DEFAULT_ATOL`` (which only
+:func:`check_nonexpansive` lets a caller change).  Limit statements are
+rendered as tail-window criteria with explicit tolerances.  On a vector path
+(``xs`` and ``ms`` of shape ``(steps, p)``, even for p = 1) the same checkers
+apply the conditions to norms: ||m_n|| / ||x_{n-1}|| for the ratios and
+||x_{n-1}||, ||m_n|| for the zero class and the restart means.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .process import (
     ratio_band,
     zero_state_band,
 )
-from .verdict import Band, ConditionVerdict, failing, passing
+from .verdict import DEFAULT_ATOL, Band, ConditionVerdict, failing, passing
 
 __all__ = [
     "ConditionVerdict",
@@ -33,8 +34,6 @@ __all__ = [
     "check_contractive",
     "check_zero_state_decay",
 ]
-
-DEFAULT_ATOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,16 +99,12 @@ def check_nonexpansive(
     return _ratio_verdict(ratio_band(path, 1.0 + profile.alphas[: path.horizon], 0.0, atol=atol))
 
 
-def check_contractive(
-    path: ProcessPath,
-    profile: ContractiveProfile,
-    atol: float = DEFAULT_ATOL,
-) -> ConditionVerdict:
+def check_contractive(path: ProcessPath, profile: ContractiveProfile) -> ConditionVerdict:
     """Mean/value ratio lies in [0, k_n] and sum(1 - k_n) reaches the target."""
     if len(profile.ks) < path.horizon:
         raise ValueError("profile does not cover the path horizon")
     ks = profile.ks[: path.horizon]
-    ratio_verdict = _ratio_verdict(ratio_band(path, ks, 0.0, atol=atol))
+    ratio_verdict = _ratio_verdict(ratio_band(path, ks, 0.0, atol=DEFAULT_ATOL))
     if not ratio_verdict.holds:
         return ratio_verdict
     total = float(np.sum(1.0 - ks))

@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class ExperimentOutcome:
     exit_code: int
     summary: Dict[str, Any]
     assertions: List[AssertionResult]
-    out_dir: Optional[Path]
 
     @property
     def failed_assertions(self) -> List[str]:
@@ -87,14 +86,12 @@ def _grid(length: int, points: int) -> np.ndarray:
     return np.unique(np.linspace(0, length - 1, min(points, length)).astype(int))
 
 
-def _finite_finals(stats: EnsembleStats) -> np.ndarray:
-    vals = [v.final_value for v in stats.per_seed if math.isfinite(v.final_value)]
-    return np.asarray(vals, dtype=float)
-
-
 def _eval_fraction_assertions(
     assertions: Dict[str, Any], stats: EnsembleStats, results: List[AssertionResult]
 ) -> None:
+    """Fractions and the median are taken over every seed: an errored seed's
+    final value is NaN, so it never counts as below a limit."""
+    finals = np.abs([v.final_value for v in stats.per_seed])
     if "min_fraction_converged_to_zero" in assertions:
         want = float(assertions["min_fraction_converged_to_zero"])
         frac = stats.fraction(ConvergenceClass.CONVERGED_TO_ZERO)
@@ -107,7 +104,7 @@ def _eval_fraction_assertions(
         )
     if "max_median_final_abs" in assertions:
         want = float(assertions["max_median_final_abs"])
-        got = stats.final_abs_quantiles["q50"]
+        got = float(np.quantile(finals, 0.5))
         results.append(
             AssertionResult(
                 "max_median_final_abs", got <= want, f"median |final| {got:.6g}, limit {want:.6g}"
@@ -115,8 +112,7 @@ def _eval_fraction_assertions(
         )
     if "min_fraction_final_below" in assertions:
         params = assertions["min_fraction_final_below"]
-        finals = np.abs(_finite_finals(stats))
-        frac = float(np.mean(finals < float(params["value"]))) if finals.size else 0.0
+        frac = float(np.mean(finals < float(params["value"])))
         results.append(
             AssertionResult(
                 "min_fraction_final_below",
@@ -172,7 +168,7 @@ def _run_sa(config: ExperimentConfig):
             grid = sphere_grid(x0.size, env["directions"], env["radii"], env["grid_seed"])
             env_report = check_norm_envelope(problem, grid, env["ratio_cap"])
             alphas = schedule.alphas(horizon)
-            ks = np.array([contraction_factor(a, env["m"], env["M"]) for a in alphas])
+            ks = contraction_factor(alphas, env["m"], env["M"])
             report["contraction_factor_final"] = float(ks[-1])
         else:
             grid = signed_log_grid(
@@ -375,7 +371,7 @@ def _run_ls(config: ExperimentConfig):
             )
             for run in runs
         ]
-        design_frac = float(np.mean([r.holds for r in design_reports]))
+        design_frac = sum(r.holds for r in design_reports) / ens.seeds
         first = design_reports[0]
         report["design_conditions"] = {
             "fraction_holding": design_frac,
@@ -395,7 +391,8 @@ def _run_ls(config: ExperimentConfig):
     if "min_fraction_final_error_below" in assertions:
         params = assertions["min_fraction_final_error_below"]
         errs = np.asarray([float(np.max(np.abs(r.final_b - beta))) for r in runs])
-        frac = float(np.mean(errs < float(params["value"]))) if errs.size else 0.0
+        # over every seed: an errored seed is never below the limit
+        frac = np.count_nonzero(errs < float(params["value"])) / ens.seeds
         results.append(
             AssertionResult(
                 "min_fraction_final_error_below",
@@ -540,14 +537,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
         probe.write_text("")
         probe.unlink()
     except OSError as exc:
-        return ExperimentOutcome(
-            2, {"error": f"output directory not writable: {exc}"}, [], None
-        )
+        return ExperimentOutcome(2, {"error": f"output directory not writable: {exc}"}, [])
 
     try:
         report, assertion_results, stats, traces = _RUNNERS[config.kind](config)
     except InputError as exc:
-        return ExperimentOutcome(2, {"error": str(exc)}, [], None)
+        return ExperimentOutcome(2, {"error": str(exc)}, [])
 
     exit_code = 0 if all(a.passed for a in assertion_results) else 1
     summary: Dict[str, Any] = {
@@ -598,7 +593,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
             write_traces_csv(out_dir / "traces.csv", p, paths)
     except OSError as exc:
         return ExperimentOutcome(
-            2, {"error": f"failed writing artifacts: {exc}"}, assertion_results, out_dir
+            2, {"error": f"failed writing artifacts: {exc}"}, assertion_results
         )
 
-    return ExperimentOutcome(exit_code, summary, assertion_results, out_dir)
+    return ExperimentOutcome(exit_code, summary, assertion_results)

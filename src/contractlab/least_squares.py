@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 REBASE_EVERY = 512
+# the largest realized weight bound kappa_hat that check_design_conditions accepts
+KAPPA_CAP = 1e6
 
 
 def _quad_to_infinity(integrand: Callable[[float], float], lower: float) -> Optional[float]:
@@ -63,8 +65,6 @@ class DesignContext:
     """What a controlled design may look at when choosing the next regressor."""
 
     n: int
-    prev_x: Optional[np.ndarray]
-    prev_y: Optional[float]
     prev_u: Optional[float]
     estimate: Optional[np.ndarray]
 
@@ -75,15 +75,12 @@ class RegressionModel:
 
     ``design(rng, ctx)`` returns the next regressor and may use the context,
     which carries only information available before the new observation.
-    ``noise_draw`` defaults to centered Gaussian with standard deviation
-    ``sigma``; any replacement must keep conditional mean zero and conditional
-    variance at most ``sigma**2``.
+    The noise is centered Gaussian with standard deviation ``sigma``.
     """
 
     beta: np.ndarray
     design: Callable[[np.random.Generator, DesignContext], np.ndarray]
     sigma: float
-    noise_draw: Optional[Callable[[np.random.Generator], float]] = None
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta, dtype=float)
@@ -294,9 +291,7 @@ def integral_bound(
     return IntegralBoundResult(s, float(a[0]) / float(fvals[0]) + tail)
 
 
-def z_process(
-    xs: np.ndarray, us: np.ndarray, gw: GWeight, zero_tol: float = 0.0
-) -> ProcessPath:
+def z_process(xs: np.ndarray, us: np.ndarray, gw: GWeight) -> ProcessPath:
     """Weighted score process z_n(t) = v_n(t) / g(energy_{n,t}).
 
     ``v`` is the running noise-weighted regressor sum and the weight matrix is
@@ -318,7 +313,7 @@ def z_process(
     weights[pos] = gw(d2[pos])
     z = np.where(pos, v / weights, 0.0)
     m = np.where(pos, v_prev / weights, 0.0)
-    return ProcessPath(np.vstack((np.zeros(p), z)), m, zero_tol)
+    return ProcessPath(np.vstack((np.zeros(p), z)), m)
 
 
 @dataclass(frozen=True)
@@ -360,10 +355,9 @@ def simulate_ls_runs(
     bit-identical to a run of that seed alone.  ``checkpoints`` are step
     indices at which the recursive estimate is compared against a dense
     solve; the worst max-norm gap is recorded.  A design that carries a
-    ``block_draw`` (the built-in open-loop designs) with the default Gaussian
-    noise draws each seed's whole regressor and noise stream up front; any
-    other design is called per seed and step, since it may read the current
-    estimate.  Estimates are kept for ``REBASE_EVERY`` steps at a time and for
+    ``block_draw`` (the built-in open-loop designs) draws each seed's whole
+    regressor and noise stream up front; any other design is called per seed
+    and step, since it may read the current estimate.  Estimates are kept for ``REBASE_EVERY`` steps at a time and for
     the tail window, never for the whole horizon, and each run's arrays are
     views of the block's arrays.  Raises ValueError for a checkpoint outside
     ``1..horizon``, and when any seed's Gram matrix is non-finite before it
@@ -384,9 +378,9 @@ def simulate_ls_runs(
         raise ValueError(f"checkpoints must lie in 1..{horizon}")
     gaps = [0.0] * S
     block_draw = getattr(model.design, "block_draw", None)
-    closed = block_draw is None or model.noise_draw is not None
+    closed = block_draw is None
     if closed:
-        ctxs = [DesignContext(1, None, None, None, None) for _ in range(S)]
+        ctxs = [DesignContext(1, None, None) for _ in range(S)]
     else:
         for s, rng in enumerate(rngs):
             block_draw(rng, model.sigma, xs[s], us[s])
@@ -435,17 +429,17 @@ def simulate_ls_runs(
 
 
 def _draw_step(model, rngs, ctxs, i, xy, us) -> None:
-    """Step ``i`` of every seed from the design callable and the noise draw."""
-    p, draw, sigma = model.p, model.noise_draw, model.sigma
+    """Step ``i`` of every seed from the design callable and the Gaussian noise."""
+    p, sigma = model.p, model.sigma
     for s, (rng, ctx) in enumerate(zip(rngs, ctxs)):
         ctx.n = i + 1
         x = np.asarray(model.design(rng, ctx), dtype=float)
         if x.shape != (p,):
             raise ValueError(f"regressor must have shape ({p},)")
-        u = float(draw(rng)) if draw is not None else float(rng.normal(0.0, sigma))
+        u = float(rng.normal(0.0, sigma))
         y = float(x @ model.beta) + u
         xy[s, i, :p], xy[s, i, p], us[s, i] = x, y, u
-        ctx.prev_x, ctx.prev_y, ctx.prev_u = x, y, u
+        ctx.prev_u = u
 
 
 @dataclass(frozen=True)
@@ -484,13 +478,12 @@ def check_design_conditions(
     gw: GWeight,
     sigma2: float,
     energy_threshold: float = 10.0,
-    kappa_cap: float = 1e6,
 ) -> DesignConditionReport:
     """Check the noise, nonsingularity, weight-boundedness and energy conditions.
 
     The weight-boundedness verdict reports the realized supremum
-    ``kappa_hat`` of p * max|gram_inv * weights| over every nonsingular prefix
-    and also requires a finite inverse-square tail of the weight function at
+    ``kappa_hat`` of p * max|gram_inv * weights| over every nonsingular prefix,
+    which must not exceed ``KAPPA_CAP``, and also requires a finite inverse-square tail of the weight function at
     the initial energies.  Non-finite data is a violation, never skipped: a
     non-finite noise value or Gram prefix (a non-finite regressor, or one
     whose energy overflows) fails ``weight_bound`` at its first step with
@@ -574,15 +567,15 @@ def check_design_conditions(
             tail_ok = math.isfinite(tail)
         except ValueError:
             tail_ok = False
-        if kappa_hat <= kappa_cap and tail_ok:
-            weight_bound = passing(kappa_cap - kappa_hat, f"sup norm {kappa_hat:.6g}")
+        if kappa_hat <= KAPPA_CAP and tail_ok:
+            weight_bound = passing(KAPPA_CAP - kappa_hat, f"sup norm {kappa_hat:.6g}")
         else:
             reason = (
-                f"sup norm {kappa_hat:.6g} exceeds cap {kappa_cap:g}"
-                if kappa_hat > kappa_cap
+                f"sup norm {kappa_hat:.6g} exceeds cap {KAPPA_CAP:g}"
+                if kappa_hat > KAPPA_CAP
                 else "weight tail integral diverges"
             )
-            weight_bound = failing(n, kappa_cap - kappa_hat, reason)
+            weight_bound = failing(n, KAPPA_CAP - kappa_hat, reason)
 
     worst_energy = float(d2.min())
     worst_column = int(np.argmin(d2))
@@ -629,15 +622,14 @@ def partition_analysis(
     consistency_tol: float = 0.05,
     oscillation_tol: float = 1e-3,
     dispersion_ratio: float = 3.0,
-    consistency_fraction: float = 0.95,
 ) -> PartitionReport:
     """Split components into consistent and finite-random-limit classes.
 
     A component whose final column energy stays below ``energy_threshold`` on
     every seed is a candidate finite-limit component; the split must agree
     across seeds.  Divergent-energy components are declared consistent when
-    the tail-window error stays within ``consistency_tol`` on at least
-    ``consistency_fraction`` of seeds.  Finite-energy components are declared
+    the tail-window error stays within ``consistency_tol`` on at least 95% of
+    seeds.  Finite-energy components are declared
     finite-random-limit when every seed's tail oscillation is at most
     ``oscillation_tol`` and their cross-seed dispersion exceeds
     ``dispersion_ratio`` times the worst consistent dispersion.
@@ -666,7 +658,7 @@ def partition_analysis(
         if t not in finite:
             errs = np.asarray([float(np.max(np.abs(r.tail_b[:, t] - beta[t]))) for r in runs])
             frac = float(np.mean(errs <= consistency_tol))
-            classes.append("consistent" if frac >= consistency_fraction else "inconclusive")
+            classes.append("consistent" if frac >= 0.95 else "inconclusive")
         else:
             oscs = np.asarray(
                 [float(r.tail_b[:, t].max() - r.tail_b[:, t].min()) for r in runs]

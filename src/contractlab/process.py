@@ -14,7 +14,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .verdict import Band, ConditionVerdict, band_check, failing, passing, vacuous
+from .verdict import DEFAULT_ATOL, Band, ConditionVerdict, band_check, failing, passing, vacuous
 
 __all__ = [
     "ProcessPath",
@@ -117,7 +117,7 @@ def scalar_only(path: ProcessPath, name: str) -> None:
         raise ValueError(f"{name} needs a scalar path, got one with {path.p} components")
 
 
-def doob_decompose(xs, ms, zero_tol: float = 0.0) -> ProcessPath:
+def doob_decompose(xs, ms) -> ProcessPath:
     """Split a realized trajectory into predictable means plus residuals.
 
     ``ms`` must supply the conditional mean of every step after the initial
@@ -125,7 +125,7 @@ def doob_decompose(xs, ms, zero_tol: float = 0.0) -> ProcessPath:
     ``(steps, p)`` arrays for a vector path.  Non-finite entries are rejected
     with the index of the offending step.
     """
-    return ProcessPath(finite_array(xs, "value in xs"), finite_array(ms, "value in ms"), zero_tol)
+    return ProcessPath(finite_array(xs, "value in xs"), finite_array(ms, "value in ms"))
 
 
 def zero_state_mask(path: ProcessPath) -> np.ndarray:
@@ -226,9 +226,7 @@ def zero_state_band(path, tail_window: int | None, tol: float) -> Band:
     return band_check(np.abs(means), tol, mask=mask, finite=finite_steps(path))
 
 
-def check_segment_peak_bound(
-    path: ProcessPath, alphas: Sequence[float], atol: float = 1e-12
-) -> ConditionVerdict:
+def check_segment_peak_bound(path: ProcessPath, alphas: Sequence[float]) -> ConditionVerdict:
     """Check each crossing segment's peak against the accumulated-residual bound.
 
     For every observed crossing time T_j the peak |x| over the segment starting
@@ -242,7 +240,7 @@ def check_segment_peak_bound(
     alphas = np.asarray(alphas, dtype=float)
     if len(alphas) < path.horizon:
         raise ValueError("alphas must cover the path horizon")
-    bad = ratio_band(path, 1.0 + alphas[: path.horizon], 0.0, atol=atol).first_violation
+    bad = ratio_band(path, 1.0 + alphas[: path.horizon], 0.0, atol=DEFAULT_ATOL).first_violation
     if bad is not None:
         return failing(
             bad,
@@ -268,14 +266,12 @@ def check_segment_peak_bound(
         if slack < worst:
             worst = slack
             worst_at = start
-    if worst < -atol:
+    if worst < -DEFAULT_ATOL:
         return failing(worst_at, worst, "segment peak exceeds the residual bound")
     return passing(worst, f"{report.n_t} segments checked")
 
 
-def kronecker_path(
-    increments: Sequence[float], weights: Sequence[float], zero_tol: float = 0.0
-) -> ProcessPath:
+def kronecker_path(increments: Sequence[float], weights: Sequence[float]) -> ProcessPath:
     """Path of weighted partial sums x_n = (y_1 + ... + y_n) / a_n.
 
     The predictable mean of step n is the previous partial sum divided by the
@@ -304,4 +300,4 @@ def kronecker_path(
     xs = np.concatenate(([0.0], sums / ws))
     prev_sums = np.concatenate(([0.0], sums[:-1]))
     ms = prev_sums / ws
-    return ProcessPath(xs, ms, zero_tol)
+    return ProcessPath(xs, ms)

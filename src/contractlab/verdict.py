@@ -7,6 +7,10 @@ from typing import Optional
 
 import numpy as np
 
+# Slack for rounding in the pathwise checks: the stored means are exact, so a
+# margin below -DEFAULT_ATOL is a violation, not floating-point noise.
+DEFAULT_ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ConditionVerdict:

@@ -513,3 +513,65 @@ def test_sa_run_does_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] in ("0 False", "1 False")
+
+
+ERRORED_SEEDS = {
+    # kind -> (document, {solver: position of its seeds}, assertions that must fail)
+    "sa": (
+        """
+kind: sa
+problem: {family: linear, slope: 1.0}
+schedule: {family: inverse_n, c: 1.0}
+noise: {family: gaussian, sd: 0.1}
+x0: 2.0
+ensemble: {seeds: 20, root_seed: 11, horizon: 2000}
+assertions:
+  min_fraction_final_below: {value: 0.05, fraction: 0.95}
+  max_median_final_abs: 0.01
+""",
+        {"rm_solve": 5, "rm_solve_block": 5},
+        ["min_fraction_final_below", "max_median_final_abs"],
+    ),
+    "ls": (
+        """
+kind: ls
+design: {family: rotating, jitter: 0.1}
+beta: [1.0, -0.5]
+sigma: 0.1
+gweight: {family: identity}
+ensemble: {seeds: 20, root_seed: 7, horizon: 1000}
+assertions:
+  min_fraction_final_error_below: {value: 0.1, fraction: 0.95}
+  design_conditions_hold: true
+""",
+        {"simulate_ls_runs": 2},
+        ["min_fraction_final_error_below", "design_conditions_hold"],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ERRORED_SEEDS))
+def test_final_value_assertions_count_errored_seeds(kind, tmp_path, monkeypatch):
+    """15 of 20 seeds raise: the 5 that finish cannot carry a 95% fraction or a median."""
+    from contractlab import experiments
+
+    text, solvers, names = ERRORED_SEEDS[kind]
+    for name, at in solvers.items():
+        solve = getattr(experiments, name)
+
+        def failing(*args, solve=solve, at=at):
+            seeds = args[at] if isinstance(args[at], list) else [args[at]]
+            if any(s.spawn_key[0] < 15 for s in seeds):
+                raise RuntimeError("injected")
+            return solve(*args)
+
+        monkeypatch.setattr(experiments, name, failing)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, text + f"output: {{dir: {out}}}\n")
+    assert main(["run", str(cfg)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    notes = [seed["note"] for seed in summary["ensemble"]["per_seed"]]
+    assert notes == ["RuntimeError: injected"] * 15 + [""] * 5
+    results = {a["name"]: a for a in summary["assertions"]}
+    assert sorted(results) == sorted(names)
+    assert not any(a["passed"] for a in results.values()), results

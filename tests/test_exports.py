@@ -11,6 +11,8 @@ MODULES = sorted(
     m.name for m in pkgutil.iter_modules(contractlab.__path__) if not m.name.startswith("_")
 )
 SOURCES = sorted(p for p in Path(contractlab.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+CALLERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -51,3 +53,59 @@ def test_unused_import_guard_flags_a_leftover():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["math"]
+
+
+def unset_defaults(sources: dict, callers: list) -> list:
+    """``module.function(parameter)`` for each defaulted parameter of a function in
+    ``sources`` (module name -> source) that no call in ``callers`` passes, by
+    keyword or by position.
+
+    Calls are matched by the called name alone, so a name clash can only hide
+    an unset default, never report one that some call sets.
+    """
+    passed = {}  # called name -> positions and keywords passed; None: any
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                seen = passed.setdefault(name, set())
+                seen.update(range(len(node.args)), (k.arg for k in node.keywords))
+                if any(isinstance(a, ast.Starred) for a in node.args):
+                    seen.add(None)
+    unset = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args
+            if params and params[0].arg in ("self", "cls"):
+                params = params[1:]
+            defaulted = list(enumerate(params))[len(params) - len(args.defaults) :]
+            kwonly = zip(args.kwonlyargs, args.kw_defaults)
+            defaulted += [(a.arg, a) for a, d in kwonly if d is not None]
+            seen = passed.get(node.name, set())
+            unset += [
+                f"{module}.{node.name}({a.arg})"
+                for i, a in defaulted
+                if None not in seen and i not in seen and a.arg not in seen
+            ]
+    return unset
+
+
+def test_every_default_is_passed_by_some_call():
+    sources = {p.stem: p.read_text() for p in SOURCES}
+    assert unset_defaults(sources, [p.read_text() for p in CALLERS]) == []
+
+
+def test_unset_default_guard_flags_a_leftover():
+    source = (
+        "def f(x, atol=1e-12, tol=0.0, *, scale=1.0):\n"
+        "    return x\n"
+        "class C:\n"
+        "    def covers(self, m, rtol=1e-9):\n"
+        "        return m\n"
+    )
+    callers = ["f(1, 2)\n", "obj.f(0, scale=3.0)\n", "C().covers(0.5)\n", "g(1, 2, rtol=0)\n"]
+    assert unset_defaults({"m": source}, callers) == ["m.f(tol)", "m.covers(rtol)"]
+    assert unset_defaults({"m": source}, callers + ["f(*args)\n"]) == ["m.covers(rtol)"]

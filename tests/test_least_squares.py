@@ -353,9 +353,6 @@ BLOCK_MODELS = {
     "feedback": RegressionModel(np.array([1.0, 0.5]), feedback_design(), 1.0),
     "hesitant": RegressionModel(np.array([1.0, -0.5]), hesitant_design, 1.0),
     "steered": RegressionModel(np.array([1.0, -0.5]), steered_design, 1.0),
-    "uniform_noise": RegressionModel(
-        np.array([1.0, -0.5]), rotating_design(), 0.6, lambda rng: rng.uniform(-1.0, 1.0)
-    ),
 }
 RUN_FIELDS = (
     "xs", "ys", "us", "final_b", "energy", "n0", "tail_b", "tail_start", "checkpoint_gap", "err_sup"
