@@ -357,11 +357,12 @@ def simulate_ls_runs(
     solve; the worst max-norm gap is recorded.  A design that carries a
     ``block_draw`` (the built-in open-loop designs) draws each seed's whole
     regressor and noise stream up front; any other design is called per seed
-    and step, since it may read the current estimate.  Estimates are kept for ``REBASE_EVERY`` steps at a time and for
-    the tail window, never for the whole horizon, and each run's arrays are
-    views of the block's arrays.  Raises ValueError for a checkpoint outside
-    ``1..horizon``, and when any seed's Gram matrix is non-finite before it
-    is nonsingular, or never nonsingular.
+    and step, since it may read the current estimate.  Estimates are kept for
+    ``REBASE_EVERY`` steps at a time and for the tail window, never for the
+    whole horizon, and each run's arrays are views of the block's arrays.
+    Raises ValueError for a checkpoint outside ``1..horizon``, and when any
+    seed's Gram matrix is non-finite before it is nonsingular, or never
+    nonsingular.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     S, p, beta = len(rngs), model.p, model.beta
@@ -483,13 +484,14 @@ def check_design_conditions(
 
     The weight-boundedness verdict reports the realized supremum
     ``kappa_hat`` of p * max|gram_inv * weights| over every nonsingular prefix,
-    which must not exceed ``KAPPA_CAP``, and also requires a finite inverse-square tail of the weight function at
-    the initial energies.  Non-finite data is a violation, never skipped: a
-    non-finite noise value or Gram prefix (a non-finite regressor, or one
-    whose energy overflows) fails ``weight_bound`` at its first step with
-    margin -inf, a non-finite column energy fails ``energy_growth`` likewise,
-    a non-finite noise value also fails both noise verdicts at its step,
-    and ``n0`` and ``kappa_hat`` come from the finite prefixes before it.
+    which must not exceed ``KAPPA_CAP``, and also requires a finite
+    inverse-square tail of the weight function at the initial energies.
+    Non-finite data is a violation, never skipped: a non-finite noise value
+    or Gram prefix (a non-finite regressor, or one whose energy overflows)
+    fails ``weight_bound`` at its first step with margin -inf, a non-finite
+    column energy fails ``energy_growth`` likewise, a non-finite noise value
+    also fails both noise verdicts at its step, and ``n0`` and ``kappa_hat``
+    come from the finite prefixes before it.
 
     All Gram prefixes are one cumulative sum of outer products, inverted in
     one batched call, so the working set is O(n * p**2) floats: one
@@ -629,8 +631,8 @@ def partition_analysis(
     every seed is a candidate finite-limit component; the split must agree
     across seeds.  Divergent-energy components are declared consistent when
     the tail-window error stays within ``consistency_tol`` on at least 95% of
-    seeds.  Finite-energy components are declared
-    finite-random-limit when every seed's tail oscillation is at most
+    seeds.  Finite-energy components are declared finite-random-limit when
+    every seed's tail oscillation is at most
     ``oscillation_tol`` and their cross-seed dispersion exceeds
     ``dispersion_ratio`` times the worst consistent dispersion.
     """
