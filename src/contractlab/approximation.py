@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .conditions import NonexpansiveProfile, _ratio_verdict
+from .conditions import _ratio_verdict
 from .process import ProcessPath, finite_steps, ratio_band, scalar_only, zero_state_mask
 from .verdict import DEFAULT_ATOL, ConditionVerdict, band_check, vacuous
 
@@ -458,15 +458,12 @@ class TruncatedPath:
     zero_state_mean: np.ndarray
 
 
-def derive_truncated(
-    base: ProcessPath, delta: float, tau: float, settle_tol: Optional[float] = None
-) -> TruncatedPath:
+def derive_truncated(base: ProcessPath, delta: float, tau: float) -> TruncatedPath:
     """Zero out steps whose predictable mean has magnitude below delta + tau.
 
-    ``settle_tol`` (default tau) defines the settling index n0: the first step
-    after which all observed |residual| stay below it; a non-finite residual
-    never counts as settled.  Raises when residuals never settle within the
-    horizon.
+    The settling index n0 is the first step after which all observed
+    |residual| stay below tau; a non-finite residual never counts as settled.
+    Raises when residuals never settle within the horizon.
     """
     scalar_only(base, "derive_truncated")
     if delta <= 0:
@@ -475,8 +472,7 @@ def derive_truncated(
         raise ValueError("tau must be positive")
     if tau >= delta:
         warnings.warn("tau >= delta; the truncation guarantees assume tau < delta", stacklevel=2)
-    st = tau if settle_tol is None else settle_tol
-    big = np.nonzero(~(np.abs(base.eps) < st))[0]
+    big = np.nonzero(~(np.abs(base.eps) < tau))[0]
     n0 = 1 if len(big) == 0 else int(big[-1]) + 2
     if n0 > base.horizon:
         raise ValueError("residuals never settle below tau within the horizon")
@@ -490,23 +486,16 @@ def derive_truncated(
     return TruncatedPath(base, float(delta), float(tau), n0, truncated, u_t)
 
 
-def truncated_nonexpansive_verdict(
-    trunc: TruncatedPath, alphas: Optional[np.ndarray] = None
-) -> ConditionVerdict:
-    """Nonexpansive ratio check on the truncated path beyond the settling index.
+def truncated_nonexpansive_verdict(trunc: TruncatedPath) -> ConditionVerdict:
+    """Nonexpansive ratio check, with no allowance, on the truncated path beyond
+    the settling index.
 
     Steps up to and including n0 may involve an unsettled residual and are
-    excluded, unless they are non-finite; the default allowance is zero.  A
-    violation is reported by its step on the whole path.
+    excluded, unless they are non-finite.  A violation is reported by its step
+    on the whole path.
     """
     n0, horizon = trunc.n0, trunc.path.horizon
-    allowance = np.zeros(horizon)
-    if alphas is not None and n0 < horizon:
-        tail = NonexpansiveProfile(np.asarray(alphas, dtype=float)[n0:]).alphas
-        if len(tail) < horizon - n0:
-            raise ValueError("profile does not cover the path horizon")
-        allowance[n0:] = tail[: horizon - n0]
-    band = ratio_band(trunc.path, 1.0 + allowance, 0.0, np.arange(horizon) >= n0, DEFAULT_ATOL)
+    band = ratio_band(trunc.path, 1.0, 0.0, np.arange(horizon) >= n0, DEFAULT_ATOL)
     if n0 == horizon and band.first_violation is None:
         return vacuous("no steps beyond the settling index")
     return _ratio_verdict(band)
@@ -535,16 +524,17 @@ def check_truncated_zero_mean_bound(trunc: TruncatedPath, kappa: float) -> Condi
 
 def contraction_factor(alphas, m: float, M: float) -> np.ndarray:
     """Per-step norm contraction factors sqrt(1 - 2*alpha*m + alpha**2 * M**2)
-    of a step size or an array of them."""
+    of a step size or an array of them.
+
+    For 0 < m <= M the radicand is at least (1 - alpha*m)**2, so a negative
+    one is rounding and reads as 0.
+    """
     if not 0 < m <= M:
         raise ValueError("need 0 < m <= M")
     a = np.asarray(alphas, dtype=float)
     if np.any(a < 0):
         raise ValueError("alpha must be nonnegative")
-    rad = 1.0 - 2.0 * a * m + a * a * M * M
-    if np.any(rad < 0):
-        raise ValueError(f"step size {a[rad < 0].flat[0]:g} too large for envelope ({m:g}, {M:g})")
-    return np.sqrt(rad)
+    return np.sqrt(np.maximum(1.0 - 2.0 * a * m + a * a * M * M, 0.0))
 
 
 def signed_log_grid(min_abs: float, max_abs: float, per_decade: int = 10_000) -> np.ndarray:

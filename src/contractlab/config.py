@@ -683,8 +683,9 @@ KINDS: Dict[str, Kind] = {
     "sa": Kind(
         (PROBLEM, SCHEDULE, NOISE, ENVELOPE),
         {
-            **_FRACTIONS,
+            "min_fraction_converged_to_zero": "fraction",
             "max_median_final_abs": "number",
+            "min_fraction_final_below": "threshold_fraction",
             "envelope_valid": "flag",
             "sandwich_zero_violations": "flag",
         },

@@ -1,10 +1,10 @@
 """Experiment runners: build models from a validated config, run, assert, emit.
 
-Each runner returns the machine-readable report, the evaluated assertion
-results, optional ensemble statistics, and optionally its trace width with a
-function from a seed's payload to the path that seed simulated.  The
-orchestrator writes the artifacts and maps assertion failures to exit code 1
-and environment problems to exit code 2.
+Each runner returns the machine-readable report, the outcomes of the
+assertions it measured, optional ensemble statistics, and optionally its trace
+width with a function from a seed's payload to the path that seed simulated.
+The orchestrator evaluates the configured assertions, writes the artifacts and
+maps assertion failures to exit code 1 and environment problems to exit code 2.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import math
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .conditions import (
     check_nonexpansive,
     check_zero_state_decay,
 )
-from .config import ExperimentConfig
+from .config import KINDS, ExperimentConfig
 from .harness import (
     ConvergenceClass,
     EnsembleStats,
@@ -86,52 +86,70 @@ def _grid(length: int, points: int) -> np.ndarray:
     return np.unique(np.linspace(0, length - 1, min(points, length)).astype(int))
 
 
-def _eval_fraction_assertions(
-    assertions: Dict[str, Any], stats: EnsembleStats, results: List[AssertionResult]
-) -> None:
-    """Fractions and the median are taken over every seed: an errored seed's
-    final value is NaN, so it never counts as below a limit."""
+# An assertion's outcome, (passed, detail), or a function from its configured value to one.
+Outcome = Union[Tuple[bool, str], Callable[[Any], Tuple[bool, str]]]
+
+
+def _evaluate(config: ExperimentConfig, outcomes: Dict[str, Outcome]) -> List[AssertionResult]:
+    """The results of the configured assertions, in the order of the kind's table.
+
+    An assertion the document does not set, or sets to false, is skipped; one
+    that it sets must have an outcome.
+    """
+    results = []
+    for name in KINDS[config.kind].assertions:
+        value = config.assertions.get(name, False)
+        if value is False:
+            continue
+        outcome = outcomes[name]
+        passed, detail = outcome(value) if callable(outcome) else outcome
+        results.append(AssertionResult(name, passed, detail))
+    return results
+
+
+def _fraction_below(values: np.ndarray) -> Outcome:
+    """The ``{value, fraction}`` rule over every seed; NaN, an errored seed's value,
+    is never below the limit."""
+
+    def outcome(params):
+        frac = float(np.mean(values < float(params["value"])))
+        return (
+            frac >= float(params["fraction"]),
+            f"fraction {frac:.4f} below {params['value']}, required {params['fraction']}",
+        )
+
+    return outcome
+
+
+def _final_value_outcomes(stats: EnsembleStats) -> Dict[str, Outcome]:
+    """The assertions on the seeds' classes and final values; the median is NaN
+    when a seed errored."""
     finals = np.abs([v.final_value for v in stats.per_seed])
-    if "min_fraction_converged_to_zero" in assertions:
-        want = float(assertions["min_fraction_converged_to_zero"])
-        frac = stats.fraction(ConvergenceClass.CONVERGED_TO_ZERO)
-        results.append(
-            AssertionResult(
-                "min_fraction_converged_to_zero",
-                frac >= want,
-                f"fraction {frac:.4f}, required {want:.4f}",
-            )
-        )
-    if "max_median_final_abs" in assertions:
-        want = float(assertions["max_median_final_abs"])
-        got = float(np.quantile(finals, 0.5))
-        results.append(
-            AssertionResult(
-                "max_median_final_abs", got <= want, f"median |final| {got:.6g}, limit {want:.6g}"
-            )
-        )
-    if "min_fraction_final_below" in assertions:
-        params = assertions["min_fraction_final_below"]
-        frac = float(np.mean(finals < float(params["value"])))
-        results.append(
-            AssertionResult(
-                "min_fraction_final_below",
-                frac >= float(params["fraction"]),
-                f"fraction {frac:.4f} below {params['value']}, required {params['fraction']}",
-            )
-        )
+    frac = stats.fraction(ConvergenceClass.CONVERGED_TO_ZERO)
+    median = float(np.quantile(finals, 0.5))
+    return {
+        "min_fraction_converged_to_zero": lambda want: (
+            frac >= float(want),
+            f"fraction {frac:.4f}, required {float(want):.4f}",
+        ),
+        "max_median_final_abs": lambda want: (
+            median <= float(want),
+            f"median |final| {median:.6g}, limit {float(want):.6g}",
+        ),
+        "min_fraction_final_below": _fraction_below(finals),
+    }
 
 
 # the path an SA or Kronecker factory kept in its payload under --traces
 _stored_path = itemgetter("path")
 
-# assertion -> the payload flag that every seed must carry
-_PAYLOAD_FLAGS = {
-    "sandwich_zero_violations": "sandwich_ok",
-    "contraction_zero_violations": "contraction_ok",
-    "truncated_nonexpansive_all_seeds": "trunc_nonexpansive_ok",
-    "truncated_mean_bound_all_seeds": "trunc_bound_ok",
-}
+# the assertions that every seed's payload flag of the same name must pass
+_PAYLOAD_FLAGS = (
+    "sandwich_zero_violations",
+    "contraction_zero_violations",
+    "truncated_nonexpansive_all_seeds",
+    "truncated_mean_bound_all_seeds",
+)
 
 
 def _run_sa(config: ExperimentConfig):
@@ -162,6 +180,7 @@ def _run_sa(config: ExperimentConfig):
         report["problem"] = model["problem"]
         report["schedule_sum_sq"] = schedule.sum_sq_at(horizon)
 
+    outcomes: Dict[str, Outcome] = {}
     env = model.get("envelope")
     if env is not None:
         if vector:
@@ -183,6 +202,13 @@ def _run_sa(config: ExperimentConfig):
             "holds_on_grid": env_report.holds,
             "declared_valid": env_report.covers(env["m"], env["M"]),
         }
+        got = f"[{env_report.m_hat:.6g}, {env_report.M_hat:.6g}]"
+        outcomes["envelope_valid"] = (
+            report["envelope"]["declared_valid"],
+            f"grid gives {got}"
+            if vector
+            else f"grid ratios in {got}, declared [{env['m']:g}, {env['M']:g}]",
+        )
 
     reg = model.get("regularity")
     if reg is not None:
@@ -198,6 +224,7 @@ def _run_sa(config: ExperimentConfig):
         report["regularity"]["annulus_infima"] = [
             {"pair": list(pair), "inf": k} for pair, k in reg_verdict.annulus_infima
         ]
+        outcomes["regularity_holds"] = (bool(reg_verdict.holds), reg_verdict.detail)
 
     trunc_spec = model.get("truncation")
     if trunc_spec is not None:
@@ -213,25 +240,28 @@ def _run_sa(config: ExperimentConfig):
         }
 
     # the payload flags that an assertion reads; no other check runs
-    wanted = {key for name, key in _PAYLOAD_FLAGS.items() if config.assertions.get(name)}
-    truncated = {"trunc_nonexpansive_ok", "trunc_bound_ok"} & wanted
+    wanted = {name for name in _PAYLOAD_FLAGS if config.assertions.get(name)}
+    truncated = {"truncated_nonexpansive_all_seeds", "truncated_mean_bound_all_seeds"} & wanted
 
     def check(path):
         payload: Dict[str, Any] = {"path": path} if config.traces else {}
-        if "contraction_ok" in wanted:
-            payload["contraction_ok"] = ratio_band(path, ks, atol=1e-12).first_violation is None
-        if "sandwich_ok" in wanted:
+        if "contraction_zero_violations" in wanted:
+            band = ratio_band(path, ks, atol=1e-12)
+            payload["contraction_zero_violations"] = band.first_violation is None
+        if "sandwich_zero_violations" in wanted:
             sandwich = check_ratio_sandwich(path, schedule, env["m"], env["M"], x_star=root)
-            payload["sandwich_ok"] = sandwich.holds
+            payload["sandwich_zero_violations"] = sandwich.holds
         if trunc_spec is not None and truncated:
             try:
                 trunc = derive_truncated(
                     path, float(trunc_spec["delta"]), float(trunc_spec["tau"])
                 )
-                if "trunc_nonexpansive_ok" in truncated:
-                    payload["trunc_nonexpansive_ok"] = truncated_nonexpansive_verdict(trunc).holds
-                if "trunc_bound_ok" in truncated:
-                    payload["trunc_bound_ok"] = check_truncated_zero_mean_bound(trunc, kappa).holds
+                if "truncated_nonexpansive_all_seeds" in truncated:
+                    verdict = truncated_nonexpansive_verdict(trunc)
+                    payload["truncated_nonexpansive_all_seeds"] = verdict.holds
+                if "truncated_mean_bound_all_seeds" in truncated:
+                    verdict = check_truncated_zero_mean_bound(trunc, kappa)
+                    payload["truncated_mean_bound_all_seeds"] = verdict.holds
             except ValueError:  # the residuals never settle below tau: both checks fail
                 payload.update(dict.fromkeys(truncated, False))
         return (path.norms() if vector else path.xs - root), payload
@@ -248,31 +278,12 @@ def _run_sa(config: ExperimentConfig):
     grid = _grid(horizon + 1, config.curve_points)
     stats = run_ensemble(factory, ens, grid, block=block if size else None, block_size=size)
 
-    assertions = config.assertions
-    results: List[AssertionResult] = []
-    _eval_fraction_assertions(assertions, stats, results)
-    if assertions.get("envelope_valid"):
-        got = f"[{env_report.m_hat:.6g}, {env_report.M_hat:.6g}]"
-        detail = (
-            f"grid gives {got}"
-            if vector
-            else f"grid ratios in {got}, declared [{env['m']:g}, {env['M']:g}]"
-        )
-        results.append(
-            AssertionResult("envelope_valid", report["envelope"]["declared_valid"], detail)
-        )
-    for name, key in _PAYLOAD_FLAGS.items():
-        if assertions.get(name):
-            bad = [i for i, out in enumerate(stats.payloads) if out is None or not out.get(key)]
-            detail = f"{len(bad)} seeds fail (first: seed {bad[0]})" if bad else "all seeds pass"
-            results.append(AssertionResult(name, not bad, detail))
-    if assertions.get("regularity_holds"):
-        verdict = report["regularity"]
-        results.append(
-            AssertionResult("regularity_holds", bool(verdict["holds"]), verdict["detail"])
-        )
-
-    return report, results, stats, (x0.size, _stored_path)
+    outcomes.update(_final_value_outcomes(stats))
+    for name in _PAYLOAD_FLAGS:
+        bad = [i for i, out in enumerate(stats.payloads) if out is None or not out.get(name)]
+        detail = f"{len(bad)} seeds fail (first: seed {bad[0]})" if bad else "all seeds pass"
+        outcomes[name] = (not bad, detail)
+    return report, outcomes, stats, (x0.size, _stored_path)
 
 
 def _run_kronecker(config: ExperimentConfig):
@@ -289,8 +300,7 @@ def _run_kronecker(config: ExperimentConfig):
     stats = run_ensemble(factory, ens, _grid(horizon + 1, config.curve_points))
     report: Dict[str, Any] = {"weights": model["weights"], "increments": model["increments"]}
 
-    results: List[AssertionResult] = []
-    _eval_fraction_assertions(config.assertions, stats, results)
+    outcomes = _final_value_outcomes(stats)
     if config.assertions.get("alternating_bound"):
         ys = (-1.0) ** np.arange(1, horizon + 1)
         path = kronecker_path(ys, np.arange(1.0, horizon + 1.0))
@@ -298,11 +308,9 @@ def _run_kronecker(config: ExperimentConfig):
         ok = bool(np.all(np.abs(path.xs[1:]) <= 1.0 / n))
         worst = float(np.max(np.abs(path.xs[1:]) * n))
         report["alternating_bound_sup"] = worst
-        results.append(
-            AssertionResult("alternating_bound", ok, f"sup of n * |mean| = {worst:.6g} (<= 1)")
-        )
+        outcomes["alternating_bound"] = (ok, f"sup of n * |mean| = {worst:.6g} (<= 1)")
 
-    return report, results, stats, (1, _stored_path)
+    return report, outcomes, stats, (1, _stored_path)
 
 
 def _run_ls(config: ExperimentConfig):
@@ -339,7 +347,6 @@ def _run_ls(config: ExperimentConfig):
         "gweight": model["gweight"]["family"],
         "checkpoints": checkpoints,
     }
-    results: List[AssertionResult] = []
 
     partition = None
     partition_error = None
@@ -387,56 +394,36 @@ def _run_ls(config: ExperimentConfig):
         }
         report["max_checkpoint_gap"] = float(max(run.checkpoint_gap for run in runs))
 
-    assertions = config.assertions
-    if "min_fraction_final_error_below" in assertions:
-        params = assertions["min_fraction_final_error_below"]
-        errs = np.asarray([float(np.max(np.abs(r.final_b - beta))) for r in runs])
-        # over every seed: an errored seed is never below the limit
-        frac = np.count_nonzero(errs < float(params["value"])) / ens.seeds
-        results.append(
-            AssertionResult(
-                "min_fraction_final_error_below",
-                frac >= float(params["fraction"]),
-                f"fraction {frac:.4f} below {params['value']}, required {params['fraction']}",
-            )
-        )
-    if "max_checkpoint_gap" in assertions:
-        want = float(assertions["max_checkpoint_gap"])
-        got = report.get("max_checkpoint_gap", math.inf)
-        results.append(
-            AssertionResult(
-                "max_checkpoint_gap", got <= want, f"worst recursive-vs-dense gap {got:.3g}"
-            )
-        )
-    if "partition_matches" in assertions:
-        params = assertions["partition_matches"]
+    def partition_matches(params):
         if partition is None:
-            results.append(
-                AssertionResult(
-                    "partition_matches", False, partition_error or "partition unavailable"
-                )
-            )
-        else:
-            ok = True
-            bits = []
-            if "q" in params:
-                ok &= partition.q == params["q"]
-                bits.append(f"q = {partition.q} (want {params['q']})")
-            if "classes" in params:
-                ok &= list(partition.component_classes) == list(params["classes"])
-                bits.append(f"classes = {list(partition.component_classes)}")
-            results.append(AssertionResult("partition_matches", bool(ok), "; ".join(bits)))
-    if assertions.get("design_conditions_hold"):
-        ok = design_frac is not None and design_frac == 1.0
-        results.append(
-            AssertionResult(
-                "design_conditions_hold",
-                ok,
-                f"fraction of seeds holding: {design_frac}",
-            )
-        )
+            return False, partition_error or "partition unavailable"
+        ok = True
+        bits = []
+        if "q" in params:
+            ok &= partition.q == params["q"]
+            bits.append(f"q = {partition.q} (want {params['q']})")
+        if "classes" in params:
+            ok &= list(partition.component_classes) == list(params["classes"])
+            bits.append(f"classes = {list(partition.component_classes)}")
+        return bool(ok), "; ".join(bits)
 
-    return report, results, stats, (p, lambda run: z_process(run.xs, run.us, gw))
+    final_errors = np.array(
+        [math.nan if r is None else np.max(np.abs(r.final_b - beta)) for r in stats.payloads]
+    )
+    gap = report.get("max_checkpoint_gap", math.inf)
+    outcomes: Dict[str, Outcome] = {
+        "min_fraction_final_error_below": _fraction_below(final_errors),
+        "max_checkpoint_gap": lambda want: (
+            gap <= float(want),
+            f"worst recursive-vs-dense gap {gap:.3g}",
+        ),
+        "partition_matches": partition_matches,
+        "design_conditions_hold": (
+            design_frac is not None and design_frac == 1.0,
+            f"fraction of seeds holding: {design_frac}",
+        ),
+    }
+    return report, outcomes, stats, (p, lambda run: z_process(run.xs, run.us, gw))
 
 
 class InputError(Exception):
@@ -491,14 +478,8 @@ def _run_custom(config: ExperimentConfig):
         per_seed[str(seed)] = entry
 
     report = {"paths_checked": len(per_seed), "per_seed": per_seed, "all_hold": all_hold}
-    results: List[AssertionResult] = []
-    if config.assertions.get("all_checks_hold"):
-        results.append(
-            AssertionResult(
-                "all_checks_hold", all_hold, f"{len(per_seed)} paths checked"
-            )
-        )
-    return report, results, None, None
+    outcomes = {"all_checks_hold": (all_hold, f"{len(per_seed)} paths checked")}
+    return report, outcomes, None, None
 
 
 _RUNNERS = {
@@ -509,19 +490,6 @@ _RUNNERS = {
     "ls": _run_ls,
     "custom_path_check": _run_custom,
 }
-
-
-def _config_echo(config: ExperimentConfig) -> Dict[str, Any]:
-    return {
-        "kind": config.kind,
-        "ensemble": asdict(config.ensemble),
-        "output_dir": config.output_dir,
-        "traces": config.traces,
-        "plots": config.plots,
-        "curve_points": config.curve_points,
-        "model": config.model,
-        "assertions": config.assertions,
-    }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
@@ -540,14 +508,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
         return ExperimentOutcome(2, {"error": f"output directory not writable: {exc}"}, [])
 
     try:
-        report, assertion_results, stats, traces = _RUNNERS[config.kind](config)
+        report, outcomes, stats, traces = _RUNNERS[config.kind](config)
     except InputError as exc:
         return ExperimentOutcome(2, {"error": str(exc)}, [])
+    assertion_results = _evaluate(config, outcomes)
 
     exit_code = 0 if all(a.passed for a in assertion_results) else 1
     summary: Dict[str, Any] = {
         "kind": config.kind,
-        "config": _config_echo(config),
+        "config": {k: v for k, v in asdict(config).items() if k != "warnings"},
         "warnings": list(config.warnings),
         "report": report,
         "assertions": [asdict(a) for a in assertion_results],

@@ -254,10 +254,9 @@ class IntegralBoundResult:
 def integral_bound(
     a: Sequence[float],
     f: Callable[[float], float],
-    N: Optional[int] = None,
     tail_integral: Optional[float] = None,
 ) -> IntegralBoundResult:
-    """Cap sum_{n<=N} a_n / f(A_n) by a_1/f(A_1) plus the tail integral of 1/f.
+    """Cap sum_n a_n / f(A_n) by a_1/f(A_1) plus the tail integral of 1/f.
 
     ``f`` must be nondecreasing and positive with an integrable reciprocal
     beyond a_1; the first weight must be positive.  The tail integral is
@@ -270,13 +269,8 @@ def integral_bound(
         raise ValueError("weights must be nonnegative")
     if a[0] <= 0:
         raise ValueError("the first weight must be positive")
-    if N is None:
-        N = len(a)
-    if not 1 <= N <= len(a):
-        raise ValueError(f"N = {N} outside 1..{len(a)}")
-    a = a[:N]
     A = np.cumsum(a)
-    fvals = np.fromiter((float(f(float(x))) for x in A), dtype=float, count=N)
+    fvals = np.fromiter((float(f(float(x))) for x in A), dtype=float, count=len(a))
     if np.any(fvals <= 0):
         raise ValueError("f must be positive on the partial sums")
     s = float(np.sum(a / fvals))

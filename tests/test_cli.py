@@ -575,3 +575,111 @@ def test_final_value_assertions_count_errored_seeds(kind, tmp_path, monkeypatch)
     results = {a["name"]: a for a in summary["assertions"]}
     assert sorted(results) == sorted(names)
     assert not any(a["passed"] for a in results.values()), results
+
+
+EVERY_ASSERTION = {
+    # kind -> a document that sets every assertion the kind allows, one flag to false
+    "sa": """
+kind: sa
+problem: {family: linear, slope: 1.0}
+schedule: {family: inverse_n, c: 1.0}
+noise: {family: gaussian, sd: 0.1}
+x0: 2.0
+envelope: {m: 1.0, M: 1.0, grid_min_abs: 1.0e-3, grid_max_abs: 10.0, grid_per_decade: 10}
+assertions:
+  sandwich_zero_violations: true
+  envelope_valid: false
+  min_fraction_final_below: {value: 0.1, fraction: 0.5}
+  max_median_final_abs: 0.1
+  min_fraction_converged_to_zero: 0.5
+""",
+    "sa_nd": """
+kind: sa_nd
+problem: {family: matrix, entries: [[1.0, 1.0], [-1.0, 1.0]]}
+schedule: {family: inverse_n, c: 1.0}
+noise: {family: gaussian, sd: 0.1}
+x0: [2.0, 1.0]
+envelope: {m: 1.0, M: 1.4142135623730951, directions: 4, radii: [0.1, 1.0]}
+assertions:
+  contraction_zero_violations: true
+  envelope_valid: false
+  min_fraction_final_below: {value: 0.1, fraction: 0.5}
+  min_fraction_converged_to_zero: 0.5
+""",
+    "sa_nonuniform": """
+kind: sa_nonuniform
+problem: {family: sqrt_sign}
+schedule: {family: inverse_n, c: 1.0}
+noise: {family: gaussian, sd: 0.1}
+x0: 2.0
+truncation: {delta: 0.25, tau: 0.1, kappa: delta}
+regularity: {c: 1.0, d: 1.0, pairs: [[0.25, 4.0]], grid_per_decade: 10}
+assertions:
+  regularity_holds: true
+  truncated_mean_bound_all_seeds: false
+  truncated_nonexpansive_all_seeds: true
+  min_fraction_final_below: {value: 0.1, fraction: 0.5}
+  min_fraction_converged_to_zero: 0.5
+""",
+    "kronecker": """
+kind: kronecker
+increments: {family: rademacher}
+weights: {family: linear}
+assertions:
+  alternating_bound: false
+  min_fraction_final_below: {value: 0.1, fraction: 0.5}
+  min_fraction_converged_to_zero: 0.5
+""",
+    "ls": """
+kind: ls
+design: {family: geometric_one}
+beta: [1.0, -0.5]
+sigma: 0.01
+checkpoints: 2
+assertions:
+  design_conditions_hold: false
+  partition_matches: {q: 1}
+  max_checkpoint_gap: 1.0e-8
+  min_fraction_final_error_below: {value: 0.1, fraction: 0.5}
+""",
+    "custom_path_check": """
+kind: custom_path_check
+input: {path: trace.csv}
+checks: {nonexpansive_alpha: 0.0}
+assertions:
+  all_checks_hold: true
+""",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVERY_ASSERTION))
+def test_assertions_are_reported_in_table_order(kind, tmp_path, monkeypatch):
+    """Every assertion a document sets, and no flag it sets to false, is reported,
+    in the order of its kind's table whatever the document's order."""
+    import yaml
+
+    from contractlab.config import KINDS
+
+    monkeypatch.chdir(tmp_path)
+    Path("trace.csv").write_text("seed,n,x,m,eps,u_flag\n0,0,1.0,,,\n0,1,0.5,0.5,0.0,0\n")
+    text = EVERY_ASSERTION[kind]
+    cfg = write_config(
+        tmp_path, text + "ensemble: {seeds: 3, root_seed: 1, horizon: 50}\noutput: {dir: out}\n"
+    )
+    assert main(["run", str(cfg)]) in (0, 1)
+    summary = json.loads(Path("out/summary.json").read_text())
+    assertions = yaml.safe_load(text)["assertions"]
+    assert set(KINDS[kind].assertions) == set(assertions)
+    expected = [name for name in KINDS[kind].assertions if assertions[name] is not False]
+    assert [a["name"] for a in summary["assertions"]] == expected
+
+
+def test_a_set_assertion_without_an_outcome_raises():
+    from contractlab.config import parse_config_text
+    from contractlab.experiments import _evaluate
+
+    text = EVERY_ASSERTION["kronecker"] + "ensemble: {seeds: 1, root_seed: 1, horizon: 5}\n"
+    config = parse_config_text(text + "output: {dir: out}\n")
+    outcomes = {"min_fraction_converged_to_zero": (True, "")}
+    with pytest.raises(KeyError, match="min_fraction_final_below"):
+        _evaluate(config, outcomes)
