@@ -46,9 +46,10 @@ class RootProblem:
     """A deterministic target map g whose root is sought from noisy evaluations.
 
     When ``x_star`` is supplied it must actually be a root (|g| at most 1e-12).
-    ``g_block``, when given, evaluates g on a block of iterates, one row per
-    seed (shape (B,) or (B, p)), with the same floating-point operations as
-    ``g`` on each row; :func:`rm_solve_block` needs it.
+    ``g_block``, when given, evaluates g on a stack of iterates, one per row
+    (shape (k,) or (k, p)), with the same floating-point operations as ``g``
+    on each row; :func:`rm_solve_block` needs it, on the seeds of one step and
+    on the steps of one seed.
     """
 
     g: Callable
@@ -183,6 +184,23 @@ def _checked_x0(x0) -> np.ndarray:
     return x
 
 
+# Both solvers draw a seed's shocks this many steps at a time, so a block of
+# seeds holds one chunk of them, and each generator sees the same calls of
+# ``NoiseModel.draw`` in either solver.
+SHOCK_CHUNK = 1024
+
+
+def _spans(horizon: int) -> list:
+    """The steps of each shock chunk, as slices of ``range(horizon)``."""
+    return [slice(t, min(t + SHOCK_CHUNK, horizon)) for t in range(0, horizon, SHOCK_CHUNK)]
+
+
+def _shocks(noise: NoiseModel, seed, spans: list, shape: tuple) -> Iterator:
+    """One seed's shocks, one array per span, drawn as the iterator advances."""
+    rng = np.random.default_rng(seed)
+    return (noise.draw(rng, (span.stop - span.start,) + shape) for span in spans)
+
+
 def rm_solve(
     problem: RootProblem,
     noise: NoiseModel,
@@ -202,10 +220,13 @@ def rm_solve(
     x = _checked_x0(x0)
     if x.ndim and x.shape != (problem.dimension,):
         raise ValueError(f"x0 must have shape ({problem.dimension},)")
-    rng = np.random.default_rng(seed)
     al = schedule.alphas(horizon)
     shape = (horizon,) + x.shape
-    steps = np.asarray(noise.draw(rng, shape), dtype=float) * al.reshape((-1,) + (1,) * x.ndim)
+    spans = _spans(horizon)
+    steps = np.empty(shape)
+    for span, shocks in zip(spans, _shocks(noise, seed, spans, x.shape)):
+        steps[span] = shocks
+    steps *= al.reshape((-1,) + (1,) * x.ndim)
     g = problem.g
     if not x.ndim:
         x = float(x)
@@ -229,8 +250,9 @@ def rm_solve(
     return ProcessPath(xs, ms)
 
 
-# The path arrays of one block of seeds (xs and ms, 8 bytes per value) stay
-# within this budget, so a block's working set does not grow with the seeds.
+# The iterates of one block of seeds (8 bytes per value) stay within this
+# budget, so a block's working set does not grow with the seeds; the shock
+# chunk and the means, derived one seed at a time, come on top.
 BLOCK_BYTES = 32 << 20
 # A block step of the sine map costs 6-15 µs for 1 to 128 seeds, about what 16
 # per-seed steps cost (2-vCPU Xeon VM); below this many seeds per block,
@@ -241,10 +263,10 @@ MIN_BLOCK = 16
 def block_size(seeds: int, horizon: int, p: int = 1) -> int:
     """Seeds per :func:`rm_solve_block` call, or 0 when seed by seed is faster.
 
-    As many blocks as ``BLOCK_BYTES`` requires, as even as possible: at 32 MiB,
-    100 seeds of 3e4 steps (69 fit) run as two blocks of 50.
+    As many blocks as ``BLOCK_BYTES`` of iterates requires, as even as
+    possible: at 32 MiB, 100 seeds of 3e4 steps (139 fit) run as one block.
     """
-    fit = BLOCK_BYTES // (8 * p * (2 * horizon + 1))
+    fit = BLOCK_BYTES // (8 * p * (horizon + 1))
     if fit < MIN_BLOCK:
         return 0
     size = math.ceil(seeds / math.ceil(seeds / fit))
@@ -263,29 +285,42 @@ def rm_solve_block(
 
     Each path is bit-identical to :func:`rm_solve`'s for that seed, scalar or
     vector by the shape of ``x0``.  Each seed draws its shocks from its
-    own generator, and ``problem.g_block`` repeats ``g``'s operations.  The
-    arrays are time-major, ``xs`` (H+1, B[, p]) and ``ms`` (H, B[, p]); the
-    shocks are drawn into ``ms`` and overwritten by the means.  Any
-    floating-point error but underflow (which is exact in both solvers)
-    raises, so a seed whose values overflow is left to the per-seed solvers,
-    whose ``math`` calls may raise on it.
+    own generator, ``SHOCK_CHUNK`` steps at a time into one
+    (chunk, B[, p]) buffer, and ``problem.g_block`` repeats ``g``'s
+    operations.  The block keeps only the time-major iterates ``xs``
+    (H+1, B[, p]).  Each seed's means are derived as its path is handed out,
+    ``xs[:-1] - alpha * g_block(xs[:-1])``: the operations the step loop
+    applied, so they are its exact means.  Any floating-point error but
+    underflow (which is exact in both solvers) raises, so a seed whose values
+    overflow is left to the per-seed solvers, whose ``math`` calls may raise
+    on it.
     """
     shape = _checked_x0(x0).shape
     xs = np.empty((horizon + 1, len(seeds)) + shape)
-    ms = np.empty((horizon, len(seeds)) + shape)
-    for j, seed in enumerate(seeds):
-        ms[:, j] = noise.draw(np.random.default_rng(seed), (horizon,) + shape)
     xs[0] = x0
     al = schedule.alphas(horizon)
     g = problem.g_block
+    spans = _spans(horizon)
+    streams = [_shocks(noise, seed, spans, shape) for seed in seeds]
+    buffer = np.empty((min(SHOCK_CHUNK, horizon), len(seeds)) + shape)
     with np.errstate(all="raise", under="ignore"):
-        ms *= al.reshape((horizon, 1) + (1,) * len(shape))
-        for i, a in enumerate(al.tolist()):
-            x = xs[i]
-            m = x - a * g(x)
-            np.subtract(m, ms[i], out=xs[i + 1])
-            ms[i] = m
-    return (ProcessPath(xs[:, j].copy(), ms[:, j].copy()) for j in range(len(seeds)))
+        for span in spans:
+            shocks = buffer[: span.stop - span.start]
+            for j, stream in enumerate(streams):
+                shocks[:, j] = next(stream)
+            shocks *= al[span].reshape((-1, 1) + (1,) * len(shape))
+            for i, a in enumerate(al[span].tolist(), span.start):
+                x = xs[i]
+                np.subtract(x - a * g(x), shocks[i - span.start], out=xs[i + 1])
+    al = al.reshape((-1,) + (1,) * len(shape))
+
+    def paths():
+        for j in range(len(seeds)):
+            path = xs[:, j].copy()
+            prev = path[:-1]
+            yield ProcessPath(path, prev - al * g(prev))
+
+    return paths()
 
 
 @dataclass(frozen=True, eq=False)

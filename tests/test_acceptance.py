@@ -195,8 +195,8 @@ class TestCriterion4MultivariateConvergence:
             violations = int(np.sum(ratios > ks[mask] + 1e-12))
             return path.norms(), {"violations": violations}
 
-        # block_size() runs p = 3 at this horizon seed by seed; 20 seeds hold
-        # 96 MB of path arrays
+        # block_size() runs p = 3 at this horizon seed by seed (13 fit); 20
+        # seeds hold 48 MB of iterates
         stats = rm_ensemble(
             problem,
             noise,

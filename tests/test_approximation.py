@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from contractlab import (
     rm_solve,
     truncated_nonexpansive_verdict,
 )
+from contractlab import approximation
 from contractlab.approximation import (
     BLOCK_BYTES,
     MIN_BLOCK,
@@ -508,6 +510,22 @@ BLOCK_NOISES = {
 }
 
 
+def _assert_block_equals_per_seed(problem, noise, schedule, x0, horizon, sequences):
+    """Every path of one block is byte for byte its seed's :func:`rm_solve` path."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        paths = list(rm_solve_block(problem, noise, schedule, x0, horizon, sequences))
+    assert caught == []
+    assert len(paths) == len(sequences)
+    for seed, path in zip(sequences, paths):
+        ref = rm_solve(problem, noise, schedule, x0, horizon, seed)
+        assert type(path) is type(ref)
+        for got, want in ((path.xs, ref.xs), (path.ms, ref.ms), (path.eps, ref.eps)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(got, want)
+
+
 class TestBlockSolver:
     @given(
         data=st.data(),
@@ -524,18 +542,66 @@ class TestBlockSolver:
         x0 = data.draw(st.floats(-5.0, 5.0)) if p == 0 else np.linspace(-2.0, 3.0, p)
         sequences = [child_seed(root_seed, i) for i in range(seeds)]
         noise = BLOCK_NOISES[noise]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            paths = list(rm_solve_block(problem, noise, schedule, x0, horizon, sequences))
-        assert caught == []
-        assert len(paths) == seeds
-        for seed, path in zip(sequences, paths):
-            ref = rm_solve(problem, noise, schedule, x0, horizon, seed)
-            assert type(path) is type(ref)
-            for got, want in ((path.xs, ref.xs), (path.ms, ref.ms), (path.eps, ref.eps)):
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-                assert np.array_equal(got, want)
+        _assert_block_equals_per_seed(problem, noise, schedule, x0, horizon, sequences)
+
+    @pytest.mark.parametrize("noise", sorted(BLOCK_NOISES))
+    @pytest.mark.parametrize("family", sorted(PROBLEM.families) + sorted(PROBLEM_ND.families))
+    @given(
+        data=st.data(),
+        chunk=st.integers(1, 9),
+        seeds=st.sampled_from([1, 2, 7, 50]),
+        horizon=st.integers(1, 80),
+        root_seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_block_paths_equal_per_seed_across_shock_chunks(
+        self, family, noise, data, chunk, seeds, horizon, root_seed
+    ):
+        # several chunks per path, the last one usually ragged
+        problem, p = _family_problem(data, family)
+        schedule = Schedule.inverse_n(data.draw(st.floats(0.1, 2.0)))
+        x0 = data.draw(st.floats(-5.0, 5.0)) if p == 0 else np.linspace(-2.0, 3.0, p)
+        sequences = [child_seed(root_seed, i) for i in range(seeds)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(approximation, "SHOCK_CHUNK", chunk)
+            _assert_block_equals_per_seed(
+                problem, BLOCK_NOISES[noise], schedule, x0, horizon, sequences
+            )
+
+    def test_custom_draw_gives_the_per_seed_paths(self):
+        # the draw consumes one extra number per call, so the two solvers
+        # agree only when they split the horizon into the same draw calls
+        def draw(rng, shape):
+            return rng.normal(0.0, 0.3, size=shape) * (1.0 + rng.random())
+
+        problem = PROBLEM.families["sine_perturbed"].build(
+            {"slope": 1.0, "amplitude": 0.3, "root": 0.5}
+        )
+        horizon = 3 * approximation.SHOCK_CHUNK + 5
+        sequences = [child_seed(4, i) for i in range(MIN_BLOCK)]
+        args = (problem, NoiseModel(draw, 0.2), Schedule.inverse_n(1.0), 2.0, horizon)
+        _assert_block_equals_per_seed(*args, sequences)
+
+    def test_block_memory_stays_within_the_budget(self, monkeypatch):
+        # 64 seeds whose iterates fill 3/4 of the budget: the step loop adds
+        # one shock chunk, and a path handed out is its seed's share
+        seeds, horizon = 64, 4095
+        monkeypatch.setattr(approximation, "BLOCK_BYTES", 8 * seeds * (horizon + 1) * 4 // 3)
+        assert block_size(seeds, horizon) == seeds
+        problem = PROBLEM.families["sine_perturbed"].build(
+            {"slope": 1.0, "amplitude": 0.3, "root": 0.5}
+        )
+        sequences = [child_seed(5, i) for i in range(seeds)]
+        args = (problem, NoiseModel.gaussian(0.3), Schedule.inverse_n(1.0), 2.0, horizon)
+        tracemalloc.start()
+        try:
+            for _ in rm_solve_block(*args, sequences):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = 8 * approximation.SHOCK_CHUNK * seeds
+        assert peak <= approximation.BLOCK_BYTES + buffer
 
     @pytest.mark.parametrize("seeds", [2, 7, 50])
     def test_overflowing_seed_errors_alone(self, seeds):
@@ -589,7 +655,7 @@ class TestBlockSolver:
                 rm_solve(*args, 0)
 
     def test_block_size_follows_the_budget(self):
-        assert block_size(100, 30_000) == 50  # 69 fit: two even blocks
+        assert block_size(100, 30_000) == 100  # 139 fit: one block
         assert block_size(20, 20_000, 3) == 20
         assert block_size(15, 100) == 0  # fewer than MIN_BLOCK seeds
         assert block_size(100, 10**7) == 0  # fewer than MIN_BLOCK fit
@@ -597,4 +663,4 @@ class TestBlockSolver:
             for horizon, p in ((2_000, 1), (30_000, 1), (20_000, 3), (100_000, 2)):
                 size = block_size(seeds, horizon, p)
                 assert size == 0 or MIN_BLOCK <= size <= seeds
-                assert size * 8 * p * (2 * horizon + 1) <= BLOCK_BYTES
+                assert size * 8 * p * (horizon + 1) <= BLOCK_BYTES

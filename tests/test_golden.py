@@ -240,7 +240,7 @@ REMAINDER_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(REMAINDER_P))
 def test_partial_block_digests(name, tmp_path, monkeypatch):
-    seed_bytes = 8 * REMAINDER_P[name] * (2 * REMAINDER_HORIZON + 1)
+    seed_bytes = 8 * REMAINDER_P[name] * (REMAINDER_HORIZON + 1)
     monkeypatch.setattr(approximation, "BLOCK_BYTES", 25 * seed_bytes, raising=False)
     out = tmp_path / "out"
     argv = ["run", str(CONFIGS / f"{name}.yaml"), "--seeds", str(REMAINDER_SEEDS)]
@@ -252,7 +252,7 @@ def test_partial_block_digests(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(REMAINDER_P))
 def test_partial_blocks_bypass_the_per_seed_solvers(name, tmp_path, monkeypatch):
-    seed_bytes = 8 * REMAINDER_P[name] * (2 * REMAINDER_HORIZON + 1)
+    seed_bytes = 8 * REMAINDER_P[name] * (REMAINDER_HORIZON + 1)
     monkeypatch.setattr(approximation, "BLOCK_BYTES", 25 * seed_bytes)
     blocks, alone = [], []
     solve_block = experiments.rm_solve_block
