@@ -111,6 +111,12 @@ class LsState:
     ``estimate`` row is NaN and its ``first_nonsingular`` entry 0 while its
     Gram matrix is singular.  Every seed goes through the same per-matrix
     kernels, so a block is bit-identical to its seeds run one at a time.
+
+    Steps are folded a chunk at a time, and a chunk of k steps is
+    bit-identical to k single steps: its Gram and score accumulators are one
+    cumulative sum, which adds in step order; only the rank-one updates, the
+    rank checks and the rebases run step by step; and the estimates are one
+    batched product of the per-step inverses and scores.
     """
 
     def __init__(self, p: int, seeds: int):
@@ -124,7 +130,6 @@ class LsState:
         # one accumulator per seed: the Gram matrix, then the score as column p
         # (each column energy is a diagonal entry, summed in the same order)
         self._aug = np.zeros((seeds, p, p + 1))
-        self._score = self._aug[:, :, p:]
         self._inv = np.zeros((seeds, p, p))
         self._est = np.full((seeds, p), np.nan)
         self._n0 = np.zeros(seeds, dtype=int)
@@ -134,7 +139,7 @@ class LsState:
 
     gram = property(lambda self: self._aug[:, :, : self.p])
     gram_inv = property(lambda self: self._inv)
-    score = property(lambda self: self._score[:, :, 0])
+    score = property(lambda self: self._aug[:, :, self.p])
     energy = property(lambda self: np.diagonal(self._aug, axis1=1, axis2=2))
     estimate = property(lambda self: self._est)
     singular = property(lambda self: self._n0 == 0)
@@ -147,56 +152,71 @@ class LsState:
         shape = (self.seeds, self.p)
         if x.shape != shape or y.shape != shape[:-1]:
             raise ValueError(f"regressors must have shape {shape} and responses {shape[:-1]}")
-        self._step(np.concatenate((x, y[:, None]), axis=1), np.empty(shape))
+        xy = np.concatenate((x, y[:, None]), axis=1)[:, None]
+        self._fold(xy, np.empty((self.seeds, 1, self.p)))
         return self
 
-    def _step(self, xy: np.ndarray, out: np.ndarray) -> None:
-        """Fold rows (x, y) of ``xy`` (S, p + 1) in and write the estimates to ``out``."""
-        self.n += 1
-        n = self.n
-        X = xy[:, : self.p]
-        self._aug += X[:, :, None] * xy[:, None, :]
-        self._est = out
-        pending = self._pending
-        if not pending.size:  # steady phase: every seed is nonsingular
-            inv = self._inv
-            bx = inv @ X[:, :, None]
-            inv -= bx * bx.transpose(0, 2, 1) / (1.0 + X[:, None, :] @ bx)
-            if n == self._next_due:
-                self._rebase(n)
-            np.matmul(self._inv, self._score, out=out[:, :, None])
-            return
-        ready = np.flatnonzero(self._n0)
-        if ready.size:
-            inv, Xr = self._inv[ready], X[ready]
-            bx = inv @ Xr[:, :, None]
-            inv -= bx * bx.transpose(0, 2, 1) / (1.0 + Xr[:, None, :] @ bx)
-            self._inv[ready] = inv
-            if n == self._next_due:
-                self._rebase(n)
-        grams = self._aug[pending, :, : self.p]
-        if not np.isfinite(grams).all():
-            raise ValueError(f"non-finite gram matrix at step {n}, before it was nonsingular")
-        if n >= self.p:
-            full = np.linalg.matrix_rank(grams) == self.p
-            if full.any():
-                fresh = pending[full]
-                self._inv[fresh] = np.linalg.inv(grams[full])
-                self._n0[fresh] = n
-                self._due[fresh] = n + REBASE_EVERY
-                self._next_due = int(self._due.min())
-                self._pending = pending[~full]
-                ready = np.flatnonzero(self._n0)
-        out[:] = np.nan
-        out[ready] = (self._inv[ready] @ self._score[ready])[:, :, 0]
+    def _fold(self, xy: np.ndarray, out: np.ndarray) -> None:
+        """Fold k steps of rows (x, y), ``xy`` (S, k, p + 1), in step order and
+        write each step's estimates to ``out`` (S, k, p)."""
+        p, k, first = self.p, xy.shape[1], self.n + 1
+        X = xy[:, :, :p]
+        aug = X[:, :, :, None] * xy[:, :, None, :]  # (S, k, p, p + 1)
+        aug[:, 0] += self._aug
+        np.cumsum(aug, axis=1, out=aug)
+        invs = np.empty((self.seeds, k, p, p))
+        for j in range(k):
+            self.n = n = first + j
+            x, inv = X[:, j], invs[:, j]
+            pending = self._pending
+            if not pending.size:  # steady phase: every seed is nonsingular
+                bx = self._inv @ x[:, :, None]
+                np.subtract(
+                    self._inv, bx * bx.transpose(0, 2, 1) / (1.0 + x[:, None, :] @ bx), out=inv
+                )
+                self._inv = inv
+                if n == self._next_due:
+                    self._rebase(n, aug[:, j])
+                continue
+            inv[:] = self._inv
+            self._inv = inv
+            ready = np.flatnonzero(self._n0)
+            if ready.size:
+                r_inv, xr = inv[ready], x[ready]
+                bx = r_inv @ xr[:, :, None]
+                r_inv -= bx * bx.transpose(0, 2, 1) / (1.0 + xr[:, None, :] @ bx)
+                inv[ready] = r_inv
+                if n == self._next_due:
+                    self._rebase(n, aug[:, j])
+            grams = aug[pending, j, :, :p]
+            if not np.isfinite(grams).all():
+                raise ValueError(f"non-finite gram matrix at step {n}, before it was nonsingular")
+            if n >= p:
+                full = np.linalg.matrix_rank(grams) == p
+                if full.any():
+                    fresh = pending[full]
+                    inv[fresh] = np.linalg.inv(grams[full])
+                    self._n0[fresh] = n
+                    self._due[fresh] = n + REBASE_EVERY
+                    self._next_due = int(self._due.min())
+                    self._pending = pending[~full]
+        scores = aug[:, :, :, p:]
+        # a seed has an estimate from its first nonsingular step on, so the
+        # steps where some seed has none come first: m of them
+        live = (self._n0[:, None] > 0) & (self._n0[:, None] < first + np.arange(1, k + 1))
+        m = int(np.count_nonzero(~live.all(axis=0)))
+        if m:
+            out[:, :m] = np.nan
+            head = live[:, :m]
+            out[:, :m][head] = (invs[:, :m][head] @ scores[:, :m][head])[:, :, 0]
+        np.matmul(invs[:, m:], scores[:, m:], out=out[:, m:, :, None])
+        self._aug = aug[:, -1].copy()
+        self._inv = invs[:, -1].copy()
+        self._est = out[:, -1]
 
-    def _rebase(self, n: int) -> None:
+    def _rebase(self, n: int, aug: np.ndarray) -> None:
         due = self._due == n
-        grams = self._aug[:, :, : self.p]
-        if due.all():
-            self._inv = np.linalg.inv(grams)
-        else:
-            self._inv[due] = np.linalg.inv(grams[due])
+        self._inv[due] = np.linalg.inv(aug[due, :, : self.p])
         self._due[due] += REBASE_EVERY
         self._next_due = int(self._due.min())
 
@@ -350,9 +370,11 @@ def simulate_ls_runs(
     indices at which the recursive estimate is compared against a dense
     solve; the worst max-norm gap is recorded.  A design that carries a
     ``block_draw`` (the built-in open-loop designs) draws each seed's whole
-    regressor and noise stream up front; any other design is called per seed
-    and step, since it may read the current estimate.  Estimates are kept for
-    ``REBASE_EVERY`` steps at a time and for the tail window, never for the
+    regressor and noise stream up front, and the state folds it in chunks of
+    at most ``REBASE_EVERY`` steps, cut also at the tail start and at every
+    checkpoint; any other design is called per seed and step, since it may
+    read the current estimate, and each step is folded alone.  Estimates are
+    kept for one chunk at a time and for the tail window, never for the
     whole horizon, and each run's arrays are views of the block's arrays.
     Raises ValueError for a checkpoint outside ``1..horizon``, and when any
     seed's Gram matrix is non-finite before it is nonsingular, or never
@@ -379,25 +401,29 @@ def simulate_ls_runs(
     else:
         for s, rng in enumerate(rngs):
             block_draw(rng, model.sigma, xs[s], us[s])
-            np.add((xs[s, :, None, :] @ beta[:, None])[:, 0, 0], us[s], out=ys[s])
+            np.matmul(xs[s, :, None, :], beta[:, None], out=ys[s, :, None, None])
+            ys[s] += us[s]
     # estimates are kept per chunk of at most REBASE_EVERY steps: in a reused
-    # window before the tail, then in place in tail_b
+    # window before the tail, then in place in tail_b; a chunk is folded in
+    # pieces that end at its checkpoints, which compare that step's estimate
     bounds = [*range(0, tail_start, REBASE_EVERY), *range(tail_start, horizon, REBASE_EVERY)]
     for lo, hi in zip(bounds, bounds[1:] + [horizon]):
-        ests = window if lo < tail_start else tail_b[:, lo - tail_start :]
-        for i in range(lo, hi):
-            if closed:
-                _draw_step(model, rngs, ctxs, i, xy, us)
-            est = ests[:, i - lo]
-            state._step(xy[:, i], est)
-            if checkpoints and i + 1 == checkpoints[0]:
+        ests = window[:, : hi - lo] if lo < tail_start else tail_b[:, lo - tail_start :]
+        cuts = [lo, *(c for c in checkpoints if lo < c < hi), hi]
+        for a, b in zip(cuts, cuts[1:]):
+            if closed:  # the next regressor may read this step's estimate
+                for i in range(a, b):
+                    _draw_step(model, rngs, ctxs, i, xy, us)
+                    state._fold(xy[:, i : i + 1], ests[:, i - lo : i - lo + 1])
+                    for s, ctx in enumerate(ctxs):
+                        ctx.estimate = state._est[s].copy() if state._n0[s] else None
+            else:
+                state._fold(xy[:, a:b], ests[:, a - lo : b - lo])
+            if checkpoints and b == checkpoints[0]:
                 checkpoints.pop(0)
                 for s in np.flatnonzero(state._n0):
-                    dense, *_ = np.linalg.lstsq(xs[s, : i + 1], ys[s, : i + 1], rcond=None)
-                    gaps[s] = max(gaps[s], float(np.max(np.abs(est[s] - dense))))
-            if closed:
-                for s, ctx in enumerate(ctxs):
-                    ctx.estimate = est[s].copy() if state._n0[s] else None
+                    dense, *_ = np.linalg.lstsq(xs[s, :b], ys[s, :b], rcond=None)
+                    gaps[s] = max(gaps[s], float(np.max(np.abs(state._est[s] - dense))))
         err_sup[:, lo:hi] = np.abs(ests[:, : hi - lo] - beta).max(axis=2)
     if state._pending.size:
         raise ValueError("design never reached a nonsingular gram matrix")
@@ -678,20 +704,40 @@ def partition_analysis(
 # formula loc + scale * z and with the same checks on the scales.
 
 
+def _step_columns(row: Callable[[int], Tuple[float, ...]]) -> Callable[[int], np.ndarray]:
+    """``columns(horizon)``: the read-only rows ``row(n)`` for n = 1..horizon.
+
+    The rows are the same for every seed, so they are computed once, for the
+    longest horizon asked so far, by the same ``math`` calls as a per-step
+    design; a shorter horizon reads a prefix.
+    """
+    cache = np.empty((0, len(row(1))))
+
+    def columns(horizon: int) -> np.ndarray:
+        nonlocal cache
+        if len(cache) < horizon:
+            cache = np.array([row(n) for n in range(1, horizon + 1)], dtype=float)
+            cache.flags.writeable = False
+        return cache[:horizon]
+
+    return columns
+
+
 def rotating_design(jitter: float = 0.1, turns: float = 0.37) -> Callable:
     """Unit vectors rotating by a fixed angle each step, plus Gaussian jitter."""
 
+    def unit(n: int) -> Tuple[float, float]:
+        angle = 2.0 * math.pi * turns * n
+        return math.cos(angle), math.sin(angle)
+
     def design(rng: np.random.Generator, ctx: DesignContext) -> np.ndarray:
-        angle = 2.0 * math.pi * turns * ctx.n
-        base = np.array([math.cos(angle), math.sin(angle)])
-        return base + rng.normal(0.0, jitter, size=2)
+        return np.array(unit(ctx.n)) + rng.normal(0.0, jitter, size=2)
+
+    units = _step_columns(unit)
 
     def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
-        steps = range(1, len(us) + 1)
         draws = rng.normal(0.0, [jitter, jitter, sigma], size=(len(us), 3))
-        xs[:, 0] = np.fromiter((math.cos(2.0 * math.pi * turns * n) for n in steps), float)
-        xs[:, 1] = np.fromiter((math.sin(2.0 * math.pi * turns * n) for n in steps), float)
-        xs += draws[:, :2]
+        np.add(units(len(us)), draws[:, :2], out=xs)
         us[:] = draws[:, 2]
 
     design.block_draw = block_draw
@@ -704,8 +750,10 @@ def geometric_one_design() -> Callable:
     def design(rng: np.random.Generator, ctx: DesignContext) -> np.ndarray:
         return np.array([2.0 ** -ctx.n, 1.0])
 
+    halvings = _step_columns(lambda n: (2.0 ** -n,))
+
     def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
-        xs[:, 0] = np.fromiter((2.0 ** -n for n in range(1, len(us) + 1)), float)
+        xs[:, :1] = halvings(len(us))
         xs[:, 1] = 1.0
         us[:] = rng.normal(0.0, sigma, size=len(us))
 

@@ -374,6 +374,22 @@ class TestOtherKindsEndToEnd:
         # the dense solves ran: their rounding differs from the recursion's
         assert report["max_checkpoint_gap"] > 0.0
 
+    def test_ls_checkpoint_gap_of_zero_fails_with_exit_1(self, tmp_path, capsys):
+        # a negative control: the dense solves round differently from the
+        # recursion, so a run that compares them never reads a gap of 0.0
+        out = tmp_path / "out"
+        text = LS.format(out=out).replace("family: geometric_one", "family: rotating")
+        text = text.replace("seeds: 12", "seeds: 4").replace("horizon: 1000", "horizon: 300")
+        text = text.split("assertions:")[0] + "assertions:\n  max_checkpoint_gap: 0.0\n"
+        text += f"output: {{dir: {out}}}\n"
+        assert main(["run", str(write_config(tmp_path, text))]) == 1
+        detail = "worst recursive-vs-dense gap 1.68e-14"
+        assert f"FAIL max_checkpoint_gap: {detail}" in capsys.readouterr().out.splitlines()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["assertions"] == [
+            {"name": "max_checkpoint_gap", "passed": False, "detail": detail}
+        ]
+
     def test_custom_path_check_round_trip(self, tmp_path):
         sa_out = tmp_path / "sa_out"
         sa_cfg = write_config(tmp_path, SA_TEMPLATE.format(out=sa_out, traces="true"), "sa.yaml")

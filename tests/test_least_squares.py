@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from contractlab import (
     simulate_ls_runs,
     z_process,
 )
+from contractlab import least_squares
 from contractlab.least_squares import (
     REBASE_EVERY,
+    DesignContext,
     LsRun,
     feedback_design,
     geometric_one_design,
@@ -115,6 +118,38 @@ class TestLsState:
     def test_seed_axis_shape_validation(self):
         with pytest.raises(ValueError):
             LsState(2, 3).update(np.zeros((2, 2)), np.zeros(2))
+
+    def test_chunk_fold_equals_single_updates(self, monkeypatch):
+        # the seeds reach full rank at steps 3, 7, 10 and 14, all inside the
+        # second chunk, and a rebase every 4 steps of a seed puts the seeds'
+        # rebases out of phase inside every later chunk
+        monkeypatch.setattr(least_squares, "REBASE_EVERY", 4)
+        rng = np.random.default_rng(5)
+        seeds, p, horizon = 4, 3, 40
+        X = rng.normal(size=(seeds, horizon, p))
+        X[np.arange(horizon) < np.array([[0], [4], [7], [11]])] = 0.0
+        Y = rng.normal(size=(seeds, horizon))
+        stepped = LsState(p, seeds)
+        estimates = np.stack(
+            [stepped.update(X[:, i], Y[:, i]).estimate.copy() for i in range(horizon)], axis=1
+        )
+        folded = LsState(p, seeds)
+        xy = np.concatenate((X, Y[:, :, None]), axis=2)
+        out = np.empty((seeds, horizon, p))
+        for lo, hi in [(0, 2), (2, 17), (17, 40)]:
+            folded._fold(xy[:, lo:hi], out[:, lo:hi])
+        assert folded.first_nonsingular.tolist() == [3, 7, 10, 14]
+        assert out.tobytes() == estimates.tobytes()
+        for name in ("gram", "gram_inv", "score", "energy", "estimate", "first_nonsingular"):
+            assert getattr(folded, name).tobytes() == getattr(stepped, name).tobytes(), name
+        assert folded.n == stepped.n == horizon
+
+    def test_chunk_fold_names_the_non_finite_step(self):
+        xy = np.ones((2, 6, 3))
+        xy[:, :, 1] = 0.0  # singular throughout
+        xy[1, 4, 0] = math.nan
+        with pytest.raises(ValueError, match="non-finite gram matrix at step 5,"):
+            LsState(2, 2)._fold(xy, np.empty((2, 6, 2)))
 
 
 class TestIntegralBound:
@@ -405,6 +440,101 @@ def test_block_draw_reproduces_per_step_stream(name, sigma):
     stepped = simulate_ls_runs(stepwise, 2 * REBASE_EVERY + 7, seeds, checkpoints=[9, 700])
     for a, b in zip(drawn, stepped):
         assert_same_run(a, b)
+
+
+@given(
+    name=st.sampled_from(["rotating", "geometric_one", "iid_gaussian", "feedback"]),
+    rebase_every=st.integers(1, 9),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True),
+    horizon=st.integers(3, 60),
+    tail_fraction=st.sampled_from([0.05, 0.2, 0.5]),
+    checkpoints=st.lists(st.integers(1, 60), max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_chunk_bounds_keep_the_single_step_runs(
+    name, rebase_every, seeds, horizon, tail_fraction, checkpoints
+):
+    # short chunks put checkpoints and the tail start inside and at the ends of
+    # chunks; the per-step path folds one step at a time
+    model = BLOCK_MODELS[name]
+    stepwise = dataclasses.replace(model, design=lambda rng, ctx: model.design(rng, ctx))
+    checkpoints = [c for c in checkpoints if c <= horizon]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+        folded = simulate_ls_runs(model, horizon, seeds, tail_fraction, checkpoints)
+        stepped = simulate_ls_runs(stepwise, horizon, seeds, tail_fraction, checkpoints)
+        alone = [simulate_ls_runs(model, horizon, [s], tail_fraction, checkpoints)[0] for s in seeds]
+        gaps = [single_step_gap(run, checkpoints) for run in folded]
+    for a, b, c, gap in zip(folded, stepped, alone, gaps):
+        assert_same_run(a, b)
+        assert_same_run(a, c)
+        assert a.checkpoint_gap == gap
+
+
+def single_step_gap(run, checkpoints):
+    """The checkpoint gap of one seed's run, refolded one update at a time."""
+    state, gap = LsState(run.p, 1), 0.0
+    for i in range(len(run.us)):
+        state.update(run.xs[i : i + 1], run.ys[i : i + 1])
+        if i + 1 in checkpoints and not state.singular[0]:
+            dense, *_ = np.linalg.lstsq(run.xs[: i + 1], run.ys[: i + 1], rcond=None)
+            gap = max(gap, float(np.max(np.abs(state.estimate[0] - dense))))
+    return gap
+
+
+@pytest.mark.parametrize("name", ["rotating", "geometric_one"])
+def test_cached_design_columns_match_the_per_step_values(name):
+    model = BLOCK_MODELS[name]
+    design, p, sigma = model.design, model.p, model.sigma
+    for horizon in (700, 300, 700):
+        xs, us = np.empty((horizon, p)), np.empty(horizon)
+        design.block_draw(np.random.default_rng(horizon), sigma, xs, us)
+        rng = np.random.default_rng(horizon)
+        want_xs, want_us = np.empty_like(xs), np.empty_like(us)
+        for i in range(horizon):
+            want_xs[i] = design(rng, DesignContext(i + 1, None, None))
+            want_us[i] = rng.normal(0.0, sigma)
+        assert xs.tobytes() == want_xs.tobytes() and us.tobytes() == want_us.tobytes()
+        xs[:] = math.nan  # a caller that reuses its regressors must not reach the cache
+
+
+def in_place_design(rng, ctx):
+    raise AssertionError("only block_draw runs")
+
+
+def _draw_in_place(rng, sigma, xs, us):
+    """Regressors (1, u) with no array of the horizon's length besides the outputs."""
+    rng.standard_normal(out=us)
+    xs[:, 0] = 1.0
+    xs[:, 1] = us
+
+
+in_place_design.block_draw = _draw_in_place
+
+
+@pytest.mark.parametrize("rebase_every", [128, 512])
+def test_fold_memory_stays_within_chunks(monkeypatch, rebase_every):
+    # beyond its outputs, a run holds a few chunks of REBASE_EVERY steps per
+    # seed (accumulators, inverses, estimates), whatever the horizon
+    monkeypatch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+    seeds, p = 8, 2
+    model = RegressionModel(np.array([1.0, -0.5]), in_place_design, 1.0)
+    simulate_ls_runs(model, 100, range(seeds))  # lazy imports and caches
+
+    def beyond_outputs(horizon):
+        tracemalloc.start()
+        try:
+            runs = simulate_ls_runs(model, horizon, range(seeds))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = 8 * seeds * horizon * (p + 3) + seeds * runs[0].tail_b.nbytes
+        return peak - outputs
+
+    chunk = 8 * rebase_every * seeds * p * (p + 1)
+    short, long = beyond_outputs(2000), beyond_outputs(8000)
+    assert short <= 3 * chunk + 2**15
+    assert long <= short + chunk // 8
 
 
 def test_negative_zero_noise_scale_rejected_like_per_step_draws():
