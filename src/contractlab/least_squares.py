@@ -163,8 +163,10 @@ class LsState:
         X = xy[:, :, :p]
         aug = X[:, :, :, None] * xy[:, :, None, :]  # (S, k, p, p + 1)
         aug[:, 0] += self._aug
-        np.cumsum(aug, axis=1, out=aug)
+        if k > 1:  # accumulate runs once per Gram entry of each seed, even for one step
+            np.cumsum(aug, axis=1, out=aug)
         invs = np.empty((self.seeds, k, p, p))
+        m = 0  # the steps where some seed has no estimate yet come first: m of them
         for j in range(k):
             self.n = n = first + j
             x, inv = X[:, j], invs[:, j]
@@ -200,14 +202,11 @@ class LsState:
                     self._due[fresh] = n + REBASE_EVERY
                     self._next_due = int(self._due.min())
                     self._pending = pending[~full]
+            m = j + 1 if self._pending.size else j
         scores = aug[:, :, :, p:]
-        # a seed has an estimate from its first nonsingular step on, so the
-        # steps where some seed has none come first: m of them
-        live = (self._n0[:, None] > 0) & (self._n0[:, None] < first + np.arange(1, k + 1))
-        m = int(np.count_nonzero(~live.all(axis=0)))
-        if m:
+        if m:  # a seed has an estimate from its first nonsingular step on
             out[:, :m] = np.nan
-            head = live[:, :m]
+            head = (self._n0[:, None] > 0) & (self._n0[:, None] < first + np.arange(1, m + 1))
             out[:, :m][head] = (invs[:, :m][head] @ scores[:, :m][head])[:, :, 0]
         np.matmul(invs[:, m:], scores[:, m:], out=out[:, m:, :, None])
         self._aug = aug[:, -1].copy()
@@ -704,36 +703,40 @@ def partition_analysis(
 # formula loc + scale * z and with the same checks on the scales.
 
 
-def _step_columns(row: Callable[[int], Tuple[float, ...]]) -> Callable[[int], np.ndarray]:
-    """``columns(horizon)``: the read-only rows ``row(n)`` for n = 1..horizon.
+def _step_columns(*columns: Callable[[int], float]) -> Callable[[int], np.ndarray]:
+    """``rows(horizon)``: the read-only (horizon, len(columns)) values
+    ``column(n)`` for n = 1..horizon.
 
-    The rows are the same for every seed, so they are computed once, for the
-    longest horizon asked so far, by the same ``math`` calls as a per-step
-    design; a shorter horizon reads a prefix.
+    The values are the same for every seed, so they are computed once, for
+    the longest horizon asked so far, by the same ``math`` calls as a
+    per-step design; a shorter horizon reads a prefix.
     """
-    cache = np.empty((0, len(row(1))))
+    cache = np.empty((0, len(columns)))
 
-    def columns(horizon: int) -> np.ndarray:
+    def rows(horizon: int) -> np.ndarray:
         nonlocal cache
         if len(cache) < horizon:
-            cache = np.array([row(n) for n in range(1, horizon + 1)], dtype=float)
+            cache = np.empty((horizon, len(columns)))
+            for c, column in enumerate(columns):
+                cache[:, c] = np.fromiter(map(column, range(1, horizon + 1)), float, horizon)
             cache.flags.writeable = False
         return cache[:horizon]
 
-    return columns
+    return rows
 
 
 def rotating_design(jitter: float = 0.1, turns: float = 0.37) -> Callable:
     """Unit vectors rotating by a fixed angle each step, plus Gaussian jitter."""
 
-    def unit(n: int) -> Tuple[float, float]:
-        angle = 2.0 * math.pi * turns * n
-        return math.cos(angle), math.sin(angle)
-
     def design(rng: np.random.Generator, ctx: DesignContext) -> np.ndarray:
-        return np.array(unit(ctx.n)) + rng.normal(0.0, jitter, size=2)
+        angle = 2.0 * math.pi * turns * ctx.n
+        base = np.array([math.cos(angle), math.sin(angle)])
+        return base + rng.normal(0.0, jitter, size=2)
 
-    units = _step_columns(unit)
+    units = _step_columns(
+        lambda n: math.cos(2.0 * math.pi * turns * n),
+        lambda n: math.sin(2.0 * math.pi * turns * n),
+    )
 
     def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
         draws = rng.normal(0.0, [jitter, jitter, sigma], size=(len(us), 3))
@@ -750,7 +753,7 @@ def geometric_one_design() -> Callable:
     def design(rng: np.random.Generator, ctx: DesignContext) -> np.ndarray:
         return np.array([2.0 ** -ctx.n, 1.0])
 
-    halvings = _step_columns(lambda n: (2.0 ** -n,))
+    halvings = _step_columns(lambda n: 2.0 ** -n)
 
     def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
         xs[:, :1] = halvings(len(us))
