@@ -163,7 +163,7 @@ class LsState:
         X = xy[:, :, :p]
         aug = X[:, :, :, None] * xy[:, :, None, :]  # (S, k, p, p + 1)
         aug[:, 0] += self._aug
-        if k > 1:  # accumulate runs once per Gram entry of each seed, even for one step
+        if k > 1:  # one step is its own sum, and the call loops over every entry
             np.cumsum(aug, axis=1, out=aug)
         invs = np.empty((self.seeds, k, p, p))
         m = 0  # the steps where some seed has no estimate yet come first: m of them
@@ -400,6 +400,7 @@ def simulate_ls_runs(
     else:
         for s, rng in enumerate(rngs):
             block_draw(rng, model.sigma, xs[s], us[s])
+            # in place: no temporary of the horizon's length per seed
             np.matmul(xs[s, :, None, :], beta[:, None], out=ys[s, :, None, None])
             ys[s] += us[s]
     # estimates are kept per chunk of at most REBASE_EVERY steps: in a reused
@@ -407,7 +408,10 @@ def simulate_ls_runs(
     # pieces that end at its checkpoints, which compare that step's estimate
     bounds = [*range(0, tail_start, REBASE_EVERY), *range(tail_start, horizon, REBASE_EVERY)]
     for lo, hi in zip(bounds, bounds[1:] + [horizon]):
-        ests = window[:, : hi - lo] if lo < tail_start else tail_b[:, lo - tail_start :]
+        if lo < tail_start:
+            ests = window[:, : hi - lo]
+        else:
+            ests = tail_b[:, lo - tail_start : hi - tail_start]
         cuts = [lo, *(c for c in checkpoints if lo < c < hi), hi]
         for a, b in zip(cuts, cuts[1:]):
             if closed:  # the next regressor may read this step's estimate
@@ -423,7 +427,7 @@ def simulate_ls_runs(
                 for s in np.flatnonzero(state._n0):
                     dense, *_ = np.linalg.lstsq(xs[s, :b], ys[s, :b], rcond=None)
                     gaps[s] = max(gaps[s], float(np.max(np.abs(state._est[s] - dense))))
-        err_sup[:, lo:hi] = np.abs(ests[:, : hi - lo] - beta).max(axis=2)
+        err_sup[:, lo:hi] = np.abs(ests - beta).max(axis=2)
     if state._pending.size:
         raise ValueError("design never reached a nonsingular gram matrix")
     energy = np.diagonal(state._aug, axis1=1, axis2=2)
