@@ -102,7 +102,8 @@ class LsState:
     nonsingular step, then maintained by rank-one (Sherman-Morrison) updates
     and re-baselined by a dense solve every ``REBASE_EVERY`` steps of that
     seed to cap drift.  The Gram matrix must stay finite until it is
-    nonsingular: a non-finite one raises ``ValueError`` naming the step.
+    nonsingular: a non-finite one raises ``ValueError`` naming the step, and
+    leaves the state partly folded, so it must not be updated further.
 
     ``LsState(p, seeds)`` carries a leading seed axis: ``gram`` and
     ``gram_inv`` are (seeds, p, p), ``score``, ``energy`` and ``estimate``
