@@ -41,6 +41,7 @@ from .approximation import (
     truncated_nonexpansive_verdict,
 )
 from .least_squares import (
+    Design,
     DesignConditionReport,
     GWeight,
     IntegralBoundResult,

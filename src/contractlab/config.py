@@ -415,7 +415,7 @@ def _beta_matches_design(r: _Reader, doc: Dict[str, Any]) -> None:
     design, beta = doc["design"], doc["beta"]
     if design is None or beta is None or None in design.values():
         return
-    _, p = DESIGN.families[design["family"]].build(design)  # the builder owns the column count
+    p = DESIGN.families[design["family"]].build(design).p  # the builder owns the column count
     if len(beta) != p:
         r.fail("beta", f"length {len(beta)} does not match the {p}-column design")
 
@@ -622,21 +622,21 @@ WEIGHTS = Group(
         ),
     },
 )
-# A design builder returns the regressor map and its column count p.
+# A design builder returns a least_squares.Design, which carries its column count p.
 DESIGN = Group(
     "design",
     families={
         "rotating": Family(
-            lambda v: (rotating_design(float(v["jitter"]), float(v["turns"])), 2),
+            lambda v: rotating_design(float(v["jitter"]), float(v["turns"])),
             (Field("jitter", default=0.1, ge=0.0), Field("turns", default=0.37)),
         ),
-        "geometric_one": Family(lambda v: (geometric_one_design(), 2)),
+        "geometric_one": Family(lambda v: geometric_one_design()),
         "iid_gaussian": Family(
-            lambda v: (iid_gaussian_design(int(v["p"]), float(v["scale"])), int(v["p"])),
+            lambda v: iid_gaussian_design(int(v["p"]), float(v["scale"])),
             (Field("p", "integer", 2, ge=1), Field("scale", default=1.0, gt=0.0)),
         ),
         "feedback": Family(
-            lambda v: (feedback_design(float(v["gain"])), 2), (Field("gain", default=0.9, ge=0.0),)
+            lambda v: feedback_design(float(v["gain"])), (Field("gain", default=0.9, ge=0.0),)
         ),
     },
 )

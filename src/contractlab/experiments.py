@@ -266,8 +266,9 @@ def _run_sa(config: ExperimentConfig):
                 payload.update(dict.fromkeys(truncated, False))
         return (path.norms() if vector else path.xs - root), payload
 
-    # every built-in family steps its seeds in blocks; a problem without a
-    # block g runs one seed at a time
+    # a built-in family steps its seeds in blocks, unless block_size finds
+    # seed by seed faster (returns 0); a problem without a block g runs one
+    # seed at a time
     def factory(seed_sequence):
         return check(rm_solve(problem, noise, schedule, x0, horizon, seed_sequence))
 
@@ -317,10 +318,9 @@ def _run_ls(config: ExperimentConfig):
     model = config.model
     ens = config.ensemble
     horizon = ens.horizon
-    design, p = config.build("design")
     beta = np.asarray(model["beta"], dtype=float)
     sigma = float(model["sigma"])
-    reg_model = RegressionModel(beta=beta, design=design, sigma=sigma)
+    reg_model = RegressionModel(beta=beta, design=config.build("design"), sigma=sigma)
     gw = config.build("gweight")
     ncp = int(model["checkpoints"])
     # ncp steps spread over 1..horizon (fewer when horizon < ncp)
@@ -423,7 +423,7 @@ def _run_ls(config: ExperimentConfig):
             f"fraction of seeds holding: {design_frac}",
         ),
     }
-    return report, outcomes, stats, (p, lambda run: z_process(run.xs, run.us, gw))
+    return report, outcomes, stats, (reg_model.p, lambda run: z_process(run.xs, run.us, gw))
 
 
 class InputError(Exception):

@@ -1,10 +1,13 @@
 """Controlled linear models, recursive least squares, and weighted score processes.
 
 The regressor at each step may depend on everything observed so far (a
-controlled design), which makes the Gram matrix random.  The estimator state
-maintains its inverse by rank-one updates with periodic dense re-baselining,
-and the weighted score process turns per-component consistency into the same
-drift conditions checked elsewhere in this package.
+controlled design), which makes the Gram matrix random.  A :class:`Design`
+draws each seed's whole horizon of regressors and noise up front; its
+optional feedback law then adjusts each step's regressors of every seed at
+once from the estimates so far.  The estimator state maintains its inverse
+by rank-one updates with periodic dense re-baselining, and the weighted
+score process turns per-component consistency into the same drift
+conditions checked elsewhere in this package.
 """
 from __future__ import annotations
 
@@ -18,8 +21,8 @@ from .process import ProcessPath
 from .verdict import ConditionVerdict, failing, passing, vacuous
 
 __all__ = [
+    "Design",
     "RegressionModel",
-    "DesignContext",
     "LsState",
     "LsRun",
     "GWeight",
@@ -60,39 +63,53 @@ def _quad_to_infinity(integrand: Callable[[float], float], lower: float) -> Opti
     return float(value)
 
 
-@dataclass
-class DesignContext:
-    """What a controlled design may look at when choosing the next regressor."""
+@dataclass(frozen=True)
+class Design:
+    """A regressor design with ``p`` columns: a per-seed draw and an optional law.
 
-    n: int
-    prev_u: Optional[float]
-    estimate: Optional[np.ndarray]
+    ``draw(rng, sigma, xs, us)`` fills one seed's (horizon, p) regressors
+    ``xs`` and (horizon,) centered Gaussian noise ``us`` of standard deviation
+    ``sigma`` from that seed's generator.  ``law(estimates, rows)``, when
+    given, closes the loop: before step n is folded it is called once for
+    every seed at once, and edits that step's drawn (seeds, p) regressor
+    ``rows`` in place, given each seed's (seeds, p) estimate after step
+    n - 1 (a NaN row while that seed's Gram matrix is singular), which it
+    must not modify.  A law that treats each row alone keeps every seed's
+    run bit-identical to that seed run alone.
+    """
+
+    p: int
+    draw: Callable[[np.random.Generator, float, np.ndarray, np.ndarray], None]
+    law: Optional[Callable[[np.ndarray, np.ndarray], None]] = None
 
 
 @dataclass(frozen=True)
 class RegressionModel:
-    """True coefficients, a (possibly controlled) design rule, and noise scale.
+    """True coefficients, a (possibly controlled) :class:`Design`, and noise scale.
 
-    ``design(rng, ctx)`` returns the next regressor and may use the context,
-    which carries only information available before the new observation.
-    The noise is centered Gaussian with standard deviation ``sigma``.
+    The noise is centered Gaussian with standard deviation ``sigma``.  Raises
+    ValueError unless ``beta`` is a vector with one entry per design column.
     """
 
     beta: np.ndarray
-    design: Callable[[np.random.Generator, DesignContext], np.ndarray]
+    design: Design
     sigma: float
 
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta, dtype=float)
         if beta.ndim != 1:
             raise ValueError("beta must be a vector")
+        if len(beta) != self.design.p:
+            raise ValueError(
+                f"beta has {len(beta)} entries but the design has {self.design.p} columns"
+            )
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
         object.__setattr__(self, "beta", beta)
 
     @property
     def p(self) -> int:
-        return len(self.beta)
+        return self.design.p
 
 
 class LsState:
@@ -344,7 +361,7 @@ class LsRun:
     us: np.ndarray
     final_b: np.ndarray
     energy: np.ndarray
-    n0: Optional[int]
+    n0: int
     tail_b: np.ndarray  # estimates over the tail window, shape (window, p)
     tail_start: int
     checkpoint_gap: float
@@ -365,23 +382,21 @@ def simulate_ls_runs(
     """Simulate the controlled model once per seed, all seeds through one stacked
     :class:`LsState` recursion.
 
-    Seed ``s`` draws from ``np.random.default_rng(seeds[s])``, so its run is
-    bit-identical to a run of that seed alone.  ``checkpoints`` are step
-    indices at which the recursive estimate is compared against a dense
-    solve; the worst max-norm gap is recorded.  A design that carries a
-    ``block_draw`` (the built-in open-loop designs) draws each seed's whole
-    regressor and noise stream up front, and the state folds it in chunks of
-    at most ``REBASE_EVERY`` steps, cut also at the tail start and at every
-    checkpoint; any other design is called per seed and step, since it may
-    read the current estimate, and each step is folded alone.  Estimates are
-    kept for one chunk at a time and for the tail window, never for the
-    whole horizon, and each run's arrays are views of the block's arrays.
-    Raises ValueError for a checkpoint outside ``1..horizon``, and when any
-    seed's Gram matrix is non-finite before it is nonsingular, or never
+    Seed ``s`` draws its whole regressor and noise stream up front from
+    ``np.random.default_rng(seeds[s])``, so its run is bit-identical to a
+    run of that seed alone.  ``checkpoints`` are step indices at which the
+    recursive estimate is compared against a dense solve; the worst
+    max-norm gap is recorded.  Without a feedback law the state folds the
+    draws in chunks of at most ``REBASE_EVERY`` steps, cut also at the tail
+    start and at every checkpoint; with one, each step's rows first go
+    through the law and are then folded alone.  Estimates are kept for one
+    chunk at a time and for the tail window, never for the whole horizon,
+    and each run's arrays are views of the block's arrays.  Raises
+    ValueError for a checkpoint outside ``1..horizon``, and when any seed's
+    Gram matrix is non-finite before it is nonsingular, or never
     nonsingular.
     """
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    S, p, beta = len(rngs), model.p, model.beta
+    S, p, beta, law = len(seeds), model.p, model.beta, model.design.law
     state = LsState(p, S)
     xy = np.empty((S, horizon, p + 1))  # regressors, then the response
     xs, ys = xy[:, :, :p], xy[:, :, p]
@@ -394,13 +409,9 @@ def simulate_ls_runs(
     if checkpoints and not 1 <= checkpoints[0] <= checkpoints[-1] <= horizon:
         raise ValueError(f"checkpoints must lie in 1..{horizon}")
     gaps = [0.0] * S
-    block_draw = getattr(model.design, "block_draw", None)
-    closed = block_draw is None
-    if closed:
-        ctxs = [DesignContext(1, None, None) for _ in range(S)]
-    else:
-        for s, rng in enumerate(rngs):
-            block_draw(rng, model.sigma, xs[s], us[s])
+    for s, seed in enumerate(seeds):
+        model.design.draw(np.random.default_rng(seed), model.sigma, xs[s], us[s])
+        if law is None:
             # in place: no temporary of the horizon's length per seed
             np.matmul(xs[s, :, None, :], beta[:, None], out=ys[s, :, None, None])
             ys[s] += us[s]
@@ -415,14 +426,14 @@ def simulate_ls_runs(
             ests = tail_b[:, lo - tail_start : hi - tail_start]
         cuts = [lo, *(c for c in checkpoints if lo < c < hi), hi]
         for a, b in zip(cuts, cuts[1:]):
-            if closed:  # the next regressor may read this step's estimate
-                for i in range(a, b):
-                    _draw_step(model, rngs, ctxs, i, xy, us)
-                    state._fold(xy[:, i : i + 1], ests[:, i - lo : i - lo + 1])
-                    for s, ctx in enumerate(ctxs):
-                        ctx.estimate = state._est[s].copy() if state._n0[s] else None
-            else:
+            if law is None:
                 state._fold(xy[:, a:b], ests[:, a - lo : b - lo])
+            else:  # step i's rows read the estimates after step i - 1
+                for i in range(a, b):
+                    law(state._est, xs[:, i])
+                    np.matmul(xs[:, i, None, :], beta[:, None], out=ys[:, i, None, None])
+                    ys[:, i] += us[:, i]
+                    state._fold(xy[:, i : i + 1], ests[:, i - lo : i - lo + 1])
             if checkpoints and b == checkpoints[0]:
                 checkpoints.pop(0)
                 for s in np.flatnonzero(state._n0):
@@ -451,20 +462,6 @@ def simulate_ls_runs(
             )
         )
     return runs
-
-
-def _draw_step(model, rngs, ctxs, i, xy, us) -> None:
-    """Step ``i`` of every seed from the design callable and the Gaussian noise."""
-    p, sigma = model.p, model.sigma
-    for s, (rng, ctx) in enumerate(zip(rngs, ctxs)):
-        ctx.n = i + 1
-        x = np.asarray(model.design(rng, ctx), dtype=float)
-        if x.shape != (p,):
-            raise ValueError(f"regressor must have shape ({p},)")
-        u = float(rng.normal(0.0, sigma))
-        y = float(x @ model.beta) + u
-        xy[s, i, :p], xy[s, i, p], us[s, i] = x, y, u
-        ctx.prev_u = u
 
 
 @dataclass(frozen=True)
@@ -700,12 +697,12 @@ def partition_analysis(
     )
 
 
-# The built-in designs read no estimate, so each also carries a ``block_draw``:
-# block_draw(rng, sigma, xs, us) fills one seed's (horizon, p) regressors and
-# (horizon,) Gaussian noise with exactly the values that the per-step calls
-# followed by rng.normal(0.0, sigma) draw.  One rng.normal call with a scale
-# per column draws them in the same order from the same stream, by the same
-# formula loc + scale * z and with the same checks on the scales.
+# The built-in designs are open loop: each is one draw, which fills a seed's
+# regressors and noise with exactly the values that a per-step draw of the
+# regressor followed by rng.normal(0.0, sigma) gives, step by step.  One
+# rng.normal call with a scale per column draws them in the same order from
+# the same stream, by the same formula loc + scale * z and with the same
+# checks on the scales.
 
 
 def _step_columns(*columns: Callable[[int], float]) -> Callable[[int], np.ndarray]:
@@ -714,7 +711,7 @@ def _step_columns(*columns: Callable[[int], float]) -> Callable[[int], np.ndarra
 
     The values are the same for every seed, so they are computed once, for
     the longest horizon asked so far, by the same ``math`` calls as a
-    per-step design; a shorter horizon reads a prefix.
+    per-step draw; a shorter horizon reads a prefix.
     """
     cache = np.empty((0, len(columns)))
 
@@ -730,70 +727,50 @@ def _step_columns(*columns: Callable[[int], float]) -> Callable[[int], np.ndarra
     return rows
 
 
-def rotating_design(jitter: float = 0.1, turns: float = 0.37) -> Callable:
+def rotating_design(jitter: float = 0.1, turns: float = 0.37) -> Design:
     """Unit vectors rotating by a fixed angle each step, plus Gaussian jitter."""
-
-    def design(rng: np.random.Generator, ctx: DesignContext) -> np.ndarray:
-        angle = 2.0 * math.pi * turns * ctx.n
-        base = np.array([math.cos(angle), math.sin(angle)])
-        return base + rng.normal(0.0, jitter, size=2)
-
     units = _step_columns(
         lambda n: math.cos(2.0 * math.pi * turns * n),
         lambda n: math.sin(2.0 * math.pi * turns * n),
     )
 
-    def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
+    def draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
         draws = rng.normal(0.0, [jitter, jitter, sigma], size=(len(us), 3))
         np.add(units(len(us)), draws[:, :2], out=xs)
         us[:] = draws[:, 2]
 
-    design.block_draw = block_draw
-    return design
+    return Design(2, draw)
 
 
-def geometric_one_design() -> Callable:
+def geometric_one_design() -> Design:
     """Deterministic design (2**-n, 1): bounded first-column energy."""
-
-    def design(rng: np.random.Generator, ctx: DesignContext) -> np.ndarray:
-        return np.array([2.0 ** -ctx.n, 1.0])
-
     halvings = _step_columns(lambda n: 2.0 ** -n)
 
-    def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
+    def draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
         xs[:, :1] = halvings(len(us))
         xs[:, 1] = 1.0
         us[:] = rng.normal(0.0, sigma, size=len(us))
 
-    design.block_draw = block_draw
-    return design
+    return Design(2, draw)
 
 
-def iid_gaussian_design(p: int, scale: float = 1.0) -> Callable:
-    def design(rng: np.random.Generator, ctx: DesignContext) -> np.ndarray:
-        return rng.normal(0.0, scale, size=p)
-
-    def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
+def iid_gaussian_design(p: int, scale: float = 1.0) -> Design:
+    def draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
         draws = rng.normal(0.0, [scale] * p + [sigma], size=(len(us), p + 1))
         xs[:] = draws[:, :p]
         us[:] = draws[:, p]
 
-    design.block_draw = block_draw
-    return design
+    return Design(p, draw)
 
 
-def feedback_design(gain: float = 0.9) -> Callable:
-    """Regressor steered by the sign of the previous noise (a control loop).
+def feedback_design(gain: float = 0.9) -> Design:
+    """Regressor that leans with ``gain * tanh`` of the previous noise (a control loop).
 
     Both columns stay persistently excited; the second column leans with the
     last observed disturbance, which makes the design depend on the past.
     """
 
-    def design(rng: np.random.Generator, ctx: DesignContext) -> np.ndarray:
-        lean = 0.0 if ctx.prev_u is None else gain * math.tanh(ctx.prev_u)
-        return np.array([1.0, lean + rng.normal(0.0, 0.5)])
-
-    def block_draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
+    def draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
         draws = rng.normal(0.0, [0.5, sigma], size=(len(us), 2))
         us[:] = draws[:, 1]
         xs[:, 0] = 1.0
@@ -802,5 +779,4 @@ def feedback_design(gain: float = 0.9) -> Callable:
         xs[1:, 1] = np.fromiter((gain * math.tanh(u) for u in us[:-1]), float)
         xs[:, 1] += draws[:, 0]
 
-    design.block_draw = block_draw
-    return design
+    return Design(2, draw)

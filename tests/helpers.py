@@ -1,6 +1,9 @@
 """Shared path builders and brute-force reference implementations for tests."""
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 
 from contractlab import ProcessPath
@@ -55,3 +58,52 @@ def brute_crossings(xs, zero_tol: float = 0.0):
         e = times[j + 1] if j + 1 < len(times) else len(xs)
         peaks.append(max(abs(float(v)) for v in xs[s:e]))
     return classes, times, peaks
+
+
+# The per-step regressor rules of the built-in least-squares designs, as
+# they were before each became one whole-horizon draw: design(rng, ctx)
+# returns the regressor of step ctx.n, and the step's noise is then
+# rng.normal(0.0, sigma).  They are the reference stream for each draw.
+
+
+def rotating_steps(jitter: float = 0.1, turns: float = 0.37):
+    def design(rng, ctx):
+        angle = 2.0 * math.pi * turns * ctx.n
+        base = np.array([math.cos(angle), math.sin(angle)])
+        return base + rng.normal(0.0, jitter, size=2)
+
+    return design
+
+
+def geometric_one_steps():
+    def design(rng, ctx):
+        return np.array([2.0 ** -ctx.n, 1.0])
+
+    return design
+
+
+def iid_gaussian_steps(p: int, scale: float = 1.0):
+    def design(rng, ctx):
+        return rng.normal(0.0, scale, size=p)
+
+    return design
+
+
+def feedback_steps(gain: float = 0.9):
+    def design(rng, ctx):
+        lean = 0.0 if ctx.prev_u is None else gain * math.tanh(ctx.prev_u)
+        return np.array([1.0, lean + rng.normal(0.0, 0.5)])
+
+    return design
+
+
+def per_step_stream(design, rng, sigma: float, horizon: int):
+    """(xs, us): ``horizon`` steps of a per-step rule and its Gaussian noise."""
+    ctx = SimpleNamespace(n=0, prev_u=None)
+    xs, us = [], []
+    for n in range(1, horizon + 1):
+        ctx.n = n
+        xs.append(np.asarray(design(rng, ctx), dtype=float))
+        us.append(float(rng.normal(0.0, sigma)))
+        ctx.prev_u = us[-1]
+    return np.array(xs), np.array(us)

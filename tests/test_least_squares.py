@@ -23,7 +23,7 @@ from contractlab import (
 from contractlab import least_squares
 from contractlab.least_squares import (
     REBASE_EVERY,
-    DesignContext,
+    Design,
     LsRun,
     feedback_design,
     geometric_one_design,
@@ -31,6 +31,13 @@ from contractlab.least_squares import (
     rotating_design,
 )
 from contractlab.process import zero_state_mask
+from helpers import (
+    feedback_steps,
+    geometric_one_steps,
+    iid_gaussian_steps,
+    per_step_stream,
+    rotating_steps,
+)
 
 
 class TestLsState:
@@ -315,6 +322,10 @@ class TestSimulateAndDecomposition:
             rhs = np.linalg.solve(gram, gw(np.sum(X * X, axis=0)) * z.xs[n])
             assert np.max(np.abs(b_err - rhs)) <= 1e-8
 
+    def test_beta_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="beta has 3 entries but the design has 2 columns"):
+            RegressionModel(beta=np.zeros(3), design=rotating_design(), sigma=1.0)
+
     def test_run_shapes(self):
         model = RegressionModel(
             beta=np.array([0.0, 2.0]), design=iid_gaussian_design(2), sigma=0.5
@@ -367,18 +378,24 @@ class TestDesignConditions:
 # Seed-batched runs: a block of seeds is bit-identical to its seeds run alone.
 
 
-def hesitant_design(rng, ctx):
-    """Mostly zero rows while the estimate is undefined: seeds reach full rank
-    at different steps, so their rebase steps fall out of phase."""
-    if ctx.estimate is None and rng.random() < 0.9:
-        return np.zeros(2)
-    return rng.normal(size=2)
+def hesitant_draw(rng, sigma, xs, us):
+    """Gaussian rows after a zero prefix whose length differs per seed: seeds
+    reach full rank at different steps, so their rebase steps fall out of phase."""
+    xs[:] = rng.normal(size=xs.shape)
+    xs[: rng.integers(0, 40)] = 0.0
+    us[:] = rng.normal(0.0, sigma, size=len(us))
 
 
-def steered_design(rng, ctx):
+def steered_draw(rng, sigma, xs, us):
+    draws = rng.normal(0.0, [0.5, 0.5, sigma], size=(len(us), 3))
+    xs[:] = draws[:, :2]
+    xs[:, 0] += 1.0
+    us[:] = draws[:, 2]
+
+
+def steer(estimates, rows):
     """A closed loop: the second column leans against the current estimate."""
-    lean = 0.0 if ctx.estimate is None else -0.3 * math.tanh(ctx.estimate[1])
-    return np.array([1.0, lean]) + rng.normal(0.0, 0.5, size=2)
+    rows[:, 1] += np.nan_to_num(-0.3 * np.tanh(estimates[:, 1]))
 
 
 BLOCK_MODELS = {
@@ -386,8 +403,8 @@ BLOCK_MODELS = {
     "geometric_one": RegressionModel(np.array([1.0, -0.5]), geometric_one_design(), 0.01),
     "iid_gaussian": RegressionModel(np.array([0.5, 1.0, -1.0]), iid_gaussian_design(3, 0.7), 0.5),
     "feedback": RegressionModel(np.array([1.0, 0.5]), feedback_design(), 1.0),
-    "hesitant": RegressionModel(np.array([1.0, -0.5]), hesitant_design, 1.0),
-    "steered": RegressionModel(np.array([1.0, -0.5]), steered_design, 1.0),
+    "hesitant": RegressionModel(np.array([1.0, -0.5]), Design(2, hesitant_draw), 1.0),
+    "steered": RegressionModel(np.array([1.0, -0.5]), Design(2, steered_draw, steer), 1.0),
 }
 RUN_FIELDS = (
     "xs", "ys", "us", "final_b", "energy", "n0", "tail_b", "tail_start", "checkpoint_gap", "err_sup"
@@ -429,17 +446,39 @@ def test_block_equals_seed_by_seed(name, seeds, horizon, tail_fraction, checkpoi
         assert_same_run(a, b)
 
 
-@pytest.mark.parametrize("name", ["rotating", "geometric_one", "iid_gaussian", "feedback"])
-@pytest.mark.parametrize("sigma", [0.0, 0.7])
+PER_STEP_RULES = {
+    "rotating": rotating_steps(),
+    "geometric_one": geometric_one_steps(),
+    "iid_gaussian": iid_gaussian_steps(3, 0.7),
+    "feedback": feedback_steps(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_STEP_RULES))
+@pytest.mark.parametrize("sigma", [0.0, 0.7, -0.0])
 def test_block_draw_reproduces_per_step_stream(name, sigma):
+    # a run's whole-horizon draw is the per-step stream, and its chunked fold
+    # equals single steps; a shorter horizon after a longer one reads a prefix
+    # of the cached seed-independent columns
     model = dataclasses.replace(BLOCK_MODELS[name], sigma=sigma)
-    stepwise = dataclasses.replace(model, design=lambda rng, ctx: model.design(rng, ctx))
-    assert hasattr(model.design, "block_draw") and not hasattr(stepwise.design, "block_draw")
-    seeds = [3, 4, 5]
-    drawn = simulate_ls_runs(model, 2 * REBASE_EVERY + 7, seeds, checkpoints=[9, 700])
-    stepped = simulate_ls_runs(stepwise, 2 * REBASE_EVERY + 7, seeds, checkpoints=[9, 700])
-    for a, b in zip(drawn, stepped):
-        assert_same_run(a, b)
+    rule = PER_STEP_RULES[name]
+    if math.copysign(1.0, sigma) < 0:  # -0.0 is rejected like a per-step draw
+        with pytest.raises(ValueError, match="scale < 0"):
+            per_step_stream(rule, np.random.default_rng(0), sigma, 10)
+        with pytest.raises(ValueError, match="scale < 0"):
+            simulate_ls_runs(model, 10, [0])
+        return
+    no_op = dataclasses.replace(model.design, law=lambda estimates, rows: None)
+    stepwise = dataclasses.replace(model, design=no_op)
+    for horizon in (700, 300, 700):
+        run, stepped = (
+            simulate_ls_runs(m, horizon, [horizon], checkpoints=[9, horizon])[0]
+            for m in (model, stepwise)
+        )
+        assert_same_run(run, stepped)
+        xs, us = per_step_stream(rule, np.random.default_rng(horizon), sigma, horizon)
+        assert run.xs.tobytes() == xs.tobytes() and run.us.tobytes() == us.tobytes()
+        run.xs[:] = math.nan  # a caller that reuses its regressors must not reach the cache
 
 
 @given(
@@ -455,9 +494,10 @@ def test_chunk_bounds_keep_the_single_step_runs(
     name, rebase_every, seeds, horizon, tail_fraction, checkpoints
 ):
     # short chunks put checkpoints and the tail start inside and at the ends of
-    # chunks; the per-step path folds one step at a time
+    # chunks; a no-op law folds one step at a time
     model = BLOCK_MODELS[name]
-    stepwise = dataclasses.replace(model, design=lambda rng, ctx: model.design(rng, ctx))
+    no_op = dataclasses.replace(model.design, law=lambda estimates, rows: None)
+    stepwise = dataclasses.replace(model, design=no_op)
     checkpoints = [c for c in checkpoints if c <= horizon]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
@@ -471,6 +511,46 @@ def test_chunk_bounds_keep_the_single_step_runs(
         assert a.checkpoint_gap == gap
 
 
+@given(
+    gain=st.floats(-2.0, 2.0),
+    rebase_every=st.integers(1, 9),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4, unique=True),
+    horizon=st.integers(40, 120),
+    checkpoints=st.lists(st.integers(1, 120), max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_law_block_equals_its_seeds_run_alone(gain, rebase_every, seeds, horizon, checkpoints):
+    # the seeds leave their zero prefixes at different steps, so one call of
+    # the law sees estimates for some seeds and NaN rows for others
+    def law(estimates, rows):
+        rows += gain * np.tanh(np.nan_to_num(estimates))
+
+    model = RegressionModel(np.array([1.0, -0.5]), Design(2, hesitant_draw, law), 1.0)
+    checkpoints = [c for c in checkpoints if c <= horizon]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+        try:
+            alone = [simulate_ls_runs(model, horizon, [s], 0.2, checkpoints)[0] for s in seeds]
+        except ValueError as exc:  # some seed never reaches full rank: the block fails too
+            with pytest.raises(ValueError, match=str(exc)):
+                simulate_ls_runs(model, horizon, seeds, 0.2, checkpoints)
+            return
+        block = simulate_ls_runs(model, horizon, seeds, 0.2, checkpoints)
+    for a, b in zip(alone, block):
+        assert_same_run(a, b)
+
+
+def test_law_reads_the_estimate_after_the_step_before():
+    seen = []
+    model = RegressionModel(
+        np.array([1.0, -0.5]), Design(2, hesitant_draw, lambda e, rows: seen.append(e.copy())), 1.0
+    )
+    run = simulate_ls_runs(model, 60, [7], tail_fraction=1.0)[0]  # the tail is every step
+    assert len(seen) == 60 and np.isnan(seen[0]).all()
+    assert np.array(seen[1:])[:, 0].tobytes() == run.tail_b[:-1].tobytes()
+    assert 1 < run.n0 < 60
+
+
 def single_step_gap(run, checkpoints):
     """The checkpoint gap of one seed's run, refolded one update at a time."""
     state, gap = LsState(run.p, 1), 0.0
@@ -482,34 +562,11 @@ def single_step_gap(run, checkpoints):
     return gap
 
 
-@pytest.mark.parametrize("name", ["rotating", "geometric_one"])
-def test_cached_design_columns_match_the_per_step_values(name):
-    model = BLOCK_MODELS[name]
-    design, p, sigma = model.design, model.p, model.sigma
-    for horizon in (700, 300, 700):
-        xs, us = np.empty((horizon, p)), np.empty(horizon)
-        design.block_draw(np.random.default_rng(horizon), sigma, xs, us)
-        rng = np.random.default_rng(horizon)
-        want_xs, want_us = np.empty_like(xs), np.empty_like(us)
-        for i in range(horizon):
-            want_xs[i] = design(rng, DesignContext(i + 1, None, None))
-            want_us[i] = rng.normal(0.0, sigma)
-        assert xs.tobytes() == want_xs.tobytes() and us.tobytes() == want_us.tobytes()
-        xs[:] = math.nan  # a caller that reuses its regressors must not reach the cache
-
-
-def in_place_design(rng, ctx):
-    raise AssertionError("only block_draw runs")
-
-
 def _draw_in_place(rng, sigma, xs, us):
     """Regressors (1, u) with no array of the horizon's length besides the outputs."""
     rng.standard_normal(out=us)
     xs[:, 0] = 1.0
     xs[:, 1] = us
-
-
-in_place_design.block_draw = _draw_in_place
 
 
 @pytest.mark.parametrize("rebase_every", [128, 512])
@@ -518,7 +575,7 @@ def test_fold_memory_stays_within_chunks(monkeypatch, rebase_every):
     # seed (accumulators, inverses, estimates), whatever the horizon
     monkeypatch.setattr(least_squares, "REBASE_EVERY", rebase_every)
     seeds, p = 8, 2
-    model = RegressionModel(np.array([1.0, -0.5]), in_place_design, 1.0)
+    model = RegressionModel(np.array([1.0, -0.5]), Design(2, _draw_in_place), 1.0)
     simulate_ls_runs(model, 100, range(seeds))  # lazy imports and caches
 
     def beyond_outputs(horizon):
@@ -535,14 +592,6 @@ def test_fold_memory_stays_within_chunks(monkeypatch, rebase_every):
     short, long = beyond_outputs(2000), beyond_outputs(8000)
     assert short <= 3 * chunk + 2**15
     assert long <= short + chunk // 8
-
-
-def test_negative_zero_noise_scale_rejected_like_per_step_draws():
-    model = dataclasses.replace(BLOCK_MODELS["rotating"], sigma=-0.0)
-    stepwise = dataclasses.replace(model, design=lambda rng, ctx: model.design(rng, ctx))
-    for m in (model, stepwise):
-        with pytest.raises(ValueError, match="scale < 0"):
-            simulate_ls_runs(m, 10, [0])
 
 
 def naive_n0_kappa(xs, gw):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from contractlab import (
     ContractiveProfile,
+    Design,
     GWeight,
     NonexpansiveProfile,
     ProcessPath,
@@ -251,23 +252,26 @@ def test_design_noise_verdicts_fail_at_first_non_finite_step(n, sigma2, data):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
 @pytest.mark.parametrize("step", [1, 2, 3])
 def test_ls_run_non_finite_gram_before_full_rank_names_the_step(bad, step):
-    def design(rng, ctx):
-        if ctx.n == step:
-            return np.array([bad, 1.0])
-        return np.array([1.0, 1.0 if ctx.n < 4 else 0.0])  # full rank from step 4
+    def draw(rng, sigma, xs, us):
+        xs[:] = [1.0, 0.0]
+        xs[:3, 1] = 1.0  # full rank from step 4
+        xs[step - 1, 0] = bad
+        us[:] = rng.normal(0.0, sigma, size=len(us))
 
-    model = RegressionModel(np.array([1.0, 0.5]), design, 1.0)
+    model = RegressionModel(np.array([1.0, 0.5]), Design(2, draw), 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=f"non-finite gram matrix at step {step},"):
             simulate_ls_runs(model, 50, [0])
 
 
 def test_ls_block_errors_only_the_non_finite_seed():
-    def design(rng, ctx):  # about a third of the seeds draw a NaN row at step 1
-        x = rng.normal(size=2)
-        return np.array([math.nan, 1.0]) if ctx.n == 1 and x[0] > 0.4 else x
+    def draw(rng, sigma, xs, us):  # about a third of the seeds draw a NaN row at step 1
+        xs[:] = rng.normal(size=xs.shape)
+        us[:] = rng.normal(0.0, sigma, size=len(us))
+        if xs[0, 0] > 0.4:
+            xs[0] = [math.nan, 1.0]
 
-    model = RegressionModel(np.array([1.0, 0.5]), design, 1.0)
+    model = RegressionModel(np.array([1.0, 0.5]), Design(2, draw), 1.0)
     config = EnsembleConfig(seeds=10, root_seed=2, horizon=200)
     expected = []
     for index in range(config.seeds):
