@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from contractlab.cli import main
+from contractlab.config import KINDS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -699,3 +700,148 @@ def test_a_set_assertion_without_an_outcome_raises():
     outcomes = {"min_fraction_converged_to_zero": (True, "")}
     with pytest.raises(KeyError, match="min_fraction_final_below"):
         _evaluate(config, outcomes)
+
+
+# kind -> a document that breaks the hypothesis behind every assertion it
+# sets, and the FAIL detail of each: a verdict that cannot come out false
+# certifies nothing.  Run at 4 seeds x 300 steps with tol_zero 1e-12.
+NEGATIVE_CONTROLS = {
+    "sa": (
+        """
+kind: sa
+problem: {family: linear, slope: 1.0}
+schedule: {family: inverse_n, c: 1.0}
+noise: {family: gaussian, sd: 0.1}
+x0: 2.0
+envelope: {m: 1.5, M: 2.0, grid_min_abs: 1.0e-3, grid_max_abs: 10.0, grid_per_decade: 10}
+assertions:
+  min_fraction_converged_to_zero: 1.0
+  max_median_final_abs: 1.0e-12
+  min_fraction_final_below: {value: 1.0e-12, fraction: 1.0}
+  envelope_valid: true
+  sandwich_zero_violations: true
+""",
+        {
+            "min_fraction_converged_to_zero": "fraction 0.0000, required 1.0000",
+            "max_median_final_abs": "median |final| 0.00236664, limit 1e-12",
+            "min_fraction_final_below": "fraction 0.0000 below 1e-12, required 1.0",
+            "envelope_valid": "grid ratios in [1, 1], declared [1.5, 2]",
+            "sandwich_zero_violations": "4 seeds fail (first: seed 0)",
+        },
+    ),
+    "sa_nd": (  # M below the grid's norm ratio sqrt(2)
+        """
+kind: sa_nd
+problem: {family: matrix, entries: [[1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+schedule: {family: inverse_n, c: 1.0}
+noise: {family: gaussian, sd: 0.1}
+x0: [2.0, -1.0, 1.5]
+envelope: {m: 1.0, M: 1.2, directions: 64, radii: [0.01, 0.1, 1.0, 10.0]}
+assertions:
+  min_fraction_converged_to_zero: 1.0
+  min_fraction_final_below: {value: 1.0e-12, fraction: 1.0}
+  envelope_valid: true
+  contraction_zero_violations: true
+""",
+        {
+            "min_fraction_converged_to_zero": "fraction 0.0000, required 1.0000",
+            "min_fraction_final_below": "fraction 0.0000 below 1e-12, required 1.0",
+            "envelope_valid": "grid gives [1, 1.41418]",
+            "contraction_zero_violations": "4 seeds fail (first: seed 0)",
+        },
+    ),
+    "sa_nonuniform": (  # residuals never settle below tau; growth bounds the map exceeds
+        """
+kind: sa_nonuniform
+problem: {family: sqrt_sign}
+schedule: {family: inverse_n, c: 1.0}
+noise: {family: gaussian, sd: 0.1}
+x0: 2.0
+truncation: {delta: 0.25, tau: 1.0e-9, kappa: delta}
+regularity: {c: 0.1, d: 0.1, pairs: [[0.25, 4.0]], grid_per_decade: 1000}
+assertions:
+  min_fraction_converged_to_zero: 1.0
+  min_fraction_final_below: {value: 1.0e-12, fraction: 1.0}
+  truncated_nonexpansive_all_seeds: true
+  truncated_mean_bound_all_seeds: true
+  regularity_holds: true
+""",
+        {
+            "min_fraction_converged_to_zero": "fraction 0.0000, required 1.0000",
+            "min_fraction_final_below": "fraction 0.0000 below 1e-12, required 1.0",
+            "truncated_nonexpansive_all_seeds": "4 seeds fail (first: seed 0)",
+            "truncated_mean_bound_all_seeds": "4 seeds fail (first: seed 0)",
+            "regularity_holds": "inf|g| on [0.25,4] = 0.50038",
+        },
+    ),
+    "kronecker": (
+        """
+kind: kronecker
+increments: {family: rademacher}
+weights: {family: linear}
+assertions:
+  min_fraction_converged_to_zero: 1.0
+  min_fraction_final_below: {value: 1.0e-12, fraction: 1.0}
+""",
+        {
+            "min_fraction_converged_to_zero": "fraction 0.0000, required 1.0000",
+            "min_fraction_final_below": "fraction 0.0000 below 1e-12, required 1.0",
+        },
+    ),
+    "ls": (  # geometric_one: bounded first-column energy, so q = 1
+        """
+kind: ls
+design: {family: geometric_one}
+beta: [1.0, -0.5]
+sigma: 0.01
+checkpoints: 4
+assertions:
+  min_fraction_final_error_below: {value: 1.0e-12, fraction: 1.0}
+  max_checkpoint_gap: 0.0
+  partition_matches: {q: 0}
+  design_conditions_hold: true
+""",
+        {
+            "min_fraction_final_error_below": "fraction 0.0000 below 1e-12, required 1.0",
+            "max_checkpoint_gap": "worst recursive-vs-dense gap 1.78e-15",
+            "partition_matches": "q = 1 (want 0)",
+            "design_conditions_hold": "fraction of seeds holding: 0.0",
+        },
+    ),
+    "custom_path_check": (  # a path that doubles: not nonexpansive
+        """
+kind: custom_path_check
+input: {path: trace.csv}
+checks: {nonexpansive_alpha: 0.0}
+assertions:
+  all_checks_hold: true
+""",
+        {"all_checks_hold": "1 paths checked"},
+    ),
+}
+# _run_kronecker builds this path from (-1)^n and the weights 1..n alone
+CANNOT_FAIL = {("kronecker", "alternating_bound")}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_every_assertion_has_a_negative_control(kind):
+    _, details = NEGATIVE_CONTROLS.get(kind, ("", {}))
+    assertions = {name for name in KINDS[kind].assertions if (kind, name) not in CANNOT_FAIL}
+    assert set(details) == assertions
+
+
+@pytest.mark.parametrize("kind", sorted(NEGATIVE_CONTROLS))
+def test_negative_control_fails_with_exit_1(kind, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    Path("trace.csv").write_text("seed,n,x,m,eps,u_flag\n0,0,1.0,,,\n0,1,2.0,2.0,0.0,0\n")
+    text, details = NEGATIVE_CONTROLS[kind]
+    ensemble = "ensemble: {seeds: 4, root_seed: 1, horizon: 300, tol_zero: 1.0e-12}\n"
+    assert main(["run", str(write_config(tmp_path, text + ensemble + "output: {dir: out}\n"))]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [f"FAIL {name}: {detail}" for name, detail in details.items()] == [
+        line for line in lines if line.startswith(("PASS", "FAIL"))
+    ]
+    summary = json.loads(Path("out/summary.json").read_text())
+    assert {a["name"]: (a["passed"], a["detail"]) for a in summary["assertions"]} == {
+        name: (False, detail) for name, detail in details.items()
+    }
