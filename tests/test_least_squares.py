@@ -481,6 +481,22 @@ def test_block_draw_reproduces_per_step_stream(name, sigma):
         run.xs[:] = math.nan  # a caller that reuses its regressors must not reach the cache
 
 
+@pytest.mark.parametrize("name", ["rotating", "geometric_one"])
+def test_cached_design_columns_match_the_per_step_values(name):
+    # the draw itself, outside a run: a shorter horizon after a longer one
+    # reads a prefix of the cached columns, and overwriting a drawn block
+    # leaves the cache alone
+    model = BLOCK_MODELS[name]
+    for horizon in (700, 300, 700):
+        xs, us = np.empty((horizon, model.p)), np.empty(horizon)
+        model.design.draw(np.random.default_rng(horizon), model.sigma, xs, us)
+        want_xs, want_us = per_step_stream(
+            PER_STEP_RULES[name], np.random.default_rng(horizon), model.sigma, horizon
+        )
+        assert xs.tobytes() == want_xs.tobytes() and us.tobytes() == want_us.tobytes()
+        xs[:] = math.nan  # a caller that reuses its regressors must not reach the cache
+
+
 @given(
     name=st.sampled_from(["rotating", "geometric_one", "iid_gaussian", "feedback"]),
     rebase_every=st.integers(1, 9),
