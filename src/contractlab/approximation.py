@@ -48,8 +48,8 @@ class RootProblem:
     When ``x_star`` is supplied it must actually be a root (|g| at most 1e-12).
     ``g_block``, when given, evaluates g on a stack of iterates, one per row
     (shape (k,) or (k, p)), with the same floating-point operations as ``g``
-    on each row; :func:`rm_solve_block` needs it, on the seeds of one step and
-    on the steps of one seed.
+    on each row; :func:`rm_solve_block` needs it for a block of two or more
+    seeds, on the seeds of one step and on the steps of one seed.
     """
 
     g: Callable
@@ -261,16 +261,16 @@ MIN_BLOCK = 16
 
 
 def block_size(seeds: int, horizon: int, p: int = 1) -> int:
-    """Seeds per :func:`rm_solve_block` call, or 0 when seed by seed is faster.
+    """Seeds per :func:`rm_solve_block` call, or 1 when seed by seed is faster.
 
     As many blocks as ``BLOCK_BYTES`` of iterates requires, as even as
     possible: at 32 MiB, 100 seeds of 3e4 steps (139 fit) run as one block.
     """
     fit = BLOCK_BYTES // (8 * p * (horizon + 1))
     if fit < MIN_BLOCK:
-        return 0
+        return 1
     size = math.ceil(seeds / math.ceil(seeds / fit))
-    return size if size >= MIN_BLOCK else 0
+    return size if size >= MIN_BLOCK else 1
 
 
 def rm_solve_block(
@@ -284,17 +284,20 @@ def rm_solve_block(
     """Step a block of seeds together; return their paths, in seed order.
 
     Each path is bit-identical to :func:`rm_solve`'s for that seed, scalar or
-    vector by the shape of ``x0``.  Each seed draws its shocks from its
-    own generator, ``SHOCK_CHUNK`` steps at a time into one
-    (chunk, B[, p]) buffer, and ``problem.g_block`` repeats ``g``'s
-    operations.  The block keeps only the time-major iterates ``xs``
-    (H+1, B[, p]).  Each seed's means are derived as its path is handed out,
-    ``xs[:-1] - alpha * g_block(xs[:-1])``: the operations the step loop
-    applied, so they are its exact means.  Any floating-point error but
-    underflow (which is exact in both solvers) raises, so a seed whose values
-    overflow is left to the per-seed solvers, whose ``math`` calls may raise
+    vector by the shape of ``x0``.  One seed alone runs :func:`rm_solve`
+    itself, whose float loop steps a single scalar seed faster.  In a block,
+    each seed draws its shocks from its own generator, ``SHOCK_CHUNK`` steps
+    at a time into one (chunk, B[, p]) buffer, and ``problem.g_block``
+    repeats ``g``'s operations.  The block keeps only the time-major iterates
+    ``xs`` (H+1, B[, p]).  Each seed's means are derived as its path is
+    handed out, ``xs[:-1] - alpha * g_block(xs[:-1])``: the operations the
+    step loop applied, so they are its exact means.  Any floating-point error
+    but underflow (which is exact in both solvers) raises, so a seed whose
+    values overflow is left to run alone, where its ``math`` calls may raise
     on it.
     """
+    if len(seeds) == 1:
+        return iter([rm_solve(problem, noise, schedule, x0, horizon, seeds[0])])
     shape = _checked_x0(x0).shape
     xs = np.empty((horizon + 1, len(seeds)) + shape)
     xs[0] = x0

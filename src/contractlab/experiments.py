@@ -25,7 +25,6 @@ from .approximation import (
     check_truncated_zero_mean_bound,
     contraction_factor,
     derive_truncated,
-    rm_solve,
     rm_solve_block,
     signed_log_grid,
     sphere_grid,
@@ -140,7 +139,7 @@ def _final_value_outcomes(stats: EnsembleStats) -> Dict[str, Outcome]:
     }
 
 
-# the path an SA or Kronecker factory kept in its payload under --traces
+# the path an SA or Kronecker solver kept in its payload under --traces
 _stored_path = itemgetter("path")
 
 # the assertions that every seed's payload flag of the same name must pass
@@ -266,18 +265,13 @@ def _run_sa(config: ExperimentConfig):
                 payload.update(dict.fromkeys(truncated, False))
         return (path.norms() if vector else path.xs - root), payload
 
-    # a built-in family steps its seeds in blocks, unless block_size finds
-    # seed by seed faster (returns 0); a problem without a block g runs one
-    # seed at a time
-    def factory(seed_sequence):
-        return check(rm_solve(problem, noise, schedule, x0, horizon, seed_sequence))
-
-    def block(seed_sequences):
+    def solve(seed_sequences):
         return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
 
-    size = block_size(ens.seeds, horizon, x0.size) if problem.g_block else 0
-    grid = _grid(horizon + 1, config.curve_points)
-    stats = run_ensemble(factory, ens, grid, block=block if size else None, block_size=size)
+    # a built-in family steps its seeds in blocks, unless block_size finds
+    # seed by seed faster; a problem without a block g runs one seed at a time
+    size = block_size(ens.seeds, horizon, x0.size) if problem.g_block else 1
+    stats = run_ensemble(solve, ens, _grid(horizon + 1, config.curve_points), size)
 
     outcomes.update(_final_value_outcomes(stats))
     for name in _PAYLOAD_FLAGS:
@@ -294,11 +288,12 @@ def _run_kronecker(config: ExperimentConfig):
     weights = config.build("weights", horizon)
     increments = config.build("increments", horizon)
 
-    def factory(seed_sequence):
-        path = kronecker_path(increments(seed_sequence), weights)
-        return path.xs, ({"path": path} if config.traces else {})
+    def solve(seed_sequences):
+        for seed_sequence in seed_sequences:
+            path = kronecker_path(increments(seed_sequence), weights)
+            yield path.xs, ({"path": path} if config.traces else {})
 
-    stats = run_ensemble(factory, ens, _grid(horizon + 1, config.curve_points))
+    stats = run_ensemble(solve, ens, _grid(horizon + 1, config.curve_points))
     report: Dict[str, Any] = {"weights": model["weights"], "increments": model["increments"]}
 
     outcomes = _final_value_outcomes(stats)
@@ -330,16 +325,11 @@ def _run_ls(config: ExperimentConfig):
         else []
     )
 
-    def block(seed_sequences):
+    def solve(seed_sequences):
         runs = simulate_ls_runs(reg_model, horizon, seed_sequences, ens.tail_fraction, checkpoints)
         return [(run.err_sup, run) for run in runs]
 
-    stats = run_ensemble(
-        lambda seed_sequence: block([seed_sequence])[0],
-        ens,
-        _grid(horizon, config.curve_points),
-        block,
-    )
+    stats = run_ensemble(solve, ens, _grid(horizon, config.curve_points))
     runs = [r for r in stats.payloads if r is not None]
 
     report: Dict[str, Any] = {

@@ -130,7 +130,7 @@ def child_seed(root_seed: int, index: int) -> np.random.SeedSequence:
 class EnsembleStats:
     """Aggregated per-seed verdicts plus distributional summaries.
 
-    ``payloads`` carries whatever extras the factory returned per seed; it is
+    ``payloads`` carries whatever extras the solver returned per seed; it is
     experiment-internal and excluded from serialization.
     """
 
@@ -172,62 +172,57 @@ def _reduce_one(values: np.ndarray, config: EnsembleConfig, grid: Optional[np.nd
 
 
 def run_ensemble(
-    factory: Callable,
+    solve: Callable,
     config: EnsembleConfig,
     curve_grid: Optional[Sequence[int]] = None,
-    block: Optional[Callable] = None,
     block_size: Optional[int] = None,
 ) -> EnsembleStats:
-    """Run ``factory`` over the seeds and aggregate tail-window verdicts.
+    """Run ``solve`` over the seeds and aggregate tail-window verdicts.
 
-    ``factory`` receives a :class:`numpy.random.SeedSequence` and returns the
-    trajectory of values to classify, or a (values, payload) pair.  An
-    optional ``block`` receives a list of ``block_size`` (default: every)
-    seeds' SeedSequences and returns an iterable of one such output per seed,
-    in seed order; it must give what ``factory`` gives seed by seed.  Each
-    output is reduced as soon as it arrives.  When a block raises (or ends
-    early), its remaining seeds run one at a time through ``factory``, so a
+    ``solve`` receives a list of ``block_size`` (default: every) seeds'
+    :class:`numpy.random.SeedSequence` and returns an iterable of one
+    (values, payload) pair per seed, in seed order: the trajectory of values
+    to classify and whatever extras the seed carries.  Each pair is reduced
+    as soon as it arrives.  When a chunk of seeds raises (or ends early), its
+    remaining seeds rerun one at a time through ``solve([seed])``, so a
     failure is recorded as inconclusive for the seed that raised, with the
-    message in ``note``, and never aborts the rest.
+    message in ``note``, and never aborts the rest.  A seed that ran alone is
+    its own retry: it is solved once.
     """
     grid = None if curve_grid is None else np.asarray(curve_grid, dtype=int)
     seeds = [child_seed(config.root_seed, i) for i in range(config.seeds)]
 
-    def per_seed(ss):
+    def outputs(chunk):
+        done = 0
         try:
-            return factory(ss), None
+            for out in solve(chunk):
+                yield out, None
+                done += 1
+                if done == len(chunk):
+                    return
+            error = f"the solver gave {done} of {len(chunk)} outputs"
         except Exception as exc:  # recorded, not raised: the ensemble must finish
-            return None, f"{type(exc).__name__}: {exc}"
+            error = f"{type(exc).__name__}: {exc}"
+        if len(chunk) == 1:
+            yield None, error
+        else:
+            for seed in chunk[done:]:
+                yield from outputs([seed])
 
-    def outputs():
-        if block is None:
-            yield from map(per_seed, seeds)
-            return
-        size = block_size or len(seeds)
-        for start in range(0, len(seeds), size):
-            chunk = seeds[start : start + size]
-            done = 0
-            try:
-                for out in block(chunk):
-                    yield out, None
-                    done += 1
-                    if done == len(chunk):
-                        break
-            except Exception:  # the factory reruns the seeds the block did not give
-                pass
-            yield from map(per_seed, chunk[done:])
+    size = block_size or len(seeds)
+    chunks = (seeds[start : start + size] for start in range(0, len(seeds), size))
 
     verdicts = []
     finals = []
     payloads = []
     curve_rows = []
-    for out, error in outputs():
+    for out, error in (pair for chunk in chunks for pair in outputs(chunk)):
         if error is not None:
             nan = math.nan
             verdicts.append(ConvergenceVerdict(ConvergenceClass.INCONCLUSIVE, nan, nan, nan, error))
             payloads.append(None)
             continue
-        values, payload = out if isinstance(out, tuple) else (out, None)
+        values, payload = out
         verdict, final, samples = _reduce_one(np.asarray(values, dtype=float), config, grid)
         verdicts.append(verdict)
         finals.append(final)

@@ -29,7 +29,6 @@ from contractlab import (
     kronecker_path,
     limit_dispersion,
     partition_analysis,
-    rm_solve,
     rm_solve_block,
     run_ensemble,
     simulate_ls_runs,
@@ -58,19 +57,16 @@ def sine_problem() -> RootProblem:
 def rm_ensemble(problem, noise, schedule, x0, config, check, size=None):
     """``check`` every seed's path, the seeds stepped in blocks of ``size``.
 
-    ``size`` defaults to :func:`block_size`; the per-seed solver stays the
-    reference that a failing block falls back to.
+    ``size`` defaults to :func:`block_size`; a failing block's seeds rerun
+    alone, through the per-seed solver.
     """
     horizon = config.horizon
 
-    def factory(seed_sequence):
-        return check(rm_solve(problem, noise, schedule, x0, horizon, seed_sequence))
-
-    def block(seed_sequences):
+    def solve(seed_sequences):
         return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
 
     size = size or block_size(config.seeds, horizon, np.size(x0))
-    return run_ensemble(factory, config, block=block, block_size=size)
+    return run_ensemble(solve, config, block_size=size)
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +102,7 @@ class TestCriterion1UnivariateConvergence:
             Schedule.inverse_n_power(1.0, 2.0),
             5.0,
             EnsembleConfig(seeds=SEEDS, root_seed=20_240_601, horizon=HORIZON, tol_zero=0.05),
-            lambda path: path.xs,
+            lambda path: (path.xs, None),
         )
         control_frac = control.fraction(ConvergenceClass.CONVERGED_TO_ZERO)
 
@@ -237,13 +233,14 @@ class TestCriterion5SegmentPeakBound:
 
 class TestCriterion6WeightedAverages:
     def test_random_signs_average_out(self):
-        def factory(seed_sequence):
-            rng = np.random.default_rng(seed_sequence)
-            ys = rng.integers(0, 2, size=HORIZON) * 2.0 - 1.0
-            return kronecker_path(ys, np.arange(1.0, HORIZON + 1.0)).xs
+        def solve(seed_sequences):
+            for seed_sequence in seed_sequences:
+                rng = np.random.default_rng(seed_sequence)
+                ys = rng.integers(0, 2, size=HORIZON) * 2.0 - 1.0
+                yield kronecker_path(ys, np.arange(1.0, HORIZON + 1.0)).xs, None
 
         stats = run_ensemble(
-            factory,
+            solve,
             EnsembleConfig(seeds=SEEDS, root_seed=86_028, horizon=HORIZON, tol_zero=0.05),
         )
         finals = np.array([v.final_value for v in stats.per_seed])

@@ -510,6 +510,13 @@ BLOCK_NOISES = {
 }
 
 
+# family -> (the shock that overflows a block, the notes of its seeds run alone)
+OVERFLOWS = {
+    "sine_perturbed": (5e307, {"", "ValueError: math domain error"}),
+    "linear": (1e308, {""}),
+}
+
+
 def _assert_block_equals_per_seed(problem, noise, schedule, x0, horizon, sequences):
     """Every path of one block is byte for byte its seed's :func:`rm_solve` path."""
     with warnings.catch_warnings(record=True) as caught:
@@ -603,40 +610,51 @@ class TestBlockSolver:
         buffer = 8 * approximation.SHOCK_CHUNK * seeds
         assert peak <= approximation.BLOCK_BYTES + buffer
 
-    @pytest.mark.parametrize("seeds", [2, 7, 50])
-    def test_overflowing_seed_errors_alone(self, seeds):
-        # slope 2 with c = 4 turns a 5e307 shock at step 2 into an overflow at
-        # step 3 in the block; seed by seed, math.sin(inf) raises one step later
-        problem = PROBLEM.families["sine_perturbed"].build(
-            {"slope": 2.0, "amplitude": 0.3, "root": 0.0}
-        )
+    @pytest.mark.parametrize(
+        "family, seeds",
+        [("sine_perturbed", n) for n in (2, 7, 50)] + [("linear", n) for n in (2, 7, 50)],
+        ids=["2", "7", "50", "linear-2", "linear-7", "linear-50"],
+    )
+    def test_overflowing_seed_errors_alone(self, family, seeds):
+        # slope 2 with c = 4 turns a huge shock at step 2 into an overflow in
+        # the block.  Seed by seed, sine_perturbed's math.sin(inf) raises one
+        # step later (5e307); the linear map's float loop runs on through inf
+        # and NaN without an error (1e308, which alpha_2 = 2 scales past the
+        # largest float, with numpy's overflow warning)
+        shock, seed_notes = OVERFLOWS[family]
+        problem = PROBLEM.families[family].build({"slope": 2.0, "amplitude": 0.3, "root": 0.0})
 
         def draw(rng, shape):
             z = rng.normal(0.0, 0.1, size=shape)
             if rng.random() < 0.3:
-                z[1] = 5e307
+                z[1] = shock
             return z
 
         noise = NoiseModel(draw, 0.01)
         schedule = Schedule.inverse_n(4.0)
         config = EnsembleConfig(seeds=seeds, root_seed=9, horizon=60)
+        chunks = []
 
-        def factory(seed_sequence):
-            path = rm_solve(problem, noise, schedule, 1.0, 60, seed_sequence)
-            return path.xs, path
-
-        def block(seed_sequences):
+        def solve(seed_sequences):
+            chunks.append(len(seed_sequences))
             paths = rm_solve_block(problem, noise, schedule, 1.0, 60, seed_sequences)
             return ((path.xs, path) for path in paths)
 
-        with warnings.catch_warnings(record=True) as caught:
+        with warnings.catch_warnings(record=True) as caught_blocked:
             warnings.simplefilter("always")
-            blocked = run_ensemble(factory, config, [0, 30, 60], block)
-        assert caught == []
-        alone = run_ensemble(factory, config, [0, 30, 60])
+            blocked = run_ensemble(solve, config, [0, 30, 60])
+        with warnings.catch_warnings(record=True) as caught_alone:
+            warnings.simplefilter("always")
+            alone = run_ensemble(solve, config, [0, 30, 60], 1)
+        # the block raised, so every seed reran alone, each solved once
+        assert chunks == [seeds] + [1] * (2 * seeds)
+        # the block adds no warning of its own to those of the seeds alone
+        assert [str(w.message) for w in caught_blocked] == [str(w.message) for w in caught_alone]
+        if family == "sine_perturbed":
+            assert caught_blocked == []
         assert json.dumps(blocked.to_dict()) == json.dumps(alone.to_dict())
         notes = [v.note for v in blocked.per_seed]
-        assert set(notes) == {"", "ValueError: math domain error"}
+        assert set(notes) == seed_notes
         for got, want in zip(blocked.payloads, alone.payloads):
             assert (got is None) == (want is None)
             if got is not None:
@@ -657,10 +675,10 @@ class TestBlockSolver:
     def test_block_size_follows_the_budget(self):
         assert block_size(100, 30_000) == 100  # 139 fit: one block
         assert block_size(20, 20_000, 3) == 20
-        assert block_size(15, 100) == 0  # fewer than MIN_BLOCK seeds
-        assert block_size(100, 10**7) == 0  # fewer than MIN_BLOCK fit
+        assert block_size(15, 100) == 1  # fewer than MIN_BLOCK seeds: seed by seed
+        assert block_size(100, 10**7) == 1  # fewer than MIN_BLOCK fit
         for seeds in (16, 37, 100, 1000, 10**6):
             for horizon, p in ((2_000, 1), (30_000, 1), (20_000, 3), (100_000, 2)):
                 size = block_size(seeds, horizon, p)
-                assert size == 0 or MIN_BLOCK <= size <= seeds
+                assert size == 1 or MIN_BLOCK <= size <= seeds
                 assert size * 8 * p * (horizon + 1) <= BLOCK_BYTES

@@ -208,12 +208,12 @@ output: {{dir: {out}}}
         assert main(["run", str(cfg)]) == 0
         model = RegressionModel(np.array([1.0, 0.5]), feedback_design(0.9), 1.0)
 
-        def factory(seed_sequence):
-            run = simulate_ls_runs(model, 1200, [seed_sequence], 0.2, [400, 800, 1200])[0]
-            return run.err_sup, run
+        def solve(seed_sequences):
+            runs = simulate_ls_runs(model, 1200, seed_sequences, 0.2, [400, 800, 1200])
+            return [(run.err_sup, run) for run in runs]
 
         grid = np.unique(np.linspace(0, 1199, 200).astype(int))
-        stats = run_ensemble(factory, EnsembleConfig(5, 3, 1200), grid)
+        stats = run_ensemble(solve, EnsembleConfig(5, 3, 1200), grid, 1)  # seed by seed
         write_summary_json(tmp_path / "per_seed.json", {"ensemble": stats.to_dict()})
         per_seed = json.loads((tmp_path / "per_seed.json").read_text())["ensemble"]
         assert json.loads((out / "summary.json").read_text())["ensemble"] == per_seed
@@ -546,7 +546,7 @@ assertions:
   min_fraction_final_below: {value: 0.05, fraction: 0.95}
   max_median_final_abs: 0.01
 """,
-        {"rm_solve": 5, "rm_solve_block": 5},
+        {"rm_solve_block": 5},
         ["min_fraction_final_below", "max_median_final_abs"],
     ),
     "ls": (
@@ -577,8 +577,7 @@ def test_final_value_assertions_count_errored_seeds(kind, tmp_path, monkeypatch)
         solve = getattr(experiments, name)
 
         def failing(*args, solve=solve, at=at):
-            seeds = args[at] if isinstance(args[at], list) else [args[at]]
-            if any(s.spawn_key[0] < 15 for s in seeds):
+            if any(s.spawn_key[0] < 15 for s in args[at]):
                 raise RuntimeError("injected")
             return solve(*args)
 

@@ -158,27 +158,27 @@ def test_one_column_ls_trace_digest(tmp_path):
     assert _sha(data) == TRACE_GOLDEN["ls_one_column"]
 
 
-# config -> (the experiments function that simulates one seed's path, calls
+# config -> (module, the function in it that simulates one seed's path, calls
 # outside the ensemble: the Kronecker run checks one alternating path)
 SIMULATORS = {
-    "kronecker": ("kronecker_path", 1),
-    "multivariate": ("rm_solve", 0),
-    "sa_convergence": ("rm_solve", 0),
-    "sa_nonuniform": ("rm_solve", 0),
+    "kronecker": (experiments, "kronecker_path", 1),
+    "multivariate": (approximation, "rm_solve", 0),
+    "sa_convergence": (approximation, "rm_solve", 0),
+    "sa_nonuniform": (approximation, "rm_solve", 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATORS))
 def test_traces_reuse_the_ensemble_paths(name, tmp_path, monkeypatch):
-    func, extra = SIMULATORS[name]
+    module, func, extra = SIMULATORS[name]
     calls = []
-    simulate = getattr(experiments, func)
+    simulate = getattr(module, func)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, func, counted)
+    monkeypatch.setattr(module, func, counted)
     _run(name, tmp_path / "out", "--traces")
     assert len(calls) == SIZES[name][0] + extra
 
@@ -262,7 +262,7 @@ def test_partial_blocks_bypass_the_per_seed_solvers(name, tmp_path, monkeypatch)
         return solve_block(*args)
 
     monkeypatch.setattr(experiments, "rm_solve_block", counted)
-    monkeypatch.setattr(experiments, "rm_solve", lambda *args: alone.append(args))
+    monkeypatch.setattr(approximation, "rm_solve", lambda *args: alone.append(args))
     argv = ["run", str(CONFIGS / f"{name}.yaml"), "--seeds", str(REMAINDER_SEEDS)]
     argv += ["--horizon", str(REMAINDER_HORIZON), "--out", str(tmp_path / "out")]
     assert main(argv) in (0, 1)

@@ -58,16 +58,21 @@ class TestLimitDispersion:
             limit_dispersion([1.0])
 
 
-def halving_factory(seed_sequence):
+def halving_values(seed_sequence):
     values = [1.0]
     for _ in range(100):
         values.append(0.5 * values[-1])
     return np.asarray(values)
 
 
-def walk_factory(seed_sequence):
+def walk_values(seed_sequence):
     rng = np.random.default_rng(seed_sequence)
     return np.cumsum(rng.normal(size=2000))
+
+
+def seed_by_seed(values_of):
+    """A solver pairing ``values_of(seed)`` with no payload, one seed after another."""
+    return lambda seed_sequences: ((values_of(ss), None) for ss in seed_sequences)
 
 
 class TestRunEnsemble:
@@ -85,15 +90,15 @@ class TestRunEnsemble:
         return EnsembleConfig(**base)
 
     def test_noiseless_halving_all_converge(self):
-        stats = run_ensemble(halving_factory, self.config())
+        stats = run_ensemble(seed_by_seed(halving_values), self.config())
         assert stats.fraction(ConvergenceClass.CONVERGED_TO_ZERO) == 1.0
 
     def test_random_walk_never_converges_to_zero(self):
-        stats = run_ensemble(walk_factory, self.config(horizon=2000, tol_zero=0.05))
+        stats = run_ensemble(seed_by_seed(walk_values), self.config(horizon=2000, tol_zero=0.05))
         assert stats.fraction(ConvergenceClass.CONVERGED_TO_ZERO) == 0.0
 
     def test_fractions_sum_to_one(self):
-        stats = run_ensemble(walk_factory, self.config(horizon=2000))
+        stats = run_ensemble(seed_by_seed(walk_values), self.config(horizon=2000))
         assert sum(stats.fraction_by_class.values()) == pytest.approx(1.0)
 
     def test_factory_failure_recorded_not_raised(self):
@@ -103,7 +108,7 @@ class TestRunEnsemble:
                 raise RuntimeError("boom")
             return np.zeros(50)
 
-        stats = run_ensemble(flaky, self.config())
+        stats = run_ensemble(seed_by_seed(flaky), self.config())
         kinds = {v.kind for v in stats.per_seed}
         assert ConvergenceClass.INCONCLUSIVE in kinds
         assert ConvergenceClass.CONVERGED_TO_ZERO in kinds
@@ -111,29 +116,49 @@ class TestRunEnsemble:
         assert all("boom" in n for n in notes)
 
     def test_serialized_stats_reproducible(self):
-        a = run_ensemble(walk_factory, self.config(horizon=500))
-        b = run_ensemble(walk_factory, self.config(horizon=500))
+        a = run_ensemble(seed_by_seed(walk_values), self.config(horizon=500))
+        b = run_ensemble(seed_by_seed(walk_values), self.config(horizon=500))
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
-    @given(seeds=st.integers(1, 12), failing=st.sets(st.integers(0, 11), max_size=3))
+    @given(
+        seeds=st.integers(1, 12),
+        failing=st.sets(st.integers(0, 11), max_size=3),
+        short=st.booleans(),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_block_equals_per_seed(self, seeds, failing):
-        def factory(seed_sequence):
+    def test_block_equals_per_seed(self, seeds, failing, short):
+        def one(seed_sequence):
             index = seed_sequence.spawn_key[0]
             if index in failing:
                 raise RuntimeError(f"boom at seed {index}")
-            return walk_factory(seed_sequence)[:300], {"index": index}
+            return walk_values(seed_sequence)[:300], {"index": index}
+
+        calls = []
+
+        def solve(seed_sequences):
+            calls.append([ss.spawn_key[0] for ss in seed_sequences])
+            outs = map(one, seed_sequences)  # raises at the first failing seed
+            if short and len(seed_sequences) > 1:  # ends one seed early, raising nothing
+                return list(outs)[:-1]
+            return outs
 
         config = self.config(seeds=seeds, horizon=300)
         grid = [0, 150, 299]
-        per_seed = run_ensemble(factory, config, grid)
-        block = run_ensemble(factory, config, grid, lambda sss: [factory(ss) for ss in sss])
-        assert json.dumps(block.to_dict()) == json.dumps(per_seed.to_dict())
-        assert block.payloads == per_seed.payloads
-        notes = [v.note for v in block.per_seed]
-        assert notes == [
-            f"RuntimeError: boom at seed {i}" if i in failing else "" for i in range(seeds)
-        ]
+        per_seed = run_ensemble(solve, config, grid, 1)
+        assert calls == [[i] for i in range(seeds)]  # each seed solved exactly once
+        for size in (2, 3, None):
+            block = run_ensemble(solve, config, grid, size)
+            assert json.dumps(block.to_dict()) == json.dumps(per_seed.to_dict())
+            assert block.payloads == per_seed.payloads
+            notes = [v.note for v in block.per_seed]
+            assert notes == [
+                f"RuntimeError: boom at seed {i}" if i in failing else "" for i in range(seeds)
+            ]
+
+    def test_solver_without_output_errors_its_seed(self):
+        stats = run_ensemble(lambda seed_sequences: [], self.config(seeds=3))
+        assert [v.note for v in stats.per_seed] == ["the solver gave 0 of 1 outputs"] * 3
+        assert stats.payloads == (None, None, None)
 
     def test_payloads_and_curves(self):
         def factory(seed_sequence):
@@ -142,7 +167,7 @@ class TestRunEnsemble:
             return values, {"seed_note": float(values[-1])}
 
         grid = [0, 49, 99]
-        stats = run_ensemble(factory, self.config(), curve_grid=grid)
+        stats = run_ensemble(lambda sss: map(factory, sss), self.config(), curve_grid=grid)
         assert len(stats.payloads) == 20
         assert stats.curves is not None
         assert stats.curves["n"] == grid
@@ -155,7 +180,7 @@ class TestRunEnsemble:
             rng = np.random.default_rng(seed_sequence)
             return np.full(10, rng.normal())
 
-        stats = run_ensemble(factory, self.config(seeds=200))
+        stats = run_ensemble(seed_by_seed(factory), self.config(seeds=200))
         assert stats.final_abs_quantiles["q05"] <= stats.final_abs_quantiles["q95"]
         assert stats.dispersion == pytest.approx(1.0, rel=0.25)
 

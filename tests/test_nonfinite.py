@@ -283,9 +283,9 @@ def test_ls_block_errors_only_the_non_finite_seed():
     assert 0 < sum(map(bool, expected)) < config.seeds
     assert all("step 1," in note for note in expected if note)
 
-    def block(seed_sequences):
+    def solve(seed_sequences):
         return [(run.err_sup, run) for run in simulate_ls_runs(model, 200, seed_sequences)]
 
-    stats = run_ensemble(lambda ss: block([ss])[0], config, block=block)
+    stats = run_ensemble(solve, config)
     assert [v.note for v in stats.per_seed] == expected
     assert [run is None for run in stats.payloads] == [bool(note) for note in expected]
