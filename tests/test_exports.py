@@ -109,3 +109,11 @@ def test_unset_default_guard_flags_a_leftover():
     callers = ["f(1, 2)\n", "obj.f(0, scale=3.0)\n", "C().covers(0.5)\n", "g(1, 2, rtol=0)\n"]
     assert unset_defaults({"m": source}, callers) == ["m.f(tol)", "m.covers(rtol)"]
     assert unset_defaults({"m": source}, callers + ["f(*args)\n"]) == ["m.covers(rtol)"]
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1]
+    code = example.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "1.0\n"
