@@ -407,7 +407,9 @@ def check_regularity(
     Growth: |g(x)| <= c + d|x|.  Sign: g agrees in sign with x off zero.
     Annulus: for each (d1, d2) the infimum of |g| over d1 <= |x| <= d2 must
     exceed ``K_FLOOR`` (a strict-positivity floor for floating point).  The
-    verdict index refers to a grid position.
+    verdict index refers to a grid position.  When growth or sign fails (or g
+    is not finite), the detail names the condition, x and g(x) at that
+    position ahead of the annulus infima.
     """
     grid = np.asarray(grid, dtype=float)
     for d1, d2 in delta_pairs:
@@ -426,7 +428,14 @@ def check_regularity(
     worst = float(margins.min()) if len(margins) else math.inf
     first_violation = None
     if worst < 0:
-        first_violation = int(np.argmin(margins))
+        first_violation = i = int(np.argmin(margins))
+        if np.isfinite(gvals[i]):
+            failed = [f"growth |g(x)| <= {c:g} + {d:g}|x|"] if growth_margin[i] < 0 else []
+            failed += ["sign x*g(x) >= 0"] if sign_margin[i] < 0 else []
+            condition = " and ".join(failed) + (" fail" if len(failed) > 1 else " fails")
+        else:
+            condition = "g is not finite"
+        detail_bits.append(f"{condition} at x = {grid[i]:.6g}: g(x) = {gvals[i]:.6g}")
     for d1, d2 in delta_pairs:
         ring = (absx >= d1) & (absx <= d2)
         k = float(np.abs(gvals[ring]).min()) if ring.any() else math.inf

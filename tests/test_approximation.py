@@ -280,12 +280,28 @@ class TestRegularity:
         )
         assert verdict.holds
         assert verdict.annulus_infima[0][1] == pytest.approx(0.1)
+        assert verdict.detail == "inf|g| on [0.1,5] = 0.1"
 
     def test_growth_violation(self):
         verdict = check_regularity(
             RootProblem(lambda x: 10.0 * x), [1.0, 2.0], c=1.0, d=1.0, delta_pairs=[]
         )
         assert not verdict.holds
+        assert verdict.detail == "growth |g(x)| <= 1 + 1|x| fails at x = 2: g(x) = 20"
+
+    def test_sign_violation_named_ahead_of_the_infima(self):
+        verdict = check_regularity(
+            RootProblem(lambda x: -x), [-1.0, 0.5], c=1.0, d=1.0, delta_pairs=[(0.25, 2.0)]
+        )
+        assert not verdict.holds
+        assert verdict.first_violation == 0
+        assert verdict.detail == (
+            "sign x*g(x) >= 0 fails at x = -1: g(x) = 1; inf|g| on [0.25,2] = 0.5"
+        )
+        both = check_regularity(RootProblem(lambda x: -10.0 * x), [3.0], 1.0, 1.0, [])
+        assert both.detail == (
+            "growth |g(x)| <= 1 + 1|x| and sign x*g(x) >= 0 fail at x = 3: g(x) = -30"
+        )
 
     def test_nan_value_is_a_violation(self):
         g = lambda x: math.nan if x == 2.0 else x
@@ -295,6 +311,7 @@ class TestRegularity:
         assert not verdict.holds
         assert verdict.first_violation == 1
         assert verdict.worst_margin == -math.inf
+        assert verdict.detail == "g is not finite at x = 2: g(x) = nan; inf|g| on [0.5,4] = nan"
 
     def test_invalid_pair(self):
         with pytest.raises(ValueError, match="annulus"):
