@@ -431,7 +431,7 @@ def _run_custom(config: ExperimentConfig):
     checks = model["checks"]
 
     per_seed: Dict[str, Any] = {}
-    all_hold = True
+    first_failure = None
     for seed in sorted(paths):
         xs, ms = paths[seed]
         path = ProcessPath(xs, ms, zero_tol)
@@ -458,17 +458,22 @@ def _run_custom(config: ExperimentConfig):
                 "last_segment_open": rep.last_segment_open,
             }
         entry["classification"] = tail_verdict(path.xs, ens).to_dict()
-        seed_ok = all(
-            entry[k]["holds"]
+        failed = [
+            k
             for k in ("nonexpansive", "contractive", "zero_state", "segment_bound")
-            if k in entry
-        )
-        entry["all_hold"] = seed_ok
-        all_hold &= seed_ok
+            if k in entry and not entry[k]["holds"]
+        ]
+        entry["all_hold"] = not failed
+        if failed and first_failure is None:
+            first_failure = f"seed {seed}, {failed[0]}: {entry[failed[0]]['detail']}"
         per_seed[str(seed)] = entry
 
+    all_hold = first_failure is None
     report = {"paths_checked": len(per_seed), "per_seed": per_seed, "all_hold": all_hold}
-    outcomes = {"all_checks_hold": (all_hold, f"{len(per_seed)} paths checked")}
+    detail = f"{len(per_seed)} paths checked"
+    if not all_hold:
+        detail += f"; first failure: {first_failure}"
+    outcomes = {"all_checks_hold": (all_hold, detail)}
     return report, outcomes, None, None
 
 

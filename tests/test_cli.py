@@ -438,6 +438,9 @@ output: {{dir: {tmp_path / 'custom_out'}}}
         for check in ("nonexpansive", "zero_state", "segment_bound"):
             assert seed[check]["holds"] is False
             assert seed[check]["first_violation"] == 7
+        # seed 0 holds; of seed 1's three failing checks, the first in check order
+        first = f"seed 1, nonexpansive: {seed['nonexpansive']['detail']}"
+        assert summary["assertions"][0]["detail"] == f"4 paths checked; first failure: {first}"
         assert all(summary["report"]["per_seed"][s]["all_hold"] for s in ("0", "2", "3"))
 
 
