@@ -773,7 +773,10 @@ assertions:
             "min_fraction_final_below": "fraction 0.0000 below 1e-12, required 1.0",
             "truncated_nonexpansive_all_seeds": "4 seeds fail (first: seed 0)",
             "truncated_mean_bound_all_seeds": "4 seeds fail (first: seed 0)",
-            "regularity_holds": "inf|g| on [0.25,4] = 0.50038",
+            "regularity_holds": (
+                "growth |g(x)| <= 0.1 + 0.1|x| fails at x = -10: g(x) = -3.16228; "
+                "inf|g| on [0.25,4] = 0.50038"
+            ),
         },
     ),
     "kronecker": (
@@ -818,7 +821,12 @@ checks: {nonexpansive_alpha: 0.0}
 assertions:
   all_checks_hold: true
 """,
-        {"all_checks_hold": "1 paths checked"},
+        {
+            "all_checks_hold": (
+                "1 paths checked; first failure: seed 0, nonexpansive: "
+                "ratio 2 outside bounds at step 1"
+            )
+        },
     ),
 }
 # _run_kronecker builds this path from (-1)^n and the weights 1..n alone

@@ -67,7 +67,7 @@ GOLDEN = {
         "e47351b1bfc1fa055b0f3f4c86b9eca3a555d0375d639671163ba061a0616955",
     ),
     "custom_kronecker": ("968b9a219848711e2a853b3ed0c997787427e181fd60f3118aeb5320393e5855", None),
-    "custom_sa": ("7878d770abd6f33fe7da6ea887a92079eee4a01d86c87b9a207b5970874681cb", None),
+    "custom_sa": ("f4aff3ff6342b78401573f9b00aa0e4a4a89d20fd5600b2efcbc382f9b951744", None),
 }
 
 # name -> traces.csv sha256, run with --traces at the SIZES above
