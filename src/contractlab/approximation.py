@@ -266,10 +266,8 @@ def block_size(seeds: int, horizon: int, p: int = 1) -> int:
     As many blocks as ``BLOCK_BYTES`` of iterates requires, as even as
     possible: at 32 MiB, 100 seeds of 3e4 steps (139 fit) run as one block.
     """
-    fit = BLOCK_BYTES // (8 * p * (horizon + 1))
-    if fit < MIN_BLOCK:
-        return 1
-    size = math.ceil(seeds / math.ceil(seeds / fit))
+    fit = max(1, BLOCK_BYTES // (8 * p * (horizon + 1)))
+    size = math.ceil(seeds / math.ceil(seeds / fit))  # at most fit
     return size if size >= MIN_BLOCK else 1
 
 
@@ -284,17 +282,16 @@ def rm_solve_block(
     """Step a block of seeds together; return their paths, in seed order.
 
     Each path is bit-identical to :func:`rm_solve`'s for that seed, scalar or
-    vector by the shape of ``x0``.  One seed alone runs :func:`rm_solve`
-    itself, whose float loop steps a single scalar seed faster.  In a block,
-    each seed draws its shocks from its own generator, ``SHOCK_CHUNK`` steps
-    at a time into one (chunk, B[, p]) buffer, and ``problem.g_block``
-    repeats ``g``'s operations.  The block keeps only the time-major iterates
-    ``xs`` (H+1, B[, p]).  Each seed's means are derived as its path is
-    handed out, ``xs[:-1] - alpha * g_block(xs[:-1])``: the operations the
-    step loop applied, so they are its exact means.  Any floating-point error
-    but underflow (which is exact in both solvers) raises, so a seed whose
-    values overflow is left to run alone, where its ``math`` calls may raise
-    on it.
+    vector by the shape of ``x0``; one seed alone is run by :func:`rm_solve`,
+    whose float loop is faster.  Each seed of a block draws its shocks from its
+    own generator, ``SHOCK_CHUNK`` steps at a time into one
+    (chunk, B[, p]) buffer, and ``problem.g_block`` repeats ``g``'s
+    operations.  The block keeps only the time-major iterates ``xs``
+    (H+1, B[, p]).  Each seed's means are derived as its path is handed out,
+    ``xs[:-1] - alpha * g_block(xs[:-1])``: the operations the step loop
+    applied, so they are its exact means.  Any floating-point error but
+    underflow (which is exact in both solvers) raises, so a seed whose values
+    overflow is left to run alone, where its ``math`` calls may raise on it.
     """
     if len(seeds) == 1:
         return iter([rm_solve(problem, noise, schedule, x0, horizon, seeds[0])])
@@ -407,9 +404,8 @@ def check_regularity(
     Growth: |g(x)| <= c + d|x|.  Sign: g agrees in sign with x off zero.
     Annulus: for each (d1, d2) the infimum of |g| over d1 <= |x| <= d2 must
     exceed ``K_FLOOR`` (a strict-positivity floor for floating point).  The
-    verdict index refers to a grid position.  When growth or sign fails (or g
-    is not finite), the detail names the condition, x and g(x) at that
-    position ahead of the annulus infima.
+    verdict index refers to a grid position.  A failed growth or sign margin
+    (or a non-finite g) is named, with x and g(x), ahead of the infima.
     """
     grid = np.asarray(grid, dtype=float)
     for d1, d2 in delta_pairs:

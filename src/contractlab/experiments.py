@@ -431,7 +431,7 @@ def _run_custom(config: ExperimentConfig):
     checks = model["checks"]
 
     per_seed: Dict[str, Any] = {}
-    first_failure = None
+    first_failure = ""
     for seed in sorted(paths):
         xs, ms = paths[seed]
         path = ProcessPath(xs, ms, zero_tol)
@@ -464,16 +464,14 @@ def _run_custom(config: ExperimentConfig):
             if k in entry and not entry[k]["holds"]
         ]
         entry["all_hold"] = not failed
-        if failed and first_failure is None:
-            first_failure = f"seed {seed}, {failed[0]}: {entry[failed[0]]['detail']}"
+        if failed and not first_failure:
+            first_failure = f"; first failure: seed {seed}, {failed[0]}: "
+            first_failure += entry[failed[0]]["detail"]
         per_seed[str(seed)] = entry
 
-    all_hold = first_failure is None
+    all_hold = not first_failure
     report = {"paths_checked": len(per_seed), "per_seed": per_seed, "all_hold": all_hold}
-    detail = f"{len(per_seed)} paths checked"
-    if not all_hold:
-        detail += f"; first failure: {first_failure}"
-    outcomes = {"all_checks_hold": (all_hold, detail)}
+    outcomes = {"all_checks_hold": (all_hold, f"{len(per_seed)} paths checked{first_failure}")}
     return report, outcomes, None, None
 
 

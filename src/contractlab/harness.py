@@ -180,14 +180,12 @@ def run_ensemble(
     """Run ``solve`` over the seeds and aggregate tail-window verdicts.
 
     ``solve`` receives a list of ``block_size`` (default: every) seeds'
-    :class:`numpy.random.SeedSequence` and returns an iterable of one
-    (values, payload) pair per seed, in seed order: the trajectory of values
-    to classify and whatever extras the seed carries.  Each pair is reduced
-    as soon as it arrives.  When a chunk of seeds raises (or ends early), its
-    remaining seeds rerun one at a time through ``solve([seed])``, so a
-    failure is recorded as inconclusive for the seed that raised, with the
-    message in ``note``, and never aborts the rest.  A seed that ran alone is
-    its own retry: it is solved once.
+    SeedSequences and returns an iterable of one (values, payload) pair per
+    seed, in seed order; each pair is reduced as soon as it arrives.  When a
+    chunk raises (or ends early), its remaining seeds rerun alone through
+    ``solve([seed])``, solved once each, so a failure is recorded as
+    inconclusive for the seed that raised, with the message in ``note``, and
+    never aborts the rest.
     """
     grid = None if curve_grid is None else np.asarray(curve_grid, dtype=int)
     seeds = [child_seed(config.root_seed, i) for i in range(config.seeds)]
