@@ -289,11 +289,11 @@ def _run_kronecker(config: ExperimentConfig):
     increments = config.build("increments", horizon)
 
     def solve(seed_sequences):
-        for seed_sequence in seed_sequences:
-            path = kronecker_path(increments(seed_sequence), weights)
-            yield path.xs, ({"path": path} if config.traces else {})
+        paths = (kronecker_path(increments(ss), weights) for ss in seed_sequences)
+        return [(path.xs, {"path": path} if config.traces else {}) for path in paths]
 
-    stats = run_ensemble(solve, ens, _grid(horizon + 1, config.curve_points))
+    # one seed per call: a seed's values are held only while it is reduced
+    stats = run_ensemble(solve, ens, _grid(horizon + 1, config.curve_points), 1)
     report: Dict[str, Any] = {"weights": model["weights"], "increments": model["increments"]}
 
     outcomes = _final_value_outcomes(stats)
