@@ -161,13 +161,13 @@ class TestRunEnsemble:
         assert stats.payloads == (None, None, None)
 
     def test_payloads_and_curves(self):
-        def factory(seed_sequence):
+        def pair(seed_sequence):
             rng = np.random.default_rng(seed_sequence)
             values = np.abs(rng.normal(size=100)) / np.arange(1, 101)
             return values, {"seed_note": float(values[-1])}
 
         grid = [0, 49, 99]
-        stats = run_ensemble(lambda sss: map(factory, sss), self.config(), curve_grid=grid)
+        stats = run_ensemble(lambda sss: map(pair, sss), self.config(), curve_grid=grid)
         assert len(stats.payloads) == 20
         assert stats.curves is not None
         assert stats.curves["n"] == grid
@@ -176,11 +176,11 @@ class TestRunEnsemble:
         assert "payloads" not in stats.to_dict()
 
     def test_quantiles_of_final_values(self):
-        def factory(seed_sequence):
+        def final_normal(seed_sequence):
             rng = np.random.default_rng(seed_sequence)
             return np.full(10, rng.normal())
 
-        stats = run_ensemble(seed_by_seed(factory), self.config(seeds=200))
+        stats = run_ensemble(seed_by_seed(final_normal), self.config(seeds=200))
         assert stats.final_abs_quantiles["q05"] <= stats.final_abs_quantiles["q95"]
         assert stats.dispersion == pytest.approx(1.0, rel=0.25)
 
