@@ -125,10 +125,11 @@ class LsState:
     ``LsState(p, seeds)`` carries a leading seed axis: ``gram`` and
     ``gram_inv`` are (seeds, p, p), ``score``, ``energy`` and ``estimate``
     (seeds, p), ``first_nonsingular`` and ``singular`` (seeds,), and
-    ``update`` takes (seeds, p) regressors and (seeds,) responses.  A seed's
-    ``estimate`` row is NaN and its ``first_nonsingular`` entry 0 while its
-    Gram matrix is singular.  Every seed goes through the same per-matrix
-    kernels, so a block is bit-identical to its seeds run one at a time.
+    ``update`` takes (seeds, p) regressors and (seeds,) responses.  While a
+    seed's Gram matrix is singular, its ``gram_inv`` and ``estimate`` are
+    NaN and its ``first_nonsingular`` entry is 0.  Every seed goes through
+    the same per-matrix kernels, so a block is bit-identical to its seeds
+    run one at a time.
 
     Steps are folded a chunk at a time, and a chunk of k steps is
     bit-identical to k single steps: its Gram and score accumulators are one
@@ -148,7 +149,9 @@ class LsState:
         # one accumulator per seed: the Gram matrix, then the score as column p
         # (each column energy is a diagonal entry, summed in the same order)
         self._aug = np.zeros((seeds, p, p + 1))
-        self._inv = np.zeros((seeds, p, p))
+        # NaN while a seed is singular: quiet NaN arithmetic raises no flag, so
+        # _fold updates every seed alike and its estimates come out NaN
+        self._inv = np.full((seeds, p, p), np.nan)
         self._est = np.full((seeds, p), np.nan)
         self._n0 = np.zeros(seeds, dtype=int)
         self._pending = np.arange(seeds)  # seeds whose Gram matrix is still singular
@@ -184,30 +187,17 @@ class LsState:
         if k > 1:  # one step is its own sum, and the call loops over every entry
             np.cumsum(aug, axis=1, out=aug)
         invs = np.empty((self.seeds, k, p, p))
-        m = 0  # the steps where some seed has no estimate yet come first: m of them
         for j in range(k):
             self.n = n = first + j
             x, inv = X[:, j], invs[:, j]
-            pending = self._pending
-            if not pending.size:  # steady phase: every seed is nonsingular
-                bx = self._inv @ x[:, :, None]
-                np.subtract(
-                    self._inv, bx * bx.transpose(0, 2, 1) / (1.0 + x[:, None, :] @ bx), out=inv
-                )
-                self._inv = inv
-                if n == self._next_due:
-                    self._rebase(n, aug[:, j])
-                continue
-            inv[:] = self._inv
+            bx = self._inv @ x[:, :, None]
+            np.subtract(self._inv, bx * bx.transpose(0, 2, 1) / (1.0 + x[:, None, :] @ bx), out=inv)
             self._inv = inv
-            ready = np.flatnonzero(self._n0)
-            if ready.size:
-                r_inv, xr = inv[ready], x[ready]
-                bx = r_inv @ xr[:, :, None]
-                r_inv -= bx * bx.transpose(0, 2, 1) / (1.0 + xr[:, None, :] @ bx)
-                inv[ready] = r_inv
-                if n == self._next_due:
-                    self._rebase(n, aug[:, j])
+            if n == self._next_due:
+                self._rebase(n, aug[:, j])
+            pending = self._pending
+            if not pending.size:
+                continue
             grams = aug[pending, j, :, :p]
             if not np.isfinite(grams).all():
                 raise ValueError(f"non-finite gram matrix at step {n}, before it was nonsingular")
@@ -220,13 +210,8 @@ class LsState:
                     self._due[fresh] = n + REBASE_EVERY
                     self._next_due = int(self._due.min())
                     self._pending = pending[~full]
-            m = j + 1 if self._pending.size else j
-        scores = aug[:, :, :, p:]
-        if m:  # a seed has an estimate from its first nonsingular step on
-            out[:, :m] = np.nan
-            head = (self._n0[:, None] > 0) & (self._n0[:, None] < first + np.arange(1, m + 1))
-            out[:, :m][head] = (invs[:, :m][head] @ scores[:, :m][head])[:, :, 0]
-        np.matmul(invs[:, m:], scores[:, m:], out=out[:, m:, :, None])
+        # NaN exactly before each seed's first nonsingular step
+        np.matmul(invs, aug[:, :, :, p:], out=out[:, :, :, None])
         self._aug = aug[:, -1].copy()
         self._inv = invs[:, -1].copy()
         self._est = out[:, -1]
@@ -411,10 +396,6 @@ def simulate_ls_runs(
     gaps = [0.0] * S
     for s, seed in enumerate(seeds):
         model.design.draw(np.random.default_rng(seed), model.sigma, xs[s], us[s])
-        if law is None:
-            # in place: no temporary of the horizon's length per seed
-            np.matmul(xs[s, :, None, :], beta[:, None], out=ys[s, :, None, None])
-            ys[s] += us[s]
     # estimates are kept per chunk of at most REBASE_EVERY steps: in a reused
     # window before the tail, then in place in tail_b; a chunk is folded in
     # pieces that end at its checkpoints, which compare that step's estimate
@@ -426,14 +407,15 @@ def simulate_ls_runs(
             ests = tail_b[:, lo - tail_start : hi - tail_start]
         cuts = [lo, *(c for c in checkpoints if lo < c < hi), hi]
         for a, b in zip(cuts, cuts[1:]):
-            if law is None:
-                state._fold(xy[:, a:b], ests[:, a - lo : b - lo])
-            else:  # step i's rows read the estimates after step i - 1
-                for i in range(a, b):
+            # a law reads the estimates after the step before: it folds step by step
+            steps = [a, b] if law is None else range(a, b + 1)
+            for i, j in zip(steps, steps[1:]):
+                if law is not None:
                     law(state._est, xs[:, i])
-                    np.matmul(xs[:, i, None, :], beta[:, None], out=ys[:, i, None, None])
-                    ys[:, i] += us[:, i]
-                    state._fold(xy[:, i : i + 1], ests[:, i - lo : i - lo + 1])
+                # the responses of the piece, in place
+                np.matmul(xs[:, i:j, None, :], beta[:, None], out=ys[:, i:j, None, None])
+                ys[:, i:j] += us[:, i:j]
+                state._fold(xy[:, i:j], ests[:, i - lo : j - lo])
             if checkpoints and b == checkpoints[0]:
                 checkpoints.pop(0)
                 for s in np.flatnonzero(state._n0):

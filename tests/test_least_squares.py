@@ -32,6 +32,7 @@ from contractlab.least_squares import (
 )
 from contractlab.process import zero_state_mask
 from helpers import (
+    ReferenceLsState,
     feedback_steps,
     geometric_one_steps,
     iid_gaussian_steps,
@@ -157,6 +158,39 @@ class TestLsState:
         xy[1, 4, 0] = math.nan
         with pytest.raises(ValueError, match="non-finite gram matrix at step 5,"):
             LsState(2, 2)._fold(xy, np.empty((2, 6, 2)))
+
+    @given(
+        p=st.integers(1, 3),
+        prefixes=st.lists(st.integers(0, 30), min_size=1, max_size=4),
+        chunks=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        rebase_every=st.integers(1, 9),
+        data_seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_fold_matches_the_masked_reference_fold(
+        self, p, prefixes, chunks, rebase_every, data_seed
+    ):
+        # zero-row prefixes make the seeds nonsingular at different steps,
+        # inside a chunk or at its ends, or never; a seed's estimates are NaN
+        # before its first nonsingular step, as in the reference
+        seeds, horizon = len(prefixes), sum(chunks)
+        rng = np.random.default_rng(data_seed)
+        xy = rng.normal(size=(seeds, horizon, p + 1))
+        xy[np.arange(horizon) < np.array(prefixes)[:, None], :p] = 0.0
+        states = [LsState(p, seeds), ReferenceLsState(p, seeds)]
+        outs = [np.empty((seeds, horizon, p)) for _ in states]
+        bounds = np.cumsum([0, *chunks])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+            for state, out in zip(states, outs):
+                for lo, hi in zip(bounds, bounds[1:]):
+                    state._fold(xy[:, lo:hi], out[:, lo:hi])
+        new, ref = states
+        assert outs[0].tobytes() == outs[1].tobytes()
+        assert new.first_nonsingular.tolist() == ref.first_nonsingular.tolist()
+        ready = ~ref.singular
+        assert new.gram_inv[ready].tobytes() == ref.gram_inv[ready].tobytes()
+        assert np.isnan(new.gram_inv[~ready]).all()
 
 
 class TestIntegralBound:

@@ -7,6 +7,7 @@ realized value of step ``j`` (the initial value belongs to step 1) and
 ``ms[i]`` is the mean of step ``i + 1``.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from contractlab import (
     ContractiveProfile,
     Design,
     GWeight,
+    LsState,
     NonexpansiveProfile,
     ProcessPath,
     Schedule,
@@ -262,6 +264,31 @@ def test_ls_run_non_finite_gram_before_full_rank_names_the_step(bad, step):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match=f"non-finite gram matrix at step {step},"):
             simulate_ls_runs(model, 50, [0])
+
+
+def test_ls_state_infinite_regressor_before_full_rank_names_the_step():
+    # the singular seed's inverse meets inf before the Gram check: no warning
+    # may come first
+    state = LsState(2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite gram matrix at step 1,"):
+            state.update([[1.0, 0.0], [math.inf, 1.0]], [1.0, 1.0])
+
+
+def test_ls_state_infinite_response_before_full_rank_leaves_a_nan_estimate():
+    # the Gram matrix stays finite, so the singular seed folds on silently
+    rows = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    block, alone = LsState(2, 2), LsState(2, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in rows:
+            block.update([x, [1.0, 1.0]], [1.0, math.inf])
+            alone.update([x], [1.0])
+    assert block.singular.tolist() == [False, True]
+    assert np.isnan(block.estimate[1]).all()
+    assert block.estimate[0].tobytes() == alone.estimate[0].tobytes()
+    assert block.estimate[0] == pytest.approx([2 / 3, 2 / 3])
 
 
 def test_ls_block_errors_only_the_non_finite_seed():
