@@ -59,6 +59,7 @@ from .reporting import (
     write_summary_text,
     write_traces_csv,
 )
+from .verdict import DEFAULT_ATOL
 
 __all__ = ["AssertionResult", "ExperimentOutcome", "run_experiment"]
 
@@ -245,7 +246,7 @@ def _run_sa(config: ExperimentConfig):
     def check(path):
         payload: Dict[str, Any] = {"path": path} if config.traces else {}
         if "contraction_zero_violations" in wanted:
-            band = ratio_band(path, ks, atol=1e-12)
+            band = ratio_band(path, ks, atol=DEFAULT_ATOL)
             payload["contraction_zero_violations"] = band.first_violation is None
         if "sandwich_zero_violations" in wanted:
             sandwich = check_ratio_sandwich(path, schedule, env["m"], env["M"], x_star=root)

@@ -168,7 +168,7 @@ def tail_verdict(values: np.ndarray, config: EnsembleConfig) -> ConvergenceVerdi
 def _reduce_one(values: np.ndarray, config: EnsembleConfig, grid: Optional[np.ndarray]):
     values = np.asarray(values, dtype=float)
     samples = np.abs(values[grid]) if grid is not None else None
-    return tail_verdict(values, config), float(values[-1]), samples
+    return tail_verdict(values, config), samples
 
 
 def run_ensemble(
@@ -221,9 +221,9 @@ def run_ensemble(
             payloads.append(None)
             continue
         values, payload = out
-        verdict, final, samples = _reduce_one(np.asarray(values, dtype=float), config, grid)
+        verdict, samples = _reduce_one(np.asarray(values, dtype=float), config, grid)
         verdicts.append(verdict)
-        finals.append(final)
+        finals.append(verdict.final_value)
         payloads.append(payload)
         if samples is not None:
             curve_rows.append(samples)
