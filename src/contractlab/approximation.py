@@ -254,9 +254,11 @@ def rm_solve(
 # budget, so a block's working set does not grow with the seeds; the shock
 # chunk and the means, derived one seed at a time, come on top.
 BLOCK_BYTES = 32 << 20
-# A block step of the sine map costs 6-15 µs for 1 to 128 seeds, about what 16
-# per-seed steps cost (2-vCPU Xeon VM); below this many seeds per block,
-# stepping the seeds one at a time is faster.
+# A block step of the scalar sine map costs 6-15 µs for 1 to 128 seeds, about
+# what 16 per-seed steps cost (2-vCPU Xeon VM); below this many seeds per block,
+# stepping those seeds one at a time is faster.  Vectors are not: for the p = 3
+# matrix map, blocks of 2 and 8 cost 4.3 and 1.4 µs per seed-step against 6.9 µs
+# per step seed by seed (ROADMAP item 5 keeps the per-p floor open).
 MIN_BLOCK = 16
 
 
