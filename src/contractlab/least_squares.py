@@ -45,24 +45,6 @@ REBASE_EVERY = 512
 KAPPA_CAP = 1e6
 
 
-def _quad_to_infinity(integrand: Callable[[float], float], lower: float) -> Optional[float]:
-    """Integrate to infinity, returning None when the tail looks divergent.
-
-    Divergent tails surface as large relative error estimates (slowly decaying
-    integrands that do converge stay far below the 1e-3 threshold).
-    """
-    import warnings
-
-    from scipy import integrate  # about 50 MB and 0.5 s to import; only this tail needs it
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, err = integrate.quad(integrand, lower, np.inf)
-    if not math.isfinite(value) or err > 1e-3 * max(1.0, abs(value)):
-        return None
-    return float(value)
-
-
 @dataclass(frozen=True)
 class Design:
     """A regressor design with ``p`` columns: a per-seed draw and an optional law.
@@ -227,13 +209,14 @@ class LsState:
 class GWeight:
     """A nondecreasing positive weight function with an inverse-square tail.
 
-    ``tail(c)`` evaluates the integral of fn(x)**-2 from c to infinity,
-    analytically when ``tail_integral`` is supplied and numerically otherwise.
+    ``tail(c)`` is ``tail_integral(c)``: the integral of fn(x)**-2 from c to
+    infinity, or a closed-form upper bound on it.  A bound serves every use,
+    since the design checks read only whether the tail is finite and
+    :func:`integral_bound` stays valid with a larger tail.
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    label: str = "custom"
-    tail_integral: Optional[Callable[[float], float]] = None
+    tail_integral: Callable[[float], float]
 
     def __call__(self, x):
         return self.fn(x)
@@ -241,22 +224,19 @@ class GWeight:
     def tail(self, c: float) -> float:
         if c <= 0:
             raise ValueError("tail cutoff must be positive")
-        if self.tail_integral is not None:
-            return float(self.tail_integral(c))
-        value = _quad_to_infinity(lambda x: float(self.fn(x)) ** -2, c)
-        if value is None:
-            raise ValueError(f"tail integral of {self.label} did not converge beyond {c:g}")
-        return value
+        return float(self.tail_integral(c))
 
     @classmethod
     def identity(cls) -> "GWeight":
-        return cls(lambda x: np.asarray(x, dtype=float), "identity", lambda c: 1.0 / c)
+        return cls(lambda x: np.asarray(x, dtype=float), lambda c: 1.0 / c)
 
     @classmethod
     def sqrt_log(cls) -> "GWeight":
+        # fn(x)**-2 = 1 / (x (1 + log1p x)**2).  For x >= c, 1/x <= (1 + c) / (c (1 + x)),
+        # and 1 / ((1 + x) (1 + log1p x)**2) integrates from c to infinity to 1 / (1 + log1p c).
         return cls(
             lambda x: np.sqrt(np.asarray(x, dtype=float)) * (1.0 + np.log1p(x)),
-            "sqrt_log",
+            lambda c: (1.0 + c) / (c * (1.0 + math.log1p(c))),
         )
 
 
@@ -276,13 +256,14 @@ class IntegralBoundResult:
 def integral_bound(
     a: Sequence[float],
     f: Callable[[float], float],
-    tail_integral: Optional[float] = None,
+    tail_integral: float,
 ) -> IntegralBoundResult:
     """Cap sum_n a_n / f(A_n) by a_1/f(A_1) plus the tail integral of 1/f.
 
     ``f`` must be nondecreasing and positive with an integrable reciprocal
-    beyond a_1; the first weight must be positive.  The tail integral is
-    ``tail_integral`` when given, else computed by quadrature from a_1.
+    beyond a_1; the first weight must be positive.  ``tail_integral`` is the
+    integral of 1/f from a_1 to infinity, or an upper bound on it; a
+    non-finite one means the tail diverges.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 1 or len(a) == 0:
@@ -296,14 +277,9 @@ def integral_bound(
     if np.any(fvals <= 0):
         raise ValueError("f must be positive on the partial sums")
     s = float(np.sum(a / fvals))
-    if tail_integral is None:
-        tail = _quad_to_infinity(lambda x: 1.0 / float(f(x)), float(a[0]))
-        if tail is None:
-            raise ValueError("the tail integral of 1/f does not converge")
-    else:
-        tail = float(tail_integral)
-        if not math.isfinite(tail):
-            raise ValueError("the tail integral of 1/f does not converge")
+    tail = float(tail_integral)
+    if not math.isfinite(tail):
+        raise ValueError("the tail integral of 1/f does not converge")
     return IntegralBoundResult(s, float(a[0]) / float(fvals[0]) + tail)
 
 
@@ -487,8 +463,9 @@ def check_design_conditions(
 
     The weight-boundedness verdict reports the realized supremum
     ``kappa_hat`` of p * max|gram_inv * weights| over every nonsingular prefix,
-    which must not exceed ``KAPPA_CAP``, and also requires a finite
-    inverse-square tail of the weight function at the initial energies.
+    which must not exceed ``KAPPA_CAP``, and also requires a finite tail
+    bound ``gw.tail(c)``, at c the smallest positive final column energy
+    capped at 1.
     Non-finite data is a violation, never skipped: a non-finite noise value
     or Gram prefix (a non-finite regressor, or one whose energy overflows)
     fails ``weight_bound`` at its first step with margin -inf, a non-finite

@@ -519,15 +519,22 @@ class TestUnusableTraceInput:
         assert not (tmp_path / "out" / "summary.json").exists()
 
 
-def test_sa_run_does_not_import_scipy(tmp_path):
+@pytest.mark.parametrize("kind", ["sa", "ls"])
+def test_run_does_not_import_scipy(tmp_path, kind):
     import subprocess
     import sys
 
+    if kind == "sa":
+        cfg = CONFIGS / "sa_convergence.yaml"
+    else:  # the design checks read the sqrt_log weight's tail
+        cfg = write_config(tmp_path, LS.format(out=tmp_path / "out").replace("identity", "sqrt_log"))
     script = (
         "import sys\n"
+        "from contractlab import integral_bound\n"
         "from contractlab.cli import main\n"
-        f"code = main(['run', {str(CONFIGS / 'sa_convergence.yaml')!r}, '--seeds', '2',"
+        f"code = main(['run', {str(cfg)!r}, '--seeds', '2',"
         f" '--horizon', '200', '--out', {str(tmp_path / 'out')!r}])\n"
+        "integral_bound([1.0, 1.0], lambda x: x * x, 1.0)\n"
         "print(code, 'scipy' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

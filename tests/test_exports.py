@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,6 +55,27 @@ def test_unused_import_guard_flags_a_leftover():
         "    return np.zeros(1)\n"
     )
     assert unused_imports(source) == ["math"]
+
+
+def third_party_imports(source: str) -> set:
+    """Top-level modules outside the standard library that ``source`` imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"contractlab"}
+
+
+def test_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", d).group().lower() for d in project["dependencies"]}
+    modules = {{"pyyaml": "yaml"}.get(d, d) for d in declared}
+    package = Path(contractlab.__file__).parent
+    imported = set().union(*(third_party_imports(p.read_text()) for p in package.rglob("*.py")))
+    assert sorted(imported) == sorted(modules) == ["numpy", "yaml"]
 
 
 def unset_defaults(sources: dict, callers: list) -> list:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contractlab import (
@@ -195,13 +195,13 @@ class TestLsState:
 
 class TestIntegralBound:
     def test_p_series(self):
-        res = integral_bound(np.ones(10_000), lambda x: x * x)
+        res = integral_bound(np.ones(10_000), lambda x: x * x, tail_integral=1.0)
         assert 1.6448 <= res.partial_sum <= 1.6450
         assert res.bound == pytest.approx(2.0)
         assert res.holds
 
     def test_single_term(self):
-        res = integral_bound([1.0], lambda x: x * x)
+        res = integral_bound([1.0], lambda x: x * x, tail_integral=1.0)
         assert res.partial_sum == pytest.approx(1.0)
         assert res.bound - res.partial_sum >= 0
 
@@ -211,26 +211,26 @@ class TestIntegralBound:
             rng = np.random.default_rng(seed)
             a = rng.uniform(0.0, 1.0, size=500)
             a[0] = 0.5
-            res = integral_bound(a, f)
+            res = integral_bound(a, f, tail_integral=1 / a[0])
             assert res.holds
             assert res.bound == pytest.approx(0.5 / 0.25 + 2.0)
 
     def test_head_forms_differ(self):
-        res = integral_bound([2.0, 1.0], lambda x: x * x)
+        res = integral_bound([2.0, 1.0], lambda x: x * x, tail_integral=0.5)
         # the head term is a_1 / f(A_1) = 2 / 4, not a_1 / A_1 = 1
         assert res.bound == pytest.approx(2.0 / 4.0 + 0.5)
 
     def test_first_weight_must_be_positive(self):
         with pytest.raises(ValueError, match="first weight"):
-            integral_bound([0.0, 1.0], lambda x: x * x)
+            integral_bound([0.0, 1.0], lambda x: x * x, tail_integral=math.inf)
 
     def test_divergent_tail_rejected(self):
         with pytest.raises(ValueError, match="converge"):
-            integral_bound([1.0, 1.0], lambda x: x)
+            integral_bound([1.0, 1.0], lambda x: x, tail_integral=math.inf)
 
     def test_prefix_length(self):
-        full = integral_bound(np.ones(100), lambda x: x * x)
-        half = integral_bound(np.ones(50), lambda x: x * x)
+        full = integral_bound(np.ones(100), lambda x: x * x, tail_integral=1.0)
+        half = integral_bound(np.ones(50), lambda x: x * x, tail_integral=1.0)
         assert half.partial_sum < full.partial_sum
 
 
@@ -244,17 +244,28 @@ class TestGWeight:
         tail = gw.tail(1.0)
         assert math.isfinite(tail) and tail > 0
 
+    @given(st.floats(1e-3, 1e3))
+    @example(1e-3)  # the integral is 6.54 here, 6.5 times the bound without its (1 + c) / c
+    @settings(max_examples=50, deadline=None)
+    def test_sqrt_log_tail_bounds_the_integral(self, c):
+        # fn(x)**-2 decreases, so its right-endpoint sum on any grid from c is below the integral
+        gw = GWeight.sqrt_log()
+        x = c * np.logspace(0, 8, 4001)
+        below = float(np.sum(np.diff(x) / gw(x[1:]) ** 2))
+        tail = gw.tail(c)
+        assert math.isfinite(tail) and tail >= below
+
     def test_nondecreasing_on_grid(self):
         grid = np.logspace(-3, 6, 200)
-        for gw in (GWeight.identity(), GWeight.sqrt_log()):
-            assert np.all(np.diff(gw(grid)) >= 0), gw.label
+        for name in ("identity", "sqrt_log"):
+            assert np.all(np.diff(getattr(GWeight, name)()(grid)) >= 0), name
 
     def test_sqrt_growth_factorization(self):
         # g(x) = sqrt(x) * h(x) with h nondecreasing and growing at least 5-fold
         grid = np.logspace(0, 8, 100)
-        for gw in (GWeight.identity(), GWeight.sqrt_log()):
-            h = gw(grid) / np.sqrt(grid)
-            assert np.all(np.diff(h) >= -1e-12) and h[-1] / h[0] >= 5.0, gw.label
+        for name in ("identity", "sqrt_log"):
+            h = getattr(GWeight, name)()(grid) / np.sqrt(grid)
+            assert np.all(np.diff(h) >= -1e-12) and h[-1] / h[0] >= 5.0, name
 
 
 class TestZProcess:

@@ -227,7 +227,7 @@ def test_design_conditions_overflowing_energy_fails():
 
 def test_design_conditions_nan_weight_is_unbounded():
     # a weight that is NaN below energy 1 must not be skipped in the supremum
-    gw = GWeight(lambda x: np.sqrt(np.asarray(x, dtype=float) - 1.0), "shifted", lambda c: 1.0)
+    gw = GWeight(lambda x: np.sqrt(np.asarray(x, dtype=float) - 1.0), lambda c: 1.0)
     xs = np.random.default_rng(1).normal(size=(50, 2))
     with np.errstate(invalid="ignore"):
         report = check_design_conditions(xs, np.zeros(50), gw, sigma2=0.0)
