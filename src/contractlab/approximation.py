@@ -256,9 +256,10 @@ def rm_solve(
 BLOCK_BYTES = 32 << 20
 # A block step of the scalar sine map costs 6-15 µs for 1 to 128 seeds, about
 # what 16 per-seed steps cost (2-vCPU Xeon VM); below this many seeds per block,
-# stepping those seeds one at a time is faster.  Vectors are not: for the p = 3
-# matrix map, blocks of 2 and 8 cost 4.3 and 1.4 µs per seed-step against 6.9 µs
-# per step seed by seed (ROADMAP item 5 keeps the per-p floor open).
+# stepping those seeds one at a time in the scalar float loop is faster.  A
+# vector seed stepped alone already makes numpy calls, so vectors have no
+# floor: for the p = 3 matrix map, blocks of 2 and 8 cost 4.3 and 1.4 µs per
+# seed-step against 6.9 µs per step seed by seed.
 MIN_BLOCK = 16
 
 
@@ -266,11 +267,13 @@ def block_size(seeds: int, horizon: int, p: int = 1) -> int:
     """Seeds per :func:`rm_solve_block` call, or 1 when seed by seed is faster.
 
     As many blocks as ``BLOCK_BYTES`` of iterates requires, as even as
-    possible: at 32 MiB, 100 seeds of 3e4 steps (139 fit) run as one block.
+    possible: at 32 MiB, 100 seeds of 3e4 steps (139 fit) run as one block,
+    and 100 seeds of 1e5 steps at p = 3 (13 fit) in blocks of 13.  Only a
+    scalar block needs ``MIN_BLOCK`` seeds.
     """
     fit = max(1, BLOCK_BYTES // (8 * p * (horizon + 1)))
     size = math.ceil(seeds / math.ceil(seeds / fit))  # at most fit
-    return size if size >= MIN_BLOCK else 1
+    return size if size >= MIN_BLOCK or p > 1 else 1
 
 
 def rm_solve_block(

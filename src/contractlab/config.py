@@ -24,6 +24,7 @@ import yaml
 from .approximation import NoiseModel, RootProblem, Schedule
 from .harness import EnsembleConfig
 from .least_squares import (
+    PARTITION_CLASSES,
     GWeight,
     feedback_design,
     geometric_one_design,
@@ -671,7 +672,6 @@ CHECKS = Group(
     ),
 )
 
-PARTITION_CLASSES = ("consistent", "finite_random_limit", "inconclusive")
 # Assertion value types: fraction, number, flag, threshold_fraction, partition.
 _FRACTIONS = {
     "min_fraction_converged_to_zero": "fraction",

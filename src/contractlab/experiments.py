@@ -351,12 +351,7 @@ def _run_ls(config: ExperimentConfig):
                 oscillation_tol=float(model["partition"]["oscillation_tol"]),
                 dispersion_ratio=float(model["partition"]["dispersion_ratio"]),
             )
-            report["partition"] = {
-                "q": partition.q,
-                "component_classes": list(partition.component_classes),
-                "dispersion": list(partition.dispersion),
-                "detail": partition.detail,
-            }
+            report["partition"] = asdict(partition)
         except ValueError as exc:
             partition_error = str(exc)
             report["partition"] = {"error": partition_error}
@@ -370,18 +365,9 @@ def _run_ls(config: ExperimentConfig):
             for run in runs
         ]
         design_frac = sum(r.holds for r in design_reports) / ens.seeds
-        first = design_reports[0]
         report["design_conditions"] = {
             "fraction_holding": design_frac,
-            "first_seed": {
-                "noise_centered": asdict(first.noise_centered),
-                "noise_variance": asdict(first.noise_variance),
-                "nonsingularity": asdict(first.nonsingularity),
-                "weight_bound": asdict(first.weight_bound),
-                "energy_growth": asdict(first.energy_growth),
-                "n0": first.n0,
-                "kappa_hat": first.kappa_hat,
-            },
+            "first_seed": asdict(design_reports[0]),
         }
         report["max_checkpoint_gap"] = float(max(run.checkpoint_gap for run in runs))
 
@@ -458,7 +444,7 @@ def _run_custom(config: ExperimentConfig):
                 "crossing_times": list(rep.crossing_times[:100]),
                 "last_segment_open": rep.last_segment_open,
             }
-        entry["classification"] = tail_verdict(path.xs, ens).to_dict()
+        entry["classification"] = asdict(tail_verdict(path.xs, ens))
         failed = [
             k
             for k in ("nonexpansive", "contractive", "zero_state", "segment_bound")

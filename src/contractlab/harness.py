@@ -9,7 +9,7 @@ run one at a time or in a block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -21,6 +21,7 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleStats",
     "convergence_verdict",
+    "tail_length",
     "tail_verdict",
     "child_seed",
     "run_ensemble",
@@ -58,15 +59,6 @@ class ConvergenceVerdict:
     tail_oscillation: float
     final_value: float
     note: str = ""
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "kind": self.kind.value,
-            "tail_sup": self.tail_sup,
-            "tail_oscillation": self.tail_oscillation,
-            "final_value": self.final_value,
-            "note": self.note,
-        }
 
 
 def convergence_verdict(
@@ -150,19 +142,22 @@ class EnsembleStats:
             "fraction_by_class": dict(self.fraction_by_class),
             "final_abs_quantiles": dict(self.final_abs_quantiles),
             "dispersion": self.dispersion,
-            "per_seed": [v.to_dict() for v in self.per_seed],
+            "per_seed": [asdict(v) for v in self.per_seed],
         }
         if self.curves is not None:
             out["curves"] = self.curves
         return out
 
 
+def tail_length(n: int, fraction: float) -> int:
+    """The length of the tail window of ``n`` values: ``fraction`` of them, rounded, at least 1."""
+    return max(1, int(round(n * fraction)))
+
+
 def tail_verdict(values: np.ndarray, config: EnsembleConfig) -> ConvergenceVerdict:
-    """Classify a path from its last ``config.tail_fraction`` of values (at least one)."""
-    tail_len = max(1, int(round(len(values) * config.tail_fraction)))
-    return convergence_verdict(
-        values[-tail_len:], config.tol_zero, config.tol_cauchy, config.divergence_cap
-    )
+    """Classify a path from its :func:`tail_length` last values."""
+    tail = values[-tail_length(len(values), config.tail_fraction) :]
+    return convergence_verdict(tail, config.tol_zero, config.tol_cauchy, config.divergence_cap)
 
 
 def _reduce_one(values: np.ndarray, config: EnsembleConfig, grid: Optional[np.ndarray]):
@@ -237,7 +232,7 @@ def run_ensemble(
     if finals_arr.size:
         abs_finals = np.abs(finals_arr)
         quantiles = {k: float(np.quantile(abs_finals, q)) for k, q in QUANTILE_KEYS}
-        dispersion = float(np.std(finals_arr, ddof=1)) if finals_arr.size > 1 else 0.0
+        dispersion = limit_dispersion(finals_arr) if finals_arr.size > 1 else 0.0
     else:
         quantiles = {k: math.nan for k, _ in QUANTILE_KEYS}
         dispersion = math.nan

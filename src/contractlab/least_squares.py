@@ -17,6 +17,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .harness import limit_dispersion, tail_length
 from .process import ProcessPath
 from .verdict import ConditionVerdict, failing, passing, vacuous
 
@@ -29,6 +30,7 @@ __all__ = [
     "DesignConditionReport",
     "IntegralBoundResult",
     "PartitionReport",
+    "PARTITION_CLASSES",
     "simulate_ls_runs",
     "z_process",
     "check_design_conditions",
@@ -351,8 +353,9 @@ def simulate_ls_runs(
     draws in chunks of at most ``REBASE_EVERY`` steps, cut also at the tail
     start and at every checkpoint; with one, each step's rows first go
     through the law and are then folded alone.  Estimates are kept for one
-    chunk at a time and for the tail window, never for the whole horizon,
-    and each run's arrays are views of the block's arrays.  Raises
+    chunk at a time and for the tail window (the last ``tail_length(horizon,
+    tail_fraction)`` steps, which ``tail_verdict`` classifies), never for the
+    whole horizon, and each run's arrays are views of the block's arrays.  Raises
     ValueError for a checkpoint outside ``1..horizon``, and when any seed's
     Gram matrix is non-finite before it is nonsingular, or never
     nonsingular.
@@ -362,7 +365,7 @@ def simulate_ls_runs(
     xy = np.empty((S, horizon, p + 1))  # regressors, then the response
     xs, ys = xy[:, :, :p], xy[:, :, p]
     us = np.empty((S, horizon))
-    tail_start = int(horizon * (1.0 - tail_fraction))
+    tail_start = horizon - tail_length(horizon, tail_fraction)
     tail_b = np.empty((S, horizon - tail_start, p))
     window = np.empty((S, min(REBASE_EVERY, tail_start), p))
     err_sup = np.empty((S, horizon))
@@ -587,6 +590,10 @@ def check_design_conditions(
     )
 
 
+# The classes partition_analysis gives a component; a partition_matches assertion names them.
+PARTITION_CLASSES = ("consistent", "finite_random_limit", "inconclusive")
+
+
 @dataclass(frozen=True)
 class PartitionReport:
     """Per-component convergence classification of an estimator ensemble."""
@@ -627,8 +634,9 @@ def partition_analysis(
     q = len(finite)
 
     finals = np.asarray([r.final_b for r in runs])
-    dispersion = tuple(float(np.std(finals[:, t], ddof=1)) for t in range(p))
+    dispersion = tuple(limit_dispersion(finals[:, t]) for t in range(p))
 
+    consistent, finite_random_limit, inconclusive = PARTITION_CLASSES
     classes = []
     consistent_disp = [
         dispersion[t]
@@ -640,14 +648,14 @@ def partition_analysis(
         if t not in finite:
             errs = np.asarray([float(np.max(np.abs(r.tail_b[:, t] - beta[t]))) for r in runs])
             frac = float(np.mean(errs <= consistency_tol))
-            classes.append("consistent" if frac >= 0.95 else "inconclusive")
+            classes.append(consistent if frac >= 0.95 else inconclusive)
         else:
             oscs = np.asarray(
                 [float(r.tail_b[:, t].max() - r.tail_b[:, t].min()) for r in runs]
             )
             cauchy = bool(np.all(oscs <= oscillation_tol))
             spread_ok = dispersion[t] > dispersion_ratio * worst_consistent
-            classes.append("finite_random_limit" if cauchy and spread_ok else "inconclusive")
+            classes.append(finite_random_limit if cauchy and spread_ok else inconclusive)
     return PartitionReport(
         q=q,
         component_classes=tuple(classes),

@@ -66,7 +66,8 @@ def write_summary_text(path: Path, lines: Sequence[str]) -> None:
 
 
 def write_quantiles_csv(path: Path, curves: Dict[str, List]) -> None:
-    keys = ["n", "q05", "q25", "q50", "q75", "q95"]
+    """One row per grid step: ``n``, then each further column of ``curves`` in its order."""
+    keys = list(curves)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(keys)

@@ -54,19 +54,16 @@ def sine_problem() -> RootProblem:
     )
 
 
-def rm_ensemble(problem, noise, schedule, x0, config, check, size=None):
-    """``check`` every seed's path, the seeds stepped in blocks of ``size``.
-
-    ``size`` defaults to :func:`block_size`; a failing block's seeds rerun
-    alone, through the per-seed solver.
+def rm_ensemble(problem, noise, schedule, x0, config, check):
+    """``check`` every seed's path, the seeds stepped in blocks of :func:`block_size`;
+    a failing block's seeds rerun alone, through the per-seed solver.
     """
     horizon = config.horizon
 
     def solve(seed_sequences):
         return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
 
-    size = size or block_size(config.seeds, horizon, np.size(x0))
-    return run_ensemble(solve, config, block_size=size)
+    return run_ensemble(solve, config, block_size=block_size(config.seeds, horizon, np.size(x0)))
 
 
 @pytest.fixture(scope="module")
@@ -191,8 +188,6 @@ class TestCriterion4MultivariateConvergence:
             violations = int(np.sum(ratios > ks[mask] + 1e-12))
             return path.norms(), {"violations": violations}
 
-        # block_size() runs p = 3 at this horizon seed by seed (13 fit); 20
-        # seeds hold 48 MB of iterates
         stats = rm_ensemble(
             problem,
             noise,
@@ -200,7 +195,6 @@ class TestCriterion4MultivariateConvergence:
             np.array([2.0, -1.0, 1.5]),
             EnsembleConfig(seeds=SEEDS, root_seed=2_718, horizon=HORIZON, tol_zero=0.1),
             check,
-            size=20,
         )
         finals = np.array([v.final_value for v in stats.per_seed])
         frac_final = float(np.mean(np.abs(finals) < 0.1))

@@ -694,8 +694,13 @@ class TestBlockSolver:
         assert block_size(20, 20_000, 3) == 20
         assert block_size(15, 100) == 1  # fewer than MIN_BLOCK seeds: seed by seed
         assert block_size(100, 10**7) == 1  # fewer than MIN_BLOCK fit
-        for seeds in (16, 37, 100, 1000, 10**6):
-            for horizon, p in ((2_000, 1), (30_000, 1), (20_000, 3), (100_000, 2)):
+        # a vector block of any size beats stepping its seeds alone
+        assert block_size(15, 100, 2) == 15
+        assert block_size(100, 100_000, 3) == 13  # 13 fit
+        assert block_size(20, 10**7, 3) == 1  # not one seed fits
+        for seeds in (2, 16, 37, 100, 1000, 10**6):
+            for horizon, p in ((2_000, 1), (30_000, 1), (20_000, 3), (100_000, 2), (10**6, 3)):
                 size = block_size(seeds, horizon, p)
-                assert size == 1 or MIN_BLOCK <= size <= seeds
+                assert 1 <= size <= seeds
+                assert size == 1 or p > 1 or size >= MIN_BLOCK
                 assert size * 8 * p * (horizon + 1) <= BLOCK_BYTES

@@ -158,29 +158,32 @@ def test_one_column_ls_trace_digest(tmp_path):
     assert _sha(data) == TRACE_GOLDEN["ls_one_column"]
 
 
-# config -> (module, the function in it that simulates one seed's path, calls
-# outside the ensemble: the Kronecker run checks one alternating path)
+# config -> (the function in experiments that simulates paths, the paths a call
+# with these arguments simulates, paths simulated outside the ensemble: the
+# Kronecker run checks one alternating path)
+ONE_PATH = lambda args: 1
+BLOCK_SEEDS = lambda args: len(args[5])  # rm_solve_block's seeds
 SIMULATORS = {
-    "kronecker": (experiments, "kronecker_path", 1),
-    "multivariate": (approximation, "rm_solve", 0),
-    "sa_convergence": (approximation, "rm_solve", 0),
-    "sa_nonuniform": (approximation, "rm_solve", 0),
+    "kronecker": ("kronecker_path", ONE_PATH, 1),
+    "multivariate": ("rm_solve_block", BLOCK_SEEDS, 0),
+    "sa_convergence": ("rm_solve_block", BLOCK_SEEDS, 0),
+    "sa_nonuniform": ("rm_solve_block", BLOCK_SEEDS, 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SIMULATORS))
 def test_traces_reuse_the_ensemble_paths(name, tmp_path, monkeypatch):
-    module, func, extra = SIMULATORS[name]
-    calls = []
-    simulate = getattr(module, func)
+    func, paths_of, extra = SIMULATORS[name]
+    paths = []
+    simulate = getattr(experiments, func)
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        paths.append(paths_of(args))
         return simulate(*args, **kwargs)
 
-    monkeypatch.setattr(module, func, counted)
+    monkeypatch.setattr(experiments, func, counted)
     _run(name, tmp_path / "out", "--traces")
-    assert len(calls) == SIZES[name][0] + extra
+    assert sum(paths) == SIZES[name][0] + extra
 
 
 def test_trace_u_flag_follows_path_type(tmp_path):

@@ -20,7 +20,8 @@ from contractlab import (
     simulate_ls_runs,
     z_process,
 )
-from contractlab import least_squares
+from contractlab import EnsembleConfig, least_squares
+from contractlab.harness import tail_verdict
 from contractlab.least_squares import (
     REBASE_EVERY,
     Design,
@@ -379,6 +380,19 @@ class TestSimulateAndDecomposition:
         assert run.xs.shape == (300, 2)
         assert run.tail_b.shape == (30, 2)
         assert run.n0 is not None and run.n0 <= 10
+
+    @pytest.mark.parametrize(
+        "horizon, tail_fraction, window", [(11, 0.2, 2), (9, 0.25, 2), (14, 0.1, 1), (3, 0.1, 1)]
+    )
+    def test_tail_estimates_are_the_window_the_verdict_reads(self, horizon, tail_fraction, window):
+        model = RegressionModel(beta=np.array([1.0, -0.5]), design=rotating_design(), sigma=1.0)
+        run = simulate_ls_runs(model, horizon, [0], tail_fraction)[0]
+        assert len(run.tail_b) == horizon - run.tail_start == window
+        config = EnsembleConfig(seeds=1, root_seed=0, horizon=horizon, tail_fraction=tail_fraction)
+        verdict = tail_verdict(run.err_sup, config)
+        errors = np.abs(run.tail_b - model.beta).max(axis=1)
+        assert verdict.tail_sup == errors.max()
+        assert verdict.tail_oscillation == errors.max() - errors.min()
 
 
 class TestDesignConditions:
