@@ -3,9 +3,10 @@
 Every group a config document may hold is declared once in the table below:
 its fields (type, default or required, bounds) and, for a family group such
 as ``problem`` or ``schedule``, each family's own fields and the builder that
-turns the validated values into a model object.  Each kind lists its groups,
-its top-level fields, its assertions and its cross-field rules; those rules
-are the only hand-written validation.
+turns the validated values into a model object.  Every assertion is a field
+of ``ASSERTIONS``.  Each kind lists its groups, its top-level fields, its
+assertions and its cross-field rules; those rules are the only hand-written
+validation.
 
 Validation never stops at the first problem: every error is collected with a
 dotted path to the offending key, and unknown keys are rejected everywhere.
@@ -76,7 +77,10 @@ class Field:
     """One value: its type, a default or ``required``, and its bounds.
 
     Types: ``number``, ``integer``, ``bool``, ``string``, ``numbers`` (a
-    nonempty list, read as floats), ``choice`` (one of ``choices``) and
+    nonempty list, read as floats), ``choice`` (one of ``choices``),
+    ``choices`` (a list of them), ``mapping`` (of its own ``fields``, read
+    like a group but keeping only the keys it sets; an empty one is an
+    error) and
     ``any`` (left to a rule).  ``gt``/``lt`` are exclusive bounds, ``ge``/``le``
     inclusive ones.  A value that fails its check reads as None, and the
     cross-field rules skip a None, so one mistake draws one error.
@@ -91,6 +95,7 @@ class Field:
     le: Optional[float] = None
     lt: Optional[float] = None
     choices: Tuple[str, ...] = ()
+    fields: Tuple["Field", ...] = ()
 
 
 def need(name: str, type: str = "number", **bounds: Any) -> Field:
@@ -151,7 +156,7 @@ class Kind:
     """An experiment kind: its groups, top-level fields, assertions and rules."""
 
     groups: Tuple[Group, ...]
-    assertions: Mapping[str, str]
+    assertions: Tuple[str, ...]
     fields: Tuple[Field, ...] = ()
     rules: Tuple[Rule, ...] = ()
 
@@ -171,6 +176,16 @@ def _why_invalid(f: Field, v: Any) -> Optional[str]:
         return None
     if f.type == "choice":
         return None if v in f.choices else f"must be one of {', '.join(f.choices)}"
+    if f.type == "choices":
+        if isinstance(v, list) and all(c in f.choices for c in v):
+            return None
+        return f"must be a list of values from {', '.join(f.choices)}"
+    if f.type == "mapping":
+        if not isinstance(v, dict):
+            return "must be a mapping"
+        if v or any(s.required for s in f.fields):
+            return None
+        return f"must set at least one of {', '.join(s.name for s in f.fields)}"
     if f.type == "bool":
         return None if isinstance(v, bool) else "must be true or false"
     if f.type == "string":
@@ -226,6 +241,11 @@ class _Reader:
         if reason is not None:
             self.fail(at, reason)
             return None
+        if f.type == "mapping":
+            self.unknown_keys(value, [s.name for s in f.fields], at)
+            # the keys it sets, and the required ones, whose absence is an error
+            read = (s for s in f.fields if s.required or s.name in value)
+            return {s.name: self.value(value, s, at) for s in read}
         return [float(v) for v in value] if f.type == "numbers" else value
 
     def group(self, data: Dict[str, Any], g: Group) -> Optional[Dict[str, Any]]:
@@ -252,48 +272,6 @@ class _Reader:
         for rule in g.rules + (spec.rules if spec else ()):
             rule(self, values)
         return values
-
-    def assertions(self, data: Dict[str, Any], allowed: Mapping[str, str]) -> Dict[str, Any]:
-        if "assertions" not in data:
-            return {}
-        group = data["assertions"]
-        if not isinstance(group, dict):
-            self.fail("assertions", "must be a mapping")
-            return {}
-        out: Dict[str, Any] = {}
-        for key, value in group.items():
-            at = f"assertions.{key}"
-            if key not in allowed:
-                self.fail(at, "unknown assertion")
-                continue
-            kind = allowed[key]
-            if kind == "fraction" and (not _is_number(value) or not 0 <= value <= 1):
-                self.fail(at, "must be a number in [0, 1]")
-            elif kind == "number" and (not _is_number(value) or value < 0):
-                self.fail(at, "must be a nonnegative number")
-            elif kind == "flag" and not isinstance(value, bool):
-                self.fail(at, "must be true or false")
-            elif kind == "threshold_fraction" and (
-                not isinstance(value, dict)
-                or set(value) != {"value", "fraction"}
-                or not _is_number(value.get("value"))
-                or not _is_number(value.get("fraction"))
-                or not 0 <= value["fraction"] <= 1
-            ):
-                self.fail(at, "must be a mapping {value: number, fraction: [0,1]}")
-            elif kind == "partition":
-                if not isinstance(value, dict) or set(value) - {"q", "classes"}:
-                    self.fail(at, "must be a mapping with keys q and/or classes")
-                    continue
-                if "q" in value and (not isinstance(value["q"], int) or value["q"] < 0):
-                    self.fail(f"{at}.q", "must be a nonnegative integer")
-                if "classes" in value and (
-                    not isinstance(value["classes"], list)
-                    or not all(c in PARTITION_CLASSES for c in value["classes"])
-                ):
-                    self.fail(f"{at}.classes", "must list component classes")
-            out[key] = value
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -672,56 +650,66 @@ CHECKS = Group(
     ),
 )
 
-# Assertion value types: fraction, number, flag, threshold_fraction, partition.
-_FRACTIONS = {
-    "min_fraction_converged_to_zero": "fraction",
-    "min_fraction_final_below": "threshold_fraction",
+# Every assertion, keyed by its name; each kind lists the ones it evaluates.
+_THRESHOLD = (need("value"), need("fraction", ge=0.0, le=1.0))
+_PARTITION = (Field("q", "integer", ge=0), Field("classes", "choices", choices=PARTITION_CLASSES))
+_FLAGS = (
+    "envelope_valid", "sandwich_zero_violations", "contraction_zero_violations",
+    "truncated_nonexpansive_all_seeds", "truncated_mean_bound_all_seeds", "regularity_holds",
+    "alternating_bound", "design_conditions_hold", "all_checks_hold",
+)
+ASSERTIONS: Dict[str, Field] = {
+    f.name: f
+    for f in (
+        Field("min_fraction_converged_to_zero", ge=0.0, le=1.0),
+        Field("max_median_final_abs", ge=0.0),
+        Field("min_fraction_final_below", "mapping", fields=_THRESHOLD),
+        Field("min_fraction_final_error_below", "mapping", fields=_THRESHOLD),
+        Field("max_checkpoint_gap", ge=0.0),
+        Field("partition_matches", "mapping", fields=_PARTITION),
+        *(Field(name, "bool") for name in _FLAGS),
+    )
 }
+_FRACTIONS = ("min_fraction_converged_to_zero", "min_fraction_final_below")
 _SCHEDULE_RULES = (_schedule_covers_horizon, _summable_schedule)
 
 KINDS: Dict[str, Kind] = {
     "sa": Kind(
         (PROBLEM, SCHEDULE, NOISE, ENVELOPE),
-        {
-            "min_fraction_converged_to_zero": "fraction",
-            "max_median_final_abs": "number",
-            "min_fraction_final_below": "threshold_fraction",
-            "envelope_valid": "flag",
-            "sandwich_zero_violations": "flag",
-        },
+        (
+            "min_fraction_converged_to_zero", "max_median_final_abs", "min_fraction_final_below",
+            "envelope_valid", "sandwich_zero_violations",
+        ),
         fields=(need("x0"),),
         rules=_SCHEDULE_RULES,
     ),
     "sa_nd": Kind(
         (PROBLEM_ND, SCHEDULE, NOISE, ENVELOPE_ND),
-        {**_FRACTIONS, "envelope_valid": "flag", "contraction_zero_violations": "flag"},
+        _FRACTIONS + ("envelope_valid", "contraction_zero_violations"),
         fields=(need("x0", "numbers"),),
         rules=(_x0_matches_matrix,) + _SCHEDULE_RULES,
     ),
     "sa_nonuniform": Kind(
         (PROBLEM, SCHEDULE, NOISE, ENVELOPE, TRUNCATION, REGULARITY),
-        {
-            **_FRACTIONS,
-            "truncated_nonexpansive_all_seeds": "flag",
-            "truncated_mean_bound_all_seeds": "flag",
-            "regularity_holds": "flag",
-        },
+        (
+            "min_fraction_converged_to_zero", "min_fraction_final_below",
+            "truncated_nonexpansive_all_seeds", "truncated_mean_bound_all_seeds",
+            "regularity_holds",
+        ),
         fields=(need("x0"),),
         rules=_SCHEDULE_RULES,
     ),
     "kronecker": Kind(
         (INCREMENTS, WEIGHTS),
-        {**_FRACTIONS, "alternating_bound": "flag"},
+        _FRACTIONS + ("alternating_bound",),
         rules=(_alternating_needs_linear,),
     ),
     "ls": Kind(
         (DESIGN, GWEIGHT, PARTITION),
-        {
-            "min_fraction_final_error_below": "threshold_fraction",
-            "max_checkpoint_gap": "number",
-            "partition_matches": "partition",
-            "design_conditions_hold": "flag",
-        },
+        (
+            "min_fraction_final_error_below", "max_checkpoint_gap", "partition_matches",
+            "design_conditions_hold",
+        ),
         fields=(
             need("beta", "numbers"),
             need("sigma", ge=0.0),
@@ -730,7 +718,7 @@ KINDS: Dict[str, Kind] = {
         ),
         rules=(_beta_matches_design,),
     ),
-    "custom_path_check": Kind((INPUT, CHECKS), {"all_checks_hold": "flag"}),
+    "custom_path_check": Kind((INPUT, CHECKS), ("all_checks_hold",)),
 }
 KIND = need("kind", "choice", choices=tuple(KINDS))
 
@@ -763,7 +751,9 @@ def parse_config_text(
         r.unknown_keys(data, spec.keys(), "")
         model = {g.name: r.group(data, g) for g in spec.groups}
         model.update((f.name, r.value(data, f, "")) for f in spec.fields)
-        assertions = r.assertions(data, spec.assertions)
+        fields = tuple(ASSERTIONS[name] for name in spec.assertions)
+        read = r.group(data, Group("assertions", fields, absent="none")) or {}
+        assertions = {k: v for k, v in read.items() if k in data["assertions"]}
         doc = {**model, "ensemble": ensemble, "assertions": assertions}
         for rule in (_assertion_groups,) + spec.rules:
             rule(r, doc)

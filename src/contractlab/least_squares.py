@@ -102,9 +102,9 @@ class LsState:
     Each seed's inverse Gram is created by a dense solve at its first
     nonsingular step, then maintained by rank-one (Sherman-Morrison) updates
     and re-baselined by a dense solve every ``REBASE_EVERY`` steps of that
-    seed to cap drift.  The Gram matrix must stay finite until it is
-    nonsingular: a non-finite one raises ``ValueError`` naming the step, and
-    leaves the state partly folded, so it must not be updated further.
+    seed to cap drift.  A non-finite Gram matrix or score (a non-finite
+    response, or a sum that overflows) raises ``ValueError`` naming the first
+    such step, before any numpy warning and with the state left as it was.
 
     ``LsState(p, seeds)`` carries a leading seed axis: ``gram`` and
     ``gram_inv`` are (seeds, p, p), ``score``, ``energy`` and ``estimate``
@@ -166,10 +166,18 @@ class LsState:
         write each step's estimates to ``out`` (S, k, p)."""
         p, k, first = self.p, xy.shape[1], self.n + 1
         X = xy[:, :, :p]
-        aug = X[:, :, :, None] * xy[:, :, None, :]  # (S, k, p, p + 1)
-        aug[:, 0] += self._aug
-        if k > 1:  # one step is its own sum, and the call loops over every entry
-            np.cumsum(aug, axis=1, out=aug)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below, by step
+            aug = X[:, :, :, None] * xy[:, :, None, :]  # (S, k, p, p + 1)
+            aug[:, 0] += self._aug
+            if k > 1:  # one step is its own sum, and the call loops over every entry
+                np.cumsum(aug, axis=1, out=aug)
+        # a running sum stays non-finite once it is, so the last step shows any
+        if not np.isfinite(aug[:, -1]).all():
+            j = int(np.argmin(np.isfinite(aug).all(axis=(0, 2, 3))))
+            what = "gram matrix" if not np.isfinite(aug[:, j, :, :p]).all() else "score"
+            raise ValueError(
+                f"non-finite {what} at step {first + j}, from a non-finite or huge row"
+            )
         invs = np.empty((self.seeds, k, p, p))
         for j in range(k):
             self.n = n = first + j
@@ -180,12 +188,8 @@ class LsState:
             if n == self._next_due:
                 self._rebase(n, aug[:, j])
             pending = self._pending
-            if not pending.size:
-                continue
-            grams = aug[pending, j, :, :p]
-            if not np.isfinite(grams).all():
-                raise ValueError(f"non-finite gram matrix at step {n}, before it was nonsingular")
-            if n >= p:
+            if pending.size and n >= p:
+                grams = aug[pending, j, :, :p]
                 full = np.linalg.matrix_rank(grams) == p
                 if full.any():
                     fresh = pending[full]
@@ -357,7 +361,7 @@ def simulate_ls_runs(
     tail_fraction)`` steps, which ``tail_verdict`` classifies), never for the
     whole horizon, and each run's arrays are views of the block's arrays.  Raises
     ValueError for a checkpoint outside ``1..horizon``, and when any seed's
-    Gram matrix is non-finite before it is nonsingular, or never
+    Gram matrix or score is non-finite, or its Gram matrix is never
     nonsingular.
     """
     S, p, beta, law = len(seeds), model.p, model.beta, model.design.law

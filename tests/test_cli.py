@@ -603,6 +603,49 @@ def test_final_value_assertions_count_errored_seeds(kind, tmp_path, monkeypatch)
     assert not any(a["passed"] for a in results.values()), results
 
 
+def test_ls_huge_responses_error_each_seed_at_its_step(tmp_path):
+    """Responses near the largest float overflow the score: each seed errors
+    with the step it overflowed at, and numpy prints no warning first."""
+    import re
+    import subprocess
+    import sys
+
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        LS.format(out=out)
+        .replace("geometric_one", "rotating")
+        .replace("beta: [1.0, -0.5]", "beta: [1.0e+308, 1.0e+308]"),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "contractlab", "run", str(cfg), "--seeds", "3", "--horizon", "200"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Warning" not in proc.stderr, proc.stderr
+    per_seed = json.loads((out / "summary.json").read_text())["ensemble"]["per_seed"]
+    notes = [seed["note"] for seed in per_seed]
+    assert len(notes) == 3
+    assert all(re.fullmatch(r"ValueError: non-finite score at step \d+, .*", n) for n in notes), notes
+
+
+def test_zero_valued_assertions_are_evaluated(tmp_path):
+    """0 is a limit, not false: both assertions are evaluated and listed."""
+    out = tmp_path / "out"
+    text = SA_TEMPLATE.format(out=out, traces="false").replace(
+        "  min_fraction_converged_to_zero: 0.75\n  envelope_valid: true\n"
+        "  sandwich_zero_violations: true\n",
+        "  max_median_final_abs: 0\n  min_fraction_converged_to_zero: 0\n",
+    )
+    assert main(["run", str(write_config(tmp_path, text))]) == 1
+    results = json.loads((out / "summary.json").read_text())["assertions"]
+    assert [(a["name"], a["passed"]) for a in results] == [
+        ("min_fraction_converged_to_zero", True),
+        ("max_median_final_abs", False),
+    ]
+
+
 EVERY_ASSERTION = {
     # kind -> a document that sets every assertion the kind allows, one flag to false
     "sa": """

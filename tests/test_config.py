@@ -1,6 +1,6 @@
 import copy
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -921,21 +921,6 @@ VALID = [
         id="ls-partition-q-only",
     ),
     pytest.param(
-        doc("ls", assertions={"partition_matches": {}}),
-        {"design": {"family": "rotating", "jitter": 0.1, "turns": 0.37},
-         "beta": [1.0, -0.5],
-         "sigma": 1.0,
-         "gweight": {"family": "identity"},
-         "energy_threshold": 10.0,
-         "partition": {"consistency_tol": 0.05, "oscillation_tol": 0.001, "dispersion_ratio": 3.0},
-         "checkpoints": 8},
-        {"partition_matches": {}},
-        [],
-        ENSEMBLE_DEFAULTS,
-        OUTPUT_DEFAULTS,
-        id="ls-partition-empty",
-    ),
-    pytest.param(
         doc("custom_path_check"),
         {"input": {"path": "traces.csv", "zero_tol": 0.0},
          "checks": {"nonexpansive_alpha": None,
@@ -1133,27 +1118,27 @@ ERRORS = [
     ),
     pytest.param(
         doc("sa", assertions={"levitate": True}),
-        ["assertions.levitate: unknown assertion"],
+        ["assertions.levitate: unknown key"],
         id="assertions-unknown",
     ),
     pytest.param(
         doc("sa", assertions={"min_fraction_converged_to_zero": 1.5}),
-        ["assertions.min_fraction_converged_to_zero: must be a number in [0, 1]"],
+        ["assertions.min_fraction_converged_to_zero: must be <= 1.0"],
         id="assertions-fraction",
     ),
     pytest.param(
         doc("kronecker", assertions={"min_fraction_converged_to_zero": "x"}),
-        ["assertions.min_fraction_converged_to_zero: must be a number in [0, 1]"],
+        ["assertions.min_fraction_converged_to_zero: must be a number"],
         id="assertions-fraction-type",
     ),
     pytest.param(
         doc("sa", assertions={"max_median_final_abs": -1}),
-        ["assertions.max_median_final_abs: must be a nonnegative number"],
+        ["assertions.max_median_final_abs: must be >= 0.0"],
         id="assertions-number",
     ),
     pytest.param(
         doc("ls", assertions={"max_checkpoint_gap": True}),
-        ["assertions.max_checkpoint_gap: must be a nonnegative number"],
+        ["assertions.max_checkpoint_gap: must be a number"],
         id="assertions-number-type",
     ),
     pytest.param(
@@ -1163,46 +1148,75 @@ ERRORS = [
     ),
     pytest.param(
         doc("sa", assertions={"min_fraction_final_below": {"value": 1.0}}),
-        ["assertions.min_fraction_final_below: must be a mapping {value: number, fraction: [0,1]}"],
+        ["assertions.min_fraction_final_below.fraction: required value is missing"],
         id="assertions-threshold-missing-key",
     ),
     pytest.param(
         doc("sa", assertions={"min_fraction_final_below": {"value": 1.0, "fraction": 0.5, "x": 1}}),
-        ["assertions.min_fraction_final_below: must be a mapping {value: number, fraction: [0,1]}"],
+        ["assertions.min_fraction_final_below.x: unknown key"],
         id="assertions-threshold-extra-key",
     ),
     pytest.param(
         doc("ls", assertions={"min_fraction_final_error_below": {"value": 1.0, "fraction": 2}}),
-        ["assertions.min_fraction_final_error_below: must be a mapping {value: number, fraction: "
-         "[0,1]}"],
+        ["assertions.min_fraction_final_error_below.fraction: must be <= 1.0"],
         id="assertions-threshold-fraction-range",
     ),
     pytest.param(
         doc("sa_nd", assertions={"min_fraction_final_below": 0.5}),
-        ["assertions.min_fraction_final_below: must be a mapping {value: number, fraction: [0,1]}"],
+        ["assertions.min_fraction_final_below: must be a mapping"],
         id="assertions-threshold-not-mapping",
     ),
     pytest.param(
         doc("ls", assertions={"partition_matches": 1}),
-        ["assertions.partition_matches: must be a mapping with keys q and/or classes"],
+        ["assertions.partition_matches: must be a mapping"],
         id="assertions-partition-not-mapping",
     ),
     pytest.param(
         doc("ls", assertions={"partition_matches": {"q": 1, "p": 2}}),
-        ["assertions.partition_matches: must be a mapping with keys q and/or classes"],
+        ["assertions.partition_matches.p: unknown key"],
         id="assertions-partition-extra-key",
     ),
     pytest.param(
         doc("ls", assertions={"partition_matches": {"q": -1, "classes": ["consistent", "bogus"]}}),
-        ["assertions.partition_matches.classes: must list component classes",
-         "assertions.partition_matches.q: must be a nonnegative integer"],
+        ["assertions.partition_matches.classes: must be a list of values from consistent, "
+         "finite_random_limit, inconclusive",
+         "assertions.partition_matches.q: must be >= 0"],
         id="assertions-partition-q",
     ),
     pytest.param(
         doc("ls", assertions={"partition_matches": {"q": 1.5, "classes": "consistent"}}),
-        ["assertions.partition_matches.classes: must list component classes",
-         "assertions.partition_matches.q: must be a nonnegative integer"],
+        ["assertions.partition_matches.classes: must be a list of values from consistent, "
+         "finite_random_limit, inconclusive",
+         "assertions.partition_matches.q: must be an integer"],
         id="assertions-partition-q-float",
+    ),
+    pytest.param(
+        doc("ls", assertions={"partition_matches": {"q": True}}),
+        ["assertions.partition_matches.q: must be an integer"],
+        id="assertions-partition-q-bool",
+    ),
+    pytest.param(
+        doc("ls", assertions={"partition_matches": {}}),
+        ["assertions.partition_matches: must set at least one of q, classes"],
+        id="ls-partition-empty",
+    ),
+    pytest.param(
+        doc("ls", assertions={"min_fraction_final_error_below": {}}),
+        ["assertions.min_fraction_final_error_below.fraction: required value is missing",
+         "assertions.min_fraction_final_error_below.value: required value is missing"],
+        id="assertions-threshold-empty",
+    ),
+    pytest.param(
+        doc("ls", assertions={"min_fraction_final_error_below": {"value": True, "fraction": -0.5, "limit": 1}}),
+        ["assertions.min_fraction_final_error_below.fraction: must be >= 0.0",
+         "assertions.min_fraction_final_error_below.limit: unknown key",
+         "assertions.min_fraction_final_error_below.value: must be a number"],
+        id="assertions-threshold-every-key",
+    ),
+    pytest.param(
+        doc("sa", assertions={"envelope_valid": "yes"}),
+        ["assertions.envelope_valid: must be true or false"],
+        id="assertions-invalid-flag-draws-one-error",
     ),
     pytest.param(
         doc("sa", assertions={"envelope_valid": True, "sandwich_zero_violations": True}),
@@ -1223,7 +1237,7 @@ ERRORS = [
     ),
     pytest.param(
         doc("sa_nonuniform", envelope={"m": 1, "M": 2}, assertions={"envelope_valid": True}),
-        ["assertions.envelope_valid: unknown assertion"],
+        ["assertions.envelope_valid: unknown key"],
         id="assertions-envelope-valid-unknown-in-nonuniform",
     ),
     pytest.param(
@@ -1906,9 +1920,14 @@ def _row(f, label):
         f"<= {f.le}" if f.le is not None else "",
         f"< {f.lt}" if f.lt is not None else "",
     ]
+    if f.type == "mapping" and not any(s.required for s in f.fields):
+        bounds.append("sets at least one of " + ", ".join(f"`{s.name}`" for s in f.fields))
     cells = ([label] if label is not None else []) + [
         f"`{f.name}`",
-        {"numbers": "number list"}.get(kind, kind),
+        {
+            "numbers": "number list",
+            "choices": "list of " + ", ".join(f"`{c}`" for c in f.choices),
+        }.get(kind, kind),
         "required" if f.required else _cell(f.default),
         ", ".join(b for b in bounds if b),
     ]
@@ -1928,6 +1947,10 @@ def render_reference():
             uses.setdefault(id(g), (g, []))[1].append(name)
     lines += ["", "| kind | top-level value | type | default | bounds |", "| --- | --- | --- | --- | --- |"]
     lines += [_row(f, f"`{name}`") for name, kind in config.KINDS.items() for f in kind.fields]
+    lines += ["", "| assertion | type | default | bounds |", "| --- | --- | --- | --- |"]
+    for f in config.ASSERTIONS.values():
+        lines.append(_row(f, None))
+        lines += [_row(replace(s, name=f"{f.name}.{s.name}"), None) for s in f.fields]
     absent = {
         "required": "required",
         "none": "optional",

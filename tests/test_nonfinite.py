@@ -276,19 +276,51 @@ def test_ls_state_infinite_regressor_before_full_rank_names_the_step():
             state.update([[1.0, 0.0], [math.inf, 1.0]], [1.0, 1.0])
 
 
-def test_ls_state_infinite_response_before_full_rank_leaves_a_nan_estimate():
-    # the Gram matrix stays finite, so the singular seed folds on silently
-    rows = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-    block, alone = LsState(2, 2), LsState(2, 1)
+def test_ls_state_infinite_response_before_full_rank_names_the_step():
+    # the Gram matrix stays finite and the score does not: the fold stops at
+    # that step, with no warning first and the state as it was
+    state = LsState(2, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for x in rows:
-            block.update([x, [1.0, 1.0]], [1.0, math.inf])
-            alone.update([x], [1.0])
-    assert block.singular.tolist() == [False, True]
-    assert np.isnan(block.estimate[1]).all()
-    assert block.estimate[0].tobytes() == alone.estimate[0].tobytes()
-    assert block.estimate[0] == pytest.approx([2 / 3, 2 / 3])
+        state.update([[1.0, 0.0], [1.0, 1.0]], [1.0, 1.0])
+        before = state.score.tobytes(), state.gram_inv.tobytes()
+        with pytest.raises(ValueError, match="non-finite score at step 2,"):
+            state.update([[0.0, 1.0], [0.0, 1.0]], [1.0, math.inf])
+    assert state.n == 1
+    assert (state.score.tobytes(), state.gram_inv.tobytes()) == before
+
+
+@pytest.mark.parametrize(
+    "row, what",
+    [
+        ([1.0, 1.0, math.nan], "score"),
+        ([1.0, 1.0, -math.inf], "score"),
+        ([1e154, 0.0, 1e155], "score"),  # x * y overflows, x * x does not
+        ([1e155, 1.0, 1.0], "gram matrix"),
+        ([math.inf, 1.0, 1.0], "gram matrix"),
+    ],
+)
+def test_ls_state_non_finite_after_full_rank_names_the_step(row, what):
+    # both seeds are nonsingular from step 2; seed 1's row of step 5 is bad
+    xy = np.ones((2, 8, 3))
+    xy[:, ::2, 1] = 0.0
+    xy[1, 4] = row
+    state = LsState(2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"non-finite {what} at step 5,"):
+            state._fold(xy, np.empty((2, 8, 2)))
+    assert state.n == 0
+
+
+def test_ls_state_overflowing_sum_names_the_step():
+    # each product is finite; the running score overflows at step 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = LsState(1, 1)
+        state.update([[1.0]], [1e308])
+        with pytest.raises(ValueError, match="non-finite score at step 2,"):
+            state.update([[1.0]], [1e308])
 
 
 def test_ls_block_errors_only_the_non_finite_seed():
