@@ -409,47 +409,44 @@ def check_regularity(
     Growth: |g(x)| <= c + d|x|.  Sign: g agrees in sign with x off zero.
     Annulus: for each (d1, d2) the infimum of |g| over d1 <= |x| <= d2 must
     exceed ``K_FLOOR`` (a strict-positivity floor for floating point).  The
-    verdict index refers to a grid position.  A failed growth or sign margin
-    (or a non-finite g) is named, with x and g(x), ahead of the infima.
+    verdict index is the first grid position (0-based) that breaks growth or
+    sign, or is not finite; failing that, the first point of the first failing
+    annulus whose |g| is at or below ``K_FLOOR``.  A failed growth or sign
+    margin (or a non-finite g) is named, with x and g(x), ahead of the infima.
     """
     grid = np.asarray(grid, dtype=float)
     for d1, d2 in delta_pairs:
         if not 0 < d1 < d2 < math.inf:
             raise ValueError(f"invalid annulus pair ({d1}, {d2})")
     gvals = np.fromiter((float(problem.g(float(x))) for x in grid), dtype=float, count=len(grid))
-    absx = np.abs(grid)
+    absx, absg = np.abs(grid), np.abs(gvals)
 
-    growth_margin = (c + d * absx) - np.abs(gvals)
-    nz = absx > 0
-    sign_margin = np.where(nz, np.sign(grid) * gvals, np.inf)
-
-    margins = np.where(np.isfinite(gvals), np.minimum(growth_margin, sign_margin), -math.inf)
-    infima = []
-    detail_bits = []
-    worst = float(margins.min()) if len(margins) else math.inf
-    first_violation = None
-    if worst < 0:
-        first_violation = i = int(np.argmin(margins))
+    growth = band_check(absg, c + d * absx)
+    sign = band_check(np.sign(grid) * gvals, lower=0.0, mask=absx > 0)
+    worst = min(growth.worst_margin, sign.worst_margin)
+    steps = [b.first_violation for b in (growth, sign) if b.first_violation is not None]
+    first_violation = min(steps) - 1 if steps else None  # a band counts its steps from 1
+    infima, detail_bits = [], []
+    if steps:
+        i = first_violation
         if np.isfinite(gvals[i]):
-            failed = [f"growth |g(x)| <= {c:g} + {d:g}|x|"] if growth_margin[i] < 0 else []
-            failed += ["sign x*g(x) >= 0"] if sign_margin[i] < 0 else []
+            names = (f"growth |g(x)| <= {c:g} + {d:g}|x|", "sign x*g(x) >= 0")
+            failed = [s for s, b in zip(names, (growth, sign)) if b.first_violation == i + 1]
             condition = " and ".join(failed) + (" fail" if len(failed) > 1 else " fails")
         else:
             condition = "g is not finite"
         detail_bits.append(f"{condition} at x = {grid[i]:.6g}: g(x) = {gvals[i]:.6g}")
     for d1, d2 in delta_pairs:
         ring = (absx >= d1) & (absx <= d2)
-        k = float(np.abs(gvals[ring]).min()) if ring.any() else math.inf
+        k = float(absg[ring].min()) if ring.any() else math.inf
         infima.append(((float(d1), float(d2)), k))
         detail_bits.append(f"inf|g| on [{d1:g},{d2:g}] = {k:.6g}")
         if k <= K_FLOOR:
             worst = min(worst, k - K_FLOOR)
             if first_violation is None:
-                ring_idx = np.nonzero(ring)[0]
-                first_violation = int(ring_idx[np.argmin(np.abs(gvals[ring]))])
-    holds = first_violation is None
+                first_violation = int(np.argmax(ring & (absg <= K_FLOOR)))
     return RegularityVerdict(
-        holds=holds,
+        holds=first_violation is None,
         first_violation=first_violation,
         worst_margin=worst,
         detail="; ".join(detail_bits) if detail_bits else "no annulus pairs supplied",

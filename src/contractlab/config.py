@@ -390,13 +390,19 @@ def _x0_matches_matrix(r: _Reader, doc: Dict[str, Any]) -> None:
         r.fail("x0", f"length {len(x0)} does not match the {len(entries)}-d problem")
 
 
-def _beta_matches_design(r: _Reader, doc: Dict[str, Any]) -> None:
-    design, beta = doc["design"], doc["beta"]
-    if design is None or beta is None or None in design.values():
+def _fits_design(r: _Reader, doc: Dict[str, Any]) -> None:
+    """``beta`` and a ``partition_matches`` assertion must fit the design's columns."""
+    design = doc["design"]
+    if design is None or None in design.values():
         return
     p = DESIGN.families[design["family"]].build(design).p  # the builder owns the column count
-    if len(beta) != p:
-        r.fail("beta", f"length {len(beta)} does not match the {p}-column design")
+    partition = doc["assertions"].get("partition_matches") or {}
+    at = "assertions.partition_matches"
+    for path, value in (("beta", doc["beta"]), (f"{at}.classes", partition.get("classes"))):
+        if value is not None and len(value) != p:
+            r.fail(path, f"length {len(value)} does not match the {p}-column design")
+    if (partition.get("q") or 0) > p:
+        r.fail(f"{at}.q", f"must be <= {p} for the {p}-column design")
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +722,7 @@ KINDS: Dict[str, Kind] = {
             Field("energy_threshold", default=10.0, ge=0.0),
             Field("checkpoints", "integer", 8, ge=0),
         ),
-        rules=(_beta_matches_design,),
+        rules=(_fits_design,),
     ),
     "custom_path_check": Kind((INPUT, CHECKS), ("all_checks_hold",)),
 }

@@ -472,7 +472,9 @@ def check_design_conditions(
     ``kappa_hat`` of p * max|gram_inv * weights| over every nonsingular prefix,
     which must not exceed ``KAPPA_CAP``, and also requires a finite tail
     bound ``gw.tail(c)``, at c the smallest positive final column energy
-    capped at 1.
+    capped at 1.  A statistic of the whole run (the noise moments, the weight
+    bound, the final column energies) that misses its limit fails at step n;
+    noise in a noiseless model fails at its first nonzero step.
     Non-finite data is a violation, never skipped: a non-finite noise value
     or Gram prefix (a non-finite regressor, or one whose energy overflows)
     fails ``weight_bound`` at its first step with margin -inf, a non-finite
@@ -493,12 +495,12 @@ def check_design_conditions(
         k = int(np.argmin(noise_ok)) + 1
         noise_centered = noise_variance = failing(k, -math.inf, f"non-finite noise at step {k}")
     elif sigma2 == 0.0:
-        noise_centered = (
-            passing(0.0, "noiseless run")
-            if np.all(us == 0)
-            else failing(1, -abs(float(us.sum())), "nonzero noise in a noiseless model")
-        )
-        noise_variance = passing(0.0, "noiseless run")
+        noise_centered = noise_variance = passing(0.0, "noiseless run")
+        if us.any():
+            k = int(np.argmax(us != 0)) + 1
+            noise_centered = failing(
+                k, -float(np.abs(us).max()), f"nonzero noise at step {k} in a noiseless model"
+            )
     else:
         mean_stat = abs(float(us.sum())) / max(math.sqrt(n * sigma2), 1e-300)
         noise_centered = (
@@ -578,7 +580,7 @@ def check_design_conditions(
         )
     else:
         energy_growth = failing(
-            worst_column,
+            n,
             worst_energy - energy_threshold,
             f"column {worst_column} energy {worst_energy:.6g} below "
             f"threshold {energy_threshold:g}",

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .verdict import DEFAULT_ATOL, Band, ConditionVerdict, band_check, failing, passing, vacuous
+from .verdict import DEFAULT_ATOL, Band, ConditionVerdict, band_check, failing, vacuous
 
 __all__ = [
     "ProcessPath",
@@ -155,16 +155,11 @@ def crossing_report(path: ProcessPath) -> CrossingReport:
     cls = path.classes()
     change = np.nonzero(cls[1:] != cls[:-1])[0] + 1
     times = tuple(int(i) for i in change)
-    abs_x = np.abs(path.xs)
-    peaks: List[float] = []
-    for j, start in enumerate(times):
-        end = times[j + 1] if j + 1 < len(times) else len(path.xs)
-        peaks.append(float(abs_x[start:end].max()))
     return CrossingReport(
         sign_classes=cls,
         crossing_times=times,
         n_t=len(times),
-        w=tuple(peaks),
+        w=tuple(np.maximum.reduceat(np.abs(path.xs), change).tolist()) if times else (),
         last_segment_open=bool(times),
     )
 
@@ -183,9 +178,11 @@ def max_growth_factor(alphas: Sequence[float]) -> float:
     """Largest window product over all realized (t, k) pairs.
 
     All factors are >= 1, so the maximum is attained by the full product; over
-    a finite horizon this is a lower bound for the untruncated supremum.
+    a finite horizon this is a lower bound for the untruncated supremum.  A
+    product that overflows is inf.
     """
-    return float(np.prod(1.0 + allowance_array(alphas)))
+    with np.errstate(over="ignore"):
+        return float(np.prod(1.0 + allowance_array(alphas)))
 
 
 def finite_steps(path: ProcessPath) -> np.ndarray:
@@ -231,10 +228,12 @@ def check_segment_peak_bound(path: ProcessPath, alphas: Sequence[float]) -> Cond
 
     For every observed crossing time T_j the peak |x| over the segment starting
     there must not exceed max_growth_factor * (sum of |residuals| over the
-    segment + |mean at T_j when restarting from a zero state|).  Requires the
-    nonexpansive ratio condition with the same ``alphas``; a ratio violation
-    makes the bound inapplicable and is reported as the failure index.  The
-    guarantee assumes exact zero classification (``zero_tol == 0``).
+    segment + |mean at T_j when restarting from a zero state|).  The verdict
+    index is the first crossing step whose segment breaks the bound.  Requires
+    the nonexpansive ratio condition with the same ``alphas``; a ratio
+    violation makes the bound inapplicable and is reported as the failure
+    index, and a growth factor that overflows makes it vacuous.  The guarantee
+    assumes exact zero classification (``zero_tol == 0``).
     """
     scalar_only(path, "check_segment_peak_bound")
     alphas = np.asarray(alphas, dtype=float)
@@ -242,33 +241,27 @@ def check_segment_peak_bound(path: ProcessPath, alphas: Sequence[float]) -> Cond
         raise ValueError("alphas must cover the path horizon")
     bad = ratio_band(path, 1.0 + alphas[: path.horizon], 0.0, atol=DEFAULT_ATOL).first_violation
     if bad is not None:
-        return failing(
-            bad,
-            math.nan,
-            f"not applicable: nonexpansive ratio condition fails at step {bad}",
-        )
+        detail = f"not applicable: nonexpansive ratio condition fails at step {bad}"
+        return failing(bad, math.nan, detail)
     lam = max_growth_factor(alphas[: path.horizon])
     report = crossing_report(path)
-    if report.n_t == 0:
-        return vacuous("no crossings observed; bound is vacuous")
-    zero_prev = zero_state_mask(path)
-    worst = math.inf
-    worst_at = None
-    for j, start in enumerate(report.crossing_times):
-        end = (
-            report.crossing_times[j + 1]
-            if j + 1 < report.n_t
-            else path.horizon + 1
-        )
-        m_abs = float(np.abs(path.eps[start - 1 : end - 1]).sum())
-        u_term = abs(float(path.ms[start - 1])) if zero_prev[start - 1] else 0.0
-        slack = lam * (m_abs + u_term) - report.w[j]
-        if slack < worst:
-            worst = slack
-            worst_at = start
-    if worst < -DEFAULT_ATOL:
-        return failing(worst_at, worst, "segment peak exceeds the residual bound")
-    return passing(worst, f"{report.n_t} segments checked")
+    if math.isinf(lam) and report.n_t:
+        return vacuous("growth factor overflows; bound is vacuous")
+    # one entry per step, set at the steps T_j where a segment starts
+    at = np.array(report.crossing_times, dtype=int) - 1
+    ends = np.append(at[1:], path.horizon)
+    residual = np.array([np.abs(path.eps[a:b]).sum() for a, b in zip(at, ends)])
+    restart = np.where(zero_state_mask(path)[at], np.abs(path.ms[at]), 0.0)
+    starts = np.zeros(path.horizon, bool)
+    peaks, bound = np.zeros((2, path.horizon))
+    with np.errstate(over="ignore"):  # a bound past the largest float holds for any peak
+        limit = np.minimum(lam * (residual + restart), np.finfo(float).max)
+    starts[at], peaks[at], bound[at] = True, report.w, limit
+    return band_check(peaks, bound, mask=starts, atol=DEFAULT_ATOL).verdict(
+        "segment peak exceeds the residual bound",
+        "{checked} segments checked",
+        "no crossings observed; bound is vacuous",
+    )
 
 
 def kronecker_path(increments: Sequence[float], weights: Sequence[float]) -> ProcessPath:

@@ -73,7 +73,7 @@ class Band:
 
 def band_check(
     values: np.ndarray,
-    upper,
+    upper=None,
     lower=None,
     mask: Optional[np.ndarray] = None,
     atol: float = 0.0,
@@ -83,12 +83,12 @@ def band_check(
     """Check ``lower <= values / over <= upper`` at the steps selected by ``mask``.
 
     Arrays hold one entry per step, ``values[i]`` belonging to step ``i + 1``;
-    a bound may be a scalar, ``lower`` and ``over`` may be absent.  A step's
-    margin is its distance inside the band and it violates when that falls
-    below ``-atol``.  ``mask`` (default: all) skips steps such as the zero
-    class, but never a non-finite one: a non-finite value, divisor or bound,
-    or a False entry of ``finite`` (the step's other data), is always a
-    violation with margin -inf.
+    a bound may be a scalar, ``over`` and either bound (not both) may be
+    absent.  A step's margin is its distance inside the band and it violates
+    when that falls below ``-atol``.  ``mask`` (default: all) skips steps
+    such as the zero class, but never a non-finite one: a non-finite value,
+    divisor or bound, or a False entry of ``finite`` (the step's other data),
+    is always a violation with margin -inf.
     """
     values = np.asarray(values, dtype=float)
     ok = np.isfinite(values) if finite is None else finite & np.isfinite(values)
@@ -98,7 +98,7 @@ def band_check(
     take = np.ones_like(ok) if mask is None else mask | ~ok
     with np.errstate(divide="ignore", invalid="ignore"):
         checked = values[take] if over is None else values[take] / over[take]
-    margins = np.broadcast_to(upper, values.shape)[take] - checked
+    margins = math.inf if upper is None else np.broadcast_to(upper, values.shape)[take] - checked
     if lower is not None:
         margins = np.minimum(margins, checked - np.broadcast_to(lower, values.shape)[take])
     margins[~ok[take]] = -math.inf

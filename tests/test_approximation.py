@@ -254,7 +254,59 @@ class TestNormEnvelope:
             check_norm_envelope(problem, np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+@st.composite
+def regularity_cases(draw):
+    """A grid with g tabulated on it: zeros, values at the floor, NaN and finite
+    values, and annuli that may miss the grid."""
+    grid = draw(st.lists(st.floats(-5.0, 5.0), max_size=20, unique=True))
+    g = st.sampled_from([0.0, -0.0, approximation.K_FLOOR, 1e-13, math.nan]) | st.floats(-20.0, 20.0)
+    values = draw(st.lists(g, min_size=len(grid), max_size=len(grid)))
+    pair = st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 6.0)).filter(lambda p: p[0] < p[1])
+    pairs = draw(st.lists(pair, max_size=3))
+    return grid, values, draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 3.0)), pairs
+
+
+def brute_regularity(grid, values, c, d, pairs):
+    """Point by point, in order: the first index breaking growth or sign (or not
+    finite), else the first point at or below the floor in the first failing
+    annulus; and the smallest margin."""
+    first, worst = None, math.inf
+    for i, (x, g) in enumerate(zip(grid, values)):
+        margin = (c + d * abs(x)) - abs(g) if math.isfinite(g) else -math.inf
+        if x != 0:
+            margin = min(margin, math.copysign(1.0, x) * g)
+        worst = min(worst, margin)
+        if first is None and margin < 0:
+            first = i
+    for d1, d2 in pairs:
+        ring = [i for i, x in enumerate(grid) if d1 <= abs(x) <= d2]
+        k = float(np.min(np.abs([values[i] for i in ring]))) if ring else math.inf
+        if k <= approximation.K_FLOOR:
+            worst = min(worst, k - approximation.K_FLOOR)
+            if first is None:
+                first = next(i for i in ring if abs(values[i]) <= approximation.K_FLOOR)
+    return first, worst
+
+
 class TestRegularity:
+    @given(regularity_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_in_order_scan(self, case):
+        grid, values, c, d, pairs = case
+        table = dict(zip(grid, values))
+        verdict = check_regularity(RootProblem(lambda x: table[x]), grid, c, d, pairs)
+        first, worst = brute_regularity(*case)
+        assert (verdict.holds, verdict.first_violation) == (first is None, first)
+        assert verdict.worst_margin == worst
+
+    def test_first_annulus_point_at_the_floor(self):
+        grid = [0.5, 1.0, 1.5, 2.0]
+        table = dict(zip(grid, [0.5, 1e-13, 1.5, 0.0]))  # the smallest |g| comes later
+        verdict = check_regularity(
+            RootProblem(lambda x: table[x]), grid, c=1.0, d=1.0, delta_pairs=[(0.25, 3.0)]
+        )
+        assert (verdict.first_violation, verdict.worst_margin) == (1, -approximation.K_FLOOR)
+
     def test_sqrt_case(self):
         grid = np.concatenate([-np.linspace(0.25, 4.0, 1000), np.linspace(0.25, 4.0, 1000)])
         verdict = check_regularity(
@@ -287,7 +339,9 @@ class TestRegularity:
             RootProblem(lambda x: 10.0 * x), [1.0, 2.0], c=1.0, d=1.0, delta_pairs=[]
         )
         assert not verdict.holds
-        assert verdict.detail == "growth |g(x)| <= 1 + 1|x| fails at x = 2: g(x) = 20"
+        assert verdict.first_violation == 0  # the first violating point, not the worst
+        assert verdict.worst_margin == -17.0  # at x = 2
+        assert verdict.detail == "growth |g(x)| <= 1 + 1|x| fails at x = 1: g(x) = 10"
 
     def test_sign_violation_named_ahead_of_the_infima(self):
         verdict = check_regularity(

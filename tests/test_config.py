@@ -887,7 +887,7 @@ VALID = [
         id="ls-iid-p3",
     ),
     pytest.param(
-        doc("ls", design={"family": "feedback", "gain": 0.5}, partition={}, checkpoints=3, assertions={"min_fraction_final_error_below": {"value": 0.1, "fraction": 1}, "max_checkpoint_gap": 1e-8, "partition_matches": {"q": 0, "classes": ["consistent", "finite_random_limit", "inconclusive"]}, "design_conditions_hold": True}),
+        doc("ls", design={"family": "feedback", "gain": 0.5}, partition={}, checkpoints=3, assertions={"min_fraction_final_error_below": {"value": 0.1, "fraction": 1}, "max_checkpoint_gap": 1e-8, "partition_matches": {"q": 0, "classes": ["consistent", "inconclusive"]}, "design_conditions_hold": True}),
         {"design": {"family": "feedback", "gain": 0.5},
          "beta": [1.0, -0.5],
          "sigma": 1.0,
@@ -897,8 +897,7 @@ VALID = [
          "checkpoints": 3},
         {"min_fraction_final_error_below": {"value": 0.1, "fraction": 1},
          "max_checkpoint_gap": 1e-08,
-         "partition_matches": {"q": 0,
-                               "classes": ["consistent", "finite_random_limit", "inconclusive"]},
+         "partition_matches": {"q": 0, "classes": ["consistent", "inconclusive"]},
          "design_conditions_hold": True},
         [],
         ENSEMBLE_DEFAULTS,
@@ -1730,6 +1729,30 @@ ERRORS = [
         doc("ls", design={"family": "feedback"}, beta=[1.0, 2.0, 3.0]),
         ["beta: length 3 does not match the 2-column design"],
         id="design-feedback-beta-length",
+    ),
+    pytest.param(
+        doc("ls", assertions={"partition_matches": {"classes": ["consistent"]}}),
+        ["assertions.partition_matches.classes: length 1 does not match the 2-column design"],
+        id="partition-classes-length",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "iid_gaussian", "p": 3}, beta=[1.0, 2.0, 3.0],
+            assertions={"partition_matches": {"q": 4, "classes": ["consistent"] * 4}}),
+        ["assertions.partition_matches.classes: length 4 does not match the 3-column design",
+         "assertions.partition_matches.q: must be <= 3 for the 3-column design"],
+        id="partition-q-and-classes-exceed-design",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "geometric_one"}, beta=[1.0],
+            assertions={"partition_matches": {"q": 3}}),
+        ["assertions.partition_matches.q: must be <= 2 for the 2-column design",
+         "beta: length 1 does not match the 2-column design"],
+        id="partition-q-and-beta-exceed-design",
+    ),
+    pytest.param(
+        doc("ls", design={"family": "spiral"}, assertions={"partition_matches": {"q": 9}}),
+        ["design.family: must be one of rotating, geometric_one, iid_gaussian, feedback"],
+        id="design-family-invalid-skips-partition-fit",
     ),
     pytest.param(doc("ls", beta=DROP), ["beta: required list is missing"], id="beta-missing"),
     pytest.param(

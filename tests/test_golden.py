@@ -47,7 +47,7 @@ GOLDEN = {
         "ec5c29bb8431658272cfdb8e265d83172ff5eba2a2556c1a151ef8de947f314b",
     ),
     "ls_intermediate": (
-        "71556eb6430078e9141a4416f2c9ba726c409bc926dbe7d06fa78b24cb48d969",
+        "ffac2725ed94af6e6234c2b212357c7ae8682c0a8ef4c49d57894ee680491559",
         "487ba936d9e6b75adb9c0cab6aae9f8a522b24d49db6b04939cbcf2a601fd26c",
     ),
     "ls_sufficiency": (

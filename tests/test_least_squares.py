@@ -412,7 +412,16 @@ class TestDesignConditions:
         us = np.zeros(n)
         report = check_design_conditions(xs, us, GWeight.identity(), sigma2=0.0)
         assert not report.energy_growth.holds
+        assert report.energy_growth.first_violation == n  # a whole-run statistic
+        assert report.energy_growth.detail.startswith("column 0 energy")
         assert report.nonsingularity.holds
+
+    def test_noise_in_a_noiseless_model_fails_at_its_first_step(self):
+        us = np.array([0.0, 0.0, 0.5, -0.5, 0.0])  # sums to zero
+        report = check_design_conditions(np.ones((5, 1)), us, GWeight.identity(), sigma2=0.0)
+        verdict = report.noise_centered
+        assert (verdict.first_violation, verdict.worst_margin) == (3, -0.5)
+        assert verdict.detail == "nonzero noise at step 3 in a noiseless model"
 
     def test_feedback_design_across_seeds(self):
         model = RegressionModel(
@@ -934,7 +943,7 @@ LOCKED_REPORTS = {
             "noise_variance": (True, None, "1.3963610033724993e-05", "empirical variance 9.89463e-05"),
             "nonsingularity": (True, None, "2998.0", "first nonsingular at step 2"),
             "weight_bound": (True, None, "999952.0", "sup norm 48"),
-            "energy_growth": (False, 0, "-9.666666666666666", "column 0 energy 0.333333 below threshold 10"),
+            "energy_growth": (False, 3000, "-9.666666666666666", "column 0 energy 0.333333 below threshold 10"),
         },
     ),
     ("geometric_one", "sqrt_log"): (
@@ -944,7 +953,7 @@ LOCKED_REPORTS = {
             "noise_variance": (True, None, "1.3963610033724993e-05", "empirical variance 9.89463e-05"),
             "nonsingularity": (True, None, "2998.0", "first nonsingular at step 2"),
             "weight_bound": (True, None, "999928.7707369409", "sup norm 71.2293"),
-            "energy_growth": (False, 0, "-9.666666666666666", "column 0 energy 0.333333 below threshold 10"),
+            "energy_growth": (False, 3000, "-9.666666666666666", "column 0 energy 0.333333 below threshold 10"),
         },
     ),
     ("iid_gaussian", "identity"): (

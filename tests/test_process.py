@@ -17,6 +17,7 @@ from contractlab import (
     max_growth_factor,
 )
 from contractlab.process import zero_state_mask
+from contractlab.verdict import DEFAULT_ATOL
 from helpers import ar_path, brute_crossings, halving_noise_path
 
 
@@ -148,7 +149,7 @@ class TestCrossingReport:
         classes, times, peaks = brute_crossings(xs)
         assert rep.sign_classes.tolist() == classes
         assert list(rep.crossing_times) == times
-        assert list(rep.w) == pytest.approx(peaks)
+        assert list(rep.w) == peaks  # a maximum is exact in any order
 
     def test_segment_class_constant_and_peak_dominates(self):
         rng = np.random.default_rng(42)
@@ -181,6 +182,9 @@ class TestGrowthKernel:
         )
         assert max_growth_factor(alphas) == pytest.approx(best, rel=1e-12)
 
+    def test_overflowing_product_is_inf(self):
+        assert max_growth_factor(np.ones(1100)) == math.inf  # and numpy does not warn
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_kernel_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite alpha at index 1"):
@@ -190,6 +194,39 @@ class TestGrowthKernel:
     def test_growth_factor_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="non-finite alpha at index 0"):
             max_growth_factor([bad, 0.1])
+
+
+@st.composite
+def nonexpansive_paths(draw):
+    """A path whose mean ratios lie in [0, 1 + alpha] off the zero class, so the
+    segment bound applies; a positive zero_tol lets a segment break it."""
+    n = draw(st.integers(1, 30))
+    alpha = draw(st.sampled_from([0.0, 0.1]))
+    zero_tol = draw(st.sampled_from([0.0, 0.05, 0.5]))
+    unit = st.floats(-1.0, 1.0)
+    xs, ms = [draw(st.floats(-2.0, 2.0))], []
+    for _ in range(n):
+        if abs(xs[-1]) > zero_tol:
+            ms.append(draw(st.floats(0.0, 1.0 + alpha)) * xs[-1])
+        else:
+            ms.append(draw(unit))
+        xs.append(ms[-1] + draw(st.just(0.0) | unit))
+    return ProcessPath(np.array(xs), np.array(ms), zero_tol), np.full(n, alpha)
+
+
+def brute_segment_bound(path, alphas):
+    """Segment by segment, in order: the first crossing step whose peak exceeds
+    the bound, and the smallest slack."""
+    lam = float(np.prod(1.0 + alphas))
+    _, times, peaks = brute_crossings(path.xs, path.zero_tol)
+    first, worst = None, math.inf
+    for t, end, peak in zip(times, times[1:] + [len(path.xs)], peaks):
+        restart = abs(float(path.ms[t - 1])) if abs(path.xs[t - 1]) <= path.zero_tol else 0.0
+        slack = lam * (float(np.abs(path.eps[t - 1 : end - 1]).sum()) + restart) - peak
+        worst = min(worst, slack)
+        if first is None and slack < -DEFAULT_ATOL:
+            first = t
+    return first, worst
 
 
 class TestSegmentPeakBound:
@@ -214,6 +251,40 @@ class TestSegmentPeakBound:
         path = halving_noise_path(50, seed)
         verdict = check_segment_peak_bound(path, np.zeros(50))
         assert verdict.holds, f"violation at {verdict.first_violation}"
+
+    def test_overflowing_growth_factor_is_vacuous(self):
+        path = halving_noise_path(1100, 0)
+        assert crossing_report(path).n_t > 0
+        verdict = check_segment_peak_bound(path, np.ones(1100))  # 2**1100 overflows
+        assert (verdict.holds, verdict.worst_margin) == (True, math.inf)
+        assert verdict.detail == "growth factor overflows; bound is vacuous"
+
+    def test_overflowing_segment_bound_holds(self):
+        # 2**997 is finite, but times a residual sum of ~1e9 it overflows on some segments
+        base = halving_noise_path(997, 0)
+        path = ProcessPath(1e9 * base.xs, 1e9 * base.ms)
+        verdict = check_segment_peak_bound(path, np.ones(997))
+        assert (verdict.holds, verdict.worst_margin) == (True, 2.4537549285698905e304)
+        assert verdict.detail == "331 segments checked"
+
+    def test_first_violating_segment_not_the_worst(self):
+        # zero_tol > 0: dropping into the zero class from x = 1 breaks the bound at
+        # steps 1 and 3 (peaks 0.04 and 0.045 against a bound of 0)
+        xs = np.array([1.0, 0.04, 1.0, 0.045])
+        path = ProcessPath(xs, np.array([0.04, 1.0, 0.045]), zero_tol=0.05)
+        verdict = check_segment_peak_bound(path, np.zeros(3))
+        assert (verdict.first_violation, verdict.worst_margin) == (1, -0.045)
+        assert verdict.detail == "segment peak exceeds the residual bound"
+
+    @given(nonexpansive_paths())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_in_order_scan(self, case):
+        path, alphas = case
+        verdict = check_segment_peak_bound(path, alphas)
+        assert "not applicable" not in verdict.detail
+        first, worst = brute_segment_bound(path, alphas)
+        assert (verdict.holds, verdict.first_violation) == (first is None, first)
+        assert verdict.worst_margin == worst
 
     def test_ratio_violation_marks_not_applicable(self):
         path = ProcessPath(np.array([1.0, -1.0]), np.array([-1.0]))

@@ -17,7 +17,7 @@ def naive_band(values, upper, lower, mask, atol, over):
         if not mask[i]:
             continue
         q = v / over[i] if over is not None else v
-        margin = (upper[i] if np.ndim(upper) else upper) - q
+        margin = math.inf if upper is None else (upper[i] if np.ndim(upper) else upper) - q
         if lower is not None:
             margin = min(margin, q - (lower[i] if np.ndim(lower) else lower))
         checked += 1
@@ -36,14 +36,9 @@ def bands(draw):
     if draw(st.booleans()):
         over = np.array(draw(st.lists(st.sampled_from([0.0, -2.0, 0.5, 3.0]), min_size=n, max_size=n)))
         mask &= over != 0
-    upper = np.array(draw(st.lists(FINITE, min_size=n, max_size=n))) if draw(st.booleans()) else draw(FINITE)
-    lower = draw(st.sampled_from(["none", "scalar", "array"]))
-    if lower == "none":
-        lower = None
-    elif lower == "scalar":
-        lower = draw(FINITE)
-    else:
-        lower = np.array(draw(st.lists(FINITE, min_size=n, max_size=n)))
+    array = st.lists(FINITE, min_size=n, max_size=n).map(np.array)
+    upper = draw(st.none() | FINITE | array)
+    lower = draw((FINITE | array) if upper is None else (st.none() | FINITE | array))
     return values, upper, lower, mask, draw(st.sampled_from([0.0, 1e-12, 0.5])), over
 
 
