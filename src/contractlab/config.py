@@ -391,7 +391,12 @@ def _x0_matches_matrix(r: _Reader, doc: Dict[str, Any]) -> None:
 
 
 def _fits_design(r: _Reader, doc: Dict[str, Any]) -> None:
-    """``beta`` and a ``partition_matches`` assertion must fit the design's columns."""
+    """``beta`` and a ``partition_matches`` assertion must fit the design's columns.
+
+    With both keys set, ``classes`` must fit ``q`` too: only the q
+    finite-energy components can be ``finite_random_limit``, and only the
+    p - q others ``consistent``.
+    """
     design = doc["design"]
     if design is None or None in design.values():
         return
@@ -401,8 +406,13 @@ def _fits_design(r: _Reader, doc: Dict[str, Any]) -> None:
     for path, value in (("beta", doc["beta"]), (f"{at}.classes", partition.get("classes"))):
         if value is not None and len(value) != p:
             r.fail(path, f"length {len(value)} does not match the {p}-column design")
-    if (partition.get("q") or 0) > p:
+    q, classes = partition.get("q"), partition.get("classes")
+    if (q or 0) > p:
         r.fail(f"{at}.q", f"must be <= {p} for the {p}-column design")
+    elif q is not None and classes is not None:
+        for name, most in (("finite_random_limit", q), ("consistent", p - q)):
+            if classes.count(name) > most:
+                r.fail(f"{at}.classes", f"must list {name} at most {most} times when q = {q}")
 
 
 # ---------------------------------------------------------------------------

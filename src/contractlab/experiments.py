@@ -416,6 +416,10 @@ def _run_custom(config: ExperimentConfig):
         raise InputError(f"unusable trace file: {exc}") from exc
     zero_tol = float(model["input"]["zero_tol"])
     checks = model["checks"]
+    vector = next(iter(paths.values()))[0].ndim == 2
+    for name in ("segment_bound", "crossings"):  # sign-based: no meaning on a vector path
+        if vector and checks[name]:
+            raise InputError(f"checks.{name} needs a scalar trace; set it to false for this one")
 
     per_seed: Dict[str, Any] = {}
     first_failure = ""
@@ -444,7 +448,7 @@ def _run_custom(config: ExperimentConfig):
                 "crossing_times": list(rep.crossing_times[:100]),
                 "last_segment_open": rep.last_segment_open,
             }
-        entry["classification"] = asdict(tail_verdict(path.xs, ens))
+        entry["classification"] = asdict(tail_verdict(path.norms() if vector else path.xs, ens))
         failed = [
             k
             for k in ("nonexpansive", "contractive", "zero_state", "segment_bound")

@@ -353,16 +353,15 @@ def simulate_ls_runs(
     ``np.random.default_rng(seeds[s])``, so its run is bit-identical to a
     run of that seed alone.  ``checkpoints`` are step indices at which the
     recursive estimate is compared against a dense solve; the worst
-    max-norm gap is recorded.  Without a feedback law the state folds the
-    draws in chunks of at most ``REBASE_EVERY`` steps, cut also at the tail
-    start and at every checkpoint; with one, each step's rows first go
-    through the law and are then folded alone.  Estimates are kept for one
-    chunk at a time and for the tail window (the last ``tail_length(horizon,
-    tail_fraction)`` steps, which ``tail_verdict`` classifies), never for the
-    whole horizon, and each run's arrays are views of the block's arrays.  Raises
-    ValueError for a checkpoint outside ``1..horizon``, and when any seed's
-    Gram matrix or score is non-finite, or its Gram matrix is never
-    nonsingular.
+    max-norm gap is recorded.  The state folds the draws in pieces cut every
+    ``REBASE_EVERY`` steps from 0 and from the tail start, at every
+    checkpoint, and, with a feedback law, at every step, whose rows first go
+    through the law.  Estimates are kept for one piece at a time and for the
+    tail window (the last ``tail_length(horizon, tail_fraction)`` steps,
+    which ``tail_verdict`` classifies), never for the whole horizon, and each
+    run's arrays are views of the block's arrays.  Raises ValueError for a
+    checkpoint outside ``1..horizon``, and when any seed's Gram matrix or
+    score is non-finite, or its Gram matrix is never nonsingular.
     """
     S, p, beta, law = len(seeds), model.p, model.beta, model.design.law
     state = LsState(p, S)
@@ -373,44 +372,37 @@ def simulate_ls_runs(
     tail_b = np.empty((S, horizon - tail_start, p))
     window = np.empty((S, min(REBASE_EVERY, tail_start), p))
     err_sup = np.empty((S, horizon))
-    checkpoints = sorted(set(int(c) for c in checkpoints))
-    if checkpoints and not 1 <= checkpoints[0] <= checkpoints[-1] <= horizon:
+    checkpoints = {int(c) for c in checkpoints}
+    if checkpoints and not 1 <= min(checkpoints) <= max(checkpoints) <= horizon:
         raise ValueError(f"checkpoints must lie in 1..{horizon}")
     gaps = [0.0] * S
     for s, seed in enumerate(seeds):
         model.design.draw(np.random.default_rng(seed), model.sigma, xs[s], us[s])
-    # estimates are kept per chunk of at most REBASE_EVERY steps: in a reused
-    # window before the tail, then in place in tail_b; a chunk is folded in
-    # pieces that end at its checkpoints, which compare that step's estimate
-    bounds = [*range(0, tail_start, REBASE_EVERY), *range(tail_start, horizon, REBASE_EVERY)]
-    for lo, hi in zip(bounds, bounds[1:] + [horizon]):
-        if lo < tail_start:
-            ests = window[:, : hi - lo]
-        else:
-            ests = tail_b[:, lo - tail_start : hi - tail_start]
-        cuts = [lo, *(c for c in checkpoints if lo < c < hi), hi]
-        for a, b in zip(cuts, cuts[1:]):
-            # a law reads the estimates after the step before: it folds step by step
-            steps = [a, b] if law is None else range(a, b + 1)
-            for i, j in zip(steps, steps[1:]):
-                if law is not None:
-                    law(state._est, xs[:, i])
-                # the responses of the piece, in place
-                np.matmul(xs[:, i:j, None, :], beta[:, None], out=ys[:, i:j, None, None])
-                ys[:, i:j] += us[:, i:j]
-                state._fold(xy[:, i:j], ests[:, i - lo : j - lo])
-            if checkpoints and b == checkpoints[0]:
-                checkpoints.pop(0)
-                for s in np.flatnonzero(state._n0):
-                    dense, *_ = np.linalg.lstsq(xs[s, :b], ys[s, :b], rcond=None)
-                    gaps[s] = max(gaps[s], float(np.max(np.abs(state._est[s] - dense))))
-        err_sup[:, lo:hi] = np.abs(ests - beta).max(axis=2)
-    if state._pending.size:
+    # a law reads the estimates after the step before, so it folds step by step
+    cuts = sorted({
+        *range(0, tail_start, REBASE_EVERY), *range(tail_start, horizon, REBASE_EVERY),
+        *(c for c in checkpoints if c < horizon), *(range(horizon) if law is not None else ()),
+    })
+    for a, b in zip(cuts, cuts[1:] + [horizon]):
+        if law is not None:
+            law(state.estimate, xs[:, a])
+        # the responses of the piece, in place
+        np.matmul(xs[:, a:b, None, :], beta[:, None], out=ys[:, a:b, None, None])
+        ys[:, a:b] += us[:, a:b]
+        # estimates before the tail go to a reused window, then in place in tail_b
+        ests = window[:, : b - a] if a < tail_start else tail_b[:, a - tail_start : b - tail_start]
+        state._fold(xy[:, a:b], ests)
+        err_sup[:, a:b] = np.abs(ests - beta).max(axis=2)
+        if b in checkpoints:
+            for s in np.flatnonzero(state.first_nonsingular):
+                dense, *_ = np.linalg.lstsq(xs[s, :b], ys[s, :b], rcond=None)
+                gaps[s] = max(gaps[s], float(np.max(np.abs(state.estimate[s] - dense))))
+    if state.singular.any():
         raise ValueError("design never reached a nonsingular gram matrix")
-    energy = np.diagonal(state._aug, axis1=1, axis2=2)
+    energy = state.energy
     runs = []
     for s in range(S):
-        n0 = int(state._n0[s])
+        n0 = int(state.first_nonsingular[s])
         err_sup[s, : n0 - 1] = np.inf
         runs.append(
             LsRun(

@@ -130,17 +130,16 @@ def write_traces_csv(
 
 
 TRACE_READ_CHUNK = 1 << 20  # bytes scanned at a time when checking a trace's lines
-TRACE_COLUMNS = ("seed", "n", "x", "m")  # read; "eps" must be present too
 
 
-def _scan_lines(fh, carry: bytes, width: int, m_col: int):
+def _scan_lines(fh, carry: bytes, width: int, m_cols: Sequence[int]):
     """Check the field count of every non-blank line of ``carry`` and the rest
     of ``fh``, without parsing a field.
 
     Lines end at LF, CR or CR LF, as ``csv.reader`` and ``np.loadtxt`` split
     them.  The file is read ``TRACE_READ_CHUNK`` bytes at a time, so memory
     stays bounded on a long trace.  Returns the number of non-blank lines and
-    the indices, among them, of those whose ``m_col`` field is empty; None
+    the indices, among them, of those with an empty field in ``m_cols``; None
     when a line's field count is not ``width``.
     """
     rows, empty = 0, []
@@ -157,9 +156,12 @@ def _scan_lines(fh, carry: bytes, width: int, m_col: int):
         if np.any((np.searchsorted(commas, ends) - first)[kept] != width - 1):
             return None
         first, starts, ends = first[kept], starts[kept], ends[kept]
-        lo = commas[first + m_col - 1] + 1 if m_col else starts
-        hi = commas[first + m_col] if m_col < width - 1 else ends
-        empty.append(np.flatnonzero(lo == hi) + rows)
+        blank = np.zeros(len(first), dtype=bool)
+        for col in m_cols:
+            lo = commas[first + col - 1] + 1 if col else starts
+            hi = commas[first + col] if col < width - 1 else ends
+            blank |= lo == hi
+        empty.append(np.flatnonzero(blank) + rows)
         rows += len(first)
         if not block:
             return rows, np.concatenate(empty)
@@ -168,8 +170,10 @@ def _scan_lines(fh, carry: bytes, width: int, m_col: int):
 def _raise_first_bad_line(path: Path, width: int, columns: Sequence[int]) -> None:
     """Raise for the first line with the wrong field count or a non-numeric field.
 
-    Walks the rows as ``csv.reader`` splits them and converts the fields as
-    ``float()`` and ``int()`` do; returns if every line converts.
+    ``columns`` are those of the seed, the step, the p values and the p
+    means.  Walks the rows as ``csv.reader`` splits them and converts the
+    fields as ``float()`` and ``int()`` do (a mean may be empty); returns if
+    every line converts.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -180,8 +184,11 @@ def _raise_first_bad_line(path: Path, width: int, columns: Sequence[int]) -> Non
             try:
                 if len(row) != width:
                     raise ValueError(f"expected {width} fields, got {len(row)}")
-                seed, n, x, m = (row[i] for i in columns)
-                float(x), float(m) if m else None, int(seed), int(n)
+                seed, n, *values = (row[i] for i in columns)
+                for j, text in enumerate(values):
+                    if text or j < len(values) // 2:
+                        float(text)
+                int(seed), int(n)
             except ValueError as exc:
                 raise ValueError(f"line {reader.line_num}: {exc}") from None
 
@@ -201,15 +208,19 @@ def _seed_error(seed: int, ns: np.ndarray, missing: np.ndarray) -> str:
 
 
 def read_trace_csv(path: Path):
-    """Load a scalar trace CSV back into per-seed ``(xs, ms)`` arrays, keyed by seed.
+    """Load a trace CSV back into per-seed ``(xs, ms)`` arrays, keyed by seed.
 
-    ``xs`` includes the initial value at index 0.  Values are parsed as
-    written, so a ``nan`` or ``inf`` entry reaches the checkers unchanged.
-    Rows may come in any order; seeds are keyed in order of their first row.
+    The trace has ``p`` components when its header names ``x_2..x_p``, one
+    otherwise; it must carry the columns of ``trace_header(p)`` but
+    ``u_flag``, in any order.  The arrays are 1-d for a scalar trace and
+    ``(steps, p)`` otherwise, and ``xs`` includes the initial value at index
+    0.  Values are parsed as written, so a ``nan`` or ``inf`` entry reaches
+    the checkers unchanged.  Rows may come in any order; seeds are keyed in
+    order of their first row.
     Raises ValueError for a missing column, a file without data rows, a row
     with the wrong number of fields or a non-numeric field (naming its
     line), a non-integer ``seed`` or ``n``, two rows for one step, a seed
-    whose steps are not ``0..horizon`` and a missing mean.
+    whose steps are not ``0..horizon`` and a missing mean (any empty ``m_t``).
 
     The file is parsed column-wise by ``np.loadtxt``; a line it rejects is
     named by walking the rows again with ``csv.reader``.
@@ -218,17 +229,22 @@ def read_trace_csv(path: Path):
         line = fh.readline()
         cut = len(line.split(b"\r", 1)[0].rstrip(b"\n"))  # the header ends at \r or \n
         header = next(csv.reader([line[:cut].decode()]), [])
-        required = {*TRACE_COLUMNS, "eps"}
-        if not required.issubset(header):
+        p = 1
+        while f"x_{p + 1}" in header:
+            p += 1
+        required = trace_header(p)[: 3 * p + 2]  # seed, n, then each x, m and eps
+        if not set(required).issubset(header):
             raise ValueError(f"trace file must carry columns {sorted(required)}")
-        columns = [header.index(name) for name in TRACE_COLUMNS]
-        scan = _scan_lines(fh, line[cut:], len(header), columns[3])
+        columns = [header.index(name) for name in required[: 2 * p + 2]]
+        m_cols = columns[p + 2 :]
+        scan = _scan_lines(fh, line[cut:], len(header), m_cols)
     if scan is None:
         _raise_first_bad_line(path, len(header), columns)
         raise ValueError(f"rows do not all have the header's {len(header)} fields")
     rows, empty = scan
     if not rows:
         raise ValueError("trace file has no data rows")
+    value = "f8" if p == 1 else f"({p},)f8"  # one field per row, or p of them
     try:
         with warnings.catch_warnings():
             # numpy < 2 reads an integer field that is not one ("1.5", "1e3", a
@@ -241,8 +257,9 @@ def read_trace_csv(path: Path):
                 skiprows=1,
                 usecols=columns,
                 comments=None,
-                converters={columns[3]: _mean_or_nan},
-                dtype=list(zip(TRACE_COLUMNS, ("i8", "i8", "f8", "f8"))),
+                # numpy's parser rejects an empty float field, as in the n = 0 row
+                converters=dict.fromkeys(m_cols, _mean_or_nan),
+                dtype=[("seed", "i8"), ("n", "i8"), ("x", value), ("m", value)],
                 ndmin=1,
             )
     except ValueError as exc:

@@ -453,20 +453,58 @@ output: {{dir: {out}}}
 """
 
 
-class TestUnusableTraceInput:
-    def test_vector_trace_exit_2(self, tmp_path, capsys):
-        traced = tmp_path / "traced"
-        argv = ["run", str(CONFIGS / "multivariate.yaml"), "--seeds", "2", "--horizon", "50"]
-        assert main(argv + ["--out", str(traced), "--traces"]) in (0, 1)
-        assert (traced / "traces.csv").read_text().startswith("seed,n,x_1,x_2,x_3,")
-        cfg = write_config(
-            tmp_path, CUSTOM_TEMPLATE.format(trace=traced / "traces.csv", out=tmp_path / "out")
+def vector_trace(tmp_path: Path) -> Path:
+    """The traces.csv of a short p = 3 Robbins-Monro run."""
+    traced = tmp_path / "traced"
+    argv = ["run", str(CONFIGS / "multivariate.yaml"), "--seeds", "2", "--horizon", "50"]
+    assert main(argv + ["--out", str(traced), "--traces"]) in (0, 1)
+    trace = traced / "traces.csv"
+    assert trace.read_text().startswith("seed,n,x_1,x_2,x_3,m_1,m_2,m_3,")
+    return trace
+
+
+class TestVectorTrace:
+    """A trace of p > 1 components into a custom_path_check."""
+
+    def test_mean_scaled_up_fails_at_its_step(self, tmp_path, capsys):
+        trace = vector_trace(tmp_path)
+        text = CUSTOM_TEMPLATE.format(trace=trace, out=tmp_path / "out")
+        text = text.replace("0.0}", "0.0, crossings: false}") + "assertions: {all_checks_hold: true}\n"
+        cfg = write_config(tmp_path, text)
+        assert main(["run", str(cfg)]) == 0
+        with open(trace, newline="") as fh:
+            rows = list(csv.reader(fh))
+        row = next(r for r in rows[1:] if r[:2] == ["1", "7"])  # seed 1, step 7
+        row[5:8] = [repr(10.0 * float(m)) for m in row[5:8]]
+        with open(trace, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == 1
+        assert "FAIL all_checks_hold: 2 paths checked; first failure: seed 1, nonexpansive" in (
+            capsys.readouterr().out
         )
+        per_seed = json.loads((tmp_path / "out" / "summary.json").read_text())["report"]["per_seed"]
+        assert per_seed["0"]["all_hold"] is True
+        assert per_seed["1"]["nonexpansive"]["first_violation"] == 7
+
+    @pytest.mark.parametrize(
+        "checks, name",
+        [
+            ("{nonexpansive_alpha: 0.0}", "crossings"),  # on by default
+            ("{crossings: false, segment_bound: true}", "segment_bound"),
+        ],
+        ids=["crossings", "segment_bound"],
+    )
+    def test_scalar_only_check_exit_2(self, tmp_path, capsys, checks, name):
+        text = CUSTOM_TEMPLATE.format(trace=vector_trace(tmp_path), out=tmp_path / "out")
+        cfg = write_config(tmp_path, text.replace("{nonexpansive_alpha: 0.0}", checks))
         assert main(["run", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert "unusable trace file: trace file must carry columns" in err
+        message = f"checks.{name} needs a scalar trace; set it to false for this one"
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "summary.json").exists()
 
+
+class TestUnusableTraceInput:
     def test_missing_trace_exit_2(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
         cfg = write_config(tmp_path, CUSTOM_TEMPLATE.format(trace=missing, out=tmp_path / "out"))

@@ -1743,6 +1743,17 @@ ERRORS = [
         id="partition-q-and-classes-exceed-design",
     ),
     pytest.param(
+        doc("ls", assertions={"partition_matches": {"q": 0, "classes": ["consistent", "finite_random_limit"]}}),
+        ["assertions.partition_matches.classes: must list finite_random_limit at most 0 times "
+         "when q = 0"],
+        id="partition-classes-exceed-q",
+    ),
+    pytest.param(
+        doc("ls", assertions={"partition_matches": {"q": 1, "classes": ["consistent"] * 2}}),
+        ["assertions.partition_matches.classes: must list consistent at most 1 times when q = 1"],
+        id="partition-classes-exceed-p-minus-q",
+    ),
+    pytest.param(
         doc("ls", design={"family": "geometric_one"}, beta=[1.0],
             assertions={"partition_matches": {"q": 3}}),
         ["assertions.partition_matches.q: must be <= 2 for the 2-column design",

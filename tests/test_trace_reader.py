@@ -22,7 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contractlab import reporting
-from contractlab.reporting import read_trace_csv
+from contractlab.process import ProcessPath
+from contractlab.reporting import read_trace_csv, write_traces_csv
 
 HEADER = "seed,n,x,m,eps,u_flag"
 
@@ -351,3 +352,68 @@ def test_integer_fields_never_read_through_a_float(tmp_path, loadtxt, rows, mess
     with mock.patch.object(np, "loadtxt", loadtxt), pytest.raises(ValueError) as exc:
         read_trace_csv(path)
     assert str(exc.value).startswith(message)
+
+
+# Values as the writer's repr keeps them: one NaN, whose sign and payload it drops.
+WRITTEN = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308]),
+)
+
+
+@st.composite
+def written_paths(draw):
+    """A width p and ``(seed, path)`` pairs of that width, in the order written."""
+    p = draw(st.sampled_from([1, 2, 3]))
+    seeds = draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=4, unique=True))
+    pairs = []
+    for seed in seeds:
+        shape = (draw(st.integers(1, 13)),) + ((p,) if p > 1 else ())
+        size = 2 * int(np.prod(shape))
+        values = draw(st.lists(WRITTEN, min_size=size, max_size=size))
+        xs, ms = np.array(values).reshape((2, *shape))
+        with np.errstate(all="ignore"):  # residuals of inf and nan entries
+            pairs.append((seed, ProcessPath(xs, ms[1:])))
+    return p, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=written_paths())
+def test_written_traces_read_back(tmp_path_factory, case):
+    """What ``write_traces_csv`` writes, at any width, reads back to the same bytes."""
+    p, pairs = case
+    path = tmp_path_factory.mktemp("trace") / "traces.csv"
+    with np.errstate(all="ignore"):  # the row norms of huge, inf and nan entries
+        write_traces_csv(path, p, pairs)
+    got = read_trace_csv(path)
+    assert list(got) == [seed for seed, _ in pairs]
+    for seed, trace in pairs:
+        for read, written in zip(got[seed], (trace.xs, trace.ms)):
+            assert (read.dtype, read.shape) == (np.float64, written.shape)
+            assert read.tobytes() == written.tobytes()
+
+
+VECTOR_HEAD = "seed,n,x_1,x_2,m_1,m_2,eps_1,eps_2,u_flag\n0,0,1.0,2.0,,,,,\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (VECTOR_HEAD + "0,1,0.5,1.0,0.5,,0.0,0.0,0\n", "seed 0: missing mean at step 1"),
+        (VECTOR_HEAD + "0,1,0.5,,0.5,1.0,0.0,0.0,0\n", f"line 3: {NOT_FLOAT}''"),
+        (VECTOR_HEAD + "0,1,0.5,1.0,0.5,n/a,0.0,0.0,0\n", f"line 3: {NOT_FLOAT}'n/a'"),
+        (
+            "seed,n,x_1,x_2,m_1,m_2,eps_1,u_flag\n",
+            "trace file must carry columns "
+            "['eps_1', 'eps_2', 'm_1', 'm_2', 'n', 'seed', 'x_1', 'x_2']",
+        ),
+    ],
+    ids=["empty-second-mean", "empty-second-value", "non-numeric-second-mean", "missing-eps_2"],
+)
+def test_vector_trace_errors(tmp_path, text, message):
+    """Every component of a vector row is read and checked, not only the first."""
+    path = tmp_path / "traces.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == message
