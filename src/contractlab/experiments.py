@@ -327,7 +327,9 @@ def _run_ls(config: ExperimentConfig):
     )
 
     def solve(seed_sequences):
-        runs = simulate_ls_runs(reg_model, horizon, seed_sequences, ens.tail_fraction, checkpoints)
+        runs = simulate_ls_runs(
+            reg_model, horizon, seed_sequences, ens.tail_fraction, checkpoints, gw
+        )
         return [(run.err_sup, run) for run in runs]
 
     stats = run_ensemble(solve, ens, _grid(horizon, config.curve_points))
@@ -359,9 +361,7 @@ def _run_ls(config: ExperimentConfig):
     design_frac = None
     if runs:
         design_reports = [
-            check_design_conditions(
-                run.xs, run.us, gw, sigma * sigma, float(model["energy_threshold"])
-            )
+            check_design_conditions(run, gw, sigma * sigma, float(model["energy_threshold"]))
             for run in runs
         ]
         design_frac = sum(r.holds for r in design_reports) / ens.seeds

@@ -5,9 +5,13 @@ controlled design), which makes the Gram matrix random.  A :class:`Design`
 draws each seed's whole horizon of regressors and noise up front; its
 optional feedback law then adjusts each step's regressors of every seed at
 once from the estimates so far.  The estimator state maintains its inverse
-by rank-one updates with periodic dense re-baselining, and the weighted
-score process turns per-component consistency into the same drift
-conditions checked elsewhere in this package.
+by rank-one updates with periodic dense re-baselining.  A run records what
+the design conditions need from that one recursion (the first nonsingular
+step, the column energies and the weighted-inverse supremum ``kappa_hat``),
+so the design check reads the run and forms no Gram matrix of its own; a
+dense solve at the checkpoints stays the independent check of the
+recursion.  The weighted score process turns per-component consistency
+into the same drift conditions checked elsewhere in this package.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from .harness import limit_dispersion, tail_length
 from .process import ProcessPath
-from .verdict import ConditionVerdict, failing, passing, vacuous
+from .verdict import ConditionVerdict, failing, passing
 
 __all__ = [
     "Design",
@@ -161,9 +165,14 @@ class LsState:
         self._fold(xy, np.empty((self.seeds, 1, self.p)))
         return self
 
-    def _fold(self, xy: np.ndarray, out: np.ndarray) -> None:
+    def _fold(self, xy: np.ndarray, out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Fold k steps of rows (x, y), ``xy`` (S, k, p + 1), in step order and
-        write each step's estimates to ``out`` (S, k, p)."""
+        write each step's estimates to ``out`` (S, k, p).
+
+        Returns each step's inverse Gram (S, k, p, p), NaN before a seed's
+        first nonsingular step, and its accumulators (S, k, p, p + 1); the
+        state keeps copies of the last step's, so the caller may overwrite them.
+        """
         p, k, first = self.p, xy.shape[1], self.n + 1
         X = xy[:, :, :p]
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, by step
@@ -203,6 +212,7 @@ class LsState:
         self._aug = aug[:, -1].copy()
         self._inv = invs[:, -1].copy()
         self._est = out[:, -1]
+        return invs, aug
 
     def _rebase(self, n: int, aug: np.ndarray) -> None:
         due = self._due == n
@@ -319,8 +329,12 @@ class LsRun:
     """One simulated regression run with everything the checkers need.
 
     ``err_sup[i]`` is the max-norm estimate error after step i + 1 (infinite
-    while the gram matrix is still singular).  The arrays of a run from
-    :func:`simulate_ls_runs` are views of the arrays of its block of seeds.
+    while the gram matrix is still singular).  ``n0`` is the first step whose
+    Gram matrix is nonsingular, ``energy`` the final column energies, and
+    ``kappa_hat`` the supremum of p * max|gram_inv * weights| over the steps
+    from ``n0`` on (infinite when a weighted entry is NaN).  The arrays of a
+    run from :func:`simulate_ls_runs` are views of the arrays of its block of
+    seeds.  ``len(run)`` is its horizon.
     """
 
     xs: np.ndarray
@@ -329,6 +343,7 @@ class LsRun:
     final_b: np.ndarray
     energy: np.ndarray
     n0: int
+    kappa_hat: float
     tail_b: np.ndarray  # estimates over the tail window, shape (window, p)
     tail_start: int
     checkpoint_gap: float
@@ -338,6 +353,9 @@ class LsRun:
     def p(self) -> int:
         return self.xs.shape[1]
 
+    def __len__(self) -> int:
+        return len(self.us)
+
 
 def simulate_ls_runs(
     model: RegressionModel,
@@ -345,6 +363,7 @@ def simulate_ls_runs(
     seeds: Sequence,
     tail_fraction: float = 0.2,
     checkpoints: Sequence[int] = (),
+    gw: GWeight = GWeight.identity(),
 ) -> List[LsRun]:
     """Simulate the controlled model once per seed, all seeds through one stacked
     :class:`LsState` recursion.
@@ -356,7 +375,9 @@ def simulate_ls_runs(
     max-norm gap is recorded.  The state folds the draws in pieces cut every
     ``REBASE_EVERY`` steps from 0 and from the tail start, at every
     checkpoint, and, with a feedback law, at every step, whose rows first go
-    through the law.  Estimates are kept for one piece at a time and for the
+    through the law.  Each piece's inverses, weighted by ``gw`` of the
+    column energies of their step, are reduced into each run's
+    ``kappa_hat``.  Estimates are kept for one piece at a time and for the
     tail window (the last ``tail_length(horizon, tail_fraction)`` steps,
     which ``tail_verdict`` classifies), never for the whole horizon, and each
     run's arrays are views of the block's arrays.  Raises ValueError for a
@@ -372,6 +393,7 @@ def simulate_ls_runs(
     tail_b = np.empty((S, horizon - tail_start, p))
     window = np.empty((S, min(REBASE_EVERY, tail_start), p))
     err_sup = np.empty((S, horizon))
+    sup = np.zeros(S)  # of max|gram_inv * weights| over the nonsingular steps
     checkpoints = {int(c) for c in checkpoints}
     if checkpoints and not 1 <= min(checkpoints) <= max(checkpoints) <= horizon:
         raise ValueError(f"checkpoints must lie in 1..{horizon}")
@@ -391,7 +413,22 @@ def simulate_ls_runs(
         ys[:, a:b] += us[:, a:b]
         # estimates before the tail go to a reused window, then in place in tail_b
         ests = window[:, : b - a] if a < tail_start else tail_b[:, a - tail_start : b - tail_start]
-        state._fold(xy[:, a:b], ests)
+        invs, aug = state._fold(xy[:, a:b], ests)
+        # a step's max|inv * w| is, exactly, the max over columns j of |w_j| times
+        # column j's max|inv|, which forms no second (S, k, p, p) array; the piece's
+        # arrays are freed as soon as they are read, and a contiguous copy of the
+        # energies multiplies without numpy's ufunc buffer
+        energies = np.diagonal(aug, axis1=2, axis2=3).copy()
+        del aug
+        with np.errstate(invalid="ignore"):  # the singular steps' NaN, skipped below
+            columns = np.abs(invs, out=invs).max(axis=2)
+        del invs
+        columns *= np.abs(np.asarray(gw(energies), dtype=float))
+        n0 = state.first_nonsingular[:, None]
+        nonsingular = (n0 > 0) & (n0 <= np.arange(a + 1, b + 1))
+        # a NaN on a nonsingular step (a NaN weight) stays NaN through np.maximum
+        np.maximum(sup, columns.max(axis=2).max(axis=1, where=nonsingular, initial=0.0), out=sup)
+        del energies, columns
         err_sup[:, a:b] = np.abs(ests - beta).max(axis=2)
         if b in checkpoints:
             for s in np.flatnonzero(state.first_nonsingular):
@@ -400,6 +437,7 @@ def simulate_ls_runs(
     if state.singular.any():
         raise ValueError("design never reached a nonsingular gram matrix")
     energy = state.energy
+    kappa_hat = np.where(np.isnan(sup), np.inf, p * sup)
     runs = []
     for s in range(S):
         n0 = int(state.first_nonsingular[s])
@@ -412,6 +450,7 @@ def simulate_ls_runs(
                 final_b=tail_b[s, -1],
                 energy=energy[s],
                 n0=n0,
+                kappa_hat=float(kappa_hat[s]),
                 tail_b=tail_b[s],
                 tail_start=tail_start,
                 checkpoint_gap=gaps[s],
@@ -434,7 +473,7 @@ class DesignConditionReport:
     nonsingularity: ConditionVerdict
     weight_bound: ConditionVerdict
     energy_growth: ConditionVerdict
-    n0: Optional[int]
+    n0: int
     kappa_hat: float
 
     @property
@@ -452,41 +491,27 @@ class DesignConditionReport:
 
 
 def check_design_conditions(
-    xs: np.ndarray,
-    us: np.ndarray,
+    run: LsRun,
     gw: GWeight,
     sigma2: float,
     energy_threshold: float = 10.0,
 ) -> DesignConditionReport:
     """Check the noise, nonsingularity, weight-boundedness and energy conditions.
 
-    The weight-boundedness verdict reports the realized supremum
-    ``kappa_hat`` of p * max|gram_inv * weights| over every nonsingular prefix,
-    which must not exceed ``KAPPA_CAP``, and also requires a finite tail
-    bound ``gw.tail(c)``, at c the smallest positive final column energy
-    capped at 1.  A statistic of the whole run (the noise moments, the weight
-    bound, the final column energies) that misses its limit fails at step n;
-    noise in a noiseless model fails at its first nonzero step.
-    Non-finite data is a violation, never skipped: a non-finite noise value
-    or Gram prefix (a non-finite regressor, or one whose energy overflows)
-    fails ``weight_bound`` at its first step with margin -inf, a non-finite
-    column energy fails ``energy_growth`` likewise, a non-finite noise value
-    also fails both noise verdicts at its step, and ``n0`` and ``kappa_hat``
-    come from the finite prefixes before it.
-
-    All Gram prefixes are one cumulative sum of outer products, inverted in
-    one batched call, so the working set is O(n * p**2) floats: one
-    (n, p, p) stack at a time, updated in place (two while it is inverted).
+    ``n0``, ``kappa_hat`` and the final column energies are the run's own,
+    from the recursion of :func:`simulate_ls_runs` (whose ``gw`` must be the
+    one given here); the noise moments come from ``run.us``.  The
+    weight-boundedness verdict requires ``kappa_hat`` to be at most
+    ``KAPPA_CAP`` and a finite tail bound ``gw.tail(c)``, at c the smallest
+    positive final column energy capped at 1.  A statistic of the whole run
+    (the noise moments, the weight bound, the final column energies) that
+    misses its limit, or is NaN, fails at step n; noise in a noiseless model
+    fails at its first nonzero step.
     """
-    xs = np.asarray(xs, dtype=float)
-    us = np.asarray(us, dtype=float)
-    n, p = xs.shape
+    us, d2, n0, kappa_hat = run.us, run.energy, run.n0, run.kappa_hat
+    n = len(us)
 
-    noise_ok = np.isfinite(us)
-    if not noise_ok.all():
-        k = int(np.argmin(noise_ok)) + 1
-        noise_centered = noise_variance = failing(k, -math.inf, f"non-finite noise at step {k}")
-    elif sigma2 == 0.0:
+    if sigma2 == 0.0:
         noise_centered = noise_variance = passing(0.0, "noiseless run")
         if us.any():
             k = int(np.argmax(us != 0)) + 1
@@ -508,65 +533,18 @@ def check_design_conditions(
             else failing(n, var_limit - emp_var, f"empirical variance {emp_var:.6g} too large")
         )
 
-    energies = np.cumsum(xs * xs, axis=0)
-    grams = xs[:, :, None] * xs[:, None, :]
-    np.cumsum(grams, axis=0, out=grams)
-    ok = np.isfinite(grams).all(axis=(1, 2))
-    finite = int(np.count_nonzero(ok))  # a prefix sum stays non-finite once it is
-    ok &= np.isfinite(us)
-    bad_step = None if ok.all() else int(np.argmin(ok)) + 1
-    n0 = next(
-        (i + 1 for i in range(p - 1, finite) if np.linalg.matrix_rank(grams[i]) == p), None
-    )
-    kappa_hat = 0.0
-    if n0 is not None:
-        stack = np.linalg.inv(grams[n0 - 1 : finite])
-        del grams  # keep one (n, p, p) stack alive at a time
-        weights = gw(energies[n0 - 1 : finite].ravel())
-        stack *= np.asarray(weights, dtype=float).reshape(-1, 1, p)
-        kappa_hat = float(p * np.abs(stack, out=stack).max())
-        if math.isnan(kappa_hat):  # a weight or inverse entry that is not a number
-            kappa_hat = math.inf
-    d2 = energies[-1] if n else np.zeros(p)
-
-    if n0 is not None:
-        nonsingularity = passing(float(n - n0), f"first nonsingular at step {n0}")
-    elif finite == n:
-        nonsingularity = failing(n, -math.inf, "gram matrix singular through the horizon")
+    nonsingularity = passing(float(n - n0), f"first nonsingular at step {n0}")
+    first_pos = np.min(np.where(d2 > 0, d2, np.inf))
+    if not kappa_hat <= KAPPA_CAP:
+        reason = f"sup norm {kappa_hat:.6g} exceeds cap {KAPPA_CAP:g}"
+        weight_bound = failing(n, KAPPA_CAP - kappa_hat, reason)
+    elif not math.isfinite(gw.tail(float(min(first_pos, 1.0)))):
+        weight_bound = failing(n, KAPPA_CAP - kappa_hat, "weight tail integral diverges")
     else:
-        nonsingularity = failing(
-            finite + 1, -math.inf, f"gram matrix singular until non-finite at step {finite + 1}"
-        )
-    if bad_step is not None:
-        weight_bound = failing(
-            bad_step, -math.inf, f"non-finite regressor, gram matrix or noise at step {bad_step}"
-        )
-    elif n0 is None:
-        weight_bound = vacuous("not evaluated: gram matrix never nonsingular")
-    else:
-        try:
-            first_pos = np.min(np.where(d2 > 0, d2, np.inf))
-            tail = gw.tail(float(min(first_pos, 1.0)))
-            tail_ok = math.isfinite(tail)
-        except ValueError:
-            tail_ok = False
-        if kappa_hat <= KAPPA_CAP and tail_ok:
-            weight_bound = passing(KAPPA_CAP - kappa_hat, f"sup norm {kappa_hat:.6g}")
-        else:
-            reason = (
-                f"sup norm {kappa_hat:.6g} exceeds cap {KAPPA_CAP:g}"
-                if kappa_hat > KAPPA_CAP
-                else "weight tail integral diverges"
-            )
-            weight_bound = failing(n, KAPPA_CAP - kappa_hat, reason)
+        weight_bound = passing(KAPPA_CAP - kappa_hat, f"sup norm {kappa_hat:.6g}")
 
     worst_energy = float(d2.min())
-    worst_column = int(np.argmin(d2))
-    if finite < n:
-        energy_growth = failing(
-            finite + 1, -math.inf, f"column energy non-finite from step {finite + 1}"
-        )
-    elif worst_energy >= energy_threshold:
+    if worst_energy >= energy_threshold:
         energy_growth = passing(
             worst_energy - energy_threshold, f"min column energy {worst_energy:.6g}"
         )
@@ -574,7 +552,7 @@ def check_design_conditions(
         energy_growth = failing(
             n,
             worst_energy - energy_threshold,
-            f"column {worst_column} energy {worst_energy:.6g} below "
+            f"column {int(np.argmin(d2))} energy {worst_energy:.6g} below "
             f"threshold {energy_threshold:g}",
         )
     return DesignConditionReport(

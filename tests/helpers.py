@@ -110,6 +110,38 @@ def per_step_stream(design, rng, sigma: float, horizon: int):
     return np.array(xs), np.array(us)
 
 
+def fixed_run(xs, us=None, gw=None):
+    """The run of one seed whose design draws exactly the regressors ``xs``
+    and the noise ``us`` (default zero), with beta zero and weight ``gw``
+    (default the identity)."""
+    xs = np.asarray(xs, dtype=float)
+    us = np.zeros(len(xs)) if us is None else np.asarray(us, dtype=float)
+
+    def draw(rng, sigma, out_xs, out_us):
+        out_xs[:] = xs
+        out_us[:] = us
+
+    p = xs.shape[1]
+    model = least_squares.RegressionModel(np.zeros(p), least_squares.Design(p, draw), 0.0)
+    gw = least_squares.GWeight.identity() if gw is None else gw
+    return least_squares.simulate_ls_runs(model, len(xs), [0], gw=gw)[0]
+
+
+def stepped_n0_kappa(xs, gw):
+    """(n0, kappa_hat) of ``LsState.update`` stepped one row at a time: the
+    supremum of p * max|gram_inv * gw(energy)| read after every step from
+    the first nonsingular one on; None and 0.0 while it never is."""
+    n, p = xs.shape
+    state = LsState(p, 1)
+    kappa_hat = 0.0
+    for i in range(n):
+        state.update(xs[i : i + 1], np.zeros(1))
+        if not state.singular[0]:
+            weights = np.asarray(gw(state.energy), dtype=float)
+            kappa_hat = max(kappa_hat, float(p * np.abs(state.gram_inv * weights[:, None]).max()))
+    return (None if state.singular[0] else int(state.first_nonsingular[0])), kappa_hat
+
+
 class ReferenceLsState(LsState):
     """``LsState`` with the fold it had while a singular seed's inverse was 0.
 

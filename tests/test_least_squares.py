@@ -35,10 +35,12 @@ from contractlab.process import zero_state_mask
 from helpers import (
     ReferenceLsState,
     feedback_steps,
+    fixed_run,
     geometric_one_steps,
     iid_gaussian_steps,
     per_step_stream,
     rotating_steps,
+    stepped_n0_kappa,
 )
 
 
@@ -401,7 +403,7 @@ class TestDesignConditions:
         xs = np.ones((n, 1))
         rng = np.random.default_rng(7)
         us = rng.normal(size=n)
-        report = check_design_conditions(xs, us, GWeight.identity(), sigma2=1.0)
+        report = check_design_conditions(fixed_run(xs, us), GWeight.identity(), sigma2=1.0)
         assert report.holds
         assert report.kappa_hat == pytest.approx(1.0)
         assert report.n0 == 1
@@ -409,8 +411,7 @@ class TestDesignConditions:
     def test_geometric_column_fails_energy_growth(self):
         n = 200
         xs = (2.0 ** -np.arange(1, n + 1))[:, None]
-        us = np.zeros(n)
-        report = check_design_conditions(xs, us, GWeight.identity(), sigma2=0.0)
+        report = check_design_conditions(fixed_run(xs), GWeight.identity(), sigma2=0.0)
         assert not report.energy_growth.holds
         assert report.energy_growth.first_violation == n  # a whole-run statistic
         assert report.energy_growth.detail.startswith("column 0 energy")
@@ -418,7 +419,7 @@ class TestDesignConditions:
 
     def test_noise_in_a_noiseless_model_fails_at_its_first_step(self):
         us = np.array([0.0, 0.0, 0.5, -0.5, 0.0])  # sums to zero
-        report = check_design_conditions(np.ones((5, 1)), us, GWeight.identity(), sigma2=0.0)
+        report = check_design_conditions(fixed_run(np.ones((5, 1)), us), GWeight.identity(), 0.0)
         verdict = report.noise_centered
         assert (verdict.first_violation, verdict.worst_margin) == (3, -0.5)
         assert verdict.detail == "nonzero noise at step 3 in a noiseless model"
@@ -428,7 +429,7 @@ class TestDesignConditions:
             beta=np.array([1.0, 0.5]), design=feedback_design(), sigma=1.0
         )
         for seed, run in enumerate(simulate_ls_runs(model, 500, range(100))):
-            report = check_design_conditions(run.xs, run.us, GWeight.identity(), sigma2=1.0)
+            report = check_design_conditions(run, GWeight.identity(), sigma2=1.0)
             assert report.nonsingularity.holds, f"seed {seed}"
             assert report.weight_bound.holds, f"seed {seed}"
             assert report.energy_growth.holds, f"seed {seed}"
@@ -438,8 +439,15 @@ class TestDesignConditions:
         rng = np.random.default_rng(8)
         us = rng.normal(0.0, 1.0, size=n)
         xs = np.ones((n, 1))
-        report = check_design_conditions(xs, us, GWeight.identity(), sigma2=0.25)
+        report = check_design_conditions(fixed_run(xs, us), GWeight.identity(), sigma2=0.25)
         assert not report.noise_variance.holds
+
+    def test_diverging_weight_tail_fails_weight_bound(self):
+        gw = GWeight(lambda x: np.asarray(x, dtype=float), lambda c: math.inf)
+        run = fixed_run(np.ones((50, 1)), gw=gw)
+        verdict = check_design_conditions(run, gw, sigma2=0.0).weight_bound
+        assert (verdict.holds, verdict.first_violation) == (False, 50)
+        assert verdict.detail == "weight tail integral diverges"
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +483,8 @@ BLOCK_MODELS = {
     "steered": RegressionModel(np.array([1.0, -0.5]), Design(2, steered_draw, steer), 1.0),
 }
 RUN_FIELDS = (
-    "xs", "ys", "us", "final_b", "energy", "n0", "tail_b", "tail_start", "checkpoint_gap", "err_sup"
+    "xs", "ys", "us", "final_b", "energy", "n0", "kappa_hat", "tail_b", "tail_start",
+    "checkpoint_gap", "err_sup",
 )
 
 
@@ -679,7 +688,8 @@ def test_fold_memory_stays_within_chunks(monkeypatch, rebase_every):
 
 
 def naive_n0_kappa(xs, gw):
-    """One prefix at a time: the reference the batched checker must match."""
+    """One dense prefix at a time: the Gram matrix summed row by row, its rank
+    and its inverse formed afresh at every step."""
     n, p = xs.shape
     gram = np.zeros((p, p))
     d2 = np.zeros(p)
@@ -715,21 +725,45 @@ def designs(draw):
     return xs, draw(st.sampled_from([GWeight.identity, GWeight.sqrt_log]))()
 
 
-@given(designs())
+@given(designs(), st.integers(1, 9))
 @settings(max_examples=300, deadline=None)
-def test_batched_design_check_matches_naive_loop(case):
+def test_run_kappa_matches_step_by_step_state(case, rebase_every):
+    # the run reduces each folded piece of inverses; the oracle reads the
+    # state's gram_inv and energy after every single update
     xs, gw = case
-    report = check_design_conditions(xs, np.zeros(len(xs)), gw, sigma2=0.0)
-    n0, kappa_hat = naive_n0_kappa(xs, gw)
-    assert report.n0 == n0
-    assert report.kappa_hat == kappa_hat
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+        n0, kappa_hat = stepped_n0_kappa(xs, gw)
+        if n0 is None:
+            with pytest.raises(ValueError, match="never reached a nonsingular gram matrix"):
+                fixed_run(xs, gw=gw)
+            return
+        run = fixed_run(xs, gw=gw)
+    assert (run.n0, run.kappa_hat) == (n0, kappa_hat)
+    report = check_design_conditions(run, gw, sigma2=0.0)
+    assert (report.n0, report.kappa_hat) == (n0, kappa_hat)
+
+
+@pytest.mark.parametrize("gweight", ["identity", "sqrt_log"])
+@pytest.mark.parametrize("name", ["rotating", "iid_gaussian"])
+def test_run_kappa_matches_dense_inverses(name, gweight):
+    # on well-conditioned designs the rank-one recursion, rebased every
+    # REBASE_EVERY steps, and a fresh dense inverse of every prefix agree to
+    # within a few rounding errors; 1e-12 relative leaves room for 2000 steps
+    gw = getattr(GWeight, gweight)()
+    for run in simulate_ls_runs(BLOCK_MODELS[name], 2000, range(3), gw=gw):
+        n0, kappa_hat = naive_n0_kappa(run.xs, gw)
+        assert run.n0 == n0
+        assert run.kappa_hat == pytest.approx(kappa_hat, rel=1e-12, abs=0.0)
 
 
 def test_design_check_first_nonsingular_after_p():
     xs = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 4.0], [1.0, -1.0], [0.5, 3.0]])
-    report = check_design_conditions(xs, np.zeros(5), GWeight.identity(), sigma2=0.0)
-    assert (report.n0, report.kappa_hat) == naive_n0_kappa(xs, GWeight.identity())
+    report = check_design_conditions(fixed_run(xs), GWeight.identity(), sigma2=0.0)
+    assert (report.n0, report.kappa_hat) == stepped_n0_kappa(xs, GWeight.identity())
     assert report.n0 == 4
+    assert report.kappa_hat == pytest.approx(naive_n0_kappa(xs, GWeight.identity())[1])
+
 
 @pytest.fixture(scope="module")
 def geometric_runs():
@@ -788,6 +822,7 @@ class TestPartitionAnalysis:
                 final_b=np.zeros(2),
                 energy=np.asarray(energy, dtype=float),
                 n0=2,
+                kappa_hat=1.0,
                 tail_b=np.zeros((2, 2)),
                 tail_start=2,
                 checkpoint_gap=0.0,
@@ -1023,8 +1058,9 @@ def test_locked_ls_run(key):
 def test_locked_design_report(key):
     name, gweight = key
     model, sigma = _lock_model(name)
-    run = simulate_ls_runs(model, LOCK_HORIZON, [0])[0]
-    report = check_design_conditions(run.xs, run.us, getattr(GWeight, gweight)(), sigma * sigma)
+    gw = getattr(GWeight, gweight)()
+    run = simulate_ls_runs(model, LOCK_HORIZON, [0], gw=gw)[0]
+    report = check_design_conditions(run, gw, sigma * sigma)
     n0, kappa, verdicts = LOCKED_REPORTS[key]
     assert (report.n0, repr(report.kappa_hat)) == (n0, kappa)
     got = {}

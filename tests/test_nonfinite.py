@@ -6,6 +6,7 @@ non-finite value into ``xs`` or ``ms`` and requires ``holds=False`` with
 realized value of step ``j`` (the initial value belongs to step 1) and
 ``ms[i]`` is the mean of step ``i + 1``.
 """
+import dataclasses
 import math
 import warnings
 
@@ -37,6 +38,7 @@ from contractlab import (
     truncated_nonexpansive_verdict,
 )
 from contractlab.harness import child_seed
+from helpers import fixed_run
 
 BAD = st.sampled_from([math.nan, math.inf, -math.inf])
 
@@ -205,24 +207,23 @@ def design_corruptions(draw):
     return xs, us, row + 1
 
 
-@given(design_corruptions(), st.sampled_from([GWeight.identity, GWeight.sqrt_log]))
+@given(design_corruptions())
 @settings(max_examples=100, deadline=None)
-def test_design_conditions(case, gweight):
+def test_design_conditions(case):
+    # a non-finite regressor or noise value never reaches the design check:
+    # the run raises at its step, whether or not the Gram matrix is singular yet
     xs, us, step = case
-    report = check_design_conditions(xs, us, gweight(), sigma2=1.0)
-    assert not report.holds
-    assert_fails_at(report.weight_bound, step)
-    assert report.weight_bound.worst_margin == -math.inf
+    what = "score" if np.isfinite(xs).all() else "gram matrix"
+    with np.errstate(invalid="ignore"):  # inf * 0 in the responses of beta = 0
+        with pytest.raises(ValueError, match=f"non-finite {what} at step {step},"):
+            fixed_run(xs, us)
 
 
 def test_design_conditions_overflowing_energy_fails():
     xs = np.random.default_rng(0).normal(size=(50, 2))
     xs[20, 1] = 1e200  # finite, but its square overflows the gram matrix
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = check_design_conditions(xs, np.zeros(50), GWeight.identity(), sigma2=0.0)
-    assert_fails_at(report.weight_bound, 21)
-    assert_fails_at(report.energy_growth, 21)
-    assert report.n0 == 2 and math.isfinite(report.kappa_hat)
+    with pytest.raises(ValueError, match="non-finite gram matrix at step 21,"):
+        fixed_run(xs)
 
 
 def test_design_conditions_nan_weight_is_unbounded():
@@ -230,25 +231,26 @@ def test_design_conditions_nan_weight_is_unbounded():
     gw = GWeight(lambda x: np.sqrt(np.asarray(x, dtype=float) - 1.0), lambda c: 1.0)
     xs = np.random.default_rng(1).normal(size=(50, 2))
     with np.errstate(invalid="ignore"):
-        report = check_design_conditions(xs, np.zeros(50), gw, sigma2=0.0)
-    assert report.kappa_hat == math.inf
+        run = fixed_run(xs, gw=gw)
+    report = check_design_conditions(run, gw, sigma2=0.0)
+    assert run.kappa_hat == report.kappa_hat == math.inf
     assert not report.weight_bound.holds
     assert report.weight_bound.worst_margin == -math.inf
 
 
-@given(st.integers(1, 40), st.sampled_from([0.0, 1.0]), st.data())
-@settings(max_examples=100, deadline=None)
-def test_design_noise_verdicts_fail_at_first_non_finite_step(n, sigma2, data):
-    rng = np.random.default_rng(n)
-    xs = rng.normal(size=(n, 2))
-    us = rng.normal(size=n) * math.sqrt(sigma2)
-    rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
-    for row in rows:
-        us[row] = data.draw(BAD)
-    report = check_design_conditions(xs, us, GWeight.identity(), sigma2)
-    for verdict in (report.noise_centered, report.noise_variance):
-        assert_fails_at(verdict, min(rows) + 1)
-        assert verdict.worst_margin == -math.inf
+@pytest.mark.parametrize("field", ["kappa_hat", "energy"])
+def test_design_conditions_nan_run_statistic_fails(field):
+    # a hand-built run whose supremum or column energy is NaN, on a run that
+    # otherwise holds every condition
+    run = fixed_run(np.ones((500, 1)), np.random.default_rng(7).normal(size=500))
+    assert check_design_conditions(run, GWeight.identity(), sigma2=1.0).holds
+    nan = math.nan if field == "kappa_hat" else np.full(1, math.nan)
+    report = check_design_conditions(
+        dataclasses.replace(run, **{field: nan}), GWeight.identity(), sigma2=1.0
+    )
+    assert not report.holds
+    verdict = report.weight_bound if field == "kappa_hat" else report.energy_growth
+    assert (verdict.holds, verdict.first_violation) == (False, 500)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
