@@ -50,7 +50,6 @@ class ExperimentConfig:
     ensemble: EnsembleConfig
     output_dir: str
     traces: bool
-    plots: bool
     curve_points: int
     model: Dict[str, Any]
     assertions: Dict[str, Any]
@@ -510,7 +509,6 @@ OUTPUT = Group(
     fields=(
         Field("dir", "string", "out"),
         Field("traces", "bool", False),
-        Field("plots", "bool", True),
         Field("curve_points", "integer", 200, ge=2),
     ),
     absent="defaults",
@@ -782,7 +780,6 @@ def parse_config_text(
         ensemble=EnsembleConfig(**ensemble),
         output_dir=output["dir"],
         traces=output["traces"],
-        plots=output["plots"],
         curve_points=output["curve_points"],
         model=model,
         assertions=assertions,

@@ -284,7 +284,7 @@ ENSEMBLE_DEFAULTS = {"seeds": 2,
  "tol_cauchy": 0.001,
  "parallelism": 1,
  "divergence_cap": 1000000.0}
-OUTPUT_DEFAULTS = ["out", False, True, 200]
+OUTPUT_DEFAULTS = ["out", False, 200]
 
 VALID = [
     pytest.param(
@@ -569,7 +569,7 @@ VALID = [
         id="sa-output-empty",
     ),
     pytest.param(
-        doc("sa", output={"dir": "runs/x", "traces": True, "plots": False, "curve_points": 2}),
+        doc("sa", output={"dir": "runs/x", "traces": True, "curve_points": 2}),
         {"problem": {"family": "linear", "root": 0.0, "slope": 1.0},
          "schedule": {"family": "inverse_n", "c": 1.0},
          "noise": {"family": "none"},
@@ -578,7 +578,7 @@ VALID = [
         {},
         [],
         ENSEMBLE_DEFAULTS,
-        ["runs/x", True, False, 2],
+        ["runs/x", True, 2],
         id="sa-output-full",
     ),
     pytest.param(
@@ -1098,12 +1098,16 @@ ERRORS = [
         id="output-unknown-key",
     ),
     pytest.param(
-        doc("sa", output={"dir": 3, "traces": "yes", "plots": 1, "curve_points": 2.5}),
+        doc("sa", output={"dir": 3, "traces": "yes", "curve_points": 2.5}),
         ["output.curve_points: must be an integer",
          "output.dir: must be a string",
-         "output.plots: must be true or false",
          "output.traces: must be true or false"],
         id="output-types",
+    ),
+    pytest.param(
+        doc("sa", output={"plots": True}),
+        ["output.plots: unknown key"],
+        id="output-plots-unknown-key",
     ),
     pytest.param(
         doc("sa", output={"curve_points": 1}),
@@ -1918,7 +1922,7 @@ def test_parse_lock_valid(document, model, assertions, warnings, ensemble, outpu
     assert cfg.assertions == assertions
     assert cfg.warnings == warnings
     assert asdict(cfg.ensemble) == ensemble
-    assert [cfg.output_dir, cfg.traces, cfg.plots, cfg.curve_points] == output
+    assert [cfg.output_dir, cfg.traces, cfg.curve_points] == output
 
 
 @pytest.mark.parametrize("document, expected", ERRORS)
