@@ -43,33 +43,33 @@ SIZES = {
 # name -> (summary.json sha256, quantiles.csv sha256 or None)
 GOLDEN = {
     "kronecker": (
-        "8dc0e04ffc295ccd54ea098abf5a92a77b2efc0893c903efa1240fe5b8ae4cdf",
+        "e1560c23440ea3058e15afd30b71ea47425a7e3948152f1c4478d4845d47b560",
         "ec5c29bb8431658272cfdb8e265d83172ff5eba2a2556c1a151ef8de947f314b",
     ),
     "ls_intermediate": (
-        "ffac2725ed94af6e6234c2b212357c7ae8682c0a8ef4c49d57894ee680491559",
+        "429262796a1abcbe7af168f5018c599a2a11416521946aac65e54fdeb9a36523",
         "487ba936d9e6b75adb9c0cab6aae9f8a522b24d49db6b04939cbcf2a601fd26c",
     ),
     "ls_sufficiency": (
-        "22458f05a54315a09b0542329eb958874a783f8f12967ad01bd88925f20c9307",
+        "1fce93295a9463ef6083a484b1dae2a0823c069fcb666755dd7170fee5118203",
         "37c73263cb8702267fe370ca289b1ca74e322c86b6709abc179d3c5a7c2df012",
     ),
     "multivariate": (
-        "c8ae5b80d99d4b2cef5ec07c83701ebe95d752ba5146d52961ecdbedc7cc914c",
+        "7f897319ee2410f3f6b87f0953fdb4735161155df737de06cd5183eae6f044f0",
         "f0967a153c01c46ee14cbe9507b6c9f3506d4a85a58380c4619f76f93821d7c0",
     ),
     "sa_convergence": (
-        "a080bc89760a7e7e2ef90e14a49a2a3e7ee6485e47312c17a88624d7469f36ed",
+        "d1c72b2a60cf68b46a2ede99e9a3e79a066ef8fbc9b212a3a99a79e7b799122f",
         "07d227c5a74435b269c8130b7fd4a29e12d56bde01fec040975a0322695cf489",
     ),
     "sa_nonuniform": (
-        "5cb65202aa44ffb05a45c13550c81442229e69d6470ba75c70733074a5570fef",
+        "252766e8e35900a8916cface2c9891da0e7edc30c10622577a1a79a11c7e15c8",
         "e47351b1bfc1fa055b0f3f4c86b9eca3a555d0375d639671163ba061a0616955",
     ),
-    "custom_kronecker": ("968b9a219848711e2a853b3ed0c997787427e181fd60f3118aeb5320393e5855", None),
-    "custom_sa": ("f4aff3ff6342b78401573f9b00aa0e4a4a89d20fd5600b2efcbc382f9b951744", None),
-    "custom_ls": ("693df42a63e1083492ffd472a77f4363809ee8fd8dd8c957b12408b24810acb8", None),
-    "custom_multivariate": ("e1bb7cd040b599d5a5bdbf89f340c311001415f2a9bd96bcacd5d20a0e4fdc52", None),
+    "custom_kronecker": ("11f80c8d4949c1b5fad74fb767572fec645a98bba4f01867d9eeff3ff86b1f47", None),
+    "custom_sa": ("c2f571aa4f320cfa124546c02cd8b95525f1cf739690ce01138fc2adad178287", None),
+    "custom_ls": ("f61089e51ce9b0920a1efce06de013f60b4128fb3b93e2010cd5d531e05926af", None),
+    "custom_multivariate": ("a918e2c7efe321c0181510eb04d6005a4bbf44d2f8537dd844cde9d3a8b2e427", None),
 }
 
 # name -> traces.csv sha256, run with --traces at the SIZES above
@@ -232,17 +232,17 @@ REMAINDER_SEEDS, REMAINDER_HORIZON = 37, 600
 # name -> (summary.json, quantiles.csv, traces.csv) sha256
 REMAINDER_GOLDEN = {
     "sa_convergence": (
-        "035f14c9bcf3a6d6e1a459cb2a9c54889a5343f0cffcfa3d8f461765ac0ef388",
+        "7551676a8ecd0c21083bb3ab2cc89e18df51ab00087ffa8ec01913bc74cd8aa7",
         "d14431a73873ad2f4678fdadd09d74125ab125f798a354d0afe4d05fd115413a",
         "2a30a1b018222ee075ab5b868082ed0feae521d144dda3a5bc21802537e99402",
     ),
     "sa_nonuniform": (
-        "ea3cdfb2ba2a92499dde3be19ca16da8008d01c53bb6239c4b3541207345c841",
+        "062e9022f78ae9ff6396ded98d8642b2fa992d64b5aa7a9d9ab75592ff216e6a",
         "ea6a4d7746870d3d3718316e07bd8ba380ec15def5fc118b3b9d4343f025093e",
         "d289d3be2c92391521eed628aab5de828f0330def4d6c571421790127ac54f69",
     ),
     "multivariate": (
-        "b17aeec513bf8fc77fd2078db0e79a32076c339868f7b4d1acaa09dd7020267f",
+        "91c2d285f3d1180cf5465a59907d34ec0f1f7afc055bdd60e28190195455dbd3",
         "59a4e28ae289b50b8f70424d4d66cc2ccb1a81e65ccfb7d988e65a3fb45cf9ec",
         "e0a0653b7cd8555f756713c3a9657e6566cb3d73f103d3c06bf3ceb96e4809d4",
     ),
@@ -355,27 +355,27 @@ assertions:
 # name -> (summary.json, quantiles.csv, traces.csv) sha256
 SA_BRANCH_GOLDEN = {
     "sa_all": (
-        "756398209f36f9aa7571437c4874fe43f4343906f56354a80b0c1abf21fb92d0",
+        "57fea6c6eecf7bed8ad9874fcbdc0acffe1eea1165f0b62501d2aa89ecff644a",
         "4e7ce3347434d00d1b61a83307741a84a2fe606ea2a3dcbd0410e1b41f3ce6e3",
         "1ce0c36b064b97430eb4be8909653e40225c7d8841abf09aa765b8a8f843fca9",
     ),
     "sa_nd_all": (
-        "a8e0839a785932973435f20b9ad12236d6370f0d0f77e52fd73f8c71e4f06ead",
+        "b727d93461d63a29ad041616a3a6a966ff4f52650b923ef18866225170c6d066",
         "fbf9e9f33f5a305393ce9d27fb60477d8235fbcc46287441087c66a6f036a594",
         "15fc5c723983e7d04b1d45e9de14e26daea940822a12a2abb2a2dcb6d62b403b",
     ),
     "sa_nd_no_envelope": (
-        "3598c6f516558d1d993a0c0a5c1e8a6c6f7748e3de083cbde042a1f4d6bb33a8",
+        "40fc2ca8a04e7c2611666df6624c12b38cdabedd5c4cf47a6490bc52fdbf91c9",
         "c431fcbb706c6e0261bc271f65919c3f88167e187fb2476af30c3c2f519da50a",
         "237e41f2a3e01cd666d34f4828d0064067bc9be1c486646973cabc9a8da4f74e",
     ),
     "sa_no_envelope": (
-        "648a53d7633389e6d4be12c80a39249a8441d7ac5715a8990f573aa930cc782b",
+        "3b4b147a027de88bbd71def7392d6a52fd3ccf10355c6c3084b6bb7ccc18fd87",
         "d9b95f552976612f50a13a0df4a05865b6761f4dfa1df6e1e1a4cbf7196a6e39",
         "a8a20d6ea3820cf5864187865b6b3662508620cb0c9389841dfd12047e329f59",
     ),
     "sa_nonuniform_all": (
-        "7163a783cda4453d0f6e9759bd3f3b9e60713c3f3875acf8b4004fe7b4c75222",
+        "79f9368868202d7c06ed0ccdfd488958e0bb224f216df71e839c34122441de5b",
         "95dcb65ad8232b4e66fe85bf86db0cf3b6f7b7f7c821f0e9dcfec7a65330ea01",
         "98ee19fd58a3640b81d4545ced09ea322835c1bda1e52a3577074a3c87f0fb5f",
     ),
@@ -395,7 +395,7 @@ def test_sa_branch_digests(name, tmp_path):
 # The sine map with c = 1e6 overflows on every seed: each seed errors with the
 # scalar solver's message, and --traces writes the header only.
 ERRORED_GOLDEN = (
-    "340b7e0f298a5807626a9c5342afa49c4cbac146ebad278ddd7cd2cc2e7ec659",
+    "299e5a3c5d44f918aef8b6ac9b00e54e0e979019a39aef543556963a5bc4d22e",
     "3655508fbab9a7da214e00eae1368ce514f0f6131b281e119767958642cbad64",
 )
 
