@@ -81,30 +81,25 @@ class NoiseModel:
 
     ``draw(rng, shape)`` returns the additive shocks; the oracle sample at x is
     g(x) plus a shock, so it is conditionally unbiased by construction.
-    ``cond_var_bound`` dominates the per-coordinate conditional variance.
     """
 
     draw: Callable[[np.random.Generator, tuple], np.ndarray]
-    cond_var_bound: float
 
     @classmethod
     def gaussian(cls, sd: float) -> "NoiseModel":
         if sd < 0:
             raise ValueError("sd must be nonnegative")
-        return cls(lambda rng, shape: rng.normal(0.0, sd, size=shape), sd * sd)
+        return cls(lambda rng, shape: rng.normal(0.0, sd, size=shape))
 
     @classmethod
     def uniform(cls, half_width: float) -> "NoiseModel":
         if half_width < 0:
             raise ValueError("half_width must be nonnegative")
-        return cls(
-            lambda rng, shape: rng.uniform(-half_width, half_width, size=shape),
-            half_width * half_width / 3.0,
-        )
+        return cls(lambda rng, shape: rng.uniform(-half_width, half_width, size=shape))
 
     @classmethod
     def noiseless(cls) -> "NoiseModel":
-        return cls(lambda rng, shape: np.zeros(shape), 0.0)
+        return cls(lambda rng, shape: np.zeros(shape))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,8 +3,11 @@
 Each runner returns the machine-readable report, the outcomes of the
 assertions it measured, optional ensemble statistics, and optionally its trace
 width with a function from a seed's payload to the path that seed simulated.
-The orchestrator evaluates the configured assertions, writes the artifacts and
-maps assertion failures to exit code 1 and environment problems to exit code 2.
+The report holds only what the run measured or derived; the configured values
+are in the summary's ``config`` echo.  The orchestrator evaluates the
+configured assertions, writes the artifacts (the ensemble's per-step quantile
+curves only to ``quantiles.csv``) and maps assertion failures to exit code 1
+and environment problems to exit code 2.
 """
 from __future__ import annotations
 
@@ -174,10 +177,7 @@ def _run_sa(config: ExperimentConfig):
         "schedule_sum": schedule.sum_at(horizon),
         "schedule_summable": schedule.summable,
     }
-    if vector:
-        report["dimension"] = x0.size
-    else:
-        report["problem"] = model["problem"]
+    if not vector:
         report["schedule_sum_sq"] = schedule.sum_sq_at(horizon)
 
     outcomes: Dict[str, Outcome] = {}
@@ -195,8 +195,6 @@ def _run_sa(config: ExperimentConfig):
             )
             env_report = check_linear_envelope(problem, grid + root, env["ratio_cap"])
         report["envelope"] = {
-            "m_declared": env["m"],
-            "M_declared": env["M"],
             "m_hat": env_report.m_hat,
             "M_hat": env_report.M_hat,
             "holds_on_grid": env_report.holds,
@@ -233,11 +231,7 @@ def _run_sa(config: ExperimentConfig):
             if trunc_spec["kappa"] == "delta"
             else float(trunc_spec["kappa"])
         )
-        report["truncation"] = {
-            "delta": trunc_spec["delta"],
-            "tau": trunc_spec["tau"],
-            "kappa": kappa,
-        }
+        report["truncation"] = {"kappa": kappa}
 
     # the payload flags that an assertion reads; no other check runs
     wanted = {name for name in _PAYLOAD_FLAGS if config.assertions.get(name)}
@@ -283,7 +277,6 @@ def _run_sa(config: ExperimentConfig):
 
 
 def _run_kronecker(config: ExperimentConfig):
-    model = config.model
     ens = config.ensemble
     horizon = ens.horizon
     weights = config.build("weights", horizon)
@@ -295,7 +288,7 @@ def _run_kronecker(config: ExperimentConfig):
 
     # one seed per call: a seed's values are held only while it is reduced
     stats = run_ensemble(solve, ens, _grid(horizon + 1, config.curve_points), 1)
-    report: Dict[str, Any] = {"weights": model["weights"], "increments": model["increments"]}
+    report: Dict[str, Any] = {}
 
     outcomes = _final_value_outcomes(stats)
     if config.assertions.get("alternating_bound"):
@@ -335,11 +328,7 @@ def _run_ls(config: ExperimentConfig):
     stats = run_ensemble(solve, ens, _grid(horizon, config.curve_points))
     runs = [r for r in stats.payloads if r is not None]
 
-    report: Dict[str, Any] = {
-        "design": model["design"],
-        "gweight": model["gweight"]["family"],
-        "checkpoints": checkpoints,
-    }
+    report: Dict[str, Any] = {"checkpoints": checkpoints}
 
     partition = None
     partition_error = None

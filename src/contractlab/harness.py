@@ -122,8 +122,10 @@ def child_seed(root_seed: int, index: int) -> np.random.SeedSequence:
 class EnsembleStats:
     """Aggregated per-seed verdicts plus distributional summaries.
 
-    ``payloads`` carries whatever extras the solver returned per seed; it is
-    experiment-internal and excluded from serialization.
+    :meth:`to_dict` serializes the verdicts, fractions, quantiles and
+    dispersion.  ``curves`` is written to ``quantiles.csv`` instead, and
+    ``payloads``, whatever extras the solver returned per seed, is
+    experiment-internal.
     """
 
     per_seed: Tuple[ConvergenceVerdict, ...]
@@ -137,16 +139,12 @@ class EnsembleStats:
         return self.fraction_by_class[kind.value]
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "seeds": len(self.per_seed),
+        return {
+            "per_seed": [asdict(v) for v in self.per_seed],
             "fraction_by_class": dict(self.fraction_by_class),
             "final_abs_quantiles": dict(self.final_abs_quantiles),
             "dispersion": self.dispersion,
-            "per_seed": [asdict(v) for v in self.per_seed],
         }
-        if self.curves is not None:
-            out["curves"] = self.curves
-        return out
 
 
 def tail_length(n: int, fraction: float) -> int:
@@ -238,9 +236,9 @@ def run_ensemble(
         dispersion = math.nan
 
     curves = None
-    if grid is not None and curve_rows:
+    if grid is not None:
         curves = {"n": [int(i) for i in grid]}
-        table = _quantile_curves(np.vstack(curve_rows))
+        table = _quantile_curves(np.array(curve_rows, dtype=float).reshape(-1, grid.size))
         for row, (key, _) in enumerate(QUANTILE_KEYS):
             curves[key] = table[row].tolist()
 
@@ -267,7 +265,7 @@ def _quantile_curves(mat: np.ndarray) -> np.ndarray:
     finite = np.isfinite(mat)
     clean = (finite & ~((mat == 0) & np.signbit(mat))).all(axis=0)
     table = np.full((len(qs), mat.shape[1]), math.nan)
-    if clean.any():
+    if len(mat) and clean.any():
         table[:, clean] = np.quantile(mat[:, clean], qs, axis=0)
     for j in np.flatnonzero(~clean):
         col = mat[finite[:, j], j]

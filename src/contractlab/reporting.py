@@ -75,7 +75,7 @@ def write_quantiles_csv(path: Path, curves: Dict[str, List]) -> None:
             row = [str(int(curves["n"][i]))]
             for key in keys[1:]:
                 v = curves[key][i]
-                row.append("" if v is None or not math.isfinite(v) else format_float(v))
+                row.append(format_float(v) if math.isfinite(v) else "")
             writer.writerow(row)
 
 

@@ -71,13 +71,13 @@ class TestNoiseModel:
         rng = np.random.default_rng(0)
         draws = noise.draw(rng, (20_000,))
         assert abs(draws.mean()) <= 5 * 0.3 / math.sqrt(20_000)
-        assert draws.var() <= noise.cond_var_bound * 1.1
+        assert draws.var() <= 0.3 ** 2 * 1.1
 
     def test_uniform_variance_bound(self):
         noise = NoiseModel.uniform(0.6)
         rng = np.random.default_rng(1)
         draws = noise.draw(rng, (20_000,))
-        assert draws.var() <= noise.cond_var_bound * 1.1
+        assert draws.var() <= 0.6 ** 2 / 3 * 1.1
         assert np.all(np.abs(draws) <= 0.6)
 
     def test_noiseless(self):
@@ -657,7 +657,7 @@ class TestBlockSolver:
         )
         horizon = 3 * approximation.SHOCK_CHUNK + 5
         sequences = [child_seed(4, i) for i in range(MIN_BLOCK)]
-        args = (problem, NoiseModel(draw, 0.2), Schedule.inverse_n(1.0), 2.0, horizon)
+        args = (problem, NoiseModel(draw), Schedule.inverse_n(1.0), 2.0, horizon)
         _assert_block_equals_per_seed(*args, sequences)
 
     def test_block_memory_stays_within_the_budget(self, monkeypatch):
@@ -701,7 +701,7 @@ class TestBlockSolver:
                 z[1] = shock
             return z
 
-        noise = NoiseModel(draw, 0.01)
+        noise = NoiseModel(draw)
         schedule = Schedule.inverse_n(4.0)
         config = EnsembleConfig(seeds=seeds, root_seed=9, horizon=60)
         chunks = []

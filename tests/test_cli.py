@@ -444,6 +444,38 @@ output: {{dir: {tmp_path / 'custom_out'}}}
         assert all(summary["report"]["per_seed"][s]["all_hold"] for s in ("0", "2", "3"))
 
 
+# kind -> (document, the report group whose config echoes are checked, the
+# steps of the quantile grid at horizon 50: every value 0..50, or the errors
+# at steps 0..49 of an ls run)
+SUMMARY_CASES = {
+    "sa": (SA_TEMPLATE.replace("{traces}", "false"), "envelope", range(51)),
+    "sa_nd": (SA_ND, "envelope", range(51)),
+    "sa_nonuniform": (SA_NONUNIFORM, "truncation", range(51)),
+    "kronecker": (KRONECKER, None, range(51)),
+    "ls": (LS, None, range(50)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SUMMARY_CASES))
+def test_summary_holds_each_value_once(kind, tmp_path):
+    # the curves are in quantiles.csv only, the seed count in the config echo,
+    # and the report holds what the run measured or derived, no config value
+    text, group, steps = SUMMARY_CASES[kind]
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, text.format(out=out))
+    assert main(["run", str(cfg), "--seeds", "3", "--horizon", "50"]) in (0, 1)
+    summary = json.loads((out / "summary.json").read_text())
+    assert not {"curves", "seeds"} & set(summary["ensemble"])
+    report = summary["report"]
+    assert not {"problem", "dimension", "weights", "increments", "design", "gweight"} & set(report)
+    if group is not None:
+        assert not {"m_declared", "M_declared", "delta", "tau"} & set(report[group])
+    with open(out / "quantiles.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["n", "q05", "q25", "q50", "q75", "q95"]
+    assert [int(row[0]) for row in rows[1:]] == list(steps)
+
+
 CUSTOM_TEMPLATE = """
 kind: custom_path_check
 input: {{path: {trace}}}

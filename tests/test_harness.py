@@ -172,8 +172,18 @@ class TestRunEnsemble:
         assert stats.curves is not None
         assert stats.curves["n"] == grid
         assert len(stats.curves["q50"]) == 3
-        assert "curves" in stats.to_dict()
-        assert "payloads" not in stats.to_dict()
+        # the curves go to quantiles.csv only, and the seed count is the config's
+        assert not {"curves", "seeds", "payloads"} & set(stats.to_dict())
+
+    def test_all_seeds_errored_gives_empty_curves(self):
+        def fail(seed_sequences):
+            raise RuntimeError("boom")
+
+        stats = run_ensemble(fail, self.config(seeds=3), curve_grid=[0, 5, 9])
+        assert stats.curves["n"] == [0, 5, 9]
+        for key, _ in QUANTILE_KEYS:
+            assert all(math.isnan(v) for v in stats.curves[key])
+            assert len(stats.curves[key]) == 3
 
     def test_quantiles_of_final_values(self):
         def final_normal(seed_sequence):
