@@ -10,9 +10,10 @@ the vector path's norm-based ``u_flag``).  Four more cases feed a written
 trace file, two scalar and two vector, to a ``custom_path_check``, so the
 checker verdicts (margins, first violations and detail strings) are locked
 too.  The SA kinds are also locked at a seed count that leaves a partial
-block, and an ensemble whose every seed errors is locked with its notes, and
-so are documents that reach every assertion and optional group of the SA
-kinds.  A digest that changes on purpose must be re-recorded and declared.
+block, and an ensemble whose every seed errors is locked with its notes and
+its empty quantile curves, and so are documents that reach every assertion
+and optional group of the SA kinds.  A digest that changes on purpose must be
+re-recorded and declared.
 """
 from __future__ import annotations
 
@@ -43,27 +44,27 @@ SIZES = {
 # name -> (summary.json sha256, quantiles.csv sha256 or None)
 GOLDEN = {
     "kronecker": (
-        "e1560c23440ea3058e15afd30b71ea47425a7e3948152f1c4478d4845d47b560",
+        "45797dba5dcedf590d3793ce793f9196a34dd7323b195be30c583d531927a7ee",
         "ec5c29bb8431658272cfdb8e265d83172ff5eba2a2556c1a151ef8de947f314b",
     ),
     "ls_intermediate": (
-        "429262796a1abcbe7af168f5018c599a2a11416521946aac65e54fdeb9a36523",
+        "c0a1754a94767a21e72fd34d6570e71fde6581a9bdb41d87685bd8036044511d",
         "487ba936d9e6b75adb9c0cab6aae9f8a522b24d49db6b04939cbcf2a601fd26c",
     ),
     "ls_sufficiency": (
-        "1fce93295a9463ef6083a484b1dae2a0823c069fcb666755dd7170fee5118203",
+        "73aa637693ca900985ae6e1904b5462f9c49512fbe24ecf14f0c9e8756e507da",
         "37c73263cb8702267fe370ca289b1ca74e322c86b6709abc179d3c5a7c2df012",
     ),
     "multivariate": (
-        "7f897319ee2410f3f6b87f0953fdb4735161155df737de06cd5183eae6f044f0",
+        "92b7f9bea1a5aaa846d6d7c7dc1ec16b2cb741f763f4572063d987bd2ecabff2",
         "f0967a153c01c46ee14cbe9507b6c9f3506d4a85a58380c4619f76f93821d7c0",
     ),
     "sa_convergence": (
-        "d1c72b2a60cf68b46a2ede99e9a3e79a066ef8fbc9b212a3a99a79e7b799122f",
+        "a107e8c80880752a8da39caad6cc1f2b6abff72e90539d7f03fb195e26547240",
         "07d227c5a74435b269c8130b7fd4a29e12d56bde01fec040975a0322695cf489",
     ),
     "sa_nonuniform": (
-        "252766e8e35900a8916cface2c9891da0e7edc30c10622577a1a79a11c7e15c8",
+        "b4263c35e667efe7b884dc5086d1acfe3699b2a97cf470338b8bb4b23949a33d",
         "e47351b1bfc1fa055b0f3f4c86b9eca3a555d0375d639671163ba061a0616955",
     ),
     "custom_kronecker": ("11f80c8d4949c1b5fad74fb767572fec645a98bba4f01867d9eeff3ff86b1f47", None),
@@ -232,17 +233,17 @@ REMAINDER_SEEDS, REMAINDER_HORIZON = 37, 600
 # name -> (summary.json, quantiles.csv, traces.csv) sha256
 REMAINDER_GOLDEN = {
     "sa_convergence": (
-        "7551676a8ecd0c21083bb3ab2cc89e18df51ab00087ffa8ec01913bc74cd8aa7",
+        "bea2aafb415a14282c365ad8800bfe8ebbc7a2fbc854e8cd86193791c0a52a8c",
         "d14431a73873ad2f4678fdadd09d74125ab125f798a354d0afe4d05fd115413a",
         "2a30a1b018222ee075ab5b868082ed0feae521d144dda3a5bc21802537e99402",
     ),
     "sa_nonuniform": (
-        "062e9022f78ae9ff6396ded98d8642b2fa992d64b5aa7a9d9ab75592ff216e6a",
+        "a6b60e40376646f1a70bd8ad3deb6ace5d2875ad13dbd6f7ebedd0bb7d5ae572",
         "ea6a4d7746870d3d3718316e07bd8ba380ec15def5fc118b3b9d4343f025093e",
         "d289d3be2c92391521eed628aab5de828f0330def4d6c571421790127ac54f69",
     ),
     "multivariate": (
-        "91c2d285f3d1180cf5465a59907d34ec0f1f7afc055bdd60e28190195455dbd3",
+        "2107b84346cf8f75c2845cf5f6a6db85d8800da72c764a0a7ae57eddbbe3ff86",
         "59a4e28ae289b50b8f70424d4d66cc2ccb1a81e65ccfb7d988e65a3fb45cf9ec",
         "e0a0653b7cd8555f756713c3a9657e6566cb3d73f103d3c06bf3ceb96e4809d4",
     ),
@@ -355,27 +356,27 @@ assertions:
 # name -> (summary.json, quantiles.csv, traces.csv) sha256
 SA_BRANCH_GOLDEN = {
     "sa_all": (
-        "57fea6c6eecf7bed8ad9874fcbdc0acffe1eea1165f0b62501d2aa89ecff644a",
+        "bcce2a96b4f4620d9e15ba5e8f4da40e32246041da603a75558087e538ad4a43",
         "4e7ce3347434d00d1b61a83307741a84a2fe606ea2a3dcbd0410e1b41f3ce6e3",
         "1ce0c36b064b97430eb4be8909653e40225c7d8841abf09aa765b8a8f843fca9",
     ),
     "sa_nd_all": (
-        "b727d93461d63a29ad041616a3a6a966ff4f52650b923ef18866225170c6d066",
+        "d9d4caffcb14e47f668924e61e6138d0cc827a9e22531b29ce96fbd2e531724f",
         "fbf9e9f33f5a305393ce9d27fb60477d8235fbcc46287441087c66a6f036a594",
         "15fc5c723983e7d04b1d45e9de14e26daea940822a12a2abb2a2dcb6d62b403b",
     ),
     "sa_nd_no_envelope": (
-        "40fc2ca8a04e7c2611666df6624c12b38cdabedd5c4cf47a6490bc52fdbf91c9",
+        "36ccd6b103fb72eb8a33ec8fc5dbb16868de7b9f4d873cb221322bf19b5f1e72",
         "c431fcbb706c6e0261bc271f65919c3f88167e187fb2476af30c3c2f519da50a",
         "237e41f2a3e01cd666d34f4828d0064067bc9be1c486646973cabc9a8da4f74e",
     ),
     "sa_no_envelope": (
-        "3b4b147a027de88bbd71def7392d6a52fd3ccf10355c6c3084b6bb7ccc18fd87",
+        "6fb5068bc5ca76487c63b5b4bff65eae426ac3a14c07db040dd20bbbee8c4e33",
         "d9b95f552976612f50a13a0df4a05865b6761f4dfa1df6e1e1a4cbf7196a6e39",
         "a8a20d6ea3820cf5864187865b6b3662508620cb0c9389841dfd12047e329f59",
     ),
     "sa_nonuniform_all": (
-        "79f9368868202d7c06ed0ccdfd488958e0bb224f216df71e839c34122441de5b",
+        "62f234afa48355fcb335bc52ad82da554c489b7150ab613d6303ae8b67bf81e0",
         "95dcb65ad8232b4e66fe85bf86db0cf3b6f7b7f7c821f0e9dcfec7a65330ea01",
         "98ee19fd58a3640b81d4545ced09ea322835c1bda1e52a3577074a3c87f0fb5f",
     ),
@@ -393,9 +394,12 @@ def test_sa_branch_digests(name, tmp_path):
 
 
 # The sine map with c = 1e6 overflows on every seed: each seed errors with the
-# scalar solver's message, and --traces writes the header only.
+# scalar solver's message, quantiles.csv has every grid step and no quantile,
+# and --traces writes the header only.  (summary.json, quantiles.csv,
+# traces.csv) sha256
 ERRORED_GOLDEN = (
-    "299e5a3c5d44f918aef8b6ac9b00e54e0e979019a39aef543556963a5bc4d22e",
+    "ed23be1e055068612b42912873ada9d9f8311e32ac64f18534b38edd52894a46",
+    "bc913d2f55ee02d11a19844a031b1b44cd4c9512d2459f421e3593b97e70515f",
     "3655508fbab9a7da214e00eae1368ce514f0f6131b281e119767958642cbad64",
 )
 
@@ -410,4 +414,9 @@ def test_errored_seed_ensemble_digest(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     notes = [seed["note"] for seed in summary["ensemble"]["per_seed"]]
     assert notes == ["ValueError: math domain error"] * 20
-    assert (_digests(out, tmp_path)[0], _sha((out / "traces.csv").read_bytes())) == ERRORED_GOLDEN
+    rows = (out / "quantiles.csv").read_text().splitlines()
+    assert rows[0] == "n,q05,q25,q50,q75,q95"
+    assert len(rows) == 1 + 200  # one row per grid step, the default curve_points
+    assert all(row.split(",")[1:] == [""] * 5 for row in rows[1:])
+    digests = _digests(out, tmp_path) + (_sha((out / "traces.csv").read_bytes()),)
+    assert digests == ERRORED_GOLDEN
