@@ -467,7 +467,8 @@ def test_summary_holds_each_value_once(kind, tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert not {"curves", "seeds"} & set(summary["ensemble"])
     report = summary["report"]
-    assert not {"problem", "dimension", "weights", "increments", "design", "gweight"} & set(report)
+    echoes = {"problem", "dimension", "weights", "increments", "design", "gweight"}
+    assert not echoes & set(report)
     if group is not None:
         assert not {"m_declared", "M_declared", "delta", "tau"} & set(report[group])
     with open(out / "quantiles.csv", newline="") as fh:
