@@ -523,7 +523,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentOutcome:
         lines.append("")
         lines.append(f"exit code: {exit_code}")
         write_summary_text(out_dir / "summary.txt", lines)
-        if stats is not None and stats.curves is not None:
+        if stats is not None:
             write_quantiles_csv(out_dir / "quantiles.csv", stats.curves)
         if config.traces and traces is not None:
             p, path_of = traces

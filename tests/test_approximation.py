@@ -724,6 +724,7 @@ class TestBlockSolver:
         if family == "sine_perturbed":
             assert caught_blocked == []
         assert json.dumps(blocked.to_dict()) == json.dumps(alone.to_dict())
+        assert json.dumps(blocked.curves) == json.dumps(alone.curves)
         notes = [v.note for v in blocked.per_seed]
         assert set(notes) == seed_notes
         for got, want in zip(blocked.payloads, alone.payloads):

@@ -190,7 +190,7 @@ class TestRunCommand:
     def test_ls_block_equals_per_seed_ensemble(self, tmp_path):
         from contractlab.harness import EnsembleConfig, run_ensemble
         from contractlab.least_squares import RegressionModel, feedback_design, simulate_ls_runs
-        from contractlab.reporting import write_summary_json
+        from contractlab.reporting import write_quantiles_csv, write_summary_json
 
         out = tmp_path / "ls"
         cfg = write_config(
@@ -217,6 +217,8 @@ output: {{dir: {out}}}
         write_summary_json(tmp_path / "per_seed.json", {"ensemble": stats.to_dict()})
         per_seed = json.loads((tmp_path / "per_seed.json").read_text())["ensemble"]
         assert json.loads((out / "summary.json").read_text())["ensemble"] == per_seed
+        write_quantiles_csv(tmp_path / "per_seed.csv", stats.curves)
+        assert (out / "quantiles.csv").read_bytes() == (tmp_path / "per_seed.csv").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         out_a = tmp_path / "a"

@@ -149,6 +149,7 @@ class TestRunEnsemble:
         for size in (2, 3, None):
             block = run_ensemble(solve, config, grid, size)
             assert json.dumps(block.to_dict()) == json.dumps(per_seed.to_dict())
+            assert json.dumps(block.curves) == json.dumps(per_seed.curves)
             assert block.payloads == per_seed.payloads
             notes = [v.note for v in block.per_seed]
             assert notes == [
