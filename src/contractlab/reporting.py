@@ -81,11 +81,10 @@ def write_quantiles_csv(path: Path, curves: Dict[str, List]) -> None:
 
 def trace_header(p: int = 1) -> List[str]:
     if p == 1:
-        return ["seed", "n", "x", "m", "eps", "u_flag"]
+        return ["seed", "n", "x", "m", "u_flag"]
     cols = ["seed", "n"]
     cols += [f"x_{t}" for t in range(1, p + 1)]
     cols += [f"m_{t}" for t in range(1, p + 1)]
-    cols += [f"eps_{t}" for t in range(1, p + 1)]
     cols.append("u_flag")
     return cols
 
@@ -95,7 +94,8 @@ TRACE_CHUNK = 256  # steps formatted at a time: a long path leaves no large text
 
 def _trace_chunks(seed: int, path: ProcessPath) -> Iterator[str]:
     """One path's CSV text in chunks of whole lines; the n = 0 line carries only
-    the initial value.
+    the initial value.  The residual ``eps = x - m`` is not written: a reader
+    recomputes it, bit for bit, from the two columns (``ProcessPath``).
 
     ``u_flag`` marks a zero-class predecessor: ``|x_{n-1}|`` for a scalar
     path, the row norm for a vector path (whose norm of a tiny entry may
@@ -103,14 +103,14 @@ def _trace_chunks(seed: int, path: ProcessPath) -> Iterator[str]:
     """
     xs = path.xs.reshape(len(path.xs), -1)
     p = xs.shape[1]
-    ms, eps = path.ms.reshape(-1, p), path.eps.reshape(-1, p)
+    ms = path.ms.reshape(-1, p)
     prev = np.linalg.norm(path.xs[:-1], axis=1) if path.xs.ndim == 2 else np.abs(path.xs[:-1])
     flags = np.where(prev <= path.zero_tol, "1", "0")
     tag = str(seed)
-    yield ",".join([tag, "0", *map(repr, xs[0].tolist())]) + "," * (2 * p + 1) + "\n"
+    yield ",".join([tag, "0", *map(repr, xs[0].tolist())]) + "," * (p + 1) + "\n"
     for lo in range(0, path.horizon, TRACE_CHUNK):
         hi = min(lo + TRACE_CHUNK, path.horizon)
-        columns = np.hstack((xs[lo + 1 : hi + 1], ms[lo:hi], eps[lo:hi])).T.tolist()
+        columns = np.hstack((xs[lo + 1 : hi + 1], ms[lo:hi])).T.tolist()
         ns = map(str, range(lo + 1, hi + 1))
         lines = zip(repeat(tag), ns, *[map(repr, col) for col in columns], flags[lo:hi].tolist())
         yield "\n".join(map(",".join, lines)) + "\n"
@@ -121,6 +121,7 @@ def write_traces_csv(
 ) -> None:
     """Write ``(seed, path)`` pairs in the order given under the ``p``-column header.
 
+    Each row holds the values and means of one step, not their residuals.
     Floats are written by shortest round-trip repr, like every other artifact.
     """
     with open(path, "w", newline="") as fh:
@@ -212,7 +213,9 @@ def read_trace_csv(path: Path):
 
     The trace has ``p`` components when its header names ``x_2..x_p``, one
     otherwise; it must carry the columns of ``trace_header(p)`` but
-    ``u_flag``, in any order.  The arrays are 1-d for a scalar trace and
+    ``u_flag``, in any order.  Any other column, such as the ``eps`` or
+    ``eps_t`` of a trace written before the residuals were dropped, is
+    ignored.  The arrays are 1-d for a scalar trace and
     ``(steps, p)`` otherwise, and ``xs`` includes the initial value at index
     0.  Values are parsed as written, so a ``nan`` or ``inf`` entry reaches
     the checkers unchanged.  Rows may come in any order; seeds are keyed in
@@ -232,10 +235,10 @@ def read_trace_csv(path: Path):
         p = 1
         while f"x_{p + 1}" in header:
             p += 1
-        required = trace_header(p)[: 3 * p + 2]  # seed, n, then each x, m and eps
+        required = trace_header(p)[:-1]  # seed, n, then each x and m
         if not set(required).issubset(header):
             raise ValueError(f"trace file must carry columns {sorted(required)}")
-        columns = [header.index(name) for name in required[: 2 * p + 2]]
+        columns = [header.index(name) for name in required]
         m_cols = columns[p + 2 :]
         scan = _scan_lines(fh, line[cut:], len(header), m_cols)
     if scan is None:

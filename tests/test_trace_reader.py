@@ -1,7 +1,9 @@
 """``reporting.read_trace_csv`` against a row-by-row reference reader.
 
 ``reference_read_trace_csv`` is the ``csv.reader`` implementation the
-columnar reader replaced, kept verbatim as the oracle: for any file it
+columnar reader replaced, kept as the oracle (it requires the ``seed``,
+``n``, ``x`` and ``m`` columns, as the writer no longer emits ``eps``; an
+``eps`` column of an older trace is ignored by both): for any file it
 accepts, the columnar reader must return the same seeds in the same order
 with byte-identical ``xs``/``ms``, and for any file it rejects, the same
 ``ValueError`` message.  Files with two rows for one ``(seed, n)`` are left
@@ -25,7 +27,7 @@ from contractlab import reporting
 from contractlab.process import ProcessPath
 from contractlab.reporting import read_trace_csv, write_traces_csv
 
-HEADER = "seed,n,x,m,eps,u_flag"
+HEADER = "seed,n,x,m,u_flag"
 
 
 def reference_read_trace_csv(path: Path):
@@ -33,7 +35,7 @@ def reference_read_trace_csv(path: Path):
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        required = {"seed", "n", "x", "m", "eps"}
+        required = {"seed", "n", "x", "m"}
         if not required.issubset(header):
             raise ValueError(f"trace file must carry columns {sorted(required)}")
         columns = [header.index(name) for name in ("seed", "n", "x", "m")]
@@ -99,7 +101,7 @@ def trace_rows(draw):
             spell = draw(SPELLINGS)
             x = spell(draw(VALUES))
             m = spell(draw(VALUES)) if n else draw(st.sampled_from(["", "0.5"]))
-            rows.append([str(seed), str(n), x, m, "0.0", "0"])
+            rows.append([str(seed), str(n), x, m, "0"])
     return draw(st.permutations(rows))
 
 
@@ -202,18 +204,18 @@ NOT_FLOAT = "could not convert string to float: "
         (HEAD, "trace file has no data rows"),
         (HEAD + "\n\n", "trace file has no data rows"),
         (HEADER, "trace file has no data rows"),
-        ("", "trace file must carry columns ['eps', 'm', 'n', 'seed', 'x']"),
-        (HEAD + "0,0,1.0,,,\n0,2,0.5,0.5,0.0,0\n", f"seed 0: {NOT_CONTIGUOUS}"),
-        (HEAD + "3,1,1.0,0.5,,\n3,2,0.5,0.5,0.0,0\n", f"seed 3: {NOT_CONTIGUOUS}"),
-        (HEAD + "0,0,1.0,,,\n0,1,0.5,,0.0,0\n", "seed 0: missing mean at step 1"),
+        ("", "trace file must carry columns ['m', 'n', 'seed', 'x']"),
+        (HEAD + "0,0,1.0,,\n0,2,0.5,0.5,0\n", f"seed 0: {NOT_CONTIGUOUS}"),
+        (HEAD + "3,1,1.0,0.5,\n3,2,0.5,0.5,0\n", f"seed 3: {NOT_CONTIGUOUS}"),
+        (HEAD + "0,0,1.0,,\n0,1,0.5,,0\n", "seed 0: missing mean at step 1"),
         (
-            HEAD + "0,0,1.0,,,\n0,1,0.5,0.5,0.0,0\n0,2,0.2,,0.0,0\n",
+            HEAD + "0,0,1.0,,\n0,1,0.5,0.5,0\n0,2,0.2,,0\n",
             "seed 0: missing mean at step 2",
         ),
-        (HEAD + "0,0,1.0,,,\n0,1.5,0.5,0.5,0.0,0\n", f"line 3: {NOT_INT}'1.5'"),
-        (HEAD + "0,0,1.0,,,\n0,1,#0.5,0.5,0.0,0\n", f"line 3: {NOT_FLOAT}'#0.5'"),
-        (HEAD + "0,0,1.0,,,\n0,1,0.5,0.5,0.0\n", "line 3: expected 6 fields, got 5"),
-        (HEAD + "0,0,1.0,,,\n \n", "line 3: expected 6 fields, got 1"),
+        (HEAD + "0,0,1.0,,\n0,1.5,0.5,0.5,0\n", f"line 3: {NOT_INT}'1.5'"),
+        (HEAD + "0,0,1.0,,\n0,1,#0.5,0.5,0\n", f"line 3: {NOT_FLOAT}'#0.5'"),
+        (HEAD + "0,0,1.0,,\n0,1,0.5,0.5\n", "line 3: expected 5 fields, got 4"),
+        (HEAD + "0,0,1.0,,\n \n", "line 3: expected 5 fields, got 1"),
     ],
     ids=[
         "header-only",
@@ -241,7 +243,7 @@ def test_error_messages(tmp_path, text, message):
 
 def test_first_bad_seed_in_file_order(tmp_path):
     """Among several bad seeds, the one whose first row comes first is reported."""
-    text = HEADER + "\n5,0,1.0,,,\n5,2,0.5,0.5,0.0,0\n1,0,1.0,,,\n1,1,0.5,,0.0,0\n"
+    text = HEADER + "\n5,0,1.0,,\n5,2,0.5,0.5,0\n1,0,1.0,,\n1,1,0.5,,0\n"
     path = tmp_path / "traces.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=r"^seed 5: trace rows must cover"):
@@ -260,10 +262,10 @@ def test_columns_found_by_name(tmp_path):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ("0,0,1.0,,,\n0,1,0.5,0.5,0.0,0\n0,1,9.0,0.5,8.5,0\n", "seed 0: duplicate rows for step 1"),
-        ("0,0,1.0,,,\n0,0,2.0,,,\n", "seed 0: duplicate rows for step 0"),
+        ("0,0,1.0,,\n0,1,0.5,0.5,0\n0,1,9.0,0.5,0\n", "seed 0: duplicate rows for step 1"),
+        ("0,0,1.0,,\n0,0,2.0,,\n", "seed 0: duplicate rows for step 0"),
         (
-            "2,0,1.0,,,\n1,0,1.0,,,\n1,3,0.5,,0.0,0\n2,0,1.0,,,\n",
+            "2,0,1.0,,\n1,0,1.0,,\n1,3,0.5,,0\n2,0,1.0,,\n",
             "seed 2: duplicate rows for step 0",
         ),
     ],
@@ -281,10 +283,10 @@ def test_duplicate_steps_rejected(tmp_path, rows, message):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ("0,0,1_0,,,\n", "could not convert string '1_0'"),
-        ("0,0,\"1.0\",,,\n", "could not convert string '\"1.0\"'"),
-        ("99999999999999999999,0,1.0,,,\n", "could not convert string '99999999999999999999'"),
-        ("0,0,1.0,,\"a,b\",\n", "rows do not all have the header's 6 fields"),
+        ("0,0,1_0,,\n", "could not convert string '1_0'"),
+        ("0,0,\"1.0\",,\n", "could not convert string '\"1.0\"'"),
+        ("99999999999999999999,0,1.0,,\n", "could not convert string '99999999999999999999'"),
+        ("0,0,1.0,,\"a,b\"\n", "rows do not all have the header's 5 fields"),
     ],
     ids=["underscore", "quoted-number", "seed-beyond-int64", "quoted-comma"],
 )
@@ -336,10 +338,10 @@ def float_fallback_loadtxt(fname, *, dtype, **kwargs):
 @pytest.mark.parametrize(
     "rows, message",
     [
-        ("0,0,1.0,,,\n0,1.5,0.5,0.5,0.0,0\n", f"line 3: {NOT_INT}'1.5'"),
-        ("0,0,1.0,,,\n0,1e0,0.5,0.5,0.0,0\n", f"line 3: {NOT_INT}'1e0'"),
-        ("0.0,0,1.0,,,\n", f"line 2: {NOT_INT}'0.0'"),
-        ("99999999999999999999,0,1.0,,,\n", "could not convert string '99999999999999999999'"),
+        ("0,0,1.0,,\n0,1.5,0.5,0.5,0\n", f"line 3: {NOT_INT}'1.5'"),
+        ("0,0,1.0,,\n0,1e0,0.5,0.5,0\n", f"line 3: {NOT_INT}'1e0'"),
+        ("0.0,0,1.0,,\n", f"line 2: {NOT_INT}'0.0'"),
+        ("99999999999999999999,0,1.0,,\n", "could not convert string '99999999999999999999'"),
     ],
     ids=["non-integer-n", "exponent-n", "non-integer-seed", "seed-beyond-int64"],
 )
@@ -391,24 +393,58 @@ def test_written_traces_read_back(tmp_path_factory, case):
         for read, written in zip(got[seed], (trace.xs, trace.ms)):
             assert (read.dtype, read.shape) == (np.float64, written.shape)
             assert read.tobytes() == written.tobytes()
+        # the residuals are not written: x - m of what is read gives them back,
+        # bit for bit wherever they are not NaN
+        with np.errstate(all="ignore"):
+            eps = ProcessPath(*got[seed]).eps
+        nan = np.isnan(trace.eps)
+        assert np.array_equal(np.isnan(eps), nan)
+        assert eps[~nan].tobytes() == trace.eps[~nan].tobytes()
 
 
-VECTOR_HEAD = "seed,n,x_1,x_2,m_1,m_2,eps_1,eps_2,u_flag\n0,0,1.0,2.0,,,,,\n"
+@settings(max_examples=100, deadline=None)
+@given(case=written_paths(), data=st.data())
+def test_traces_with_eps_columns_read_as_before(tmp_path_factory, case, data):
+    """A trace in the earlier schema, with the residuals ``eps`` (scalar) or
+    ``eps_1..eps_p`` (vector) before ``u_flag``, reads to the same arrays as
+    the same paths written without them, whatever the order of its columns."""
+    p, pairs = case
+    folder = tmp_path_factory.mktemp("trace")
+    new, old = folder / "new.csv", folder / "old.csv"
+    with np.errstate(all="ignore"):
+        write_traces_csv(new, p, pairs)
+    with open(new, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    residuals = []  # the eps fields of each row, in the order written
+    for _, trace in pairs:
+        residuals.append([""] * p)
+        residuals += [list(map(repr, row)) for row in trace.eps.reshape(-1, p).tolist()]
+    names = ["eps"] if p == 1 else [f"eps_{t}" for t in range(1, p + 1)]
+    old_rows = [r[:-1] + e + r[-1:] for r, e in zip([header] + rows, [names] + residuals)]
+    if p == 1:
+        assert old_rows[0] == ["seed", "n", "x", "m", "eps", "u_flag"]
+    order = data.draw(st.permutations(range(len(old_rows[0]))))
+    old.write_text("".join(",".join(r[i] for i in order) + "\n" for r in old_rows))
+    got = outcome(read_trace_csv, old)
+    assert got[0] == "ok"
+    assert got == outcome(read_trace_csv, new)
+
+
+VECTOR_HEAD = "seed,n,x_1,x_2,m_1,m_2,u_flag\n0,0,1.0,2.0,,,\n"
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
-        (VECTOR_HEAD + "0,1,0.5,1.0,0.5,,0.0,0.0,0\n", "seed 0: missing mean at step 1"),
-        (VECTOR_HEAD + "0,1,0.5,,0.5,1.0,0.0,0.0,0\n", f"line 3: {NOT_FLOAT}''"),
-        (VECTOR_HEAD + "0,1,0.5,1.0,0.5,n/a,0.0,0.0,0\n", f"line 3: {NOT_FLOAT}'n/a'"),
+        (VECTOR_HEAD + "0,1,0.5,1.0,0.5,,0\n", "seed 0: missing mean at step 1"),
+        (VECTOR_HEAD + "0,1,0.5,,0.5,1.0,0\n", f"line 3: {NOT_FLOAT}''"),
+        (VECTOR_HEAD + "0,1,0.5,1.0,0.5,n/a,0\n", f"line 3: {NOT_FLOAT}'n/a'"),
         (
-            "seed,n,x_1,x_2,m_1,m_2,eps_1,u_flag\n",
-            "trace file must carry columns "
-            "['eps_1', 'eps_2', 'm_1', 'm_2', 'n', 'seed', 'x_1', 'x_2']",
+            "seed,n,x_1,x_2,m_1,u_flag\n",
+            "trace file must carry columns ['m_1', 'm_2', 'n', 'seed', 'x_1', 'x_2']",
         ),
     ],
-    ids=["empty-second-mean", "empty-second-value", "non-numeric-second-mean", "missing-eps_2"],
+    ids=["empty-second-mean", "empty-second-value", "non-numeric-second-mean", "missing-m_2"],
 )
 def test_vector_trace_errors(tmp_path, text, message):
     """Every component of a vector row is read and checked, not only the first."""
