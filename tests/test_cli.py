@@ -89,9 +89,9 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 0
         with open(out / "traces.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["seed", "n", "x", "m", "eps", "u_flag"]
+        assert rows[0] == ["seed", "n", "x", "m", "u_flag"]
         assert rows[1][:3] == ["0", "0", "2.0"]
-        assert rows[1][3:] == ["", "", ""]
+        assert rows[1][3:] == ["", ""]
         assert len(rows) == 1 + 4 * 501
 
     def test_traces_skip_errored_seeds(self, tmp_path):
@@ -108,7 +108,7 @@ class TestRunCommand:
         notes = [seed["note"] for seed in summaries[0]["per_seed"]]
         assert notes == ["ValueError: math domain error"] * 3
         assert summaries[0] == summaries[1]
-        assert (out / "traces.csv").read_text() == "seed,n,x,m,eps,u_flag\n"
+        assert (out / "traces.csv").read_text() == "seed,n,x,m,u_flag\n"
 
     def test_quantiles_schema_is_pinned(self, tmp_path):
         out = tmp_path / "out"
@@ -348,7 +348,7 @@ class TestOtherKindsEndToEnd:
         cfg = write_config(tmp_path, SA_ND.format(out=out))
         assert main(["run", str(cfg), "--traces", "--horizon", "50"]) == 0
         header = (out / "traces.csv").read_text().splitlines()[0]
-        assert header == "seed,n,x_1,x_2,m_1,m_2,eps_1,eps_2,u_flag"
+        assert header == "seed,n,x_1,x_2,m_1,m_2,u_flag"
 
     def test_sa_nonuniform(self, tmp_path):
         out = tmp_path / "out"

@@ -75,13 +75,13 @@ GOLDEN = {
 
 # name -> traces.csv sha256, run with --traces at the SIZES above
 TRACE_GOLDEN = {
-    "kronecker": "233a165f4851e2324aa65b9de2f31de5d91946cec8d65d6f95bdd6a49515258a",
-    "ls_intermediate": "020890b0b27dce196a0832619837a912a5e031208300188f581fbfe35cac99c7",
-    "ls_sufficiency": "ed855873aa4ef90861b2d55cc196d830e2438dd7ea70ed5784a396980ba40204",
-    "multivariate": "5fce77613ba40bf9c1d96e39fad1b1d79e38678d55da6a40cab27e20cc2687a6",
-    "sa_convergence": "bf727ec9c08ca0f260173f87eb56381a389878212657b157ae2f261959f2042b",
-    "sa_nonuniform": "02474e073401e133ece0c62e347a43228043dad566d723dc7206e2b39d70d56d",
-    "ls_one_column": "9c6866507630d3d3a91777b5c68389d140970a3c4593f2558805226bf606d3a3",
+    "kronecker": "2716b684dbcdb94f1de0e92a451b8ce692b8e469255ab3920201a18414fc558d",
+    "ls_intermediate": "5a487717005e1ae7c9c8a968ca9f7273b070bbc6aaf4b1cd54a3c010ad2a08e7",
+    "ls_sufficiency": "421ea54f3b6018c388724ff9d06f2aa019c317b7a41039bacfe109ecce8793ff",
+    "multivariate": "10f4878fc7e85a034012a399ab37c63772f41223409d989942007695e002b676",
+    "sa_convergence": "1c8a07f591c389d40a594d6d471181618b4a63dffb63f677847bf41cf2eb1096",
+    "sa_nonuniform": "f0bab09476985841bb14a9efb49a4904701bc9bd422bdfc928f2e7f6edb76c7f",
+    "ls_one_column": "4aa1698814731e7252258c814e26f063cf7c9057eeebfc5eb7d11d75860d642b",
 }
 
 LS_ONE_COLUMN = """
@@ -162,7 +162,7 @@ def test_one_column_ls_trace_digest(tmp_path):
     cfg.write_text(LS_ONE_COLUMN.format(out=out))
     assert main(["run", str(cfg), "--traces"]) == 0
     data = (out / "traces.csv").read_bytes()
-    assert data.startswith(b"seed,n,x,m,eps,u_flag\n")
+    assert data.startswith(b"seed,n,x,m,u_flag\n")
     assert _sha(data) == TRACE_GOLDEN["ls_one_column"]
 
 
@@ -201,11 +201,11 @@ def test_trace_u_flag_follows_path_type(tmp_path):
     paths = [(0, ProcessPath(xs, ms)), (1, ProcessPath(xs[:, None], ms[:, None]))]
     write_traces_csv(out, 1, paths)
     assert out.read_text().splitlines() == [
-        "seed,n,x,m,eps,u_flag",
-        "0,0,1e-170,,,",
-        "0,1,1.0,0.5,0.5,0",
-        "1,0,1e-170,,,",
-        "1,1,1.0,0.5,0.5,1",
+        "seed,n,x,m,u_flag",
+        "0,0,1e-170,,",
+        "0,1,1.0,0.5,0",
+        "1,0,1e-170,,",
+        "1,1,1.0,0.5,1",
     ]
 
 
@@ -235,17 +235,17 @@ REMAINDER_GOLDEN = {
     "sa_convergence": (
         "bea2aafb415a14282c365ad8800bfe8ebbc7a2fbc854e8cd86193791c0a52a8c",
         "d14431a73873ad2f4678fdadd09d74125ab125f798a354d0afe4d05fd115413a",
-        "2a30a1b018222ee075ab5b868082ed0feae521d144dda3a5bc21802537e99402",
+        "1d821b27f3a1fce6eeeb28483f388f95fbe578caa218eaddf3da040f9ada87d9",
     ),
     "sa_nonuniform": (
         "a6b60e40376646f1a70bd8ad3deb6ace5d2875ad13dbd6f7ebedd0bb7d5ae572",
         "ea6a4d7746870d3d3718316e07bd8ba380ec15def5fc118b3b9d4343f025093e",
-        "d289d3be2c92391521eed628aab5de828f0330def4d6c571421790127ac54f69",
+        "5acb5568087d3d34a6b96a427741701a418c398931636ac4d1c5230e2dcea1db",
     ),
     "multivariate": (
         "2107b84346cf8f75c2845cf5f6a6db85d8800da72c764a0a7ae57eddbbe3ff86",
         "59a4e28ae289b50b8f70424d4d66cc2ccb1a81e65ccfb7d988e65a3fb45cf9ec",
-        "e0a0653b7cd8555f756713c3a9657e6566cb3d73f103d3c06bf3ceb96e4809d4",
+        "7fa7a418ae0f69626bd3a2785e3917d3b5fda8924dfe012bd30b03e6a70c3ff1",
     ),
 }
 
@@ -358,27 +358,27 @@ SA_BRANCH_GOLDEN = {
     "sa_all": (
         "bcce2a96b4f4620d9e15ba5e8f4da40e32246041da603a75558087e538ad4a43",
         "4e7ce3347434d00d1b61a83307741a84a2fe606ea2a3dcbd0410e1b41f3ce6e3",
-        "1ce0c36b064b97430eb4be8909653e40225c7d8841abf09aa765b8a8f843fca9",
+        "14ef6730e42548988a20e27fa675adbf4078b3a52de7a82c726a97d98ed48eb5",
     ),
     "sa_nd_all": (
         "d9d4caffcb14e47f668924e61e6138d0cc827a9e22531b29ce96fbd2e531724f",
         "fbf9e9f33f5a305393ce9d27fb60477d8235fbcc46287441087c66a6f036a594",
-        "15fc5c723983e7d04b1d45e9de14e26daea940822a12a2abb2a2dcb6d62b403b",
+        "5f959c9ced8fa39faa025a0e0008e7674c5adc11b33b866024609e387e745200",
     ),
     "sa_nd_no_envelope": (
         "36ccd6b103fb72eb8a33ec8fc5dbb16868de7b9f4d873cb221322bf19b5f1e72",
         "c431fcbb706c6e0261bc271f65919c3f88167e187fb2476af30c3c2f519da50a",
-        "237e41f2a3e01cd666d34f4828d0064067bc9be1c486646973cabc9a8da4f74e",
+        "d4a73a1e81b24af967060f7638f276bb819d3164362d60628b930b7166181307",
     ),
     "sa_no_envelope": (
         "6fb5068bc5ca76487c63b5b4bff65eae426ac3a14c07db040dd20bbbee8c4e33",
         "d9b95f552976612f50a13a0df4a05865b6761f4dfa1df6e1e1a4cbf7196a6e39",
-        "a8a20d6ea3820cf5864187865b6b3662508620cb0c9389841dfd12047e329f59",
+        "3ee43f49d301c4f7ce97736641615382460d0149ae4d0d36f5c0f4c9e6b0b6c6",
     ),
     "sa_nonuniform_all": (
         "62f234afa48355fcb335bc52ad82da554c489b7150ab613d6303ae8b67bf81e0",
         "95dcb65ad8232b4e66fe85bf86db0cf3b6f7b7f7c821f0e9dcfec7a65330ea01",
-        "98ee19fd58a3640b81d4545ced09ea322835c1bda1e52a3577074a3c87f0fb5f",
+        "cc6662a1dd4a50199899532ef2a87bb5a46f9882b4852b301edecfd6fb3022ef",
     ),
 }
 
@@ -400,7 +400,7 @@ def test_sa_branch_digests(name, tmp_path):
 ERRORED_GOLDEN = (
     "ed23be1e055068612b42912873ada9d9f8311e32ac64f18534b38edd52894a46",
     "bc913d2f55ee02d11a19844a031b1b44cd4c9512d2459f421e3593b97e70515f",
-    "3655508fbab9a7da214e00eae1368ce514f0f6131b281e119767958642cbad64",
+    "1258f3fa58076107539449e7e27d84728c5ec69a866c74023138a81c139ddf25",
 )
 
 
