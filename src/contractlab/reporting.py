@@ -213,13 +213,12 @@ def read_trace_csv(path: Path):
 
     The trace has ``p`` components when its header names ``x_2..x_p``, one
     otherwise; it must carry the columns of ``trace_header(p)`` but
-    ``u_flag``, in any order.  Any other column, such as the ``eps`` or
-    ``eps_t`` of a trace written before the residuals were dropped, is
-    ignored.  The arrays are 1-d for a scalar trace and
-    ``(steps, p)`` otherwise, and ``xs`` includes the initial value at index
-    0.  Values are parsed as written, so a ``nan`` or ``inf`` entry reaches
-    the checkers unchanged.  Rows may come in any order; seeds are keyed in
-    order of their first row.
+    ``u_flag``, in any order; other columns, such as an older trace's
+    ``eps`` or ``eps_t``, are ignored.  The arrays are 1-d for a scalar trace
+    and ``(steps, p)`` otherwise, and ``xs`` includes the initial value at
+    index 0.  Values are parsed as written, so a ``nan`` or ``inf`` entry
+    reaches the checkers unchanged.  Rows may come in any order; seeds are
+    keyed in order of their first row.
     Raises ValueError for a missing column, a file without data rows, a row
     with the wrong number of fields or a non-numeric field (naming its
     line), a non-integer ``seed`` or ``n``, two rows for one step, a seed

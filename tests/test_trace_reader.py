@@ -1,9 +1,8 @@
 """``reporting.read_trace_csv`` against a row-by-row reference reader.
 
 ``reference_read_trace_csv`` is the ``csv.reader`` implementation the
-columnar reader replaced, kept as the oracle (it requires the ``seed``,
-``n``, ``x`` and ``m`` columns, as the writer no longer emits ``eps``; an
-``eps`` column of an older trace is ignored by both): for any file it
+columnar reader replaced, kept as the oracle (requiring only the ``seed``,
+``n``, ``x`` and ``m`` columns, as the columnar reader does): for any file it
 accepts, the columnar reader must return the same seeds in the same order
 with byte-identical ``xs``/``ms``, and for any file it rejects, the same
 ``ValueError`` message.  Files with two rows for one ``(seed, n)`` are left
