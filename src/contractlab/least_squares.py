@@ -169,9 +169,10 @@ class LsState:
         """Fold k steps of rows (x, y), ``xy`` (S, k, p + 1), in step order and
         write each step's estimates to ``out`` (S, k, p).
 
-        Returns each step's inverse Gram (S, k, p, p), NaN before a seed's
-        first nonsingular step, and its accumulators (S, k, p, p + 1); the
-        state keeps copies of the last step's, so the caller may overwrite them.
+        Returns two contiguous (S, k, p) arrays: each step's column maxima of
+        |inverse Gram| (max over i of |gram_inv[i, j]|, NaN before a seed's
+        first nonsingular step) and its column energies.  The state's
+        estimate is a view of ``out``, read until the next fold.
         """
         p, k, first = self.p, xy.shape[1], self.n + 1
         X = xy[:, :, :p]
@@ -212,7 +213,10 @@ class LsState:
         self._aug = aug[:, -1].copy()
         self._inv = invs[:, -1].copy()
         self._est = out[:, -1]
-        return invs, aug
+        # a contiguous copy of the energies multiplies without numpy's ufunc buffer
+        energies = np.diagonal(aug, axis1=2, axis2=3).copy()
+        with np.errstate(invalid="ignore"):  # the singular steps' NaN
+            return np.abs(invs, out=invs).max(axis=2), energies
 
     def _rebase(self, n: int, aug: np.ndarray) -> None:
         due = self._due == n
@@ -332,9 +336,12 @@ class LsRun:
     while the gram matrix is still singular).  ``n0`` is the first step whose
     Gram matrix is nonsingular, ``energy`` the final column energies, and
     ``kappa_hat`` the supremum of p * max|gram_inv * weights| over the steps
-    from ``n0`` on (infinite when a weighted entry is NaN).  The arrays of a
-    run from :func:`simulate_ls_runs` are views of the arrays of its block of
-    seeds.  ``len(run)`` is its horizon.
+    from ``n0`` on (infinite when a weighted entry is NaN).  Over the tail
+    window (the steps :func:`~contractlab.harness.tail_verdict` classifies),
+    ``tail_err[t]`` is component t's largest error |b_t - beta_t| and
+    ``tail_osc[t]`` its oscillation max b_t - min b_t, both NaN when a tail
+    estimate is.  The arrays of a run from :func:`simulate_ls_runs` are
+    views of the arrays of its block of seeds.  ``len(run)`` is its horizon.
     """
 
     xs: np.ndarray
@@ -344,8 +351,8 @@ class LsRun:
     energy: np.ndarray
     n0: int
     kappa_hat: float
-    tail_b: np.ndarray  # estimates over the tail window, shape (window, p)
-    tail_start: int
+    tail_err: np.ndarray
+    tail_osc: np.ndarray
     checkpoint_gap: float
     err_sup: np.ndarray
 
@@ -373,16 +380,18 @@ def simulate_ls_runs(
     run of that seed alone.  ``checkpoints`` are step indices at which the
     recursive estimate is compared against a dense solve; the worst
     max-norm gap is recorded.  The state folds the draws in pieces cut every
-    ``REBASE_EVERY`` steps from 0 and from the tail start, at every
-    checkpoint, and, with a feedback law, at every step, whose rows first go
-    through the law.  Each piece's inverses, weighted by ``gw`` of the
-    column energies of their step, are reduced into each run's
-    ``kappa_hat``.  Estimates are kept for one piece at a time and for the
-    tail window (the last ``tail_length(horizon, tail_fraction)`` steps,
-    which ``tail_verdict`` classifies), never for the whole horizon, and each
-    run's arrays are views of the block's arrays.  Raises ValueError for a
-    checkpoint outside ``1..horizon``, and when any seed's Gram matrix or
-    score is non-finite, or its Gram matrix is never nonsingular.
+    ``REBASE_EVERY`` steps, at every checkpoint, and, with a feedback law,
+    at every step, whose rows first go through the law.  Each piece's
+    estimates go to one reused window and are reduced as they are folded:
+    into ``err_sup``, and, from the tail start on (the last
+    ``tail_length(horizon, tail_fraction)`` steps, which ``tail_verdict``
+    classifies), into a running max and min per seed and component, from
+    which ``tail_err`` and ``tail_osc`` are exact.  Each piece's column
+    maxima of |inverse Gram|, weighted by ``gw`` of their step's column
+    energies, are reduced into each run's ``kappa_hat``.  Each run's arrays
+    are views of the block's arrays.  Raises ValueError for a checkpoint
+    outside ``1..horizon``, and when any seed's Gram matrix or score is
+    non-finite, or its Gram matrix is never nonsingular.
     """
     S, p, beta, law = len(seeds), model.p, model.beta, model.design.law
     state = LsState(p, S)
@@ -390,8 +399,8 @@ def simulate_ls_runs(
     xs, ys = xy[:, :, :p], xy[:, :, p]
     us = np.empty((S, horizon))
     tail_start = horizon - tail_length(horizon, tail_fraction)
-    tail_b = np.empty((S, horizon - tail_start, p))
-    window = np.empty((S, min(REBASE_EVERY, tail_start), p))
+    window = np.empty((S, min(REBASE_EVERY, horizon), p))
+    hi, lo = np.full((S, p), -np.inf), np.full((S, p), np.inf)  # over the tail window
     err_sup = np.empty((S, horizon))
     sup = np.zeros(S)  # of max|gram_inv * weights| over the nonsingular steps
     checkpoints = {int(c) for c in checkpoints}
@@ -402,8 +411,8 @@ def simulate_ls_runs(
         model.design.draw(np.random.default_rng(seed), model.sigma, xs[s], us[s])
     # a law reads the estimates after the step before, so it folds step by step
     cuts = sorted({
-        *range(0, tail_start, REBASE_EVERY), *range(tail_start, horizon, REBASE_EVERY),
-        *(c for c in checkpoints if c < horizon), *(range(horizon) if law is not None else ()),
+        *range(0, horizon, REBASE_EVERY), *(c for c in checkpoints if c < horizon),
+        *(range(horizon) if law is not None else ()),
     })
     for a, b in zip(cuts, cuts[1:] + [horizon]):
         if law is not None:
@@ -411,33 +420,31 @@ def simulate_ls_runs(
         # the responses of the piece, in place
         np.matmul(xs[:, a:b, None, :], beta[:, None], out=ys[:, a:b, None, None])
         ys[:, a:b] += us[:, a:b]
-        # estimates before the tail go to a reused window, then in place in tail_b
-        ests = window[:, : b - a] if a < tail_start else tail_b[:, a - tail_start : b - tail_start]
-        invs, aug = state._fold(xy[:, a:b], ests)
+        ests = window[:, : b - a]
         # a step's max|inv * w| is, exactly, the max over columns j of |w_j| times
-        # column j's max|inv|, which forms no second (S, k, p, p) array; the piece's
-        # arrays are freed as soon as they are read, and a contiguous copy of the
-        # energies multiplies without numpy's ufunc buffer
-        energies = np.diagonal(aug, axis1=2, axis2=3).copy()
-        del aug
-        with np.errstate(invalid="ignore"):  # the singular steps' NaN, skipped below
-            columns = np.abs(invs, out=invs).max(axis=2)
-        del invs
+        # column j's max|inv|, which forms no second (S, k, p, p) array
+        columns, energies = state._fold(xy[:, a:b], ests)
         columns *= np.abs(np.asarray(gw(energies), dtype=float))
         n0 = state.first_nonsingular[:, None]
         nonsingular = (n0 > 0) & (n0 <= np.arange(a + 1, b + 1))
         # a NaN on a nonsingular step (a NaN weight) stays NaN through np.maximum
         np.maximum(sup, columns.max(axis=2).max(axis=1, where=nonsingular, initial=0.0), out=sup)
-        del energies, columns
+        del columns, energies  # freed before the next piece is folded
         err_sup[:, a:b] = np.abs(ests - beta).max(axis=2)
+        if b > tail_start:  # NaN propagates as through a max over the whole window
+            tail = ests[:, max(tail_start - a, 0) :]
+            np.maximum(hi, tail.max(axis=1), out=hi)
+            np.minimum(lo, tail.min(axis=1), out=lo)
         if b in checkpoints:
             for s in np.flatnonzero(state.first_nonsingular):
                 dense, *_ = np.linalg.lstsq(xs[s, :b], ys[s, :b], rcond=None)
                 gaps[s] = max(gaps[s], float(np.max(np.abs(state.estimate[s] - dense))))
     if state.singular.any():
         raise ValueError("design never reached a nonsingular gram matrix")
-    energy = state.energy
+    energy, final_b = state.energy, state.estimate.copy()
     kappa_hat = np.where(np.isnan(sup), np.inf, p * sup)
+    # rounding is monotone, so these are the tail's max|b - beta| and max - min, bit for bit
+    tail_err, tail_osc = np.maximum(hi - beta, beta - lo), hi - lo
     runs = []
     for s in range(S):
         n0 = int(state.first_nonsingular[s])
@@ -447,12 +454,12 @@ def simulate_ls_runs(
                 xs=xs[s],
                 ys=ys[s],
                 us=us[s],
-                final_b=tail_b[s, -1],
+                final_b=final_b[s],
                 energy=energy[s],
                 n0=n0,
                 kappa_hat=float(kappa_hat[s]),
-                tail_b=tail_b[s],
-                tail_start=tail_start,
+                tail_err=tail_err[s],
+                tail_osc=tail_osc[s],
                 checkpoint_gap=gaps[s],
                 err_sup=err_sup[s],
             )
@@ -622,14 +629,11 @@ def partition_analysis(
     worst_consistent = max(consistent_disp) if consistent_disp else 0.0
     for t in range(p):
         if t not in finite:
-            errs = np.asarray([float(np.max(np.abs(r.tail_b[:, t] - beta[t]))) for r in runs])
+            errs = np.asarray([r.tail_err[t] for r in runs])
             frac = float(np.mean(errs <= consistency_tol))
             classes.append(consistent if frac >= 0.95 else inconclusive)
         else:
-            oscs = np.asarray(
-                [float(r.tail_b[:, t].max() - r.tail_b[:, t].min()) for r in runs]
-            )
-            cauchy = bool(np.all(oscs <= oscillation_tol))
+            cauchy = bool(all(r.tail_osc[t] <= oscillation_tol for r in runs))
             spread_ok = dispersion[t] > dispersion_ratio * worst_consistent
             classes.append(finite_random_limit if cauchy and spread_ok else inconclusive)
     return PartitionReport(

@@ -110,10 +110,10 @@ def per_step_stream(design, rng, sigma: float, horizon: int):
     return np.array(xs), np.array(us)
 
 
-def fixed_run(xs, us=None, gw=None):
+def fixed_run(xs, us=None, gw=None, beta=None, tail_fraction=0.2):
     """The run of one seed whose design draws exactly the regressors ``xs``
-    and the noise ``us`` (default zero), with beta zero and weight ``gw``
-    (default the identity)."""
+    and the noise ``us`` (default zero), with ``beta`` (default zero) and
+    weight ``gw`` (default the identity)."""
     xs = np.asarray(xs, dtype=float)
     us = np.zeros(len(xs)) if us is None else np.asarray(us, dtype=float)
 
@@ -122,9 +122,19 @@ def fixed_run(xs, us=None, gw=None):
         out_us[:] = us
 
     p = xs.shape[1]
-    model = least_squares.RegressionModel(np.zeros(p), least_squares.Design(p, draw), 0.0)
+    beta = np.zeros(p) if beta is None else beta
+    model = least_squares.RegressionModel(beta, least_squares.Design(p, draw), 0.0)
     gw = least_squares.GWeight.identity() if gw is None else gw
-    return least_squares.simulate_ls_runs(model, len(xs), [0], gw=gw)[0]
+    return least_squares.simulate_ls_runs(model, len(xs), [0], tail_fraction, gw=gw)[0]
+
+
+def stepped_estimates(xs, ys):
+    """(n, p): the estimate of ``LsState.update`` after each of the rows
+    ``xs`` and responses ``ys``, stepped one row at a time."""
+    state = LsState(xs.shape[1], 1)
+    return np.array(
+        [state.update(xs[i : i + 1], ys[i : i + 1]).estimate[0].copy() for i in range(len(ys))]
+    )
 
 
 def stepped_n0_kappa(xs, gw):

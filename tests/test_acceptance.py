@@ -289,10 +289,8 @@ class TestCriterion8IntermediateCase:
         )
         disp1 = limit_dispersion([r.final_b[0] for r in runs])
         disp2 = limit_dispersion([r.final_b[1] for r in runs])
-        consistent_frac = float(
-            np.mean([np.max(np.abs(r.tail_b[:, 1] - model.beta[1])) <= 0.05 for r in runs])
-        )
-        oscillations = [float(r.tail_b[:, 0].max() - r.tail_b[:, 0].min()) for r in runs]
+        consistent_frac = float(np.mean([r.tail_err[1] <= 0.05 for r in runs]))
+        oscillations = [float(r.tail_osc[0]) for r in runs]
         ok = (
             part.q == 1
             and part.component_classes == ("finite_random_limit", "consistent")

@@ -21,7 +21,7 @@ from contractlab import (
     z_process,
 )
 from contractlab import EnsembleConfig, least_squares
-from contractlab.harness import tail_verdict
+from contractlab.harness import tail_length, tail_verdict
 from contractlab.least_squares import (
     REBASE_EVERY,
     Design,
@@ -40,6 +40,7 @@ from helpers import (
     iid_gaussian_steps,
     per_step_stream,
     rotating_steps,
+    stepped_estimates,
     stepped_n0_kappa,
 )
 
@@ -380,7 +381,7 @@ class TestSimulateAndDecomposition:
         )
         run = simulate_ls_runs(model, 300, [2], tail_fraction=0.1)[0]
         assert run.xs.shape == (300, 2)
-        assert run.tail_b.shape == (30, 2)
+        assert run.tail_err.shape == run.tail_osc.shape == run.final_b.shape == (2,)
         assert run.n0 is not None and run.n0 <= 10
 
     @pytest.mark.parametrize(
@@ -389,12 +390,9 @@ class TestSimulateAndDecomposition:
     def test_tail_estimates_are_the_window_the_verdict_reads(self, horizon, tail_fraction, window):
         model = RegressionModel(beta=np.array([1.0, -0.5]), design=rotating_design(), sigma=1.0)
         run = simulate_ls_runs(model, horizon, [0], tail_fraction)[0]
-        assert len(run.tail_b) == horizon - run.tail_start == window
+        assert tail_length(horizon, tail_fraction) == window
         config = EnsembleConfig(seeds=1, root_seed=0, horizon=horizon, tail_fraction=tail_fraction)
-        verdict = tail_verdict(run.err_sup, config)
-        errors = np.abs(run.tail_b - model.beta).max(axis=1)
-        assert verdict.tail_sup == errors.max()
-        assert verdict.tail_oscillation == errors.max() - errors.min()
+        assert tail_verdict(run.err_sup, config).tail_sup == run.tail_err.max()
 
 
 class TestDesignConditions:
@@ -483,7 +481,7 @@ BLOCK_MODELS = {
     "steered": RegressionModel(np.array([1.0, -0.5]), Design(2, steered_draw, steer), 1.0),
 }
 RUN_FIELDS = (
-    "xs", "ys", "us", "final_b", "energy", "n0", "kappa_hat", "tail_b", "tail_start",
+    "xs", "ys", "us", "final_b", "energy", "n0", "kappa_hat", "tail_err", "tail_osc",
     "checkpoint_gap", "err_sup",
 )
 
@@ -638,9 +636,10 @@ def test_law_reads_the_estimate_after_the_step_before():
     model = RegressionModel(
         np.array([1.0, -0.5]), Design(2, hesitant_draw, lambda e, rows: seen.append(e.copy())), 1.0
     )
-    run = simulate_ls_runs(model, 60, [7], tail_fraction=1.0)[0]  # the tail is every step
+    run = simulate_ls_runs(model, 60, [7])[0]
     assert len(seen) == 60 and np.isnan(seen[0]).all()
-    assert np.array(seen[1:])[:, 0].tobytes() == run.tail_b[:-1].tobytes()
+    estimates = stepped_estimates(run.xs, run.ys)
+    assert np.array(seen[1:])[:, 0].tobytes() == estimates[:-1].tobytes()
     assert 1 < run.n0 < 60
 
 
@@ -678,7 +677,7 @@ def test_fold_memory_stays_within_chunks(monkeypatch, rebase_every):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs = 8 * seeds * horizon * (p + 3) + seeds * runs[0].tail_b.nbytes
+        outputs = 8 * seeds * horizon * (p + 3)
         return peak - outputs
 
     chunk = 8 * rebase_every * seeds * p * (p + 1)
@@ -742,6 +741,37 @@ def test_run_kappa_matches_step_by_step_state(case, rebase_every):
     assert (run.n0, run.kappa_hat) == (n0, kappa_hat)
     report = check_design_conditions(run, gw, sigma2=0.0)
     assert (report.n0, report.kappa_hat) == (n0, kappa_hat)
+
+
+def assert_same_bits_or_nan(got, want):
+    """NaN exactly where ``want`` is, and the same bits everywhere else."""
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@given(designs(), st.integers(1, 9), st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_tail_reductions_match_step_by_step_estimates(case, rebase_every, tail_fraction, seed):
+    # the run reduces each folded piece's tail steps into a running max and
+    # min; the oracle keeps every single update's estimate, NaN before the
+    # first nonsingular step, which may fall inside the tail
+    xs, gw = case
+    rng = np.random.default_rng(seed)
+    beta, us = rng.normal(size=xs.shape[1]), rng.normal(size=len(xs))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+        try:
+            run = fixed_run(xs, us, gw, beta, tail_fraction)
+        except ValueError as exc:  # the oracle's state ends singular too
+            assert "never reached a nonsingular gram matrix" in str(exc)
+            assert np.isnan(stepped_estimates(xs, us)[-1]).all()
+            return
+        estimates = stepped_estimates(run.xs, run.ys)
+    tail = estimates[-tail_length(len(xs), tail_fraction) :]
+    assert_same_bits_or_nan(run.tail_err, np.abs(tail - beta).max(axis=0))
+    assert_same_bits_or_nan(run.tail_osc, tail.max(axis=0) - tail.min(axis=0))
+    assert_same_bits_or_nan(run.final_b, estimates[-1])
 
 
 @pytest.mark.parametrize("gweight", ["identity", "sqrt_log"])
@@ -823,8 +853,8 @@ class TestPartitionAnalysis:
                 energy=np.asarray(energy, dtype=float),
                 n0=2,
                 kappa_hat=1.0,
-                tail_b=np.zeros((2, 2)),
-                tail_start=2,
+                tail_err=np.zeros(2),
+                tail_osc=np.zeros(2),
                 checkpoint_gap=0.0,
                 err_sup=np.zeros(4),
             )
