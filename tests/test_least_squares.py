@@ -878,101 +878,109 @@ LOCK_DESIGNS = {
 LOCK_HORIZON = 3000
 LOCK_CHECKPOINTS = (10, 750, 1500, 3000)
 
-# (design, seed) -> (n0, tail_start, checkpoint_gap, {field: sha256})
+# (design, seed) -> (n0, checkpoint_gap, {field: sha256})
 LOCKED_RUNS = {
     ("rotating", 0): (
-        2, 2400, 1.7763568394002505e-15,
+        2, 1.7763568394002505e-15,
         {
             "xs": "2bc26218bc0b139ce286cc408b2d5020f8f166ae392051e9f77c0c39f889ab4b",
             "ys": "b43697bf23b4559ca146625fb05c1f719d064d5aa4e3549ff4729699e626d8fe",
             "us": "5b0a198647a76694c7ec0a410a9badb9d7106359c9dc12ef46100e2f017cd495",
             "final_b": "60887a5099ab030a54aaf34aa4539cf07ea0ffa3282884669ce32d8f178d5882",
             "energy": "86bc5f619c0023cd2c0f27db4b08558d8ec557c0b5ffdaa2f85b03d18bb49063",
-            "tail_b": "50a1e999096069850b24131eaf39022f1f723a3d7d142913c5a209770bf5971c",
+            "tail_err": "58df46f7f18e3b78916397e9de9e4ec3b6b114fbae516a1fddb6e16a60984bb7",
+            "tail_osc": "42737bd413d58d3c8b1bb3fc2d179deb116c402e0baa31aeb6bf2e55fe95e3d8",
             "err_sup": "3bd9202cabd4980518add2a50c958d58a527c2d7e8694a31c07b93e7a936a347",
         },
     ),
     ("rotating", 1): (
-        2, 2400, 1.9984014443252818e-15,
+        2, 1.9984014443252818e-15,
         {
             "xs": "bda0028ba1a002d503376e6a6a47848891b55d6f495a8dee1f1314fad2de8fb2",
             "ys": "703d5b1949b731ac87d1ec684e9ff9bd7f97b4e4c5fb7decf961255bb31ac680",
             "us": "2c5a4982382745a66a26c66f2ef9f99061e1eb91a41189e43a10b94f7c3edd05",
             "final_b": "73f01146641d20a23953ff4c674e2e6965eae1fcd5a7e8f7dd1dce2e3769abeb",
             "energy": "2a4ad476cdd208f2af3a4c71c7858c42abf18b3454ec196cd3062146d9751707",
-            "tail_b": "8715157459e3497583d4b35875a5e59d5bf9cd256743d5954e921d66900abb26",
+            "tail_err": "49812578831eeea1fc64810c960a1fc02a0d6bf8a3f9e8ea7dc89f479642d80f",
+            "tail_osc": "d22d50e56e411e90f0d122a64db67ffba92051510ceb72100e3293889b97cf0d",
             "err_sup": "78cb6ee545f105ae543b1c35ef6a59a7f3f280ddd9d8d99069f01d07c57ae1ae",
         },
     ),
     ("geometric_one", 0): (
-        2, 2400, 8.748557434046234e-14,
+        2, 8.748557434046234e-14,
         {
             "xs": "54e35082e9c122fa8cd55282be2b5abf7f46011a8119455d70b0e287d548cea1",
             "ys": "0efedf3b90bda7a9d879451cc74f5bcedd94d182baf7916ed8c1bcf48faa9889",
             "us": "3a9a57e9b5e11e7064a6c0931b50f469e7663e7918bfcad89bf33936babc5de3",
             "final_b": "f71aa982ef803b5226621797605a99211543df89871039ec1a970c3209953d9d",
             "energy": "793d45e812ff7ea380524a42fb6ea8072647ac30b78104edee170e50c3cfece5",
-            "tail_b": "2137d195ffb3c7513df69380c4eecb114c869d8203221c207846f66444ab13a2",
+            "tail_err": "c9fce82e35e60f394f01b4504b71b8f639ad64bbdeaa2d7b8d5bf09bf436bca6",
+            "tail_osc": "466a8bac528dd5b543a76b80c0740f5ca7ac598134f9ec253860f02ac5a8bac0",
             "err_sup": "010172869ce57985fa467e9a2ce062ed6937f1f0b8717a9bcd020ad3731b9ffc",
         },
     ),
     ("geometric_one", 1): (
-        2, 2400, 9.281464485866309e-14,
+        2, 9.281464485866309e-14,
         {
             "xs": "54e35082e9c122fa8cd55282be2b5abf7f46011a8119455d70b0e287d548cea1",
             "ys": "07dfa33466e7f6924c94372d87d936e5ff4e43180a58b822730ee7a5a778ac17",
             "us": "d6b759966c9f613ca94c5f0272cc8b1857453e231595c2a262b9f9df93762845",
             "final_b": "fcd632ae2e17492462dd0fef4153dc334cbcf3aa904a9f8d2dd1c9f5a19f749c",
             "energy": "793d45e812ff7ea380524a42fb6ea8072647ac30b78104edee170e50c3cfece5",
-            "tail_b": "509a33e851617ee12b95f82179b2cbfa42c2a30879969115bfb8b4d19860577a",
+            "tail_err": "c845c6574fb69976738fddbb1c49ffb4029da2fbc8a09f24054d382291061415",
+            "tail_osc": "248946ebd62a2ab101f0152851ee6279fecf692a75403b4f1347ffec8a4fa3f0",
             "err_sup": "47eccdaeb8765376641fe5211128d7949afa9c04f57f2a86a438841c06107bd5",
         },
     ),
     ("iid_gaussian", 0): (
-        3, 2400, 3.9968028886505635e-15,
+        3, 3.9968028886505635e-15,
         {
             "xs": "1fff44208910b97928c24780e0b2b72f1c4c4ca9ba0ae4d24462cbb80ecb028d",
             "ys": "012506ffdbda266e04c5b6d08153502765c6b39a942328a7da2e083ca73d3f9b",
             "us": "3f5c8a6dfd40a0399fea39531301b9a4a69543f996d1eef22ddf157d69f3cc90",
             "final_b": "11ad0d24352cca8d1347b38de7629e9f6d7c788d4c3a77af44c38f97f8930e92",
             "energy": "6765d6441107d311191fef905b15fa31dde70a9cff1e8e28ab710c2339295054",
-            "tail_b": "21c3dbeb126d9f42ef08cd65c8c64afece6962b62db4d63f0a7a5b2c76dcfcd6",
+            "tail_err": "19bc228f490afdc2de4000e487fd10b441c6e4413eb9202ab5f154bd6bc342b9",
+            "tail_osc": "0714422d73d455b1571bf733b312798875314b17717bacb053c5c0cd2d1502fe",
             "err_sup": "02060ac9476d94e463079a972c2b343065bca35ef11beb8be0eabbfc52dd5eed",
         },
     ),
     ("iid_gaussian", 1): (
-        3, 2400, 3.9968028886505635e-15,
+        3, 3.9968028886505635e-15,
         {
             "xs": "f058a9476e1c011d06cee3e666ff28572240d59fe25d9d97b2278243bbe3bcb3",
             "ys": "ae4397924cc9d068f3b32bd914f4c688b2f5e8b8dc3987e23739b65ae179e039",
             "us": "ac2cb444e40de908301cede97761d7076299df0038a7c2537863e7b1dd4699b6",
             "final_b": "c437a3e833b6299c22b348687794df5b6875053e8319e45e4a657c9440604e8e",
             "energy": "d29fa9543f19eb37ae8abb9bcb60eac2dcee00d3c096459a271cbf4aa8d8a499",
-            "tail_b": "c14efb3cebe7397b639529babb3f3852b8062abd2c88b485ebb60a63bdd85f99",
+            "tail_err": "632a0f59a6180ec1f7e196fcdb77f8811f5d1b35bd27d2aea6f1984ebb6a47d7",
+            "tail_osc": "01c3e3ea1e14b77e9cc148ea97cb32358990016be8154fd7439da222ecde834d",
             "err_sup": "a0c61d9de622a549f7b685faa1b3854c9d0bf5b2f8c150629a35289f271ebe15",
         },
     ),
     ("feedback", 0): (
-        2, 2400, 1.3877787807814457e-15,
+        2, 1.3877787807814457e-15,
         {
             "xs": "b65b3363cc003dad6f22825847e3b336d995f86b747074b2fc224c78d83349e7",
             "ys": "1c4f01411b9c32883362aa99ba47bb63fe1af6f1fa486362aedbece758e3d469",
             "us": "48baef07c55a769e45d68cbaf784ecf4e358dc1af3b81fa01565dcd5b3a11624",
             "final_b": "625b3b6b2d7f8d5670f672fbfe08c7f944b6b0577afd5764d7700923bab4955c",
             "energy": "3b1e70fd223322167ae9eea523c61f7ed3368a14498d467a8ec26e31aa9ef227",
-            "tail_b": "94b2724640e8c3e897033d9b24734fb931503060fd3a06d63afc633145abb9e0",
+            "tail_err": "8f31d6e3bef7f12becdf021c2bd6880b5b9b42c3e6acd844ea0ce1749c26ed75",
+            "tail_osc": "fd8d79dc6359c5815333500b46159366f068815a66a5092f074e648452a3f0b4",
             "err_sup": "cfe717402db062be76539c57fb547e3e2985073a3e5bcd183a55521e4a837ecb",
         },
     ),
     ("feedback", 1): (
-        2, 2400, 1.6653345369377348e-15,
+        2, 1.6653345369377348e-15,
         {
             "xs": "c78ed8fa510a3bd2e577d79f101739b750a55e2824865bcd776b3840e3909fcd",
             "ys": "9f998271652c0137c6898484ddfde850b162d3f65bb83500106f236a3309dc70",
             "us": "eb6a8a4a5e0a2e9a0df75c1dae1f60974482d86305d29f5bca21bd1850a6b867",
             "final_b": "bfd16e429c4e2bf88c023f90c28e54509e4a03952c432234add53b954febcb53",
             "energy": "e6b54d2278b59402522b81c4d7b6d5b06507e332395473e8ed01948836740cd7",
-            "tail_b": "6320eb7ba6b33f4d444a3e76538510485a276e764ba8c6ffa9d1ffd4e366c3ae",
+            "tail_err": "bb58412fa0115faf2f0ca81642c977ea773947266a854c8fc9a3d0cad2eefdd7",
+            "tail_osc": "97f28c80394ad88ddb277063c5b242396239e307022fc92322f9ddb85b2b54d4",
             "err_sup": "769490063d64efdd7de926d3f2c128f86544faf6ed34600a85dba93e5a5f391c",
         },
     ),
@@ -1079,8 +1087,8 @@ def test_locked_ls_run(key):
     name, seed = key
     model, _ = _lock_model(name)
     run = simulate_ls_runs(model, LOCK_HORIZON, [seed], checkpoints=LOCK_CHECKPOINTS)[0]
-    n0, tail_start, gap, digests = LOCKED_RUNS[key]
-    assert (run.n0, run.tail_start, run.checkpoint_gap) == (n0, tail_start, gap)
+    n0, gap, digests = LOCKED_RUNS[key]
+    assert (run.n0, run.checkpoint_gap) == (n0, gap)
     assert {field: _digest(getattr(run, field)) for field in digests} == digests
 
 
