@@ -418,7 +418,12 @@ def _run_custom(config: ExperimentConfig):
         horizon = path.horizon
         entry: Dict[str, Any] = {"horizon": horizon}
         if checks["nonexpansive_alpha"] is not None:
-            profile = NonexpansiveProfile.constant(checks["nonexpansive_alpha"], horizon)
+            try:
+                profile = NonexpansiveProfile.constant(checks["nonexpansive_alpha"], horizon)
+            except ValueError as exc:  # the allowances overrun the profile's budget
+                raise InputError(
+                    f"checks.nonexpansive_alpha on seed {seed} (horizon {horizon}): {exc}"
+                ) from exc
             entry["nonexpansive"] = asdict(check_nonexpansive(path, profile))
         if checks["contractive_k"] is not None:
             profile = ContractiveProfile.constant(

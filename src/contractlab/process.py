@@ -212,10 +212,11 @@ def ratio_band(path, upper, lower=None, mask=None, atol: float = 0.0) -> Band:
 
 def zero_state_band(path, tail_window: int | None, tol: float) -> Band:
     """|m_n| <= tol (||m_n|| for a vector path) at tail steps with a zero-class
-    predecessor; the tail defaults to the last half of the horizon."""
+    predecessor; the tail defaults to the last half of the horizon, at least
+    one step (none on a path with no steps, whose check is vacuous)."""
     horizon = path.horizon
     if tail_window is None:
-        tail_window = max(1, horizon // 2)
+        tail_window = min(max(1, horizon // 2), horizon)
     if tail_window > horizon:
         raise ValueError(f"tail window {tail_window} exceeds horizon {horizon}")
     prev, means = _drift_pairs(path)

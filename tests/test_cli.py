@@ -411,6 +411,23 @@ output: {{dir: {tmp_path / 'custom_out'}}}
         assert summary["report"]["paths_checked"] == 4
         assert summary["report"]["all_hold"] is True
 
+    def test_custom_path_check_seed_with_no_steps(self, tmp_path):
+        # a seed with only its n = 0 row: every check over its steps is vacuous
+        trace = tmp_path / "traces.csv"
+        trace.write_text("seed,n,x,m,u_flag\n0,0,1.0,,\n")
+        custom = f"""
+kind: custom_path_check
+input: {{path: {trace}}}
+checks: {{zero_state_tol: 1.0e-9}}
+ensemble: {{seeds: 1, root_seed: 1, horizon: 10}}
+assertions: {{all_checks_hold: true}}
+output: {{dir: {tmp_path / 'custom_out'}}}
+"""
+        assert main(["run", str(write_config(tmp_path, custom, "custom.yaml"))]) == 0
+        summary = json.loads((tmp_path / "custom_out" / "summary.json").read_text())
+        seed = summary["report"]["per_seed"]["0"]
+        assert seed["horizon"] == 0 and seed["zero_state"]["holds"] is True
+
     def test_custom_path_check_fails_on_nan_mean(self, tmp_path, capsys):
         sa_out = tmp_path / "sa_out"
         sa_cfg = write_config(tmp_path, SA_TEMPLATE.format(out=sa_out, traces="true"), "sa.yaml")
@@ -589,6 +606,22 @@ class TestUnusableTraceInput:
         assert main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert f"unusable trace file: {message}" in err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_allowances_beyond_the_budget_exit_2(self, tmp_path, capsys):
+        # 100 per step over 20,000 steps sums past NonexpansiveProfile's 1e6
+        trace = tmp_path / "traces.csv"
+        rows = "".join(f"0,{n},0.0,0.0,1\n" for n in range(1, 20_001))
+        trace.write_text("seed,n,x,m,u_flag\n0,0,0.0,,\n" + rows)
+        text = CUSTOM_TEMPLATE.format(trace=trace, out=tmp_path / "out")
+        cfg = write_config(tmp_path, text.replace("alpha: 0.0", "alpha: 100.0"))
+        assert main(["check", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        message = "checks.nonexpansive_alpha on seed 0 (horizon 20000): "
+        assert message + "sum of alphas 2e+06 exceeds cap 1e+06" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "out" / "summary.json").exists()
 
 

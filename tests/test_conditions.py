@@ -156,6 +156,12 @@ class TestZeroStateDecay:
         with pytest.raises(ValueError):
             check_zero_state_decay(path, tail_window=11)
 
+    def test_path_with_no_steps_is_vacuous(self):
+        # the default window is empty, as check_nonexpansive's steps are
+        verdict = check_zero_state_decay(ProcessPath([1.0], []), tol=1e-9)
+        assert (verdict.holds, verdict.first_violation) == (True, None)
+        assert verdict.detail == "vacuous: no zero-class predecessors in the tail window"
+
 
 def rotation_path(horizon=40):
     """Means rotate 90 degrees and shrink by 0.8: componentwise signs flip,
