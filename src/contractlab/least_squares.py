@@ -337,11 +337,11 @@ class LsRun:
     Gram matrix is nonsingular, ``energy`` the final column energies, and
     ``kappa_hat`` the supremum of p * max|gram_inv * weights| over the steps
     from ``n0`` on (infinite when a weighted entry is NaN).  Over the tail
-    window (the steps :func:`~contractlab.harness.tail_verdict` classifies),
-    ``tail_err[t]`` is component t's largest error |b_t - beta_t| and
-    ``tail_osc[t]`` its oscillation max b_t - min b_t, both NaN when a tail
-    estimate is.  The arrays of a run from :func:`simulate_ls_runs` are
-    views of the arrays of its block of seeds.  ``len(run)`` is its horizon.
+    window that ``tail_verdict`` classifies, ``tail_err[t]`` is component
+    t's largest error |b_t - beta_t| and ``tail_osc[t]`` its max b_t - min
+    b_t, NaN when a tail estimate is.  The arrays of a run from
+    :func:`simulate_ls_runs` are views of the arrays of its block of seeds.
+    ``len(run)`` is its horizon.
     """
 
     xs: np.ndarray
@@ -380,18 +380,16 @@ def simulate_ls_runs(
     run of that seed alone.  ``checkpoints`` are step indices at which the
     recursive estimate is compared against a dense solve; the worst
     max-norm gap is recorded.  The state folds the draws in pieces cut every
-    ``REBASE_EVERY`` steps, at every checkpoint, and, with a feedback law,
+    ``REBASE_EVERY`` steps and at every checkpoint, or, with a feedback law,
     at every step, whose rows first go through the law.  Each piece's
-    estimates go to one reused window and are reduced as they are folded:
-    into ``err_sup``, and, from the tail start on (the last
-    ``tail_length(horizon, tail_fraction)`` steps, which ``tail_verdict``
-    classifies), into a running max and min per seed and component, from
-    which ``tail_err`` and ``tail_osc`` are exact.  Each piece's column
-    maxima of |inverse Gram|, weighted by ``gw`` of their step's column
-    energies, are reduced into each run's ``kappa_hat``.  Each run's arrays
-    are views of the block's arrays.  Raises ValueError for a checkpoint
-    outside ``1..horizon``, and when any seed's Gram matrix or score is
-    non-finite, or its Gram matrix is never nonsingular.
+    estimates go to one reused window, are reduced into ``err_sup``, and
+    over the tail window (the last ``tail_length(horizon, tail_fraction)``
+    steps) into a running max and min per seed and component, which give
+    ``tail_err`` and ``tail_osc`` exactly.  Each piece's column maxima of
+    |inverse Gram|, weighted by ``gw`` of their step's column energies, are
+    reduced into each run's ``kappa_hat``.  Raises ValueError for a
+    checkpoint outside ``1..horizon``, and when any seed's Gram matrix or
+    score is non-finite, or its Gram matrix is never nonsingular.
     """
     S, p, beta, law = len(seeds), model.p, model.beta, model.design.law
     state = LsState(p, S)
@@ -410,10 +408,8 @@ def simulate_ls_runs(
     for s, seed in enumerate(seeds):
         model.design.draw(np.random.default_rng(seed), model.sigma, xs[s], us[s])
     # a law reads the estimates after the step before, so it folds step by step
-    cuts = sorted({
-        *range(0, horizon, REBASE_EVERY), *(c for c in checkpoints if c < horizon),
-        *(range(horizon) if law is not None else ()),
-    })
+    step = REBASE_EVERY if law is None else 1
+    cuts = sorted({*range(0, horizon, step), *(c for c in checkpoints if c < horizon)})
     for a, b in zip(cuts, cuts[1:] + [horizon]):
         if law is not None:
             law(state.estimate, xs[:, a])
@@ -621,16 +617,10 @@ def partition_analysis(
 
     consistent, finite_random_limit, inconclusive = PARTITION_CLASSES
     classes = []
-    consistent_disp = [
-        dispersion[t]
-        for t in range(p)
-        if t not in finite
-    ]
-    worst_consistent = max(consistent_disp) if consistent_disp else 0.0
+    worst_consistent = max((dispersion[t] for t in range(p) if t not in finite), default=0.0)
     for t in range(p):
         if t not in finite:
-            errs = np.asarray([r.tail_err[t] for r in runs])
-            frac = float(np.mean(errs <= consistency_tol))
+            frac = float(np.mean([r.tail_err[t] <= consistency_tol for r in runs]))
             classes.append(consistent if frac >= 0.95 else inconclusive)
         else:
             cauchy = bool(all(r.tail_osc[t] <= oscillation_tol for r in runs))

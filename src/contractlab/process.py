@@ -212,8 +212,7 @@ def ratio_band(path, upper, lower=None, mask=None, atol: float = 0.0) -> Band:
 
 def zero_state_band(path, tail_window: int | None, tol: float) -> Band:
     """|m_n| <= tol (||m_n|| for a vector path) at tail steps with a zero-class
-    predecessor; the tail defaults to the last half of the horizon, at least
-    one step (none on a path with no steps, whose check is vacuous)."""
+    predecessor; the tail defaults to the last half of the horizon."""
     horizon = path.horizon
     if tail_window is None:
         tail_window = min(max(1, horizon // 2), horizon)
