@@ -420,7 +420,7 @@ def _run_custom(config: ExperimentConfig):
         if checks["nonexpansive_alpha"] is not None:
             try:
                 profile = NonexpansiveProfile.constant(checks["nonexpansive_alpha"], horizon)
-            except ValueError as exc:  # the allowances overrun the profile's budget
+            except ValueError as exc:  # such as allowances beyond the profile's budget
                 raise InputError(
                     f"checks.nonexpansive_alpha on seed {seed} (horizon {horizon}): {exc}"
                 ) from exc

@@ -172,7 +172,7 @@ class LsState:
         Returns two contiguous (S, k, p) arrays: each step's column maxima of
         |inverse Gram| (max over i of |gram_inv[i, j]|, NaN before a seed's
         first nonsingular step) and its column energies.  The state's
-        estimate is a view of ``out``, read until the next fold.
+        estimate is a view of ``out``'s last step until the next fold.
         """
         p, k, first = self.p, xy.shape[1], self.n + 1
         X = xy[:, :, :p]
