@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from contractlab import (
     GWeight,
@@ -195,6 +196,103 @@ class TestLsState:
         ready = ~ref.singular
         assert new.gram_inv[ready].tobytes() == ref.gram_inv[ready].tobytes()
         assert np.isnan(new.gram_inv[~ready]).all()
+
+
+# Extremes, signed zeros, subnormals and NaN, mixed into arbitrary doubles;
+# or only zeros of both signs and +-1, so that an extreme is often a tie of zeros.
+REDUCTION_ELEMENTS = st.sampled_from([
+    st.one_of(
+        st.sampled_from(
+            [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]
+        ),
+        st.floats(),
+    ),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+])
+
+
+@given(
+    REDUCTION_ELEMENTS.flatmap(
+        lambda elements: hnp.arrays(
+            float,
+            st.tuples(st.integers(1, 3), st.integers(0, 24), st.integers(1, 10)),
+            elements=elements,
+        )
+    )
+)
+# Ties of signed zeros that numpy's reductions break otherwise than an
+# in-order fold (a long strided column; a contiguous last axis of 9)
+@example(
+    np.ascontiguousarray(np.array([
+        [0.0, -0.0, -1.0, 0.0, -0.0, -0.0, 0.0, -1.0, -1.0, -0.0, 0.0, -0.0, 0.0, -1.0, 0.0, -1.0,
+         -0.0],
+        [-1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 0.0, -0.0, -0.0, -1.0, 0.0, -1.0, 0.0, -0.0, 0.0,
+         -1.0, -1.0],
+    ]).T[None])
+)
+@example(np.tile([-1.0, -0.0, -1.0, -0.0, -1.0, 0.0, -0.0, 0.0, 0.0], (1, 10, 1)))
+@settings(max_examples=200, deadline=None)
+@pytest.mark.parametrize("fold_rows", [0, 1])
+def test_column_reduction_equals_numpy(fold_rows, a):
+    # (seeds, steps, p): over the components (axis -1), a fold of the columns;
+    # over the steps (axis 1), one reduction per column.  NaN wherever numpy
+    # gives NaN, the same bits everywhere else, the sign of a zero included.
+    # FOLD_ROWS = 0 reduces every nonempty array by column; at 1, a column
+    # with no more rows than the steps goes to numpy, as a tail column does
+    cases = [(np.maximum, -1), (np.minimum, -1), (np.maximum, 1), (np.minimum, 1)]
+    with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
+        patch.setattr(least_squares, "FOLD_ROWS", fold_rows)
+        for ufunc, axis in cases:
+            if a.shape[axis] == 0:  # no identity for an empty reduction
+                with pytest.raises(ValueError):
+                    ufunc.reduce(a, axis)
+                with pytest.raises(ValueError):
+                    least_squares._reduce_by_column(ufunc, a, axis)
+                continue
+            got = least_squares._reduce_by_column(ufunc, a, axis)
+            want = ufunc.reduce(a, axis)
+            assert got.shape == want.shape, (ufunc, axis)
+            nan = np.isnan(want)
+            assert (np.isnan(got) == nan).all(), (ufunc, axis)
+            assert got[~nan].tobytes() == want[~nan].tobytes(), (ufunc, axis)
+
+
+@given(
+    p=st.integers(1, 4),
+    prefixes=st.lists(st.integers(0, 12), min_size=1, max_size=3),
+    chunks=st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    rebase_every=st.integers(1, 9),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_fold_column_maxima_match_each_steps_inverse(p, prefixes, chunks, rebase_every, data_seed):
+    # the oracle steps a state one row at a time and reduces its gram_inv with
+    # numpy after every step: the max over rows i of |gram_inv[i, j]|, NaN
+    # while a seed is singular; a state folding the same rows in chunks must
+    # return the same column maxima for every step
+    seeds, horizon = len(prefixes), sum(chunks)
+    rng = np.random.default_rng(data_seed)
+    xy = rng.normal(size=(seeds, horizon, p + 1))
+    xy[np.arange(horizon) < np.array(prefixes)[:, None], :p] = 0.0
+    stepped, folded = LsState(p, seeds), LsState(p, seeds)
+    returned, oracle, folds = [], [], []
+    bounds = np.cumsum([0, *chunks])
+    with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
+        patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+        patch.setattr(least_squares, "FOLD_ROWS", 0)  # by column, even a one-step piece
+        for i in range(horizon):
+            returned.append(stepped._fold(xy[:, i : i + 1], np.empty((seeds, 1, p)))[0][:, 0])
+            oracle.append(np.abs(stepped.gram_inv).max(axis=1))
+        for lo, hi in zip(bounds, bounds[1:]):
+            folds.append(folded._fold(xy[:, lo:hi], np.empty((seeds, hi - lo, p)))[0])
+    oracle = np.stack(oracle, axis=1)
+    n0 = stepped.first_nonsingular[:, None]
+    singular = (n0 == 0) | (np.arange(1, horizon + 1) < n0)
+    assert (np.isnan(oracle).any(axis=2) == singular).all()
+    assert (np.isnan(oracle).all(axis=2) == singular).all()
+    for got in (np.stack(returned, axis=1), np.concatenate(folds, axis=1)):
+        assert (np.isnan(got) == np.isnan(oracle)).all()
+        assert got[~singular].tobytes() == oracle[~singular].tobytes()
 
 
 class TestIntegralBound:
