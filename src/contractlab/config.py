@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -152,12 +152,17 @@ class Group:
 
 @dataclass(frozen=True)
 class Kind:
-    """An experiment kind: its groups, top-level fields, assertions and rules."""
+    """An experiment kind: its groups, top-level fields, assertions and rules.
+
+    ``ensemble`` is the kind's own reading of the ``ensemble`` group; None
+    means the shared ``ENSEMBLE``.
+    """
 
     groups: Tuple[Group, ...]
     assertions: Tuple[str, ...]
     fields: Tuple[Field, ...] = ()
     rules: Tuple[Rule, ...] = ()
+    ensemble: Optional[Group] = None
 
     def keys(self) -> List[str]:
         return ["kind", "ensemble", "output", "assertions"] + [
@@ -504,6 +509,11 @@ ENSEMBLE = Group(
     ),
     rules=(_parallelism_ignored,),
 )
+# A check of given paths runs no ensemble and reads only the tail settings: the
+# group, and its seeds, root_seed and horizon, may be left out.
+PATHS_ENSEMBLE = replace(
+    ENSEMBLE, fields=tuple(replace(f, required=False) for f in ENSEMBLE.fields), absent="defaults"
+)
 OUTPUT = Group(
     "output",
     fields=(
@@ -732,7 +742,7 @@ KINDS: Dict[str, Kind] = {
         ),
         rules=(_fits_design,),
     ),
-    "custom_path_check": Kind((INPUT, CHECKS), ("all_checks_hold",)),
+    "custom_path_check": Kind((INPUT, CHECKS), ("all_checks_hold",), ensemble=PATHS_ENSEMBLE),
 }
 KIND = need("kind", "choice", choices=tuple(KINDS))
 
@@ -756,11 +766,11 @@ def parse_config_text(
 
     r = _Reader()
     kind = r.value(data, KIND, "")
-    ensemble = r.group(data, ENSEMBLE)
+    spec = KINDS.get(kind)
+    ensemble = r.group(data, (spec and spec.ensemble) or ENSEMBLE)
     output = r.group(data, OUTPUT)
     model: Dict[str, Any] = {}
     assertions: Dict[str, Any] = {}
-    spec = KINDS.get(kind)
     if spec is not None:
         r.unknown_keys(data, spec.keys(), "")
         model = {g.name: r.group(data, g) for g in spec.groups}

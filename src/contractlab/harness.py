@@ -90,12 +90,13 @@ class EnsembleConfig:
     """How many seeds, how long, and what counts as converged.
 
     ``parallelism`` is accepted so that older configs still load, and ignored:
-    seeds run in one thread.
+    seeds run in one thread.  ``seeds``, ``root_seed`` and ``horizon`` are
+    None only for a check of given paths, which runs no ensemble.
     """
 
-    seeds: int
-    root_seed: int
-    horizon: int
+    seeds: Optional[int]
+    root_seed: Optional[int]
+    horizon: Optional[int]
     tail_fraction: float = 0.2
     tol_zero: float = 1e-3
     tol_cauchy: float = 1e-3
@@ -103,9 +104,9 @@ class EnsembleConfig:
     divergence_cap: float = 1e6
 
     def __post_init__(self) -> None:
-        if self.seeds < 1:
+        if self.seeds is not None and self.seeds < 1:
             raise ValueError("seeds must be >= 1")
-        if self.horizon < 1:
+        if self.horizon is not None and self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if not 0 < self.tail_fraction < 1:
             raise ValueError("tail_fraction must lie in (0, 1)")

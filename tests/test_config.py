@@ -949,6 +949,36 @@ VALID = [
         OUTPUT_DEFAULTS,
         id="custom-full",
     ),
+    pytest.param(
+        doc("custom_path_check", ensemble=DROP),
+        {"input": {"path": "traces.csv", "zero_tol": 0.0},
+         "checks": {"nonexpansive_alpha": None,
+                    "contractive_k": None,
+                    "divergence_target": 5.0,
+                    "zero_state_tol": None,
+                    "segment_bound": False,
+                    "crossings": True}},
+        {},
+        [],
+        {**ENSEMBLE_DEFAULTS, "seeds": None, "root_seed": None, "horizon": None},
+        OUTPUT_DEFAULTS,
+        id="custom-no-ensemble",
+    ),
+    pytest.param(
+        doc("custom_path_check", ensemble={"tol_zero": 0.05}),
+        {"input": {"path": "traces.csv", "zero_tol": 0.0},
+         "checks": {"nonexpansive_alpha": None,
+                    "contractive_k": None,
+                    "divergence_target": 5.0,
+                    "zero_state_tol": None,
+                    "segment_bound": False,
+                    "crossings": True}},
+        {},
+        [],
+        {**ENSEMBLE_DEFAULTS, "seeds": None, "root_seed": None, "horizon": None, "tol_zero": 0.05},
+        OUTPUT_DEFAULTS,
+        id="custom-ensemble-tail-only",
+    ),
 ]
 
 ERRORS = [
@@ -1003,6 +1033,13 @@ ERRORS = [
         doc("sa", ensemble=DROP),
         ["ensemble: required group is missing"],
         id="ensemble-missing",
+    ),
+    pytest.param(
+        doc("custom_path_check", ensemble={"seeds": 0, "horizon": "x", "tail_fraction": 1}),
+        ["ensemble.horizon: must be an integer",
+         "ensemble.seeds: must be >= 1",
+         "ensemble.tail_fraction: must be < 1"],
+        id="custom-ensemble-values-checked",
     ),
     pytest.param(
         doc("sa", ensemble=[1, 2]),
@@ -1977,11 +2014,13 @@ def render_reference():
     lines = ["| kind | groups | assertions |", "| --- | --- | --- |"]
     uses = {}
     for name, kind in config.KINDS.items():
+        own = (kind.ensemble,) if kind.ensemble else ()  # a kind's own ensemble reading
         groups = ", ".join(
-            f"`{g.name}`" + ("" if g.absent == "required" else " (optional)") for g in kind.groups
+            f"`{g.name}`" + ("" if g.absent == "required" else " (optional)")
+            for g in own + kind.groups
         )
         lines.append(f"| `{name}` | {groups} | {', '.join(f'`{a}`' for a in kind.assertions)} |")
-        for g in kind.groups:
+        for g in own + kind.groups:
             uses.setdefault(id(g), (g, []))[1].append(name)
     lines += ["", "| kind | top-level value | type | default | bounds |", "| --- | --- | --- | --- | --- |"]
     lines += [_row(f, f"`{name}`") for name, kind in config.KINDS.items() for f in kind.fields]
