@@ -452,6 +452,7 @@ def simulate_ls_runs(
     hi, lo = np.full((S, p), -np.inf), np.full((S, p), np.inf)  # over the tail window
     err_sup = np.empty((S, horizon))
     sup = np.zeros(S)  # of max|gram_inv * weights| over the nonsingular steps
+    ready = 0  # the step from which every seed is nonsingular, once it is known
     checkpoints = {int(c) for c in checkpoints}
     if checkpoints and not 1 <= min(checkpoints) <= max(checkpoints) <= horizon:
         raise ValueError(f"checkpoints must lie in 1..{horizon}")
@@ -472,11 +473,16 @@ def simulate_ls_runs(
         # column j's max|inv|, which forms no second (S, k, p, p) array
         columns, energies = state._fold(xy[:, a:b], ests)
         columns *= np.abs(np.asarray(gw(energies), dtype=float))
-        n0 = state.first_nonsingular[:, None]
-        nonsingular = (n0 > 0) & (n0 <= np.arange(a + 1, b + 1))
-        # a NaN on a nonsingular step (a NaN weight) stays NaN through np.maximum
         steps = _reduce_by_column(np.maximum, columns, -1)
-        np.maximum(sup, steps.max(axis=1, where=nonsingular, initial=0.0), out=sup)
+        if not ready and not state.singular.any():
+            ready = int(state.first_nonsingular.max())
+        # a NaN on a nonsingular step (a NaN weight) stays NaN through np.maximum
+        if ready and a + 1 >= ready:  # every step of the piece is nonsingular: no mask
+            np.maximum(sup, steps.max(axis=1), out=sup)
+        else:
+            n0 = state.first_nonsingular[:, None]
+            nonsingular = (n0 > 0) & (n0 <= np.arange(a + 1, b + 1))
+            np.maximum(sup, steps.max(axis=1, where=nonsingular, initial=0.0), out=sup)
         del columns, energies, steps  # freed before the next piece is folded
         err_sup[:, a:b] = _reduce_by_column(np.maximum, np.abs(ests - beta), -1)
         if b > tail_start:  # NaN propagates as through a max over the whole window

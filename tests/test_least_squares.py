@@ -700,6 +700,21 @@ def test_chunk_bounds_keep_the_single_step_runs(
         assert a.checkpoint_gap == gap
 
 
+@pytest.mark.parametrize("rebase_every", [1, 4, 512])
+def test_seeds_nonsingular_in_different_pieces(rebase_every):
+    # each seed's kappa_hat reads its steps from its own first nonsingular
+    # step on, also in the pieces after the first seeds turn nonsingular
+    # and before the last one does
+    model = BLOCK_MODELS["hesitant"]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+        block = simulate_ls_runs(model, 80, range(4))
+        alone = [simulate_ls_runs(model, 80, [s])[0] for s in range(4)]
+    assert len({run.n0 for run in block}) == 4
+    for a, b in zip(alone, block):
+        assert_same_run(a, b)
+
+
 @given(
     gain=st.floats(-2.0, 2.0),
     rebase_every=st.integers(1, 9),
