@@ -237,8 +237,9 @@ def test_column_reduction_equals_numpy(fold_rows, a):
     # (seeds, steps, p): over the components (axis -1), a fold of the columns;
     # over the steps (axis 1), one reduction per column.  NaN wherever numpy
     # gives NaN, the same bits everywhere else, the sign of a zero included.
-    # FOLD_ROWS = 0 reduces every nonempty array by column; at 1, a column
-    # with no more rows than the steps goes to numpy, as a tail column does
+    # FOLD_ROWS = 0 reduces every nonempty array by column; at 1, a (seeds,
+    # steps) column with no more seeds than steps goes to numpy, as a tail
+    # column of a run does
     cases = [(np.maximum, -1), (np.minimum, -1), (np.maximum, 1), (np.minimum, 1)]
     with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
         patch.setattr(least_squares, "FOLD_ROWS", fold_rows)
