@@ -49,20 +49,25 @@ __all__ = [
 REBASE_EVERY = 512
 # the largest realized weight bound kappa_hat that check_design_conditions accepts
 KAPPA_CAP = 1e6
-# the most rows per column of the last axis that _reduce_by_column leaves to numpy
-FOLD_ROWS = 32
+# _reduce_by_column leaves an array to numpy's one call while its last axis of
+# n columns has at most FOLD_ROWS * n rows: a fold of the columns overtakes
+# numpy's reduction from 16 n to 32 n rows (measured for n = 2 to 8)
+FOLD_ROWS = 24
 
 
-def _reduce_by_column(ufunc: np.ufunc, a: np.ndarray, axis: int) -> np.ndarray:
+def _reduce_by_column(
+    ufunc: np.ufunc, a: np.ndarray, axis: int, zeros: bool = True
+) -> np.ndarray:
     """``ufunc.reduce(a, axis)`` for np.maximum or np.minimum, bit for bit
     (NaN where numpy's is NaN; a NaN's sign and payload may differ).
 
     numpy spends about 40 ns on each row of a short last axis (p, or p x p):
     0.45 ms on a (20, 512, 2) piece, where np.maximum of its two columns
-    takes 7 us.  So past ``FOLD_ROWS`` rows per column, a reduction over the
-    last axis folds its columns in order, and one over another axis reduces
-    each column alone.  Only the sign of a zero extreme depends on the order
-    in which ties are met, so a zero result is numpy's own.
+    takes 7 us.  So past ``FOLD_ROWS * n`` rows, a reduction over the last
+    axis folds its n columns in order, and one over another axis reduces
+    each column alone by the same rule.  Only the sign of a zero extreme
+    depends on the order in which ties are met, so a zero result is numpy's
+    own reduction of ``a``; ``zeros=False`` leaves that to the caller.
     """
     n = a.shape[-1]
     if a.size <= FOLD_ROWS * n * n:  # few rows, or a last axis long enough for numpy
@@ -72,11 +77,9 @@ def _reduce_by_column(ufunc: np.ufunc, a: np.ndarray, axis: int) -> np.ndarray:
         out = a[..., 0].copy()
         for j in range(1, n):
             ufunc(out, a[..., j], out=out)
-    else:
-        out = np.empty(a.shape[:axis] + a.shape[axis + 1 :])
-        for j in range(n):
-            out[..., j] = _reduce_by_column(ufunc, a[..., j], axis)
-    if not out.all():  # a zero (NaN counts as nonzero)
+    else:  # each column alone; numpy's reduction of a column may break a tie otherwise
+        out = np.stack([_reduce_by_column(ufunc, a[..., j], axis, False) for j in range(n)], -1)
+    if zeros and not out.all():  # a zero (NaN counts as nonzero)
         zero = out == 0
         out[zero] = ufunc.reduce(a, axis)[zero]
     return out
@@ -447,7 +450,6 @@ def simulate_ls_runs(
     hi, lo = np.full((S, p), -np.inf), np.full((S, p), np.inf)  # over the tail window
     err_sup = np.empty((S, horizon))
     sup = np.zeros(S)  # of max|gram_inv * weights| over the nonsingular steps
-    ready = 0  # the step from which every seed is nonsingular, once it is known
     checkpoints = {int(c) for c in checkpoints}
     if checkpoints and not 1 <= min(checkpoints) <= max(checkpoints) <= horizon:
         raise ValueError(f"checkpoints must lie in 1..{horizon}")
@@ -468,16 +470,11 @@ def simulate_ls_runs(
         # column j's max|inv|, which forms no second (S, k, p, p) array
         columns, energies = state._fold(xy[:, a:b], ests)
         columns *= np.abs(np.asarray(gw(energies), dtype=float))
-        steps = _reduce_by_column(np.maximum, columns, -1)
-        if not ready and not state.singular.any():
-            ready = int(state.first_nonsingular.max())
+        n0 = state.first_nonsingular[:, None]
+        nonsingular = (n0 > 0) & (n0 <= np.arange(a + 1, b + 1))
         # a NaN on a nonsingular step (a NaN weight) stays NaN through np.maximum
-        if ready and a + 1 >= ready:  # every step of the piece is nonsingular: no mask
-            np.maximum(sup, steps.max(axis=1), out=sup)
-        else:
-            n0 = state.first_nonsingular[:, None]
-            nonsingular = (n0 > 0) & (n0 <= np.arange(a + 1, b + 1))
-            np.maximum(sup, steps.max(axis=1, where=nonsingular, initial=0.0), out=sup)
+        steps = _reduce_by_column(np.maximum, columns, -1)
+        np.maximum(sup, steps.max(axis=1, where=nonsingular, initial=0.0), out=sup)
         del columns, energies, steps  # freed before the next piece is folded
         err_sup[:, a:b] = _reduce_by_column(np.maximum, np.abs(ests - beta), -1)
         if b > tail_start:  # NaN propagates as through a max over the whole window
