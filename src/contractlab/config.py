@@ -753,7 +753,8 @@ def parse_config_text(
     """Parse and validate a YAML config, raising ConfigError with every problem found.
 
     ``ensemble_overrides`` replace keys of the ``ensemble`` group before
-    validation, so they are checked exactly like the document's own values.
+    validation, so they are checked exactly like the document's own values;
+    they are an error for a kind that runs no ensemble.
     """
     try:
         data = yaml.safe_load(text)
@@ -768,6 +769,10 @@ def parse_config_text(
     kind = r.value(data, KIND, "")
     spec = KINDS.get(kind)
     ensemble = r.group(data, (spec and spec.ensemble) or ENSEMBLE)
+    if ensemble_overrides and spec is not None and spec.ensemble is PATHS_ENSEMBLE:
+        keys = " and ".join(sorted(ensemble_overrides))
+        reason = f"overrides of {keys} apply only to kinds that run an ensemble"
+        r.fail("ensemble", f"{reason}; {kind} runs none")
     output = r.group(data, OUTPUT)
     model: Dict[str, Any] = {}
     assertions: Dict[str, Any] = {}

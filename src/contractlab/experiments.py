@@ -381,7 +381,7 @@ def _run_ls(config: ExperimentConfig):
         "min_fraction_final_error_below": _fraction_below(final_errors),
         "max_checkpoint_gap": lambda want: (
             gap <= float(want),
-            f"worst recursive-vs-dense gap {gap:.3g}",
+            f"worst normal-equations-vs-lstsq gap {gap:.3g}",
         ),
         "partition_matches": partition_matches,
         "design_conditions_hold": (

@@ -1,16 +1,18 @@
-"""Controlled linear models, recursive least squares, and weighted score processes.
+"""Controlled linear models, least-squares estimation, and weighted score processes.
 
 The regressor at each step may depend on everything observed so far (a
 controlled design), which makes the Gram matrix random.  A :class:`Design`
 draws each seed's whole horizon of regressors and noise up front; its
 optional feedback law then adjusts each step's regressors of every seed at
-once from the estimates so far.  The estimator state maintains its inverse
-by rank-one updates with periodic dense re-baselining.  A run records what
-the design conditions need from that one recursion (the first nonsingular
-step, the column energies and the weighted-inverse supremum ``kappa_hat``),
-so the design check reads the run and forms no Gram matrix of its own; a
-dense solve at the checkpoints stays the independent check of the
-recursion.  The weighted score process turns per-component consistency
+once from the estimates so far.  Each step's estimate is a function of its
+cumulative Gram matrix and score alone: the estimator state solves every
+step's normal equations in closed form, by an elimination that is
+elementwise over seeds and steps.  A run records what the design
+conditions need from those solves (the first nonsingular step, the column
+energies and the weighted-inverse supremum ``kappa_hat``), so the design
+check reads the run and forms no Gram matrix of its own; a dense
+``lstsq`` at the checkpoints stays the independent check of the normal
+equations.  The weighted score process turns per-component consistency
 into the same drift conditions checked elsewhere in this package.
 """
 from __future__ import annotations
@@ -46,43 +48,10 @@ __all__ = [
     "feedback_design",
 ]
 
-REBASE_EVERY = 512
+# the steps folded at once: the piece length of a run, and with it its memory
+PIECE_STEPS = 512
 # the largest realized weight bound kappa_hat that check_design_conditions accepts
 KAPPA_CAP = 1e6
-# _reduce_by_column leaves an array to numpy's one call while its last axis of
-# n columns has at most FOLD_ROWS * n rows: a fold of the columns overtakes
-# numpy's reduction from 16 n to 32 n rows (measured for n = 2 to 8)
-FOLD_ROWS = 24
-
-
-def _reduce_by_column(
-    ufunc: np.ufunc, a: np.ndarray, axis: int, zeros: bool = True
-) -> np.ndarray:
-    """``ufunc.reduce(a, axis)`` for np.maximum or np.minimum, bit for bit
-    (NaN where numpy's is NaN; a NaN's sign and payload may differ).
-
-    numpy spends about 40 ns on each row of a short last axis (p, or p x p):
-    0.45 ms on a (20, 512, 2) piece, where np.maximum of its two columns
-    takes 7 us.  So past ``FOLD_ROWS * n`` rows, a reduction over the last
-    axis folds its n columns in order, and one over another axis reduces
-    each column alone by the same rule.  Only the sign of a zero extreme
-    depends on the order in which ties are met, so a zero result is numpy's
-    own reduction of ``a``; ``zeros=False`` leaves that to the caller.
-    """
-    n = a.shape[-1]
-    if a.size <= FOLD_ROWS * n * n:  # few rows, or a last axis long enough for numpy
-        return ufunc.reduce(a, axis)
-    axis %= a.ndim
-    if axis == a.ndim - 1:
-        out = a[..., 0].copy()
-        for j in range(1, n):
-            ufunc(out, a[..., j], out=out)
-    else:  # each column alone; numpy's reduction of a column may break a tie otherwise
-        out = np.stack([_reduce_by_column(ufunc, a[..., j], axis, False) for j in range(n)], -1)
-    if zeros and not out.all():  # a zero (NaN counts as nonzero)
-        zero = out == 0
-        out[zero] = ufunc.reduce(a, axis)[zero]
-    return out
 
 
 @dataclass(frozen=True)
@@ -137,30 +106,32 @@ class RegressionModel:
 class LsState:
     """Running least-squares state of a block of seeds.
 
-    Each seed's inverse Gram is created by a dense solve at its first
-    nonsingular step, then maintained by rank-one (Sherman-Morrison) updates
-    and re-baselined by a dense solve every ``REBASE_EVERY`` steps of that
-    seed to cap drift.  A non-finite Gram matrix or score (a non-finite
-    response, or a sum that overflows) raises ``ValueError`` naming the first
-    such step, before any numpy warning and with the state left as it was.
+    A step's estimate solves that step's normal equations G b = s, with G the
+    cumulative Gram matrix and s the cumulative score.  Steps are folded a
+    piece at a time: one cumulative sum forms every step's augmented matrix
+    [G | s], then one unpivoted Gauss-Jordan elimination runs over its
+    p x (p + 1) entries, each an array over the seeds and the steps, and
+    leaves each step's inverse Gram in place of G and its estimate in place
+    of s.  So the Python loop runs over pivots, never over steps.  A
+    nonsingular G is symmetric positive definite, whose pivots are positive,
+    so no pivoting is needed.  The elimination is elementwise arithmetic
+    only, so its bits depend neither on BLAS nor on how many seeds or steps
+    are folded at once: a block is bit-identical to its seeds run one at a
+    time, and a piece of k steps to k single steps.  A non-finite Gram
+    matrix or score (a non-finite response, or a sum that overflows) raises
+    ``ValueError`` naming the first such step, before any numpy warning and
+    with the state left as it was; a finite G whose inverse overflows gives
+    non-finite entries.
+
+    A seed's first nonsingular step is the first step n >= p whose Gram
+    matrix has ``np.linalg.matrix_rank`` p.  Before it, the seed's inverse
+    and estimates are NaN.
 
     ``LsState(p, seeds)`` carries a leading seed axis: ``gram`` and
     ``gram_inv`` are (seeds, p, p), ``score``, ``energy`` and ``estimate``
     (seeds, p), ``first_nonsingular`` and ``singular`` (seeds,), and
     ``update`` takes (seeds, p) regressors and (seeds,) responses.  While a
-    seed's Gram matrix is singular, its ``gram_inv`` and ``estimate`` are
-    NaN and its ``first_nonsingular`` entry is 0.  Every seed goes through
-    the same per-matrix kernels, so a block is bit-identical to its seeds
-    run one at a time.
-
-    Steps are folded a chunk at a time, and a chunk of k steps is
-    bit-identical to k single steps: its Gram and score accumulators are one
-    cumulative sum, which adds in step order; only the rank-one updates, the
-    rank checks and the rebases run step by step; and the estimates are one
-    batched product of the per-step inverses and scores.  A rank-one update
-    writes its terms (bx = inv x, 1 + x' bx and bx bx') into three buffers
-    of at most (seeds, p, p) that the state allocates once, so the step loop
-    allocates no array.
+    seed's Gram matrix is singular, its ``first_nonsingular`` entry is 0.
     """
 
     def __init__(self, p: int, seeds: int):
@@ -171,26 +142,17 @@ class LsState:
         self.p = p
         self.seeds = seeds
         self.n = 0
-        # one accumulator per seed: the Gram matrix, then the score as column p
-        # (each column energy is a diagonal entry, summed in the same order)
-        self._aug = np.zeros((seeds, p, p + 1))
-        # NaN while a seed is singular: quiet NaN arithmetic raises no flag, so
-        # _fold updates every seed alike and its estimates come out NaN
+        # the accumulators, entry first: the Gram matrix, then the score as
+        # column p (each column energy is a diagonal entry, summed in the same order)
+        self._aug = np.zeros((p, p + 1, seeds))
         self._inv = np.full((seeds, p, p), np.nan)
         self._est = np.full((seeds, p), np.nan)
         self._n0 = np.zeros(seeds, dtype=int)
-        self._pending = np.arange(seeds)  # seeds whose Gram matrix is still singular
-        self._due = np.full(seeds, np.iinfo(int).max)  # step of each seed's next rebase
-        self._next_due = int(self._due[0])
-        # the rank-one update's terms, rewritten at every step
-        self._bx = np.empty((seeds, p, 1))
-        self._den = np.empty((seeds, 1, 1))
-        self._outer = np.empty((seeds, p, p))
 
-    gram = property(lambda self: self._aug[:, :, : self.p])
+    gram = property(lambda self: self._aug[:, : self.p].transpose(2, 0, 1))
     gram_inv = property(lambda self: self._inv)
-    score = property(lambda self: self._aug[:, :, self.p])
-    energy = property(lambda self: np.diagonal(self._aug, axis1=1, axis2=2))
+    score = property(lambda self: self._aug[:, self.p].T)
+    energy = property(lambda self: np.diagonal(self._aug))
     estimate = property(lambda self: self._est)
     singular = property(lambda self: self._n0 == 0)
     first_nonsingular = property(lambda self: self._n0)
@@ -202,76 +164,79 @@ class LsState:
         shape = (self.seeds, self.p)
         if x.shape != shape or y.shape != shape[:-1]:
             raise ValueError(f"regressors must have shape {shape} and responses {shape[:-1]}")
-        xy = np.concatenate((x, y[:, None]), axis=1)[:, None]
-        self._fold(xy, np.empty((self.seeds, 1, self.p)))
+        self._fold(np.concatenate((x, y[:, None]), axis=1)[:, None])
         return self
 
-    def _fold(self, xy: np.ndarray, out: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Fold k steps of rows (x, y), ``xy`` (S, k, p + 1), in step order and
-        write each step's estimates to ``out`` (S, k, p).
+    def _fold(self, xy: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Fold k steps of rows (x, y), ``xy`` (S, k, p + 1), in step order.
 
-        Returns two contiguous (S, k, p) arrays: each step's column maxima of
-        |inverse Gram| (max over i of |gram_inv[i, j]|, NaN before a seed's
-        first nonsingular step) and its column energies.  The state's
-        estimate is a view of ``out``'s last step until the next fold.
+        Returns three (p, S, k) arrays, component first: each step's
+        estimates, its column maxima of |inverse Gram| (entry j is the max
+        over i of |gram_inv[i, j]|) and its column energies.  The estimates
+        and column maxima are NaN before a seed's first nonsingular step.
         """
         p, k, first = self.p, xy.shape[1], self.n + 1
-        X = xy[:, :, :p]
+        rows = np.ascontiguousarray(xy.transpose(2, 0, 1))  # (p + 1, S, k)
+        aug = np.empty((p, p + 1, self.seeds, k))  # entry (i, j): the running sum of x_i xy_j
         with np.errstate(over="ignore", invalid="ignore"):  # reported below, by step
-            aug = X[:, :, :, None] * xy[:, :, None, :]  # (S, k, p, p + 1)
-            aug[:, 0] += self._aug
+            # entry by entry, on contiguous rows: numpy buffers each operand of a
+            # broadcast or strided product, up to the memory of the whole piece
+            for i in range(p):
+                for j in range(p + 1):
+                    np.multiply(rows[i], rows[j], out=aug[i, j])
+            del rows
+            aug[..., 0] += self._aug
             if k > 1:  # one step is its own sum, and the call loops over every entry
-                np.cumsum(aug, axis=1, out=aug)
+                np.cumsum(aug, axis=-1, out=aug)
         # a running sum stays non-finite once it is, so the last step shows any
-        if not np.isfinite(aug[:, -1]).all():
-            j = int(np.argmin(np.isfinite(aug).all(axis=(0, 2, 3))))
-            what = "gram matrix" if not np.isfinite(aug[:, j, :, :p]).all() else "score"
+        if not np.isfinite(aug[..., -1]).all():
+            j = int(np.argmin(np.isfinite(aug).all(axis=(0, 1, 2))))
+            what = "gram matrix" if not np.isfinite(aug[:, :p, :, j]).all() else "score"
             raise ValueError(
                 f"non-finite {what} at step {first + j}, from a non-finite or huge row"
             )
-        invs = np.empty((self.seeds, k, p, p))
-        bx, den, outer = self._bx, self._den, self._outer
-        bxt = bx.transpose(0, 2, 1)
-        cols, rows = X[:, :, :, None], X[:, :, None, :]  # each step's x, as a column and a row
-        for j in range(k):
-            self.n = n = first + j
-            inv = invs[:, j]
-            # inv - bx bx' / (1 + x' bx), with bx = inv x
-            np.matmul(self._inv, cols[:, j], bx)
-            np.matmul(rows[:, j], bx, den)
-            np.add(1.0, den, den)
-            np.multiply(bx, bxt, outer)
-            np.divide(outer, den, outer)
-            np.subtract(self._inv, outer, inv)
-            self._inv = inv
-            if n == self._next_due:
-                self._rebase(n, aug[:, j])
-            pending = self._pending
-            if pending.size and n >= p:
-                grams = aug[pending, j, :, :p]
-                full = np.linalg.matrix_rank(grams) == p
-                if full.any():
-                    fresh = pending[full]
-                    inv[fresh] = np.linalg.inv(grams[full])
-                    self._n0[fresh] = n
-                    self._due[fresh] = n + REBASE_EVERY
-                    self._next_due = int(self._due.min())
-                    self._pending = pending[~full]
-        # NaN exactly before each seed's first nonsingular step
-        np.matmul(invs, aug[:, :, :, p:], out=out[:, :, :, None])
-        self._aug = aug[:, -1].copy()
-        self._inv = invs[:, -1].copy()
-        self._est = out[:, -1]
-        # a contiguous copy of the energies multiplies without numpy's ufunc buffer
-        energies = np.diagonal(aug, axis1=2, axis2=3).copy()
-        with np.errstate(invalid="ignore"):  # the singular steps' NaN
-            return _reduce_by_column(np.maximum, np.abs(invs, out=invs), 2), energies
+        self._find_n0(aug[:, :p], first)
+        self.n = first + k - 1
+        self._aug = aug[..., -1].copy()
+        energies = np.diagonal(aug).transpose(2, 0, 1).copy()  # before the elimination
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for i in range(p):
+                pivot = np.divide(1.0, aug[i, i])
+                aug[i] *= pivot
+                aug[i, i] = pivot
+                for r in range(p):
+                    if r != i:
+                        lean = aug[r, i] * aug[i]
+                        aug[r, i] = 0.0
+                        aug[r] -= lean
+        n0 = self._n0[:, None]
+        if not n0.all() or n0.max() > first:  # some step of the piece is singular
+            aug[:, :, (n0 == 0) | (np.arange(first, first + k) < n0)] = np.nan
+        inv, ests = aug[:, :p], aug[:, p]
+        self._inv = inv[..., -1].transpose(2, 0, 1).copy()
+        self._est = ests[..., -1].T.copy()
+        return ests, np.abs(inv, out=inv).max(axis=0), energies
 
-    def _rebase(self, n: int, aug: np.ndarray) -> None:
-        due = self._due == n
-        self._inv[due] = np.linalg.inv(aug[due, :, : self.p])
-        self._due[due] += REBASE_EVERY
-        self._next_due = int(self._due.min())
+    def _find_n0(self, gram: np.ndarray, first: int) -> None:
+        """Record the first nonsingular step of each still-singular seed among
+        steps first, first + 1, ..., whose (p, p, S, k) Gram matrices are ``gram``.
+
+        ``matrix_rank`` of a whole piece costs several times the whole fold,
+        so it reads only the still-singular seeds, in windows of steps that
+        double from one.
+        """
+        if self._n0.all():
+            return
+        p, k = self.p, gram.shape[-1]
+        pending = np.flatnonzero(self._n0 == 0)
+        lo, width = max(p - first, 0), 1
+        while pending.size and lo < k:
+            window = gram[:, :, pending, lo : lo + width].transpose(2, 3, 0, 1)
+            full = np.linalg.matrix_rank(window) == p
+            hit = full.any(axis=1)
+            self._n0[pending[hit]] = first + lo + full[hit].argmax(axis=1)
+            pending = pending[~hit]
+            lo, width = lo + width, 2 * width
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,17 +387,16 @@ def simulate_ls_runs(
     gw: GWeight = GWeight.identity(),
 ) -> List[LsRun]:
     """Simulate the controlled model once per seed, all seeds through one stacked
-    :class:`LsState` recursion.
+    :class:`LsState`.
 
     Seed ``s`` draws its whole regressor and noise stream up front from
     ``np.random.default_rng(seeds[s])``, so its run is bit-identical to a
     run of that seed alone.  ``checkpoints`` are step indices at which the
-    recursive estimate is compared against a dense solve; the worst
-    max-norm gap is recorded.  The state folds the draws in pieces cut every
-    ``REBASE_EVERY`` steps and at every checkpoint, or, with a feedback law,
+    estimate is compared against a dense ``lstsq``; the worst max-norm gap
+    is recorded.  The state folds the draws in pieces cut every
+    ``PIECE_STEPS`` steps and at every checkpoint, or, with a feedback law,
     at every step, whose rows first go through the law.  Each piece's
-    estimates go to one reused window, are reduced into ``err_sup``, and
-    over the tail window (the last ``tail_length(horizon, tail_fraction)``
+    estimates are reduced into ``err_sup``, and over the tail window (the last ``tail_length(horizon, tail_fraction)``
     steps) into a running max and min per seed and component, which give
     ``tail_err`` and ``tail_osc`` exactly.  Each piece's column maxima of
     |inverse Gram|, weighted by ``gw`` of their step's column energies, are
@@ -446,8 +410,7 @@ def simulate_ls_runs(
     xs, ys = xy[:, :, :p], xy[:, :, p]
     us = np.empty((S, horizon))
     tail_start = horizon - tail_length(horizon, tail_fraction)
-    window = np.empty((S, min(REBASE_EVERY, horizon), p))
-    hi, lo = np.full((S, p), -np.inf), np.full((S, p), np.inf)  # over the tail window
+    hi, lo = np.full((p, S), -np.inf), np.full((p, S), np.inf)  # over the tail window
     err_sup = np.empty((S, horizon))
     sup = np.zeros(S)  # of max|gram_inv * weights| over the nonsingular steps
     checkpoints = {int(c) for c in checkpoints}
@@ -457,7 +420,7 @@ def simulate_ls_runs(
     for s, seed in enumerate(seeds):
         model.design.draw(np.random.default_rng(seed), model.sigma, xs[s], us[s])
     # a law reads the estimates after the step before, so it folds step by step
-    step = REBASE_EVERY if law is None else 1
+    step = PIECE_STEPS if law is None else 1
     cuts = sorted({*range(0, horizon, step), *(c for c in checkpoints if c < horizon)})
     for a, b in zip(cuts, cuts[1:] + [horizon]):
         if law is not None:
@@ -465,22 +428,22 @@ def simulate_ls_runs(
         # the responses of the piece, in place
         np.matmul(xs[:, a:b, None, :], beta[:, None], out=ys[:, a:b, None, None])
         ys[:, a:b] += us[:, a:b]
-        ests = window[:, : b - a]
+        ests, columns, energies = state._fold(xy[:, a:b])
         # a step's max|inv * w| is, exactly, the max over columns j of |w_j| times
-        # column j's max|inv|, which forms no second (S, k, p, p) array
-        columns, energies = state._fold(xy[:, a:b], ests)
+        # column j's max|inv|, which forms no second (p, p, S, k) array
         columns *= np.abs(np.asarray(gw(energies), dtype=float))
         n0 = state.first_nonsingular[:, None]
         nonsingular = (n0 > 0) & (n0 <= np.arange(a + 1, b + 1))
-        # a NaN on a nonsingular step (a NaN weight) stays NaN through np.maximum
-        steps = _reduce_by_column(np.maximum, columns, -1)
+        # a NaN on a nonsingular step (a NaN weight) stays NaN through the max
+        steps = columns.max(axis=0)
         np.maximum(sup, steps.max(axis=1, where=nonsingular, initial=0.0), out=sup)
-        del columns, energies, steps  # freed before the next piece is folded
-        err_sup[:, a:b] = _reduce_by_column(np.maximum, np.abs(ests - beta), -1)
+        del columns, energies, steps
+        np.abs(ests - beta[:, None, None]).max(axis=0, out=err_sup[:, a:b])
         if b > tail_start:  # NaN propagates as through a max over the whole window
-            tail = ests[:, max(tail_start - a, 0) :]
-            np.maximum(hi, _reduce_by_column(np.maximum, tail, 1), out=hi)
-            np.minimum(lo, _reduce_by_column(np.minimum, tail, 1), out=lo)
+            tail = max(tail_start - a, 0)
+            np.maximum(hi, ests[:, :, tail:].max(axis=2), out=hi)
+            np.minimum(lo, ests[:, :, tail:].min(axis=2), out=lo)
+        del ests  # the piece's arrays are freed before the next piece is folded
         if b in checkpoints:
             for s in np.flatnonzero(state.first_nonsingular):
                 dense, *_ = np.linalg.lstsq(xs[s, :b], ys[s, :b], rcond=None)
@@ -490,6 +453,7 @@ def simulate_ls_runs(
     energy, final_b = state.energy, state.estimate.copy()
     kappa_hat = np.where(np.isnan(sup), np.inf, p * sup)
     # rounding is monotone, so these are the tail's max|b - beta| and max - min, bit for bit
+    hi, lo = hi.T, lo.T
     tail_err, tail_osc = np.maximum(hi - beta, beta - lo), hi - lo
     runs = []
     for s in range(S):
@@ -552,7 +516,7 @@ def check_design_conditions(
     """Check the noise, nonsingularity, weight-boundedness and energy conditions.
 
     ``n0``, ``kappa_hat`` and the final column energies are the run's own,
-    from the recursion of :func:`simulate_ls_runs` (whose ``gw`` must be the
+    from the run of :func:`simulate_ls_runs` (whose ``gw`` must be the
     one given here); the noise moments come from ``run.us``.  The
     weight-boundedness verdict requires ``kappa_hat`` to be at most
     ``KAPPA_CAP`` and a finite tail bound ``gw.tail(c)``, at c the smallest

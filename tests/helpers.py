@@ -150,75 +150,3 @@ def stepped_n0_kappa(xs, gw):
             weights = np.asarray(gw(state.energy), dtype=float)
             kappa_hat = max(kappa_hat, float(p * np.abs(state.gram_inv * weights[:, None]).max()))
     return (None if state.singular[0] else int(state.first_nonsingular[0])), kappa_hat
-
-
-class ReferenceLsState(LsState):
-    """``LsState`` with the fold it had while a singular seed's inverse was 0.
-
-    Its ``_fold`` runs the rank-one update of the nonsingular seeds alone
-    while any seed is singular, and computes the estimates of those steps by
-    a masked product; it is the reference for the fold that updates every
-    seed alike.  Only ``REBASE_EVERY`` is read from the module, so that a
-    test can patch it.
-    """
-
-    def __init__(self, p: int, seeds: int):
-        super().__init__(p, seeds)
-        self._inv = np.zeros((seeds, p, p))
-
-    def _fold(self, xy: np.ndarray, out: np.ndarray) -> None:
-        """Fold k steps of rows (x, y), ``xy`` (S, k, p + 1), in step order and
-        write each step's estimates to ``out`` (S, k, p)."""
-        p, k, first = self.p, xy.shape[1], self.n + 1
-        X = xy[:, :, :p]
-        aug = X[:, :, :, None] * xy[:, :, None, :]  # (S, k, p, p + 1)
-        aug[:, 0] += self._aug
-        if k > 1:  # one step is its own sum, and the call loops over every entry
-            np.cumsum(aug, axis=1, out=aug)
-        invs = np.empty((self.seeds, k, p, p))
-        m = 0  # the steps where some seed has no estimate yet come first: m of them
-        for j in range(k):
-            self.n = n = first + j
-            x, inv = X[:, j], invs[:, j]
-            pending = self._pending
-            if not pending.size:  # steady phase: every seed is nonsingular
-                bx = self._inv @ x[:, :, None]
-                np.subtract(
-                    self._inv, bx * bx.transpose(0, 2, 1) / (1.0 + x[:, None, :] @ bx), out=inv
-                )
-                self._inv = inv
-                if n == self._next_due:
-                    self._rebase(n, aug[:, j])
-                continue
-            inv[:] = self._inv
-            self._inv = inv
-            ready = np.flatnonzero(self._n0)
-            if ready.size:
-                r_inv, xr = inv[ready], x[ready]
-                bx = r_inv @ xr[:, :, None]
-                r_inv -= bx * bx.transpose(0, 2, 1) / (1.0 + xr[:, None, :] @ bx)
-                inv[ready] = r_inv
-                if n == self._next_due:
-                    self._rebase(n, aug[:, j])
-            grams = aug[pending, j, :, :p]
-            if not np.isfinite(grams).all():
-                raise ValueError(f"non-finite gram matrix at step {n}, before it was nonsingular")
-            if n >= p:
-                full = np.linalg.matrix_rank(grams) == p
-                if full.any():
-                    fresh = pending[full]
-                    inv[fresh] = np.linalg.inv(grams[full])
-                    self._n0[fresh] = n
-                    self._due[fresh] = n + least_squares.REBASE_EVERY
-                    self._next_due = int(self._due.min())
-                    self._pending = pending[~full]
-            m = j + 1 if self._pending.size else j
-        scores = aug[:, :, :, p:]
-        if m:  # a seed has an estimate from its first nonsingular step on
-            out[:, :m] = np.nan
-            head = (self._n0[:, None] > 0) & (self._n0[:, None] < first + np.arange(1, m + 1))
-            out[:, :m][head] = (invs[:, :m][head] @ scores[:, :m][head])[:, :, 0]
-        np.matmul(invs[:, m:], scores[:, m:], out=out[:, m:, :, None])
-        self._aug = aug[:, -1].copy()
-        self._inv = invs[:, -1].copy()
-        self._est = out[:, -1]

@@ -411,6 +411,27 @@ output: {{dir: {tmp_path / 'custom_out'}}}
         assert summary["report"]["paths_checked"] == 4
         assert summary["report"]["all_hold"] is True
 
+    @pytest.mark.parametrize("group", ["", "ensemble: {seeds: 1, root_seed: 1, horizon: 10}\n"])
+    @pytest.mark.parametrize("flags", [["--seeds", "3"], ["--horizon", "50"]])
+    def test_custom_path_check_rejects_ensemble_overrides(self, tmp_path, capsys, group, flags):
+        # the kind runs no ensemble, with or without the group, so the flags
+        # would change nothing
+        trace = tmp_path / "traces.csv"
+        trace.write_text("seed,n,x,m,u_flag\n0,0,1.0,,\n0,1,0.5,0.5,0\n")
+        out = tmp_path / "custom_out"
+        custom = (
+            f"kind: custom_path_check\ninput: {{path: {trace}}}\n"
+            f"checks: {{zero_state_tol: 1.0e-9}}\n{group}output: {{dir: {out}}}\n"
+        )
+        cfg = str(write_config(tmp_path, custom, "custom.yaml"))
+        assert main(["run", cfg, *flags]) == 2
+        err = capsys.readouterr().err
+        assert "invalid config (1 error(s)):" in err
+        want = f"ensemble: overrides of {flags[0][2:]} apply only to kinds that run an ensemble;"
+        assert want in err
+        assert not out.exists()
+        assert main(["run", cfg]) == 0
+
     def test_custom_path_check_seed_with_no_steps(self, tmp_path):
         # a seed with only its n = 0 row: every check over its steps is vacuous
         trace = tmp_path / "traces.csv"

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from contractlab import (
     GWeight,
@@ -24,7 +23,7 @@ from contractlab import (
 from contractlab import EnsembleConfig, least_squares
 from contractlab.harness import tail_length, tail_verdict
 from contractlab.least_squares import (
-    REBASE_EVERY,
+    PIECE_STEPS,
     Design,
     LsRun,
     feedback_design,
@@ -34,7 +33,6 @@ from contractlab.least_squares import (
 )
 from contractlab.process import zero_state_mask
 from helpers import (
-    ReferenceLsState,
     feedback_steps,
     fixed_run,
     geometric_one_steps,
@@ -113,7 +111,7 @@ class TestLsState:
         seeds, p = 4, 3
         block = LsState(p, seeds)
         alone = [LsState(p, 1) for _ in range(seeds)]
-        for step in range(2 * REBASE_EVERY + 20):
+        for step in range(2 * PIECE_STEPS + 20):
             X = rng.normal(size=(seeds, p))
             X[step < np.array([0, 5, 9, 40])] = 0.0  # full rank at different steps
             Y = rng.normal(size=seeds)
@@ -132,11 +130,9 @@ class TestLsState:
         with pytest.raises(ValueError):
             LsState(2, 3).update(np.zeros((2, 2)), np.zeros(2))
 
-    def test_chunk_fold_equals_single_updates(self, monkeypatch):
+    def test_chunk_fold_equals_single_updates(self):
         # the seeds reach full rank at steps 3, 7, 10 and 14, all inside the
-        # second chunk, and a rebase every 4 steps of a seed puts the seeds'
-        # rebases out of phase inside every later chunk
-        monkeypatch.setattr(least_squares, "REBASE_EVERY", 4)
+        # second chunk
         rng = np.random.default_rng(5)
         seeds, p, horizon = 4, 3, 40
         X = rng.normal(size=(seeds, horizon, p))
@@ -148,11 +144,11 @@ class TestLsState:
         )
         folded = LsState(p, seeds)
         xy = np.concatenate((X, Y[:, :, None]), axis=2)
-        out = np.empty((seeds, horizon, p))
-        for lo, hi in [(0, 2), (2, 17), (17, 40)]:
-            folded._fold(xy[:, lo:hi], out[:, lo:hi])
+        out = np.concatenate(
+            [folded._fold(xy[:, lo:hi])[0] for lo, hi in [(0, 2), (2, 17), (17, 40)]], axis=2
+        )
         assert folded.first_nonsingular.tolist() == [3, 7, 10, 14]
-        assert out.tobytes() == estimates.tobytes()
+        assert np.moveaxis(out, 0, -1).tobytes() == estimates.tobytes()
         for name in ("gram", "gram_inv", "score", "energy", "estimate", "first_nonsingular"):
             assert getattr(folded, name).tobytes() == getattr(stepped, name).tobytes(), name
         assert folded.n == stepped.n == horizon
@@ -162,138 +158,49 @@ class TestLsState:
         xy[:, :, 1] = 0.0  # singular throughout
         xy[1, 4, 0] = math.nan
         with pytest.raises(ValueError, match="non-finite gram matrix at step 5,"):
-            LsState(2, 2)._fold(xy, np.empty((2, 6, 2)))
-
-    @given(
-        p=st.integers(1, 3),
-        prefixes=st.lists(st.integers(0, 30), min_size=1, max_size=4),
-        chunks=st.lists(st.integers(1, 12), min_size=1, max_size=8),
-        rebase_every=st.integers(1, 9),
-        data_seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_fold_matches_the_masked_reference_fold(
-        self, p, prefixes, chunks, rebase_every, data_seed
-    ):
-        # zero-row prefixes make the seeds nonsingular at different steps,
-        # inside a chunk or at its ends, or never; a seed's estimates are NaN
-        # before its first nonsingular step, as in the reference
-        seeds, horizon = len(prefixes), sum(chunks)
-        rng = np.random.default_rng(data_seed)
-        xy = rng.normal(size=(seeds, horizon, p + 1))
-        xy[np.arange(horizon) < np.array(prefixes)[:, None], :p] = 0.0
-        states = [LsState(p, seeds), ReferenceLsState(p, seeds)]
-        outs = [np.empty((seeds, horizon, p)) for _ in states]
-        bounds = np.cumsum([0, *chunks])
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
-            for state, out in zip(states, outs):
-                for lo, hi in zip(bounds, bounds[1:]):
-                    state._fold(xy[:, lo:hi], out[:, lo:hi])
-        new, ref = states
-        assert outs[0].tobytes() == outs[1].tobytes()
-        assert new.first_nonsingular.tolist() == ref.first_nonsingular.tolist()
-        ready = ~ref.singular
-        assert new.gram_inv[ready].tobytes() == ref.gram_inv[ready].tobytes()
-        assert np.isnan(new.gram_inv[~ready]).all()
-
-
-# Extremes, signed zeros, subnormals and NaN, mixed into arbitrary doubles;
-# or only zeros of both signs and +-1, so that an extreme is often a tie of zeros.
-REDUCTION_ELEMENTS = st.sampled_from([
-    st.one_of(
-        st.sampled_from(
-            [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]
-        ),
-        st.floats(),
-    ),
-    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
-])
-
-
-@given(
-    REDUCTION_ELEMENTS.flatmap(
-        lambda elements: hnp.arrays(
-            float,
-            st.tuples(st.integers(1, 3), st.integers(0, 24), st.integers(1, 10)),
-            elements=elements,
-        )
-    )
-)
-# Ties of signed zeros that numpy's reductions break otherwise than an
-# in-order fold (a long strided column; a contiguous last axis of 9)
-@example(
-    np.ascontiguousarray(np.array([
-        [0.0, -0.0, -1.0, 0.0, -0.0, -0.0, 0.0, -1.0, -1.0, -0.0, 0.0, -0.0, 0.0, -1.0, 0.0, -1.0,
-         -0.0],
-        [-1.0, -1.0, -1.0, -1.0, -1.0, -1.0, 0.0, -0.0, -0.0, -1.0, 0.0, -1.0, 0.0, -0.0, 0.0,
-         -1.0, -1.0],
-    ]).T[None])
-)
-@example(np.tile([-1.0, -0.0, -1.0, -0.0, -1.0, 0.0, -0.0, 0.0, 0.0], (1, 10, 1)))
-@settings(max_examples=200, deadline=None)
-@pytest.mark.parametrize("fold_rows", [0, 1])
-def test_column_reduction_equals_numpy(fold_rows, a):
-    # (seeds, steps, p): over the components (axis -1), a fold of the columns;
-    # over the steps (axis 1), one reduction per column.  NaN wherever numpy
-    # gives NaN, the same bits everywhere else, the sign of a zero included.
-    # FOLD_ROWS = 0 reduces every nonempty array by column; at 1, a (seeds,
-    # steps) column with no more seeds than steps goes to numpy, as a tail
-    # column of a run does
-    cases = [(np.maximum, -1), (np.minimum, -1), (np.maximum, 1), (np.minimum, 1)]
-    with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
-        patch.setattr(least_squares, "FOLD_ROWS", fold_rows)
-        for ufunc, axis in cases:
-            if a.shape[axis] == 0:  # no identity for an empty reduction
-                with pytest.raises(ValueError):
-                    ufunc.reduce(a, axis)
-                with pytest.raises(ValueError):
-                    least_squares._reduce_by_column(ufunc, a, axis)
-                continue
-            got = least_squares._reduce_by_column(ufunc, a, axis)
-            want = ufunc.reduce(a, axis)
-            assert got.shape == want.shape, (ufunc, axis)
-            nan = np.isnan(want)
-            assert (np.isnan(got) == nan).all(), (ufunc, axis)
-            assert got[~nan].tobytes() == want[~nan].tobytes(), (ufunc, axis)
+            LsState(2, 2)._fold(xy)
 
 
 @given(
     p=st.integers(1, 4),
-    prefixes=st.lists(st.integers(0, 12), min_size=1, max_size=3),
-    chunks=st.lists(st.integers(1, 9), min_size=1, max_size=5),
-    rebase_every=st.integers(1, 9),
+    prefixes=st.lists(st.integers(0, 30), min_size=1, max_size=4),
+    chunks=st.lists(st.integers(1, 12), min_size=1, max_size=8),
     data_seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=100, deadline=None)
-def test_fold_column_maxima_match_each_steps_inverse(p, prefixes, chunks, rebase_every, data_seed):
-    # the oracle steps a state one row at a time and reduces its gram_inv with
-    # numpy after every step: the max over rows i of |gram_inv[i, j]|, NaN
-    # while a seed is singular; a state folding the same rows in chunks must
-    # return the same column maxima for every step
+def test_fold_matches_each_steps_dense_solve(p, prefixes, chunks, data_seed):
+    # zero-row prefixes make the seeds nonsingular at different steps, inside
+    # a piece or at its ends, or never.  The oracle sums each seed's Gram
+    # matrix and score row by row, finds the first step n >= p of rank p,
+    # and from there inverts and solves every step's normal equations
+    # densely.  The elimination errs by about eps * cond(G), relative.
     seeds, horizon = len(prefixes), sum(chunks)
     rng = np.random.default_rng(data_seed)
     xy = rng.normal(size=(seeds, horizon, p + 1))
     xy[np.arange(horizon) < np.array(prefixes)[:, None], :p] = 0.0
-    stepped, folded = LsState(p, seeds), LsState(p, seeds)
-    returned, oracle, folds = [], [], []
+    state = LsState(p, seeds)
     bounds = np.cumsum([0, *chunks])
-    with pytest.MonkeyPatch.context() as patch, np.errstate(invalid="ignore"):
-        patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
-        patch.setattr(least_squares, "FOLD_ROWS", 0)  # by column, even a one-step piece
-        for i in range(horizon):
-            returned.append(stepped._fold(xy[:, i : i + 1], np.empty((seeds, 1, p)))[0][:, 0])
-            oracle.append(np.abs(stepped.gram_inv).max(axis=1))
-        for lo, hi in zip(bounds, bounds[1:]):
-            folds.append(folded._fold(xy[:, lo:hi], np.empty((seeds, hi - lo, p)))[0])
-    oracle = np.stack(oracle, axis=1)
-    n0 = stepped.first_nonsingular[:, None]
-    singular = (n0 == 0) | (np.arange(1, horizon + 1) < n0)
-    assert (np.isnan(oracle).any(axis=2) == singular).all()
-    assert (np.isnan(oracle).all(axis=2) == singular).all()
-    for got in (np.stack(returned, axis=1), np.concatenate(folds, axis=1)):
-        assert (np.isnan(got) == np.isnan(oracle)).all()
-        assert got[~singular].tobytes() == oracle[~singular].tobytes()
+    folds = [state._fold(xy[:, lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    estimates, columns = (np.concatenate([f[i] for f in folds], axis=2) for i in (0, 1))
+    for s in range(seeds):
+        gram, score, n0 = np.zeros((p, p)), np.zeros(p), 0
+        for n in range(1, horizon + 1):
+            x, y = xy[s, n - 1, :p], xy[s, n - 1, p]
+            gram += np.outer(x, x)
+            score += x * y
+            if not n0 and n >= p and np.linalg.matrix_rank(gram) == p:
+                n0 = n
+            got = estimates[:, s, n - 1], columns[:, s, n - 1]
+            if not n0:
+                assert np.isnan(got).all(), n
+                continue
+            inv, solution = np.linalg.inv(gram), np.linalg.solve(gram, score)
+            tol = 16 * np.finfo(float).eps * np.linalg.cond(gram)
+            assert np.abs(got[0] - solution).max() <= tol * np.abs(solution).max(), n
+            want = np.abs(inv).max(axis=0)
+            assert np.abs(got[1] - want).max() <= tol * want.max(), n
+        assert state.first_nonsingular[s] == n0
+        assert np.isnan(state.estimate[s]).all() == (n0 == 0)
 
 
 class TestIntegralBound:
@@ -553,7 +460,7 @@ class TestDesignConditions:
 
 def hesitant_draw(rng, sigma, xs, us):
     """Gaussian rows after a zero prefix whose length differs per seed: seeds
-    reach full rank at different steps, so their rebase steps fall out of phase."""
+    reach full rank at different steps, often inside a piece."""
     xs[:] = rng.normal(size=xs.shape)
     xs[: rng.integers(0, 40)] = 0.0
     us[:] = rng.normal(0.0, sigma, size=len(us))
@@ -599,10 +506,10 @@ def assert_same_run(a, b):
     name=st.sampled_from(sorted(BLOCK_MODELS)),
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4, unique=True),
     horizon=st.one_of(
-        st.integers(1, 40), st.integers(2 * REBASE_EVERY + 1, 2 * REBASE_EVERY + 80)
+        st.integers(1, 40), st.integers(2 * PIECE_STEPS + 1, 2 * PIECE_STEPS + 80)
     ),
     tail_fraction=st.sampled_from([0.05, 0.2, 0.5]),
-    checkpoints=st.lists(st.integers(1, 2 * REBASE_EVERY + 80), max_size=4),
+    checkpoints=st.lists(st.integers(1, 2 * PIECE_STEPS + 80), max_size=4),
 )
 @settings(max_examples=40, deadline=None)
 def test_block_equals_seed_by_seed(name, seeds, horizon, tail_fraction, checkpoints):
@@ -673,7 +580,7 @@ def test_cached_design_columns_match_the_per_step_values(name):
 
 @given(
     name=st.sampled_from(["rotating", "geometric_one", "iid_gaussian", "feedback"]),
-    rebase_every=st.integers(1, 9),
+    piece_steps=st.integers(1, 9),
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True),
     horizon=st.integers(3, 60),
     tail_fraction=st.sampled_from([0.05, 0.2, 0.5]),
@@ -682,12 +589,12 @@ def test_cached_design_columns_match_the_per_step_values(name):
 # seeds 0-3 of hesitant turn nonsingular at steps 21, 34, 16 and 36, in
 # different pieces: each seed's kappa_hat reads its steps from its own on
 @example(
-    name="hesitant", rebase_every=4, seeds=[0, 1, 2, 3], horizon=80, tail_fraction=0.2,
+    name="hesitant", piece_steps=4, seeds=[0, 1, 2, 3], horizon=80, tail_fraction=0.2,
     checkpoints=[],
 )
 @settings(max_examples=60, deadline=None)
 def test_chunk_bounds_keep_the_single_step_runs(
-    name, rebase_every, seeds, horizon, tail_fraction, checkpoints
+    name, piece_steps, seeds, horizon, tail_fraction, checkpoints
 ):
     # short chunks put checkpoints and the tail start inside and at the ends of
     # chunks; a no-op law folds one step at a time
@@ -696,7 +603,7 @@ def test_chunk_bounds_keep_the_single_step_runs(
     stepwise = dataclasses.replace(model, design=no_op)
     checkpoints = [c for c in checkpoints if c <= horizon]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+        patch.setattr(least_squares, "PIECE_STEPS", piece_steps)
         folded = simulate_ls_runs(model, horizon, seeds, tail_fraction, checkpoints)
         stepped = simulate_ls_runs(stepwise, horizon, seeds, tail_fraction, checkpoints)
         alone = [simulate_ls_runs(model, horizon, [s], tail_fraction, checkpoints)[0] for s in seeds]
@@ -709,13 +616,13 @@ def test_chunk_bounds_keep_the_single_step_runs(
 
 @given(
     gain=st.floats(-2.0, 2.0),
-    rebase_every=st.integers(1, 9),
+    piece_steps=st.integers(1, 9),
     seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4, unique=True),
     horizon=st.integers(40, 120),
     checkpoints=st.lists(st.integers(1, 120), max_size=4),
 )
 @settings(max_examples=60, deadline=None)
-def test_law_block_equals_its_seeds_run_alone(gain, rebase_every, seeds, horizon, checkpoints):
+def test_law_block_equals_its_seeds_run_alone(gain, piece_steps, seeds, horizon, checkpoints):
     # the seeds leave their zero prefixes at different steps, so one call of
     # the law sees estimates for some seeds and NaN rows for others
     def law(estimates, rows):
@@ -724,7 +631,7 @@ def test_law_block_equals_its_seeds_run_alone(gain, rebase_every, seeds, horizon
     model = RegressionModel(np.array([1.0, -0.5]), Design(2, hesitant_draw, law), 1.0)
     checkpoints = [c for c in checkpoints if c <= horizon]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+        patch.setattr(least_squares, "PIECE_STEPS", piece_steps)
         try:
             alone = [simulate_ls_runs(model, horizon, [s], 0.2, checkpoints)[0] for s in seeds]
         except ValueError as exc:  # some seed never reaches full rank: the block fails too
@@ -766,11 +673,11 @@ def _draw_in_place(rng, sigma, xs, us):
     xs[:, 1] = us
 
 
-@pytest.mark.parametrize("rebase_every", [128, 512])
-def test_fold_memory_stays_within_chunks(monkeypatch, rebase_every):
-    # beyond its outputs, a run holds a few chunks of REBASE_EVERY steps per
+@pytest.mark.parametrize("piece_steps", [128, 512])
+def test_fold_memory_stays_within_chunks(monkeypatch, piece_steps):
+    # beyond its outputs, a run holds a few chunks of PIECE_STEPS steps per
     # seed (accumulators, inverses, estimates), whatever the horizon
-    monkeypatch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+    monkeypatch.setattr(least_squares, "PIECE_STEPS", piece_steps)
     seeds, p = 8, 2
     model = RegressionModel(np.array([1.0, -0.5]), Design(2, _draw_in_place), 1.0)
     simulate_ls_runs(model, 100, range(seeds))  # lazy imports and caches
@@ -785,7 +692,7 @@ def test_fold_memory_stays_within_chunks(monkeypatch, rebase_every):
         outputs = 8 * seeds * horizon * (p + 3)
         return peak - outputs
 
-    chunk = 8 * rebase_every * seeds * p * (p + 1)
+    chunk = 8 * piece_steps * seeds * p * (p + 1)
     short, long = beyond_outputs(2000), beyond_outputs(8000)
     assert short <= 3 * chunk + 2**15
     assert long <= short + chunk // 8
@@ -831,12 +738,12 @@ def designs(draw):
 
 @given(designs(), st.integers(1, 9))
 @settings(max_examples=300, deadline=None)
-def test_run_kappa_matches_step_by_step_state(case, rebase_every):
+def test_run_kappa_matches_step_by_step_state(case, piece_steps):
     # the run reduces each folded piece of inverses; the oracle reads the
     # state's gram_inv and energy after every single update
     xs, gw = case
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+        patch.setattr(least_squares, "PIECE_STEPS", piece_steps)
         n0, kappa_hat = stepped_n0_kappa(xs, gw)
         if n0 is None:
             with pytest.raises(ValueError, match="never reached a nonsingular gram matrix"):
@@ -857,7 +764,7 @@ def assert_same_bits_or_nan(got, want):
 
 @given(designs(), st.integers(1, 9), st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
-def test_tail_reductions_match_step_by_step_estimates(case, rebase_every, tail_fraction, seed):
+def test_tail_reductions_match_step_by_step_estimates(case, piece_steps, tail_fraction, seed):
     # the run reduces each folded piece's tail steps into a running max and
     # min; the oracle keeps every single update's estimate, NaN before the
     # first nonsingular step, which may fall inside the tail
@@ -865,7 +772,7 @@ def test_tail_reductions_match_step_by_step_estimates(case, rebase_every, tail_f
     rng = np.random.default_rng(seed)
     beta, us = rng.normal(size=xs.shape[1]), rng.normal(size=len(xs))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(least_squares, "REBASE_EVERY", rebase_every)
+        patch.setattr(least_squares, "PIECE_STEPS", piece_steps)
         try:
             run = fixed_run(xs, us, gw, beta, tail_fraction)
         except ValueError as exc:  # the oracle's state ends singular too
@@ -882,9 +789,8 @@ def test_tail_reductions_match_step_by_step_estimates(case, rebase_every, tail_f
 @pytest.mark.parametrize("gweight", ["identity", "sqrt_log"])
 @pytest.mark.parametrize("name", ["rotating", "iid_gaussian"])
 def test_run_kappa_matches_dense_inverses(name, gweight):
-    # on well-conditioned designs the rank-one recursion, rebased every
-    # REBASE_EVERY steps, and a fresh dense inverse of every prefix agree to
-    # within a few rounding errors; 1e-12 relative leaves room for 2000 steps
+    # on well-conditioned designs each step's elimination and a fresh dense
+    # inverse of every prefix agree to within a few rounding errors
     gw = getattr(GWeight, gweight)()
     for run in simulate_ls_runs(BLOCK_MODELS[name], 2000, range(3), gw=gw):
         n0, kappa_hat = naive_n0_kappa(run.xs, gw)

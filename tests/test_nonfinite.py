@@ -238,6 +238,21 @@ def test_design_conditions_nan_weight_is_unbounded():
     assert report.weight_bound.worst_margin == -math.inf
 
 
+def test_design_conditions_overflowing_inverse_is_unbounded():
+    # diag(1e-320, 1e-320) is finite and of full rank from step 2, but its
+    # inverse overflows: the elimination gives non-finite entries, which make
+    # kappa_hat infinite, so weight_bound fails instead of holding
+    xs = np.array([[1e-160, 0.0], [0.0, 1e-160]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = fixed_run(xs)
+    report = check_design_conditions(run, GWeight.identity(), sigma2=0.0)
+    assert run.n0 == report.n0 == 2
+    assert run.kappa_hat == report.kappa_hat == math.inf
+    assert (report.weight_bound.holds, report.weight_bound.worst_margin) == (False, -math.inf)
+    assert not report.holds
+
+
 @pytest.mark.parametrize("field", ["kappa_hat", "energy"])
 def test_design_conditions_nan_run_statistic_fails(field):
     # a hand-built run whose supremum or column energy is NaN, on a run that
@@ -311,7 +326,7 @@ def test_ls_state_non_finite_after_full_rank_names_the_step(row, what):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"non-finite {what} at step 5,"):
-            state._fold(xy, np.empty((2, 8, 2)))
+            state._fold(xy)
     assert state.n == 0
 
 
