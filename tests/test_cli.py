@@ -374,19 +374,19 @@ class TestOtherKindsEndToEnd:
         assert main(["run", str(cfg), "--horizon", "6"]) == 0
         report = json.loads((out / "summary.json").read_text())["report"]
         assert report["checkpoints"] == [1, 2, 3, 4, 5, 6]
-        # the dense solves ran: their rounding differs from the recursion's
+        # the dense solves ran: their rounding differs from the normal equations'
         assert report["max_checkpoint_gap"] > 0.0
 
     def test_ls_checkpoint_gap_of_zero_fails_with_exit_1(self, tmp_path, capsys):
         # a negative control: the dense solves round differently from the
-        # recursion, so a run that compares them never reads a gap of 0.0
+        # normal equations, so a run that compares them never reads a gap of 0.0
         out = tmp_path / "out"
         text = LS.format(out=out).replace("family: geometric_one", "family: rotating")
         text = text.replace("seeds: 12", "seeds: 4").replace("horizon: 1000", "horizon: 300")
         text = text.split("assertions:")[0] + "assertions:\n  max_checkpoint_gap: 0.0\n"
         text += f"output: {{dir: {out}}}\n"
         assert main(["run", str(write_config(tmp_path, text))]) == 1
-        detail = "worst recursive-vs-dense gap 1.68e-14"
+        detail = "worst normal-equations-vs-lstsq gap 1.33e-15"
         assert f"FAIL max_checkpoint_gap: {detail}" in capsys.readouterr().out.splitlines()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["assertions"] == [
@@ -985,7 +985,7 @@ assertions:
 """,
         {
             "min_fraction_final_error_below": "fraction 0.0000 below 1e-12, required 1.0",
-            "max_checkpoint_gap": "worst recursive-vs-dense gap 1.78e-15",
+            "max_checkpoint_gap": "worst normal-equations-vs-lstsq gap 8.88e-16",
             "partition_matches": "q = 1 (want 0)",
             "design_conditions_hold": "fraction of seeds holding: 0.0",
         },

@@ -48,12 +48,12 @@ GOLDEN = {
         "ec5c29bb8431658272cfdb8e265d83172ff5eba2a2556c1a151ef8de947f314b",
     ),
     "ls_intermediate": (
-        "c0a1754a94767a21e72fd34d6570e71fde6581a9bdb41d87685bd8036044511d",
-        "487ba936d9e6b75adb9c0cab6aae9f8a522b24d49db6b04939cbcf2a601fd26c",
+        "c2f20b56f8f7745c19175a713846a655958d7605c711de81d47c48772415d717",
+        "78d0258e854f6b185a01393c3cc1baa5a5f33e2874db9c9e27abd3e10883b644",
     ),
     "ls_sufficiency": (
-        "73aa637693ca900985ae6e1904b5462f9c49512fbe24ecf14f0c9e8756e507da",
-        "37c73263cb8702267fe370ca289b1ca74e322c86b6709abc179d3c5a7c2df012",
+        "5c3eb5cffadf1e0ea9ce85b0566eeda768a43ffc7e637c47d4f2093bb6e56478",
+        "d5d76d3da4c1330d4958fa73dd8a027cc0822efb3e46be784ac07bf9ee8d887d",
     ),
     "multivariate": (
         "92b7f9bea1a5aaa846d6d7c7dc1ec16b2cb741f763f4572063d987bd2ecabff2",

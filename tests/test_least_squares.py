@@ -897,11 +897,11 @@ LOCKED_RUNS = {
             "xs": "2bc26218bc0b139ce286cc408b2d5020f8f166ae392051e9f77c0c39f889ab4b",
             "ys": "b43697bf23b4559ca146625fb05c1f719d064d5aa4e3549ff4729699e626d8fe",
             "us": "5b0a198647a76694c7ec0a410a9badb9d7106359c9dc12ef46100e2f017cd495",
-            "final_b": "60887a5099ab030a54aaf34aa4539cf07ea0ffa3282884669ce32d8f178d5882",
+            "final_b": "208154ea5654ffe5b405603590a4cdb9affdf5c3bde6c6018fe8bb3d8ecd6d9f",
             "energy": "86bc5f619c0023cd2c0f27db4b08558d8ec557c0b5ffdaa2f85b03d18bb49063",
-            "tail_err": "58df46f7f18e3b78916397e9de9e4ec3b6b114fbae516a1fddb6e16a60984bb7",
-            "tail_osc": "42737bd413d58d3c8b1bb3fc2d179deb116c402e0baa31aeb6bf2e55fe95e3d8",
-            "err_sup": "3bd9202cabd4980518add2a50c958d58a527c2d7e8694a31c07b93e7a936a347",
+            "tail_err": "0b7edc23a5722d6cd0f5244625e76378adad3cfc9698171b2bd8ed3398b714f6",
+            "tail_osc": "ace921312ed238fc9d3570ffb8007c74322c97443bea981e9566a2c04b46b462",
+            "err_sup": "062106158e4f02dd9b6e298732e25e151c4f380884446851a1cb271289a65883",
         },
     ),
     ("rotating", 1): (
@@ -910,37 +910,37 @@ LOCKED_RUNS = {
             "xs": "bda0028ba1a002d503376e6a6a47848891b55d6f495a8dee1f1314fad2de8fb2",
             "ys": "703d5b1949b731ac87d1ec684e9ff9bd7f97b4e4c5fb7decf961255bb31ac680",
             "us": "2c5a4982382745a66a26c66f2ef9f99061e1eb91a41189e43a10b94f7c3edd05",
-            "final_b": "73f01146641d20a23953ff4c674e2e6965eae1fcd5a7e8f7dd1dce2e3769abeb",
+            "final_b": "e1d8e6b41bd4dbad8889868678b6cbc2fa62460425ef7d49da623cc42456b624",
             "energy": "2a4ad476cdd208f2af3a4c71c7858c42abf18b3454ec196cd3062146d9751707",
-            "tail_err": "49812578831eeea1fc64810c960a1fc02a0d6bf8a3f9e8ea7dc89f479642d80f",
-            "tail_osc": "d22d50e56e411e90f0d122a64db67ffba92051510ceb72100e3293889b97cf0d",
-            "err_sup": "78cb6ee545f105ae543b1c35ef6a59a7f3f280ddd9d8d99069f01d07c57ae1ae",
+            "tail_err": "4f0765449691f8b3704405cf88cabaf7973260962785e9c4019775067536075c",
+            "tail_osc": "225ab7c0d000d5273f19bf335a19327188fc5e524815aab11d59194bd3d9ccd2",
+            "err_sup": "4d823982bbb2156d10b8cba0d4b5cc0fd24dae7a46d9e5304a2ec75bfd23decd",
         },
     ),
     ("geometric_one", 0): (
-        2, 8.748557434046234e-14,
+        2, 1.9984014443252818e-15,
         {
             "xs": "54e35082e9c122fa8cd55282be2b5abf7f46011a8119455d70b0e287d548cea1",
             "ys": "0efedf3b90bda7a9d879451cc74f5bcedd94d182baf7916ed8c1bcf48faa9889",
             "us": "3a9a57e9b5e11e7064a6c0931b50f469e7663e7918bfcad89bf33936babc5de3",
-            "final_b": "f71aa982ef803b5226621797605a99211543df89871039ec1a970c3209953d9d",
+            "final_b": "693056a0a4446964cf60f790263ec3cfbd8c0709831fe224d207df5528be7c1e",
             "energy": "793d45e812ff7ea380524a42fb6ea8072647ac30b78104edee170e50c3cfece5",
-            "tail_err": "c9fce82e35e60f394f01b4504b71b8f639ad64bbdeaa2d7b8d5bf09bf436bca6",
-            "tail_osc": "466a8bac528dd5b543a76b80c0740f5ca7ac598134f9ec253860f02ac5a8bac0",
-            "err_sup": "010172869ce57985fa467e9a2ce062ed6937f1f0b8717a9bcd020ad3731b9ffc",
+            "tail_err": "199b5ead93aeced69ccf5a6fc9602bf7b6ab366b13c301809982c38f5b5b0301",
+            "tail_osc": "05f1f2d0c8536223b1e92244077f28c97e355feb7ce414a234c63613ab5e94cb",
+            "err_sup": "f3b4ddc1ade69522c4cd60b2a382cc0f87a9cc2400b375bdd03ab3d66ff7888d",
         },
     ),
     ("geometric_one", 1): (
-        2, 9.281464485866309e-14,
+        2, 3.3306690738754696e-15,
         {
             "xs": "54e35082e9c122fa8cd55282be2b5abf7f46011a8119455d70b0e287d548cea1",
             "ys": "07dfa33466e7f6924c94372d87d936e5ff4e43180a58b822730ee7a5a778ac17",
             "us": "d6b759966c9f613ca94c5f0272cc8b1857453e231595c2a262b9f9df93762845",
-            "final_b": "fcd632ae2e17492462dd0fef4153dc334cbcf3aa904a9f8d2dd1c9f5a19f749c",
+            "final_b": "ab4874fbfda272db0df22ada82df4b7ab0bf168dd9c0f62ee46ba92b574b40ab",
             "energy": "793d45e812ff7ea380524a42fb6ea8072647ac30b78104edee170e50c3cfece5",
-            "tail_err": "c845c6574fb69976738fddbb1c49ffb4029da2fbc8a09f24054d382291061415",
-            "tail_osc": "248946ebd62a2ab101f0152851ee6279fecf692a75403b4f1347ffec8a4fa3f0",
-            "err_sup": "47eccdaeb8765376641fe5211128d7949afa9c04f57f2a86a438841c06107bd5",
+            "tail_err": "9a9c0c2df233e0984dddb7f682ab27aef0afc0dbfbb8a354518aed8d08dd9976",
+            "tail_osc": "a87217812f11252766466600b2b2b04bef9ef102cb777e2a6c2f11bf24a79a48",
+            "err_sup": "e0bb0c3fec114f24d661740b775b91679bc969d47131c1c62e8b65672d8dfac0",
         },
     ),
     ("iid_gaussian", 0): (
@@ -949,50 +949,50 @@ LOCKED_RUNS = {
             "xs": "1fff44208910b97928c24780e0b2b72f1c4c4ca9ba0ae4d24462cbb80ecb028d",
             "ys": "012506ffdbda266e04c5b6d08153502765c6b39a942328a7da2e083ca73d3f9b",
             "us": "3f5c8a6dfd40a0399fea39531301b9a4a69543f996d1eef22ddf157d69f3cc90",
-            "final_b": "11ad0d24352cca8d1347b38de7629e9f6d7c788d4c3a77af44c38f97f8930e92",
+            "final_b": "476eafe47fb883ef31dfcc4927a68f63f34fc9d9f993e5cbaf751f9c0cf58455",
             "energy": "6765d6441107d311191fef905b15fa31dde70a9cff1e8e28ab710c2339295054",
-            "tail_err": "19bc228f490afdc2de4000e487fd10b441c6e4413eb9202ab5f154bd6bc342b9",
-            "tail_osc": "0714422d73d455b1571bf733b312798875314b17717bacb053c5c0cd2d1502fe",
-            "err_sup": "02060ac9476d94e463079a972c2b343065bca35ef11beb8be0eabbfc52dd5eed",
+            "tail_err": "5b3fd6a9e71798cf66782026a2df9f086c8d96fdd3df573d34c141a6d9b284aa",
+            "tail_osc": "3c64a7b15d6145865893fade4ce89b4333fadd64660445906318ddb11db96fd1",
+            "err_sup": "c1e86515e94d590a776f9ab9947c1bfa1348575f14ee67c067dcc0643ce626d1",
         },
     ),
     ("iid_gaussian", 1): (
-        3, 3.9968028886505635e-15,
+        3, 3.3306690738754696e-15,
         {
             "xs": "f058a9476e1c011d06cee3e666ff28572240d59fe25d9d97b2278243bbe3bcb3",
             "ys": "ae4397924cc9d068f3b32bd914f4c688b2f5e8b8dc3987e23739b65ae179e039",
             "us": "ac2cb444e40de908301cede97761d7076299df0038a7c2537863e7b1dd4699b6",
-            "final_b": "c437a3e833b6299c22b348687794df5b6875053e8319e45e4a657c9440604e8e",
+            "final_b": "db886b9f814dcca0d1f20b2731bc3da6b09d6da1adfb39d9bcf92ae341e496b3",
             "energy": "d29fa9543f19eb37ae8abb9bcb60eac2dcee00d3c096459a271cbf4aa8d8a499",
-            "tail_err": "632a0f59a6180ec1f7e196fcdb77f8811f5d1b35bd27d2aea6f1984ebb6a47d7",
-            "tail_osc": "01c3e3ea1e14b77e9cc148ea97cb32358990016be8154fd7439da222ecde834d",
-            "err_sup": "a0c61d9de622a549f7b685faa1b3854c9d0bf5b2f8c150629a35289f271ebe15",
+            "tail_err": "92ce6abd862288a2bd78e786f6046f674d8b06453ec5f6747c26b05f5d2a97e2",
+            "tail_osc": "696f60b8a77561b932774a8c4746e246c379287b462216b8caf9b5db9c6873ac",
+            "err_sup": "4b64d4bd676e5cc2e2d0362bbcc1e6892e56ed4ea2fc374fa34a12ab15cce0d0",
         },
     ),
     ("feedback", 0): (
-        2, 1.3877787807814457e-15,
+        2, 1.887379141862766e-15,
         {
             "xs": "b65b3363cc003dad6f22825847e3b336d995f86b747074b2fc224c78d83349e7",
             "ys": "1c4f01411b9c32883362aa99ba47bb63fe1af6f1fa486362aedbece758e3d469",
             "us": "48baef07c55a769e45d68cbaf784ecf4e358dc1af3b81fa01565dcd5b3a11624",
-            "final_b": "625b3b6b2d7f8d5670f672fbfe08c7f944b6b0577afd5764d7700923bab4955c",
+            "final_b": "d862adb09e868dd413d5921709a64cc308622fcf4f8321d0d356a27c11e2740a",
             "energy": "3b1e70fd223322167ae9eea523c61f7ed3368a14498d467a8ec26e31aa9ef227",
-            "tail_err": "8f31d6e3bef7f12becdf021c2bd6880b5b9b42c3e6acd844ea0ce1749c26ed75",
-            "tail_osc": "fd8d79dc6359c5815333500b46159366f068815a66a5092f074e648452a3f0b4",
-            "err_sup": "cfe717402db062be76539c57fb547e3e2985073a3e5bcd183a55521e4a837ecb",
+            "tail_err": "6093e89374bc82d72d2cc1c0f4409a35966a6da50f7bf1f224b3ca31a721a4d4",
+            "tail_osc": "de6dc84e242ed59be75c412e7005ed06443d0c09ad83138ed17650bdca5cfd33",
+            "err_sup": "f4b5ab4e6b4b413d7ee8106ad484bb5959261c3069020c4c9a9deb1bffeb3dcb",
         },
     ),
     ("feedback", 1): (
-        2, 1.6653345369377348e-15,
+        2, 1.2212453270876722e-15,
         {
             "xs": "c78ed8fa510a3bd2e577d79f101739b750a55e2824865bcd776b3840e3909fcd",
             "ys": "9f998271652c0137c6898484ddfde850b162d3f65bb83500106f236a3309dc70",
             "us": "eb6a8a4a5e0a2e9a0df75c1dae1f60974482d86305d29f5bca21bd1850a6b867",
-            "final_b": "bfd16e429c4e2bf88c023f90c28e54509e4a03952c432234add53b954febcb53",
+            "final_b": "c153a8a768fca4afa8c7cec895da280e74c33aa9dc97eb28522af351a77c9642",
             "energy": "e6b54d2278b59402522b81c4d7b6d5b06507e332395473e8ed01948836740cd7",
-            "tail_err": "bb58412fa0115faf2f0ca81642c977ea773947266a854c8fc9a3d0cad2eefdd7",
-            "tail_osc": "97f28c80394ad88ddb277063c5b242396239e307022fc92322f9ddb85b2b54d4",
-            "err_sup": "769490063d64efdd7de926d3f2c128f86544faf6ed34600a85dba93e5a5f391c",
+            "tail_err": "e2a742e3662766bb006c4bcfb66907841647889e69e39751fc2da6d9d38fd9fb",
+            "tail_osc": "344ef0ea1bdd9def765a9ffc3ad288b3805d8cc8e5755a688d30c60d4698e4be",
+            "err_sup": "88e185bbd965cd69385bccdeac417e5125fd955d3297ce360d1cd4f037f13f83",
         },
     ),
 }
@@ -1021,7 +1021,7 @@ LOCKED_REPORTS = {
         },
     ),
     ("geometric_one", "identity"): (
-        2, "48.000000000000036",
+        2, "48.00000000000008",
         {
             "noise_centered": (True, None, "3.139325794692813", "normalized mean 1.861 (limit 5)"),
             "noise_variance": (True, None, "1.3963610033724993e-05", "empirical variance 9.89463e-05"),
@@ -1031,7 +1031,7 @@ LOCKED_REPORTS = {
         },
     ),
     ("geometric_one", "sqrt_log"): (
-        2, "71.22926305913482",
+        2, "71.22926305913488",
         {
             "noise_centered": (True, None, "3.139325794692813", "normalized mean 1.861 (limit 5)"),
             "noise_variance": (True, None, "1.3963610033724993e-05", "empirical variance 9.89463e-05"),
@@ -1041,7 +1041,7 @@ LOCKED_REPORTS = {
         },
     ),
     ("iid_gaussian", "identity"): (
-        3, "11.61609772474165",
+        3, "11.616097724741653",
         {
             "noise_centered": (True, None, "4.460610095657152", "normalized mean 0.539 (limit 5)"),
             "noise_variance": (True, None, "0.02981065237344188", "empirical variance 0.252464"),
@@ -1051,7 +1051,7 @@ LOCKED_REPORTS = {
         },
     ),
     ("iid_gaussian", "sqrt_log"): (
-        3, "17.664693803652906",
+        3, "17.66469380365291",
         {
             "noise_centered": (True, None, "4.460610095657152", "normalized mean 0.539 (limit 5)"),
             "noise_variance": (True, None, "0.02981065237344188", "empirical variance 0.252464"),
