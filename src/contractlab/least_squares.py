@@ -176,30 +176,30 @@ class LsState:
         and column maxima are NaN before a seed's first nonsingular step.
         """
         p, k, first = self.p, xy.shape[1], self.n + 1
-        rows = np.ascontiguousarray(xy.transpose(2, 0, 1))  # (p + 1, S, k)
-        aug = np.empty((p, p + 1, self.seeds, k))  # entry (i, j): the running sum of x_i xy_j
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below, by step
-            # entry by entry, on contiguous rows: numpy buffers each operand of a
-            # broadcast or strided product, up to the memory of the whole piece
+        # errors are reported below, by step; a singular or tiny G divides by zero
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rows = np.ascontiguousarray(xy.transpose(2, 0, 1))  # (p + 1, S, k)
+            aug = np.empty((p, p + 1, self.seeds, k))  # entry (i, j): the sum of x_i xy_j
+            # row by row, from contiguous rows: numpy buffers each strided or
+            # broadcast operand of a product, up to the size of the product
             for i in range(p):
-                for j in range(p + 1):
-                    np.multiply(rows[i], rows[j], out=aug[i, j])
+                np.multiply(rows[i], rows, out=aug[i])
             del rows
             aug[..., 0] += self._aug
             if k > 1:  # one step is its own sum, and the call loops over every entry
                 np.cumsum(aug, axis=-1, out=aug)
-        # a running sum stays non-finite once it is, so the last step shows any
-        if not np.isfinite(aug[..., -1]).all():
-            j = int(np.argmin(np.isfinite(aug).all(axis=(0, 1, 2))))
-            what = "gram matrix" if not np.isfinite(aug[:, :p, :, j]).all() else "score"
-            raise ValueError(
-                f"non-finite {what} at step {first + j}, from a non-finite or huge row"
-            )
-        self._find_n0(aug[:, :p], first)
-        self.n = first + k - 1
-        self._aug = aug[..., -1].copy()
-        energies = np.diagonal(aug).transpose(2, 0, 1).copy()  # before the elimination
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            # a running sum stays non-finite once it is, so the last step shows any
+            if not np.isfinite(aug[..., -1]).all():
+                j = int(np.argmin(np.isfinite(aug).all(axis=(0, 1, 2))))
+                what = "gram matrix" if not np.isfinite(aug[:, :p, :, j]).all() else "score"
+                raise ValueError(
+                    f"non-finite {what} at step {first + j}, from a non-finite or huge row"
+                )
+            if not self._n0.all():
+                self._find_n0(aug[:, :p], first)
+            self.n = first + k - 1
+            self._aug = aug[..., -1].copy()
+            energies = np.diagonal(aug).transpose(2, 0, 1).copy()  # before the elimination
             for i in range(p):
                 pivot = np.divide(1.0, aug[i, i])
                 aug[i] *= pivot
@@ -225,8 +225,6 @@ class LsState:
         so it reads only the still-singular seeds, in windows of steps that
         double from one.
         """
-        if self._n0.all():
-            return
         p, k = self.p, gram.shape[-1]
         pending = np.flatnonzero(self._n0 == 0)
         lo, width = max(p - first, 0), 1
@@ -396,9 +394,10 @@ def simulate_ls_runs(
     is recorded.  The state folds the draws in pieces cut every
     ``PIECE_STEPS`` steps and at every checkpoint, or, with a feedback law,
     at every step, whose rows first go through the law.  Each piece's
-    estimates are reduced into ``err_sup``, and over the tail window (the last ``tail_length(horizon, tail_fraction)``
-    steps) into a running max and min per seed and component, which give
-    ``tail_err`` and ``tail_osc`` exactly.  Each piece's column maxima of
+    estimates are reduced into ``err_sup``, and over the tail window (the
+    last ``tail_length(horizon, tail_fraction)`` steps) into a running max
+    and min per seed and component, which give ``tail_err`` and
+    ``tail_osc`` exactly.  Each piece's column maxima of
     |inverse Gram|, weighted by ``gw`` of their step's column energies, are
     reduced into each run's ``kappa_hat``.  Raises ValueError for a
     checkpoint outside ``1..horizon``, and when any seed's Gram matrix or
@@ -450,7 +449,7 @@ def simulate_ls_runs(
                 gaps[s] = max(gaps[s], float(np.max(np.abs(state.estimate[s] - dense))))
     if state.singular.any():
         raise ValueError("design never reached a nonsingular gram matrix")
-    energy, final_b = state.energy, state.estimate.copy()
+    energy, final_b = state.energy, state.estimate
     kappa_hat = np.where(np.isnan(sup), np.inf, p * sup)
     # rounding is monotone, so these are the tail's max|b - beta| and max - min, bit for bit
     hi, lo = hi.T, lo.T
