@@ -7,6 +7,7 @@ as a floating-point number, not an approximation of it.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ __all__ = [
     "TruncatedPath",
     "rm_solve",
     "rm_solve_block",
-    "block_size",
     "check_linear_envelope",
     "check_norm_envelope",
     "check_regularity",
@@ -47,9 +47,9 @@ class RootProblem:
 
     When ``x_star`` is supplied it must actually be a root (|g| at most 1e-12).
     ``g_block``, when given, evaluates g on a stack of iterates, one per row
-    (shape (k,) or (k, p)), with the same floating-point operations as ``g``
-    on each row; :func:`rm_solve_block` needs it for a block of two or more
-    seeds, on the seeds of one step and on the steps of one seed.
+    (shape (k,) or (k, p)), with ``g``'s floating-point operations on each
+    row; :func:`rm_solve_block` applies it to the seeds of one step and to the
+    steps of one seed, and without it runs the seeds one at a time.
     """
 
     g: Callable
@@ -258,16 +258,15 @@ BLOCK_BYTES = 32 << 20
 MIN_BLOCK = 16
 
 
-def block_size(seeds: int, horizon: int, p: int = 1) -> int:
-    """Seeds per :func:`rm_solve_block` call, or 1 when seed by seed is faster.
+def _block_size(seeds: int, horizon: int, p: int = 1) -> int:
+    """Seeds per block of :func:`rm_solve_block`, or 1 when seed by seed is faster.
 
-    As many blocks as ``BLOCK_BYTES`` of iterates requires, as even as
-    possible: at 32 MiB, 100 seeds of 3e4 steps (139 fit) run as one block,
-    and 100 seeds of 1e5 steps at p = 3 (13 fit) in blocks of 13.  Only a
-    scalar block needs ``MIN_BLOCK`` seeds.
+    As few blocks as ``BLOCK_BYTES`` of iterates allows, as even as possible:
+    at 32 MiB, 100 seeds of 3e4 steps (139 fit) make one block, and 100 seeds
+    of 1e5 steps at p = 3 (13 fit) blocks of 13.  A scalar block needs ``MIN_BLOCK``.
     """
     fit = max(1, BLOCK_BYTES // (8 * p * (horizon + 1)))
-    size = math.ceil(seeds / math.ceil(seeds / fit))  # at most fit
+    size = math.ceil(seeds / math.ceil(seeds / fit)) if seeds else 1  # at most fit
     return size if size >= MIN_BLOCK or p > 1 else 1
 
 
@@ -279,27 +278,46 @@ def rm_solve_block(
     horizon: int,
     seeds: Sequence,
 ) -> Iterator:
-    """Step a block of seeds together; return their paths, in seed order.
+    """Every seed's path, in seed order, each bit-identical to :func:`rm_solve`'s.
 
-    Each path is bit-identical to :func:`rm_solve`'s for that seed, scalar or
-    vector by the shape of ``x0``; one seed alone is run by :func:`rm_solve`,
-    whose float loop is faster.  Each seed of a block draws its shocks from its
-    own generator, ``SHOCK_CHUNK`` steps at a time into one
-    (chunk, B[, p]) buffer, and ``problem.g_block`` repeats ``g``'s
-    operations.  The block keeps only the time-major iterates ``xs``
-    (H+1, B[, p]).  Each seed's means are derived as its path is handed out,
-    ``xs[:-1] - alpha * g_block(xs[:-1])``: the operations the step loop
-    applied, so they are its exact means.  Any floating-point error but
-    underflow (which is exact in both solvers) raises, so a seed whose values
-    overflow is left to run alone, where its ``math`` calls may raise on it.
+    Scalar or vector by the shape of ``x0``, which must hold no NaN.  The seeds
+    step together in blocks of :func:`_block_size`, one block's iterates alive
+    at a time; a path is handed out as a copy of its seed's, with the means
+    ``xs[:-1] - alpha * g_block(xs[:-1])``, the step loop's operations, so its
+    exact means.  :func:`rm_solve`, whose float loop is faster, runs each seed
+    of a one-seed block (all blocks of a problem without ``g_block``) and of a
+    block whose step loop raised: its ``math`` calls may raise on the overflow.
     """
-    if len(seeds) == 1:
-        return iter([rm_solve(problem, noise, schedule, x0, horizon, seeds[0])])
-    shape = _checked_x0(x0).shape
+    x = _checked_x0(x0)
+    size = _block_size(len(seeds), horizon, x.size) if problem.g_block else 1
+    column = schedule.alphas(horizon).reshape((-1,) + (1,) * x.ndim)
+
+    def paths():
+        for start in range(0, len(seeds), size):
+            block, xs = seeds[start : start + size], None  # frees the last block's iterates
+            if len(block) > 1:
+                with contextlib.suppress(FloatingPointError):  # then its seeds run alone
+                    xs = _step_block(problem.g_block, noise, schedule, x, horizon, block)
+            if xs is None:
+                yield from (rm_solve(problem, noise, schedule, x, horizon, s) for s in block)
+                continue
+            for j in range(len(block)):
+                path = xs[:, j].copy()
+                yield ProcessPath(path, path[:-1] - column * problem.g_block(path[:-1]))
+
+    return paths()
+
+
+def _step_block(g, noise, schedule, x0, horizon, seeds) -> np.ndarray:
+    """The time-major iterates (H+1, B[, p]) of a block of seeds stepped by ``g_block``.
+
+    Each seed draws its shocks from its own generator, ``SHOCK_CHUNK`` steps at
+    a time into one (chunk, B[, p]) buffer.  Any floating-point error but
+    underflow (which is exact in both solvers) raises.
+    """
+    shape, al = x0.shape, schedule.alphas(horizon)
     xs = np.empty((horizon + 1, len(seeds)) + shape)
     xs[0] = x0
-    al = schedule.alphas(horizon)
-    g = problem.g_block
     spans = _spans(horizon)
     streams = [_shocks(noise, seed, spans, shape) for seed in seeds]
     buffer = np.empty((min(SHOCK_CHUNK, horizon), len(seeds)) + shape)
@@ -312,15 +330,7 @@ def rm_solve_block(
             for i, a in enumerate(al[span].tolist(), span.start):
                 x = xs[i]
                 np.subtract(x - a * g(x), shocks[i - span.start], out=xs[i + 1])
-    al = al.reshape((-1,) + (1,) * len(shape))
-
-    def paths():
-        for j in range(len(seeds)):
-            path = xs[:, j].copy()
-            prev = path[:-1]
-            yield ProcessPath(path, prev - al * g(prev))
-
-    return paths()
+    return xs
 
 
 @dataclass(frozen=True, eq=False)

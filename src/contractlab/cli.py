@@ -19,14 +19,13 @@ __all__ = ["main"]
 def _load(path: str, ensemble_overrides: Dict[str, int]) -> Optional[ExperimentConfig]:
     try:
         return parse_config_file(path, ensemble_overrides)
-    except FileNotFoundError:
-        print(f"config file not found: {path}", file=sys.stderr)
-        return None
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, unreadable, not UTF-8
+        print(f"cannot read config file {path}: {exc}", file=sys.stderr)
     except ConfigError as exc:
         print(f"invalid config ({len(exc.errors)} error(s)):", file=sys.stderr)
         for line in exc.errors:
             print(f"  - {line}", file=sys.stderr)
-        return None
+    return None
 
 
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> None:

@@ -20,7 +20,6 @@ from typing import Any, Callable, Dict, List, Tuple, Union
 import numpy as np
 
 from .approximation import (
-    block_size,
     check_linear_envelope,
     check_norm_envelope,
     check_ratio_sandwich,
@@ -263,10 +262,7 @@ def _run_sa(config: ExperimentConfig):
     def solve(seed_sequences):
         return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
 
-    # a built-in family steps its seeds in blocks, unless block_size finds
-    # seed by seed faster; a problem without a block g runs one seed at a time
-    size = block_size(ens.seeds, horizon, x0.size) if problem.g_block else 1
-    stats = run_ensemble(solve, ens, _grid(horizon + 1, config.curve_points), size)
+    stats = run_ensemble(solve, ens, _grid(horizon + 1, config.curve_points))
 
     outcomes.update(_final_value_outcomes(stats))
     for name in _PAYLOAD_FLAGS:
@@ -283,11 +279,11 @@ def _run_kronecker(config: ExperimentConfig):
     increments = config.build("increments", horizon)
 
     def solve(seed_sequences):
+        # one seed at a time: a seed's values are held only while it is reduced
         paths = (kronecker_path(increments(ss), weights) for ss in seed_sequences)
-        return [(path.xs, {"path": path} if config.traces else {}) for path in paths]
+        return ((path.xs, {"path": path} if config.traces else {}) for path in paths)
 
-    # one seed per call: a seed's values are held only while it is reduced
-    stats = run_ensemble(solve, ens, _grid(horizon + 1, config.curve_points), 1)
+    stats = run_ensemble(solve, ens, _grid(horizon + 1, config.curve_points))
     report: Dict[str, Any] = {}
 
     outcomes = _final_value_outcomes(stats)

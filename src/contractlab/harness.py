@@ -169,17 +169,15 @@ def run_ensemble(
     solve: Callable,
     config: EnsembleConfig,
     curve_grid: Optional[Sequence[int]] = None,
-    block_size: Optional[int] = None,
 ) -> EnsembleStats:
     """Run ``solve`` over the seeds and aggregate tail-window verdicts.
 
-    ``solve`` receives a list of ``block_size`` (default: every) seeds'
-    SeedSequences and returns an iterable of one (values, payload) pair per
-    seed, in seed order; each pair is reduced as soon as it arrives.  When a
-    chunk raises (or ends early), its remaining seeds rerun alone through
-    ``solve([seed])``, solved once each, so a failure is recorded as
-    inconclusive for the seed that raised, with the message in ``note``, and
-    never aborts the rest.
+    ``solve`` receives a list of every seed's SeedSequence and returns an
+    iterable of one (values, payload) pair per seed, in seed order; each pair
+    is reduced as soon as it arrives.  When the call raises (or ends early),
+    its remaining seeds rerun alone through ``solve([seed])``, solved once
+    each, so a failure is recorded as inconclusive for the seed that raised,
+    with the message in ``note``, and never aborts the rest.
     """
     grid = None if curve_grid is None else np.asarray(curve_grid, dtype=int)
     seeds = [child_seed(config.root_seed, i) for i in range(config.seeds)]
@@ -201,14 +199,11 @@ def run_ensemble(
             for seed in chunk[done:]:
                 yield from outputs([seed])
 
-    size = block_size or len(seeds)
-    chunks = (seeds[start : start + size] for start in range(0, len(seeds), size))
-
     verdicts = []
     finals = []
     payloads = []
     curve_rows = []
-    for out, error in (pair for chunk in chunks for pair in outputs(chunk)):
+    for out, error in outputs(seeds):
         if error is not None:
             nan = math.nan
             verdicts.append(ConvergenceVerdict(ConvergenceClass.INCONCLUSIVE, nan, nan, nan, error))

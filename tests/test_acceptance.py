@@ -34,7 +34,7 @@ from contractlab import (
     simulate_ls_runs,
     truncated_nonexpansive_verdict,
 )
-from contractlab.approximation import block_size, signed_log_grid, sphere_grid
+from contractlab.approximation import signed_log_grid, sphere_grid
 from contractlab.cli import main as cli_main
 from contractlab.least_squares import geometric_one_design, rotating_design
 from helpers import halving_noise_path
@@ -55,15 +55,13 @@ def sine_problem() -> RootProblem:
 
 
 def rm_ensemble(problem, noise, schedule, x0, config, check):
-    """``check`` every seed's path, the seeds stepped in blocks of :func:`block_size`;
-    a failing block's seeds rerun alone, through the per-seed solver.
-    """
-    horizon = config.horizon
+    """``check`` every seed's path, the seeds stepped by :func:`rm_solve_block`."""
 
     def solve(seed_sequences):
-        return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
+        paths = rm_solve_block(problem, noise, schedule, x0, config.horizon, seed_sequences)
+        return map(check, paths)
 
-    return run_ensemble(solve, config, block_size=block_size(config.seeds, horizon, np.size(x0)))
+    return run_ensemble(solve, config)
 
 
 @pytest.fixture(scope="module")

@@ -27,7 +27,7 @@ from contractlab import approximation
 from contractlab.approximation import (
     BLOCK_BYTES,
     MIN_BLOCK,
-    block_size,
+    _block_size,
     rm_solve_block,
     signed_log_grid,
     sphere_grid,
@@ -589,9 +589,11 @@ OVERFLOWS = {
 
 
 def _assert_block_equals_per_seed(problem, noise, schedule, x0, horizon, sequences):
-    """Every path of one block is byte for byte its seed's :func:`rm_solve` path."""
-    with warnings.catch_warnings(record=True) as caught:
+    """Every path of :func:`rm_solve_block` is byte for byte its seed's :func:`rm_solve`
+    path; ``MIN_BLOCK`` is lifted, so scalar seeds of any count step as one block."""
+    with warnings.catch_warnings(record=True) as caught, pytest.MonkeyPatch.context() as patch:
         warnings.simplefilter("always")
+        patch.setattr(approximation, "MIN_BLOCK", 1)
         paths = list(rm_solve_block(problem, noise, schedule, x0, horizon, sequences))
     assert caught == []
     assert len(paths) == len(sequences)
@@ -660,38 +662,68 @@ class TestBlockSolver:
         args = (problem, NoiseModel(draw), Schedule.inverse_n(1.0), 2.0, horizon)
         _assert_block_equals_per_seed(*args, sequences)
 
+    @pytest.mark.parametrize("family", ["sine_perturbed", "matrix"])
+    @pytest.mark.parametrize("seeds", [2, 17])
+    def test_problem_without_g_block_runs_seed_by_seed(self, family, seeds):
+        if family in PROBLEM.families:
+            built = PROBLEM.families[family].build({"slope": 1.0, "amplitude": 0.3, "root": 0.5})
+            x0 = 2.0
+        else:
+            built = PROBLEM_ND.families[family].build({"entries": [[1.0, 0.2], [0.0, 0.8]]}, 2)
+            x0 = np.array([2.0, -1.0])
+        problem = RootProblem(built.g, x_star=built.x_star, dimension=built.dimension)
+        sequences = [child_seed(6, i) for i in range(seeds)]
+        args = (problem, NoiseModel.gaussian(0.3), Schedule.inverse_n(1.0), x0, 300)
+        _assert_block_equals_per_seed(*args, sequences)
+
     def test_block_memory_stays_within_the_budget(self, monkeypatch):
-        # 64 seeds whose iterates fill 3/4 of the budget: the step loop adds
-        # one shock chunk, and a path handed out is its seed's share
-        seeds, horizon = 64, 4095
-        monkeypatch.setattr(approximation, "BLOCK_BYTES", 8 * seeds * (horizon + 1) * 4 // 3)
-        assert block_size(seeds, horizon) == seeds
+        # 96 seeds whose iterates fill three budgets: each block of 32 seeds
+        # runs within one budget plus one shock chunk, and the next block is
+        # allocated only once the last one's iterates are freed (a second
+        # block alive would add a whole budget).  On top come the block's
+        # generators, the path handed out, the one the loop still holds and
+        # the temporaries of its means: half a block at most
+        seeds, horizon, per_block = 96, 4095, 32
+        seed_bytes = 8 * (horizon + 1)
+        monkeypatch.setattr(approximation, "BLOCK_BYTES", per_block * seed_bytes)
+        assert _block_size(seeds, horizon) == per_block
         problem = PROBLEM.families["sine_perturbed"].build(
             {"slope": 1.0, "amplitude": 0.3, "root": 0.5}
         )
         sequences = [child_seed(5, i) for i in range(seeds)]
         args = (problem, NoiseModel.gaussian(0.3), Schedule.inverse_n(1.0), 2.0, horizon)
+        blocks = []
+        step_block = approximation._step_block
+
+        def counted(*args):
+            blocks.append(len(args[-1]))
+            return step_block(*args)
+
+        monkeypatch.setattr(approximation, "_step_block", counted)
         tracemalloc.start()
         try:
-            for _ in rm_solve_block(*args, sequences):
-                pass
+            handed = sum(1 for _ in rm_solve_block(*args, sequences))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        buffer = 8 * approximation.SHOCK_CHUNK * seeds
-        assert peak <= approximation.BLOCK_BYTES + buffer
+        assert handed == seeds
+        assert blocks == [per_block] * 3
+        buffer = 8 * approximation.SHOCK_CHUNK * per_block
+        assert peak <= approximation.BLOCK_BYTES + buffer + per_block // 2 * seed_bytes
 
     @pytest.mark.parametrize(
         "family, seeds",
         [("sine_perturbed", n) for n in (2, 7, 50)] + [("linear", n) for n in (2, 7, 50)],
         ids=["2", "7", "50", "linear-2", "linear-7", "linear-50"],
     )
-    def test_overflowing_seed_errors_alone(self, family, seeds):
+    def test_overflowing_seed_errors_alone(self, family, seeds, monkeypatch):
         # slope 2 with c = 4 turns a huge shock at step 2 into an overflow in
-        # the block.  Seed by seed, sine_perturbed's math.sin(inf) raises one
-        # step later (5e307); the linear map's float loop runs on through inf
-        # and NaN without an error (1e308, which alpha_2 = 2 scales past the
-        # largest float, with numpy's overflow warning)
+        # the block, which then runs its seeds through rm_solve.  There,
+        # sine_perturbed's math.sin(inf) raises one step later (5e307), and the
+        # ensemble reruns that seed and every later one alone; the linear
+        # map's float loop runs on through inf and NaN without an error (1e308,
+        # which alpha_2 = 2 scales past the largest float, with numpy's
+        # overflow warning)
         shock, seed_notes = OVERFLOWS[family]
         problem = PROBLEM.families[family].build({"slope": 2.0, "amplitude": 0.3, "root": 0.0})
 
@@ -704,6 +736,18 @@ class TestBlockSolver:
         noise = NoiseModel(draw)
         schedule = Schedule.inverse_n(4.0)
         config = EnsembleConfig(seeds=seeds, root_seed=9, horizon=60)
+        monkeypatch.setattr(approximation, "MIN_BLOCK", 1)  # 2 and 7 seeds make a block
+        raised = []
+        step_block = approximation._step_block
+
+        def recorded(*args):
+            try:
+                return step_block(*args)
+            except FloatingPointError:
+                raised.append(len(args[-1]))
+                raise
+
+        monkeypatch.setattr(approximation, "_step_block", recorded)
         chunks = []
 
         def solve(seed_sequences):
@@ -711,22 +755,30 @@ class TestBlockSolver:
             paths = rm_solve_block(problem, noise, schedule, 1.0, 60, seed_sequences)
             return ((path.xs, path) for path in paths)
 
+        def seed_by_seed(seed_sequences):
+            for seed in seed_sequences:
+                path = rm_solve(problem, noise, schedule, 1.0, 60, seed)
+                yield path.xs, path
+
         with warnings.catch_warnings(record=True) as caught_blocked:
             warnings.simplefilter("always")
             blocked = run_ensemble(solve, config, [0, 30, 60])
         with warnings.catch_warnings(record=True) as caught_alone:
             warnings.simplefilter("always")
-            alone = run_ensemble(solve, config, [0, 30, 60], 1)
-        # the block raised, so every seed reran alone, each solved once
-        assert chunks == [seeds] + [1] * (2 * seeds)
+            alone = run_ensemble(seed_by_seed, config, [0, 30, 60])
+        assert raised == [seeds]  # the block's step loop overflowed
+        notes = [v.note for v in blocked.per_seed]
+        assert set(notes) == seed_notes
+        # one call of every seed; from the first seed that raised alone, each
+        # later seed reruns alone, solved once
+        first = next((i for i, note in enumerate(notes) if note), seeds)
+        assert chunks == [seeds] + [1] * (seeds - first)
         # the block adds no warning of its own to those of the seeds alone
         assert [str(w.message) for w in caught_blocked] == [str(w.message) for w in caught_alone]
         if family == "sine_perturbed":
             assert caught_blocked == []
         assert json.dumps(blocked.to_dict()) == json.dumps(alone.to_dict())
         assert json.dumps(blocked.curves) == json.dumps(alone.curves)
-        notes = [v.note for v in blocked.per_seed]
-        assert set(notes) == seed_notes
         for got, want in zip(blocked.payloads, alone.payloads):
             assert (got is None) == (want is None)
             if got is not None:
@@ -745,17 +797,18 @@ class TestBlockSolver:
                 rm_solve(*args, 0)
 
     def test_block_size_follows_the_budget(self):
-        assert block_size(100, 30_000) == 100  # 139 fit: one block
-        assert block_size(20, 20_000, 3) == 20
-        assert block_size(15, 100) == 1  # fewer than MIN_BLOCK seeds: seed by seed
-        assert block_size(100, 10**7) == 1  # fewer than MIN_BLOCK fit
+        assert _block_size(100, 30_000) == 100  # 139 fit: one block
+        assert _block_size(20, 20_000, 3) == 20
+        assert _block_size(15, 100) == 1  # fewer than MIN_BLOCK seeds: seed by seed
+        assert _block_size(100, 10**7) == 1  # fewer than MIN_BLOCK fit
         # a vector block of any size beats stepping its seeds alone
-        assert block_size(15, 100, 2) == 15
-        assert block_size(100, 100_000, 3) == 13  # 13 fit
-        assert block_size(20, 10**7, 3) == 1  # not one seed fits
+        assert _block_size(15, 100, 2) == 15
+        assert _block_size(100, 100_000, 3) == 13  # 13 fit
+        assert _block_size(20, 10**7, 3) == 1  # not one seed fits
+        assert _block_size(0, 100, 3) == 1  # no seeds: no block to size
         for seeds in (2, 16, 37, 100, 1000, 10**6):
             for horizon, p in ((2_000, 1), (30_000, 1), (20_000, 3), (100_000, 2), (10**6, 3)):
-                size = block_size(seeds, horizon, p)
+                size = _block_size(seeds, horizon, p)
                 assert 1 <= size <= seeds
                 assert size == 1 or p > 1 or size >= MIN_BLOCK
                 assert size * 8 * p * (horizon + 1) <= BLOCK_BYTES

@@ -61,6 +61,25 @@ class TestCheckCommand:
     def test_missing_file_exit_2(self, capsys):
         assert main(["check", "/no/such/config.yaml"]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "check"])
+    @pytest.mark.parametrize("unreadable", ["missing", "directory", "not_utf8"])
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, command, unreadable):
+        # a missing file and a directory raise an OSError when read, and a
+        # UTF-16 byte-order mark a UnicodeDecodeError: each is one line, not a traceback
+        if unreadable == "missing":
+            path = tmp_path / "no_such.yaml"
+        elif unreadable == "directory":
+            path = tmp_path / "configs"
+            path.mkdir()
+        else:
+            path = tmp_path / "config.yaml"
+            path.write_bytes(b"\xff\xfe" + "kind: sa\n".encode("utf-16-le"))
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot read config file {path}: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("seeds", [3, 20])  # seed by seed, and one block
     def test_nan_x0_run_exit_2(self, tmp_path, capsys, seeds):
         text = SA_TEMPLATE.format(out=tmp_path / "out", traces="false")
@@ -208,12 +227,13 @@ output: {{dir: {out}}}
         assert main(["run", str(cfg)]) == 0
         model = RegressionModel(np.array([1.0, 0.5]), feedback_design(0.9), 1.0)
 
-        def solve(seed_sequences):
-            runs = simulate_ls_runs(model, 1200, seed_sequences, 0.2, [400, 800, 1200])
-            return [(run.err_sup, run) for run in runs]
+        def seed_by_seed(seed_sequences):
+            for ss in seed_sequences:
+                (run,) = simulate_ls_runs(model, 1200, [ss], 0.2, [400, 800, 1200])
+                yield run.err_sup, run
 
         grid = np.unique(np.linspace(0, 1199, 200).astype(int))
-        stats = run_ensemble(solve, EnsembleConfig(5, 3, 1200), grid, 1)  # seed by seed
+        stats = run_ensemble(seed_by_seed, EnsembleConfig(5, 3, 1200), grid)
         write_summary_json(tmp_path / "per_seed.json", {"ensemble": stats.to_dict()})
         per_seed = json.loads((tmp_path / "per_seed.json").read_text())["ensemble"]
         assert json.loads((out / "summary.json").read_text())["ensemble"] == per_seed

@@ -267,13 +267,13 @@ def test_partial_blocks_bypass_the_per_seed_solvers(name, tmp_path, monkeypatch)
     seed_bytes = 8 * REMAINDER_P[name] * (REMAINDER_HORIZON + 1)
     monkeypatch.setattr(approximation, "BLOCK_BYTES", 25 * seed_bytes)
     blocks, alone = [], []
-    solve_block = experiments.rm_solve_block
+    step_block = approximation._step_block
 
     def counted(*args):
-        blocks.append(len(args[5]))
-        return solve_block(*args)
+        blocks.append(len(args[-1]))  # the block's seeds
+        return step_block(*args)
 
-    monkeypatch.setattr(experiments, "rm_solve_block", counted)
+    monkeypatch.setattr(approximation, "_step_block", counted)
     monkeypatch.setattr(approximation, "rm_solve", lambda *args: alone.append(args))
     argv = ["run", str(CONFIGS / f"{name}.yaml"), "--seeds", str(REMAINDER_SEEDS)]
     argv += ["--horizon", str(REMAINDER_HORIZON), "--out", str(tmp_path / "out")]

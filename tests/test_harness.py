@@ -142,19 +142,29 @@ class TestRunEnsemble:
                 return list(outs)[:-1]
             return outs
 
+        def alone(seed_sequences):  # one seed after another, each solved once
+            for ss in seed_sequences:
+                yield one(ss)
+
         config = self.config(seeds=seeds, horizon=300)
         grid = [0, 150, 299]
-        per_seed = run_ensemble(solve, config, grid, 1)
-        assert calls == [[i] for i in range(seeds)]  # each seed solved exactly once
-        for size in (2, 3, None):
-            block = run_ensemble(solve, config, grid, size)
-            assert json.dumps(block.to_dict()) == json.dumps(per_seed.to_dict())
-            assert json.dumps(block.curves) == json.dumps(per_seed.curves)
-            assert block.payloads == per_seed.payloads
-            notes = [v.note for v in block.per_seed]
-            assert notes == [
-                f"RuntimeError: boom at seed {i}" if i in failing else "" for i in range(seeds)
-            ]
+        per_seed = run_ensemble(alone, config, grid)
+        block = run_ensemble(solve, config, grid)
+        assert json.dumps(block.to_dict()) == json.dumps(per_seed.to_dict())
+        assert json.dumps(block.curves) == json.dumps(per_seed.curves)
+        assert block.payloads == per_seed.payloads
+        notes = [v.note for v in block.per_seed]
+        assert notes == [
+            f"RuntimeError: boom at seed {i}" if i in failing else "" for i in range(seeds)
+        ]
+        # solve gets every seed once; from the first seed it did not hand out
+        # (a short list hands out none when a seed raises), each seed reruns
+        # alone, solved once
+        first = min(failing & set(range(seeds)), default=seeds)
+        if short and seeds > 1:
+            first = 0 if first < seeds else seeds - 1
+        reruns = [[i] for i in range(first, seeds)] if seeds > 1 else []
+        assert calls == [list(range(seeds))] + reruns
 
     def test_solver_without_output_errors_its_seed(self):
         stats = run_ensemble(lambda seed_sequences: [], self.config(seeds=3))
