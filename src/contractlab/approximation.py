@@ -495,9 +495,7 @@ class TruncatedPath:
     """A path zeroed wherever its predictable mean is small in magnitude.
 
     ``path`` carries the truncated values/means; ``n0`` is the first step
-    index after which every base residual stays below the settling threshold;
-    ``zero_state_mean[n-1]`` is the truncated step mean when the truncated
-    predecessor is zero-class, else 0.
+    index after which every base residual stays below the settling threshold.
     """
 
     base: ProcessPath
@@ -505,7 +503,6 @@ class TruncatedPath:
     tau: float
     n0: int
     path: ProcessPath
-    zero_state_mean: np.ndarray
 
 
 def derive_truncated(base: ProcessPath, delta: float, tau: float) -> TruncatedPath:
@@ -531,9 +528,7 @@ def derive_truncated(base: ProcessPath, delta: float, tau: float) -> TruncatedPa
     ms_t[~finite_steps(base)] = math.nan  # truncation must not hide a non-finite step
     xs_t = np.concatenate(([base.x0], np.where(keep, base.xs[1:], 0.0)))
     truncated = ProcessPath(xs_t, ms_t, base.zero_tol)
-    zmask = np.abs(xs_t[:-1]) <= base.zero_tol
-    u_t = np.where(zmask, ms_t, 0.0)
-    return TruncatedPath(base, float(delta), float(tau), n0, truncated, u_t)
+    return TruncatedPath(base, float(delta), float(tau), n0, truncated)
 
 
 def truncated_nonexpansive_verdict(trunc: TruncatedPath) -> ConditionVerdict:
@@ -557,13 +552,13 @@ def check_truncated_zero_mean_bound(trunc: TruncatedPath, kappa: float) -> Condi
     ``kappa`` bounds the base mean magnitude whenever the base state sits in
     (0, delta]; checked at every step from the settling index onward.
     """
-    base = trunc.base
+    base, path = trunc.base, trunc.path
     u_base = np.where(zero_state_mask(base), base.ms, 0.0)
+    u_t = np.where(zero_state_mask(path), path.ms, 0.0)
     allowance = np.abs(u_base) + trunc.delta + 2.0 * trunc.tau + kappa
     late = np.arange(1, base.horizon + 1) >= trunc.n0
     band = band_check(
-        np.abs(trunc.zero_state_mean), allowance, mask=late, atol=DEFAULT_ATOL,
-        finite=finite_steps(trunc.path),
+        np.abs(u_t), allowance, mask=late, atol=DEFAULT_ATOL, finite=finite_steps(path)
     )
     return band.verdict(
         "restart mean exceeds the truncation allowance",

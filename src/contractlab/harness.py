@@ -251,15 +251,13 @@ def run_ensemble(
 def _quantile_curves(mat: np.ndarray) -> np.ndarray:
     """The ``QUANTILE_KEYS`` quantiles of each column's finite entries (NaN if none).
 
-    Rows are quantiles, columns those of ``mat``.  All-finite columns go
-    through one vectorised call; only a column holding a NaN or inf is
-    filtered on its own.  So is a column holding -0.0, one quantile at a
-    time: 0.0 and -0.0 compare equal, so which of them ``np.quantile`` returns
-    depends on the columns and quantiles of the call.
+    Rows are quantiles, columns those of ``mat``, whose entries are
+    magnitudes (no -0.0).  All-finite columns go through one vectorised call;
+    only a column holding a NaN or inf is filtered on its own.
     """
     qs = [q for _, q in QUANTILE_KEYS]
     finite = np.isfinite(mat)
-    clean = (finite & ~((mat == 0) & np.signbit(mat))).all(axis=0)
+    clean = finite.all(axis=0)
     table = np.full((len(qs), mat.shape[1]), math.nan)
     if len(mat) and clean.any():
         table[:, clean] = np.quantile(mat[:, clean], qs, axis=0)

@@ -1,15 +1,15 @@
 """Filtered process paths: drift/residual decomposition, sign crossings, peak bounds.
 
-A path stores, for every step, the realized value, the exact predictable
-one-step conditional mean supplied by the generating model, and the residual
-(their difference).  Because the means are exact, the inequalities checked
+A path stores, for every step, the realized value and the exact predictable
+one-step conditional mean supplied by the generating model; the residual is
+their difference.  Because the means are exact, the inequalities checked
 here are pathwise facts rather than statistical estimates.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -57,15 +57,13 @@ class ProcessPath:
     ``xs`` has ``horizon + 1`` rows and carries the initial value in row 0;
     ``ms[i]`` is the conditional mean of step ``i + 1`` given the past.  A
     scalar path has 1-d arrays, a vector path ``(steps, p)`` arrays, whose
-    conditions are checked on the row norms.  The residuals
-    ``eps = xs[1:] - ms`` are recomputed on construction, so the decomposition
-    identity holds to the last bit by definition.
+    conditions are checked on the row norms.  Only the values and means are
+    held, 16·p bytes a step: the residuals :attr:`eps` are derived from them.
     """
 
     xs: np.ndarray
     ms: np.ndarray
     zero_tol: float = 0.0
-    eps: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         xs = np.asarray(self.xs, dtype=float)
@@ -83,7 +81,12 @@ class ProcessPath:
             raise ValueError("zero_tol must be nonnegative")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ms", ms)
-        object.__setattr__(self, "eps", xs[1:] - ms)
+
+    @property
+    def eps(self) -> np.ndarray:
+        """The residuals ``xs[1:] - ms``, computed on each read, so the
+        decomposition identity holds to the last bit by definition."""
+        return self.xs[1:] - self.ms
 
     @property
     def x0(self) -> float | np.ndarray:
@@ -129,9 +132,12 @@ def doob_decompose(xs, ms) -> ProcessPath:
 
 
 def zero_state_mask(path: ProcessPath) -> np.ndarray:
-    """Boolean mask over steps 1..horizon: True where the predecessor is zero-class."""
-    scalar_only(path, "zero_state_mask")
-    return np.abs(path.xs[:-1]) <= path.zero_tol
+    """Mask over steps 1..horizon: True where the predecessor x_{n-1} is
+    zero-class, ``|x_{n-1}| <= zero_tol`` (its row norm for a vector path).
+
+    This is the checkers' one zero-class rule."""
+    prev = path.norms()[:-1] if path.xs.ndim == 2 else np.abs(path.xs[:-1])
+    return prev <= path.zero_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +210,7 @@ def ratio_band(path, upper, lower=None, mask=None, atol: float = 0.0) -> Band:
     """Band check of the ratios m_n / x_{n-1} (of norms for a vector path) off the
     zero class; ``mask`` restricts the steps further (see :func:`band_check`)."""
     prev, means = _drift_pairs(path)
-    off_zero = np.abs(prev) > path.zero_tol
+    off_zero = ~zero_state_mask(path)
     if mask is not None:
         off_zero &= mask
     return band_check(means, upper, lower, off_zero, atol=atol, over=prev, finite=finite_steps(path))
@@ -218,9 +224,8 @@ def zero_state_band(path, tail_window: int | None, tol: float) -> Band:
         tail_window = min(max(1, horizon // 2), horizon)
     if tail_window > horizon:
         raise ValueError(f"tail window {tail_window} exceeds horizon {horizon}")
-    prev, means = _drift_pairs(path)
-    mask = (np.arange(horizon) >= horizon - tail_window) & (np.abs(prev) <= path.zero_tol)
-    return band_check(np.abs(means), tol, mask=mask, finite=finite_steps(path))
+    mask = (np.arange(horizon) >= horizon - tail_window) & zero_state_mask(path)
+    return band_check(np.abs(_drift_pairs(path)[1]), tol, mask=mask, finite=finite_steps(path))
 
 
 def check_segment_peak_bound(path: ProcessPath, alphas: Sequence[float]) -> ConditionVerdict:
@@ -250,7 +255,8 @@ def check_segment_peak_bound(path: ProcessPath, alphas: Sequence[float]) -> Cond
     # one entry per step, set at the steps T_j where a segment starts
     at = np.array(report.crossing_times, dtype=int) - 1
     ends = np.append(at[1:], path.horizon)
-    residual = np.array([np.abs(path.eps[a:b]).sum() for a, b in zip(at, ends)])
+    eps = np.abs(path.eps)
+    residual = np.array([eps[a:b].sum() for a, b in zip(at, ends)])
     restart = np.where(zero_state_mask(path)[at], np.abs(path.ms[at]), 0.0)
     starts = np.zeros(path.horizon, bool)
     peaks, bound = np.zeros((2, path.horizon))

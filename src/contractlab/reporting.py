@@ -81,38 +81,29 @@ def write_quantiles_csv(path: Path, curves: Dict[str, List]) -> None:
 
 def trace_header(p: int = 1) -> List[str]:
     if p == 1:
-        return ["seed", "n", "x", "m", "u_flag"]
-    cols = ["seed", "n"]
-    cols += [f"x_{t}" for t in range(1, p + 1)]
-    cols += [f"m_{t}" for t in range(1, p + 1)]
-    cols.append("u_flag")
-    return cols
+        return ["seed", "n", "x", "m"]
+    return ["seed", "n", *(f"{c}_{t}" for c in "xm" for t in range(1, p + 1))]
 
 
 TRACE_CHUNK = 256  # steps formatted at a time: a long path leaves no large text behind
 
 
 def _trace_chunks(seed: int, path: ProcessPath) -> Iterator[str]:
-    """One path's CSV text in chunks of whole lines; the n = 0 line carries only
-    the initial value.  The residual ``eps = x - m`` is not written: a reader
-    recomputes it, bit for bit, from the two columns (``ProcessPath``).
-
-    ``u_flag`` marks a zero-class predecessor: ``|x_{n-1}|`` for a scalar
-    path, the row norm for a vector path (whose norm of a tiny entry may
-    underflow to zero where its absolute value does not).
+    """One path's CSV text in chunks of whole lines, its values and means
+    only; the n = 0 line carries only the initial value.  What is derived from
+    them is not written: a reader recomputes the residual ``eps = x - m`` bit
+    for bit (``ProcessPath``), and the zero class (``zero_state_mask``).
     """
     xs = path.xs.reshape(len(path.xs), -1)
     p = xs.shape[1]
     ms = path.ms.reshape(-1, p)
-    prev = np.linalg.norm(path.xs[:-1], axis=1) if path.xs.ndim == 2 else np.abs(path.xs[:-1])
-    flags = np.where(prev <= path.zero_tol, "1", "0")
     tag = str(seed)
-    yield ",".join([tag, "0", *map(repr, xs[0].tolist())]) + "," * (p + 1) + "\n"
+    yield ",".join([tag, "0", *map(repr, xs[0].tolist())]) + "," * p + "\n"
     for lo in range(0, path.horizon, TRACE_CHUNK):
         hi = min(lo + TRACE_CHUNK, path.horizon)
         columns = np.hstack((xs[lo + 1 : hi + 1], ms[lo:hi])).T.tolist()
         ns = map(str, range(lo + 1, hi + 1))
-        lines = zip(repeat(tag), ns, *[map(repr, col) for col in columns], flags[lo:hi].tolist())
+        lines = zip(repeat(tag), ns, *[map(repr, col) for col in columns])
         yield "\n".join(map(",".join, lines)) + "\n"
 
 
@@ -212,9 +203,9 @@ def read_trace_csv(path: Path):
     """Load a trace CSV back into per-seed ``(xs, ms)`` arrays, keyed by seed.
 
     The trace has ``p`` components when its header names ``x_2..x_p``, one
-    otherwise; it must carry the columns of ``trace_header(p)`` but
-    ``u_flag``, in any order; other columns, such as an older trace's
-    ``eps`` or ``eps_t``, are ignored.  The arrays are 1-d for a scalar trace
+    otherwise; it must carry the columns of ``trace_header(p)``, in any
+    order; other columns, such as an older trace's ``eps``, ``eps_t`` or
+    ``u_flag``, are ignored.  The arrays are 1-d for a scalar trace
     and ``(steps, p)`` otherwise, and ``xs`` includes the initial value at
     index 0.  Values are parsed as written, so a ``nan`` or ``inf`` entry
     reaches the checkers unchanged.  Rows may come in any order; seeds are
@@ -234,7 +225,7 @@ def read_trace_csv(path: Path):
         p = 1
         while f"x_{p + 1}" in header:
             p += 1
-        required = trace_header(p)[:-1]  # seed, n, then each x and m
+        required = trace_header(p)
         if not set(required).issubset(header):
             raise ValueError(f"trace file must carry columns {sorted(required)}")
         columns = [header.index(name) for name in required]

@@ -108,9 +108,8 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 0
         with open(out / "traces.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["seed", "n", "x", "m", "u_flag"]
-        assert rows[1][:3] == ["0", "0", "2.0"]
-        assert rows[1][3:] == ["", ""]
+        assert rows[0] == ["seed", "n", "x", "m"]
+        assert rows[1] == ["0", "0", "2.0", ""]
         assert len(rows) == 1 + 4 * 501
 
     def test_traces_skip_errored_seeds(self, tmp_path):
@@ -127,7 +126,7 @@ class TestRunCommand:
         notes = [seed["note"] for seed in summaries[0]["per_seed"]]
         assert notes == ["ValueError: math domain error"] * 3
         assert summaries[0] == summaries[1]
-        assert (out / "traces.csv").read_text() == "seed,n,x,m,u_flag\n"
+        assert (out / "traces.csv").read_text() == "seed,n,x,m\n"
 
     def test_quantiles_schema_is_pinned(self, tmp_path):
         out = tmp_path / "out"
@@ -368,7 +367,7 @@ class TestOtherKindsEndToEnd:
         cfg = write_config(tmp_path, SA_ND.format(out=out))
         assert main(["run", str(cfg), "--traces", "--horizon", "50"]) == 0
         header = (out / "traces.csv").read_text().splitlines()[0]
-        assert header == "seed,n,x_1,x_2,m_1,m_2,u_flag"
+        assert header == "seed,n,x_1,x_2,m_1,m_2"
 
     def test_sa_nonuniform(self, tmp_path):
         out = tmp_path / "out"
@@ -552,7 +551,7 @@ def vector_trace(tmp_path: Path) -> Path:
     argv = ["run", str(CONFIGS / "multivariate.yaml"), "--seeds", "2", "--horizon", "50"]
     assert main(argv + ["--out", str(traced), "--traces"]) in (0, 1)
     trace = traced / "traces.csv"
-    assert trace.read_text().startswith("seed,n,x_1,x_2,x_3,m_1,m_2,m_3,")
+    assert trace.read_text().startswith("seed,n,x_1,x_2,x_3,m_1,m_2,m_3\n")
     return trace
 
 

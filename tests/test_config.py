@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -6,7 +7,10 @@ from pathlib import Path
 import pytest
 import yaml
 
-from contractlab import config
+from contractlab import approximation as approx
+from contractlab import conditions, config, harness
+from contractlab import least_squares as ls
+from contractlab.process import ProcessPath
 from contractlab.config import ConfigError, parse_config_text
 
 MINIMAL_SA = """
@@ -2053,3 +2057,44 @@ def test_readme_reference_matches_schema():
     start = text.index("<!-- config-reference:start -->\n") + len("<!-- config-reference:start -->\n")
     end = text.index("\n<!-- config-reference:end -->")
     assert text[start:end] == render_reference(), "re-render it:\n" + render_reference()
+
+
+# A default written both in the config table and in the library function that
+# a run passes the value to: (fields, name, function, parameter).  The two
+# copies must agree, or a library call and a config run would differ.
+_ENSEMBLE, _ENVELOPE = config.ENSEMBLE.fields, config.ENVELOPE.fields
+_ENVELOPE_ND = config.ENVELOPE_ND.fields
+_DESIGNS = config.DESIGN.families
+DUPLICATED_DEFAULTS = [
+    *((_ENSEMBLE, name, harness.EnsembleConfig, name) for name in (
+        "tail_fraction", "tol_zero", "tol_cauchy", "parallelism", "divergence_cap",
+    )),
+    (_ENSEMBLE, "divergence_cap", harness.convergence_verdict, "divergence_cap"),
+    *((config.PARTITION.fields, name, ls.partition_analysis, name) for name in (
+        "consistency_tol", "oscillation_tol", "dispersion_ratio",
+    )),
+    (config.KINDS["ls"].fields, "energy_threshold", ls.check_design_conditions, "energy_threshold"),
+    (_DESIGNS["rotating"].fields, "jitter", ls.rotating_design, "jitter"),
+    (_DESIGNS["rotating"].fields, "turns", ls.rotating_design, "turns"),
+    (_DESIGNS["iid_gaussian"].fields, "scale", ls.iid_gaussian_design, "scale"),
+    (_DESIGNS["feedback"].fields, "gain", ls.feedback_design, "gain"),
+    (config.SCHEDULE.families["inverse_n"].fields, "c", approx.Schedule.inverse_n, "c"),
+    (_ENVELOPE, "ratio_cap", approx.check_linear_envelope, "ratio_cap"),
+    (_ENVELOPE_ND, "ratio_cap", approx.check_norm_envelope, "ratio_cap"),
+    (_ENVELOPE, "grid_per_decade", approx.signed_log_grid, "per_decade"),
+    (_ENVELOPE_ND, "grid_seed", approx.sphere_grid, "seed"),
+    (config.CHECKS.fields, "divergence_target",
+     conditions.ContractiveProfile.constant, "divergence_target"),
+    (config.INPUT.fields, "zero_tol", ProcessPath, "zero_tol"),
+]
+
+
+@pytest.mark.parametrize(
+    "fields, name, function, parameter",
+    DUPLICATED_DEFAULTS,
+    ids=[f"{name}-{function.__qualname__}" for _, name, function, _ in DUPLICATED_DEFAULTS],
+)
+def test_config_defaults_match_the_library(fields, name, function, parameter):
+    (field,) = [f for f in fields if f.name == name]
+    default = inspect.signature(function).parameters[parameter].default
+    assert field.default is not None and field.default == default

@@ -4,9 +4,9 @@ Each case runs ``contractlab run`` on a config from ``configs/`` with smaller
 seed and horizon overrides and compares the sha256 of ``summary.json`` (with
 the temporary directory replaced by a placeholder) and ``quantiles.csv``
 against digests recorded before the pathwise checkers were refactored.  Run
-with ``--traces``, each config's ``traces.csv`` is locked the same way, and
-so is the trace of a one-column least-squares design (the scalar header with
-the vector path's norm-based ``u_flag``).  Four more cases feed a written
+with ``--traces``, each config's ``traces.csv`` (values and means only) is
+locked the same way, and so is the trace of a one-column least-squares design
+(a vector path under the scalar header).  Four more cases feed a written
 trace file, two scalar and two vector, to a ``custom_path_check``, so the
 checker verdicts (margins, first violations and detail strings) are locked
 too.  The SA kinds are also locked at a seed count that leaves a partial
@@ -26,8 +26,6 @@ import pytest
 
 from contractlab import approximation, experiments, reporting
 from contractlab.cli import main
-from contractlab.process import ProcessPath
-from contractlab.reporting import write_traces_csv
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -162,7 +160,7 @@ def test_one_column_ls_trace_digest(tmp_path):
     cfg.write_text(LS_ONE_COLUMN.format(out=out))
     assert main(["run", str(cfg), "--traces"]) == 0
     data = (out / "traces.csv").read_bytes()
-    assert data.startswith(b"seed,n,x,m,u_flag\n")
+    assert data.startswith(b"seed,n,x,m\n")
     assert _sha(data) == TRACE_GOLDEN["ls_one_column"]
 
 
@@ -194,19 +192,23 @@ def test_traces_reuse_the_ensemble_paths(name, tmp_path, monkeypatch):
     assert sum(paths) == SIZES[name][0] + extra
 
 
-def test_trace_u_flag_follows_path_type(tmp_path):
-    # |1e-170| > 0, but the row norm squares it to zero
-    xs, ms = np.array([1e-170, 1.0]), np.array([0.5])
-    out = tmp_path / "traces.csv"
-    paths = [(0, ProcessPath(xs, ms)), (1, ProcessPath(xs[:, None], ms[:, None]))]
-    write_traces_csv(out, 1, paths)
-    assert out.read_text().splitlines() == [
-        "seed,n,x,m,u_flag",
-        "0,0,1e-170,,",
-        "0,1,1.0,0.5,0",
-        "1,0,1e-170,,",
-        "1,1,1.0,0.5,1",
-    ]
+@pytest.mark.parametrize("name, p", [("sa_convergence", 1), ("multivariate", 3)])
+def test_traced_paths_hold_values_and_means_only(name, p, tmp_path, monkeypatch):
+    """A traced seed keeps its xs and ms, (2H + 1)·p floats, and nothing derived."""
+    written = []
+
+    def write(path, width, paths):
+        written.extend(trace for _, trace in paths)
+
+    monkeypatch.setattr(experiments, "write_traces_csv", write)
+    _run(name, tmp_path / "out", "--traces")
+    horizon = SIZES[name][1]
+    assert len(written) == SIZES[name][0]
+    for trace in written:
+        arrays = {k: v for k, v in vars(trace).items() if isinstance(v, np.ndarray)}
+        assert sorted(arrays) == ["ms", "xs"]
+        assert all(a.dtype == np.float64 for a in arrays.values())
+        assert trace.xs.size + trace.ms.size == (2 * horizon + 1) * p
 
 
 @pytest.mark.parametrize("source", sorted(CUSTOM_CHECKS))

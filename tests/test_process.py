@@ -16,7 +16,7 @@ from contractlab import (
     kronecker_path,
     max_growth_factor,
 )
-from contractlab.process import zero_state_mask
+from contractlab.process import ratio_band, zero_state_band, zero_state_mask
 from contractlab.verdict import DEFAULT_ATOL
 from helpers import ar_path, brute_crossings, halving_noise_path
 
@@ -122,6 +122,40 @@ class TestZeroStateMeans:
     def test_zero_tol_classification(self):
         path = ProcessPath(np.array([0.05, 1.0]), np.array([0.5]), zero_tol=0.1)
         assert restart_means(path) == [(1, 0.5)]
+
+    @pytest.mark.parametrize("zero_tol", [0.0, 0.5])
+    def test_vector_predecessor_is_classed_by_its_row_norm(self, zero_tol):
+        # |1e-170| > 0, but the row norm squares it to zero
+        xs = np.array([[1e-170, 0.0], [0.6, 0.8], [0.0, 0.0], [0.1, -0.2], [1.0, 1.0]])
+        path = ProcessPath(xs, 0.5 * xs[:-1], zero_tol)
+        want = np.linalg.norm(xs[:-1], axis=1) <= zero_tol
+        assert np.array_equal(zero_state_mask(path), want)
+        assert want[0] and not want[1]
+
+
+# finite values at least 1e-3 from zero, or zero, so no mean/predecessor ratio overflows
+MILLIS = st.floats(-1e3, 1e3).map(lambda v: round(v, 3))
+
+
+@st.composite
+def finite_paths(draw):
+    """A finite scalar (p = 0) or vector path, with a drawn ``zero_tol``."""
+    p, horizon = draw(st.integers(0, 3)), draw(st.integers(1, 20))
+    shape = (horizon + 1,) + ((p,) if p else ())
+    size = 2 * int(np.prod(shape))
+    xs, ms = np.array(draw(st.lists(MILLIS, min_size=size, max_size=size))).reshape((2, *shape))
+    zero_tol = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 2e3))
+    return ProcessPath(xs, ms[1:], zero_tol)
+
+
+@given(finite_paths())
+@settings(max_examples=100, deadline=None)
+def test_every_step_is_in_exactly_one_zero_class(path):
+    """The ratio checks and the zero-state check split the steps between them."""
+    off_zero = ratio_band(path, 1e300).checked
+    zero_class = zero_state_band(path, path.horizon, 1e300).checked
+    assert off_zero + zero_class == path.horizon
+    assert zero_class == int(zero_state_mask(path).sum())
 
 
 class TestCrossingReport:
@@ -347,7 +381,6 @@ class TestPathAccessors:
 SCALAR_ONLY = {
     "crossing_report": crossing_report,
     "check_segment_peak_bound": lambda path: check_segment_peak_bound(path, np.zeros(path.horizon)),
-    "zero_state_mask": zero_state_mask,
     "derive_truncated": lambda path: derive_truncated(path, delta=0.1, tau=0.01),
     "check_ratio_sandwich": lambda path: check_ratio_sandwich(path, Schedule.inverse_n(), 0.5, 1.0),
 }

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contractlab import reporting
-from contractlab.process import ProcessPath
+from contractlab.process import ProcessPath, zero_state_mask
 from contractlab.reporting import read_trace_csv, write_traces_csv
 
 HEADER = "seed,n,x,m,u_flag"
@@ -373,8 +373,7 @@ def written_paths(draw):
         size = 2 * int(np.prod(shape))
         values = draw(st.lists(WRITTEN, min_size=size, max_size=size))
         xs, ms = np.array(values).reshape((2, *shape))
-        with np.errstate(all="ignore"):  # residuals of inf and nan entries
-            pairs.append((seed, ProcessPath(xs, ms[1:])))
+        pairs.append((seed, ProcessPath(xs, ms[1:])))
     return p, pairs
 
 
@@ -384,8 +383,7 @@ def test_written_traces_read_back(tmp_path_factory, case):
     """What ``write_traces_csv`` writes, at any width, reads back to the same bytes."""
     p, pairs = case
     path = tmp_path_factory.mktemp("trace") / "traces.csv"
-    with np.errstate(all="ignore"):  # the row norms of huge, inf and nan entries
-        write_traces_csv(path, p, pairs)
+    write_traces_csv(path, p, pairs)
     got = read_trace_csv(path)
     assert list(got) == [seed for seed, _ in pairs]
     for seed, trace in pairs:
@@ -394,32 +392,34 @@ def test_written_traces_read_back(tmp_path_factory, case):
             assert read.tobytes() == written.tobytes()
         # the residuals are not written: x - m of what is read gives them back,
         # bit for bit wherever they are not NaN
-        with np.errstate(all="ignore"):
-            eps = ProcessPath(*got[seed]).eps
-        nan = np.isnan(trace.eps)
+        with np.errstate(all="ignore"):  # residuals of inf and nan entries
+            eps, written = ProcessPath(*got[seed]).eps, trace.eps
+        nan = np.isnan(written)
         assert np.array_equal(np.isnan(eps), nan)
-        assert eps[~nan].tobytes() == trace.eps[~nan].tobytes()
+        assert eps[~nan].tobytes() == written[~nan].tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=written_paths(), data=st.data())
 def test_traces_with_eps_columns_read_as_before(tmp_path_factory, case, data):
-    """A trace in the earlier schema, with the residuals ``eps`` (scalar) or
-    ``eps_1..eps_p`` (vector) before ``u_flag``, reads to the same arrays as
-    the same paths written without them, whatever the order of its columns."""
+    """A trace in an earlier schema, with the residuals ``eps`` (scalar) or
+    ``eps_1..eps_p`` (vector) and the zero-class flag ``u_flag`` after the
+    means, reads to the same arrays as the same paths written without them,
+    whatever the order of its columns."""
     p, pairs = case
     folder = tmp_path_factory.mktemp("trace")
     new, old = folder / "new.csv", folder / "old.csv"
-    with np.errstate(all="ignore"):
-        write_traces_csv(new, p, pairs)
+    write_traces_csv(new, p, pairs)
     with open(new, newline="") as fh:
         header, *rows = csv.reader(fh)
-    residuals = []  # the eps fields of each row, in the order written
+    derived = []  # the eps and u_flag fields of each row, in the order written
     for _, trace in pairs:
-        residuals.append([""] * p)
-        residuals += [list(map(repr, row)) for row in trace.eps.reshape(-1, p).tolist()]
+        derived.append([""] * (p + 1))
+        with np.errstate(all="ignore"):  # residuals and row norms of huge, inf and nan entries
+            eps, flags = trace.eps.reshape(-1, p).tolist(), zero_state_mask(trace).tolist()
+        derived += [[*map(repr, row), str(int(flag))] for row, flag in zip(eps, flags)]
     names = ["eps"] if p == 1 else [f"eps_{t}" for t in range(1, p + 1)]
-    old_rows = [r[:-1] + e + r[-1:] for r, e in zip([header] + rows, [names] + residuals)]
+    old_rows = [r + e for r, e in zip([header] + rows, [names + ["u_flag"]] + derived)]
     if p == 1:
         assert old_rows[0] == ["seed", "n", "x", "m", "eps", "u_flag"]
     order = data.draw(st.permutations(range(len(old_rows[0]))))
