@@ -73,13 +73,13 @@ GOLDEN = {
 
 # name -> traces.csv sha256, run with --traces at the SIZES above
 TRACE_GOLDEN = {
-    "kronecker": "2716b684dbcdb94f1de0e92a451b8ce692b8e469255ab3920201a18414fc558d",
-    "ls_intermediate": "5a487717005e1ae7c9c8a968ca9f7273b070bbc6aaf4b1cd54a3c010ad2a08e7",
-    "ls_sufficiency": "421ea54f3b6018c388724ff9d06f2aa019c317b7a41039bacfe109ecce8793ff",
-    "multivariate": "10f4878fc7e85a034012a399ab37c63772f41223409d989942007695e002b676",
-    "sa_convergence": "1c8a07f591c389d40a594d6d471181618b4a63dffb63f677847bf41cf2eb1096",
-    "sa_nonuniform": "f0bab09476985841bb14a9efb49a4904701bc9bd422bdfc928f2e7f6edb76c7f",
-    "ls_one_column": "4aa1698814731e7252258c814e26f063cf7c9057eeebfc5eb7d11d75860d642b",
+    "kronecker": "d4ba5c527513dd7293f9f2385f3caa36254030ee1b705d242401e4b5c90d2dc6",
+    "ls_intermediate": "faf4d2d1bbf8eb2dc2e365fdb137428ce863dadf6379236476596eb877cd852a",
+    "ls_sufficiency": "485bb50333612c3939e3a4ef308cca1eb619b7e610bfa36944d1668fcbec22cc",
+    "multivariate": "cd1ffab70f1ff96bf1ee94d2e1e2e5da77e723dea9fd02b6a23f833fccd31aea",
+    "sa_convergence": "c9a20556f60e72e3b76301939d8f20d21fb87999d986a9fcb3e7d19c98d0bfde",
+    "sa_nonuniform": "4fa9d0e813a183ad88be360cb26453411f42d965ad00659178d9153d63d183e0",
+    "ls_one_column": "d7bbc47b645253a4a489129c5c18a8368c5bd063c463fd51f98a3a24bf732bc0",
 }
 
 LS_ONE_COLUMN = """
@@ -237,17 +237,17 @@ REMAINDER_GOLDEN = {
     "sa_convergence": (
         "bea2aafb415a14282c365ad8800bfe8ebbc7a2fbc854e8cd86193791c0a52a8c",
         "d14431a73873ad2f4678fdadd09d74125ab125f798a354d0afe4d05fd115413a",
-        "1d821b27f3a1fce6eeeb28483f388f95fbe578caa218eaddf3da040f9ada87d9",
+        "f07cc3270a370a81a1e72fe39aee69b04f0bd300e14c36442fc2bf3c142f77a3",
     ),
     "sa_nonuniform": (
         "a6b60e40376646f1a70bd8ad3deb6ace5d2875ad13dbd6f7ebedd0bb7d5ae572",
         "ea6a4d7746870d3d3718316e07bd8ba380ec15def5fc118b3b9d4343f025093e",
-        "5acb5568087d3d34a6b96a427741701a418c398931636ac4d1c5230e2dcea1db",
+        "b394233b1fa100be13658a591bf98821a01458d721e2dd50dd6aa8584bd7ad94",
     ),
     "multivariate": (
         "2107b84346cf8f75c2845cf5f6a6db85d8800da72c764a0a7ae57eddbbe3ff86",
         "59a4e28ae289b50b8f70424d4d66cc2ccb1a81e65ccfb7d988e65a3fb45cf9ec",
-        "7fa7a418ae0f69626bd3a2785e3917d3b5fda8924dfe012bd30b03e6a70c3ff1",
+        "f8d4d112f1f5a3a552fdfa889a53affff3f710a889a004d5574ac411b4471b18",
     ),
 }
 
@@ -360,27 +360,27 @@ SA_BRANCH_GOLDEN = {
     "sa_all": (
         "bcce2a96b4f4620d9e15ba5e8f4da40e32246041da603a75558087e538ad4a43",
         "4e7ce3347434d00d1b61a83307741a84a2fe606ea2a3dcbd0410e1b41f3ce6e3",
-        "14ef6730e42548988a20e27fa675adbf4078b3a52de7a82c726a97d98ed48eb5",
+        "adface85f09b0a210fd812cb2cb37ca3b14532fde940db44858195ecfd7fee14",
     ),
     "sa_nd_all": (
         "d9d4caffcb14e47f668924e61e6138d0cc827a9e22531b29ce96fbd2e531724f",
         "fbf9e9f33f5a305393ce9d27fb60477d8235fbcc46287441087c66a6f036a594",
-        "5f959c9ced8fa39faa025a0e0008e7674c5adc11b33b866024609e387e745200",
+        "1354f6f8807504499b9aed2c0217db02372ab13b5f27e7fc1d5e8f7602866371",
     ),
     "sa_nd_no_envelope": (
         "36ccd6b103fb72eb8a33ec8fc5dbb16868de7b9f4d873cb221322bf19b5f1e72",
         "c431fcbb706c6e0261bc271f65919c3f88167e187fb2476af30c3c2f519da50a",
-        "d4a73a1e81b24af967060f7638f276bb819d3164362d60628b930b7166181307",
+        "c0a32a7f72aeabb13a4b82c65af1f2dc97cfe0a9dd51cb65aa7eb897a10a35b7",
     ),
     "sa_no_envelope": (
         "6fb5068bc5ca76487c63b5b4bff65eae426ac3a14c07db040dd20bbbee8c4e33",
         "d9b95f552976612f50a13a0df4a05865b6761f4dfa1df6e1e1a4cbf7196a6e39",
-        "3ee43f49d301c4f7ce97736641615382460d0149ae4d0d36f5c0f4c9e6b0b6c6",
+        "303be0b84c1641377f4b5e21cdc077a78c467993eb4bf3f48881f0a26c8d2f36",
     ),
     "sa_nonuniform_all": (
         "62f234afa48355fcb335bc52ad82da554c489b7150ab613d6303ae8b67bf81e0",
         "95dcb65ad8232b4e66fe85bf86db0cf3b6f7b7f7c821f0e9dcfec7a65330ea01",
-        "cc6662a1dd4a50199899532ef2a87bb5a46f9882b4852b301edecfd6fb3022ef",
+        "6cdfc3f5b890a44cccef6ea3142767c4d823d9d178a0130a6ef50e0739176894",
     ),
 }
 
@@ -402,7 +402,7 @@ def test_sa_branch_digests(name, tmp_path):
 ERRORED_GOLDEN = (
     "ed23be1e055068612b42912873ada9d9f8311e32ac64f18534b38edd52894a46",
     "bc913d2f55ee02d11a19844a031b1b44cd4c9512d2459f421e3593b97e70515f",
-    "1258f3fa58076107539449e7e27d84728c5ec69a866c74023138a81c139ddf25",
+    "ab703552922cefed0415aac1849bcada97ec7c9bf019aa94a4d172bac9b817e1",
 )
 
 
