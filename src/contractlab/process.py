@@ -133,11 +133,8 @@ def doob_decompose(xs, ms) -> ProcessPath:
 
 def zero_state_mask(path: ProcessPath) -> np.ndarray:
     """Mask over steps 1..horizon: True where the predecessor x_{n-1} is
-    zero-class, ``|x_{n-1}| <= zero_tol`` (its row norm for a vector path).
-
-    This is the checkers' one zero-class rule."""
-    prev = path.norms()[:-1] if path.xs.ndim == 2 else np.abs(path.xs[:-1])
-    return prev <= path.zero_tol
+    zero-class, ``|x_{n-1}| <= zero_tol`` (its row norm for a vector path)."""
+    return _drift_pairs(path)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,18 +196,21 @@ def finite_steps(path: ProcessPath) -> np.ndarray:
     return xs_ok[:-1] & xs_ok[1:] & ms_ok
 
 
-def _drift_pairs(path: ProcessPath) -> Tuple[np.ndarray, np.ndarray]:
-    """Per step, the predecessor x_{n-1} and the mean m_n (their norms for a vector path)."""
+def _drift_pairs(path: ProcessPath) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per step, the predecessor x_{n-1} and the mean m_n (their norms for a vector
+    path), and whether the predecessor is zero-class: the checkers' one zero-class rule."""
     if path.xs.ndim == 2:
-        return path.norms()[:-1], path.mean_norms()
-    return path.xs[:-1], path.ms
+        prev, means = path.norms()[:-1], path.mean_norms()
+    else:
+        prev, means = path.xs[:-1], path.ms
+    return prev, means, np.abs(prev) <= path.zero_tol
 
 
 def ratio_band(path, upper, lower=None, mask=None, atol: float = 0.0) -> Band:
     """Band check of the ratios m_n / x_{n-1} (of norms for a vector path) off the
     zero class; ``mask`` restricts the steps further (see :func:`band_check`)."""
-    prev, means = _drift_pairs(path)
-    off_zero = ~zero_state_mask(path)
+    prev, means, zero_class = _drift_pairs(path)
+    off_zero = ~zero_class
     if mask is not None:
         off_zero &= mask
     return band_check(means, upper, lower, off_zero, atol=atol, over=prev, finite=finite_steps(path))
@@ -224,8 +224,9 @@ def zero_state_band(path, tail_window: int | None, tol: float) -> Band:
         tail_window = min(max(1, horizon // 2), horizon)
     if tail_window > horizon:
         raise ValueError(f"tail window {tail_window} exceeds horizon {horizon}")
-    mask = (np.arange(horizon) >= horizon - tail_window) & zero_state_mask(path)
-    return band_check(np.abs(_drift_pairs(path)[1]), tol, mask=mask, finite=finite_steps(path))
+    _, means, zero_class = _drift_pairs(path)
+    mask = (np.arange(horizon) >= horizon - tail_window) & zero_class
+    return band_check(np.abs(means), tol, mask=mask, finite=finite_steps(path))
 
 
 def check_segment_peak_bound(path: ProcessPath, alphas: Sequence[float]) -> ConditionVerdict:

@@ -82,7 +82,10 @@ def write_quantiles_csv(path: Path, curves: Dict[str, List]) -> None:
 def trace_header(p: int = 1) -> List[str]:
     if p == 1:
         return ["seed", "n", "x", "m"]
-    return ["seed", "n", *(f"{c}_{t}" for c in "xm" for t in range(1, p + 1))]
+    cols = ["seed", "n"]
+    cols += [f"x_{t}" for t in range(1, p + 1)]
+    cols += [f"m_{t}" for t in range(1, p + 1)]
+    return cols
 
 
 TRACE_CHUNK = 256  # steps formatted at a time: a long path leaves no large text behind
