@@ -8,6 +8,7 @@ as a floating-point number, not an approximation of it.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -16,8 +17,16 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .conditions import _ratio_verdict
-from .process import ProcessPath, finite_steps, ratio_band, scalar_only, zero_state_mask
-from .verdict import DEFAULT_ATOL, ConditionVerdict, band_check, vacuous
+from .process import (
+    ProcessPath,
+    finite_rows,
+    finite_steps,
+    ratio_band,
+    row_norms,
+    scalar_only,
+    zero_state_mask,
+)
+from .verdict import DEFAULT_ATOL, Bands, ConditionVerdict, band_check, band_window, column, vacuous
 
 __all__ = [
     "RootProblem",
@@ -28,6 +37,7 @@ __all__ = [
     "TruncatedPath",
     "rm_solve",
     "rm_solve_block",
+    "rm_fold",
     "check_linear_envelope",
     "check_norm_envelope",
     "check_regularity",
@@ -245,12 +255,14 @@ def rm_solve(
     return ProcessPath(xs, ms)
 
 
-# The iterates of one block of seeds (8 bytes per value) stay within this
-# budget, so a block's working set does not grow with the seeds; the shock
-# chunk and the means, derived one seed at a time, come on top.
-BLOCK_BYTES = 32 << 20
+# The values and means of one block of whole paths (8 bytes per value) stay
+# within this budget, so a block's working set does not grow with the seed
+# count; the stepper's window buffers come on top.  64 MiB of values and
+# means is the 32 MiB of values the blocks held when the means were derived
+# one seed at a time, so the blocks, and their step loops, are as many.
+BLOCK_BYTES = 64 << 20
 # A block step of the scalar sine map costs 6-15 µs for 1 to 128 seeds, about
-# what 16 per-seed steps cost (2-vCPU Xeon VM); below this many seeds per block,
+# what 16 per-seed steps cost (2-vCPU Xeon VM); below this many seeds,
 # stepping those seeds one at a time in the scalar float loop is faster.  A
 # vector seed stepped alone already makes numpy calls, so vectors have no
 # floor: for the p = 3 matrix map, blocks of 2 and 8 cost 4.3 and 1.4 µs per
@@ -261,13 +273,117 @@ MIN_BLOCK = 16
 def _block_size(seeds: int, horizon: int, p: int = 1) -> int:
     """Seeds per block of :func:`rm_solve_block`, or 1 when seed by seed is faster.
 
-    As few blocks as ``BLOCK_BYTES`` of iterates allows, as even as possible:
-    at 32 MiB, 100 seeds of 3e4 steps (139 fit) make one block, and 100 seeds
-    of 1e5 steps at p = 3 (13 fit) blocks of 13.  A scalar block needs ``MIN_BLOCK``.
+    As few blocks as ``BLOCK_BYTES`` of paths (2H + 1 rows of p values a seed)
+    allows, as even as possible: at 64 MiB, 100 seeds of 3e4 steps (139 fit)
+    make one block, and 100 seeds of 1e5 steps at p = 3 (13 fit) blocks of
+    13.  A scalar block needs ``MIN_BLOCK``.
     """
-    fit = max(1, BLOCK_BYTES // (8 * p * (horizon + 1)))
+    fit = max(1, BLOCK_BYTES // (8 * p * (2 * horizon + 1)))
     size = math.ceil(seeds / math.ceil(seeds / fit)) if seeds else 1  # at most fit
     return size if size >= MIN_BLOCK or p > 1 else 1
+
+
+def rm_fold(
+    problem: RootProblem,
+    noise: NoiseModel,
+    schedule: Schedule,
+    x0,
+    horizon: int,
+    seeds: Sequence,
+    fold: Callable,
+) -> Iterator:
+    """Every seed's path, folded window by window, as one output per seed in seed order.
+
+    ``fold(S)`` starts the carry of S seeds; its ``add(start, xs, ms)`` takes
+    a window of them (see :mod:`contractlab.process`) whose first step is
+    step ``start + 1``, and its ``outputs()`` gives one output per seed.  When
+    the problem has a ``g_block`` and there are several seeds (at least
+    ``MIN_BLOCK`` scalar ones), every seed steps together through
+    :func:`_step_windows`, one window loop, so memory does not grow with the
+    horizon.  Otherwise each seed runs alone through :func:`rm_solve`, whose
+    float loop is faster, and its whole path is folded as one window; so does
+    every seed once the window loop raised a floating-point error, since
+    ``rm_solve``'s ``math`` calls may raise on the overflow.  ``x0`` must hold
+    no NaN; paths are bit-identical to ``rm_solve``'s.
+    """
+    x = _checked_x0(x0)
+    together = problem.g_block is not None and len(seeds) > 1
+    together &= bool(x.ndim) or len(seeds) >= MIN_BLOCK
+
+    def outputs():
+        if together:
+            carry = fold(len(seeds))
+            with contextlib.suppress(FloatingPointError):  # then every seed runs alone
+                windows = _step_windows(problem.g_block, noise, schedule, x, horizon, seeds)
+                for start, xs, ms in windows:
+                    carry.add(start, xs, ms)
+                yield from carry.outputs()
+                return
+        for seed in seeds:
+            carry = fold(1)
+            carry.add(0, *rm_solve(problem, noise, schedule, x, horizon, seed).window())
+            yield from carry.outputs()
+
+    return outputs()
+
+
+def _step_windows(g, noise, schedule, x0, horizon, seeds) -> Iterator:
+    """Every seed stepped together by ``g_block``, ``SHOCK_CHUNK`` steps at a time.
+
+    Yields ``(start, xs, ms)`` per window: the iterates xs (w + 1, S[, p]),
+    the first the one before step ``start + 1``, and the means ms (w, S[, p])
+    that each step fills as it goes, ``x - a * g(x)``, so no mean is derived
+    twice.  The two buffers are reused: a window is valid until the next one
+    is drawn, and the last one for good.
+    Each seed draws its shocks from its own generator, straight into the rows
+    of the iterates they update.  Any floating-point error but underflow
+    (which is exact in both solvers) raises.
+    """
+    shape, al = x0.shape, schedule.alphas(horizon)
+    rows = min(SHOCK_CHUNK, horizon)
+    xs = np.empty((rows + 1, len(seeds)) + shape)
+    ms = np.empty((rows, len(seeds)) + shape)
+    xs[0] = x0
+    spans = _spans(horizon)
+    streams = [_shocks(noise, seed, spans, shape) for seed in seeds]
+    for span in spans:
+        if span.start:
+            xs[0] = xs[-1]  # the last iterate of the full window before
+        w = span.stop - span.start
+        x, m = xs[: w + 1], ms[:w]
+        with np.errstate(all="raise", under="ignore"):  # not around the yield
+            for j, stream in enumerate(streams):
+                x[1:, j] = next(stream)
+            x[1:] *= al[span].reshape((-1, 1) + (1,) * len(shape))
+            for a, prev, mean, shock in zip(al[span].tolist(), x, m, x[1:]):
+                np.subtract(prev, a * g(prev), out=mean)
+                np.subtract(mean, shock, out=shock)
+        yield span.start, x, m
+
+
+class _Paths:
+    """The fold that keeps whole paths, for :func:`rm_solve_block`."""
+
+    def __init__(self, horizon: int, shape: tuple, seeds: int):
+        self.horizon, self.shape, self.seeds = horizon, shape, seeds
+        self.xs = self.ms = None
+
+    def add(self, start: int, xs: np.ndarray, ms: np.ndarray) -> None:
+        if len(ms) == self.horizon:  # a whole path, as one window
+            self.xs, self.ms = xs, ms
+            return
+        if self.xs is None:
+            self.xs = np.empty((self.horizon + 1, self.seeds) + self.shape)
+            self.ms = np.empty((self.horizon, self.seeds) + self.shape)
+        self.xs[start : start + len(xs)] = xs
+        self.ms[start : start + len(ms)] = ms
+
+    def outputs(self) -> Iterator[ProcessPath]:
+        xs, ms, self.xs, self.ms = self.xs, self.ms, None, None
+        if self.seeds == 1:  # nothing else shares the arrays
+            yield ProcessPath(xs[:, 0], ms[:, 0])
+        for j in range(self.seeds if self.seeds > 1 else 0):
+            yield ProcessPath(xs[:, j].copy(), ms[:, j].copy())
 
 
 def rm_solve_block(
@@ -278,59 +394,23 @@ def rm_solve_block(
     horizon: int,
     seeds: Sequence,
 ) -> Iterator:
-    """Every seed's path, in seed order, each bit-identical to :func:`rm_solve`'s.
+    """Every seed's whole path, in seed order, each bit-identical to :func:`rm_solve`'s.
 
     Scalar or vector by the shape of ``x0``, which must hold no NaN.  The seeds
-    step together in blocks of :func:`_block_size`, one block's iterates alive
-    at a time; a path is handed out as a copy of its seed's, with the means
-    ``xs[:-1] - alpha * g_block(xs[:-1])``, the step loop's operations, so its
-    exact means.  :func:`rm_solve`, whose float loop is faster, runs each seed
-    of a one-seed block (all blocks of a problem without ``g_block``) and of a
-    block whose step loop raised: its ``math`` calls may raise on the overflow.
+    are cut into blocks of :func:`_block_size`, each folded by :func:`rm_fold`
+    into its paths, one block's paths alive at a time; a path is handed out as
+    a copy of its seed's.  A run that needs no whole path folds its checks
+    with :func:`rm_fold` directly, so its memory does not grow with the horizon.
     """
     x = _checked_x0(x0)
     size = _block_size(len(seeds), horizon, x.size) if problem.g_block else 1
-    column = schedule.alphas(horizon).reshape((-1,) + (1,) * x.ndim)
-
-    def paths():
-        for start in range(0, len(seeds), size):
-            block, xs = seeds[start : start + size], None  # frees the last block's iterates
-            if len(block) > 1:
-                with contextlib.suppress(FloatingPointError):  # then its seeds run alone
-                    xs = _step_block(problem.g_block, noise, schedule, x, horizon, block)
-            if xs is None:
-                yield from (rm_solve(problem, noise, schedule, x, horizon, s) for s in block)
-                continue
-            for j in range(len(block)):
-                path = xs[:, j].copy()
-                yield ProcessPath(path, path[:-1] - column * problem.g_block(path[:-1]))
-
-    return paths()
-
-
-def _step_block(g, noise, schedule, x0, horizon, seeds) -> np.ndarray:
-    """The time-major iterates (H+1, B[, p]) of a block of seeds stepped by ``g_block``.
-
-    Each seed draws its shocks from its own generator, ``SHOCK_CHUNK`` steps at
-    a time into one (chunk, B[, p]) buffer.  Any floating-point error but
-    underflow (which is exact in both solvers) raises.
-    """
-    shape, al = x0.shape, schedule.alphas(horizon)
-    xs = np.empty((horizon + 1, len(seeds)) + shape)
-    xs[0] = x0
-    spans = _spans(horizon)
-    streams = [_shocks(noise, seed, spans, shape) for seed in seeds]
-    buffer = np.empty((min(SHOCK_CHUNK, horizon), len(seeds)) + shape)
-    with np.errstate(all="raise", under="ignore"):
-        for span in spans:
-            shocks = buffer[: span.stop - span.start]
-            for j, stream in enumerate(streams):
-                shocks[:, j] = next(stream)
-            shocks *= al[span].reshape((-1, 1) + (1,) * len(shape))
-            for i, a in enumerate(al[span].tolist(), span.start):
-                x = xs[i]
-                np.subtract(x - a * g(x), shocks[i - span.start], out=xs[i + 1])
-    return xs
+    keep = functools.partial(_Paths, horizon, x.shape)
+    blocks = (seeds[start : start + size] for start in range(0, len(seeds), size))
+    return (
+        path
+        for block in blocks
+        for path in rm_fold(problem, noise, schedule, x, horizon, block, keep)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,6 +440,16 @@ class EnvelopeReport:
         return self.holds and m <= self.m_hat + slack and self.M_hat <= M + slack
 
 
+def _grid_values(problem: RootProblem, grid: np.ndarray) -> np.ndarray:
+    """g at every grid point (a row of ``grid`` for a vector map): one ``g_block``
+    call, whose floating-point operations on each row are g's, or g point by point."""
+    if problem.g_block is not None:
+        return np.asarray(problem.g_block(grid), dtype=float)
+    if grid.ndim == 2:
+        return np.asarray([np.asarray(problem.g(x), dtype=float) for x in grid])
+    return np.fromiter((float(problem.g(float(x))) for x in grid), dtype=float, count=len(grid))
+
+
 def check_linear_envelope(
     problem: RootProblem, grid: Sequence[float], ratio_cap: float = 1e6
 ) -> EnvelopeReport:
@@ -369,7 +459,7 @@ def check_linear_envelope(
     offsets = grid - root
     if np.any(offsets == 0):
         raise ValueError("grid must exclude the root")
-    gvals = np.fromiter((float(problem.g(float(x))) for x in grid), dtype=float, count=len(grid))
+    gvals = _grid_values(problem, grid)
     ratios = gvals / offsets
     bad = ~((ratios > 0) & (ratios <= ratio_cap))  # a non-finite g value is a violation
     return EnvelopeReport(float(ratios.min()), float(ratios.max()), grid[bad])
@@ -385,9 +475,9 @@ def check_norm_envelope(
     norms2 = np.einsum("ij,ij->i", grid, grid)
     if np.any(norms2 == 0):
         raise ValueError("grid must exclude the origin")
-    gvals = np.asarray([np.asarray(problem.g(x), dtype=float) for x in grid])
+    gvals = _grid_values(problem, grid)
     inner = np.einsum("ij,ij->i", gvals, grid) / norms2
-    norm_ratio = np.linalg.norm(gvals, axis=1) / np.sqrt(norms2)
+    norm_ratio = row_norms(gvals) / np.sqrt(norms2)
     bad = ~((inner > 0) & (norm_ratio <= ratio_cap))  # a non-finite g value is a violation
     return EnvelopeReport(float(inner.min()), float(norm_ratio.max()), grid[bad])
 
@@ -423,7 +513,7 @@ def check_regularity(
     for d1, d2 in delta_pairs:
         if not 0 < d1 < d2 < math.inf:
             raise ValueError(f"invalid annulus pair ({d1}, {d2})")
-    gvals = np.fromiter((float(problem.g(float(x))) for x in grid), dtype=float, count=len(grid))
+    gvals = _grid_values(problem, grid)
     absx, absg = np.abs(grid), np.abs(gvals)
 
     growth = band_check(absg, c + d * absx)
@@ -473,21 +563,32 @@ def check_ratio_sandwich(
     Exact up to ``DEFAULT_ATOL`` because the stored means are exact.
     """
     scalar_only(path, "check_ratio_sandwich")
-    if not 0 < m <= M:
-        raise ValueError("need 0 < m <= M")
     al = schedule.alphas(path.horizon)
-    checkable = np.logical_or.accumulate(M * al <= 1.0)
-    prev = path.xs[:-1] - x_star
-    band = band_check(
-        path.ms - x_star, 1.0 - m * al, 1.0 - M * al, checkable & (prev != 0),
-        atol=DEFAULT_ATOL, over=prev, finite=finite_steps(path),
-    )
+    checkable = sandwich_checkable(al, m, M)
+    band = sandwich_window(*path.window(), al, checkable, m, M, x_star).band(0)
     if checkable.any():
         held = f"{{checked}} steps checked from step {int(np.argmax(checkable)) + 1}"
         empty = "no checkable steps"
     else:
         held, empty = "", "step sizes never satisfy M * alpha <= 1; nothing checked"
     return band.verdict("ratio left the sandwich", held, empty)
+
+
+def sandwich_checkable(alphas: np.ndarray, m: float, M: float) -> np.ndarray:
+    """The steps :func:`check_ratio_sandwich` checks: from the first with M * alpha_n <= 1."""
+    if not 0 < m <= M:
+        raise ValueError("need 0 < m <= M")
+    return np.logical_or.accumulate(M * alphas <= 1.0)
+
+
+def sandwich_window(xs, ms, alphas, checkable, m: float, M: float, x_star: float) -> Bands:
+    """:func:`check_ratio_sandwich`'s band of each scalar seed of a window, whose
+    steps have the step sizes ``alphas`` and the mask ``checkable``."""
+    prev = xs[:-1] - x_star
+    return band_window(
+        ms - x_star, column(1.0 - m * alphas), column(1.0 - M * alphas),
+        column(checkable) & (prev != 0), atol=DEFAULT_ATOL, over=prev, finite=finite_rows(xs, ms),
+    )
 
 
 @dataclass(frozen=True, eq=False)

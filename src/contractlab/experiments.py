@@ -22,12 +22,14 @@ import numpy as np
 from .approximation import (
     check_linear_envelope,
     check_norm_envelope,
-    check_ratio_sandwich,
     check_regularity,
     check_truncated_zero_mean_bound,
     contraction_factor,
     derive_truncated,
+    rm_fold,
     rm_solve_block,
+    sandwich_checkable,
+    sandwich_window,
     signed_log_grid,
     sphere_grid,
     truncated_nonexpansive_verdict,
@@ -43,6 +45,7 @@ from .config import KINDS, ExperimentConfig
 from .harness import (
     ConvergenceClass,
     EnsembleStats,
+    TailFold,
     run_ensemble,
     tail_verdict,
 )
@@ -53,7 +56,16 @@ from .least_squares import (
     simulate_ls_runs,
     z_process,
 )
-from .process import ProcessPath, check_segment_peak_bound, crossing_report, kronecker_path, ratio_band
+from .process import (
+    ProcessPath,
+    check_segment_peak_bound,
+    crossing_report,
+    drift_pairs,
+    finite_rows,
+    kronecker_path,
+    ratio_window,
+    row_norms,
+)
 from .reporting import (
     read_trace_csv,
     write_quantiles_csv,
@@ -61,7 +73,7 @@ from .reporting import (
     write_summary_text,
     write_traces_csv,
 )
-from .verdict import DEFAULT_ATOL
+from .verdict import DEFAULT_ATOL, Bands
 
 __all__ = ["AssertionResult", "ExperimentOutcome", "run_experiment"]
 
@@ -160,7 +172,12 @@ def _run_sa(config: ExperimentConfig):
     The checks that run follow from the groups the model holds.  A vector run
     checks its envelope on norms and bounds each step by the contraction
     factor; a scalar one checks a linear envelope around the root and bounds
-    each mean ratio by the step-size sandwich.
+    each mean ratio by the step-size sandwich.  An untraced run without the
+    truncation checks holds no path: every seed steps in one window loop, and
+    each window is folded, vectorised across seeds, into the band flag, the
+    tail verdict and the curve samples (``Fold``), so memory does not grow
+    with the horizon.  A traced run and the truncation checks need whole
+    paths, from ``rm_solve_block``; each is folded as one window.
     """
     model = config.model
     x0 = np.asarray(model["x0"], dtype=float)
@@ -235,16 +252,51 @@ def _run_sa(config: ExperimentConfig):
     # the payload flags that an assertion reads; no other check runs
     wanted = {name for name in _PAYLOAD_FLAGS if config.assertions.get(name)}
     truncated = {"truncated_nonexpansive_all_seeds", "truncated_mean_bound_all_seeds"} & wanted
+    grid = _grid(horizon + 1, config.curve_points)
+    # the kind's one band flag, if asserted: the sandwich of a scalar run or
+    # the contraction factor of a vector one
+    bands = ("sandwich_zero_violations", "contraction_zero_violations")
+    flag = next((name for name in bands if name in wanted), None)
+    if flag == "sandwich_zero_violations":
+        alphas = schedule.alphas(horizon)
+        checkable = sandwich_checkable(alphas, env["m"], env["M"])
+
+    class Fold:
+        """The tails and the band flag of S seeds, folded window by window (see ``rm_fold``)."""
+
+        def __init__(self, seeds: int):
+            self.tails = TailFold.of(seeds, horizon + 1, ens, grid)
+            self.bands = Bands.empty(seeds)
+
+        def add(self, start, xs, ms):
+            steps = slice(start, start + len(ms))
+            band = None
+            if flag == "contraction_zero_violations":
+                pairs = drift_pairs(xs, ms, 0.0)
+                band = ratio_window(pairs, finite_rows(xs, ms), ks[steps, None], atol=DEFAULT_ATOL)
+                values = pairs[0]  # the row norms
+            else:
+                values = row_norms(xs) if vector else xs - root
+            if flag == "sandwich_zero_violations":
+                m, M = env["m"], env["M"]
+                band = sandwich_window(xs, ms, alphas[steps], checkable[steps], m, M, root)
+            self.tails.add(values if start == 0 else values[1:])
+            if band is not None:
+                self.bands = self.bands.then(band)
+
+        def outputs(self):
+            held = (self.bands.first == 0).tolist()
+            for tail, ok in zip(self.tails.tails(), held):
+                yield tail, ({flag: ok} if flag else {})
 
     def check(path):
-        payload: Dict[str, Any] = {"path": path} if config.traces else {}
-        if "contraction_zero_violations" in wanted:
-            band = ratio_band(path, ks, atol=DEFAULT_ATOL)
-            payload["contraction_zero_violations"] = band.first_violation is None
-        if "sandwich_zero_violations" in wanted:
-            sandwich = check_ratio_sandwich(path, schedule, env["m"], env["M"], x_star=root)
-            payload["sandwich_zero_violations"] = sandwich.holds
-        if trunc_spec is not None and truncated:
+        """A whole path folded as one window, plus the checks that read it whole."""
+        fold = Fold(1)
+        fold.add(0, *path.window())
+        tail, payload = next(fold.outputs())
+        if config.traces:
+            payload["path"] = path
+        if truncated:
             try:
                 trunc = derive_truncated(
                     path, float(trunc_spec["delta"]), float(trunc_spec["tau"])
@@ -257,12 +309,15 @@ def _run_sa(config: ExperimentConfig):
                     payload["truncated_mean_bound_all_seeds"] = verdict.holds
             except ValueError:  # the residuals never settle below tau: both checks fail
                 payload.update(dict.fromkeys(truncated, False))
-        return (path.norms() if vector else path.xs - root), payload
+        return tail, payload
 
     def solve(seed_sequences):
-        return map(check, rm_solve_block(problem, noise, schedule, x0, horizon, seed_sequences))
+        args = (problem, noise, schedule, x0, horizon, seed_sequences)
+        if config.traces or truncated:  # whole paths, in blocks within BLOCK_BYTES
+            return map(check, rm_solve_block(*args))
+        return rm_fold(*args, Fold)  # every seed in one window loop
 
-    stats = run_ensemble(solve, ens, _grid(horizon + 1, config.curve_points))
+    stats = run_ensemble(solve, ens, grid)
 
     outcomes.update(_final_value_outcomes(stats))
     for name in _PAYLOAD_FLAGS:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,8 @@ __all__ = [
     "convergence_verdict",
     "tail_length",
     "tail_verdict",
+    "Tail",
+    "TailFold",
     "child_seed",
     "run_ensemble",
     "limit_dispersion",
@@ -71,18 +73,76 @@ def convergence_verdict(
     tail = np.asarray(tail, dtype=float)
     if tail.size == 0:
         raise ValueError("tail must be nonempty")
-    tail_sup = float(np.abs(tail).max())
-    oscillation = float(tail.max() - tail.min())
-    final = float(tail[-1])
-    if tail_sup <= tol_zero:
-        kind = ConvergenceClass.CONVERGED_TO_ZERO
-    elif oscillation <= tol_cauchy:
-        kind = ConvergenceClass.FINITE_LIMIT
-    elif tail_sup > divergence_cap:
-        kind = ConvergenceClass.DIVERGED
-    else:
-        kind = ConvergenceClass.INCONCLUSIVE
-    return ConvergenceVerdict(kind, tail_sup, oscillation, final)
+    folded = TailFold(1, len(tail), 0, None).add(tail[:, None]).tails()[0]
+    return folded.verdict(tol_zero, tol_cauchy, divergence_cap)
+
+
+class Tail(NamedTuple):
+    """What one seed's verdict and curves read of its values: the max, min and
+    last value of its tail window, and its curve samples |value| (or None)."""
+
+    hi: float
+    lo: float
+    last: float
+    samples: Optional[np.ndarray]
+
+    def verdict(
+        self, tol_zero: float, tol_cauchy: float, divergence_cap: float
+    ) -> ConvergenceVerdict:
+        """The classification (see :class:`ConvergenceVerdict`); the tail sup is
+        max(|max|, |min|), the max of |value| to the bit."""
+        tail_sup = max(abs(self.hi), abs(self.lo))
+        oscillation = self.hi - self.lo
+        if tail_sup <= tol_zero:
+            kind = ConvergenceClass.CONVERGED_TO_ZERO
+        elif oscillation <= tol_cauchy:
+            kind = ConvergenceClass.FINITE_LIMIT
+        elif tail_sup > divergence_cap:
+            kind = ConvergenceClass.DIVERGED
+        else:
+            kind = ConvergenceClass.INCONCLUSIVE
+        return ConvergenceVerdict(kind, tail_sup, oscillation, self.last)
+
+
+class TailFold:
+    """The :class:`Tail` of each of S seeds, folded over their values window by window.
+
+    The seeds have ``length`` values each, the tail window starting at value
+    ``start``; :meth:`add` takes the next (w, S) values.  Max, min and the
+    curve samples are exact, so any split into windows gives the same tails.
+    """
+
+    def __init__(self, seeds: int, length: int, start: int, grid: Optional[np.ndarray]):
+        self.length, self.start, self.grid, self.n = length, start, grid, 0
+        self.hi, self.lo = np.full(seeds, -math.inf), np.full(seeds, math.inf)
+        self.last = np.full(seeds, math.nan)
+        self.samples = None if grid is None else np.empty((grid.size, seeds))
+
+    @classmethod
+    def of(cls, seeds: int, length: int, config: "EnsembleConfig", grid) -> "TailFold":
+        """The fold of ``length`` values a seed whose tail window is ``config``'s."""
+        return cls(seeds, length, length - tail_length(length, config.tail_fraction), grid)
+
+    def add(self, values: np.ndarray) -> "TailFold":
+        n, w = self.n, len(values)
+        tail = values[max(self.start - n, 0) :]
+        if len(tail):
+            np.maximum(self.hi, tail.max(axis=0), out=self.hi)
+            np.minimum(self.lo, tail.min(axis=0), out=self.lo)
+        self.last = values[-1].copy()
+        if self.grid is not None:
+            lo, hi = np.searchsorted(self.grid, (n, n + w))
+            np.abs(values[self.grid[lo:hi] - n], out=self.samples[lo:hi])
+        self.n = n + w
+        return self
+
+    def tails(self) -> list:
+        """Each seed's :class:`Tail`, once every value is folded."""
+        if self.n != self.length:
+            raise ValueError(f"folded {self.n} of {self.length} values")
+        hi, lo, last = self.hi.tolist(), self.lo.tolist(), self.last.tolist()
+        samples = [None] * len(hi) if self.samples is None else list(self.samples.T)
+        return [Tail(*fields) for fields in zip(hi, lo, last, samples)]
 
 
 @dataclass(frozen=True)
@@ -155,14 +215,20 @@ def tail_length(n: int, fraction: float) -> int:
 
 def tail_verdict(values: np.ndarray, config: EnsembleConfig) -> ConvergenceVerdict:
     """Classify a path from its :func:`tail_length` last values."""
-    tail = values[-tail_length(len(values), config.tail_fraction) :]
-    return convergence_verdict(tail, config.tol_zero, config.tol_cauchy, config.divergence_cap)
+    tail = _fold_one(values, config, None)
+    return tail.verdict(config.tol_zero, config.tol_cauchy, config.divergence_cap)
 
 
-def _reduce_one(values: np.ndarray, config: EnsembleConfig, grid: Optional[np.ndarray]):
+def _fold_one(values, config: EnsembleConfig, grid: Optional[np.ndarray]) -> Tail:
+    """The :class:`Tail` of one seed's values, folded as one window."""
     values = np.asarray(values, dtype=float)
-    samples = np.abs(values[grid]) if grid is not None else None
-    return tail_verdict(values, config), samples
+    return TailFold.of(1, len(values), config, grid).add(values[:, None]).tails()[0]
+
+
+def _reduce_one(values, config: EnsembleConfig, grid: Optional[np.ndarray]):
+    """One seed's verdict and curve samples, from its :class:`Tail` or from its values."""
+    tail = values if isinstance(values, Tail) else _fold_one(values, config, grid)
+    return tail.verdict(config.tol_zero, config.tol_cauchy, config.divergence_cap), tail.samples
 
 
 def run_ensemble(
@@ -174,7 +240,10 @@ def run_ensemble(
 
     ``solve`` receives a list of every seed's SeedSequence and returns an
     iterable of one (values, payload) pair per seed, in seed order; each pair
-    is reduced as soon as it arrives.  When the call raises (or ends early),
+    is reduced as soon as it arrives.  The values are the seed's whole value
+    array, or its :class:`Tail` when the solver folded them window by window
+    (a :class:`TailFold` over ``horizon + 1`` values and ``curve_grid``), so
+    that no path is held.  When the call raises (or ends early),
     its remaining seeds rerun alone through ``solve([seed])``, solved once
     each, so a failure is recorded as inconclusive for the seed that raised,
     with the message in ``note``, and never aborts the rest.
@@ -210,7 +279,7 @@ def run_ensemble(
             payloads.append(None)
             continue
         values, payload = out
-        verdict, samples = _reduce_one(np.asarray(values, dtype=float), config, grid)
+        verdict, samples = _reduce_one(values, config, grid)
         verdicts.append(verdict)
         finals.append(verdict.final_value)
         payloads.append(payload)

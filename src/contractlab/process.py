@@ -14,7 +14,17 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .verdict import DEFAULT_ATOL, Band, ConditionVerdict, band_check, failing, vacuous
+from .verdict import (
+    DEFAULT_ATOL,
+    Band,
+    Bands,
+    ConditionVerdict,
+    band_check,
+    band_window,
+    column,
+    failing,
+    vacuous,
+)
 
 __all__ = [
     "ProcessPath",
@@ -22,6 +32,7 @@ __all__ = [
     "sign_classes",
     "doob_decompose",
     "zero_state_mask",
+    "row_norms",
     "crossing_report",
     "max_growth_factor",
     "finite_steps",
@@ -104,10 +115,14 @@ class ProcessPath:
         return sign_classes(self.xs, self.zero_tol)
 
     def norms(self) -> np.ndarray:
-        return np.linalg.norm(self.xs, axis=1)
+        return row_norms(self.xs)
 
     def mean_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.ms, axis=1)
+        return row_norms(self.ms)
+
+    def window(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The path as one window of one seed: (steps, 1) arrays, or (steps, 1, p)."""
+        return self.xs[:, None], self.ms[:, None]
 
     def component(self, t: int) -> ProcessPath:
         """The scalar path of component ``t`` (its means stay exact conditional means)."""
@@ -131,10 +146,30 @@ def doob_decompose(xs, ms) -> ProcessPath:
     return ProcessPath(finite_array(xs, "value in xs"), finite_array(ms, "value in ms"))
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """The Euclidean norm over the last axis of ``x``: every path's one row-norm rule.
+
+    Bit for bit ``np.linalg.norm(x, axis=-1)``, which sums the squares with no
+    scaling (so 1e200 gives inf and a subnormal 0).  Below 8 components numpy
+    adds them in order, so they are added here column by column, elementwise
+    over the rows, which is faster than reducing a short last axis; from 8 on
+    the axis is reduced, which keeps numpy's pairwise summation.
+    """
+    p = x.shape[-1]
+    if p >= 8:
+        return np.sqrt(np.add.reduce(x * x, axis=-1))
+    first = x[..., 0]
+    total = first * first
+    for t in range(1, p):
+        col = x[..., t]
+        total += col * col
+    return np.sqrt(total, out=total)
+
+
 def zero_state_mask(path: ProcessPath) -> np.ndarray:
     """Mask over steps 1..horizon: True where the predecessor x_{n-1} is
     zero-class, ``|x_{n-1}| <= zero_tol`` (its row norm for a vector path)."""
-    return _drift_pairs(path)[2]
+    return drift_pairs(*path.window(), path.zero_tol)[2][:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,32 +223,60 @@ def max_growth_factor(alphas: Sequence[float]) -> float:
         return float(np.prod(1.0 + allowance_array(alphas)))
 
 
+# A window holds S seeds' iterates xs (w + 1 rows, the first one the iterate
+# before the window's first step) and means ms (w rows): (rows, S) arrays for
+# scalar seeds, (rows, S, p) for vector ones.  A whole path is one window of
+# one seed (ProcessPath.window).
+
+
 def finite_steps(path: ProcessPath) -> np.ndarray:
     """Mask over steps 1..horizon: True where x_{n-1}, m_n and x_n are all finite."""
-    xs_ok, ms_ok = np.isfinite(path.xs), np.isfinite(path.ms)
-    if xs_ok.ndim == 2:
-        xs_ok, ms_ok = xs_ok.all(axis=1), ms_ok.all(axis=1)
+    return finite_rows(*path.window())[:, 0]
+
+
+def finite_rows(xs: np.ndarray, ms: np.ndarray) -> np.ndarray:
+    """:func:`finite_steps` of each seed of a window, (w, S)."""
+    xs_ok, ms_ok = _finite_rows_of(xs), _finite_rows_of(ms)
     return xs_ok[:-1] & xs_ok[1:] & ms_ok
 
 
-def _drift_pairs(path: ProcessPath) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per step, the predecessor x_{n-1} and the mean m_n (their norms for a vector
-    path), and whether the predecessor is zero-class: the checkers' one zero-class rule."""
-    if path.xs.ndim == 2:
-        prev, means = path.norms()[:-1], path.mean_norms()
-    else:
-        prev, means = path.xs[:-1], path.ms
-    return prev, means, np.abs(prev) <= path.zero_tol
+def _finite_rows_of(a: np.ndarray) -> np.ndarray:
+    """Whether each row of a window is finite, a vector row in every component
+    (taken column by column)."""
+    if a.ndim < 3:
+        return np.isfinite(a)
+    ok = np.isfinite(a[..., 0])
+    for t in range(1, a.shape[-1]):
+        ok &= np.isfinite(a[..., t])
+    return ok
+
+
+def drift_pairs(xs: np.ndarray, ms: np.ndarray, zero_tol: float) -> Tuple[np.ndarray, ...]:
+    """The levels |x| of a window's iterates (row norms for vector seeds; the
+    values themselves for scalar ones), the levels of its means, and whether
+    each step's predecessor is zero-class, ``|x_{n-1}| <= zero_tol``: the
+    checkers' one zero-class rule."""
+    levels = row_norms(xs) if xs.ndim == 3 else xs
+    means = row_norms(ms) if ms.ndim == 3 else ms
+    return levels, means, np.abs(levels[:-1]) <= zero_tol
+
+
+def ratio_window(pairs, finite, upper, lower=None, mask=None, atol: float = 0.0) -> Bands:
+    """:func:`ratio_band` of each seed of a window, from its :func:`drift_pairs` and
+    :func:`finite_rows`; bounds and ``mask`` broadcast to (w, S)."""
+    levels, means, zero_class = pairs
+    off_zero = ~zero_class
+    if mask is not None:
+        off_zero &= mask
+    return band_window(means, upper, lower, off_zero, atol=atol, over=levels[:-1], finite=finite)
 
 
 def ratio_band(path, upper, lower=None, mask=None, atol: float = 0.0) -> Band:
     """Band check of the ratios m_n / x_{n-1} (of norms for a vector path) off the
     zero class; ``mask`` restricts the steps further (see :func:`band_check`)."""
-    prev, means, zero_class = _drift_pairs(path)
-    off_zero = ~zero_class
-    if mask is not None:
-        off_zero &= mask
-    return band_check(means, upper, lower, off_zero, atol=atol, over=prev, finite=finite_steps(path))
+    xs, ms = path.window()
+    pairs, finite = drift_pairs(xs, ms, path.zero_tol), finite_rows(xs, ms)
+    return ratio_window(pairs, finite, column(upper), column(lower), column(mask), atol).band(0)
 
 
 def zero_state_band(path, tail_window: int | None, tol: float) -> Band:
@@ -224,9 +287,10 @@ def zero_state_band(path, tail_window: int | None, tol: float) -> Band:
         tail_window = min(max(1, horizon // 2), horizon)
     if tail_window > horizon:
         raise ValueError(f"tail window {tail_window} exceeds horizon {horizon}")
-    _, means, zero_class = _drift_pairs(path)
-    mask = (np.arange(horizon) >= horizon - tail_window) & zero_class
-    return band_check(np.abs(means), tol, mask=mask, finite=finite_steps(path))
+    xs, ms = path.window()
+    _, means, zero_class = drift_pairs(xs, ms, path.zero_tol)
+    mask = column(np.arange(horizon) >= horizon - tail_window) & zero_class
+    return band_window(np.abs(means), tol, mask=mask, finite=finite_rows(xs, ms)).band(0)
 
 
 def check_segment_peak_bound(path: ProcessPath, alphas: Sequence[float]) -> ConditionVerdict:

@@ -88,26 +88,113 @@ def band_check(
     when that falls below ``-atol``.  ``mask`` (default: all) skips steps
     such as the zero class, but never a non-finite one: a non-finite value,
     divisor or bound, or a False entry of ``finite`` (the step's other data),
-    is always a violation with margin -inf.
+    is always a violation with margin -inf.  This is :func:`band_window` over
+    one window of one column.
+    """
+    args = (column(a) for a in (values, upper, lower, mask))
+    return band_window(*args, atol=atol, over=column(over), finite=column(finite)).band(0)
+
+
+def column(a):
+    """A per-step array as the (steps, 1) window of one seed; a scalar or None as it is."""
+    return np.reshape(a, (-1, 1)) if np.ndim(a) == 1 else a
+
+
+@dataclass(frozen=True, eq=False)
+class Bands:
+    """Outcome of :func:`band_window` over ``steps`` steps and S columns (seeds).
+
+    Per column: the first violating step of the window (0 when the band held),
+    the worst margin (+inf when nothing was checked), the number of steps
+    checked, and the checked quantity at the first violation and at the worst
+    margin (NaN where the band held).
+    """
+
+    steps: int
+    first: np.ndarray
+    worst: np.ndarray
+    checked: np.ndarray
+    value: np.ndarray
+    worst_value: np.ndarray
+
+    @classmethod
+    def empty(cls, columns: int) -> "Bands":
+        """The bands of no steps, the start of a fold with :meth:`then`."""
+        none, nan = np.zeros(columns, int), np.full(columns, math.nan)
+        return cls(0, none, np.full(columns, math.inf), none, nan, nan)
+
+    def then(self, later: "Bands") -> "Bands":
+        """These steps followed by ``later``'s, as :func:`band_window` over both.
+
+        Exact: the first of the first violations, the sum of the counts, and the
+        smallest margin with the checked quantity at it, the first NaN or else
+        the first minimum, as ``np.argmin`` picks it.
+        """
+        held = self.first == 0
+        first = np.where(held, np.where(later.first > 0, later.first + self.steps, 0), self.first)
+        later_worse = ~np.isnan(self.worst) & (np.isnan(later.worst) | (later.worst < self.worst))
+        return Bands(
+            self.steps + later.steps,
+            first,
+            np.where(later_worse, later.worst, self.worst),
+            self.checked + later.checked,
+            np.where(held, later.value, self.value),
+            np.where(later_worse, later.worst_value, self.worst_value),
+        )
+
+    def band(self, column: int) -> Band:
+        """One column as a :class:`Band`, its steps counted from the window's start."""
+        step = int(self.first[column])
+        worst, checked = float(self.worst[column]), int(self.checked[column])
+        if not step:
+            return Band(None, worst, checked)
+        value, worst_value = float(self.value[column]), float(self.worst_value[column])
+        return Band(step, worst, checked, value, worst_value)
+
+
+def band_window(
+    values: np.ndarray,
+    upper=None,
+    lower=None,
+    mask: Optional[np.ndarray] = None,
+    atol: float = 0.0,
+    over: Optional[np.ndarray] = None,
+    finite: Optional[np.ndarray] = None,
+) -> Bands:
+    """:func:`band_check` of each column of a (steps, S) window at once.
+
+    Every argument but ``atol`` is a (steps, S) array or broadcasts to one,
+    such as a (steps, 1) bound shared by the seeds.  Only the checked steps
+    are divided and subtracted, so a skipped step raises no floating-point
+    warning.  Windows fold into the whole path's bands by :meth:`Bands.then`.
     """
     values = np.asarray(values, dtype=float)
-    ok = np.isfinite(values) if finite is None else finite & np.isfinite(values)
-    for arr in (over, upper, lower):
+    ok = np.isfinite(values)
+    for arr in (finite, over, upper, lower):
         if arr is not None:
-            ok &= np.isfinite(arr)
-    take = np.ones_like(ok) if mask is None else mask | ~ok
-    with np.errstate(divide="ignore", invalid="ignore"):
-        checked = values[take] if over is None else values[take] / over[take]
-    margins = math.inf if upper is None else np.broadcast_to(upper, values.shape)[take] - checked
+            ok &= arr if arr is finite else np.isfinite(arr)
+    take = True if mask is None else mask | ~ok
+    checked = values
+    if over is not None:
+        checked = np.zeros(values.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.divide(values, over, out=checked, where=take)
+    margins = np.full(values.shape, math.inf)
+    if upper is not None:
+        np.subtract(upper, checked, out=margins, where=take)
     if lower is not None:
-        margins = np.minimum(margins, checked - np.broadcast_to(lower, values.shape)[take])
-    margins[~ok[take]] = -math.inf
-    if margins.size == 0:
-        return Band(None, math.inf, 0)
-    worst_at = int(np.argmin(margins))
-    worst = float(margins[worst_at])
-    if worst >= -atol:
-        return Band(None, worst, margins.size)
-    bad = int(np.argmax(~(margins >= -atol)))
-    step = int(np.flatnonzero(take)[bad]) + 1
-    return Band(step, worst, margins.size, float(checked[bad]), float(checked[worst_at]))
+        low = np.subtract(checked, lower, out=None, where=take)  # read only where taken
+        np.minimum(margins, low, out=margins, where=take)
+    margins[~ok] = -math.inf
+    columns = values.shape[1]
+    if not len(values):
+        return Bands.empty(columns)
+    seeds = np.arange(columns)
+    worst_at = margins.argmin(axis=0)
+    bad = ~(margins >= -atol)
+    held = ~bad.any(axis=0)
+    first = np.where(held, 0, bad.argmax(axis=0) + 1)
+    value = np.where(held, math.nan, checked[first - 1, seeds])
+    worst_value = np.where(held, math.nan, checked[worst_at, seeds])
+    count = np.count_nonzero(np.broadcast_to(take, values.shape), axis=0)
+    return Bands(len(values), first, margins[worst_at, seeds], count, value, worst_value)

@@ -9,6 +9,13 @@ import numpy as np
 from contractlab import LsState, ProcessPath
 from contractlab import least_squares
 
+# scalar family -> (a shock at step 2 that overflows a block of seeds stepped
+# with slope 2 and step sizes 4/n, the notes of its seeds run alone)
+OVERFLOWS = {
+    "sine_perturbed": (5e307, {"", "ValueError: math domain error"}),
+    "linear": (1e308, {""}),
+}
+
 
 def halving_noise_path(
     horizon: int, seed, x0: float = 1.0, sd0: float = 0.5

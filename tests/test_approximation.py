@@ -35,6 +35,7 @@ from contractlab.approximation import (
 from contractlab.config import PROBLEM, PROBLEM_ND
 from contractlab.harness import EnsembleConfig, child_seed, run_ensemble
 from contractlab.process import ProcessPath
+from helpers import OVERFLOWS
 
 
 def sqrt_sign(x):
@@ -286,6 +287,30 @@ def brute_regularity(grid, values, c, d, pairs):
             if first is None:
                 first = next(i for i in ring if abs(values[i]) <= approximation.K_FLOOR)
     return first, worst
+
+
+@pytest.mark.parametrize("family", sorted(PROBLEM.families) + sorted(PROBLEM_ND.families))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_grid_checks_with_g_block_equal_the_point_loop(family, data):
+    """Each grid check evaluates g by one ``g_block`` call; its report must be
+    the point-by-point loop's, bit for bit, for every built-in family."""
+    problem, p = _family_problem(data, family)
+    alone = RootProblem(problem.g, x_star=problem.x_star, dimension=problem.dimension)
+    cap = data.draw(st.sampled_from([1.2, 1e6]))
+    if p:
+        grid = sphere_grid(p, 16, [1e-3, 0.5, 7.0], seed=data.draw(st.integers(0, 99)))
+        reports = [check_norm_envelope(q, grid, cap) for q in (problem, alone)]
+    else:
+        grid = signed_log_grid(1e-3, 30.0, 50) + float(problem.root)
+        reports = [check_linear_envelope(q, grid, cap) for q in (problem, alone)]
+        c, d = data.draw(st.floats(0.0, 2.0)), data.draw(st.floats(0.0, 2.0))
+        pairs = [(0.01, 0.5), (1.0, 20.0)]
+        verdicts = [check_regularity(q, grid, c, d, pairs) for q in (problem, alone)]
+        assert repr(verdicts[0]) == repr(verdicts[1])
+    got, want = reports
+    assert (repr(got.m_hat), repr(got.M_hat)) == (repr(want.m_hat), repr(want.M_hat))
+    assert got.violations.tobytes() == want.violations.tobytes()
 
 
 class TestRegularity:
@@ -581,13 +606,6 @@ BLOCK_NOISES = {
 }
 
 
-# family -> (the shock that overflows a block, the notes of its seeds run alone)
-OVERFLOWS = {
-    "sine_perturbed": (5e307, {"", "ValueError: math domain error"}),
-    "linear": (1e308, {""}),
-}
-
-
 def _assert_block_equals_per_seed(problem, noise, schedule, x0, horizon, sequences):
     """Every path of :func:`rm_solve_block` is byte for byte its seed's :func:`rm_solve`
     path; ``MIN_BLOCK`` is lifted, so scalar seeds of any count step as one block."""
@@ -677,14 +695,14 @@ class TestBlockSolver:
         _assert_block_equals_per_seed(*args, sequences)
 
     def test_block_memory_stays_within_the_budget(self, monkeypatch):
-        # 96 seeds whose iterates fill three budgets: each block of 32 seeds
-        # runs within one budget plus one shock chunk, and the next block is
-        # allocated only once the last one's iterates are freed (a second
-        # block alive would add a whole budget).  On top come the block's
-        # generators, the path handed out, the one the loop still holds and
-        # the temporaries of its means: half a block at most
+        # 96 seeds whose paths (values and means) fill three budgets: each
+        # block of 32 seeds runs within one budget plus the stepper's two
+        # window buffers, and the next block is allocated only once the last
+        # one's paths are freed (a second block alive would add a whole
+        # budget).  On top come the block's generators, the path handed out,
+        # the one the loop still holds: half a block at most
         seeds, horizon, per_block = 96, 4095, 32
-        seed_bytes = 8 * (horizon + 1)
+        seed_bytes = 8 * (2 * horizon + 1)
         monkeypatch.setattr(approximation, "BLOCK_BYTES", per_block * seed_bytes)
         assert _block_size(seeds, horizon) == per_block
         problem = PROBLEM.families["sine_perturbed"].build(
@@ -693,13 +711,13 @@ class TestBlockSolver:
         sequences = [child_seed(5, i) for i in range(seeds)]
         args = (problem, NoiseModel.gaussian(0.3), Schedule.inverse_n(1.0), 2.0, horizon)
         blocks = []
-        step_block = approximation._step_block
+        step_windows = approximation._step_windows
 
         def counted(*args):
             blocks.append(len(args[-1]))
-            return step_block(*args)
+            return step_windows(*args)
 
-        monkeypatch.setattr(approximation, "_step_block", counted)
+        monkeypatch.setattr(approximation, "_step_windows", counted)
         tracemalloc.start()
         try:
             handed = sum(1 for _ in rm_solve_block(*args, sequences))
@@ -708,8 +726,8 @@ class TestBlockSolver:
             tracemalloc.stop()
         assert handed == seeds
         assert blocks == [per_block] * 3
-        buffer = 8 * approximation.SHOCK_CHUNK * per_block
-        assert peak <= approximation.BLOCK_BYTES + buffer + per_block // 2 * seed_bytes
+        buffers = 8 * (2 * approximation.SHOCK_CHUNK + 1) * per_block
+        assert peak <= approximation.BLOCK_BYTES + buffers + per_block // 2 * seed_bytes
 
     @pytest.mark.parametrize(
         "family, seeds",
@@ -738,16 +756,16 @@ class TestBlockSolver:
         config = EnsembleConfig(seeds=seeds, root_seed=9, horizon=60)
         monkeypatch.setattr(approximation, "MIN_BLOCK", 1)  # 2 and 7 seeds make a block
         raised = []
-        step_block = approximation._step_block
+        step_windows = approximation._step_windows
 
         def recorded(*args):
             try:
-                return step_block(*args)
+                yield from step_windows(*args)
             except FloatingPointError:
                 raised.append(len(args[-1]))
                 raise
 
-        monkeypatch.setattr(approximation, "_step_block", recorded)
+        monkeypatch.setattr(approximation, "_step_windows", recorded)
         chunks = []
 
         def solve(seed_sequences):
@@ -766,7 +784,7 @@ class TestBlockSolver:
         with warnings.catch_warnings(record=True) as caught_alone:
             warnings.simplefilter("always")
             alone = run_ensemble(seed_by_seed, config, [0, 30, 60])
-        assert raised == [seeds]  # the block's step loop overflowed
+        assert raised == [seeds]  # the block's window loop overflowed
         notes = [v.note for v in blocked.per_seed]
         assert set(notes) == seed_notes
         # one call of every seed; from the first seed that raised alone, each
@@ -811,4 +829,5 @@ class TestBlockSolver:
                 size = _block_size(seeds, horizon, p)
                 assert 1 <= size <= seeds
                 assert size == 1 or p > 1 or size >= MIN_BLOCK
-                assert size * 8 * p * (horizon + 1) <= BLOCK_BYTES
+                # a seed's path holds 2H + 1 rows of p values
+                assert size * 8 * p * (2 * horizon + 1) <= BLOCK_BYTES

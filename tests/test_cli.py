@@ -702,7 +702,7 @@ assertions:
   min_fraction_final_below: {value: 0.05, fraction: 0.95}
   max_median_final_abs: 0.01
 """,
-        {"rm_solve_block": 5},
+        {"rm_fold": 5},
         ["min_fraction_final_below", "max_median_final_abs"],
     ),
     "ls": (

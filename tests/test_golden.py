@@ -226,11 +226,17 @@ def test_custom_path_check_digests(source, tmp_path):
     assert _digests(out, tmp_path) == GOLDEN[name]
 
 
-# Seed counts that leave a partial block: the path-array budget is set to hold
-# 25 seeds, so 37 seeds step as blocks of 19 and 18.  Where seeds run one at
-# a time the budget does not exist and the setting is a no-op.
+# Seed counts that leave a partial block: the path budget is set to hold 25
+# seeds' paths (values and means), so 37 seeds whose whole paths are kept
+# (a traced run, or sa_nonuniform's truncation checks) step as blocks of 19
+# and 18.  An untraced run of the other kinds folds its checks in one window
+# loop over every seed, and where seeds run one at a time the budget does not
+# exist and the setting is a no-op.
 REMAINDER_P = {"sa_convergence": 1, "sa_nonuniform": 1, "multivariate": 3}
 REMAINDER_SEEDS, REMAINDER_HORIZON = 37, 600
+REMAINDER_BYTES = {
+    name: 25 * 8 * p * (2 * REMAINDER_HORIZON + 1) for name, p in REMAINDER_P.items()
+}
 
 # name -> (summary.json, quantiles.csv, traces.csv) sha256
 REMAINDER_GOLDEN = {
@@ -254,8 +260,7 @@ REMAINDER_GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(REMAINDER_P))
 def test_partial_block_digests(name, tmp_path, monkeypatch):
-    seed_bytes = 8 * REMAINDER_P[name] * (REMAINDER_HORIZON + 1)
-    monkeypatch.setattr(approximation, "BLOCK_BYTES", 25 * seed_bytes, raising=False)
+    monkeypatch.setattr(approximation, "BLOCK_BYTES", REMAINDER_BYTES[name], raising=False)
     out = tmp_path / "out"
     argv = ["run", str(CONFIGS / f"{name}.yaml"), "--seeds", str(REMAINDER_SEEDS)]
     argv += ["--horizon", str(REMAINDER_HORIZON), "--out", str(out), "--traces"]
@@ -266,21 +271,20 @@ def test_partial_block_digests(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(REMAINDER_P))
 def test_partial_blocks_bypass_the_per_seed_solvers(name, tmp_path, monkeypatch):
-    seed_bytes = 8 * REMAINDER_P[name] * (REMAINDER_HORIZON + 1)
-    monkeypatch.setattr(approximation, "BLOCK_BYTES", 25 * seed_bytes)
-    blocks, alone = [], []
-    step_block = approximation._step_block
+    monkeypatch.setattr(approximation, "BLOCK_BYTES", REMAINDER_BYTES[name])
+    loops, alone = [], []
+    step_windows = approximation._step_windows
 
     def counted(*args):
-        blocks.append(len(args[-1]))  # the block's seeds
-        return step_block(*args)
+        loops.append(len(args[-1]))  # the seeds stepped together
+        return step_windows(*args)
 
-    monkeypatch.setattr(approximation, "_step_block", counted)
+    monkeypatch.setattr(approximation, "_step_windows", counted)
     monkeypatch.setattr(approximation, "rm_solve", lambda *args: alone.append(args))
     argv = ["run", str(CONFIGS / f"{name}.yaml"), "--seeds", str(REMAINDER_SEEDS)]
     argv += ["--horizon", str(REMAINDER_HORIZON), "--out", str(tmp_path / "out")]
     assert main(argv) in (0, 1)
-    assert blocks == [19, 18]
+    assert loops == ([19, 18] if name == "sa_nonuniform" else [REMAINDER_SEEDS])
     assert alone == []
 
 

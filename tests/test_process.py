@@ -16,7 +16,7 @@ from contractlab import (
     kronecker_path,
     max_growth_factor,
 )
-from contractlab.process import ratio_band, zero_state_band, zero_state_mask
+from contractlab.process import ratio_band, row_norms, zero_state_band, zero_state_mask
 from contractlab.verdict import DEFAULT_ATOL
 from helpers import ar_path, brute_crossings, halving_noise_path
 
@@ -393,3 +393,32 @@ def test_scalar_only_functions_reject_a_vector_path(name, p):
     path = doob_decompose(xs, 0.5 * xs[:-1])
     with pytest.raises(ValueError, match=f"{name} needs a scalar path, got one with {p} components"):
         SCALAR_ONLY[name](path)
+
+
+ROW_SPECIALS = [0.0, -0.0, 5e-324, -2.2e-308, 1e200, -1e200, 1e-200, math.inf, -math.inf, math.nan]
+ROW_ENTRIES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(ROW_SPECIALS)
+
+
+@st.composite
+def short_rows(draw):
+    p = draw(st.integers(1, 9))
+    rows = draw(st.integers(0, 12))
+    entries = draw(st.lists(ROW_ENTRIES, min_size=rows * p, max_size=rows * p))
+    return np.array(entries, dtype=float).reshape(rows, p)
+
+
+@given(short_rows())
+@settings(max_examples=400, deadline=None)
+def test_row_norms_are_numpys_to_the_bit(x):
+    """The one row-norm rule equals np.linalg.norm over each row, for a path and
+    for the (steps, seeds, p) window of seeds stepped together."""
+    with np.errstate(over="ignore"):  # a square past the largest float is inf in both
+        want = np.linalg.norm(x, axis=1)
+        assert row_norms(x).tobytes() == want.tobytes()
+        window = np.stack([x, x[::-1]], axis=1)  # two seeds
+        assert row_norms(window)[:, 0].tobytes() == want.tobytes()
+        assert row_norms(window)[:, 1].tobytes() == want[::-1].tobytes()
+        if len(x):
+            path = ProcessPath(x, x[1:])
+            assert path.norms().tobytes() == want.tobytes()
+            assert path.mean_norms().tobytes() == want[1:].tobytes()

@@ -32,7 +32,7 @@ ensemble: {{seeds: 20, root_seed: 3, horizon: 300}}
 output: {{dir: {out}}}
 """,
         20,
-        "approximation.rm_solve_block",
+        "approximation.rm_fold",
     ),
     "ls": (
         """
