@@ -36,6 +36,7 @@ from .approximation import (
     check_truncated_zero_mean_bound,
     contraction_factor,
     derive_truncated,
+    rm_fold,
     rm_solve,
     rm_solve_block,
     truncated_nonexpansive_verdict,
@@ -60,6 +61,7 @@ from .harness import (
     ConvergenceVerdict,
     EnsembleConfig,
     EnsembleStats,
+    TailFold,
     convergence_verdict,
     limit_dispersion,
     run_ensemble,

@@ -334,10 +334,9 @@ def _step_windows(g, noise, schedule, x0, horizon, seeds) -> Iterator:
     the first the one before step ``start + 1``, and the means ms (w, S[, p])
     that each step fills as it goes, ``x - a * g(x)``, so no mean is derived
     twice.  The two buffers are reused: a window is valid until the next one
-    is drawn, and the last one for good.
-    Each seed draws its shocks from its own generator, straight into the rows
-    of the iterates they update.  Any floating-point error but underflow
-    (which is exact in both solvers) raises.
+    is drawn, the last one for good.  Each seed draws its shocks from its own
+    generator, straight into the rows of the iterates they update.  Any
+    floating-point error but underflow (which is exact in both solvers) raises.
     """
     shape, al = x0.shape, schedule.alphas(horizon)
     rows = min(SHOCK_CHUNK, horizon)
@@ -380,10 +379,9 @@ class _Paths:
 
     def outputs(self) -> Iterator[ProcessPath]:
         xs, ms, self.xs, self.ms = self.xs, self.ms, None, None
-        if self.seeds == 1:  # nothing else shares the arrays
-            yield ProcessPath(xs[:, 0], ms[:, 0])
-        for j in range(self.seeds if self.seeds > 1 else 0):
-            yield ProcessPath(xs[:, j].copy(), ms[:, j].copy())
+        copy = np.copy if self.seeds > 1 else np.asarray  # a lone seed's arrays are its own
+        for j in range(self.seeds):
+            yield ProcessPath(copy(xs[:, j]), copy(ms[:, j]))
 
 
 def rm_solve_block(

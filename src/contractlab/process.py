@@ -252,7 +252,7 @@ def _finite_rows_of(a: np.ndarray) -> np.ndarray:
 
 
 def drift_pairs(xs: np.ndarray, ms: np.ndarray, zero_tol: float) -> Tuple[np.ndarray, ...]:
-    """The levels |x| of a window's iterates (row norms for vector seeds; the
+    """The levels of a window's iterates (their row norms for vector seeds, the
     values themselves for scalar ones), the levels of its means, and whether
     each step's predecessor is zero-class, ``|x_{n-1}| <= zero_tol``: the
     checkers' one zero-class rule."""
