@@ -11,7 +11,6 @@ import json
 import math
 import warnings
 from enum import Enum
-from itertools import repeat
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -102,12 +101,16 @@ def _trace_chunks(seed: int, path: ProcessPath) -> Iterator[str]:
     ms = path.ms.reshape(-1, p)
     tag = str(seed)
     yield ",".join([tag, "0", *map(repr, xs[0].tolist())]) + "," * p + "\n"
+    line = [tag, ",", "n", *[",", "v"] * (2 * p), "\n"]  # a line's fields and separators
+    width = len(line)
     for lo in range(0, path.horizon, TRACE_CHUNK):
         hi = min(lo + TRACE_CHUNK, path.horizon)
+        fields = line * (hi - lo)
+        fields[2::width] = map(str, range(lo + 1, hi + 1))
         columns = np.hstack((xs[lo + 1 : hi + 1], ms[lo:hi])).T.tolist()
-        ns = map(str, range(lo + 1, hi + 1))
-        lines = zip(repeat(tag), ns, *[map(repr, col) for col in columns])
-        yield "\n".join(map(",".join, lines)) + "\n"
+        for j, column in enumerate(columns):
+            fields[4 + 2 * j :: width] = map(repr, column)
+        yield "".join(fields)
 
 
 def write_traces_csv(
@@ -124,42 +127,83 @@ def write_traces_csv(
             fh.writelines(_trace_chunks(seed, trace))
 
 
-TRACE_READ_CHUNK = 1 << 20  # bytes scanned at a time when checking a trace's lines
+TRACE_READ_CHUNK = 1 << 18  # bytes read at a time, to check a trace's lines and to parse them
 
 
-def _scan_lines(fh, carry: bytes, width: int, m_cols: Sequence[int]):
-    """Check the field count of every non-blank line of ``carry`` and the rest
-    of ``fh``, without parsing a field.
+def _blocks(fh) -> Iterator[bytes]:
+    """The rest of ``fh`` in blocks of whole lines, about ``TRACE_READ_CHUNK``
+    bytes each, so memory stays bounded on a long trace.
 
     Lines end at LF, CR or CR LF, as ``csv.reader`` and ``np.loadtxt`` split
-    them.  The file is read ``TRACE_READ_CHUNK`` bytes at a time, so memory
-    stays bounded on a long trace.  Returns the number of non-blank lines and
-    the indices, among them, of those with an empty field in ``m_cols``; None
-    when a line's field count is not ``width``.
+    them; the last block ends the file's last line.
     """
-    rows, empty = 0, []
+    carry = b""
     while True:
         block = fh.read(TRACE_READ_CHUNK)
-        data = carry + block if block else carry + b"\n"
-        cut = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
-        buf, carry = np.frombuffer(data, np.uint8, cut), data[cut:]
-        ends = np.flatnonzero((buf == 10) | (buf == 13))
-        commas = np.flatnonzero(buf == 44)
-        starts = np.concatenate(([0], ends + 1))[:-1]
-        first = np.searchsorted(commas, starts)
-        kept = ends > starts
-        if np.any((np.searchsorted(commas, ends) - first)[kept] != width - 1):
+        if not block:
+            yield carry + b"\n"
+            return
+        block = carry + block
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r")) + 1
+        carry, block = block[cut:], block[:cut]
+        yield block
+
+
+def _lines(block: bytes):
+    """Where the non-blank lines of a block start and end, the offsets of the
+    block's commas, and the index among them of each line's first comma."""
+    buf = np.frombuffer(block, np.uint8)
+    ends = buf == 10
+    ends = np.flatnonzero(np.logical_or(ends, buf == 13, out=ends))
+    commas = np.flatnonzero(buf == 44)
+    starts = np.concatenate(([0], ends + 1))[:-1]
+    kept = ends > starts
+    starts, ends = starts[kept], ends[kept]
+    return starts, ends, commas, np.searchsorted(commas, starts)
+
+
+def _count_rows(fh, width: int):
+    """The number of non-blank lines in the rest of ``fh``, without parsing a
+    field; None when a line's field count is not ``width``."""
+    rows = 0
+    for starts, ends, commas, first in map(_lines, _blocks(fh)):
+        if np.any(np.searchsorted(commas, ends) - first != width - 1):
             return None
-        first, starts, ends = first[kept], starts[kept], ends[kept]
-        blank = np.zeros(len(first), dtype=bool)
+        rows += len(starts)
+    return rows
+
+
+def _parse_blocks(fh, width: int, columns: Sequence[int], m_cols: Sequence[int], dtype):
+    """The rows of the rest of ``fh``, whose lines all have ``width`` fields,
+    parsed block by block by ``np.loadtxt`` into ``dtype`` tables of the
+    fields in ``columns``.
+
+    Yields each block's table and a mask of its rows with an empty field in
+    ``m_cols``, the means; numpy's parser rejects an empty float field, so an
+    empty mean is parsed as ``nan``.
+    """
+    for block in _blocks(fh):
+        starts, ends, commas, first = _lines(block)
+        if not len(starts):
+            continue  # loadtxt warns on a block without rows
+        blank, holes = np.zeros(len(starts), dtype=bool), []
         for col in m_cols:
             lo = commas[first + col - 1] + 1 if col else starts
             hi = commas[first + col] if col < width - 1 else ends
             blank |= lo == hi
-        empty.append(np.flatnonzero(blank) + rows)
-        rows += len(first)
-        if not block:
-            return rows, np.concatenate(empty)
+            holes.append(lo[lo == hi])
+        holes = np.concatenate(holes)
+        if len(holes):
+            nan = np.frombuffer(b"nan", np.uint8)
+            buf = np.frombuffer(block, np.uint8)
+            block = np.insert(buf, np.repeat(holes, len(nan)), np.tile(nan, len(holes))).tobytes()
+        lines = block.splitlines()
+        del block  # held once, as its lines, while they are parsed
+        table = np.loadtxt(
+            lines, delimiter=",", usecols=columns, comments=None, dtype=dtype, ndmin=1
+        )
+        del lines  # and not while the next block is read
+        yield table, blank
 
 
 def _raise_first_bad_line(path: Path, width: int, columns: Sequence[int]) -> None:
@@ -188,10 +232,6 @@ def _raise_first_bad_line(path: Path, width: int, columns: Sequence[int]) -> Non
                 raise ValueError(f"line {reader.line_num}: {exc}") from None
 
 
-def _mean_or_nan(text: str) -> float:
-    return float(text) if text else math.nan
-
-
 def _seed_error(seed: int, ns: np.ndarray, missing: np.ndarray) -> str:
     """Why one seed's rows, sorted by step, do not make a path."""
     dup = np.flatnonzero(ns[1:] == ns[:-1])
@@ -200,6 +240,32 @@ def _seed_error(seed: int, ns: np.ndarray, missing: np.ndarray) -> str:
     if not np.array_equal(ns, np.arange(len(ns))):
         return f"seed {seed}: trace rows must cover n = 0..horizon contiguously"
     return f"seed {seed}: missing mean at step {np.flatnonzero(missing)[0]}"
+
+
+def _run_starts(seed: np.ndarray, n: np.ndarray, last, firsts: Dict[int, int]):
+    """Where each seed's run of rows starts in a block that continues
+    seed-major, step-ordered rows: each seed's steps ``0, 1, ...`` in one run,
+    no seed in two.  ``last`` is the previous row's ``(seed, n)``, None before
+    the first block, and ``firsts`` holds the seeds run so far.  None when the
+    block does not continue them.
+    """
+    new = np.concatenate(([last is None or seed[0] != last[0]], seed[1:] != seed[:-1]))
+    prev = np.concatenate(([-1 if last is None else last[1]], n[:-1]))
+    fresh = seed[new].tolist()
+    if np.any(n != np.where(new, 0, prev + 1)) or len(set(fresh)) < len(fresh):
+        return None
+    return np.flatnonzero(new) if firsts.keys().isdisjoint(fresh) else None
+
+
+def _steps_of_runs(firsts: Dict[int, int], upto: int, rows: int):
+    """Arrays for the seed and step of each of ``rows`` rows, filled for the
+    first ``upto``, which run seed by seed from the rows ``firsts`` gives."""
+    starts = np.fromiter(firsts.values(), np.int64, len(firsts))
+    lengths = np.diff(np.append(starts, upto))
+    seeds, steps = np.empty(rows, np.int64), np.empty(rows, np.int64)
+    seeds[:upto] = np.repeat(np.fromiter(firsts, np.int64, len(firsts)), lengths)
+    steps[:upto] = np.arange(upto) - np.repeat(starts, lengths)
+    return seeds, steps
 
 
 def read_trace_csv(path: Path):
@@ -218,10 +284,22 @@ def read_trace_csv(path: Path):
     line), a non-integer ``seed`` or ``n``, two rows for one step, a seed
     whose steps are not ``0..horizon`` and a missing mean (any empty ``m_t``).
 
-    The file is parsed column-wise by ``np.loadtxt``; a line it rejects is
-    named by walking the rows again with ``csv.reader``.
+    A first pass counts the rows and checks their field counts; a second
+    parses the file with ``np.loadtxt`` block by block, ``TRACE_READ_CHUNK``
+    bytes at a time, straight into one array of values and one of means.  A
+    seed-major file whose seeds each run ``n = 0, 1, ...``, as
+    ``write_traces_csv`` writes them, holds those two arrays (16·p bytes a
+    row) and one block, with its lines and table: each seed's arrays are
+    slices of the two.  Rows in any other order also hold each row's seed and
+    step, and are sorted by them.
+    A line numpy's parser rejects is named by walking the rows again with
+    ``csv.reader``.
     """
-    with open(path, "rb") as fh:
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        # numpy < 2 reads an integer field that is not one ("1.5", "1e3", a
+        # seed beyond 64 bits) through a float and truncates it, with only
+        # this warning; raised as an error, it fails the field (ValueError)
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         line = fh.readline()
         cut = len(line.split(b"\r", 1)[0].rstrip(b"\n"))  # the header ends at \r or \n
         header = next(csv.reader([line[:cut].decode()]), [])
@@ -232,37 +310,47 @@ def read_trace_csv(path: Path):
         if not set(required).issubset(header):
             raise ValueError(f"trace file must carry columns {sorted(required)}")
         columns = [header.index(name) for name in required]
-        m_cols = columns[p + 2 :]
-        scan = _scan_lines(fh, line[cut:], len(header), m_cols)
-    if scan is None:
-        _raise_first_bad_line(path, len(header), columns)
-        raise ValueError(f"rows do not all have the header's {len(header)} fields")
-    rows, empty = scan
-    if not rows:
-        raise ValueError("trace file has no data rows")
-    value = "f8" if p == 1 else f"({p},)f8"  # one field per row, or p of them
-    try:
-        with warnings.catch_warnings():
-            # numpy < 2 reads an integer field that is not one ("1.5", "1e3", a
-            # seed beyond 64 bits) through a float and truncates it, with only
-            # this warning; raised as an error, it fails the field (ValueError)
-            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
-            table = np.loadtxt(
-                path,
-                delimiter=",",
-                skiprows=1,
-                usecols=columns,
-                comments=None,
-                # numpy's parser rejects an empty float field, as in the n = 0 row
-                converters=dict.fromkeys(m_cols, _mean_or_nan),
-                dtype=[("seed", "i8"), ("n", "i8"), ("x", value), ("m", value)],
-                ndmin=1,
-            )
-    except ValueError as exc:
-        _raise_first_bad_line(path, len(header), columns)
-        raise ValueError(str(exc)) from None
-    order = np.lexsort((table["n"], table["seed"]))
-    seed, n = table["seed"][order], table["n"][order]
+        fh.seek(cut)
+        rows = _count_rows(fh, len(header))
+        if rows is None:
+            _raise_first_bad_line(path, len(header), columns)
+            raise ValueError(f"rows do not all have the header's {len(header)} fields")
+        if not rows:
+            raise ValueError("trace file has no data rows")
+        value = "f8" if p == 1 else f"({p},)f8"  # one field per row, or p of them
+        dtype = [("seed", "i8"), ("n", "i8"), ("x", value), ("m", value)]
+        x = np.empty((rows,) if p == 1 else (rows, p))
+        m = np.empty_like(x)
+        firsts: Dict[int, int] = {}  # each seed's first row, while the rows run seed by seed
+        seeds = steps = None  # each row's seed and step, once they do not
+        last, empty, at = None, [], 0
+        fh.seek(cut)
+        try:
+            for table, blank in _parse_blocks(fh, len(header), columns, columns[p + 2 :], dtype):
+                end = at + len(table)
+                x[at:end], m[at:end] = table["x"], table["m"]
+                seed, n = table["seed"], table["n"]
+                empty.append(np.flatnonzero(blank) + at)
+                if steps is None:
+                    runs = _run_starts(seed, n, last, firsts)
+                    if runs is not None:
+                        firsts.update(zip(seed[runs].tolist(), (runs + at).tolist()))
+                    else:  # out of order from this block on
+                        seeds, steps = _steps_of_runs(firsts, at, rows)
+                if steps is not None:
+                    seeds[at:end], steps[at:end] = seed, n
+                last, at = (seed[-1], n[-1]), end
+        except ValueError as exc:
+            _raise_first_bad_line(path, len(header), columns)
+            raise ValueError(str(exc)) from None
+    empty = np.concatenate(empty)
+    if steps is None:  # each seed's rows are one run
+        bounds = [*firsts.values(), rows]
+        if set(empty.tolist()).issubset(bounds):  # and only step 0 lacks a mean: slices
+            return {s: (x[lo:hi], m[lo + 1 : hi]) for s, lo, hi in zip(firsts, bounds, bounds[1:])}
+        seeds, steps = _steps_of_runs(firsts, rows, rows)  # to name the missing mean
+    order = np.lexsort((steps, seeds))
+    seed, n = seeds[order], steps[order]
     missing = np.isin(order, empty) & (n != 0)
     starts = np.flatnonzero(np.concatenate(([True], seed[1:] != seed[:-1])))
     bounds = np.append(starts, rows)
@@ -273,5 +361,5 @@ def read_trace_csv(path: Path):
     if bad.any():
         lo, hi = spans[np.argmax(bad)]
         raise ValueError(_seed_error(int(seed[lo]), n[lo:hi], missing[lo:hi]))
-    xs, ms = table["x"][order], table["m"][order]
+    xs, ms = x[order], m[order]
     return {int(seed[lo]): (xs[lo:hi], ms[lo + 1 : hi]) for lo, hi in spans}

@@ -7,11 +7,14 @@ accepts, the columnar reader must return the same seeds in the same order
 with byte-identical ``xs``/``ms``, and for any file it rejects, the same
 ``ValueError`` message.  Files with two rows for one ``(seed, n)`` are left
 out: the reference keeps the last of them, the columnar reader rejects them.
+Rows come shuffled, or seed-major and step-ordered as ``write_traces_csv``
+writes them, which the columnar reader returns as slices without sorting.
 """
 from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 from typing import Dict
@@ -90,8 +93,9 @@ SPELLINGS = st.sampled_from([repr, lambda v: repr(v).upper(), lambda v: f" {v!r}
 
 
 @st.composite
-def trace_rows(draw):
-    """Data rows of a valid scalar trace: several seeds, shuffled, as field lists."""
+def trace_rows(draw, ordered=False):
+    """Data rows of a valid scalar trace: several seeds, as field lists,
+    shuffled or (``ordered``) seed by seed, each seed's steps in order."""
     seeds = draw(st.lists(st.integers(-(2**40), 2**40), min_size=1, max_size=4, unique=True))
     rows = []
     for seed in seeds:
@@ -101,7 +105,7 @@ def trace_rows(draw):
             x = spell(draw(VALUES))
             m = spell(draw(VALUES)) if n else draw(st.sampled_from(["", "0.5"]))
             rows.append([str(seed), str(n), x, m, "0"])
-    return draw(st.permutations(rows))
+    return rows if ordered else draw(st.permutations(rows))
 
 
 def render(rows, blanks=(), newline="\n"):
@@ -127,6 +131,12 @@ def both_outcomes(factory, text: str, chunk: int):
     return got, outcome(reference_read_trace_csv, path)
 
 
+def check_valid(factory, rows, blanks, newline, chunk):
+    got, expected = both_outcomes(factory, render(rows, blanks, newline), chunk)
+    assert got[0] == "ok"
+    assert got == expected
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     rows=trace_rows(),
@@ -135,9 +145,18 @@ def both_outcomes(factory, text: str, chunk: int):
     chunk=CHUNKS,
 )
 def test_valid_traces_match_reference(tmp_path_factory, rows, blanks, newline, chunk):
-    got, expected = both_outcomes(tmp_path_factory, render(rows, blanks, newline), chunk)
-    assert got[0] == "ok"
-    assert got == expected
+    check_valid(tmp_path_factory, rows, blanks, newline, chunk)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=trace_rows(ordered=True),
+    blanks=st.lists(st.integers(1, 60), max_size=3),
+    newline=NEWLINES,
+    chunk=CHUNKS,
+)
+def test_ordered_traces_match_reference(tmp_path_factory, rows, blanks, newline, chunk):
+    check_valid(tmp_path_factory, rows, blanks, newline, chunk)
 
 
 def _field(index, text):
@@ -162,22 +181,14 @@ MUTATIONS = {
 }
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    rows=trace_rows(),
-    mutations=st.lists(
-        st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(0, 10**6)),
-        min_size=1,
-        max_size=3,
-    ),
-    blanks=st.lists(st.integers(1, 60), max_size=2),
-    newline=NEWLINES,
-    chunk=CHUNKS,
+MUTATED = st.lists(
+    st.tuples(st.sampled_from(sorted(MUTATIONS)), st.integers(0, 10**6)),
+    min_size=1,
+    max_size=3,
 )
-def test_malformed_traces_match_reference(
-    tmp_path_factory, rows, mutations, blanks, newline, chunk
-):
-    """Short and long rows, non-numeric fields, gaps, a missing n = 0 and empty means."""
+
+
+def check_malformed(factory, rows, mutations, blanks, newline, chunk):
     rows = list(rows)
     for name, at in mutations:
         if not rows:
@@ -187,8 +198,39 @@ def test_malformed_traces_match_reference(
             del rows[at]
         else:
             rows[at] = MUTATIONS[name](rows[at])
-    got, expected = both_outcomes(tmp_path_factory, render(rows, blanks, newline), chunk)
+    got, expected = both_outcomes(factory, render(rows, blanks, newline), chunk)
     assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=trace_rows(),
+    mutations=MUTATED,
+    blanks=st.lists(st.integers(1, 60), max_size=2),
+    newline=NEWLINES,
+    chunk=CHUNKS,
+)
+def test_malformed_traces_match_reference(
+    tmp_path_factory, rows, mutations, blanks, newline, chunk
+):
+    """Short and long rows, non-numeric fields, gaps, a missing n = 0 and empty means."""
+    check_malformed(tmp_path_factory, rows, mutations, blanks, newline, chunk)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=trace_rows(ordered=True),
+    mutations=MUTATED,
+    blanks=st.lists(st.integers(1, 60), max_size=2),
+    newline=NEWLINES,
+    chunk=CHUNKS,
+)
+def test_malformed_ordered_traces_match_reference(
+    tmp_path_factory, rows, mutations, blanks, newline, chunk
+):
+    """The same faults in seed-major, step-ordered rows: a dropped row breaks
+    their order from its block on, and a fault may sit past clean blocks."""
+    check_malformed(tmp_path_factory, rows, mutations, blanks, newline, chunk)
 
 
 HEAD = HEADER + "\n"
@@ -247,6 +289,51 @@ def test_first_bad_seed_in_file_order(tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError, match=r"^seed 5: trace rows must cover"):
         read_trace_csv(path)
+
+
+CLEAN = "".join(f"0,{n},0.5,0.25,0\n" for n in range(1, 40))  # blocks of steps 1..39
+
+
+@pytest.mark.parametrize("chunk", [7, 64, reporting.TRACE_READ_CHUNK])
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (
+            "0,0,1.0,,\n0,1,0.5,0.5,0\n0,2,0.5,0.5,0\n1,0,2.0,,\n1,1,1.0,1.0,0\n"
+            "0,3,0.5,0.5,0\n0,4,0.5,0.5,0\n",
+            None,
+        ),
+        ("0,0,1.0,,\n" + CLEAN + "0,40,half,0.5,0\n", f"line 42: {NOT_FLOAT}'half'"),
+        ("0,0,1.0,,\n" + CLEAN + "0,40,0.5,,0\n", "seed 0: missing mean at step 40"),
+        ("0,0,1.0,,\n" + CLEAN.rstrip("\n"), None),
+    ],
+    ids=[
+        "seed-returns",
+        "bad-field-in-last-block",
+        "missing-mean-in-later-block",
+        "no-final-newline",
+    ],
+)
+def test_rows_across_blocks(tmp_path, rows, message, chunk):
+    """What a block learns from the blocks before it: a seed that comes back
+    after another is one path, and a fault after clean blocks is still found."""
+    path = tmp_path / "traces.csv"
+    path.write_text(HEAD + rows)
+    with mock.patch.object(reporting, "TRACE_READ_CHUNK", chunk):
+        got = outcome(read_trace_csv, path)
+    assert got == outcome(reference_read_trace_csv, path)
+    assert got[0] == "ok" if message is None else got == ("error", message)
+
+
+@pytest.mark.parametrize("chunk", [7, 64, reporting.TRACE_READ_CHUNK])
+def test_seed_back_from_step_0_repeats_its_steps(tmp_path, chunk):
+    """A seed whose rows start again from step 0 after another seed's, in
+    the same block or a later one, has two rows for each of those steps."""
+    path = tmp_path / "traces.csv"
+    path.write_text(HEAD + "0,0,1.0,,\n0,1,0.5,0.5,0\n1,0,2.0,,\n0,0,1.0,,\n0,1,0.5,0.5,0\n")
+    with mock.patch.object(reporting, "TRACE_READ_CHUNK", chunk), pytest.raises(ValueError) as exc:
+        read_trace_csv(path)
+    assert str(exc.value) == "seed 0: duplicate rows for step 0"
 
 
 def test_columns_found_by_name(tmp_path):
@@ -452,3 +539,36 @@ def test_vector_trace_errors(tmp_path, text, message):
     with pytest.raises(ValueError) as exc:
         read_trace_csv(path)
     assert str(exc.value) == message
+
+
+def test_read_memory_stays_within_blocks(tmp_path):
+    """A written trace reads back holding its values and means, 16 bytes a
+    row, and a few blocks, without sorting; the same rows shuffled read to
+    the same arrays."""
+    seeds, horizon = 4, 50_000
+    rng = np.random.default_rng(3)
+    pairs = [
+        (seed, ProcessPath(rng.standard_normal(horizon + 1), rng.standard_normal(horizon)))
+        for seed in range(seeds)
+    ]
+    path = tmp_path / "traces.csv"
+    write_traces_csv(path, 1, pairs)
+    read_trace_csv(path)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        with mock.patch.object(np, "lexsort", side_effect=AssertionError("rows sorted")):
+            got = read_trace_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * seeds * (horizon + 1) + 8 * reporting.TRACE_READ_CHUNK
+    for seed, trace in pairs:
+        assert [a.tobytes() for a in got[seed]] == [trace.xs.tobytes(), trace.ms.tobytes()]
+
+    header, *rows = path.read_text().splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(rows[i] for i in rng.permutation(len(rows))))
+    again = read_trace_csv(shuffled)
+    assert sorted(again) == sorted(got)
+    for seed in got:
+        assert [a.tobytes() for a in again[seed]] == [a.tobytes() for a in got[seed]]
