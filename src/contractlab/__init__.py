@@ -52,6 +52,7 @@ from .least_squares import (
     RegressionModel,
     check_design_conditions,
     integral_bound,
+    ls_fold,
     partition_analysis,
     simulate_ls_runs,
     z_process,

@@ -154,8 +154,10 @@ class Schedule:
     def explicit(cls, values: Sequence[float]) -> "Schedule":
         return cls("explicit", explicit_values=np.asarray(values, dtype=float))
 
-    def alphas(self, horizon: int) -> np.ndarray:
-        n = np.arange(1, horizon + 1, dtype=float)
+    def alphas(self, horizon: int, start: int = 0) -> np.ndarray:
+        """The step sizes of steps ``start + 1 .. horizon``.  Each is computed
+        on its own, so a window's are the bits of the whole horizon's."""
+        n = np.arange(start + 1, horizon + 1, dtype=float)
         if self.kind == "inverse_n":
             return self.c / n
         if self.kind == "inverse_n_power":
@@ -163,14 +165,13 @@ class Schedule:
         vals = self.explicit_values
         if len(vals) < horizon:
             raise ValueError(f"explicit schedule covers {len(vals)} steps < horizon {horizon}")
-        return vals[:horizon].copy()
+        return vals[start:horizon].copy()
 
     def sum_at(self, horizon: int) -> float:
-        return float(self.alphas(horizon).sum())
+        return _pairwise_sum(lambda a, b: self.alphas(b, a), 0, horizon)
 
     def sum_sq_at(self, horizon: int) -> float:
-        a = self.alphas(horizon)
-        return float((a * a).sum())
+        return _pairwise_sum(lambda a, b: np.square(self.alphas(b, a)), 0, horizon)
 
     @property
     def summable(self) -> Optional[bool]:
@@ -179,6 +180,22 @@ class Schedule:
         if self.kind == "inverse_n_power":
             return self.gamma > 1.0
         return None
+
+
+# numpy sums n > 128 values as the sums of two halves, the first of n // 2
+# values rounded down to a multiple of 8; so summing the halves' windows alone,
+# down to windows of at most this many values (at least 128), gives np.sum's bits
+PAIRWISE_WINDOW = 1 << 16
+
+
+def _pairwise_sum(values: Callable[[int, int], np.ndarray], start: int, stop: int) -> float:
+    """``np.sum`` of the values ``values(a, b)`` of positions [start, stop),
+    formed one window at a time, so no array of them all is held."""
+    n = stop - start
+    if n <= PAIRWISE_WINDOW:
+        return float(np.sum(values(start, stop)))
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(values, start, start + half) + _pairwise_sum(values, start + half, stop)
 
 
 def _checked_x0(x0) -> np.ndarray:
@@ -338,8 +355,7 @@ def _step_windows(g, noise, schedule, x0, horizon, seeds) -> Iterator:
     generator, straight into the rows of the iterates they update.  Any
     floating-point error but underflow (which is exact in both solvers) raises.
     """
-    shape, al = x0.shape, schedule.alphas(horizon)
-    rows = min(SHOCK_CHUNK, horizon)
+    shape, rows = x0.shape, min(SHOCK_CHUNK, horizon)
     xs = np.empty((rows + 1, len(seeds)) + shape)
     ms = np.empty((rows, len(seeds)) + shape)
     xs[0] = x0
@@ -350,11 +366,12 @@ def _step_windows(g, noise, schedule, x0, horizon, seeds) -> Iterator:
             xs[0] = xs[-1]  # the last iterate of the full window before
         w = span.stop - span.start
         x, m = xs[: w + 1], ms[:w]
+        al = schedule.alphas(span.stop, span.start)
         with np.errstate(all="raise", under="ignore"):  # not around the yield
             for j, stream in enumerate(streams):
                 x[1:, j] = next(stream)
-            x[1:] *= al[span].reshape((-1, 1) + (1,) * len(shape))
-            for a, prev, mean, shock in zip(al[span].tolist(), x, m, x[1:]):
+            x[1:] *= al.reshape((-1, 1) + (1,) * len(shape))
+            for a, prev, mean, shock in zip(al.tolist(), x, m, x[1:]):
                 np.subtract(prev, a * g(prev), out=mean)
                 np.subtract(mean, shock, out=shock)
         yield span.start, x, m

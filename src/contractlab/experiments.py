@@ -52,6 +52,7 @@ from .harness import (
 from .least_squares import (
     RegressionModel,
     check_design_conditions,
+    ls_fold,
     partition_analysis,
     simulate_ls_runs,
     z_process,
@@ -202,9 +203,8 @@ def _run_sa(config: ExperimentConfig):
         if vector:
             grid = sphere_grid(x0.size, env["directions"], env["radii"], env["grid_seed"])
             env_report = check_norm_envelope(problem, grid, env["ratio_cap"])
-            alphas = schedule.alphas(horizon)
-            ks = contraction_factor(alphas, env["m"], env["M"])
-            report["contraction_factor_final"] = float(ks[-1])
+            final = contraction_factor(schedule.alphas(horizon, horizon - 1), env["m"], env["M"])
+            report["contraction_factor_final"] = float(final[0])
         else:
             grid = signed_log_grid(
                 env["grid_min_abs"], env["grid_max_abs"], env["grid_per_decade"]
@@ -257,29 +257,31 @@ def _run_sa(config: ExperimentConfig):
     # the contraction factor of a vector one
     bands = ("sandwich_zero_violations", "contraction_zero_violations")
     flag = next((name for name in bands if name in wanted), None)
-    if flag == "sandwich_zero_violations":
-        alphas = schedule.alphas(horizon)
-        checkable = sandwich_checkable(alphas, env["m"], env["M"])
 
     class Fold:
-        """The tails and the band flag of S seeds, folded window by window (see ``rm_fold``)."""
+        """The tails and the band flag of S seeds, folded window by window (see
+        ``rm_fold``); a window's step sizes are its own steps'."""
 
         def __init__(self, seeds: int):
             self.tails = TailFold.of(seeds, horizon + 1, ens, grid)
             self.bands = Bands.empty(seeds)
+            self.checkable = False  # whether a step before was: the sandwich's prefix OR
 
         def add(self, start, xs, ms):
-            steps = slice(start, start + len(ms))
+            alphas = schedule.alphas(start + len(ms), start)
             band = None
             if flag == "contraction_zero_violations":
                 pairs = drift_pairs(xs, ms, 0.0)
-                band = ratio_window(pairs, finite_rows(xs, ms), ks[steps, None], atol=DEFAULT_ATOL)
+                ks = contraction_factor(alphas, env["m"], env["M"])[:, None]
+                band = ratio_window(pairs, finite_rows(xs, ms), ks, atol=DEFAULT_ATOL)
                 values = pairs[0]  # the row norms
             else:
                 values = row_norms(xs) if vector else xs - root
             if flag == "sandwich_zero_violations":
                 m, M = env["m"], env["M"]
-                band = sandwich_window(xs, ms, alphas[steps], checkable[steps], m, M, root)
+                checkable = sandwich_checkable(alphas, m, M) | self.checkable
+                self.checkable = bool(checkable[-1])
+                band = sandwich_window(xs, ms, alphas, checkable, m, M, root)
             self.tails.add(values if start == 0 else values[1:])
             if band is not None:
                 self.bands = self.bands.then(band)
@@ -355,6 +357,14 @@ def _run_kronecker(config: ExperimentConfig):
 
 
 def _run_ls(config: ExperimentConfig):
+    """Controlled least-squares ensembles of ``ls``.
+
+    Every seed runs through one :func:`ls_fold`, whose pieces' errors are
+    folded, vectorised across seeds, into each seed's tail verdict and curve
+    samples (``Errors``), so an untraced run holds no array of the horizon's
+    length.  A traced run keeps each seed's whole arrays, from
+    ``simulate_ls_runs``, for its score process ``z_process``.
+    """
     model = config.model
     ens = config.ensemble
     horizon = ens.horizon
@@ -370,13 +380,28 @@ def _run_ls(config: ExperimentConfig):
         else []
     )
 
-    def solve(seed_sequences):
-        runs = simulate_ls_runs(
-            reg_model, horizon, seed_sequences, ens.tail_fraction, checkpoints, gw
-        )
-        return [(run.err_sup, run) for run in runs]
+    grid = _grid(horizon, config.curve_points)
 
-    stats = run_ensemble(solve, ens, _grid(horizon, config.curve_points))
+    class Errors:
+        """The tails of S seeds' errors, folded piece by piece (see ``ls_fold``)."""
+
+        def __init__(self, seeds: int):
+            self.tails = TailFold.of(seeds, horizon, ens, grid)
+
+        def add(self, start, xy, us, err):
+            self.tails.add(err.T)
+
+        def outputs(self):
+            return self.tails.tails()
+
+    def solve(seed_sequences):
+        args = (reg_model, horizon, seed_sequences)
+        if config.traces:
+            runs = simulate_ls_runs(*args, ens.tail_fraction, checkpoints, gw)
+            return [(run.err_sup, run) for run in runs]
+        return ls_fold(*args, Errors, ens.tail_fraction, checkpoints, gw)
+
+    stats = run_ensemble(solve, ens, grid)
     runs = [r for r in stats.payloads if r is not None]
 
     report: Dict[str, Any] = {"checkpoints": checkpoints}
@@ -432,7 +457,7 @@ def _run_ls(config: ExperimentConfig):
         "min_fraction_final_error_below": _fraction_below(final_errors),
         "max_checkpoint_gap": lambda want: (
             gap <= float(want),
-            f"worst normal-equations-vs-lstsq gap {gap:.3g}",
+            f"worst normal-equations-vs-QR gap {gap:.3g}",
         ),
         "partition_matches": partition_matches,
         "design_conditions_hold": (

@@ -2,24 +2,26 @@
 
 The regressor at each step may depend on everything observed so far (a
 controlled design), which makes the Gram matrix random.  A :class:`Design`
-draws each seed's whole horizon of regressors and noise up front; its
+draws each seed's regressors and noise one piece of steps at a time; its
 optional feedback law then adjusts each step's regressors of every seed at
 once from the estimates so far.  Each step's estimate is a function of its
 cumulative Gram matrix and score alone: the estimator state solves every
 step's normal equations in closed form, by an elimination that is
 elementwise over seeds and steps.  A run records what the design
 conditions need from those solves (the first nonsingular step, the column
-energies and the weighted-inverse supremum ``kappa_hat``), so the design
-check reads the run and forms no Gram matrix of its own; a dense
-``lstsq`` at the checkpoints stays the independent check of the normal
-equations.  The weighted score process turns per-component consistency
+energies, the weighted-inverse supremum ``kappa_hat`` and the noise
+moments), so the design check reads the run and forms no Gram matrix of
+its own; a streaming QR of the rows, solved at the checkpoints, stays the
+independent check of the normal equations.  The weighted score process turns per-component consistency
 into the same drift conditions checked elsewhere in this package.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,11 +34,13 @@ __all__ = [
     "RegressionModel",
     "LsState",
     "LsRun",
+    "Noise",
     "GWeight",
     "DesignConditionReport",
     "IntegralBoundResult",
     "PartitionReport",
     "PARTITION_CLASSES",
+    "ls_fold",
     "simulate_ls_runs",
     "z_process",
     "check_design_conditions",
@@ -58,9 +62,16 @@ KAPPA_CAP = 1e6
 class Design:
     """A regressor design with ``p`` columns: a per-seed draw and an optional law.
 
-    ``draw(rng, sigma, xs, us)`` fills one seed's (horizon, p) regressors
-    ``xs`` and (horizon,) centered Gaussian noise ``us`` of standard deviation
-    ``sigma`` from that seed's generator.  ``law(estimates, rows)``, when
+    ``draw(rng, sigma, start, xs, us, carry)`` fills one piece of one seed:
+    the (k, p) regressors ``xs`` and the (k,) centered Gaussian noise ``us``
+    of standard deviation ``sigma`` of steps ``start + 1 .. start + k``,
+    from that seed's generator, continuing its stream.  It returns the carry
+    that the seed's next piece is given, whatever state from the steps so
+    far that piece needs (``feedback_design``'s is the last noise value);
+    the first piece, at start 0, is given None.  A draw must give the same
+    values for any cut of the horizon into pieces, as one ``rng.normal``
+    with a scale per column does when called for each piece's rows.
+    ``law(estimates, rows)``, when
     given, closes the loop: before step n is folded it is called once for
     every seed at once, and edits that step's drawn (seeds, p) regressor
     ``rows`` in place, given each seed's (seeds, p) estimate after step
@@ -70,7 +81,7 @@ class Design:
     """
 
     p: int
-    draw: Callable[[np.random.Generator, float, np.ndarray, np.ndarray], None]
+    draw: Callable[[np.random.Generator, float, int, np.ndarray, np.ndarray, object], object]
     law: Optional[Callable[[np.ndarray, np.ndarray], None]] = None
 
 
@@ -340,25 +351,39 @@ def z_process(xs: np.ndarray, us: np.ndarray, gw: GWeight) -> ProcessPath:
     return ProcessPath(np.vstack((np.zeros(p), z)), m)
 
 
+class Noise(NamedTuple):
+    """What :func:`check_design_conditions` reads of a run's noise, accumulated
+    piece by piece: the sum of the u_n and of their squares (each a sum of the
+    pieces' sums), the largest |u_n|, and the first step with u_n != 0 (0 if
+    none)."""
+
+    total: float
+    total_sq: float
+    peak: float
+    first: int
+
+
 @dataclass(frozen=True)
 class LsRun:
     """One simulated regression run with everything the checkers need.
 
-    ``err_sup[i]`` is the max-norm estimate error after step i + 1 (infinite
-    while the gram matrix is still singular).  ``n0`` is the first step whose
-    Gram matrix is nonsingular, ``energy`` the final column energies, and
-    ``kappa_hat`` the supremum of p * max|gram_inv * weights| over the steps
-    from ``n0`` on (infinite when a weighted entry is NaN).  Over the tail
-    window that ``tail_verdict`` classifies, ``tail_err[t]`` is component
-    t's largest error |b_t - beta_t| and ``tail_osc[t]`` its max b_t - min
-    b_t, NaN when a tail estimate is.  The arrays of a run from
-    :func:`simulate_ls_runs` are views of the arrays of its block of seeds.
-    ``len(run)`` is its horizon.
+    ``n0`` is the first step whose Gram matrix is nonsingular, ``energy``
+    the final column energies, and ``kappa_hat`` the supremum of
+    p * max|gram_inv * weights| over the steps from ``n0`` on (infinite when
+    a weighted entry is NaN).  Over the tail window that ``tail_verdict``
+    classifies, ``tail_err[t]`` is component t's largest error
+    |b_t - beta_t| and ``tail_osc[t]`` its max b_t - min b_t, NaN when a
+    tail estimate is.  ``noise`` holds the noise moments of the design
+    check.  ``len(run)`` is its horizon.
+
+    The whole arrays are kept only by :func:`simulate_ls_runs`, as views of
+    the arrays of its block of seeds, and are None in a run from
+    :func:`ls_fold`: the regressors ``xs`` (horizon, p), the responses
+    ``ys`` and the noise ``us``, and ``err_sup``, whose entry i is the
+    max-norm estimate error after step i + 1 (infinite while the Gram matrix
+    is still singular).
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    us: np.ndarray
     final_b: np.ndarray
     energy: np.ndarray
     n0: int
@@ -366,14 +391,188 @@ class LsRun:
     tail_err: np.ndarray
     tail_osc: np.ndarray
     checkpoint_gap: float
-    err_sup: np.ndarray
+    horizon: int
+    noise: Noise
+    xs: Optional[np.ndarray] = None
+    ys: Optional[np.ndarray] = None
+    us: Optional[np.ndarray] = None
+    err_sup: Optional[np.ndarray] = None
 
     @property
     def p(self) -> int:
-        return self.xs.shape[1]
+        return len(self.final_b)
 
     def __len__(self) -> int:
-        return len(self.us)
+        return self.horizon
+
+
+def ls_fold(
+    model: RegressionModel,
+    horizon: int,
+    seeds: Sequence,
+    fold: Callable,
+    tail_fraction: float = 0.2,
+    checkpoints: Sequence[int] = (),
+    gw: GWeight = GWeight.identity(),
+) -> List[Tuple[object, LsRun]]:
+    """Simulate the controlled model once per seed, all seeds through one stacked
+    :class:`LsState`, one piece of ``PIECE_STEPS`` steps at a time.
+
+    Returns one (output, run) pair per seed, in seed order: the output is
+    ``fold(S)``'s, whose ``add(start, xy, us, err)`` takes each piece in step
+    order, first step ``start + 1``, of every seed: the (S, k, p + 1)
+    regressors and responses, the (S, k) noise and the (S, k) max-norm
+    estimate errors (infinite before a seed's ``n0``), valid until the next
+    piece; its ``outputs()`` gives one output per seed.  The run holds what
+    the checkers read, and no array of the horizon's length, so memory is
+    O(S * PIECE_STEPS * p) whatever the horizon.
+
+    Seed ``s`` draws each piece from ``np.random.default_rng(seeds[s])``,
+    continuing its stream, so its run is bit-identical to a run of that seed
+    alone.  The state folds each piece whole, cut at every checkpoint, or,
+    with a feedback law, step by step, each step's rows first going through
+    the law.  Each step's estimates are reduced into the errors, and over the
+    tail window (the last ``tail_length(horizon, tail_fraction)`` steps) into
+    a running max and min per seed and component, which give ``tail_err``
+    and ``tail_osc`` exactly.  Each step's column maxima of |inverse Gram|,
+    weighted by ``gw`` of its column energies, are reduced into
+    ``kappa_hat``, and the noise into its :class:`Noise` moments.
+
+    ``checkpoints`` are steps at which the estimate is compared against an
+    independent least-squares solve; the worst max-norm gap is recorded.
+    Each seed's rows [x | y] so far are kept as the (p + 1) x (p + 1)
+    triangle of their Householder QR, updated with each piece's rows up to
+    the last checkpoint, and at a checkpoint the first p rows of the
+    triangle are solved by back substitution.  Raises ValueError for a
+    checkpoint outside ``1..horizon``, and when any seed's Gram matrix or
+    score is non-finite, or its Gram matrix is never nonsingular.
+    """
+    S, p, beta, law = len(seeds), model.p, model.beta, model.design.law
+    state = LsState(p, S)
+    checkpoints = {int(c) for c in checkpoints}
+    if checkpoints and not 1 <= min(checkpoints) <= max(checkpoints) <= horizon:
+        raise ValueError(f"checkpoints must lie in 1..{horizon}")
+    rows = min(PIECE_STEPS, horizon)
+    xy = np.empty((S, rows, p + 1))  # regressors, then the response
+    us, err = np.empty((S, rows)), np.empty((S, rows))
+    tail_start = horizon - tail_length(horizon, tail_fraction)
+    hi, lo = np.full((p, S), -np.inf), np.full((p, S), np.inf)  # over the tail window
+    sup = np.zeros(S)  # of max|gram_inv * weights| over the nonsingular steps
+    total, total_sq, peak = np.zeros(S), np.zeros(S), np.zeros(S)
+    first = np.zeros(S, dtype=int)  # the first step of nonzero noise
+    gaps = np.zeros(S)
+    tri, factored = np.empty((S, 0, p + 1)), 0  # the QR triangle of the rows of steps 1..factored
+    last_checkpoint = max(checkpoints, default=0)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    carries = [None] * S
+    pieces = fold(S)
+    for start in range(0, horizon, PIECE_STEPS):
+        stop = min(start + PIECE_STEPS, horizon)
+        x, u, e = xy[:, : stop - start], us[:, : stop - start], err[:, : stop - start]
+        for s, rng in enumerate(rngs):
+            carries[s] = model.design.draw(rng, model.sigma, start, x[s, :, :p], u[s], carries[s])
+        # a law reads the estimates after the step before, so it folds step by step
+        cuts = range(start, stop) if law is not None else [start]
+        cuts = sorted({*cuts, *(c for c in checkpoints if start < c < stop)})
+        for a, b in zip(cuts, cuts[1:] + [stop]):
+            i, j = a - start, b - start
+            if law is not None:
+                law(state.estimate, x[:, i, :p])
+            # the responses of the cut, in place
+            np.matmul(x[:, i:j, None, :p], beta[:, None], out=x[:, i:j, p, None, None])
+            x[:, i:j, p] += u[:, i:j]
+            ests, columns, energies = state._fold(x[:, i:j])
+            # a step's max|inv * w| is, exactly, the max over columns j of |w_j| times
+            # column j's max|inv|, which forms no second (p, p, S, k) array
+            columns *= np.abs(np.asarray(gw(energies), dtype=float))
+            n0 = state.first_nonsingular[:, None]
+            nonsingular = (n0 > 0) & (n0 <= np.arange(a + 1, b + 1))
+            # a NaN on a nonsingular step (a NaN weight) stays NaN through the max
+            steps = columns.max(axis=0)
+            np.maximum(sup, steps.max(axis=1, where=nonsingular, initial=0.0), out=sup)
+            del columns, energies, steps
+            np.abs(ests - beta[:, None, None]).max(axis=0, out=e[:, i:j])
+            if b > tail_start:  # NaN propagates as through a max over the whole window
+                tail = max(tail_start - a, 0)
+                np.maximum(hi, ests[:, :, tail:].max(axis=2), out=hi)
+                np.minimum(lo, ests[:, :, tail:].min(axis=2), out=lo)
+            del ests  # the cut's arrays are freed before the next cut is folded
+            if b in checkpoints:
+                tri = _qr_triangle(tri, x[:, factored - start : j])
+                factored = b
+                if not state.singular.all():  # then every triangle has p rows
+                    gap = np.abs(state.estimate - _solve_triangle(tri, p)).max(axis=1)
+                    # as max(gap so far, gap) for the seeds nonsingular by now
+                    np.copyto(gaps, gap, where=(gap > gaps) & ~state.singular)
+        if factored < min(stop, last_checkpoint):  # the piece's rows, before the next draw
+            tri, factored = _qr_triangle(tri, x[:, factored - start :]), stop
+        # a seed's n0 is set once, so the piece's singular steps are those before its n0 now
+        n0 = state.first_nonsingular[:, None]
+        np.copyto(e, np.inf, where=(n0 == 0) | (n0 > np.arange(start + 1, stop + 1)))
+        total += u.sum(axis=1)
+        total_sq += (u * u).sum(axis=1)
+        np.maximum(peak, np.abs(u).max(axis=1), out=peak)
+        nonzero = u != 0.0
+        hit = (first == 0) & nonzero.any(axis=1)
+        first[hit] = start + 1 + nonzero[hit].argmax(axis=1)
+        pieces.add(start, x, u, e)
+    if state.singular.any():
+        raise ValueError("design never reached a nonsingular gram matrix")
+    energy, final_b = state.energy, state.estimate
+    kappa_hat = np.where(np.isnan(sup), np.inf, p * sup)
+    # rounding is monotone, so these are the tail's max|b - beta| and max - min, bit for bit
+    hi, lo = hi.T, lo.T
+    tail_err, tail_osc = np.maximum(hi - beta, beta - lo), hi - lo
+    noise = zip(total.tolist(), total_sq.tolist(), peak.tolist(), first.tolist())
+    runs = [
+        LsRun(
+            final_b=final_b[s],
+            energy=energy[s],
+            n0=int(state.first_nonsingular[s]),
+            kappa_hat=float(kappa_hat[s]),
+            tail_err=tail_err[s],
+            tail_osc=tail_osc[s],
+            checkpoint_gap=float(gaps[s]),
+            horizon=horizon,
+            noise=Noise(*moments),
+        )
+        for s, moments in enumerate(noise)
+    ]
+    return list(zip(pieces.outputs(), runs))
+
+
+def _qr_triangle(tri: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each seed's R factor of its triangle ``tri`` stacked on its new ``rows``."""
+    return np.linalg.qr(np.concatenate((tri, rows), axis=1), mode="r")
+
+
+def _solve_triangle(tri: np.ndarray, p: int) -> np.ndarray:
+    """(S, p): each seed's solution b of R b = c, R the first p columns of the
+    first p rows of its triangle and c their last column, by back
+    substitution, elementwise over the seeds (NaN or inf where R is singular)."""
+    b = np.empty((len(tri), p))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in reversed(range(p)):
+            done = (tri[:, i, i + 1 : p] * b[:, i + 1 :]).sum(axis=1)
+            b[:, i] = (tri[:, i, p] - done) / tri[:, i, i]
+    return b
+
+
+class _Arrays:
+    """The fold that keeps every piece, for :func:`simulate_ls_runs`."""
+
+    def __init__(self, horizon: int, p: int, seeds: int):
+        self.p = p
+        self.xy = np.empty((seeds, horizon, p + 1))
+        self.us, self.err = np.empty((seeds, horizon)), np.empty((seeds, horizon))
+
+    def add(self, start: int, xy: np.ndarray, us: np.ndarray, err: np.ndarray) -> None:
+        steps = slice(start, start + us.shape[1])
+        self.xy[:, steps], self.us[:, steps], self.err[:, steps] = xy, us, err
+
+    def outputs(self) -> Iterator[dict]:
+        for xy, us, err in zip(self.xy, self.us, self.err):
+            yield dict(xs=xy[:, : self.p], ys=xy[:, self.p], us=us, err_sup=err)
 
 
 def simulate_ls_runs(
@@ -384,96 +583,17 @@ def simulate_ls_runs(
     checkpoints: Sequence[int] = (),
     gw: GWeight = GWeight.identity(),
 ) -> List[LsRun]:
-    """Simulate the controlled model once per seed, all seeds through one stacked
-    :class:`LsState`.
+    """The runs of :func:`ls_fold`, each with its whole arrays.
 
-    Seed ``s`` draws its whole regressor and noise stream up front from
-    ``np.random.default_rng(seeds[s])``, so its run is bit-identical to a
-    run of that seed alone.  ``checkpoints`` are step indices at which the
-    estimate is compared against a dense ``lstsq``; the worst max-norm gap
-    is recorded.  The state folds the draws in pieces cut every
-    ``PIECE_STEPS`` steps and at every checkpoint, or, with a feedback law,
-    at every step, whose rows first go through the law.  Each piece's
-    estimates are reduced into ``err_sup``, and over the tail window (the
-    last ``tail_length(horizon, tail_fraction)`` steps) into a running max
-    and min per seed and component, which give ``tail_err`` and
-    ``tail_osc`` exactly.  Each piece's column maxima of
-    |inverse Gram|, weighted by ``gw`` of their step's column energies, are
-    reduced into each run's ``kappa_hat``.  Raises ValueError for a
-    checkpoint outside ``1..horizon``, and when any seed's Gram matrix or
-    score is non-finite, or its Gram matrix is never nonsingular.
+    The arrays are one fold of the same piece loop, which keeps every piece:
+    a run's ``xs``, ``ys``, ``us`` and ``err_sup`` (see :class:`LsRun`) are
+    views of the arrays of its block of seeds, 8 * (p + 3) bytes a seed-step.
+    A run that needs no whole array calls :func:`ls_fold` with a fold of its
+    own, so its memory does not grow with the horizon.
     """
-    S, p, beta, law = len(seeds), model.p, model.beta, model.design.law
-    state = LsState(p, S)
-    xy = np.empty((S, horizon, p + 1))  # regressors, then the response
-    xs, ys = xy[:, :, :p], xy[:, :, p]
-    us = np.empty((S, horizon))
-    tail_start = horizon - tail_length(horizon, tail_fraction)
-    hi, lo = np.full((p, S), -np.inf), np.full((p, S), np.inf)  # over the tail window
-    err_sup = np.empty((S, horizon))
-    sup = np.zeros(S)  # of max|gram_inv * weights| over the nonsingular steps
-    checkpoints = {int(c) for c in checkpoints}
-    if checkpoints and not 1 <= min(checkpoints) <= max(checkpoints) <= horizon:
-        raise ValueError(f"checkpoints must lie in 1..{horizon}")
-    gaps = [0.0] * S
-    for s, seed in enumerate(seeds):
-        model.design.draw(np.random.default_rng(seed), model.sigma, xs[s], us[s])
-    # a law reads the estimates after the step before, so it folds step by step
-    step = PIECE_STEPS if law is None else 1
-    cuts = sorted({*range(0, horizon, step), *(c for c in checkpoints if c < horizon)})
-    for a, b in zip(cuts, cuts[1:] + [horizon]):
-        if law is not None:
-            law(state.estimate, xs[:, a])
-        # the responses of the piece, in place
-        np.matmul(xs[:, a:b, None, :], beta[:, None], out=ys[:, a:b, None, None])
-        ys[:, a:b] += us[:, a:b]
-        ests, columns, energies = state._fold(xy[:, a:b])
-        # a step's max|inv * w| is, exactly, the max over columns j of |w_j| times
-        # column j's max|inv|, which forms no second (p, p, S, k) array
-        columns *= np.abs(np.asarray(gw(energies), dtype=float))
-        n0 = state.first_nonsingular[:, None]
-        nonsingular = (n0 > 0) & (n0 <= np.arange(a + 1, b + 1))
-        # a NaN on a nonsingular step (a NaN weight) stays NaN through the max
-        steps = columns.max(axis=0)
-        np.maximum(sup, steps.max(axis=1, where=nonsingular, initial=0.0), out=sup)
-        del columns, energies, steps
-        np.abs(ests - beta[:, None, None]).max(axis=0, out=err_sup[:, a:b])
-        if b > tail_start:  # NaN propagates as through a max over the whole window
-            tail = max(tail_start - a, 0)
-            np.maximum(hi, ests[:, :, tail:].max(axis=2), out=hi)
-            np.minimum(lo, ests[:, :, tail:].min(axis=2), out=lo)
-        del ests  # the piece's arrays are freed before the next piece is folded
-        if b in checkpoints:
-            for s in np.flatnonzero(state.first_nonsingular):
-                dense, *_ = np.linalg.lstsq(xs[s, :b], ys[s, :b], rcond=None)
-                gaps[s] = max(gaps[s], float(np.max(np.abs(state.estimate[s] - dense))))
-    if state.singular.any():
-        raise ValueError("design never reached a nonsingular gram matrix")
-    energy, final_b = state.energy, state.estimate
-    kappa_hat = np.where(np.isnan(sup), np.inf, p * sup)
-    # rounding is monotone, so these are the tail's max|b - beta| and max - min, bit for bit
-    hi, lo = hi.T, lo.T
-    tail_err, tail_osc = np.maximum(hi - beta, beta - lo), hi - lo
-    runs = []
-    for s in range(S):
-        n0 = int(state.first_nonsingular[s])
-        err_sup[s, : n0 - 1] = np.inf
-        runs.append(
-            LsRun(
-                xs=xs[s],
-                ys=ys[s],
-                us=us[s],
-                final_b=final_b[s],
-                energy=energy[s],
-                n0=n0,
-                kappa_hat=float(kappa_hat[s]),
-                tail_err=tail_err[s],
-                tail_osc=tail_osc[s],
-                checkpoint_gap=gaps[s],
-                err_sup=err_sup[s],
-            )
-        )
-    return runs
+    keep = functools.partial(_Arrays, horizon, model.p)
+    pairs = ls_fold(model, horizon, seeds, keep, tail_fraction, checkpoints, gw)
+    return [dataclasses.replace(run, **arrays) for arrays, run in pairs]
 
 
 @dataclass(frozen=True)
@@ -514,9 +634,13 @@ def check_design_conditions(
 ) -> DesignConditionReport:
     """Check the noise, nonsingularity, weight-boundedness and energy conditions.
 
-    ``n0``, ``kappa_hat`` and the final column energies are the run's own,
-    from the run of :func:`simulate_ls_runs` (whose ``gw`` must be the
-    one given here); the noise moments come from ``run.us``.  The
+    ``n0``, ``kappa_hat``, the final column energies and the noise moments
+    are the run's own, from the run of :func:`ls_fold` or
+    :func:`simulate_ls_runs` (whose ``gw`` must be the one given here), so
+    the check reads no array of the horizon's length: the normalized mean
+    reads the sum of the noise, the empirical variance the sum of its
+    squares over the horizon, and a noiseless model its first nonzero step
+    and largest |u|.  The
     weight-boundedness verdict requires ``kappa_hat`` to be at most
     ``KAPPA_CAP`` and a finite tail bound ``gw.tail(c)``, at c the smallest
     positive final column energy capped at 1.  A statistic of the whole run
@@ -524,24 +648,22 @@ def check_design_conditions(
     misses its limit, or is NaN, fails at step n; noise in a noiseless model
     fails at its first nonzero step.
     """
-    us, d2, n0, kappa_hat = run.us, run.energy, run.n0, run.kappa_hat
-    n = len(us)
+    noise, d2, n0, kappa_hat = run.noise, run.energy, run.n0, run.kappa_hat
+    n = len(run)
 
     if sigma2 == 0.0:
         noise_centered = noise_variance = passing(0.0, "noiseless run")
-        if us.any():
-            k = int(np.argmax(us != 0)) + 1
-            noise_centered = failing(
-                k, -float(np.abs(us).max()), f"nonzero noise at step {k} in a noiseless model"
-            )
+        if noise.first:
+            k = noise.first
+            noise_centered = failing(k, -noise.peak, f"nonzero noise at step {k} in a noiseless model")
     else:
-        mean_stat = abs(float(us.sum())) / max(math.sqrt(n * sigma2), 1e-300)
+        mean_stat = abs(noise.total) / max(math.sqrt(n * sigma2), 1e-300)
         noise_centered = (
             passing(5.0 - mean_stat, f"normalized mean {mean_stat:.3f} (limit 5)")
             if mean_stat <= 5.0
             else failing(n, 5.0 - mean_stat, f"normalized mean {mean_stat:.3f} exceeds 5")
         )
-        emp_var = float(np.mean(us * us))
+        emp_var = noise.total_sq / n
         var_limit = sigma2 * (1.0 + 5.0 * math.sqrt(2.0 / n))
         noise_variance = (
             passing(var_limit - emp_var, f"empirical variance {emp_var:.6g}")
@@ -647,32 +769,33 @@ def partition_analysis(
     )
 
 
-# The built-in designs are open loop: each is one draw, which fills a seed's
-# regressors and noise with exactly the values that a per-step draw of the
-# regressor followed by rng.normal(0.0, sigma) gives, step by step.  One
-# rng.normal call with a scale per column draws them in the same order from
-# the same stream, by the same formula loc + scale * z and with the same
-# checks on the scales.
+# The built-in designs are open loop: each is one draw, which fills a piece
+# of a seed's regressors and noise with exactly the values that a per-step
+# draw of the regressor followed by rng.normal(0.0, sigma) gives, step by
+# step.  One rng.normal call with a scale per column draws them in the same
+# order from the same stream, by the same formula loc + scale * z and with
+# the same checks on the scales, and so do its calls for consecutive pieces.
 
 
-def _step_columns(*columns: Callable[[int], float]) -> Callable[[int], np.ndarray]:
-    """``rows(horizon)``: the read-only (horizon, len(columns)) values
-    ``column(n)`` for n = 1..horizon.
+def _step_columns(*columns: Callable[[int], float]) -> Callable[[int, int], np.ndarray]:
+    """``rows(start, k)``: the read-only (k, len(columns)) values ``column(n)``
+    for n = start + 1 .. start + k.
 
-    The values are the same for every seed, so they are computed once, for
-    the longest horizon asked so far, by the same ``math`` calls as a
-    per-step draw; a shorter horizon reads a prefix.
+    The values are the same for every seed, so the last piece asked is kept,
+    and the seeds of a piece compute it once, by the same ``math`` calls as
+    a per-step draw.
     """
-    cache = np.empty((0, len(columns)))
+    kept = {}
 
-    def rows(horizon: int) -> np.ndarray:
-        nonlocal cache
-        if len(cache) < horizon:
-            cache = np.empty((horizon, len(columns)))
+    def rows(start: int, k: int) -> np.ndarray:
+        if (start, k) not in kept:
+            values = np.empty((k, len(columns)))
             for c, column in enumerate(columns):
-                cache[:, c] = np.fromiter(map(column, range(1, horizon + 1)), float, horizon)
-            cache.flags.writeable = False
-        return cache[:horizon]
+                values[:, c] = np.fromiter(map(column, range(start + 1, start + k + 1)), float, k)
+            values.flags.writeable = False
+            kept.clear()
+            kept[start, k] = values
+        return kept[start, k]
 
     return rows
 
@@ -684,9 +807,9 @@ def rotating_design(jitter: float = 0.1, turns: float = 0.37) -> Design:
         lambda n: math.sin(2.0 * math.pi * turns * n),
     )
 
-    def draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
+    def draw(rng: np.random.Generator, sigma: float, start: int, xs, us, carry) -> None:
         draws = rng.normal(0.0, [jitter, jitter, sigma], size=(len(us), 3))
-        np.add(units(len(us)), draws[:, :2], out=xs)
+        np.add(units(start, len(us)), draws[:, :2], out=xs)
         us[:] = draws[:, 2]
 
     return Design(2, draw)
@@ -696,8 +819,8 @@ def geometric_one_design() -> Design:
     """Deterministic design (2**-n, 1): bounded first-column energy."""
     halvings = _step_columns(lambda n: 2.0 ** -n)
 
-    def draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
-        xs[:, :1] = halvings(len(us))
+    def draw(rng: np.random.Generator, sigma: float, start: int, xs, us, carry) -> None:
+        xs[:, :1] = halvings(start, len(us))
         xs[:, 1] = 1.0
         us[:] = rng.normal(0.0, sigma, size=len(us))
 
@@ -705,7 +828,7 @@ def geometric_one_design() -> Design:
 
 
 def iid_gaussian_design(p: int, scale: float = 1.0) -> Design:
-    def draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
+    def draw(rng: np.random.Generator, sigma: float, start: int, xs, us, carry) -> None:
         draws = rng.normal(0.0, [scale] * p + [sigma], size=(len(us), p + 1))
         xs[:] = draws[:, :p]
         us[:] = draws[:, p]
@@ -718,15 +841,17 @@ def feedback_design(gain: float = 0.9) -> Design:
 
     Both columns stay persistently excited; the second column leans with the
     last observed disturbance, which makes the design depend on the past.
+    The draw's carry is that disturbance: the last noise value of the piece.
     """
 
-    def draw(rng: np.random.Generator, sigma: float, xs: np.ndarray, us: np.ndarray):
+    def draw(rng: np.random.Generator, sigma: float, start: int, xs, us, last) -> float:
         draws = rng.normal(0.0, [0.5, sigma], size=(len(us), 2))
         us[:] = draws[:, 1]
         xs[:, 0] = 1.0
         # math.tanh, not np.tanh: the two differ in the last bit on many inputs
-        xs[:1, 1] = 0.0
-        xs[1:, 1] = np.fromiter((gain * math.tanh(u) for u in us[:-1]), float)
+        xs[0, 1] = 0.0 if last is None else gain * math.tanh(last)
+        xs[1:, 1] = np.fromiter((gain * math.tanh(u) for u in us[:-1]), float, len(us) - 1)
         xs[:, 1] += draws[:, 0]
+        return float(us[-1])
 
     return Design(2, draw)

@@ -7,6 +7,7 @@ rendered by shortest round-trip repr.  Non-finite values serialize as null.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -173,16 +174,29 @@ def _count_rows(fh, width: int):
     return rows
 
 
-def _parse_blocks(fh, width: int, columns: Sequence[int], m_cols: Sequence[int], dtype):
+def _parse_blocks(
+    fh, width: int, columns: Sequence[int], m_cols: Sequence[int], dtype, where: Dict[str, int]
+):
     """The rows of the rest of ``fh``, whose lines all have ``width`` fields,
     parsed block by block by ``np.loadtxt`` into ``dtype`` tables of the
     fields in ``columns``.
 
     Yields each block's table and a mask of its rows with an empty field in
     ``m_cols``, the means; numpy's parser rejects an empty float field, so an
-    empty mean is parsed as ``nan``.
+    empty mean is parsed as ``nan``.  Before each block is parsed, ``where``
+    is set to the ``offset`` in the file at which its lines start, to the
+    number of ``lines`` before them, as ``csv.reader`` counts them (a CR LF
+    split between two blocks is one line end, and its LF starts no line),
+    and to whether a block before held a quote character (``quoted``), after
+    which ``csv.reader`` may read a quoted field across lines.
     """
+    offset, before, cr, quoted = fh.tell(), 0, False, False
     for block in _blocks(fh):
+        lf = cr and block.startswith(b"\n")  # the LF of a CR LF that the block before cut
+        where.update(offset=offset + lf, lines=before, quoted=quoted)
+        offset += len(block)
+        before += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n") - lf
+        cr, quoted = block.endswith(b"\r"), quoted or b'"' in block
         starts, ends, commas, first = _lines(block)
         if not len(starts):
             continue  # loadtxt warns on a block without rows
@@ -206,17 +220,21 @@ def _parse_blocks(fh, width: int, columns: Sequence[int], m_cols: Sequence[int],
         yield table, blank
 
 
-def _raise_first_bad_line(path: Path, width: int, columns: Sequence[int]) -> None:
-    """Raise for the first line with the wrong field count or a non-numeric field.
+def _raise_first_bad_line(
+    path: Path, width: int, columns: Sequence[int], offset: int, lines: int = 0
+) -> None:
+    """Raise for the first line from byte ``offset`` on with the wrong field
+    count or a non-numeric field, ``lines`` lines into the file.
 
     ``columns`` are those of the seed, the step, the p values and the p
     means.  Walks the rows as ``csv.reader`` splits them and converts the
     fields as ``float()`` and ``int()`` do (a mean may be empty); returns if
-    every line converts.
+    every line converts.  The header ends at ``offset`` 0 lines in, before
+    its line end.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
+    with open(path, "rb") as raw:
+        raw.seek(offset)
+        reader = csv.reader(io.TextIOWrapper(raw, newline=""))
         for row in reader:
             if not row:
                 continue
@@ -229,7 +247,7 @@ def _raise_first_bad_line(path: Path, width: int, columns: Sequence[int]) -> Non
                         float(text)
                 int(seed), int(n)
             except ValueError as exc:
-                raise ValueError(f"line {reader.line_num}: {exc}") from None
+                raise ValueError(f"line {lines + reader.line_num}: {exc}") from None
 
 
 def _seed_error(seed: int, ns: np.ndarray, missing: np.ndarray) -> str:
@@ -293,7 +311,8 @@ def read_trace_csv(path: Path):
     slices of the two.  Rows in any other order also hold each row's seed and
     step, and are sorted by them.
     A line numpy's parser rejects is named by walking the rows again with
-    ``csv.reader``.
+    ``csv.reader``, from the block that holds it; a line with the wrong
+    field count, from the first row.
     """
     with open(path, "rb") as fh, warnings.catch_warnings():
         # numpy < 2 reads an integer field that is not one ("1.5", "1e3", a
@@ -313,7 +332,7 @@ def read_trace_csv(path: Path):
         fh.seek(cut)
         rows = _count_rows(fh, len(header))
         if rows is None:
-            _raise_first_bad_line(path, len(header), columns)
+            _raise_first_bad_line(path, len(header), columns, cut)
             raise ValueError(f"rows do not all have the header's {len(header)} fields")
         if not rows:
             raise ValueError("trace file has no data rows")
@@ -325,8 +344,10 @@ def read_trace_csv(path: Path):
         seeds = steps = None  # each row's seed and step, once they do not
         last, empty, at = None, [], 0
         fh.seek(cut)
+        where: Dict[str, int] = {}  # the block being parsed
         try:
-            for table, blank in _parse_blocks(fh, len(header), columns, columns[p + 2 :], dtype):
+            m_cols = columns[p + 2 :]
+            for table, blank in _parse_blocks(fh, len(header), columns, m_cols, dtype, where):
                 end = at + len(table)
                 x[at:end], m[at:end] = table["x"], table["m"]
                 seed, n = table["seed"], table["n"]
@@ -341,7 +362,9 @@ def read_trace_csv(path: Path):
                     seeds[at:end], steps[at:end] = seed, n
                 last, at = (seed[-1], n[-1]), end
         except ValueError as exc:
-            _raise_first_bad_line(path, len(header), columns)
+            if where["quoted"] or b'"' in line[:cut]:  # then from the header's line end
+                where.update(offset=cut, lines=0)
+            _raise_first_bad_line(path, len(header), columns, where["offset"], where["lines"])
             raise ValueError(str(exc)) from None
     empty = np.concatenate(empty)
     if steps is None:  # each seed's rows are one run

@@ -117,6 +117,61 @@ def per_step_stream(design, rng, sigma: float, horizon: int):
     return np.array(xs), np.array(us)
 
 
+# The built-in designs' draws as they were when each drew a seed's whole
+# horizon at once, draw(rng, sigma, xs, us): the reference for a piecewise draw.
+
+
+def _columns(horizon: int, *columns) -> np.ndarray:
+    out = np.empty((horizon, len(columns)))
+    for c, column in enumerate(columns):
+        out[:, c] = np.fromiter(map(column, range(1, horizon + 1)), float, horizon)
+    return out
+
+
+def rotating_whole(jitter: float = 0.1, turns: float = 0.37):
+    def draw(rng, sigma, xs, us):
+        draws = rng.normal(0.0, [jitter, jitter, sigma], size=(len(us), 3))
+        units = _columns(
+            len(us),
+            lambda n: math.cos(2.0 * math.pi * turns * n),
+            lambda n: math.sin(2.0 * math.pi * turns * n),
+        )
+        np.add(units, draws[:, :2], out=xs)
+        us[:] = draws[:, 2]
+
+    return draw
+
+
+def geometric_one_whole():
+    def draw(rng, sigma, xs, us):
+        xs[:, :1] = _columns(len(us), lambda n: 2.0 ** -n)
+        xs[:, 1] = 1.0
+        us[:] = rng.normal(0.0, sigma, size=len(us))
+
+    return draw
+
+
+def iid_gaussian_whole(p: int, scale: float = 1.0):
+    def draw(rng, sigma, xs, us):
+        draws = rng.normal(0.0, [scale] * p + [sigma], size=(len(us), p + 1))
+        xs[:] = draws[:, :p]
+        us[:] = draws[:, p]
+
+    return draw
+
+
+def feedback_whole(gain: float = 0.9):
+    def draw(rng, sigma, xs, us):
+        draws = rng.normal(0.0, [0.5, sigma], size=(len(us), 2))
+        us[:] = draws[:, 1]
+        xs[:, 0] = 1.0
+        xs[:1, 1] = 0.0
+        xs[1:, 1] = np.fromiter((gain * math.tanh(u) for u in us[:-1]), float)
+        xs[:, 1] += draws[:, 0]
+
+    return draw
+
+
 def fixed_run(xs, us=None, gw=None, beta=None, tail_fraction=0.2):
     """The run of one seed whose design draws exactly the regressors ``xs``
     and the noise ``us`` (default zero), with ``beta`` (default zero) and
@@ -124,9 +179,9 @@ def fixed_run(xs, us=None, gw=None, beta=None, tail_fraction=0.2):
     xs = np.asarray(xs, dtype=float)
     us = np.zeros(len(xs)) if us is None else np.asarray(us, dtype=float)
 
-    def draw(rng, sigma, out_xs, out_us):
-        out_xs[:] = xs
-        out_us[:] = us
+    def draw(rng, sigma, start, out_xs, out_us, carry):
+        out_xs[:] = xs[start : start + len(out_us)]
+        out_us[:] = us[start : start + len(out_us)]
 
     p = xs.shape[1]
     beta = np.zeros(p) if beta is None else beta

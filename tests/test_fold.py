@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contractlab import approximation, experiments, harness
-from contractlab.approximation import NoiseModel, check_ratio_sandwich, contraction_factor, rm_solve
+from contractlab.approximation import (
+    NoiseModel,
+    Schedule,
+    check_ratio_sandwich,
+    contraction_factor,
+    rm_solve,
+)
 from contractlab.config import parse_config_text
 from contractlab.harness import child_seed, tail_length
 from contractlab.process import ratio_band
@@ -284,3 +291,55 @@ def test_untraced_memory_does_not_grow_with_the_horizon():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 2 << 20, peaks
+
+
+def test_schedule_memory_does_not_grow_with_the_horizon():
+    # untraced sa_convergence at 34 seeds, 2e5 and 8e5 steps: each window
+    # takes its own step sizes and the sandwich carries one flag from window to
+    # window, and the report sums the step sizes window by window; the whole
+    # horizon's step sizes and sandwich mask took 20 bytes a step (+8 MB here)
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "sa_convergence.yaml"
+    text = shipped.read_text().split("ensemble:")[0]
+
+    def peak(horizon):
+        config = parse_config_text(
+            text + f"ensemble: {{seeds: 34, root_seed: 1, horizon: {horizon}, tol_zero: 0.05}}\n"
+        )
+        tracemalloc.start()
+        try:
+            experiments._run_sa(config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2000)  # lazy imports and caches
+    short, long = peak(200_000), peak(800_000)
+    assert long - short < 1 << 20, (short, long)
+
+
+SCHEDULES = st.one_of(
+    st.builds(Schedule.inverse_n, st.floats(0.01, 10.0)),
+    st.builds(Schedule.inverse_n_power, st.floats(0.01, 10.0), st.floats(0.1, 3.0)),
+    st.builds(
+        Schedule.explicit, st.lists(st.floats(0.0, 10.0), min_size=3000, max_size=3000)
+    ),
+)
+
+
+@given(
+    schedule=SCHEDULES,
+    horizon=st.integers(1, 3000),
+    start=st.integers(0, 3000),
+    window=st.integers(128, 700),
+)
+@settings(max_examples=80, deadline=None)
+def test_schedule_windows_and_sums_are_the_whole_horizons_bits(schedule, horizon, start, window):
+    # a window's step sizes are the whole horizon's slice, and the sums formed
+    # window by window (down to any window of at least 128) are np.sum's
+    whole = schedule.alphas(horizon)
+    start = min(start, horizon)
+    assert schedule.alphas(horizon, start).tobytes() == whole[start:].tobytes()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(approximation, "PAIRWISE_WINDOW", window)
+        sums = schedule.sum_at(horizon), schedule.sum_sq_at(horizon)
+    assert [repr(v) for v in sums] == [repr(float(whole.sum())), repr(float((whole * whole).sum()))]

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -26,6 +27,7 @@ from contractlab.least_squares import (
     PIECE_STEPS,
     Design,
     LsRun,
+    Noise,
     feedback_design,
     geometric_one_design,
     iid_gaussian_design,
@@ -34,11 +36,15 @@ from contractlab.least_squares import (
 from contractlab.process import zero_state_mask
 from helpers import (
     feedback_steps,
+    feedback_whole,
     fixed_run,
     geometric_one_steps,
+    geometric_one_whole,
     iid_gaussian_steps,
+    iid_gaussian_whole,
     per_step_stream,
     rotating_steps,
+    rotating_whole,
     stepped_estimates,
     stepped_n0_kappa,
 )
@@ -458,15 +464,20 @@ class TestDesignConditions:
 # Seed-batched runs: a block of seeds is bit-identical to its seeds run alone.
 
 
-def hesitant_draw(rng, sigma, xs, us):
+def hesitant_draw(rng, sigma, start, xs, us, zeros):
     """Gaussian rows after a zero prefix whose length differs per seed: seeds
-    reach full rank at different steps, often inside a piece."""
-    xs[:] = rng.normal(size=xs.shape)
-    xs[: rng.integers(0, 40)] = 0.0
-    us[:] = rng.normal(0.0, sigma, size=len(us))
+    reach full rank at different steps, often inside a piece.  The prefix
+    length is drawn first and carried from piece to piece."""
+    if zeros is None:
+        zeros = int(rng.integers(0, 40))
+    draws = rng.normal(0.0, [1.0, 1.0, sigma], size=(len(us), 3))
+    xs[:] = draws[:, :2]
+    xs[: max(zeros - start, 0)] = 0.0
+    us[:] = draws[:, 2]
+    return zeros
 
 
-def steered_draw(rng, sigma, xs, us):
+def steered_draw(rng, sigma, start, xs, us, carry):
     draws = rng.normal(0.0, [0.5, 0.5, sigma], size=(len(us), 3))
     xs[:] = draws[:, :2]
     xs[:, 0] += 1.0
@@ -570,12 +581,126 @@ def test_cached_design_columns_match_the_per_step_values(name):
     model = BLOCK_MODELS[name]
     for horizon in (700, 300, 700):
         xs, us = np.empty((horizon, model.p)), np.empty(horizon)
-        model.design.draw(np.random.default_rng(horizon), model.sigma, xs, us)
+        model.design.draw(np.random.default_rng(horizon), model.sigma, 0, xs, us, None)
         want_xs, want_us = per_step_stream(
             PER_STEP_RULES[name], np.random.default_rng(horizon), model.sigma, horizon
         )
         assert xs.tobytes() == want_xs.tobytes() and us.tobytes() == want_us.tobytes()
         xs[:] = math.nan  # a caller that reuses its regressors must not reach the cache
+
+
+WHOLE_DRAWS = {
+    "rotating": rotating_whole(),
+    "geometric_one": geometric_one_whole(),
+    "iid_gaussian": iid_gaussian_whole(3, 0.7),
+    "feedback": feedback_whole(),
+}
+
+
+@given(
+    name=st.sampled_from(sorted(WHOLE_DRAWS)),
+    sigma=st.sampled_from([0.0, 0.7, 1.0]),
+    horizon=st.integers(1, 1200),
+    cuts=st.lists(st.integers(1, 1199), max_size=6),
+    singles=st.lists(st.integers(0, 1199), max_size=4),
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True),
+)
+@settings(max_examples=80, deadline=None)
+def test_piecewise_draws_equal_the_whole_horizon_draw(name, sigma, horizon, cuts, singles, seeds):
+    # each built-in design, drawn piece by piece at any cuts (a single step
+    # after each of ``singles``), gives each seed the bytes of its draw of
+    # the whole horizon at once; as in a run, the seeds draw each piece in
+    # turn, into a fresh buffer whose regressors are a strided view
+    design = BLOCK_MODELS[name].design
+    p = design.p
+    cuts = sorted(c for c in {0, *cuts, *singles, *(n + 1 for n in singles)} if c < horizon)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    carries = [None] * len(seeds)
+    got = [(np.empty((horizon, p)), np.empty(horizon)) for _ in seeds]
+    for a, b in zip(cuts, cuts[1:] + [horizon]):
+        for s, rng in enumerate(rngs):
+            rows, us = np.full((b - a, p + 1), math.nan), np.full(b - a, math.nan)
+            carries[s] = design.draw(rng, sigma, a, rows[:, :p], us, carries[s])
+            got[s][0][a:b], got[s][1][a:b] = rows[:, :p], us
+    for seed, (xs, us) in zip(seeds, got):
+        want_xs, want_us = np.empty((horizon, p)), np.empty(horizon)
+        WHOLE_DRAWS[name](np.random.default_rng(seed), sigma, want_xs, want_us)
+        assert xs.tobytes() == want_xs.tobytes() and us.tobytes() == want_us.tobytes()
+
+
+LS_RUN = """
+kind: ls
+design: {{family: {family}}}
+beta: [1.0, -0.5]
+sigma: 1.0
+gweight: {{family: identity}}
+checkpoints: 5
+ensemble: {{seeds: 8, root_seed: 5, horizon: 100}}
+assertions: {{design_conditions_hold: true, max_checkpoint_gap: 1.0e-8}}
+output: {{dir: {out}}}
+"""
+
+
+def test_untraced_run_memory_does_not_grow_with_the_horizon(tmp_path):
+    # an untraced run holds one piece of its seeds' rows, noise and errors,
+    # whatever the horizon; whole-horizon arrays took 40 bytes a seed-step
+    # (+3.8 MB from H to 4H here)
+    from contractlab.cli import main
+
+    cfg = tmp_path / "ls.yaml"
+    cfg.write_text(LS_RUN.format(family="rotating", out=tmp_path / "out"))
+
+    def peak(horizon):
+        tracemalloc.start()
+        try:
+            assert main(["run", str(cfg), "--horizon", str(horizon)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100)  # lazy imports and caches
+    short, long = peak(4000), peak(16000)
+    piece = 8 * 8 * PIECE_STEPS * (2 + 3)  # S * PIECE_STEPS rows of x, y, u and the error
+    assert long - short < piece, (short, long)
+
+
+@pytest.mark.parametrize("family", ["rotating", "feedback", "geometric_one"])
+def test_traced_and_untraced_runs_write_the_same_summary(tmp_path, family):
+    # the traced run reduces its whole error arrays, the untraced one folds
+    # them piece by piece: the same exit code, verdicts, curves and report
+    # (geometric_one fails its energy growth either way)
+    from contractlab.cli import main
+
+    outs = []
+    for traced in (False, True):
+        out = tmp_path / f"out{traced:d}"
+        cfg = tmp_path / f"ls{traced:d}.yaml"
+        cfg.write_text(LS_RUN.format(family=family, out=out))
+        code = main(["run", str(cfg), "--horizon", "1300"] + ["--traces"] * traced)
+        summary = json.loads((out / "summary.json").read_text())
+        del summary["config"]["output_dir"], summary["config"]["traces"]
+        outs.append((code, summary, (out / "quantiles.csv").read_bytes()))
+    assert (tmp_path / "out1" / "traces.csv").exists()
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+def test_checkpoint_gap_stays_at_rounding(name):
+    # every built-in design, the test designs and the steered closed loop,
+    # with checkpoints inside pieces, at their ends and at the horizon: the
+    # normal equations agree with the streaming QR, and the QR of rows fed in
+    # those pieces with a dense lstsq, to 1e-12
+    model = BLOCK_MODELS[name]
+    checkpoints = [5, 37, 511, 512, 700, 1024, 1999, 2000]
+    p = model.p
+    for run in simulate_ls_runs(model, 2000, range(4), checkpoints=checkpoints):
+        assert run.checkpoint_gap <= 1e-12
+        rows, tri = np.column_stack((run.xs, run.ys))[None], np.empty((1, 0, p + 1))
+        for a, b in zip([0, *checkpoints], checkpoints):
+            tri = least_squares._qr_triangle(tri, rows[:, a:b])
+            if b >= run.n0:
+                dense, *_ = np.linalg.lstsq(run.xs[:b], run.ys[:b], rcond=None)
+                assert np.abs(least_squares._solve_triangle(tri, p)[0] - dense).max() <= 1e-12
 
 
 @given(
@@ -656,17 +781,26 @@ def test_law_reads_the_estimate_after_the_step_before():
 
 
 def single_step_gap(run, checkpoints):
-    """The checkpoint gap of one seed's run, refolded one update at a time."""
-    state, gap = LsState(run.p, 1), 0.0
-    for i in range(len(run.us)):
-        state.update(run.xs[i : i + 1], run.ys[i : i + 1])
-        if i + 1 in checkpoints and not state.singular[0]:
-            dense, *_ = np.linalg.lstsq(run.xs[: i + 1], run.ys[: i + 1], rcond=None)
+    """The checkpoint gap of one seed's run, refolded one update at a time,
+    against the QR triangle of its rows [x | y] factored in the run's cuts:
+    every ``PIECE_STEPS`` steps and at every checkpoint, up to the last one,
+    and solved by back substitution."""
+    p, cut = run.p, least_squares.PIECE_STEPS
+    rows = np.column_stack((run.xs, run.ys))
+    state, gap, tri, factored = LsState(p, 1), 0.0, np.empty((0, p + 1)), 0
+    for n in range(1, len(run) + 1):
+        state.update(run.xs[n - 1 : n], run.ys[n - 1 : n])
+        if factored < max(checkpoints, default=0) and (n in checkpoints or n % cut == 0):
+            tri, factored = np.linalg.qr(np.vstack((tri, rows[factored:n])), mode="r"), n
+        if n in checkpoints and not state.singular[0]:
+            dense = np.empty(p)
+            for i in reversed(range(p)):
+                dense[i] = (tri[i, p] - np.sum(tri[i, i + 1 : p] * dense[i + 1 :])) / tri[i, i]
             gap = max(gap, float(np.max(np.abs(state.estimate[0] - dense))))
     return gap
 
 
-def _draw_in_place(rng, sigma, xs, us):
+def _draw_in_place(rng, sigma, start, xs, us, carry):
     """Regressors (1, u) with no array of the horizon's length besides the outputs."""
     rng.standard_normal(out=us)
     xs[:, 0] = 1.0
@@ -675,8 +809,9 @@ def _draw_in_place(rng, sigma, xs, us):
 
 @pytest.mark.parametrize("piece_steps", [128, 512])
 def test_fold_memory_stays_within_chunks(monkeypatch, piece_steps):
-    # beyond its outputs, a run holds a few chunks of PIECE_STEPS steps per
-    # seed (accumulators, inverses, estimates), whatever the horizon
+    # beyond its outputs, a run holds its piece of PIECE_STEPS steps per seed
+    # (regressors, responses, noise and errors) and a few chunks of them
+    # (accumulators, inverses, estimates), whatever the horizon
     monkeypatch.setattr(least_squares, "PIECE_STEPS", piece_steps)
     seeds, p = 8, 2
     model = RegressionModel(np.array([1.0, -0.5]), Design(2, _draw_in_place), 1.0)
@@ -693,8 +828,9 @@ def test_fold_memory_stays_within_chunks(monkeypatch, piece_steps):
         return peak - outputs
 
     chunk = 8 * piece_steps * seeds * p * (p + 1)
+    piece = 8 * piece_steps * seeds * (p + 3)
     short, long = beyond_outputs(2000), beyond_outputs(8000)
-    assert short <= 3 * chunk + 2**15
+    assert short <= piece + 3 * chunk + 2**15
     assert long <= short + chunk // 8
 
 
@@ -857,9 +993,6 @@ class TestPartitionAnalysis:
     def test_mixed_energy_split_rejected(self):
         def dummy_run(energy):
             return LsRun(
-                xs=np.zeros((4, 2)),
-                ys=np.zeros(4),
-                us=np.zeros(4),
                 final_b=np.zeros(2),
                 energy=np.asarray(energy, dtype=float),
                 n0=2,
@@ -867,7 +1000,8 @@ class TestPartitionAnalysis:
                 tail_err=np.zeros(2),
                 tail_osc=np.zeros(2),
                 checkpoint_gap=0.0,
-                err_sup=np.zeros(4),
+                horizon=4,
+                noise=Noise(0.0, 0.0, 0.0, 0),
             )
 
         runs = [dummy_run([1.0, 100.0]), dummy_run([50.0, 100.0])]

@@ -271,10 +271,11 @@ def test_design_conditions_nan_run_statistic_fails(field):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
 @pytest.mark.parametrize("step", [1, 2, 3])
 def test_ls_run_non_finite_gram_before_full_rank_names_the_step(bad, step):
-    def draw(rng, sigma, xs, us):
+    def draw(rng, sigma, start, xs, us, carry):
+        steps = np.arange(start + 1, start + len(us) + 1)
         xs[:] = [1.0, 0.0]
-        xs[:3, 1] = 1.0  # full rank from step 4
-        xs[step - 1, 0] = bad
+        xs[steps <= 3, 1] = 1.0  # full rank from step 4
+        xs[steps == step, 0] = bad
         us[:] = rng.normal(0.0, sigma, size=len(us))
 
     model = RegressionModel(np.array([1.0, 0.5]), Design(2, draw), 1.0)
@@ -341,10 +342,10 @@ def test_ls_state_overflowing_sum_names_the_step():
 
 
 def test_ls_block_errors_only_the_non_finite_seed():
-    def draw(rng, sigma, xs, us):  # about a third of the seeds draw a NaN row at step 1
-        xs[:] = rng.normal(size=xs.shape)
-        us[:] = rng.normal(0.0, sigma, size=len(us))
-        if xs[0, 0] > 0.4:
+    def draw(rng, sigma, start, xs, us, carry):  # about a third of the seeds draw a NaN row at step 1
+        draws = rng.normal(0.0, [1.0, 1.0, sigma], size=(len(us), 3))
+        xs[:], us[:] = draws[:, :2], draws[:, 2]
+        if start == 0 and xs[0, 0] > 0.4:
             xs[0] = [math.nan, 1.0]
 
     model = RegressionModel(np.array([1.0, 0.5]), Design(2, draw), 1.0)

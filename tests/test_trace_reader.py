@@ -325,6 +325,30 @@ def test_rows_across_blocks(tmp_path, rows, message, chunk):
     assert got[0] == "ok" if message is None else got == ("error", message)
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_bad_field_in_the_last_block_is_named_from_its_block(tmp_path, newline, chunk):
+    """A field that numpy's parser rejects in the last of many blocks is named
+    by its line, as the reference names it, and ``csv.reader`` walks the
+    lines from that block on, not the clean ones before it (at 7 bytes, CR
+    LF pairs fall across blocks)."""
+    rows = ["0,0,1.0,,", *(f"0,{n},0.5,0.25,0" for n in range(1, 400)), "0,400,half,0.5,0"]
+    path = tmp_path / "traces.csv"
+    path.write_bytes(newline.join([HEADER, *rows, ""]).encode())
+    expected = outcome(reference_read_trace_csv, path)
+    walked = []
+    reader = csv.reader
+
+    def counting(lines, *args, **kwargs):
+        return reader((walked.append(line) or line for line in lines), *args, **kwargs)
+
+    with mock.patch.object(reporting, "TRACE_READ_CHUNK", chunk):
+        with mock.patch.object(reporting.csv, "reader", counting):
+            got = outcome(read_trace_csv, path)
+    assert got == expected == ("error", f"line 402: {NOT_FLOAT}'half'")
+    assert walked[0] == HEADER and 1 < len(walked) <= 3 + chunk // 8  # 402 from line 1
+
+
 @pytest.mark.parametrize("chunk", [7, 64, reporting.TRACE_READ_CHUNK])
 def test_seed_back_from_step_0_repeats_its_steps(tmp_path, chunk):
     """A seed whose rows start again from step 0 after another seed's, in

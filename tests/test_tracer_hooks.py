@@ -45,7 +45,7 @@ ensemble: {{seeds: 4, root_seed: 7, horizon: 200}}
 output: {{dir: {out}}}
 """,
         4,
-        "least_squares.simulate_ls_runs",
+        "least_squares.ls_fold",
     ),
 }
 
