@@ -405,7 +405,7 @@ class TestOtherKindsEndToEnd:
         text = text.split("assertions:")[0] + "assertions:\n  max_checkpoint_gap: 0.0\n"
         text += f"output: {{dir: {out}}}\n"
         assert main(["run", str(write_config(tmp_path, text))]) == 1
-        detail = "worst normal-equations-vs-QR gap 1.33e-15"
+        detail = "worst normal-equations-vs-QR gap 1.78e-15"
         assert f"FAIL max_checkpoint_gap: {detail}" in capsys.readouterr().out.splitlines()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["assertions"] == [
@@ -1004,7 +1004,7 @@ assertions:
 """,
         {
             "min_fraction_final_error_below": "fraction 0.0000 below 1e-12, required 1.0",
-            "max_checkpoint_gap": "worst normal-equations-vs-QR gap 8.88e-16",
+            "max_checkpoint_gap": "worst normal-equations-vs-QR gap 2.11e-15",
             "partition_matches": "q = 1 (want 0)",
             "design_conditions_hold": "fraction of seeds holding: 0.0",
         },

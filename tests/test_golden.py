@@ -46,11 +46,11 @@ GOLDEN = {
         "ec5c29bb8431658272cfdb8e265d83172ff5eba2a2556c1a151ef8de947f314b",
     ),
     "ls_intermediate": (
-        "c2f20b56f8f7745c19175a713846a655958d7605c711de81d47c48772415d717",
+        "d5c6fcd4ddf4661afd19d9f7ddf2264b83fdf32458aa79854b8c78467be1cf17",
         "78d0258e854f6b185a01393c3cc1baa5a5f33e2874db9c9e27abd3e10883b644",
     ),
     "ls_sufficiency": (
-        "5c3eb5cffadf1e0ea9ce85b0566eeda768a43ffc7e637c47d4f2093bb6e56478",
+        "1522532a3e8457553822f3ce0822eebe6422496daf9d7f8b2bac41129d546001",
         "d5d76d3da4c1330d4958fa73dd8a027cc0822efb3e46be784ac07bf9ee8d887d",
     ),
     "multivariate": (

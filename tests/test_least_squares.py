@@ -1026,7 +1026,7 @@ LOCK_CHECKPOINTS = (10, 750, 1500, 3000)
 # (design, seed) -> (n0, checkpoint_gap, {field: sha256})
 LOCKED_RUNS = {
     ("rotating", 0): (
-        2, 1.7763568394002505e-15,
+        2, 1.5543122344752192e-15,
         {
             "xs": "2bc26218bc0b139ce286cc408b2d5020f8f166ae392051e9f77c0c39f889ab4b",
             "ys": "b43697bf23b4559ca146625fb05c1f719d064d5aa4e3549ff4729699e626d8fe",
@@ -1039,7 +1039,7 @@ LOCKED_RUNS = {
         },
     ),
     ("rotating", 1): (
-        2, 1.9984014443252818e-15,
+        2, 2.6645352591003757e-15,
         {
             "xs": "bda0028ba1a002d503376e6a6a47848891b55d6f495a8dee1f1314fad2de8fb2",
             "ys": "703d5b1949b731ac87d1ec684e9ff9bd7f97b4e4c5fb7decf961255bb31ac680",
@@ -1052,7 +1052,7 @@ LOCKED_RUNS = {
         },
     ),
     ("geometric_one", 0): (
-        2, 1.9984014443252818e-15,
+        2, 3.3306690738754696e-15,
         {
             "xs": "54e35082e9c122fa8cd55282be2b5abf7f46011a8119455d70b0e287d548cea1",
             "ys": "0efedf3b90bda7a9d879451cc74f5bcedd94d182baf7916ed8c1bcf48faa9889",
@@ -1065,7 +1065,7 @@ LOCKED_RUNS = {
         },
     ),
     ("geometric_one", 1): (
-        2, 3.3306690738754696e-15,
+        2, 2.220446049250313e-15,
         {
             "xs": "54e35082e9c122fa8cd55282be2b5abf7f46011a8119455d70b0e287d548cea1",
             "ys": "07dfa33466e7f6924c94372d87d936e5ff4e43180a58b822730ee7a5a778ac17",
@@ -1078,7 +1078,7 @@ LOCKED_RUNS = {
         },
     ),
     ("iid_gaussian", 0): (
-        3, 3.9968028886505635e-15,
+        3, 2.886579864025407e-15,
         {
             "xs": "1fff44208910b97928c24780e0b2b72f1c4c4ca9ba0ae4d24462cbb80ecb028d",
             "ys": "012506ffdbda266e04c5b6d08153502765c6b39a942328a7da2e083ca73d3f9b",
@@ -1091,7 +1091,7 @@ LOCKED_RUNS = {
         },
     ),
     ("iid_gaussian", 1): (
-        3, 3.3306690738754696e-15,
+        3, 3.4416913763379853e-15,
         {
             "xs": "f058a9476e1c011d06cee3e666ff28572240d59fe25d9d97b2278243bbe3bcb3",
             "ys": "ae4397924cc9d068f3b32bd914f4c688b2f5e8b8dc3987e23739b65ae179e039",
@@ -1104,7 +1104,7 @@ LOCKED_RUNS = {
         },
     ),
     ("feedback", 0): (
-        2, 1.887379141862766e-15,
+        2, 1.7763568394002505e-15,
         {
             "xs": "b65b3363cc003dad6f22825847e3b336d995f86b747074b2fc224c78d83349e7",
             "ys": "1c4f01411b9c32883362aa99ba47bb63fe1af6f1fa486362aedbece758e3d469",
@@ -1117,7 +1117,7 @@ LOCKED_RUNS = {
         },
     ),
     ("feedback", 1): (
-        2, 1.2212453270876722e-15,
+        2, 3.6637359812630166e-15,
         {
             "xs": "c78ed8fa510a3bd2e577d79f101739b750a55e2824865bcd776b3840e3909fcd",
             "ys": "9f998271652c0137c6898484ddfde850b162d3f65bb83500106f236a3309dc70",
@@ -1157,7 +1157,7 @@ LOCKED_REPORTS = {
     ("geometric_one", "identity"): (
         2, "48.00000000000008",
         {
-            "noise_centered": (True, None, "3.139325794692813", "normalized mean 1.861 (limit 5)"),
+            "noise_centered": (True, None, "3.1393257946928133", "normalized mean 1.861 (limit 5)"),
             "noise_variance": (True, None, "1.3963610033724993e-05", "empirical variance 9.89463e-05"),
             "nonsingularity": (True, None, "2998.0", "first nonsingular at step 2"),
             "weight_bound": (True, None, "999952.0", "sup norm 48"),
@@ -1167,7 +1167,7 @@ LOCKED_REPORTS = {
     ("geometric_one", "sqrt_log"): (
         2, "71.22926305913488",
         {
-            "noise_centered": (True, None, "3.139325794692813", "normalized mean 1.861 (limit 5)"),
+            "noise_centered": (True, None, "3.1393257946928133", "normalized mean 1.861 (limit 5)"),
             "noise_variance": (True, None, "1.3963610033724993e-05", "empirical variance 9.89463e-05"),
             "nonsingularity": (True, None, "2998.0", "first nonsingular at step 2"),
             "weight_bound": (True, None, "999928.7707369409", "sup norm 71.2293"),
