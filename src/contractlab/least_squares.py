@@ -785,17 +785,16 @@ def _step_columns(*columns: Callable[[int], float]) -> Callable[[int, int], np.n
     and the seeds of a piece compute it once, by the same ``math`` calls as
     a per-step draw.
     """
-    kept = {}
+    kept = [None, None]  # the last piece asked, and its values
 
     def rows(start: int, k: int) -> np.ndarray:
-        if (start, k) not in kept:
+        if kept[0] != (start, k):
             values = np.empty((k, len(columns)))
             for c, column in enumerate(columns):
                 values[:, c] = np.fromiter(map(column, range(start + 1, start + k + 1)), float, k)
             values.flags.writeable = False
-            kept.clear()
-            kept[start, k] = values
-        return kept[start, k]
+            kept[:] = (start, k), values
+        return kept[1]
 
     return rows
 

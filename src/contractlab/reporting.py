@@ -174,29 +174,21 @@ def _count_rows(fh, width: int):
     return rows
 
 
-def _parse_blocks(
-    fh, width: int, columns: Sequence[int], m_cols: Sequence[int], dtype, where: Dict[str, int]
-):
+def _parse_blocks(fh, width: int, columns: Sequence[int], m_cols: Sequence[int], dtype, where: list):
     """The rows of the rest of ``fh``, whose lines all have ``width`` fields,
     parsed block by block by ``np.loadtxt`` into ``dtype`` tables of the
     fields in ``columns``.
 
     Yields each block's table and a mask of its rows with an empty field in
     ``m_cols``, the means; numpy's parser rejects an empty float field, so an
-    empty mean is parsed as ``nan``.  Before each block is parsed, ``where``
-    is set to the ``offset`` in the file at which its lines start, to the
-    number of ``lines`` before them, as ``csv.reader`` counts them (a CR LF
-    split between two blocks is one line end, and its LF starts no line),
-    and to whether a block before held a quote character (``quoted``), after
-    which ``csv.reader`` may read a quoted field across lines.
+    empty mean is parsed as ``nan``.  Before each block is parsed,
+    ``where[0]`` is set to the offset in the file at which its lines start
+    (past the LF of a CR LF that the block before cut).
     """
-    offset, before, cr, quoted = fh.tell(), 0, False, False
+    offset, cr = fh.tell(), False
     for block in _blocks(fh):
-        lf = cr and block.startswith(b"\n")  # the LF of a CR LF that the block before cut
-        where.update(offset=offset + lf, lines=before, quoted=quoted)
-        offset += len(block)
-        before += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n") - lf
-        cr, quoted = block.endswith(b"\r"), quoted or b'"' in block
+        where[0] = offset + (cr and block.startswith(b"\n"))
+        offset, cr = offset + len(block), block.endswith(b"\r")
         starts, ends, commas, first = _lines(block)
         if not len(starts):
             continue  # loadtxt warns on a block without rows
@@ -220,20 +212,38 @@ def _parse_blocks(
         yield table, blank
 
 
-def _raise_first_bad_line(
-    path: Path, width: int, columns: Sequence[int], offset: int, lines: int = 0
-) -> None:
-    """Raise for the first line from byte ``offset`` on with the wrong field
-    count or a non-numeric field, ``lines`` lines into the file.
+def _line_ends(path: Path, start: int, stop: int) -> Tuple[int, bool]:
+    """The line ends among bytes [start, stop) of ``path``, as ``csv.reader``
+    counts them (a CR LF once), and whether a quote character is among them."""
+    ends, quoted, cr = 0, False, False
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        while start < stop:
+            block = fh.read(min(TRACE_READ_CHUNK, stop - start))
+            ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            ends -= cr and block.startswith(b"\n")
+            quoted |= b'"' in block
+            start, cr = start + len(block), block.endswith(b"\r")
+    return ends, quoted
+
+
+def _raise_first_bad_line(path: Path, width: int, columns: Sequence[int], header: int, at: int):
+    """Raise for the first line from byte ``at`` on with the wrong field count
+    or a non-numeric field; the header ends at byte ``header``, before its
+    line end, and ``at`` starts a line after it.
 
     ``columns`` are those of the seed, the step, the p values and the p
-    means.  Walks the rows as ``csv.reader`` splits them and converts the
-    fields as ``float()`` and ``int()`` do (a mean may be empty); returns if
-    every line converts.  The header ends at ``offset`` 0 lines in, before
-    its line end.
+    means.  Walks the rows as ``csv.reader`` splits them, its line numbers
+    counted from the line ends before ``at``, and converts the fields as
+    ``float()`` and ``int()`` do (a mean may be empty); returns if every
+    line converts.  A quote character before ``at`` may open a field that
+    ``csv.reader`` reads across lines, so then the walk starts at the header.
     """
+    lines, quoted = _line_ends(path, 0, at)
+    if quoted:
+        lines, at = 0, header
     with open(path, "rb") as raw:
-        raw.seek(offset)
+        raw.seek(at)
         reader = csv.reader(io.TextIOWrapper(raw, newline=""))
         for row in reader:
             if not row:
@@ -332,7 +342,7 @@ def read_trace_csv(path: Path):
         fh.seek(cut)
         rows = _count_rows(fh, len(header))
         if rows is None:
-            _raise_first_bad_line(path, len(header), columns, cut)
+            _raise_first_bad_line(path, len(header), columns, cut, cut)
             raise ValueError(f"rows do not all have the header's {len(header)} fields")
         if not rows:
             raise ValueError("trace file has no data rows")
@@ -344,7 +354,7 @@ def read_trace_csv(path: Path):
         seeds = steps = None  # each row's seed and step, once they do not
         last, empty, at = None, [], 0
         fh.seek(cut)
-        where: Dict[str, int] = {}  # the block being parsed
+        where = [cut]  # the offset of the block being parsed
         try:
             m_cols = columns[p + 2 :]
             for table, blank in _parse_blocks(fh, len(header), columns, m_cols, dtype, where):
@@ -362,9 +372,7 @@ def read_trace_csv(path: Path):
                     seeds[at:end], steps[at:end] = seed, n
                 last, at = (seed[-1], n[-1]), end
         except ValueError as exc:
-            if where["quoted"] or b'"' in line[:cut]:  # then from the header's line end
-                where.update(offset=cut, lines=0)
-            _raise_first_bad_line(path, len(header), columns, where["offset"], where["lines"])
+            _raise_first_bad_line(path, len(header), columns, cut, where[0])
             raise ValueError(str(exc)) from None
     empty = np.concatenate(empty)
     if steps is None:  # each seed's rows are one run

@@ -349,6 +349,26 @@ def test_bad_field_in_the_last_block_is_named_from_its_block(tmp_path, newline, 
     assert walked[0] == HEADER and 1 < len(walked) <= 3 + chunk // 8  # 402 from line 1
 
 
+def test_a_quote_before_the_bad_block_walks_from_the_header(tmp_path):
+    """``csv.reader`` may read a quoted field across lines, so after a quote
+    character (here in the ignored ``u_flag`` column) the walk starts at the
+    header, and names the line as the reference does."""
+    rows = ["0,0,1.0,,", '0,1,0.5,0.25,"0"', *(f"0,{n},0.5,0.25,0" for n in range(2, 40))]
+    path = tmp_path / "traces.csv"
+    path.write_text("\n".join([HEADER, *rows, "0,40,half,0.5,0", ""]))
+    walked = []
+    reader = csv.reader
+
+    def counting(lines, *args, **kwargs):
+        return reader((walked.append(line) or line for line in lines), *args, **kwargs)
+
+    with mock.patch.object(reporting, "TRACE_READ_CHUNK", 64):
+        with mock.patch.object(reporting.csv, "reader", counting):
+            got = outcome(read_trace_csv, path)
+    assert got == outcome(reference_read_trace_csv, path) == ("error", f"line 42: {NOT_FLOAT}'half'")
+    assert len(walked) == 1 + 42  # the header's, then the walk's from the header's line end
+
+
 @pytest.mark.parametrize("chunk", [7, 64, reporting.TRACE_READ_CHUNK])
 def test_seed_back_from_step_0_repeats_its_steps(tmp_path, chunk):
     """A seed whose rows start again from step 0 after another seed's, in
