@@ -454,7 +454,8 @@ def ls_fold(
         raise ValueError(f"checkpoints must lie in 1..{horizon}")
     rows = min(PIECE_STEPS, horizon)
     xy = np.empty((S, rows, p + 1))  # regressors, then the response
-    us, err = np.empty((S, rows)), np.empty((S, rows))
+    # the noise, each step's max-norm error and its max|gram_inv * weights|
+    us, err, weighted = np.empty((S, rows)), np.empty((S, rows)), np.empty((S, rows))
     tail_start = horizon - tail_length(horizon, tail_fraction)
     hi, lo = np.full((p, S), -np.inf), np.full((p, S), np.inf)  # over the tail window
     sup = np.zeros(S)  # of max|gram_inv * weights| over the nonsingular steps
@@ -468,7 +469,8 @@ def ls_fold(
     pieces = fold(S)
     for start in range(0, horizon, PIECE_STEPS):
         stop = min(start + PIECE_STEPS, horizon)
-        x, u, e = xy[:, : stop - start], us[:, : stop - start], err[:, : stop - start]
+        x, u = xy[:, : stop - start], us[:, : stop - start]
+        e, w = err[:, : stop - start], weighted[:, : stop - start]
         for s, rng in enumerate(rngs):
             carries[s] = model.design.draw(rng, model.sigma, start, x[s, :, :p], u[s], carries[s])
         # a law reads the estimates after the step before, so it folds step by step
@@ -485,12 +487,8 @@ def ls_fold(
             # a step's max|inv * w| is, exactly, the max over columns j of |w_j| times
             # column j's max|inv|, which forms no second (p, p, S, k) array
             columns *= np.abs(np.asarray(gw(energies), dtype=float))
-            n0 = state.first_nonsingular[:, None]
-            nonsingular = (n0 > 0) & (n0 <= np.arange(a + 1, b + 1))
-            # a NaN on a nonsingular step (a NaN weight) stays NaN through the max
-            steps = columns.max(axis=0)
-            np.maximum(sup, steps.max(axis=1, where=nonsingular, initial=0.0), out=sup)
-            del columns, energies, steps
+            columns.max(axis=0, out=w[:, i:j])
+            del columns, energies
             np.abs(ests - beta[:, None, None]).max(axis=0, out=e[:, i:j])
             if b > tail_start:  # NaN propagates as through a max over the whole window
                 tail = max(tail_start - a, 0)
@@ -508,7 +506,10 @@ def ls_fold(
             tri, factored = _qr_triangle(tri, x[:, factored - start :]), stop
         # a seed's n0 is set once, so the piece's singular steps are those before its n0 now
         n0 = state.first_nonsingular[:, None]
-        np.copyto(e, np.inf, where=(n0 == 0) | (n0 > np.arange(start + 1, stop + 1)))
+        singular = (n0 == 0) | (n0 > np.arange(start + 1, stop + 1))
+        # a NaN on a nonsingular step (a NaN weight) stays NaN through the max
+        np.maximum(sup, w.max(axis=1, where=~singular, initial=0.0), out=sup)
+        np.copyto(e, np.inf, where=singular)
         total += u.sum(axis=1)
         total_sq += (u * u).sum(axis=1)
         np.maximum(peak, np.abs(u).max(axis=1), out=peak)
