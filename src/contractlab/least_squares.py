@@ -12,8 +12,9 @@ conditions need from those solves (the first nonsingular step, the column
 energies, the weighted-inverse supremum ``kappa_hat`` and the noise
 moments), so the design check reads the run and forms no Gram matrix of
 its own; a streaming QR of the rows, solved at the checkpoints, stays the
-independent check of the normal equations.  The weighted score process turns per-component consistency
-into the same drift conditions checked elsewhere in this package.
+independent check of the normal equations.  The weighted score process
+turns per-component consistency into the same drift conditions checked
+elsewhere in this package.
 """
 from __future__ import annotations
 
@@ -71,13 +72,12 @@ class Design:
     the first piece, at start 0, is given None.  A draw must give the same
     values for any cut of the horizon into pieces, as one ``rng.normal``
     with a scale per column does when called for each piece's rows.
-    ``law(estimates, rows)``, when
-    given, closes the loop: before step n is folded it is called once for
-    every seed at once, and edits that step's drawn (seeds, p) regressor
-    ``rows`` in place, given each seed's (seeds, p) estimate after step
-    n - 1 (a NaN row while that seed's Gram matrix is singular), which it
-    must not modify.  A law that treats each row alone keeps every seed's
-    run bit-identical to that seed run alone.
+    ``law(estimates, rows)``, when given, closes the loop: before step n is
+    folded it is called once for every seed at once, and edits that step's
+    drawn (seeds, p) regressor ``rows`` in place, given each seed's
+    (seeds, p) estimate after step n - 1 (a NaN row while that seed's Gram
+    matrix is singular), which it must not modify.  A law that treats each
+    row alone keeps every seed's run bit-identical to that seed run alone.
     """
 
     p: int
