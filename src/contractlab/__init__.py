@@ -49,6 +49,7 @@ from .least_squares import (
     LsRun,
     LsState,
     PartitionReport,
+    PieceFold,
     RegressionModel,
     check_design_conditions,
     integral_bound,

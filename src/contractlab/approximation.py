@@ -26,7 +26,16 @@ from .process import (
     scalar_only,
     zero_state_mask,
 )
-from .verdict import DEFAULT_ATOL, Bands, ConditionVerdict, band_check, band_window, column, vacuous
+from .verdict import (
+    DEFAULT_ATOL,
+    Bands,
+    ConditionVerdict,
+    Scratch,
+    band_check,
+    band_window,
+    column,
+    vacuous,
+)
 
 __all__ = [
     "RootProblem",
@@ -596,13 +605,20 @@ def sandwich_checkable(alphas: np.ndarray, m: float, M: float) -> np.ndarray:
     return np.logical_or.accumulate(M * alphas <= 1.0)
 
 
-def sandwich_window(xs, ms, alphas, checkable, m: float, M: float, x_star: float) -> Bands:
+def sandwich_window(
+    xs, ms, alphas, checkable, m: float, M: float, x_star: float, scratch: Optional[Scratch] = None
+) -> Bands:
     """:func:`check_ratio_sandwich`'s band of each scalar seed of a window, whose
-    steps have the step sizes ``alphas`` and the mask ``checkable``."""
-    prev = xs[:-1] - x_star
+    steps have the step sizes ``alphas`` and the mask ``checkable``; its
+    arrays are formed in ``scratch`` (see :func:`band_window`), in the
+    buffers "prev" and "means" besides the kernel's."""
+    work = Scratch() if scratch is None else scratch
+    prev = np.subtract(xs[:-1], x_star, out=work.take("prev", ms.shape))
+    means = np.subtract(ms, x_star, out=work.take("means", ms.shape))
     return band_window(
-        ms - x_star, column(1.0 - m * alphas), column(1.0 - M * alphas),
+        means, column(1.0 - m * alphas), column(1.0 - M * alphas),
         column(checkable) & (prev != 0), atol=DEFAULT_ATOL, over=prev, finite=finite_rows(xs, ms),
+        scratch=work,
     )
 
 

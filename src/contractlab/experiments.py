@@ -50,6 +50,7 @@ from .harness import (
     tail_verdict,
 )
 from .least_squares import (
+    PieceFold,
     RegressionModel,
     check_design_conditions,
     ls_fold,
@@ -74,7 +75,7 @@ from .reporting import (
     write_summary_text,
     write_traces_csv,
 )
-from .verdict import DEFAULT_ATOL, Bands
+from .verdict import DEFAULT_ATOL, Bands, Scratch
 
 __all__ = ["AssertionResult", "ExperimentOutcome", "run_experiment"]
 
@@ -266,22 +267,25 @@ def _run_sa(config: ExperimentConfig):
             self.tails = TailFold.of(seeds, horizon + 1, ens, grid)
             self.bands = Bands.empty(seeds)
             self.checkable = False  # whether a step before was: the sandwich's prefix OR
+            self.scratch = Scratch()  # the window arrays, reused by every window
 
         def add(self, start, xs, ms):
             alphas = schedule.alphas(start + len(ms), start)
             band = None
             if flag == "contraction_zero_violations":
-                pairs = drift_pairs(xs, ms, 0.0)
+                pairs = drift_pairs(xs, ms, 0.0, self.scratch)
                 ks = contraction_factor(alphas, env["m"], env["M"])[:, None]
-                band = ratio_window(pairs, finite_rows(xs, ms), ks, atol=DEFAULT_ATOL)
+                finite = finite_rows(xs, ms)
+                band = ratio_window(pairs, finite, ks, atol=DEFAULT_ATOL, scratch=self.scratch)
                 values = pairs[0]  # the row norms
             else:
-                values = row_norms(xs) if vector else xs - root
+                out = self.scratch.take("values", xs.shape[:2])
+                values = row_norms(xs, out, self.scratch) if vector else np.subtract(xs, root, out=out)
             if flag == "sandwich_zero_violations":
                 m, M = env["m"], env["M"]
                 checkable = sandwich_checkable(alphas, m, M) | self.checkable
                 self.checkable = bool(checkable[-1])
-                band = sandwich_window(xs, ms, alphas, checkable, m, M, root)
+                band = sandwich_window(xs, ms, alphas, checkable, m, M, root, self.scratch)
             self.tails.add(values if start == 0 else values[1:])
             if band is not None:
                 self.bands = self.bands.then(band)
@@ -296,6 +300,7 @@ def _run_sa(config: ExperimentConfig):
         fold = Fold(1)
         fold.add(0, *path.window())
         tail, payload = next(fold.outputs())
+        del fold  # and its window arrays, before the checks below
         if config.traces:
             payload["path"] = path
         if truncated:
@@ -382,10 +387,11 @@ def _run_ls(config: ExperimentConfig):
 
     grid = _grid(horizon, config.curve_points)
 
-    class Errors:
+    class Errors(PieceFold):
         """The tails of S seeds' errors, folded piece by piece (see ``ls_fold``)."""
 
         def __init__(self, seeds: int):
+            super().__init__(horizon, reg_model.p, seeds)
             self.tails = TailFold.of(seeds, horizon, ens, grid)
 
         def add(self, start, xy, us, err):

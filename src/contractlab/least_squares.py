@@ -42,6 +42,7 @@ __all__ = [
     "PartitionReport",
     "PARTITION_CLASSES",
     "ls_fold",
+    "PieceFold",
     "simulate_ls_runs",
     "z_process",
     "check_design_conditions",
@@ -419,13 +420,15 @@ def ls_fold(
     :class:`LsState`, one piece of ``PIECE_STEPS`` steps at a time.
 
     Returns one (output, run) pair per seed, in seed order: the output is
-    ``fold(S)``'s, whose ``add(start, xy, us, err)`` takes each piece in step
-    order, first step ``start + 1``, of every seed: the (S, k, p + 1)
-    regressors and responses, the (S, k) noise and the (S, k) max-norm
-    estimate errors (infinite before a seed's ``n0``), valid until the next
-    piece; its ``outputs()`` gives one output per seed.  The run holds what
-    the checkers read, and no array of the horizon's length, so memory is
-    O(S * PIECE_STEPS * p) whatever the horizon.
+    ``fold(S)``'s, a fold of the pieces in step order.  For the piece of
+    steps ``start + 1 .. stop`` of every seed, its ``piece(start, stop)``
+    gives the arrays the loop fills: the (S, k, p + 1) regressors and
+    responses, the (S, k) noise and the (S, k) max-norm estimate errors
+    (infinite before a seed's ``n0``); then ``add(start, xy, us, err)`` is
+    called with them.  Its ``outputs()`` gives one output per seed.  A
+    :class:`PieceFold` fills one piece's arrays, reused for every piece, so
+    with it the memory is O(S * PIECE_STEPS * p) whatever the horizon: the
+    run holds what the checkers read, and no array of the horizon's length.
 
     Seed ``s`` draws each piece from ``np.random.default_rng(seeds[s])``,
     continuing its stream, so its run is bit-identical to a run of that seed
@@ -452,10 +455,7 @@ def ls_fold(
     checkpoints = {int(c) for c in checkpoints}
     if checkpoints and not 1 <= min(checkpoints) <= max(checkpoints) <= horizon:
         raise ValueError(f"checkpoints must lie in 1..{horizon}")
-    rows = min(PIECE_STEPS, horizon)
-    xy = np.empty((S, rows, p + 1))  # regressors, then the response
-    # the noise, each step's max-norm error and its max|gram_inv * weights|
-    us, err, weighted = np.empty((S, rows)), np.empty((S, rows)), np.empty((S, rows))
+    weighted = np.empty((S, min(PIECE_STEPS, horizon)))  # each step's max|gram_inv * weights|
     tail_start = horizon - tail_length(horizon, tail_fraction)
     hi, lo = np.full((p, S), -np.inf), np.full((p, S), np.inf)  # over the tail window
     sup = np.zeros(S)  # of max|gram_inv * weights| over the nonsingular steps
@@ -469,8 +469,8 @@ def ls_fold(
     pieces = fold(S)
     for start in range(0, horizon, PIECE_STEPS):
         stop = min(start + PIECE_STEPS, horizon)
-        x, u = xy[:, : stop - start], us[:, : stop - start]
-        e, w = err[:, : stop - start], weighted[:, : stop - start]
+        x, u, e = pieces.piece(start, stop)  # regressors then responses, noise, errors
+        w = weighted[:, : stop - start]
         for s, rng in enumerate(rngs):
             carries[s] = model.design.draw(rng, model.sigma, start, x[s, :, :p], u[s], carries[s])
         # a law reads the estimates after the step before, so it folds step by step
@@ -559,17 +559,35 @@ def _solve_triangle(tri: np.ndarray, p: int) -> np.ndarray:
     return b
 
 
+class PieceFold:
+    """A fold of :func:`ls_fold`'s pieces of S seeds that fills one piece's
+    arrays, reused for every piece of a ``horizon``-step run with ``p``
+    columns.  A subclass defines ``add`` and ``outputs``."""
+
+    def __init__(self, horizon: int, p: int, seeds: int):
+        rows = min(PIECE_STEPS, horizon)
+        self.xy = np.empty((seeds, rows, p + 1))
+        self.us, self.err = np.empty((seeds, rows)), np.empty((seeds, rows))
+
+    def piece(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        k = stop - start
+        return self.xy[:, :k], self.us[:, :k], self.err[:, :k]
+
+
 class _Arrays:
-    """The fold that keeps every piece, for :func:`simulate_ls_runs`."""
+    """The fold that keeps every piece, for :func:`simulate_ls_runs`: each
+    piece is filled in place in the whole arrays."""
 
     def __init__(self, horizon: int, p: int, seeds: int):
         self.p = p
         self.xy = np.empty((seeds, horizon, p + 1))
         self.us, self.err = np.empty((seeds, horizon)), np.empty((seeds, horizon))
 
+    def piece(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.xy[:, start:stop], self.us[:, start:stop], self.err[:, start:stop]
+
     def add(self, start: int, xy: np.ndarray, us: np.ndarray, err: np.ndarray) -> None:
-        steps = slice(start, start + us.shape[1])
-        self.xy[:, steps], self.us[:, steps], self.err[:, steps] = xy, us, err
+        pass
 
     def outputs(self) -> Iterator[dict]:
         for xy, us, err in zip(self.xy, self.us, self.err):

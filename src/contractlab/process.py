@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .verdict import (
     Band,
     Bands,
     ConditionVerdict,
+    Scratch,
     band_check,
     band_window,
     column,
@@ -146,23 +147,29 @@ def doob_decompose(xs, ms) -> ProcessPath:
     return ProcessPath(finite_array(xs, "value in xs"), finite_array(ms, "value in ms"))
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
+def row_norms(
+    x: np.ndarray, out: Optional[np.ndarray] = None, scratch: Optional[Scratch] = None
+) -> np.ndarray:
     """The Euclidean norm over the last axis of ``x``: every path's one row-norm rule.
 
     Bit for bit ``np.linalg.norm(x, axis=-1)``, which sums the squares with no
     scaling (so 1e200 gives inf and a subnormal 0).  Below 8 components numpy
     adds them in order, so they are added here column by column, elementwise
     over the rows, which is faster than reducing a short last axis; from 8 on
-    the axis is reduced, which keeps numpy's pairwise summation.
+    the axis is reduced, which keeps numpy's pairwise summation.  The norms
+    are formed in ``out`` when given, and a column's squares in the buffer
+    "square" of ``scratch`` (see :func:`band_window`).
     """
     p = x.shape[-1]
     if p >= 8:
-        return np.sqrt(np.add.reduce(x * x, axis=-1))
+        return np.sqrt(np.add.reduce(x * x, axis=-1), out=out)
     first = x[..., 0]
-    total = first * first
+    total = np.multiply(first, first, out=out)
+    if p > 1:
+        square = (Scratch() if scratch is None else scratch).take("square", total.shape)
     for t in range(1, p):
         col = x[..., t]
-        total += col * col
+        total += np.multiply(col, col, out=square)
     return np.sqrt(total, out=total)
 
 
@@ -251,24 +258,38 @@ def _finite_rows_of(a: np.ndarray) -> np.ndarray:
     return ok
 
 
-def drift_pairs(xs: np.ndarray, ms: np.ndarray, zero_tol: float) -> Tuple[np.ndarray, ...]:
+def drift_pairs(
+    xs: np.ndarray, ms: np.ndarray, zero_tol: float, scratch: Optional[Scratch] = None
+) -> Tuple[np.ndarray, ...]:
     """The levels of a window's iterates (their row norms for vector seeds, the
     values themselves for scalar ones), the levels of its means, and whether
     each step's predecessor is zero-class, ``|x_{n-1}| <= zero_tol``: the
-    checkers' one zero-class rule."""
-    levels = row_norms(xs) if xs.ndim == 3 else xs
-    means = row_norms(ms) if ms.ndim == 3 else ms
-    return levels, means, np.abs(levels[:-1]) <= zero_tol
+    checkers' one zero-class rule.  The norms and magnitudes are formed in
+    the buffers "levels", "norms" and "magnitudes" of ``scratch`` (see
+    :func:`band_window`)."""
+    work = Scratch() if scratch is None else scratch
+    rows = ms.shape[:2]
+    if xs.ndim == 3:
+        levels = row_norms(xs, work.take("levels", xs.shape[:2]), work)
+        means = row_norms(ms, work.take("norms", rows), work)
+    else:
+        levels, means = xs, ms
+    return levels, means, np.abs(levels[:-1], out=work.take("magnitudes", rows)) <= zero_tol
 
 
-def ratio_window(pairs, finite, upper, lower=None, mask=None, atol: float = 0.0) -> Bands:
+def ratio_window(
+    pairs, finite, upper, lower=None, mask=None, atol: float = 0.0, scratch: Optional[Scratch] = None
+) -> Bands:
     """:func:`ratio_band` of each seed of a window, from its :func:`drift_pairs` and
-    :func:`finite_rows`; bounds and ``mask`` broadcast to (w, S)."""
+    :func:`finite_rows`; bounds and ``mask`` broadcast to (w, S).  Its arrays
+    are formed in ``scratch`` (see :func:`band_window`)."""
     levels, means, zero_class = pairs
     off_zero = ~zero_class
     if mask is not None:
         off_zero &= mask
-    return band_window(means, upper, lower, off_zero, atol=atol, over=levels[:-1], finite=finite)
+    return band_window(
+        means, upper, lower, off_zero, atol=atol, over=levels[:-1], finite=finite, scratch=scratch
+    )
 
 
 def ratio_band(path, upper, lower=None, mask=None, atol: float = 0.0) -> Band:

@@ -152,6 +152,26 @@ class Bands:
         return Band(step, worst, checked, value, worst_value)
 
 
+class Scratch:
+    """Float buffers that a loop over windows reuses: ``take(name, shape)`` is
+    the first entries of the buffer ``name`` as a contiguous array of
+    ``shape``, its contents left as they were, the buffer grown when a window
+    needs more.  A fresh one per call allocates as ``np.empty`` does; one
+    kept across the windows of a run allocates none of their arrays again,
+    which spares the allocator releasing and faulting back the same pages
+    every window."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size)
+        return buffer[:size].reshape(shape)
+
+
 def band_window(
     values: np.ndarray,
     upper=None,
@@ -160,14 +180,18 @@ def band_window(
     atol: float = 0.0,
     over: Optional[np.ndarray] = None,
     finite: Optional[np.ndarray] = None,
+    scratch: Optional[Scratch] = None,
 ) -> Bands:
     """:func:`band_check` of each column of a (steps, S) window at once.
 
-    Every argument but ``atol`` is a (steps, S) array or broadcasts to one,
-    such as a (steps, 1) bound shared by the seeds.  Only the checked steps
-    are divided and subtracted, so a skipped step raises no floating-point
-    warning.  Windows fold into the whole path's bands by :meth:`Bands.then`.
+    Every argument but ``atol`` and ``scratch`` is a (steps, S) array or
+    broadcasts to one, such as a (steps, 1) bound shared by the seeds.  Only
+    the checked steps are divided and subtracted, so a skipped step raises no
+    floating-point warning.  Windows fold into the whole path's bands by
+    :meth:`Bands.then`.  The quotients and margins are formed in the buffers
+    "checked", "margins" and "low" of ``scratch``, a fresh one when None.
     """
+    work = Scratch() if scratch is None else scratch
     values = np.asarray(values, dtype=float)
     ok = np.isfinite(values)
     for arr in (finite, over, upper, lower):
@@ -176,14 +200,16 @@ def band_window(
     take = True if mask is None else mask | ~ok
     checked = values
     if over is not None:
-        checked = np.zeros(values.shape)
+        checked = work.take("checked", values.shape)  # only its taken entries are reported
         with np.errstate(divide="ignore", invalid="ignore"):
             np.divide(values, over, out=checked, where=take)
-    margins = np.full(values.shape, math.inf)
+    margins = work.take("margins", values.shape)
+    margins.fill(math.inf)
     if upper is not None:
         np.subtract(upper, checked, out=margins, where=take)
     if lower is not None:
-        low = np.subtract(checked, lower, out=None, where=take)  # read only where taken
+        low = work.take("low", values.shape)  # read only where taken
+        np.subtract(checked, lower, out=low, where=take)
         np.minimum(margins, low, out=margins, where=take)
     margins[~ok] = -math.inf
     columns = values.shape[1]

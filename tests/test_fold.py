@@ -33,7 +33,7 @@ from contractlab.approximation import (
 from contractlab.config import parse_config_text
 from contractlab.harness import child_seed, tail_length
 from contractlab.process import ratio_band
-from contractlab.verdict import DEFAULT_ATOL, Bands, band_check, band_window
+from contractlab.verdict import DEFAULT_ATOL, Bands, Scratch, band_check, band_window
 from helpers import OVERFLOWS
 
 SEEDS, HORIZON = 20, 60
@@ -250,6 +250,27 @@ def test_merged_window_bands_equal_the_whole_path_band(case):
             merged = merged.then(window)
     assert merged.steps == len(values)
     assert as_tuple(merged.band(0)) == as_tuple(whole)
+
+
+@given(windowed_bands())
+@settings(max_examples=200, deadline=None)
+def test_window_bands_in_a_reused_scratch_equal_fresh_ones(case):
+    # one scratch through every window, its buffers dirty from a larger window
+    # before: each window's band is the band of fresh buffers, field by field
+    (values, upper, lower, mask, atol, over, finite), cuts = case
+    scratch = Scratch()
+    for name in ("checked", "margins", "low"):
+        scratch.take(name, (len(values) + 3, 2)).fill(math.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in a checked step
+        for a, b in zip([0, *cuts], [*cuts, len(values)]):
+            piece = lambda x: x[a:b, None] if np.ndim(x) == 1 else x  # noqa: E731
+            args = [piece(x) for x in (values, upper, lower, mask)]
+            fresh = band_window(*args, atol=atol, over=piece(over), finite=piece(finite))
+            reused = band_window(
+                *args, atol=atol, over=piece(over), finite=piece(finite), scratch=scratch
+            )
+            assert as_tuple(reused.band(0)) == as_tuple(fresh.band(0))
 
 
 def test_bands_of_seeds_are_their_columns():

@@ -809,9 +809,8 @@ def _draw_in_place(rng, sigma, start, xs, us, carry):
 
 @pytest.mark.parametrize("piece_steps", [128, 512])
 def test_fold_memory_stays_within_chunks(monkeypatch, piece_steps):
-    # beyond its outputs, a run holds its piece of PIECE_STEPS steps per seed
-    # (regressors, responses, noise and errors) and a few chunks of them
-    # (accumulators, inverses, estimates), whatever the horizon
+    # beyond its outputs, a run holds a few chunks of PIECE_STEPS steps per
+    # seed (accumulators, inverses, estimates), whatever the horizon
     monkeypatch.setattr(least_squares, "PIECE_STEPS", piece_steps)
     seeds, p = 8, 2
     model = RegressionModel(np.array([1.0, -0.5]), Design(2, _draw_in_place), 1.0)
@@ -828,9 +827,8 @@ def test_fold_memory_stays_within_chunks(monkeypatch, piece_steps):
         return peak - outputs
 
     chunk = 8 * piece_steps * seeds * p * (p + 1)
-    piece = 8 * piece_steps * seeds * (p + 3)
     short, long = beyond_outputs(2000), beyond_outputs(8000)
-    assert short <= piece + 3 * chunk + 2**15
+    assert short <= 3 * chunk + 2**15
     assert long <= short + chunk // 8
 
 

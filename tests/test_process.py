@@ -16,8 +16,14 @@ from contractlab import (
     kronecker_path,
     max_growth_factor,
 )
-from contractlab.process import ratio_band, row_norms, zero_state_band, zero_state_mask
-from contractlab.verdict import DEFAULT_ATOL
+from contractlab.process import (
+    drift_pairs,
+    ratio_band,
+    row_norms,
+    zero_state_band,
+    zero_state_mask,
+)
+from contractlab.verdict import DEFAULT_ATOL, Scratch
 from helpers import ar_path, brute_crossings, halving_noise_path
 
 
@@ -422,3 +428,23 @@ def test_row_norms_are_numpys_to_the_bit(x):
             path = ProcessPath(x, x[1:])
             assert path.norms().tobytes() == want.tobytes()
             assert path.mean_norms().tobytes() == want[1:].tobytes()
+
+
+@given(short_rows())
+@settings(max_examples=200, deadline=None)
+def test_row_norms_in_used_buffers_are_the_fresh_bits(x):
+    """Formed in an ``out`` array and a scratch square left dirty by a larger
+    window before, the norms and the drift pairs of a window keep their bits."""
+    window = np.stack([x, x[::-1]], axis=1)  # two seeds
+    scratch = Scratch()
+    for name in ("square", "levels", "norms", "magnitudes"):  # dirty and larger than needed
+        scratch.take(name, (len(x) + 5, 3)).fill(math.nan)
+    out = np.full(window.shape[:2], 7.0)
+    with np.errstate(over="ignore"):
+        want = row_norms(window)
+        got = row_norms(window, out, scratch)
+        assert got is out and got.tobytes() == want.tobytes()
+        if len(x) > 1:
+            fresh = drift_pairs(window, window[1:], 1.0)
+            reused = drift_pairs(window, window[1:], 1.0, scratch)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh, reused))
