@@ -280,7 +280,10 @@ def _run_sa(config: ExperimentConfig):
                 values = pairs[0]  # the row norms
             else:
                 out = self.scratch.take("values", xs.shape[:2])
-                values = row_norms(xs, out, self.scratch) if vector else np.subtract(xs, root, out=out)
+                if vector:
+                    values = row_norms(xs, out, self.scratch)
+                else:
+                    values = np.subtract(xs, root, out=out)
             if flag == "sandwich_zero_violations":
                 m, M = env["m"], env["M"]
                 checkable = sandwich_checkable(alphas, m, M) | self.checkable

@@ -278,7 +278,13 @@ def drift_pairs(
 
 
 def ratio_window(
-    pairs, finite, upper, lower=None, mask=None, atol: float = 0.0, scratch: Optional[Scratch] = None
+    pairs,
+    finite,
+    upper,
+    lower=None,
+    mask=None,
+    atol: float = 0.0,
+    scratch: Optional[Scratch] = None,
 ) -> Bands:
     """:func:`ratio_band` of each seed of a window, from its :func:`drift_pairs` and
     :func:`finite_rows`; bounds and ``mask`` broadcast to (w, S).  Its arrays
