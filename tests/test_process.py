@@ -441,10 +441,11 @@ def test_row_norms_in_used_buffers_are_the_fresh_bits(x):
         scratch.take(name, (len(x) + 5, 3)).fill(math.nan)
     out = np.full(window.shape[:2], 7.0)
     with np.errstate(over="ignore"):
-        want = row_norms(window)
+        norms = np.linalg.norm(window, axis=-1)
         got = row_norms(window, out, scratch)
-        assert got is out and got.tobytes() == want.tobytes()
+        assert got is out and got.tobytes() == norms.tobytes()
         if len(x) > 1:
-            fresh = drift_pairs(window, window[1:], 1.0)
-            reused = drift_pairs(window, window[1:], 1.0, scratch)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh, reused))
+            want = (norms, norms[1:], norms[:-1] <= 1.0)
+            for reused in (scratch, None):
+                pairs = drift_pairs(window, window[1:], 1.0, reused)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(pairs, want))
